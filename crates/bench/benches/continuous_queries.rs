@@ -30,12 +30,6 @@
 //!   (`PROB_RNN`) standing query at `N = 150`: maintenance carries every
 //!   untouched perspective (one new perspective engine per commit),
 //!   naive rebuilds all `N` perspective envelopes and re-samples.
-//! * `sync_{far,near}_{sharded,sequential}/32` — the maintenance
-//!   scheduling ablation at 32 subscriptions: the sharded two-phase sync
-//!   (shared ops fetch, cached skip proofs, scoped-thread fan-out of
-//!   heavy refreshes on multi-core hosts) against the pre-sharding
-//!   sequential sweep (per-subscription ops fetch, proof derived from
-//!   scratch every round).
 //! * `push_fanout/32`       — full network path: one answer-changing
 //!   commit, then every one of 32 subscribers connected over loopback
 //!   TCP receives its pushed `AnswerDelta` frame.
@@ -58,7 +52,7 @@ use unn_geom::interval::TimeInterval;
 use unn_modb::net::{NetClient, NetServer, WireOutput};
 use unn_modb::plan::{PrefilterPolicy, QueryPlanner};
 use unn_modb::server::ModServer;
-use unn_modb::subscription::{SubAnswer, SyncMode};
+use unn_modb::subscription::SubAnswer;
 use unn_traj::generator::{generate_uncertain, WorkloadConfig};
 use unn_traj::trajectory::{Oid, Trajectory};
 use unn_traj::uncertain::{common_pdf_kind, UncertainTrajectory};
@@ -515,55 +509,6 @@ fn continuous_queries(c: &mut Criterion) {
                 })
             });
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded vs sequential maintenance at 32 subscriptions.
-    // ------------------------------------------------------------------
-    const SYNC_SUBS: usize = 32;
-    for (label, mode) in [
-        ("sharded", SyncMode::Sharded),
-        ("sequential", SyncMode::Sequential),
-    ] {
-        // Far churn: the steady-state skip path. Sharded shares one ops
-        // fetch + changed set across all 32 subscriptions and checks
-        // cached proof bounds; sequential re-fetches and re-derives per
-        // subscription, per commit.
-        let server = server_with_subs(SYNC_SUBS);
-        server.subscription_registry().set_sync_mode(mode);
-        let mut k = 0u64;
-        group.bench_with_input(
-            BenchmarkId::new(format!("sync_far_{label}"), SYNC_SUBS),
-            &SYNC_SUBS,
-            |b, _| {
-                b.iter(|| {
-                    k += 1;
-                    server
-                        .store()
-                        .remove(Oid(CHURN_BASE + k % 32))
-                        .expect("present");
-                    server
-                        .register(far(k, 0.01 * (k % 100) as f64))
-                        .expect("ok");
-                })
-            },
-        );
-        // Near churn: every subscription patches. On multi-core hosts
-        // the sharded mode additionally fans the 32 patches out across
-        // scoped threads per registry shard.
-        let server = server_with_subs(SYNC_SUBS);
-        server.subscription_registry().set_sync_mode(mode);
-        let mut k = 0u64;
-        group.bench_with_input(
-            BenchmarkId::new(format!("sync_near_{label}"), SYNC_SUBS),
-            &SYNC_SUBS,
-            |b, _| {
-                b.iter(|| {
-                    k += 1;
-                    nudge(&server, Oid(100 + k % 40), 0.001);
-                })
-            },
-        );
     }
 
     // ------------------------------------------------------------------

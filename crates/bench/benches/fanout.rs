@@ -17,22 +17,15 @@
 //!   `WATCH`; one engine maintains the answer, one serialization per
 //!   delta is broadcast to every outbox.
 //! * `fanout/register_shared_p99` — `N` distinct `REGISTER CONTINUOUS`
-//!   names on the identical query with engine sharing **on**: one
-//!   shared engine, but per-name frames (each connection re-encodes).
-//!   Isolates the engine-sharing layer from the encode-once layer.
-//! * `fanout/naive_p50` / `fanout/naive_p99` — the per-connection
-//!   re-encode baseline: engine sharing **off**, `N` distinct names —
-//!   every commit runs `N` engine maintenance rounds and `N`
-//!   serializations, as the pre-sharing server did.
+//!   names on the identical query: one shared engine, but per-name
+//!   frames (each connection re-encodes). Isolates the engine-sharing
+//!   layer from the encode-once layer.
 //! * `fanout/city_maintain_100` / `fanout/city_maintain_10k` — the
 //!   maintenance round itself across many *distinct* standing queries
 //!   (mixed interval/row, in-process): p50 wall-clock of a far-churn
 //!   commit whose delta region intersects no standing query's guard
 //!   box. The registry's spatial index prunes every share, so the two
 //!   must stay within 10x of each other (asserted in full mode).
-//! * `fanout/city_seq_10k` — the same far-churn round under
-//!   `SyncMode::Sequential`: the linear per-share sweep the index
-//!   replaces, kept as the ablation baseline.
 //! * `fanout/city_multiwriter_10k` — concurrent writer threads churning
 //!   far objects under a commit-coalescing batch window (8); mean
 //!   wall-clock per commit across the burst.
@@ -40,10 +33,9 @@
 //! Before any timing, the watch scenario asserts **bit-identity**: all
 //! `N` subscribers' raw pushed frames are byte-for-byte equal, and the
 //! delta they carry folds the base answer onto a fresh exhaustive
-//! evaluation of the mutated store. The city scenarios run their own
-//! identity gate: an indexed store under a batch window (with a
-//! mid-batch registration) must answer bit-identically to a
-//! `SyncMode::Sequential` twin on the same mixed script.
+//! evaluation of the mutated store. (That the indexed, batched
+//! maintenance the city scenarios time answers bit-identically to a cold
+//! evaluation is `tests/indexed_sync.rs`'s property.)
 //!
 //! Knobs: `UNN_FANOUT_SUBS` overrides the subscriber count (default
 //! 1000; CI smoke uses a handful), `--test` runs a tiny smoke pass and
@@ -366,10 +358,8 @@ fn decode_frame(raw: &[u8]) -> Frame {
 enum Mode {
     /// One registered standing query, every client `WATCH`es it.
     Watch,
-    /// Distinct names, engine sharing on (one engine, per-name frames).
+    /// Distinct names on one shared engine (per-name frames).
     RegisterShared,
-    /// Distinct names, engine sharing off (the pre-sharing baseline).
-    Naive,
 }
 
 /// Runs one fan-out scenario: builds a fresh server, attaches `n`
@@ -377,9 +367,6 @@ enum Mode {
 /// measures `rounds` commit-to-last-push latencies.
 fn run_scenario(mode: Mode, n: usize, rounds: usize, assert_identity: bool) -> Vec<Duration> {
     let server = populated_server();
-    if matches!(mode, Mode::Naive) {
-        server.subscription_registry().set_engine_sharing(false);
-    }
     if matches!(mode, Mode::Watch) {
         server.subscribe("fan", QUERY).expect("registers");
     }
@@ -395,9 +382,7 @@ fn run_scenario(mode: Mode, n: usize, rounds: usize, assert_identity: bool) -> V
         let mut client = RawClient::connect(addr);
         let out = match mode {
             Mode::Watch => client.execute("WATCH fan"),
-            Mode::RegisterShared | Mode::Naive => {
-                client.execute(&format!("REGISTER CONTINUOUS {QUERY} AS w{i}"))
-            }
+            Mode::RegisterShared => client.execute(&format!("REGISTER CONTINUOUS {QUERY} AS w{i}")),
         };
         assert!(matches!(out, WireOutput::Registered(_)), "attach failed");
         let first = Arc::new(Mutex::new(None));
@@ -420,11 +405,7 @@ fn run_scenario(mode: Mode, n: usize, rounds: usize, assert_identity: bool) -> V
             std::thread::spawn(move || reader_shard(subs, gate, stop))
         })
         .collect();
-    match mode {
-        Mode::Watch => assert_eq!(server.subscription_registry().share_count(), 1),
-        Mode::RegisterShared => assert_eq!(server.subscription_registry().share_count(), 1),
-        Mode::Naive => assert_eq!(server.subscription_registry().share_count(), n),
-    }
+    assert_eq!(server.subscription_registry().share_count(), 1);
 
     // Warm commit (churn object appears) — doubles as the bit-identity
     // probe for the watch scenario.
@@ -495,8 +476,7 @@ fn percentile(sorted: &[Duration], pct: usize) -> f64 {
 // *standing queries*. A far-churn commit provably affects none of them,
 // so the registry's guard index should prune every share without
 // touching it — the round's cost must stay flat as the registered
-// population grows (the `city_seq` ablation shows the linear sweep it
-// replaces). Subscriptions are registered in-process (no sockets): the
+// population grows. Subscriptions are registered in-process (no sockets): the
 // measured path is commit → index lookup → visit set, not transport.
 // ---------------------------------------------------------------------------
 
@@ -565,54 +545,6 @@ fn city_churn(server: &ModServer, round: usize) {
     }
 }
 
-/// Pre-timing bit-identity: an indexed store under a coalescing batch
-/// window and a `SyncMode::Sequential` twin run the same mixed script —
-/// near churn, far churn, a query-object rewrite, and a subscription
-/// registered mid-batch that must catch up from the delta log — and
-/// every maintained answer must match bit-for-bit.
-fn city_identity(subs: usize) {
-    let indexed = city_server(subs);
-    indexed.store().set_maintenance_batch(3);
-    let sequential = city_server(subs);
-    sequential
-        .subscription_registry()
-        .set_sync_mode(unn_modb::subscription::SyncMode::Sequential);
-    let script = |server: &Arc<ModServer>| {
-        // Far churn: index prunes everything / sweep skips everything.
-        server.register(straight(CHURN_OID, 0.3)).expect("inserts");
-        // Near churn: lands in query 1's band, answers change.
-        server
-            .register(straight(CHURN_OID + 1, CITY_BASE_Y + 0.3))
-            .expect("inserts");
-        // The query object itself moves: a guaranteed rebuild, and its
-        // guard republishes.
-        server.store().update(straight(1, CITY_BASE_Y + 0.1));
-        // Registered mid-batch: on the indexed server the window is
-        // mid-burst here, so the catch-up must reconcile from the log.
-        server
-            .subscribe("mid", &city_interval_stmt(1))
-            .expect("mid-batch registration");
-        server.store().remove(Oid(CHURN_OID)).expect("removes");
-        server.store().update(straight(2, CITY_BASE_Y + 0.5));
-        server.store().flush_maintenance();
-    };
-    script(&indexed);
-    script(&sequential);
-    for info in sequential.subscriptions() {
-        let (want, _) = sequential
-            .subscription_answer_with_epoch(&info.name)
-            .expect("sequential answer");
-        let (got, _) = indexed
-            .subscription_answer_with_epoch(&info.name)
-            .expect("indexed answer");
-        assert_eq!(
-            got, want,
-            "indexed+batched answer for '{}' diverged from the sequential sweep",
-            info.name
-        );
-    }
-}
-
 /// Far-churn maintenance rounds, inline on the committing thread: the
 /// returned samples time `commit + maintenance` wall-clock. One warm
 /// pair first — the initial round after registration reconciles the
@@ -669,9 +601,9 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(if smoke { 8 } else { 1000 });
-    let (watch_rounds, shared_rounds, naive_rounds) = if smoke { (3, 2, 2) } else { (50, 20, 10) };
+    let (watch_rounds, shared_rounds) = if smoke { (3, 2) } else { (50, 20) };
 
-    eprintln!("fanout: {n} subscribers (watch {watch_rounds} / shared {shared_rounds} / naive {naive_rounds} rounds)");
+    eprintln!("fanout: {n} subscribers (watch {watch_rounds} / shared {shared_rounds} rounds)");
 
     let mut watch = run_scenario(Mode::Watch, n, watch_rounds, true);
     watch.sort();
@@ -682,23 +614,13 @@ fn main() {
     shared.sort();
     criterion::report_ns("fanout/register_shared_p99", percentile(&shared, 99));
 
-    let mut naive = run_scenario(Mode::Naive, n, naive_rounds, false);
-    naive.sort();
-    criterion::report_ns("fanout/naive_p50", percentile(&naive, 50));
-    criterion::report_ns("fanout/naive_p99", percentile(&naive, 99));
-
     // City-scale maintenance: a far-churn round's cost must stay flat
-    // as the standing-query population scales 100x. The bit-identity
-    // gate runs before any timing — an index that prunes wrongly fails
-    // here, not in the numbers.
+    // as the standing-query population scales 100x.
     let (city_small, city_large, city_rounds) = if smoke {
         (12, 48, 4)
     } else {
         (100, 10_000, 30)
     };
-    eprintln!("fanout: city identity check ({city_small} mixed subscriptions)");
-    city_identity(city_small);
-
     eprintln!("fanout: city far-churn rounds ({city_small} / {city_large} subscriptions)");
     let small = city_server(city_small);
     let mut small_rounds = city_far_rounds(&small, city_rounds);
@@ -709,14 +631,6 @@ fn main() {
     let mut large_rounds = city_far_rounds(&large, city_rounds);
     large_rounds.sort();
     criterion::report_ns("fanout/city_maintain_10k", percentile(&large_rounds, 50));
-
-    eprintln!("fanout: city sequential ablation ({city_large} subscriptions)");
-    let seq = city_server(city_large);
-    seq.subscription_registry()
-        .set_sync_mode(unn_modb::subscription::SyncMode::Sequential);
-    let mut seq_rounds = city_far_rounds(&seq, city_rounds.min(10));
-    seq_rounds.sort();
-    criterion::report_ns("fanout/city_seq_10k", percentile(&seq_rounds, 50));
 
     eprintln!("fanout: city multi-writer churn ({city_large} subscriptions)");
     let writers = if smoke { 2 } else { 4 };
@@ -730,16 +644,13 @@ fn main() {
         println!("fanout smoke ok ({n} subscribers)");
         return;
     }
-    let speedup = percentile(&naive, 99) / percentile(&watch, 99);
-    println!("fanout p99 speedup over per-connection re-encode baseline: {speedup:.1}x");
     let far_small = percentile(&small_rounds, 50);
     let far_large = percentile(&large_rounds, 50);
     let ratio = far_large / far_small;
     println!(
-        "fanout city far-churn p50: {:.1}us @ {city_small} subs, {:.1}us @ {city_large} subs ({ratio:.2}x); sequential ablation {:.1}us",
+        "fanout city far-churn p50: {:.1}us @ {city_small} subs, {:.1}us @ {city_large} subs ({ratio:.2}x)",
         far_small / 1_000.0,
         far_large / 1_000.0,
-        percentile(&seq_rounds, 50) / 1_000.0,
     );
     assert!(
         ratio <= 10.0,

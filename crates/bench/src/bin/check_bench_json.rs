@@ -260,11 +260,8 @@ const REQUIRED_GROUPS: &[(&str, &[&str])] = &[
             "watch_p50",
             "watch_p99",
             "register_shared_p99",
-            "naive_p50",
-            "naive_p99",
             "city_maintain_100",
             "city_maintain_10k",
-            "city_seq_10k",
             "city_multiwriter_10k",
         ],
     ),

@@ -9,14 +9,15 @@
 //! intervals, sorted by id, so two answers — from different engines,
 //! epochs, or prefilter backends — can be compared structurally.
 //!
-//! [`AnswerDelta`] is the difference of two answer sets. The algebra is
-//! exact (no tolerance): `old.apply(&old.diff_to(&new, e)) == new`
-//! bit-for-bit, and consecutive deltas compose via
-//! [`AnswerDelta::then`]. This is what the MOD's subscription layer
-//! streams to standing-query consumers: only the objects whose
-//! qualification intervals changed, never the unchanged bulk of the
-//! answer.
+//! [`AnswerDelta`] is the difference of two answer sets, an
+//! instantiation of the [`crate::keyed`] algebra. It is exact (no
+//! tolerance): `old.apply(&old.diff_to(&new, e)) == new` bit-for-bit,
+//! and consecutive deltas compose via [`AnswerDelta::then`]. This is
+//! what the MOD's subscription layer streams to standing-query
+//! consumers: only the objects whose qualification intervals changed,
+//! never the unchanged bulk of the answer.
 
+use crate::keyed::{self, Keyed};
 use unn_geom::interval::{IntervalSet, TimeInterval};
 use unn_traj::trajectory::Oid;
 
@@ -28,6 +29,12 @@ pub struct AnswerEntry {
     /// Instants during which it qualifies (non-empty by construction —
     /// objects with empty interval sets are simply absent).
     pub intervals: IntervalSet,
+}
+
+impl Keyed for AnswerEntry {
+    fn key(&self) -> Oid {
+        self.oid
+    }
 }
 
 impl AnswerEntry {
@@ -156,33 +163,7 @@ impl AnswerSet {
     /// Panics when the answers have different shapes (debug builds).
     pub fn diff_to(&self, newer: &AnswerSet, epoch: u64) -> AnswerDelta {
         debug_assert!(self.same_shape(newer), "diff of unrelated answers");
-        let mut upserts = Vec::new();
-        let mut removed = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.entries.len() || j < newer.entries.len() {
-            match (self.entries.get(i), newer.entries.get(j)) {
-                (Some(old), Some(new)) if old.oid == new.oid => {
-                    if old.intervals != new.intervals {
-                        upserts.push(new.clone());
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(old), Some(new)) if old.oid < new.oid => {
-                    removed.push(old.oid);
-                    i += 1;
-                }
-                (_, Some(new)) => {
-                    upserts.push(new.clone());
-                    j += 1;
-                }
-                (Some(old), None) => {
-                    removed.push(old.oid);
-                    i += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
+        let (upserts, removed) = keyed::diff(&self.entries, &newer.entries);
         AnswerDelta {
             epoch,
             upserts,
@@ -194,19 +175,7 @@ impl AnswerSet {
     /// add) entries; removals of absent ids are ignored, so composed
     /// deltas stay applicable.
     pub fn apply(&self, delta: &AnswerDelta) -> AnswerSet {
-        let mut entries: Vec<AnswerEntry> = Vec::with_capacity(self.entries.len());
-        let mut ups = delta.upserts.iter().peekable();
-        for e in &self.entries {
-            while ups.peek().map(|u| u.oid < e.oid).unwrap_or(false) {
-                entries.push(ups.next().unwrap().clone());
-            }
-            if ups.peek().map(|u| u.oid == e.oid).unwrap_or(false) {
-                entries.push(ups.next().unwrap().clone());
-            } else if delta.removed.binary_search(&e.oid).is_err() {
-                entries.push(e.clone());
-            }
-        }
-        entries.extend(ups.cloned());
+        let entries = keyed::apply(&self.entries, &delta.upserts, &delta.removed);
         AnswerSet::new(self.query, self.window, self.rank, entries)
     }
 }
@@ -251,62 +220,10 @@ impl AnswerDelta {
     /// linear merges over the (ascending) lists, so repeated squashing
     /// against a full-answer-sized delta stays cheap.
     pub fn then(&self, next: &AnswerDelta) -> AnswerDelta {
-        let overridden = |oid: Oid| {
-            next.upserts.binary_search_by_key(&oid, |u| u.oid).is_ok()
-                || next.removed.binary_search(&oid).is_ok()
-        };
-        // Merge the surviving first-delta upserts with the second's; the
-        // sides are disjoint after the override filter.
-        let mut upserts: Vec<AnswerEntry> =
-            Vec::with_capacity(self.upserts.len() + next.upserts.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.upserts.len() || j < next.upserts.len() {
-            let take_first = match (self.upserts.get(i), next.upserts.get(j)) {
-                (Some(x), _) if overridden(x.oid) => {
-                    i += 1;
-                    continue;
-                }
-                (Some(x), Some(y)) => x.oid < y.oid,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_first {
-                upserts.push(self.upserts[i].clone());
-                i += 1;
-            } else {
-                upserts.push(next.upserts[j].clone());
-                j += 1;
-            }
-        }
-        // Likewise for removals: drop first-delta removals the second
-        // re-upserts, then merge (ids removed by both count once).
-        let mut removed: Vec<Oid> = Vec::with_capacity(self.removed.len() + next.removed.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.removed.len() || j < next.removed.len() {
-            match (self.removed.get(i), next.removed.get(j)) {
-                (Some(x), _) if next.upserts.binary_search_by_key(x, |u| u.oid).is_ok() => {
-                    i += 1;
-                }
-                (Some(x), Some(y)) if x == y => {
-                    removed.push(*x);
-                    i += 1;
-                    j += 1;
-                }
-                (Some(x), Some(y)) if x < y => {
-                    removed.push(*x);
-                    i += 1;
-                }
-                (_, Some(y)) => {
-                    removed.push(*y);
-                    j += 1;
-                }
-                (Some(x), None) => {
-                    removed.push(*x);
-                    i += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
+        let (upserts, removed) = keyed::then(
+            (&self.upserts, &self.removed),
+            (&next.upserts, &next.removed),
+        );
         AnswerDelta {
             epoch: next.epoch,
             upserts,
@@ -348,56 +265,21 @@ mod tests {
         assert_eq!(a.fraction_of(Oid(9)), 0.0);
     }
 
+    // The diff/apply/then laws are checked once, generically, in
+    // `crate::keyed`; only what is specific to this representation
+    // stays here.
     #[test]
-    fn diff_then_apply_round_trips() {
-        let old = answer(vec![
-            entry(1, &[(0.0, 2.0)]),
-            entry(2, &[(0.0, 10.0)]),
-            entry(4, &[(5.0, 6.0)]),
-        ]);
-        let new = answer(vec![
-            entry(1, &[(0.0, 3.0)]),  // changed
-            entry(2, &[(0.0, 10.0)]), // unchanged
-            entry(7, &[(1.0, 2.0)]),  // added
-                                      // 4 removed
-        ]);
-        let d = old.diff_to(&new, 42);
-        assert_eq!(d.epoch, 42);
-        assert_eq!(d.removed, vec![Oid(4)]);
-        let up: Vec<u64> = d.upserts.iter().map(|e| e.oid.0).collect();
-        assert_eq!(up, vec![1, 7], "unchanged Tr2 must not appear");
-        assert_eq!(old.apply(&d), new);
-        // Identity: diffing an answer against itself is empty.
-        assert!(new.diff_to(&new, 43).is_empty());
-        assert_eq!(new.apply(&AnswerDelta::noop(43)), new);
+    fn deltas_carry_the_newer_epoch() {
+        let a0 = answer(vec![entry(1, &[(0.0, 1.0)])]);
+        let a1 = answer(vec![entry(1, &[(0.0, 2.0)])]);
+        let (d1, d2) = (a0.diff_to(&a1, 41), a1.diff_to(&a0, 42));
+        assert_eq!((d1.epoch, d2.epoch), (41, 42));
+        assert_eq!(d1.then(&d2).epoch, 42);
+        assert_eq!(a1.apply(&AnswerDelta::noop(43)), a1);
     }
 
     #[test]
-    fn apply_tolerates_removals_of_absent_ids() {
-        let base = answer(vec![entry(1, &[(0.0, 1.0)])]);
-        let d = AnswerDelta {
-            epoch: 1,
-            upserts: vec![],
-            removed: vec![Oid(99)],
-        };
-        assert_eq!(base.apply(&d), base);
-    }
-
-    #[test]
-    fn composition_matches_sequential_application() {
-        let a0 = answer(vec![entry(1, &[(0.0, 1.0)]), entry(2, &[(0.0, 5.0)])]);
-        let a1 = answer(vec![entry(1, &[(0.0, 2.0)]), entry(3, &[(4.0, 5.0)])]);
-        let a2 = answer(vec![entry(2, &[(1.0, 2.0)]), entry(3, &[(4.0, 5.0)])]);
-        let d1 = a0.diff_to(&a1, 1);
-        let d2 = a1.diff_to(&a2, 2);
-        let squashed = d1.then(&d2);
-        assert_eq!(squashed.epoch, 2);
-        assert_eq!(a0.apply(&squashed), a2);
-        assert_eq!(a0.apply(&d1).apply(&d2), a0.apply(&squashed));
-    }
-
-    #[test]
-    fn shape_guard() {
+    fn rank_is_part_of_the_shape() {
         let a = answer(vec![entry(1, &[(0.0, 1.0)])]);
         let ranked = AnswerSet::new(Oid(0), TimeInterval::new(0.0, 10.0), Some(2), vec![]);
         assert!(!a.same_shape(&ranked));

@@ -4,10 +4,12 @@
 //! Queries for Uncertain Trajectories"* (Trajcevski, Tamassia, Ding,
 //! Scheuermann, Cruz — EDBT 2009), implemented in Rust:
 //!
+//! * [`keyed`] — the keyed-delta algebra (sorted-merge `diff` / `apply` /
+//!   `then` over rows with an object-id key), written once and
+//!   instantiated by [`answer`] and [`probrows`];
 //! * [`answer`] — the diffable [`answer::AnswerSet`] / [`answer::AnswerDelta`]
-//!   representation every engine's output reduces to, with the exact
-//!   diff/apply/compose algebra that powers incremental answer
-//!   maintenance for standing queries;
+//!   representation every engine's output reduces to — what incremental
+//!   answer maintenance for standing queries diffs, pushes and folds;
 //! * [`candidates`] — shared zero-copy candidate-set construction (the
 //!   snapshot → prefilter → envelope pipeline's entry into this crate);
 //! * [`envelope`] — owner-labelled lower envelopes with the
@@ -29,8 +31,7 @@
 //! * [`probrows`] — incremental sampled probability rows
 //!   ([`probrows::ProbRowSet`] / [`probrows::ProbRowDelta`]): the
 //!   diffable representation behind threshold and reverse **standing**
-//!   queries, with the same exact diff/apply/compose algebra as
-//!   [`answer`];
+//!   queries;
 //! * [`threshold`] — continuous *threshold* NN queries (the §7 future-work
 //!   item, built on the probability engine; the sweep is a view over
 //!   [`probrows`] rows);
@@ -91,6 +92,7 @@ pub mod envelope;
 pub mod hetero;
 pub mod ipac;
 pub mod kernel;
+pub mod keyed;
 pub mod merge;
 pub mod naive;
 pub mod oracle;

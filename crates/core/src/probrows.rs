@@ -16,12 +16,13 @@
 //! consumer can tell which columns a touched function can have
 //! influenced without re-deriving anything.
 //!
-//! [`ProbRowDelta`] is the exact diff of two row sets, mirroring
-//! [`crate::answer::AnswerDelta`]: `old.apply(&old.diff_to(&new, e)) ==
-//! new` bit-for-bit, and consecutive deltas compose via
-//! [`ProbRowDelta::then`]. The subscription layer streams these to
-//! threshold/RNN standing-query consumers the same way it streams
-//! interval deltas to forward ones.
+//! [`ProbRowDelta`] is the exact diff of two row sets — the
+//! [`crate::keyed`] algebra instantiated for rows, as
+//! [`crate::answer::AnswerDelta`] is for intervals:
+//! `old.apply(&old.diff_to(&new, e)) == new` bit-for-bit, and
+//! consecutive deltas compose via [`ProbRowDelta::then`]. The
+//! subscription layer streams these to threshold/RNN standing-query
+//! consumers the same way it streams interval deltas to forward ones.
 //!
 //! The sampling scheme (probes at the midpoints of `samples` equal
 //! slices) is shared with [`crate::threshold`] — the one-shot threshold
@@ -29,6 +30,7 @@
 //! rows and a fresh one-shot evaluation agree bit-for-bit by
 //! construction.
 
+use crate::keyed::{self, Keyed};
 use unn_geom::interval::TimeInterval;
 use unn_traj::trajectory::Oid;
 
@@ -53,6 +55,12 @@ pub struct ProbRow {
     /// at the probes where the owner's difference function was in-band
     /// (non-empty by construction).
     pub points: Vec<(u32, f64)>,
+}
+
+impl Keyed for ProbRow {
+    fn key(&self) -> Oid {
+        self.oid
+    }
 }
 
 impl ProbRow {
@@ -220,33 +228,7 @@ impl ProbRowSet {
     /// Panics when the sets have different shapes (debug builds).
     pub fn diff_to(&self, newer: &ProbRowSet, epoch: u64) -> ProbRowDelta {
         debug_assert!(self.same_shape(newer), "diff of unrelated row sets");
-        let mut upserts = Vec::new();
-        let mut removed = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.rows.len() || j < newer.rows.len() {
-            match (self.rows.get(i), newer.rows.get(j)) {
-                (Some(old), Some(new)) if old.oid == new.oid => {
-                    if old.points != new.points {
-                        upserts.push(new.clone());
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(old), Some(new)) if old.oid < new.oid => {
-                    removed.push(old.oid);
-                    i += 1;
-                }
-                (_, Some(new)) => {
-                    upserts.push(new.clone());
-                    j += 1;
-                }
-                (Some(old), None) => {
-                    removed.push(old.oid);
-                    i += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
+        let (upserts, removed) = keyed::diff(&self.rows, &newer.rows);
         ProbRowDelta {
             epoch,
             samples: self.samples,
@@ -265,19 +247,7 @@ impl ProbRowSet {
     /// set's.
     pub fn apply(&self, delta: &ProbRowDelta) -> ProbRowSet {
         debug_assert_eq!(self.samples, delta.samples, "delta of another density");
-        let mut rows: Vec<ProbRow> = Vec::with_capacity(self.rows.len());
-        let mut ups = delta.upserts.iter().peekable();
-        for r in &self.rows {
-            while ups.peek().map(|u| u.oid < r.oid).unwrap_or(false) {
-                rows.push(ups.next().unwrap().clone());
-            }
-            if ups.peek().map(|u| u.oid == r.oid).unwrap_or(false) {
-                rows.push(ups.next().unwrap().clone());
-            } else if delta.removed.binary_search(&r.oid).is_err() {
-                rows.push(r.clone());
-            }
-        }
-        rows.extend(ups.cloned());
+        let rows = keyed::apply(&self.rows, &delta.upserts, &delta.removed);
         ProbRowSet::new(
             self.query,
             self.window,
@@ -334,57 +304,10 @@ impl ProbRowDelta {
     /// [`crate::answer::AnswerDelta::then`].
     pub fn then(&self, next: &ProbRowDelta) -> ProbRowDelta {
         debug_assert_eq!(self.samples, next.samples, "composing across densities");
-        let overridden = |oid: Oid| {
-            next.upserts.binary_search_by_key(&oid, |u| u.oid).is_ok()
-                || next.removed.binary_search(&oid).is_ok()
-        };
-        let mut upserts: Vec<ProbRow> = Vec::with_capacity(self.upserts.len() + next.upserts.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.upserts.len() || j < next.upserts.len() {
-            let take_first = match (self.upserts.get(i), next.upserts.get(j)) {
-                (Some(x), _) if overridden(x.oid) => {
-                    i += 1;
-                    continue;
-                }
-                (Some(x), Some(y)) => x.oid < y.oid,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_first {
-                upserts.push(self.upserts[i].clone());
-                i += 1;
-            } else {
-                upserts.push(next.upserts[j].clone());
-                j += 1;
-            }
-        }
-        let mut removed: Vec<Oid> = Vec::with_capacity(self.removed.len() + next.removed.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.removed.len() || j < next.removed.len() {
-            match (self.removed.get(i), next.removed.get(j)) {
-                (Some(x), _) if next.upserts.binary_search_by_key(x, |u| u.oid).is_ok() => {
-                    i += 1;
-                }
-                (Some(x), Some(y)) if x == y => {
-                    removed.push(*x);
-                    i += 1;
-                    j += 1;
-                }
-                (Some(x), Some(y)) if x < y => {
-                    removed.push(*x);
-                    i += 1;
-                }
-                (_, Some(y)) => {
-                    removed.push(*y);
-                    j += 1;
-                }
-                (Some(x), None) => {
-                    removed.push(*x);
-                    i += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
+        let (upserts, removed) = keyed::then(
+            (&self.upserts, &self.removed),
+            (&next.upserts, &next.removed),
+        );
         ProbRowDelta {
             epoch: next.epoch,
             samples: self.samples,
@@ -441,57 +364,23 @@ mod tests {
         assert!(s.column_owners(7).is_empty());
     }
 
+    // The diff/apply/then laws are checked once, generically, in
+    // `crate::keyed`; only what is specific to this representation
+    // stays here.
     #[test]
-    fn diff_then_apply_round_trips() {
-        let old = set(vec![
-            row(1, &[(0, 0.2), (1, 0.4)]),
-            row(2, &[(0, 0.8)]),
-            row(4, &[(5, 0.1)]),
-        ]);
-        let new = set(vec![
-            row(1, &[(0, 0.2), (1, 0.5)]), // changed
-            row(2, &[(0, 0.8)]),           // unchanged
-            row(7, &[(2, 0.6)]),           // added
-                                           // 4 removed
-        ]);
-        let d = old.diff_to(&new, 42);
-        assert_eq!(d.epoch, 42);
-        assert_eq!(d.removed, vec![Oid(4)]);
-        let up: Vec<u64> = d.upserts.iter().map(|r| r.oid.0).collect();
-        assert_eq!(up, vec![1, 7], "unchanged row must not appear");
-        assert_eq!(old.apply(&d), new);
-        assert!(new.diff_to(&new, 43).is_empty());
-        assert_eq!(new.diff_to(&new, 43).samples, 8);
-        assert_eq!(new.apply(&ProbRowDelta::noop(43, 8)), new);
-    }
-
-    #[test]
-    fn apply_tolerates_removals_of_absent_ids() {
-        let base = set(vec![row(1, &[(0, 0.5)])]);
-        let d = ProbRowDelta {
-            epoch: 1,
-            samples: 8,
-            upserts: vec![],
-            removed: vec![Oid(99)],
-        };
-        assert_eq!(base.apply(&d), base);
-    }
-
-    #[test]
-    fn composition_matches_sequential_application() {
-        let a0 = set(vec![row(1, &[(0, 0.1)]), row(2, &[(0, 0.9)])]);
-        let a1 = set(vec![row(1, &[(0, 0.2)]), row(3, &[(4, 0.5)])]);
-        let a2 = set(vec![row(2, &[(1, 0.3)]), row(3, &[(4, 0.5)])]);
-        let d1 = a0.diff_to(&a1, 1);
-        let d2 = a1.diff_to(&a2, 2);
+    fn deltas_carry_the_newer_epoch_and_the_probe_count() {
+        let s0 = set(vec![row(1, &[(0, 0.2)])]);
+        let s1 = set(vec![row(1, &[(0, 0.5)])]);
+        let (d1, d2) = (s0.diff_to(&s1, 41), s1.diff_to(&s0, 42));
+        assert_eq!((d1.epoch, d1.samples), (41, 8));
         let squashed = d1.then(&d2);
-        assert_eq!(squashed.epoch, 2);
-        assert_eq!(a0.apply(&squashed), a2);
-        assert_eq!(a0.apply(&d1).apply(&d2), a0.apply(&squashed));
+        assert_eq!((squashed.epoch, squashed.samples), (42, 8));
+        assert_eq!(s1.diff_to(&s1, 43).samples, 8);
+        assert_eq!(s1.apply(&ProbRowDelta::noop(43, 8)), s1);
     }
 
     #[test]
-    fn shape_guard() {
+    fn perspective_and_samples_are_part_of_the_shape() {
         let a = set(vec![row(1, &[(0, 0.5)])]);
         let reversed = ProbRowSet::empty(
             Oid(0),

@@ -244,7 +244,7 @@ pub use snapshot::QuerySnapshot;
 pub use store::{DeltaStats, DifferenceModel, ModStore, StoreError};
 pub use subscription::{
     DeltaSink, FeedEvent, FrameCache, SubAnswer, SubDelta, SubscriptionError, SubscriptionInfo,
-    SubscriptionRegistry, SubscriptionStats, SyncMode, PROB_ROW_SAMPLES,
+    SubscriptionRegistry, SubscriptionStats, PROB_ROW_SAMPLES,
 };
 pub use telemetry::{
     HistogramSnapshot, MetricsSnapshot, Telemetry, TraceEvent, TraceRing, TraceStage,

@@ -71,6 +71,5 @@ pub mod wire;
 pub use client::{FollowStart, Follower, NetClient, NetError, ReplEvent};
 pub use server::{NetServer, NetServerConfig};
 pub use wire::{
-    Frame, WireError, WireOutput, WireRequest, SPEC_WIRE_VERSION, TAG_REPL_DELTA, TAG_REPL_LAGGED,
-    WIRE_VERSION,
+    Frame, WireError, WireOutput, WireRequest, TAG_REPL_DELTA, TAG_REPL_LAGGED, WIRE_VERSION,
 };

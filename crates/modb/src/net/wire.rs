@@ -45,6 +45,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 use unn_core::answer::{AnswerDelta, AnswerEntry, AnswerSet};
+use unn_core::keyed::Keyed;
 use unn_core::probrows::{ProbRow, ProbRowDelta, ProbRowSet, RowPerspective};
 use unn_geom::interval::{IntervalSet, TimeInterval};
 use unn_prob::pdf::PdfKind;
@@ -67,14 +68,6 @@ pub const WIRE_MAGIC: u32 = 0x554E_4E31;
 /// (the `SHOW METRICS` snapshot) and [`WireOutput::Trace`] (the
 /// `TRACE EPOCH` event list).
 pub const WIRE_VERSION: u16 = 5;
-
-/// The protocol version the spec fixtures pin: the constants table in
-/// `docs/WIRE.md` and the version-sanity unit test both derive from
-/// this single literal, so the next protocol bump edits exactly this
-/// constant, [`WIRE_VERSION`], and the docs row — nothing else. Kept
-/// deliberately separate from [`WIRE_VERSION`] so a bump is an explicit
-/// two-line act, never an accident.
-pub const SPEC_WIRE_VERSION: u16 = 5;
 
 /// Upper bound on one frame's payload (a defense against hostile or
 /// corrupt length prefixes, not a practical limit — a 64 MiB answer
@@ -365,14 +358,21 @@ fn put_answer_set(buf: &mut Vec<u8>, a: &AnswerSet) {
     }
 }
 
-fn put_delta(buf: &mut Vec<u8>, d: &AnswerDelta) {
-    put_u64(buf, d.epoch);
-    put_u32(buf, d.upserts.len() as u32);
-    for e in &d.upserts {
-        put_entry(buf, e);
+/// The one delta body encoder, shared by [`Frame::Event`] and
+/// [`Frame::RowEvent`]: `count:u32le row* count:u32le oid:u64le*` —
+/// upserts through the representation's row codec, then removals.
+fn put_keyed_delta<R>(
+    buf: &mut Vec<u8>,
+    upserts: &[R],
+    removed: &[Oid],
+    put_row: fn(&mut Vec<u8>, &R),
+) {
+    put_u32(buf, upserts.len() as u32);
+    for row in upserts {
+        put_row(buf, row);
     }
-    put_u32(buf, d.removed.len() as u32);
-    for oid in &d.removed {
+    put_u32(buf, removed.len() as u32);
+    for oid in removed {
         put_u64(buf, oid.0);
     }
 }
@@ -401,19 +401,6 @@ fn put_prob_rows(buf: &mut Vec<u8>, rows: &ProbRowSet) {
     put_u32(buf, rows.rows().len() as u32);
     for r in rows.rows() {
         put_prob_row(buf, r);
-    }
-}
-
-fn put_row_delta(buf: &mut Vec<u8>, d: &ProbRowDelta) {
-    put_u64(buf, d.epoch);
-    put_u32(buf, d.samples);
-    put_u32(buf, d.upserts.len() as u32);
-    for r in &d.upserts {
-        put_prob_row(buf, r);
-    }
-    put_u32(buf, d.removed.len() as u32);
-    for oid in &d.removed {
-        put_u64(buf, oid.0);
     }
 }
 
@@ -667,7 +654,8 @@ pub fn encode_payload(frame: &Frame) -> Vec<u8> {
             put_u8(&mut buf, TAG_EVENT);
             put_str(&mut buf, subscription);
             put_u8(&mut buf, *lagged as u8);
-            put_delta(&mut buf, delta);
+            put_u64(&mut buf, delta.epoch);
+            put_keyed_delta(&mut buf, &delta.upserts, &delta.removed, put_entry);
         }
         Frame::Bye => put_u8(&mut buf, TAG_BYE),
         Frame::RowEvent {
@@ -678,7 +666,9 @@ pub fn encode_payload(frame: &Frame) -> Vec<u8> {
             put_u8(&mut buf, TAG_ROW_EVENT);
             put_str(&mut buf, subscription);
             put_u8(&mut buf, *lagged as u8);
-            put_row_delta(&mut buf, delta);
+            put_u64(&mut buf, delta.epoch);
+            put_u32(&mut buf, delta.samples);
+            put_keyed_delta(&mut buf, &delta.upserts, &delta.removed, put_prob_row);
         }
         Frame::ReplDelta { epoch, ops } => {
             put_u8(&mut buf, TAG_REPL_DELTA);
@@ -833,26 +823,44 @@ impl<'a> Cursor<'a> {
         Ok(AnswerSet::new(query, window, rank, entries))
     }
 
-    fn delta(&mut self) -> Result<AnswerDelta, WireError> {
-        let epoch = self.u64()?;
-        let n = self.count(12)?;
-        let mut upserts = Vec::with_capacity(n);
+    /// A sequence whose items must be strictly ascending by object id
+    /// (`min_size` = the smallest item encoding, for the count bound).
+    fn ascending<T>(
+        &mut self,
+        what: &str,
+        min_size: usize,
+        key: impl Fn(&T) -> Oid,
+        item: impl Fn(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.count(min_size)?;
+        let mut items: Vec<T> = Vec::with_capacity(n);
         for _ in 0..n {
-            upserts.push(self.entry()?);
+            let next = item(self)?;
+            if items.last().is_some_and(|prev| key(&next) <= key(prev)) {
+                return Err(self.bad(&format!("{what} not ascending")));
+            }
+            items.push(next);
         }
-        let n = self.count(8)?;
-        let mut removed = Vec::with_capacity(n);
-        for _ in 0..n {
-            removed.push(Oid(self.u64()?));
-        }
-        Ok(AnswerDelta {
-            epoch,
-            upserts,
-            removed,
-        })
+        Ok(items)
     }
 
-    fn prob_row(&mut self, samples: Option<u32>) -> Result<ProbRow, WireError> {
+    /// The one delta body decoder (see [`put_keyed_delta`]): upserts
+    /// through the representation's row codec, then removals. Both lists
+    /// must be strictly ascending by object id: the fold algebra
+    /// ([`unn_core::keyed`]) merges and binary-searches them, so a
+    /// mis-ordered or duplicated frame would silently corrupt the
+    /// client's folded answer instead of failing loudly.
+    fn keyed_delta<R: Keyed>(
+        &mut self,
+        min_row: usize,
+        row: impl Fn(&mut Self) -> Result<R, WireError>,
+    ) -> Result<(Vec<R>, Vec<Oid>), WireError> {
+        let upserts = self.ascending("delta upsert owners", min_row, R::key, row)?;
+        let removed = self.ascending("delta removals", 8, |oid| *oid, |c| Ok(Oid(c.u64()?)))?;
+        Ok((upserts, removed))
+    }
+
+    fn prob_row(&mut self, samples: u32) -> Result<ProbRow, WireError> {
         let oid = Oid(self.u64()?);
         let n = self.count(12)?;
         let mut points = Vec::with_capacity(n);
@@ -862,7 +870,7 @@ impl<'a> Cursor<'a> {
             if prev.map(|p| k <= p).unwrap_or(false) {
                 return Err(self.bad("row sample indices not ascending"));
             }
-            if samples.map(|s| k >= s).unwrap_or(false) {
+            if k >= samples {
                 return Err(self.bad("row sample index out of range"));
             }
             prev = Some(k);
@@ -886,60 +894,8 @@ impl<'a> Cursor<'a> {
         if samples == 0 {
             return Err(self.bad("row set with zero samples"));
         }
-        let n = self.count(16)?;
-        let mut rows = Vec::with_capacity(n);
-        let mut prev: Option<Oid> = None;
-        for _ in 0..n {
-            let row = self.prob_row(Some(samples))?;
-            if prev.map(|p| row.oid <= p).unwrap_or(false) {
-                return Err(self.bad("row owners not ascending"));
-            }
-            prev = Some(row.oid);
-            rows.push(row);
-        }
+        let rows = self.ascending("row owners", 16, ProbRow::key, |c| c.prob_row(samples))?;
         Ok(ProbRowSet::new(query, window, perspective, samples, rows))
-    }
-
-    fn row_delta(&mut self) -> Result<ProbRowDelta, WireError> {
-        let epoch = self.u64()?;
-        let samples = self.u32()?;
-        if samples == 0 {
-            return Err(self.bad("row delta with zero samples"));
-        }
-        let n = self.count(16)?;
-        let mut upserts = Vec::with_capacity(n);
-        let mut prev: Option<Oid> = None;
-        for _ in 0..n {
-            // Ascending owners are a hard requirement: the client-side
-            // fold algebra binary-searches the upsert list, so a
-            // mis-ordered frame would silently corrupt the folded
-            // answer instead of failing loudly; sample indices are
-            // checked ascending and in-range against the delta's own
-            // probe count.
-            let row = self.prob_row(Some(samples))?;
-            if prev.map(|p| row.oid <= p).unwrap_or(false) {
-                return Err(self.bad("delta upsert owners not ascending"));
-            }
-            prev = Some(row.oid);
-            upserts.push(row);
-        }
-        let n = self.count(8)?;
-        let mut removed = Vec::with_capacity(n);
-        let mut prev: Option<Oid> = None;
-        for _ in 0..n {
-            let oid = Oid(self.u64()?);
-            if prev.map(|p| oid <= p).unwrap_or(false) {
-                return Err(self.bad("delta removals not ascending"));
-            }
-            prev = Some(oid);
-            removed.push(oid);
-        }
-        Ok(ProbRowDelta {
-            epoch,
-            samples,
-            upserts,
-            removed,
-        })
     }
 
     fn info(&mut self) -> Result<SubscriptionInfo, WireError> {
@@ -1144,25 +1100,18 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
                         rows: c.prob_rows()?,
                     },
                     8 => WireOutput::FollowOk { epoch: c.u64()? },
-                    9 => {
-                        let epoch = c.u64()?;
-                        let n = c.count(1)?;
-                        let mut objects = Vec::with_capacity(n);
-                        let mut prev: Option<Oid> = None;
-                        for _ in 0..n {
-                            let tr = c.trajectory()?;
-                            // Ascending ids make the payload canonical:
-                            // a resync is the follower's new ground
-                            // truth, so it must be bit-comparable to a
-                            // snapshot dump.
-                            if prev.map(|p| tr.oid() <= p).unwrap_or(false) {
-                                return Err(c.bad("resync objects not ascending"));
-                            }
-                            prev = Some(tr.oid());
-                            objects.push(tr);
-                        }
-                        WireOutput::Resync { epoch, objects }
-                    }
+                    // Ascending ids make the payload canonical: a resync
+                    // is the follower's new ground truth, so it must be
+                    // bit-comparable to a snapshot dump.
+                    9 => WireOutput::Resync {
+                        epoch: c.u64()?,
+                        objects: c.ascending(
+                            "resync objects",
+                            1,
+                            UncertainTrajectory::oid,
+                            Cursor::trajectory,
+                        )?,
+                    },
                     10 => WireOutput::Metrics(c.metrics()?),
                     11 => {
                         let epoch = c.u64()?;
@@ -1191,17 +1140,40 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
             };
             Frame::Response { id, result }
         }
-        TAG_EVENT => Frame::Event {
-            subscription: c.str()?,
-            lagged: c.u8()? != 0,
-            delta: c.delta()?,
-        },
+        TAG_EVENT => {
+            let (subscription, lagged, epoch) = (c.str()?, c.u8()? != 0, c.u64()?);
+            let (upserts, removed) = c.keyed_delta(12, Cursor::entry)?;
+            Frame::Event {
+                subscription,
+                lagged,
+                delta: AnswerDelta {
+                    epoch,
+                    upserts,
+                    removed,
+                },
+            }
+        }
         TAG_BYE => Frame::Bye,
-        TAG_ROW_EVENT => Frame::RowEvent {
-            subscription: c.str()?,
-            lagged: c.u8()? != 0,
-            delta: c.row_delta()?,
-        },
+        TAG_ROW_EVENT => {
+            let (subscription, lagged, epoch) = (c.str()?, c.u8()? != 0, c.u64()?);
+            let samples = c.u32()?;
+            if samples == 0 {
+                return Err(c.bad("row delta with zero samples"));
+            }
+            // Sample indices are checked ascending and in range against
+            // the delta's own probe count.
+            let (upserts, removed) = c.keyed_delta(16, |c| c.prob_row(samples))?;
+            Frame::RowEvent {
+                subscription,
+                lagged,
+                delta: ProbRowDelta {
+                    epoch,
+                    samples,
+                    upserts,
+                    removed,
+                },
+            }
+        }
         TAG_REPL_DELTA => {
             let (epoch, ops) = c.commit_body()?;
             Frame::ReplDelta { epoch, ops }
@@ -1376,10 +1348,11 @@ mod tests {
     fn version_constants_are_sane() {
         assert_eq!(&WIRE_MAGIC.to_be_bytes(), b"UNN1");
         assert_eq!(
-            WIRE_VERSION, SPEC_WIRE_VERSION,
-            "bump deliberately with the frame bodies: edit SPEC_WIRE_VERSION \
+            WIRE_VERSION, 5,
+            "bump deliberately with the frame bodies: edit this literal \
              alongside WIRE_VERSION and the docs/WIRE.md constants row"
         );
+        assert!(include_str!("../../../../docs/WIRE.md").contains("| `WIRE_VERSION` | `5` |"));
     }
 
     #[test]

@@ -61,15 +61,12 @@
 //!
 //! The registry is sharded by subscription-name hash, mirroring the
 //! store's oid-hashed writer shards. [`SubscriptionRegistry::sync`] runs
-//! in two phases: a sequential *cheap pass* classifies each visited
-//! subscription (current / skip / heavy) sharing one delta-ops fetch and
-//! one changed-id set across all subscriptions at the same watermark;
-//! then the subscriptions needing heavy work (patch or rebuild) are
-//! refreshed per shard, **fanning out across scoped threads** when the
-//! host has more than one core. [`SubscriptionRegistry::set_sync_mode`]
-//! restores the fully sequential one-lock ladder (per-subscription ops
-//! fetch, uncached proof) as an ablation baseline — the
-//! `continuous_queries` bench tracks the speedup.
+//! in two phases: a sequential *cheap pass* decides each visited
+//! share's rung (current / skip / heavy), sharing one delta-ops fetch and
+//! one changed-id set across all shares at the same watermark; then the
+//! shares needing heavy work (patch or rebuild) climb the rest of the
+//! ladder with the delta the cheap pass already fetched, **fanning out
+//! across scoped threads** when the host has more than one core.
 //!
 //! ## The maintenance index: `O(affected)` rounds
 //!
@@ -95,8 +92,7 @@
 //! old guard. Far churn therefore costs one index lookup — independent
 //! of the registered population; the `fanout` bench's
 //! `city_maintain_10k` group pins a far-churn round at 10k standing
-//! queries to within 10x of the 100-subscription round, against the
-//! `city_seq_10k` linear-sweep ablation.
+//! queries to within 10x of the 100-subscription round.
 //!
 //! Commits can additionally be **coalesced**: with
 //! [`crate::store::ModStore::set_maintenance_batch`] above 1, only
@@ -104,8 +100,9 @@
 //! burst from the delta log in one pass
 //! ([`SubscriptionStats::batched_commits`] counts the epochs folded
 //! beyond each visit's first). `tests/indexed_sync.rs` holds the
-//! indexed, batched path bit-identical to the `Sequential` sweep across
-//! random interleavings, backends, and mid-batch registrations.
+//! indexed, batched path bit-identical to a cold exhaustive evaluation
+//! of the final contents across random interleavings, backends, and
+//! mid-batch registrations.
 //!
 //! ## Engine sharing
 //!
@@ -117,11 +114,7 @@
 //! feed, attached sinks, per-name `Event` frames), but the maintained
 //! answer and the delta are computed once.
 //! [`SubscriptionRegistry::share_count`] exposes the number of distinct
-//! maintained computations, and
-//! [`SubscriptionRegistry::set_engine_sharing`] disables coalescing for
-//! future registrations — the per-subscription-engine ablation baseline
-//! the `fanout` bench compares against (at 1k same-query subscribers the
-//! baseline multiplies every commit's engine cost by 1k).
+//! maintained computations.
 //!
 //! ## Change feeds and push sinks
 //!
@@ -164,7 +157,7 @@ use crate::telemetry::{self, TraceEvent, TraceStage};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use unn_core::answer::{AnswerDelta, AnswerSet};
 use unn_core::candidates::CandidateSet;
@@ -275,20 +268,6 @@ impl fmt::Display for SubscriptionError {
 }
 
 impl std::error::Error for SubscriptionError {}
-
-/// How [`SubscriptionRegistry::sync`] schedules maintenance work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// The default: the sharded two-phase sync — one shared cheap pass
-    /// (shared ops fetch, cached skip proofs), then heavy refreshes
-    /// fanned out across scoped threads per shard on multi-core hosts.
-    #[default]
-    Sharded,
-    /// The ablation baseline: one sequential pass over every
-    /// subscription, each fetching its own delta ops and deriving its
-    /// skip proof from scratch (the pre-sharding behavior).
-    Sequential,
-}
 
 /// Per-subscription maintenance counters: how each routed delta was
 /// absorbed.
@@ -785,10 +764,6 @@ struct ShareKey {
     /// aims its refinement at the threshold, so differing thresholds
     /// must not share a kernel ladder.
     threshold: u64,
-    /// `Some(subscription name)` when engine sharing is disabled
-    /// ([`SubscriptionRegistry::set_engine_sharing`]) — makes every key
-    /// unique, restoring the one-engine-per-subscription baseline.
-    exclusive: Option<String>,
 }
 
 /// One subscriber's view of a shared computation: its private pull feed
@@ -1072,10 +1047,17 @@ impl ShareCore {
     }
 }
 
-/// The delta ops shared by one cheap-pass, keyed by base epoch: the
-/// cloned records (filtered to the sync watermark) and the set of ids
-/// they touch. `None` when the log is truncated past the base.
-type SharedOps = BTreeMap<u64, Option<Arc<(Vec<DeltaRecord>, BTreeSet<Oid>)>>>;
+/// The logged delta one ladder pass absorbs: the records in
+/// `(base, now]` and the set of ids they touch.
+struct LoggedDelta {
+    ops: Vec<DeltaRecord>,
+    changed: BTreeSet<Oid>,
+}
+
+/// One round's view of the delta log: entry `b` holds the ops in
+/// `(b, now]`, fetched once for every share sitting at watermark `b`.
+/// `None` when the log is truncated past `b` (only a rebuild is sound).
+type SharedOps = BTreeMap<u64, Option<Arc<LoggedDelta>>>;
 
 /// One share's published guard in the [`SubscriptionIndex`].
 #[derive(Debug)]
@@ -1139,10 +1121,6 @@ struct SubscriptionIndex {
     /// absorbed by its share (`valid_through` covers it) or proven safe
     /// against the share's guard when a round's visit set was decided.
     checked_through: u64,
-    /// Set by the sequential ablation sweep, which bypasses the index
-    /// and advances share watermarks behind its back: the next indexed
-    /// round visits everything and republishes.
-    stale: bool,
 }
 
 impl SubscriptionIndex {
@@ -1307,7 +1285,7 @@ impl SubscriptionIndex {
             .collect()
     }
 
-    /// Every live share — the visit set of a stale or truncated round.
+    /// Every live share — the visit set of a truncated round.
     fn all_shares(&self) -> Vec<(u64, Arc<SharedSub>)> {
         self.entries
             .iter()
@@ -1380,10 +1358,6 @@ pub struct SubscriptionRegistry {
     /// identity. A share is inserted by the first registration on its
     /// key and removed when its last subscriber unregisters.
     shares: Mutex<HashMap<ShareKey, Arc<SharedSub>>>,
-    sequential: AtomicBool,
-    /// `false` switches new registrations to exclusive (per-name) share
-    /// keys — the one-engine-per-subscription ablation baseline.
-    sharing: AtomicBool,
     row_samples: std::sync::atomic::AtomicU32,
     /// Adaptive-refinement tolerance of row maintenance, stored as the
     /// `f64` bit pattern (same idiom as the store's rebuild fraction).
@@ -1413,8 +1387,6 @@ impl Default for SubscriptionRegistry {
         SubscriptionRegistry {
             shards: (0..REGISTRY_SHARDS).map(|_| Mutex::default()).collect(),
             shares: Mutex::new(HashMap::new()),
-            sequential: AtomicBool::new(false),
-            sharing: AtomicBool::new(true),
             row_samples: std::sync::atomic::AtomicU32::new(PROB_ROW_SAMPLES),
             row_tolerance: std::sync::atomic::AtomicU64::new(0),
             index: Mutex::new(SubscriptionIndex::default()),
@@ -1451,42 +1423,9 @@ impl SubscriptionRegistry {
         self.shards.iter().all(|s| s.lock().unwrap().is_empty())
     }
 
-    /// The active [`SyncMode`].
-    pub fn sync_mode(&self) -> SyncMode {
-        if self.sequential.load(Ordering::Relaxed) {
-            SyncMode::Sequential
-        } else {
-            SyncMode::Sharded
-        }
-    }
-
-    /// Switches between the sharded two-phase sync and the sequential
-    /// ablation baseline (answers are identical either way; only the
-    /// maintenance cost differs).
-    pub fn set_sync_mode(&self, mode: SyncMode) {
-        self.sequential
-            .store(mode == SyncMode::Sequential, Ordering::Relaxed);
-    }
-
-    /// `true` while cross-subscription engine sharing is enabled (the
-    /// default).
-    pub fn engine_sharing(&self) -> bool {
-        self.sharing.load(Ordering::Relaxed)
-    }
-
-    /// Enables/disables cross-subscription engine sharing for **future**
-    /// registrations (existing subscriptions keep their share). With
-    /// sharing off, every registration gets an exclusive engine and its
-    /// own maintenance round — the pre-sharing ablation baseline the
-    /// `fanout` bench compares against. Answers are identical either
-    /// way; only the maintenance and registration cost differ.
-    pub fn set_engine_sharing(&self, enabled: bool) {
-        self.sharing.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Number of distinct maintained computations (shares). With
-    /// sharing enabled, `share_count() < len()` whenever subscriptions
-    /// coalesced onto one engine.
+    /// Number of distinct maintained computations (shares):
+    /// `share_count() < len()` whenever subscriptions coalesced onto one
+    /// engine.
     pub fn share_count(&self) -> usize {
         self.shares.lock().unwrap().len()
     }
@@ -1635,7 +1574,6 @@ impl SubscriptionRegistry {
             policy,
             samples: self.row_samples(),
             threshold: query.prob_threshold.to_bits(),
-            exclusive: (!self.engine_sharing()).then(|| name.to_string()),
         };
         let tolerance = self.row_tolerance();
         loop {
@@ -1702,14 +1640,7 @@ impl SubscriptionRegistry {
             // pruned-round fold just below), so its ladder movement
             // stays out of the rider-visible stats.
             let saved = core.stats;
-            Self::refresh(
-                &mut core,
-                store,
-                &mut lazy,
-                store.feed_bound(),
-                true,
-                tolerance,
-            );
+            Self::refresh(&mut core, store, &mut lazy, store.feed_bound(), tolerance);
             self.publish_guard(
                 share.id,
                 &mut core,
@@ -1905,47 +1836,17 @@ impl SubscriptionRegistry {
     /// Maintenance runs **once per share**, not per subscription: a
     /// thousand subscriptions on one query object/window are one
     /// skip/patch/rebuild round whose answer delta broadcasts to every
-    /// slot. In the default sharded mode the round first consults the
-    /// `SubscriptionIndex`: the commit's ops are looked up against
-    /// every share's published guard, and only the hits are visited at
-    /// all — everything else is `skipped_unvisited` without a lock, a
-    /// proof check, or any write to its core. The store snapshot is
-    /// materialized **lazily**: a commit whose delta every visited
-    /// share provably skips costs only the per-share band-bound check —
-    /// no snapshot refresh, no engine work, no thread spawned.
+    /// slot. The round first consults the `SubscriptionIndex`: the
+    /// commit's ops are looked up against every share's published
+    /// guard, and only the hits are visited at all — everything else is
+    /// `skipped_unvisited` without a lock, a proof check, or any write
+    /// to its core. The store snapshot is materialized **lazily**: a
+    /// commit whose delta every visited share provably skips costs only
+    /// the per-share band-bound check — no snapshot refresh, no engine
+    /// work, no thread spawned.
     pub fn sync(&self, store: &ModStore) {
         let feed_cap = store.feed_bound();
         let tolerance = self.row_tolerance();
-        if self.sync_mode() == SyncMode::Sequential {
-            // The pre-sharding baseline: one sequential sweep, each
-            // share fetching its own ops and deriving its skip proof
-            // from scratch. Bypasses the guard index entirely.
-            let shares: Vec<Arc<SharedSub>> =
-                self.shares.lock().unwrap().values().cloned().collect();
-            if shares.is_empty() {
-                return;
-            }
-            let rounds = self.sync_rounds.load(Ordering::Acquire);
-            let mut lazy: Option<Arc<QuerySnapshot>> = None;
-            let stats_on = telemetry::metrics_on() || telemetry::trace_on();
-            for share in &shares {
-                let mut core = share.core.lock().unwrap();
-                // This sweep visits the share, so every indexed round
-                // that pruned it is now in the past: fold the tally.
-                core.stats.skipped_unvisited += rounds.saturating_sub(core.rounds_absorbed);
-                core.rounds_absorbed = core.rounds_absorbed.max(rounds);
-                let before = stats_on.then(|| core.stats);
-                Self::refresh(&mut core, store, &mut lazy, feed_cap, false, tolerance);
-                if let Some(before) = before {
-                    Self::record_visit(store, share.id, store.epoch(), &before, &core.stats);
-                }
-            }
-            // The sweep advanced watermarks (and possibly replaced
-            // engines) behind the index's back: the next indexed round
-            // must visit everything and republish the guards.
-            self.index.lock().unwrap().stale = true;
-            return;
-        }
         let now = store.epoch();
         let round_started =
             (telemetry::metrics_on() || telemetry::trace_on()).then(std::time::Instant::now);
@@ -1955,41 +1856,29 @@ impl SubscriptionRegistry {
         // `checked_through` advances in the same critical section, so a
         // concurrent round and a concurrent guard publication always
         // observe each other (see `publish_guard`).
-        let visit: Vec<(u64, Arc<SharedSub>)> = {
+        let (visit, registered) = {
             let mut idx = self.index.lock().unwrap();
             if idx.entries.is_empty() {
                 return;
             }
-            if idx.stale {
-                // A sequential sweep ran since the last indexed round:
-                // guards may be arbitrarily outdated. Visit everything
-                // and republish.
-                idx.stale = false;
-                idx.checked_through = idx.checked_through.max(now);
-                idx.all_shares()
-            } else {
-                match store.ops_since_cloned(idx.checked_through) {
-                    Some(ops) => {
-                        let ops: Vec<DeltaRecord> =
-                            ops.into_iter().filter(|r| r.epoch <= now).collect();
-                        if ops.is_empty() {
-                            idx.checked_through = idx.checked_through.max(now);
-                            return;
-                        }
-                        let hits = idx.lookup(&ops);
-                        idx.checked_through = idx.checked_through.max(now);
-                        idx.resolve(hits)
+            let logged = store.ops_since_cloned(idx.checked_through);
+            idx.checked_through = idx.checked_through.max(now);
+            let visit = match logged {
+                Some(ops) => {
+                    let ops: Vec<DeltaRecord> =
+                        ops.into_iter().filter(|r| r.epoch <= now).collect();
+                    if ops.is_empty() {
+                        return;
                     }
-                    None => {
-                        // Truncated history: the log cannot prove what
-                        // happened since — every share reconciles (and
-                        // rebuilds where its own watermark is also past
-                        // the log's tail).
-                        idx.checked_through = idx.checked_through.max(now);
-                        idx.all_shares()
-                    }
+                    let hits = idx.lookup(&ops);
+                    idx.resolve(hits)
                 }
-            }
+                // Truncated history: the log cannot prove what happened
+                // since — every share reconciles (and rebuilds where its
+                // own watermark is also past the log's tail).
+                None => idx.all_shares(),
+            };
+            (visit, idx.entries.len())
         };
         // Completed-round accounting. The round counter advances only
         // when a round *completes* (see `finish_round`), so a stats
@@ -2002,9 +1891,9 @@ impl SubscriptionRegistry {
         // ladder, never in `skipped_unvisited`.
         let completed = self.sync_rounds.load(Ordering::Acquire);
         let stats_on = round_started.is_some();
-        // Phase 1 — cheap pass: classify every visited share, sharing
-        // the ops fetch and changed-id set per watermark across them.
-        let mut shared: SharedOps = BTreeMap::new();
+        // Phase 1 — cheap pass: settle every visited share it can,
+        // sharing the ops fetch and changed-id set per watermark.
+        let mut shared = SharedOps::new();
         let mut heavy: Vec<(u64, Arc<SharedSub>, Option<SubscriptionStats>)> = Vec::new();
         for (id, share) in &visit {
             let mut core = share.core.lock().unwrap();
@@ -2014,33 +1903,39 @@ impl SubscriptionRegistry {
             // absorbed themselves, so the gap is exactly the prunes.
             core.stats.skipped_unvisited += completed.saturating_sub(core.rounds_absorbed);
             core.rounds_absorbed = core.rounds_absorbed.max(completed);
-            let done = Self::try_cheap(&mut core, store, now, &mut shared);
-            if done {
+            if Self::settle(&mut core, store, now, &mut shared) {
                 self.publish_guard(*id, &mut core, store, &mut None, feed_cap, tolerance);
                 if let Some(before) = before {
                     Self::record_visit(store, *id, now, &before, &core.stats);
                 }
-                drop(core);
             } else {
-                drop(core);
                 heavy.push((*id, Arc::clone(share), before));
             }
         }
         if heavy.is_empty() {
-            self.finish_round(store, round_started, &visit, now);
+            self.finish_round(store, round_started, &visit, registered, now);
             return;
         }
-        // Phase 2 — heavy pass: the affected shares re-run the full
-        // ladder (the cheap classification is rechecked against any ops
-        // that raced in since), then republish their guards. One
-        // snapshot is materialized up front and shared by every worker;
-        // shares fan out across scoped threads on multi-core hosts.
+        // Phase 2 — heavy pass: the affected shares climb the rest of
+        // the ladder with the delta the cheap pass fetched, then
+        // republish their guards. One snapshot is materialized up front
+        // and shared by every worker; shares fan out across scoped
+        // threads on multi-core hosts.
         let snapshot = store.snapshot();
-        let refresh_share = |entry: &(u64, Arc<SharedSub>, Option<SubscriptionStats>)| {
+        let climb_share = |entry: &(u64, Arc<SharedSub>, Option<SubscriptionStats>)| {
             let (id, share, before) = entry;
             let mut lazy = Some(Arc::clone(&snapshot));
             let mut core = share.core.lock().unwrap();
-            Self::refresh(&mut core, store, &mut lazy, feed_cap, true, tolerance);
+            match shared.get(&core.last_epoch) {
+                Some(delta) if store.epoch() == now => {
+                    let delta = delta.as_deref();
+                    Self::climb(&mut core, store, &mut lazy, now, delta, feed_cap, tolerance);
+                }
+                // Commits raced past `now`, or a concurrent round moved
+                // the share off every watermark this round fetched,
+                // since the cheap pass let go of the core: start over.
+                _ => Self::refresh(&mut core, store, &mut lazy, feed_cap, tolerance),
+            }
             self.publish_guard(*id, &mut core, store, &mut lazy, feed_cap, tolerance);
             if let Some(before) = before {
                 Self::record_visit(store, *id, now, before, &core.stats);
@@ -2050,18 +1945,18 @@ impl SubscriptionRegistry {
             .map(NonZeroUsize::get)
             .unwrap_or(1);
         if cores <= 1 || heavy.len() <= 1 {
-            heavy.iter().for_each(refresh_share);
+            heavy.iter().for_each(climb_share);
         } else {
             // Strided hand-out: lane `l` refreshes shares l, l+lanes, …
             let lanes = cores.min(heavy.len());
-            let refresh_share = &refresh_share;
+            let climb_share = &climb_share;
             let heavy = &heavy;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..lanes)
                     .map(|lane| {
                         scope.spawn(move || {
                             for share in heavy.iter().skip(lane).step_by(lanes) {
-                                refresh_share(share);
+                                climb_share(share);
                             }
                         })
                     })
@@ -2071,7 +1966,7 @@ impl SubscriptionRegistry {
                 }
             });
         }
-        self.finish_round(store, round_started, &visit, now);
+        self.finish_round(store, round_started, &visit, registered, now);
     }
 
     /// Completes one indexed maintenance round: assigns the round its
@@ -2089,6 +1984,7 @@ impl SubscriptionRegistry {
         store: &ModStore,
         started: Option<std::time::Instant>,
         visited: &[(u64, Arc<SharedSub>)],
+        registered: usize,
         epoch: u64,
     ) {
         {
@@ -2106,6 +2002,11 @@ impl SubscriptionRegistry {
             let dur_ns = t0.elapsed().as_nanos() as u64;
             t.maintenance_rounds.inc();
             t.maintenance_round_ns.record(dur_ns);
+            // Counted per completed round: a pruned share is never
+            // touched, and its own `skipped_unvisited` only materializes
+            // at its next visit — which on far churn never comes.
+            t.ladder_unvisited
+                .add((registered as u64).saturating_sub(visited_shares));
             t.trace_event(TraceEvent {
                 epoch,
                 stage: TraceStage::Round,
@@ -2118,8 +2019,8 @@ impl SubscriptionRegistry {
 
     /// Folds one visited share's stats movement into the telemetry
     /// registry: per-ladder-rung counters, kernel refinement counters,
-    /// the lazily materialized unvisited tally, and (when tracing) a
-    /// visit event naming the share and its ladder decision.
+    /// and (when tracing) a visit event naming the share and its ladder
+    /// decision.
     fn record_visit(
         store: &ModStore,
         share: u64,
@@ -2134,11 +2035,6 @@ impl SubscriptionRegistry {
             .add(after.patched.saturating_sub(before.patched));
         t.ladder_rebuilt
             .add(after.rebuilt.saturating_sub(before.rebuilt));
-        t.ladder_unvisited.add(
-            after
-                .skipped_unvisited
-                .saturating_sub(before.skipped_unvisited),
-        );
         t.kernel_columns_refined
             .add(after.columns_refined.saturating_sub(before.columns_refined));
         t.kernel_columns_coarse.add(
@@ -2220,124 +2116,114 @@ impl SubscriptionRegistry {
             // `visited + skipped_unvisited` overshoot the commit
             // count, so the share's stats are restored around it.
             let saved = core.stats;
-            Self::refresh(core, store, lazy, feed_cap, true, tolerance);
+            Self::refresh(core, store, lazy, feed_cap, tolerance);
             core.stats = saved;
         }
     }
 
-    /// The cheap classification: `true` when the share is done (already
-    /// current, nothing logged, or the cached proof skipped the whole
-    /// burst); `false` when it needs the heavy pass.
-    fn try_cheap(sub: &mut ShareCore, store: &ModStore, now: u64, shared: &mut SharedOps) -> bool {
+    /// The opening of the ladder, the one place that fetches and
+    /// classifies a share's logged delta (into `shared`, so shares at
+    /// one watermark do it once): `true` when the share is settled
+    /// without a snapshot — already current, nothing logged, or the
+    /// cached proof skipped the whole burst. On `false` the share is
+    /// untouched and [`Self::climb`] takes the delta from `shared`: a
+    /// visit is only counted by the call that absorbs the delta.
+    fn settle(sub: &mut ShareCore, store: &ModStore, now: u64, shared: &mut SharedOps) -> bool {
         if now <= sub.last_epoch {
             return true;
         }
-        let entry = shared.entry(sub.last_epoch).or_insert_with(|| {
+        let logged = shared.entry(sub.last_epoch).or_insert_with(|| {
             store.ops_since_cloned(sub.last_epoch).map(|ops| {
                 let ops: Vec<DeltaRecord> = ops.into_iter().filter(|r| r.epoch <= now).collect();
-                let changed = changed_ids(ops.iter());
-                Arc::new((ops, changed))
+                let changed = changed_ids(&ops);
+                Arc::new(LoggedDelta { ops, changed })
             })
         });
-        let shared_ops = match entry {
-            Some(arc) => Arc::clone(arc),
-            None => return false, // truncated history: heavy rebuild
+        let Some(delta) = logged.clone() else {
+            return false;
         };
-        let (ops, changed) = (&shared_ops.0, &shared_ops.1);
-        if ops.is_empty() {
+        if delta.ops.is_empty() {
             sub.last_epoch = now;
             return true;
         }
-        if sub.kind == SubKind::ReverseRows {
-            // Every insert/remove adds, drops, or touches a perspective:
-            // there is no whole-subscription skip, only per-perspective
-            // carry in the heavy pass.
+        // Reverse kinds have no whole-subscription skip: every op adds,
+        // drops, or touches a perspective, so they only carry per
+        // perspective, in `patch_reverse`.
+        if sub.kind == SubKind::ReverseRows || !skip_proven(sub, &delta, now) {
             return false;
         }
-        let refs: Vec<&DeltaRecord> = ops.iter().collect();
-        if skip_proven(sub, &refs, changed, now, true) {
-            sub.stats.visited += 1;
-            sub.stats.batched_commits += epochs_spanned(&refs).saturating_sub(1);
-            return true;
-        }
-        false
+        // Every op is provably outside the engine's reach: the answer is
+        // already current.
+        sub.stats.visited += 1;
+        sub.stats.batched_commits += epochs_spanned(&delta.ops).saturating_sub(1);
+        true
     }
 
-    /// Routes the delta since `sub.last_epoch` through the skip → patch →
-    /// rebuild ladder. `cached_proof` selects whether the skip check may
-    /// reuse the per-engine [`ForwardProof`] (the sequential ablation
-    /// derives it fresh, as the pre-sharding code did).
+    /// Routes the delta since `sub.last_epoch` through the whole skip →
+    /// patch → rebuild ladder at the store's current epoch.
     fn refresh(
         sub: &mut ShareCore,
         store: &ModStore,
         lazy: &mut Option<Arc<QuerySnapshot>>,
         feed_cap: usize,
-        cached_proof: bool,
         tolerance: f64,
     ) {
         let now = store.epoch();
-        if now <= sub.last_epoch {
-            return;
+        let mut fetched = SharedOps::new();
+        if !Self::settle(sub, store, now, &mut fetched) {
+            let delta = fetched.get(&sub.last_epoch).and_then(Option::as_deref);
+            Self::climb(sub, store, lazy, now, delta, feed_cap, tolerance);
         }
-        match store.ops_since_cloned(sub.last_epoch) {
-            Some(ops) => {
-                let ops: Vec<&DeltaRecord> = ops.iter().filter(|r| r.epoch <= now).collect();
-                if ops.is_empty() {
-                    sub.last_epoch = now;
-                    return;
-                }
-                sub.stats.visited += 1;
-                sub.stats.batched_commits += epochs_spanned(&ops).saturating_sub(1);
-                let changed = changed_ids(ops.iter().copied());
-                match sub.kind {
-                    SubKind::Intervals { .. } | SubKind::ForwardRows => {
-                        if skip_proven(sub, &ops, &changed, now, cached_proof) {
-                            // Every op is provably outside the engine's
-                            // reach: the answer is already current.
-                            return;
-                        }
-                        // Heavy paths need the consistent snapshot view.
-                        let snapshot = Self::materialize(lazy, store);
-                        if snapshot.epoch() == now
-                            && !changed.contains(&sub.oid)
-                            && sub.engine.is_some()
-                        {
+    }
+
+    /// The heavy rungs, for a delta [`Self::settle`] could not settle:
+    /// patch against it when the carried engine allows, rebuild
+    /// otherwise. Either way `(sub.last_epoch, now]` is absorbed and the
+    /// visit counted.
+    fn climb(
+        sub: &mut ShareCore,
+        store: &ModStore,
+        lazy: &mut Option<Arc<QuerySnapshot>>,
+        now: u64,
+        delta: Option<&LoggedDelta>,
+        feed_cap: usize,
+        tolerance: f64,
+    ) {
+        sub.stats.visited += 1;
+        // Both rungs need the consistent snapshot view.
+        let snapshot = Self::materialize(lazy, store);
+        match delta {
+            Some(delta) => {
+                sub.stats.batched_commits += epochs_spanned(&delta.ops).saturating_sub(1);
+                if snapshot.epoch() == now && !delta.changed.contains(&sub.oid) {
+                    if sub.kind != SubKind::ReverseRows {
+                        if sub.engine.is_some() {
                             return Self::patch(
-                                sub, store, &snapshot, now, &changed, feed_cap, tolerance,
+                                sub, store, &snapshot, now, delta, feed_cap, tolerance,
                             );
                         }
-                    }
-                    SubKind::ReverseRows => {
-                        let snapshot = Self::materialize(lazy, store);
-                        if snapshot.epoch() == now
-                            && !changed.contains(&sub.oid)
-                            && sub.rev.is_some()
-                            && snapshot.len() >= 2
-                        {
-                            return Self::patch_reverse(
-                                sub, store, &snapshot, now, &ops, &changed, feed_cap, tolerance,
-                            );
-                        }
+                    } else if sub.rev.is_some() && snapshot.len() >= 2 {
+                        return Self::patch_reverse(
+                            sub, store, &snapshot, now, delta, feed_cap, tolerance,
+                        );
                     }
                 }
                 // The query object itself changed, there is no engine to
                 // reuse, or commits raced past `now` while we looked —
                 // re-evaluate wholesale at the snapshot's epoch.
             }
-            None => {
-                // Truncation: the log can no longer prove what happened
-                // since the answer was computed — patching would silently
-                // miss the evicted mutations, so fall through to the full
-                // re-evaluation. Epochs increment once per commit, so
-                // the watermark gap bounds the commits this rebuild
-                // coalesces.
-                sub.stats.visited += 1;
-                sub.stats.batched_commits += now.saturating_sub(sub.last_epoch + 1);
-            }
+            // Truncation: the log can no longer prove what happened
+            // since the answer was computed — patching would silently
+            // miss the evicted mutations. Epochs increment once per
+            // commit, so the watermark gap bounds the commits this
+            // rebuild coalesces.
+            None => sub.stats.batched_commits += now.saturating_sub(sub.last_epoch + 1),
         }
-        let snapshot = Self::materialize(lazy, store);
+        // The full re-plan: the same pipeline a cold registration runs.
         sub.stats.rebuilt += 1;
-        Self::reevaluate(sub, store, &snapshot, snapshot.epoch(), feed_cap, tolerance);
+        if let Err(e) = Self::evaluate_into(sub, store, &snapshot, feed_cap, tolerance) {
+            sub.park(snapshot.epoch(), e, feed_cap);
+        }
     }
 
     /// The lazily materialized snapshot, refreshed when a newer epoch
@@ -2368,10 +2254,11 @@ impl SubscriptionRegistry {
         store: &ModStore,
         snapshot: &Arc<QuerySnapshot>,
         now: u64,
-        changed: &BTreeSet<Oid>,
+        delta: &LoggedDelta,
         feed_cap: usize,
         tolerance: f64,
     ) {
+        let changed = &delta.changed;
         let plan =
             match QueryPlanner::new(sub.policy).plan(Arc::clone(snapshot), sub.oid, sub.window) {
                 Ok(plan) => plan,
@@ -2492,17 +2379,16 @@ impl SubscriptionRegistry {
     /// row obligation) carries its envelope *and* its sampled row
     /// wholesale; only touched, new, or unprovable perspectives pay the
     /// per-perspective difference + envelope build and re-sampling.
-    #[allow(clippy::too_many_arguments)]
     fn patch_reverse(
         sub: &mut ShareCore,
         store: &ModStore,
         snapshot: &Arc<QuerySnapshot>,
         now: u64,
-        ops: &[&DeltaRecord],
-        changed: &BTreeSet<Oid>,
+        delta: &LoggedDelta,
         feed_cap: usize,
         tolerance: f64,
     ) {
+        let (ops, changed) = (delta.ops.iter().collect::<Vec<_>>(), &delta.changed);
         let old = Arc::clone(sub.rev.as_ref().expect("patch requires a carried engine"));
         let radius = match common_radius(snapshot) {
             Ok(r) if r > 0.0 => r,
@@ -2537,7 +2423,7 @@ impl SubscriptionRegistry {
                 let tr = snapshot.get(oid).expect("presence checked above");
                 ForwardProof::derive(engine, tr.trajectory())
             });
-            if proof.ops_unaffected_rows(ops) {
+            if proof.ops_unaffected_rows(&ops) {
                 carried.insert(oid);
             } else {
                 sub.rev_proofs.remove(&oid);
@@ -2569,20 +2455,6 @@ impl SubscriptionRegistry {
         sub.absorb_kernel_counters(&kernel);
         sub.rev = Some(Arc::new(rev));
         sub.commit_answer(SubAnswer::Rows(rows), now, feed_cap);
-    }
-
-    /// The full re-plan: the same pipeline a cold registration runs.
-    fn reevaluate(
-        sub: &mut ShareCore,
-        store: &ModStore,
-        snapshot: &Arc<QuerySnapshot>,
-        now: u64,
-        feed_cap: usize,
-        tolerance: f64,
-    ) {
-        if let Err(e) = Self::evaluate_into(sub, store, snapshot, feed_cap, tolerance) {
-            sub.park(now, e, feed_cap);
-        }
     }
 
     /// Evaluates `sub`'s standing query from scratch against `snapshot`
@@ -2688,13 +2560,12 @@ fn levenshtein(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The distinct object ids a (filtered) op sequence touches.
 /// The number of distinct commit epochs `ops` spans (ops arrive in
 /// log order, so equal epochs are adjacent). A maintenance round's
 /// `batched_commits` contribution is this minus one: the first commit
 /// of a burst is ordinary maintenance, the rest were coalesced into
 /// the same ladder pass.
-fn epochs_spanned(ops: &[&DeltaRecord]) -> u64 {
+fn epochs_spanned(ops: &[DeltaRecord]) -> u64 {
     let mut n = 0u64;
     let mut last = None;
     for r in ops {
@@ -2706,8 +2577,9 @@ fn epochs_spanned(ops: &[&DeltaRecord]) -> u64 {
     n
 }
 
-fn changed_ids<'a>(ops: impl IntoIterator<Item = &'a DeltaRecord>) -> BTreeSet<Oid> {
-    ops.into_iter()
+/// The distinct object ids a (filtered) op sequence touches.
+fn changed_ids(ops: &[DeltaRecord]) -> BTreeSet<Oid> {
+    ops.iter()
         .map(|r| match &r.op {
             DeltaOp::Insert(tr) => tr.oid(),
             DeltaOp::Remove(oid) => *oid,
@@ -2715,43 +2587,27 @@ fn changed_ids<'a>(ops: impl IntoIterator<Item = &'a DeltaRecord>) -> BTreeSet<O
         .collect()
 }
 
-/// The **single** skip decision both sync modes share: `true` iff the
-/// subscription's carried engine provably cannot be touched by `ops`
-/// (the watermark and skip counters are then advanced). `cached`
-/// selects whether the per-engine [`ForwardProof`] is reused (sharded
-/// mode) or derived from scratch (the sequential ablation baseline).
-/// Row subscriptions check the sharper band-survivor obligation
+/// The skip rung: `true` iff the share's carried engine provably cannot
+/// be touched by `delta` (the watermark and skip counters are then
+/// advanced). The per-engine [`ForwardProof`] is derived on first use and
+/// cached until the engine is replaced. Row subscriptions check the
+/// sharper band-survivor obligation
 /// ([`ForwardProof::ops_unaffected_rows`]).
-fn skip_proven(
-    sub: &mut ShareCore,
-    ops: &[&DeltaRecord],
-    changed: &BTreeSet<Oid>,
-    now: u64,
-    cached: bool,
-) -> bool {
-    if changed.contains(&sub.oid) {
+fn skip_proven(sub: &mut ShareCore, delta: &LoggedDelta, now: u64) -> bool {
+    if delta.changed.contains(&sub.oid) {
         return false;
     }
     let (Some(engine), Some(query_tr)) = (&sub.engine, &sub.query_tr) else {
         return false;
     };
-    let rows = sub.kind == SubKind::ForwardRows;
-    let unaffected = if cached {
-        let proof = sub
-            .proof
-            .get_or_insert_with(|| ForwardProof::derive(engine, query_tr));
-        if rows {
-            proof.ops_unaffected_rows(ops)
-        } else {
-            proof.ops_unaffected(ops)
-        }
+    let proof = sub
+        .proof
+        .get_or_insert_with(|| ForwardProof::derive(engine, query_tr));
+    let ops: Vec<&DeltaRecord> = delta.ops.iter().collect();
+    let unaffected = if sub.kind == SubKind::ForwardRows {
+        proof.ops_unaffected_rows(&ops)
     } else {
-        let proof = ForwardProof::derive(engine, query_tr);
-        if rows {
-            proof.ops_unaffected_rows(ops)
-        } else {
-            proof.ops_unaffected(ops)
-        }
+        proof.ops_unaffected(&ops)
     };
     if unaffected {
         sub.stats.skipped += 1;
@@ -2937,31 +2793,22 @@ mod tests {
         }
     }
 
-    /// A fresh exhaustive forward row evaluation — the ground truth the
-    /// maintained threshold rows must equal bit-for-bit.
-    fn fresh_forward_rows(store: &ModStore, query: Oid) -> ProbRowSet {
+    /// A fresh exhaustive row evaluation (forward or reverse) — the
+    /// ground truth the maintained rows must equal bit-for-bit.
+    fn fresh_rows(store: &ModStore, query: Oid, reverse: bool) -> ProbRowSet {
         let snapshot = store.snapshot();
         let kind = common_pdf_kind(&snapshot).unwrap().unwrap();
         let pdf = kind.convolve_with(&kind);
-        QueryPlanner::new(PrefilterPolicy::Exhaustive)
+        let plan = QueryPlanner::new(PrefilterPolicy::Exhaustive)
             .plan(snapshot, query, TimeInterval::new(0.0, 10.0))
-            .unwrap()
-            .build_engine()
-            .unwrap()
-            .prob_row_set(pdf.as_ref(), PROB_ROW_SAMPLES)
-    }
-
-    /// A fresh exhaustive reverse row evaluation.
-    fn fresh_reverse_rows(store: &ModStore, query: Oid) -> ProbRowSet {
-        let snapshot = store.snapshot();
-        let kind = common_pdf_kind(&snapshot).unwrap().unwrap();
-        let pdf = kind.convolve_with(&kind);
-        QueryPlanner::new(PrefilterPolicy::Exhaustive)
-            .plan(snapshot, query, TimeInterval::new(0.0, 10.0))
-            .unwrap()
-            .build_reverse_engine()
-            .unwrap()
-            .prob_row_set(pdf.as_ref(), PROB_ROW_SAMPLES)
+            .unwrap();
+        if reverse {
+            let engine = plan.build_reverse_engine().unwrap();
+            engine.prob_row_set(pdf.as_ref(), PROB_ROW_SAMPLES)
+        } else {
+            let engine = plan.build_engine().unwrap();
+            engine.prob_row_set(pdf.as_ref(), PROB_ROW_SAMPLES)
+        }
     }
 
     #[test]
@@ -3005,8 +2852,8 @@ mod tests {
         assert!(info.error.is_none());
         assert!(info.entries >= 1, "{info:?}");
         // The registered answers equal fresh exhaustive evaluations.
-        assert_eq!(row_answer(&reg, "hot0"), fresh_forward_rows(&store, Oid(0)));
-        assert_eq!(row_answer(&reg, "rev0"), fresh_reverse_rows(&store, Oid(0)));
+        assert_eq!(row_answer(&reg, "hot0"), fresh_rows(&store, Oid(0), false));
+        assert_eq!(row_answer(&reg, "rev0"), fresh_rows(&store, Oid(0), true));
     }
 
     #[test]
@@ -3144,7 +2991,7 @@ mod tests {
         let info = reg.info("hot0").unwrap();
         assert_eq!(info.stats.patched, 1, "{info:?}");
         assert!(info.stats.rows_patched >= 1, "{info:?}");
-        assert_eq!(row_answer(&reg, "hot0"), fresh_forward_rows(&store, Oid(0)));
+        assert_eq!(row_answer(&reg, "hot0"), fresh_rows(&store, Oid(0), false));
         // Folding the emitted deltas over the initial rows reproduces
         // the maintained answer.
         let folded = reg
@@ -3170,16 +3017,16 @@ mod tests {
         assert_eq!(info.stats.patched, 1, "{info:?}");
         assert_eq!(info.stats.perspectives_skipped, 3, "{info:?}");
         assert_eq!(info.stats.rows_patched, 1, "one new perspective: {info:?}");
-        assert_eq!(row_answer(&reg, "rev0"), fresh_reverse_rows(&store, Oid(0)));
+        assert_eq!(row_answer(&reg, "rev0"), fresh_rows(&store, Oid(0), true));
         // Removing it again drops the perspective; the others carry.
         store.remove(Oid(50)).unwrap();
         let info = reg.info("rev0").unwrap();
         assert_eq!(info.stats.perspectives_skipped, 6, "{info:?}");
-        assert_eq!(row_answer(&reg, "rev0"), fresh_reverse_rows(&store, Oid(0)));
+        assert_eq!(row_answer(&reg, "rev0"), fresh_rows(&store, Oid(0), true));
         // A near mutation recomputes the touched perspective (and any
         // perspective it can reach) — still bit-identical.
         store.update(tr(1, 1.2));
-        assert_eq!(row_answer(&reg, "rev0"), fresh_reverse_rows(&store, Oid(0)));
+        assert_eq!(row_answer(&reg, "rev0"), fresh_rows(&store, Oid(0), true));
         // Folding the emitted deltas lands on the maintained rows.
         let folded = reg
             .drain("rev0")
@@ -3380,56 +3227,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_modes_produce_identical_answers() {
-        let run = |mode: SyncMode| {
-            let store = populated_store();
-            let reg = Arc::new(SubscriptionRegistry::new());
-            reg.set_sync_mode(mode);
-            store.attach_subscriptions(&reg);
-            for q in 0..3u64 {
-                reg.register(
-                    &store,
-                    &format!("sub{q}"),
-                    parse(&format!(
-                        "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 10] \
-                         AND PROB_NN(*, Tr{q}, TIME) > 0"
-                    ))
-                    .unwrap(),
-                    PrefilterPolicy::default(),
-                )
-                .unwrap();
-            }
-            // A row subscription rides along in both modes.
-            reg.register(
-                &store,
-                "rows0",
-                threshold_query(),
-                PrefilterPolicy::default(),
-            )
-            .unwrap();
-            for k in 0..10u64 {
-                match k % 3 {
-                    0 => {
-                        store.insert(tr(100 + k, 0.4 + 0.05 * k as f64)).unwrap();
-                    }
-                    1 => {
-                        store.insert(tr(200 + k, 95_000.0)).unwrap();
-                    }
-                    _ => {
-                        store.update(tr(2, 3.0 + 0.01 * k as f64));
-                    }
-                }
-            }
-            let mut out: Vec<SubAnswer> = (0..3u64)
-                .map(|q| reg.answer(&format!("sub{q}")).unwrap())
-                .collect();
-            out.push(reg.answer("rows0").unwrap());
-            out
-        };
-        assert_eq!(run(SyncMode::Sharded), run(SyncMode::Sequential));
-    }
-
-    #[test]
     fn sinks_receive_pushed_deltas_and_squash_on_overflow() {
         let store = populated_store();
         let reg = Arc::new(SubscriptionRegistry::new());
@@ -3487,29 +3284,6 @@ mod tests {
         assert_eq!(interval_answer(&reg, "c"), reference);
         assert!(reg.unregister("c"));
         assert_eq!(reg.share_count(), 1);
-    }
-
-    #[test]
-    fn disabled_sharing_gives_every_registration_its_own_engine() {
-        let store = populated_store();
-        let reg = SubscriptionRegistry::new();
-        reg.set_engine_sharing(false);
-        assert!(!reg.engine_sharing());
-        reg.register(&store, "x", star_query(), PrefilterPolicy::default())
-            .unwrap();
-        reg.register(&store, "y", star_query(), PrefilterPolicy::default())
-            .unwrap();
-        assert_eq!(reg.share_count(), 2, "exclusive engines never coalesce");
-        // Re-enabling affects only future registrations: the new name
-        // cannot join an exclusive share, so it opens a third.
-        reg.set_engine_sharing(true);
-        reg.register(&store, "z", star_query(), PrefilterPolicy::default())
-            .unwrap();
-        assert_eq!(reg.share_count(), 3);
-        // Sharing is an optimization, never a semantic change.
-        let reference = interval_answer(&reg, "x");
-        assert_eq!(interval_answer(&reg, "y"), reference);
-        assert_eq!(interval_answer(&reg, "z"), reference);
     }
 
     #[test]

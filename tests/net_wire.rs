@@ -437,6 +437,58 @@ fn malformed_metrics_buckets_are_rejected() {
     assert!(decode_payload(&encode(hist(vec![(3, 1), (3, 1)]))).is_err());
 }
 
+/// Both pushed-delta bodies go through one decoder, which enforces what
+/// the client-side fold (`AnswerSet::apply`, `AnswerDelta::then` and
+/// their row twins) assumes: upsert owners and removals strictly
+/// ascending. A mis-ordered or duplicated list must fail loudly instead
+/// of folding into a wrong answer.
+#[test]
+fn unsorted_or_duplicated_delta_lists_are_rejected() {
+    let span = TimeInterval::new(0.0, 1.0);
+    let event = |upserts: &[u64], removed: &[u64]| {
+        encode_payload(&Frame::Event {
+            subscription: "s".to_string(),
+            delta: AnswerDelta {
+                epoch: 3,
+                upserts: upserts
+                    .iter()
+                    .map(|&k| AnswerEntry {
+                        oid: Oid(k),
+                        intervals: IntervalSet::from_intervals([span]),
+                    })
+                    .collect(),
+                removed: removed.iter().map(|&k| Oid(k)).collect(),
+            },
+            lagged: false,
+        })
+    };
+    let row_event = |upserts: &[u64], removed: &[u64]| {
+        encode_payload(&Frame::RowEvent {
+            subscription: "s".to_string(),
+            delta: ProbRowDelta {
+                epoch: 3,
+                samples: 4,
+                upserts: upserts
+                    .iter()
+                    .map(|&k| ProbRow {
+                        oid: Oid(k),
+                        points: vec![(0, 0.5)],
+                    })
+                    .collect(),
+                removed: removed.iter().map(|&k| Oid(k)).collect(),
+            },
+            lagged: false,
+        })
+    };
+    for encode in [&event as &dyn Fn(&[u64], &[u64]) -> Vec<u8>, &row_event] {
+        assert!(decode_payload(&encode(&[2, 5], &[1, 9])).is_ok());
+        for ids in [[5, 2], [5, 5]] {
+            assert!(decode_payload(&encode(&ids, &[])).is_err(), "{ids:?}");
+            assert!(decode_payload(&encode(&[], &ids)).is_err(), "{ids:?}");
+        }
+    }
+}
+
 /// An unknown trace-stage code is rejected rather than mis-decoded —
 /// the enum can't represent it, so the check lives in the decoder.
 #[test]

@@ -198,3 +198,48 @@ fn disabled_metrics_record_nothing() {
         "a disabled registry must not record"
     );
 }
+
+/// `ladder_unvisited_total` counts, per completed round, the shares the
+/// guard index pruned without touching them — so it moves on far churn,
+/// where by construction no share is ever visited and a tally folded in
+/// at "the share's next visit" would read 0 forever.
+#[test]
+fn unvisited_counter_moves_on_far_churn() {
+    const SHARES: u64 = 3;
+    const COMMITS: u64 = 7;
+    let _flags = hold_flags(true, false);
+    let server = ModServer::new();
+    server
+        .register_all((0..4).map(|k| straight(k, k as f64)))
+        .unwrap();
+    for q in 0..SHARES {
+        let stmt = format!(
+            "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr{q}, TIME) > 0"
+        );
+        server.subscribe(&format!("s{q}"), &stmt).unwrap();
+    }
+    // The registry's first round also replays the base load, which hits
+    // every guard; one far commit gets that visit out of the way.
+    server.register(straight(100, 70_000.0)).unwrap();
+    // (skipped + patched + rebuilt, unvisited)
+    let ladder = || {
+        let counters = server.metrics_snapshot(Some("ladder_")).counters;
+        let get = |name: &str| counters.iter().find(|(n, _)| n == name).unwrap().1;
+        let visits = ["skipped", "patched", "rebuilt"]
+            .map(|rung| get(&format!("ladder_{rung}_total")))
+            .iter()
+            .sum::<u64>();
+        (visits, get("ladder_unvisited_total"))
+    };
+    let (visits, unvisited) = ladder();
+    for k in 0..COMMITS {
+        server
+            .register(straight(200 + k, 70_000.0 + k as f64))
+            .unwrap();
+    }
+    assert_eq!(
+        ladder(),
+        (visits, unvisited + SHARES * COMMITS),
+        "every far round prunes every share and visits none"
+    );
+}
