@@ -1,16 +1,18 @@
 //! Durability overhead and recovery cost: what journaling adds to the
 //! commit path per fsync policy, and what replay costs per WAL length.
 //!
-//! The headline claim: at the operational default (`every-8`), a
-//! journaled commit stays within 2x of the no-WAL commit path —
-//! `wal_append/every8` vs `wal_append/no_wal` in
-//! `BENCH_durability.json` carries the number. The commit path here is
-//! commit-to-queryable, as in the `ingest` bench: the upsert plus the
-//! snapshot/index refresh a serving store performs per commit (the
-//! bare in-memory upsert alone is ~200 ns — three orders below one
-//! fsync, so no fsync cadence could ever sit within 2x of it).
+//! The number to read is the absolute append cost per commit:
+//! `wal_append/<policy>` minus `wal_append/no_wal` in
+//! `BENCH_durability.json` (as committed: `os` +4.6 µs, `every8`
+//! +26 µs, `always` +117 µs over a 13 µs baseline). The commit path
+//! here is commit-to-queryable, as in the `ingest` bench: the upsert
+//! plus the snapshot refresh a serving store performs per commit.
 //! `always` shows the price of per-commit fsync; `os` the page-cache
-//! floor. The `recovery/replay` group scales the snapshot-free replay
+//! floor. Both fsync-bearing figures measure the disk under
+//! `std::env::temp_dir()`, not this code — on tmpfs they collapse to
+//! the `os` figure, on the sandbox's virtual disk they drift within
+//! the hour — so no ratio between the rows is claimed or gated. The
+//! `recovery/replay` group scales the snapshot-free replay
 //! cost with the record count, bounding post-crash restart time per
 //! `checkpoint_every` budget.
 
@@ -18,7 +20,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::path::PathBuf;
 use std::time::Duration;
 use unn_modb::durability::{open_store, recover, FsyncPolicy, WalOptions};
-use unn_modb::index::SegmentIndex;
 use unn_modb::store::ModStore;
 use unn_traj::generator::{generate_uncertain, WorkloadConfig};
 use unn_traj::trajectory::{Oid, Trajectory};
@@ -55,14 +56,12 @@ fn churn(store: &ModStore, k: u64) {
     );
 }
 
-/// One steady-state serving commit: the mutation plus the snapshot and
-/// index refresh that makes it queryable — the `ingest` bench's
-/// definition of the commit path, and the baseline the ≤ 2x claim is
-/// made against.
+/// One steady-state serving commit: the mutation plus the snapshot
+/// refresh that makes it queryable — the `ingest` bench's definition of
+/// the commit path.
 fn commit(store: &ModStore, k: u64) {
     churn(store, k);
-    let snap = store.snapshot();
-    let _ = (snap.grid().entry_count(), snap.rtree().entry_count());
+    let _ = store.snapshot();
 }
 
 fn wal_append(c: &mut Criterion) {

@@ -131,9 +131,7 @@ fn bench_reverse(c: &mut Criterion) {
 }
 
 fn bench_instantaneous(c: &mut Criterion) {
-    use unn_modb::index::grid::GridIndex;
-    use unn_modb::index::segment_boxes;
-    use unn_modb::instantaneous::{instantaneous_nn, instantaneous_nn_indexed};
+    use unn_modb::instantaneous::instantaneous_nn;
     use unn_traj::uncertain::UncertainTrajectory;
     let mut group = c.benchmark_group("instantaneous_nn");
     group.sample_size(10);
@@ -144,12 +142,8 @@ fn bench_instantaneous(c: &mut Criterion) {
             .into_iter()
             .map(|tr| UncertainTrajectory::with_uniform_pdf(tr, 0.5).unwrap())
             .collect();
-        let grid = GridIndex::build(segment_boxes(&trs), 4096);
         group.bench_with_input(BenchmarkId::new("full_scan", n), &trs, |b, trs| {
             b.iter(|| black_box(instantaneous_nn(trs, Oid(0), 30.0).unwrap()))
-        });
-        group.bench_with_input(BenchmarkId::new("grid_indexed", n), &trs, |b, trs| {
-            b.iter(|| black_box(instantaneous_nn_indexed(trs, &grid, Oid(0), 30.0).unwrap()))
         });
     }
     group.finish();

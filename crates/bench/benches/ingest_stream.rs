@@ -4,14 +4,14 @@
 //! (delta + engine carry vs the cold pipeline).
 //!
 //! The headline number backs the delta-epoch layer's claim: refreshing
-//! the snapshot and its grid/R-tree indexes after a one-object update is
-//! `O(|delta| · log N)` with delta maintenance and `O(N log N)` without,
-//! while answers stay bit-identical (asserted below before timing).
+//! the snapshot after a one-object update is one merge pass over the
+//! previous snapshot with delta maintenance, and a re-copy of every shard
+//! plus a sort without, while answers stay bit-identical (asserted below
+//! before timing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use unn_geom::interval::TimeInterval;
-use unn_modb::index::SegmentIndex;
 use unn_modb::plan::QueryPlanner;
 use unn_modb::server::ModServer;
 use unn_modb::store::ModStore;
@@ -37,7 +37,7 @@ fn store(n: usize) -> ModStore {
 }
 
 /// One GPS correction: re-registers `victim` with a slightly shifted
-/// track (epoch +2), then refreshes the snapshot and both indexes.
+/// track (epoch +2), then refreshes the snapshot.
 fn update_and_refresh(s: &ModStore, victim: Oid, shift: f64) {
     let old = s.remove(victim).expect("present");
     let revised: Vec<(f64, f64, f64)> = old
@@ -54,8 +54,7 @@ fn update_and_refresh(s: &ModStore, victim: Oid, shift: f64) {
         .expect("valid"),
     )
     .expect("re-registered");
-    let snap = s.snapshot();
-    let _ = (snap.grid().entry_count(), snap.rtree().entry_count());
+    let _ = s.snapshot();
 }
 
 /// The acceptance property, asserted before anything is timed: after a
@@ -96,7 +95,7 @@ fn snapshot_refresh(c: &mut Criterion) {
     for n in SIZES {
         // Delta-maintained: the default path.
         let s = store(n);
-        update_and_refresh(&s, Oid(0), 0.001); // warm snapshot + indexes
+        update_and_refresh(&s, Oid(0), 0.001); // warm snapshot
         let mut k = 0u64;
         group.bench_with_input(BenchmarkId::new("delta_refresh", n), &n, |b, _| {
             b.iter(|| {
@@ -105,7 +104,7 @@ fn snapshot_refresh(c: &mut Criterion) {
             })
         });
         // Ablation: rebuild fraction 0 disables delta maintenance, so
-        // every refresh re-copies the MOD and re-packs both indexes.
+        // every refresh re-copies the MOD.
         let s = store(n);
         s.set_rebuild_fraction(0.0);
         update_and_refresh(&s, Oid(0), 0.001);

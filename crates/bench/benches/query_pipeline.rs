@@ -1,6 +1,6 @@
 //! The unified query-pipeline hot path: cold engine builds vs the
-//! epoch-keyed engine cache, and the scan / grid / R-tree prefilter
-//! ablation, on the §5 random-waypoint workload.
+//! epoch-keyed engine cache, and the scan prefilter against the
+//! exhaustive baseline, on the §5 random-waypoint workload.
 //!
 //! `cold` measures a full snapshot → plan → prefilter → envelope build
 //! (no cache). `cached` measures the server's default path once the
@@ -9,7 +9,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use unn_geom::interval::TimeInterval;
-use unn_modb::index::SegmentIndex;
 use unn_modb::plan::{PrefilterPolicy, QueryPlanner};
 use unn_modb::server::ModServer;
 use unn_traj::generator::{generate_uncertain, WorkloadConfig};
@@ -70,15 +69,9 @@ fn prefilter_ablation(c: &mut Criterion) {
     for n in SIZES {
         let s = server(n);
         let w = window();
-        // Warm the per-snapshot lazy indexes so the ablation measures the
-        // per-query cost, not the one-off build.
-        let snap = s.store().snapshot();
-        let _ = (snap.grid().entry_count(), snap.rtree().entry_count());
         for (name, policy) in [
             ("exhaustive", PrefilterPolicy::Exhaustive),
             ("scan", PrefilterPolicy::Scan { epochs: 8 }),
-            ("grid", PrefilterPolicy::Grid { epochs: 8 }),
-            ("rtree", PrefilterPolicy::RTree { epochs: 8 }),
         ] {
             group.bench_with_input(BenchmarkId::new(name, n), &policy, |b, &policy| {
                 let planner = QueryPlanner::new(policy);

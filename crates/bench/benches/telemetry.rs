@@ -23,7 +23,6 @@
 //! it — which runs off the hot path but inside `SHOW METRICS`.
 
 use std::time::Instant;
-use unn_modb::index::SegmentIndex;
 use unn_modb::server::ModServer;
 use unn_modb::telemetry;
 use unn_traj::generator::{generate_uncertain, WorkloadConfig};
@@ -57,8 +56,8 @@ fn serving_store() -> ModServer {
 
 /// One instrumented commit-to-queryable step (the `ingest` and
 /// `durability` benches' definition of the commit path: the upsert
-/// plus the snapshot/index refresh a serving store performs per
-/// commit), shaped for identical work every iteration: the churned
+/// plus the snapshot refresh a serving store performs per commit),
+/// shaped for identical work every iteration: the churned
 /// object is spatially far from the standing query, so the guard index
 /// prunes the share and the maintenance round costs the same constant
 /// amount each time (a near-victim workload re-patches an evolving
@@ -77,8 +76,7 @@ fn commit(server: &ModServer, k: u64) {
         )
         .expect("valid"),
     );
-    let snap = server.store().snapshot();
-    let _ = (snap.grid().entry_count(), snap.rtree().entry_count());
+    let _ = server.store().snapshot();
 }
 
 fn median(samples: &mut [f64]) -> f64 {

@@ -1,14 +1,14 @@
-//! The delta-epoch layer: mutation logging for incremental snapshot and
-//! index maintenance.
+//! The delta-epoch layer: mutation logging for incremental snapshot
+//! maintenance.
 //!
 //! The paper's setting is a mostly-static MOD, but a production server
-//! sees a steady stream of GPS updates. Rebuilding every snapshot index
-//! from scratch on each mutation costs `O(N log N)` per update; this
-//! module records mutations as a bounded, epoch-tagged [`DeltaLog`] so
-//! that [`crate::store::ModStore::snapshot`] can *reuse* the previous
-//! [`crate::snapshot::QuerySnapshot`] and patch it — and its grid /
-//! R-tree segment indexes — in `O(|delta| · log N)` (DBSP-style
-//! incremental view maintenance, specialized to the MOD's structures).
+//! sees a steady stream of GPS updates. Re-copying and sorting the whole
+//! store on each mutation costs `O(N log N)` per update; this module
+//! records mutations as a bounded, epoch-tagged [`DeltaLog`] so that
+//! [`crate::store::ModStore::snapshot`] can *reuse* the previous
+//! [`crate::snapshot::QuerySnapshot`] and patch it in one merge pass
+//! (DBSP-style incremental view maintenance, specialized to the MOD's
+//! structures).
 //!
 //! The same log also powers the [`crate::cache::EngineCache`] carry
 //! check: a cached forward engine built at an older epoch can keep

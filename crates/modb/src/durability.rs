@@ -73,8 +73,7 @@ pub enum FsyncPolicy {
     /// lost to a crash, at ~one disk round-trip per commit.
     Always,
     /// `fsync` after every `n` appended commits: bounds loss to the
-    /// last `n - 1` commits. The bench's acceptance point (`every-8` ≤
-    /// 2x the no-WAL commit path).
+    /// last `n - 1` commits, at one disk round-trip per `n` commits.
     EveryN(u32),
     /// Never `fsync` explicitly; the OS page cache decides. Survives
     /// process kills (the data is in kernel buffers) but not power

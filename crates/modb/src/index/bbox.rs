@@ -67,17 +67,6 @@ impl Aabb3 {
         (0..3).all(|d| self.min[d] <= other.min[d] && other.max[d] <= self.max[d])
     }
 
-    /// Center along axis `d`.
-    pub fn center(&self, d: usize) -> f64 {
-        0.5 * (self.min[d] + self.max[d])
-    }
-
-    /// Surface-ish size metric: half-perimeter of the box (used by cost
-    /// heuristics and tests).
-    pub fn half_perimeter(&self) -> f64 {
-        (self.max[0] - self.min[0]) + (self.max[1] - self.min[1]) + (self.max[2] - self.min[2])
-    }
-
     /// Expands the spatial extent (x, y) by `pad` on every side.
     pub fn inflate_xy(&self, pad: f64) -> Aabb3 {
         Aabb3 {
@@ -145,13 +134,6 @@ mod tests {
         let b = a.inflate_xy(0.5);
         assert_eq!(b.min, [-0.5, -0.5, 5.0]);
         assert_eq!(b.max, [1.5, 1.5, 6.0]);
-    }
-
-    #[test]
-    fn metrics() {
-        let a = Aabb3::new([0.0, 0.0, 0.0], [2.0, 3.0, 4.0]);
-        assert_eq!(a.half_perimeter(), 9.0);
-        assert_eq!(a.center(1), 1.5);
     }
 
     #[test]

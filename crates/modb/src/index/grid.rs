@@ -1,19 +1,18 @@
-//! A uniform spatial grid index over segment bounding boxes.
+//! A uniform spatial grid index over bounding boxes.
 //!
-//! Cells partition the `(x, y)` plane; each cell stores the (radius
-//! inflated) segment boxes overlapping it. Queries enumerate the covered
-//! cells and verify candidate boxes exactly. Simple, predictable, and a
-//! good baseline for the R-tree in the `indexes` ablation bench.
+//! Cells partition the `(x, y)` plane; each cell stores the boxes
+//! overlapping it. Queries enumerate the covered cells and verify
+//! candidate boxes exactly. Simple and predictable; the subscription
+//! index keeps standing queries' guard boxes in one.
 //!
 //! Cells are `Arc`-shared so [`GridIndex::apply_delta`] can derive the
-//! next epoch's grid by copy-on-write: untouched cells are pointer
+//! next grid by copy-on-write: untouched cells are pointer
 //! copies, only the cells covered by the delta's boxes are rewritten.
 //! Boxes outside the original extent clamp into edge cells — queries
 //! clamp the same way and verify exactly, so answers stay identical to a
 //! freshly built grid.
 
 use super::bbox::Aabb3;
-use super::SegmentIndex;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use unn_traj::trajectory::Oid;
@@ -100,13 +99,13 @@ impl GridIndex {
         (self.nx, self.ny)
     }
 
-    /// Derives the grid for the next snapshot epoch by structural
-    /// sharing: removes every entry owned by an id in `removed` (their
-    /// original boxes are passed in `removed_boxes` so only the covered
-    /// cells are touched) and inserts the new boxes, clamping into the
-    /// existing extent. `O(cells)` pointer copies plus `O(|delta|)` cell
-    /// rewrites — query answers are identical to a freshly built grid
-    /// because every candidate is still verified exactly.
+    /// Derives the next grid by structural sharing: removes every entry
+    /// owned by an id in `removed` (their original boxes are passed in
+    /// `removed_boxes` so only the covered cells are touched) and inserts
+    /// the new boxes, clamping into the existing extent. `O(cells)`
+    /// pointer copies plus `O(|delta|)` cell rewrites — query answers are
+    /// identical to a freshly built grid because every candidate is still
+    /// verified exactly.
     pub fn apply_delta(
         &self,
         inserts: &[(Aabb3, Oid)],
@@ -133,10 +132,10 @@ impl GridIndex {
         next.entries = self.entries - removed_boxes.len() + inserts.len();
         next
     }
-}
 
-impl SegmentIndex for GridIndex {
-    fn query_bbox(&self, query: &Aabb3) -> Vec<Oid> {
+    /// All ids with at least one box intersecting `query`, ascending and
+    /// deduplicated.
+    pub fn query_bbox(&self, query: &Aabb3) -> Vec<Oid> {
         if self.entries == 0 || self.cells.is_empty() {
             return vec![];
         }
@@ -157,7 +156,8 @@ impl SegmentIndex for GridIndex {
         hits
     }
 
-    fn entry_count(&self) -> usize {
+    /// Number of indexed entries.
+    pub fn entry_count(&self) -> usize {
         self.entries
     }
 }
@@ -165,7 +165,7 @@ impl SegmentIndex for GridIndex {
 #[cfg(test)]
 mod tests {
     use super::super::scan::LinearScan;
-    use super::super::{query_box, segment_boxes, SegmentIndex};
+    use super::super::testutil::{query_box, segment_boxes};
     use super::*;
     use unn_traj::generator::{generate_uncertain, WorkloadConfig};
 

@@ -1,71 +1,50 @@
-//! Spatial indexing of trajectory segments.
+//! Spatial indexing of bounding boxes in `(x, y, t)` space.
 //!
-//! The paper's related work (§6) relies on R-tree-family indexes for
-//! scalable spatio-temporal query processing; this module provides two
-//! from-scratch implementations over segment bounding boxes in
-//! `(x, y, t)` space — an STR-packed R-tree and a uniform grid — plus the
-//! brute-force scan they are validated against. Indexes answer the coarse
-//! filtering step (which objects *could* be near the query trajectory);
-//! the envelope machinery of `unn-core` provides the exact continuous
-//! semantics.
+//! One structure lives here: the uniform [`grid::GridIndex`], which the
+//! subscription index keeps over standing queries' guard boxes so a
+//! commit visits only the shares it can touch, and the brute-force
+//! [`scan::LinearScan`] it is validated against. Candidate prefiltering
+//! for one-shot queries does not go through an index — see
+//! [`crate::prefilter`].
 
 pub mod bbox;
 pub mod grid;
-pub mod rtree;
 pub mod scan;
 
-use bbox::Aabb3;
-use unn_traj::trajectory::Oid;
-use unn_traj::uncertain::UncertainTrajectory;
+/// Inputs shared by the grid and scan unit tests.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use super::bbox::Aabb3;
+    use unn_traj::trajectory::Oid;
+    use unn_traj::uncertain::UncertainTrajectory;
 
-/// A segment-level index over a snapshot of uncertain trajectories.
-pub trait SegmentIndex {
-    /// All object ids with at least one (radius-inflated) segment box
-    /// intersecting `query`, ascending and deduplicated.
-    fn query_bbox(&self, query: &Aabb3) -> Vec<Oid>;
-
-    /// Number of indexed segment entries.
-    fn entry_count(&self) -> usize;
-}
-
-/// Builds the radius-inflated `(x, y, t)` boxes of every segment of every
-/// trajectory: the common input to all index implementations.
-pub fn segment_boxes(trs: &[UncertainTrajectory]) -> Vec<(Aabb3, Oid)> {
-    let mut out = Vec::new();
-    for tr in trs {
-        segment_boxes_of(tr, &mut out);
+    /// The radius-inflated `(x, y, t)` box of every segment of every
+    /// trajectory.
+    pub fn segment_boxes(trs: &[UncertainTrajectory]) -> Vec<(Aabb3, Oid)> {
+        let mut out = Vec::new();
+        for tr in trs {
+            for seg in tr.trajectory().segments() {
+                let (a, b) = (seg.start, seg.end);
+                let bbox = Aabb3::new(
+                    [
+                        a.position.x.min(b.position.x),
+                        a.position.y.min(b.position.y),
+                        a.time,
+                    ],
+                    [
+                        a.position.x.max(b.position.x),
+                        a.position.y.max(b.position.y),
+                        b.time,
+                    ],
+                );
+                out.push((bbox.inflate_xy(tr.radius()), tr.oid()));
+            }
+        }
+        out
     }
-    out
-}
 
-/// Appends one trajectory's radius-inflated segment boxes to `out` — the
-/// unit the delta-maintenance path works in (a removed or inserted
-/// object's index entries are exactly these boxes).
-pub fn segment_boxes_of(tr: &UncertainTrajectory, out: &mut Vec<(Aabb3, Oid)>) {
-    let r = tr.radius();
-    for seg in tr.trajectory().segments() {
-        let (a, b) = (seg.start, seg.end);
-        let bbox = Aabb3::new(
-            [
-                a.position.x.min(b.position.x),
-                a.position.y.min(b.position.y),
-                a.time,
-            ],
-            [
-                a.position.x.max(b.position.x),
-                a.position.y.max(b.position.y),
-                b.time,
-            ],
-        )
-        .inflate_xy(r);
-        out.push((bbox, tr.oid()));
+    /// A query box covering a spatial rectangle over a time range.
+    pub fn query_box(x0: f64, y0: f64, x1: f64, y1: f64, t0: f64, t1: f64) -> Aabb3 {
+        Aabb3::new([x0, y0, t0], [x1, y1, t1])
     }
-}
-
-/// A query box covering a spatial rectangle over a time range.
-pub fn query_box(x0: f64, y0: f64, x1: f64, y1: f64, t0: f64, t1: f64) -> Aabb3 {
-    Aabb3::new(
-        [x0.min(x1), y0.min(y1), t0.min(t1)],
-        [x0.max(x1), y0.max(y1), t0.max(t1)],
-    )
 }

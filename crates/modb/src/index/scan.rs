@@ -1,8 +1,7 @@
-//! Brute-force linear scan: the correctness baseline for all indexes and
-//! the crossover point of the `indexes` ablation bench.
+//! Brute-force linear scan: the correctness baseline the grid index is
+//! tested against.
 
 use super::bbox::Aabb3;
-use super::SegmentIndex;
 use unn_traj::trajectory::Oid;
 
 /// No index at all: every query tests every entry.
@@ -16,10 +15,10 @@ impl LinearScan {
     pub fn build(items: Vec<(Aabb3, Oid)>) -> Self {
         LinearScan { items }
     }
-}
 
-impl SegmentIndex for LinearScan {
-    fn query_bbox(&self, query: &Aabb3) -> Vec<Oid> {
+    /// All ids with at least one box intersecting `query`, ascending and
+    /// deduplicated.
+    pub fn query_bbox(&self, query: &Aabb3) -> Vec<Oid> {
         let mut hits: Vec<Oid> = self
             .items
             .iter()
@@ -31,14 +30,15 @@ impl SegmentIndex for LinearScan {
         hits
     }
 
-    fn entry_count(&self) -> usize {
+    /// Number of entries.
+    pub fn entry_count(&self) -> usize {
         self.items.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::query_box;
+    use super::super::testutil::query_box;
     use super::*;
 
     #[test]

@@ -13,14 +13,9 @@
 //! 3. the survivors' `P^NN` values are computed with the Eq. 5 evaluator
 //!    over the exact disk-difference pdfs.
 //!
-//! [`instantaneous_nn`] scans the whole snapshot; the server's
-//! index-accelerated variant first narrows the population with a
-//! time-slice box query against a [`crate::index::SegmentIndex`] (sound:
-//! the fetch box is derived from the same `R_max` bound, so it returns a
-//! superset of the Figure 4 survivors).
+//! [`instantaneous_nn`] scans the whole snapshot, which is also what
+//! `ModServer::instantaneous_nn` serves.
 
-use crate::index::bbox::Aabb3;
-use crate::index::SegmentIndex;
 use std::fmt;
 use unn_geom::point::Point2;
 use unn_prob::disk_diff::DiskDifferencePdf;
@@ -114,7 +109,7 @@ pub fn instantaneous_nn(
     rank(&candidates, c_q, q.radius(), t)
 }
 
-/// The shared ranking core: Figure 4 pruning + Eq. 5 over the survivors.
+/// Figure 4 pruning + Eq. 5 over the survivors.
 fn rank(
     candidates: &[(&UncertainTrajectory, Point2)],
     c_q: Point2,
@@ -179,84 +174,9 @@ fn rank(
     })
 }
 
-/// Index-accelerated variant: narrows the snapshot with a time-slice box
-/// query before ranking. The fetch box is centered at the query's
-/// expected location with half-width `R_max + r_q` where `R_max` comes
-/// from the nearest *fetched* candidate — since segment boxes are
-/// inflated by each object's own radius, every possible NN intersects the
-/// box, so the result equals the full-scan ranking.
-pub fn instantaneous_nn_indexed(
-    trs: &[UncertainTrajectory],
-    index: &dyn SegmentIndex,
-    query: Oid,
-    t: f64,
-) -> Result<InstantRanking, InstantError> {
-    let q = trs
-        .iter()
-        .find(|tr| tr.oid() == query)
-        .ok_or(InstantError::UnknownQuery(query))?;
-    let c_q = q
-        .expected_location(t)
-        .ok_or(InstantError::OutsideDomain { t })?;
-    let r_q = q.radius();
-    // Growing probe: find at least one candidate to bound R_max.
-    let mut half = 4.0 * r_q.max(1e-3);
-    let mut seed: Vec<Oid> = Vec::new();
-    for _ in 0..64 {
-        let probe = Aabb3::new(
-            [c_q.x - half, c_q.y - half, t],
-            [c_q.x + half, c_q.y + half, t],
-        );
-        seed = index
-            .query_bbox(&probe)
-            .into_iter()
-            .filter(|o| *o != query)
-            .collect();
-        if !seed.is_empty() {
-            break;
-        }
-        half *= 2.0;
-    }
-    if seed.is_empty() {
-        return Err(InstantError::NoCandidates);
-    }
-    // Upper bound on the NN distance from the seed candidates.
-    let mut r_max = f64::INFINITY;
-    for oid in &seed {
-        let tr = trs
-            .iter()
-            .find(|tr| tr.oid() == *oid)
-            .expect("indexed object stored");
-        if let Some(c) = tr.expected_location(t) {
-            r_max = r_max.min((c - c_q).norm() + tr.radius() + r_q);
-        }
-    }
-    if !r_max.is_finite() {
-        return Err(InstantError::NoCandidates);
-    }
-    // Sound fetch: every candidate with d_i − r_i − r_q ≤ R_max has its
-    // inflated box within L∞ distance R_max + r_q of c_q.
-    let fetch_half = r_max + r_q;
-    let fetch = Aabb3::new(
-        [c_q.x - fetch_half, c_q.y - fetch_half, t],
-        [c_q.x + fetch_half, c_q.y + fetch_half, t],
-    );
-    let ids = index.query_bbox(&fetch);
-    let candidates: Vec<(&UncertainTrajectory, Point2)> = ids
-        .iter()
-        .filter(|o| **o != query)
-        .filter_map(|o| trs.iter().find(|tr| tr.oid() == *o))
-        .filter_map(|tr| tr.expected_location(t).map(|c| (tr, c)))
-        .collect();
-    rank(&candidates, c_q, r_q, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::grid::GridIndex;
-    use crate::index::rtree::RTree;
-    use crate::index::segment_boxes;
     use unn_traj::generator::{generate, WorkloadConfig};
     use unn_traj::trajectory::Trajectory;
 
@@ -300,25 +220,6 @@ mod tests {
             let d = (c - c_q).norm();
             assert!(d + 1e-9 >= prev, "{oid}: {d} < {prev}");
             prev = d;
-        }
-    }
-
-    #[test]
-    fn indexed_matches_full_scan() {
-        let trs = fleet(0.5);
-        let boxes = segment_boxes(&trs);
-        let grid = GridIndex::build(boxes.clone(), 256);
-        let rtree = RTree::build(boxes);
-        for t in [5.0, 30.0, 55.0] {
-            let full = instantaneous_nn(&trs, Oid(0), t).unwrap();
-            for index in [&grid as &dyn SegmentIndex, &rtree as &dyn SegmentIndex] {
-                let fast = instantaneous_nn_indexed(&trs, index, Oid(0), t).unwrap();
-                assert_eq!(full.rows.len(), fast.rows.len(), "t={t}");
-                for ((o1, p1), (o2, p2)) in full.rows.iter().zip(&fast.rows) {
-                    assert_eq!(o1, o2, "t={t}");
-                    assert!((p1 - p2).abs() < 1e-9, "t={t} {o1}: {p1} vs {p2}");
-                }
-            }
         }
     }
 

@@ -8,19 +8,18 @@
 //!   §1), with epoch-stamped `Arc`-shared snapshots and a delta log;
 //! * [`delta`] — the delta-epoch layer: the bounded mutation log, net
 //!   deltas, and the engine carry proof;
-//! * [`snapshot`] — the shared [`snapshot::QuerySnapshot`] view with
-//!   lazily built, **incrementally maintained** per-snapshot segment
-//!   indexes;
+//! * [`snapshot`] — the shared, **incrementally maintained**
+//!   [`snapshot::QuerySnapshot`] view;
 //! * [`plan`] — the query planner: one-shot invariant resolution plus the
-//!   pluggable scan/grid/R-tree prefilter ([`plan::PrefilterPolicy`]);
+//!   epoch-box scan prefilter ([`plan::PrefilterPolicy`]);
 //! * [`cache`] — the epoch-keyed engine cache amortizing envelope/IPAC
 //!   preprocessing across queries, with delta carry-forward;
 //! * [`catalog`] — descriptive object metadata joined against spatial
 //!   answers;
-//! * [`index`] — from-scratch STR R-tree and uniform-grid segment indexes
-//!   with a linear-scan baseline;
+//! * [`index`] — the uniform grid the subscription index keeps guard
+//!   boxes in, with its linear-scan baseline;
 //! * [`prefilter`] — the conservative epoch-box prefilter (§2.2-I's
-//!   R_min/R_max rule at box granularity) in scan and index-backed forms;
+//!   R_min/R_max rule at box granularity);
 //!
 //! ## The query pipeline
 //!
@@ -48,7 +47,7 @@
 //!        ▼              ▼                      ▼                      ▼
 //!  QuerySnapshot   EngineCache          SubscriptionRegistry   (next query)
 //!  apply_delta     carry proof          skip → patch → rebuild
-//!  (patch indexes) (re-key engine)      (AnswerDelta change feed)
+//!  (merge objects) (re-key engine)      (AnswerDelta change feed)
 //! ```
 //!
 //! 1. **Mutate** — `insert`/`remove`/`update`/`bulk_load` locks only the
@@ -62,11 +61,8 @@
 //!    [`store::DEFAULT_REBUILD_FRACTION`] = 25%), derives the new
 //!    snapshot from the previous one via
 //!    [`snapshot::QuerySnapshot::apply_delta`]: the object list is merged
-//!    in one pass and every already-materialized index is patched by
-//!    structural sharing (`GridIndex`/`RTree::apply_delta`,
-//!    `O(|delta| · log N)`). Oversized deltas, cold starts, and history
-//!    gaps (log overflow, [`store::ModStore::clear`]) rebuild from
-//!    scratch, restoring the packed index shape.
+//!    in one pass. Oversized deltas, cold starts, and history gaps (log
+//!    overflow, [`store::ModStore::clear`]) rebuild from scratch.
 //! 3. **Carry** — on an engine-cache miss at the new epoch, a same-shape
 //!    forward engine from an older epoch is offered to
 //!    `delta::forward_engine_unaffected`: if every logged op since its
@@ -185,8 +181,7 @@
 //! `tests/net_fanout.rs`).
 //!
 //! * [`instantaneous`] — the §2.2 snapshot NN query: Figure 4's
-//!   `R_min/R_max` pruning + Eq. 5 ranking at one instant, full-scan and
-//!   index-accelerated;
+//!   `R_min/R_max` pruning + Eq. 5 ranking at one instant;
 //! * [`ql`] — the §4 SQL-ish query language (lexer, AST, parser) with the
 //!   `PROB_RNN` reverse-NN extension of §7 and the standing-query verbs
 //!   (`REGISTER CONTINUOUS … AS name`, `UNREGISTER`, `SHOW

@@ -5,14 +5,14 @@
 //! engines relied on individually: the snapshot is taken (shared, no
 //! clones), the window and query object are validated, the common
 //! uncertainty radius is established (or per-object radii collected for
-//! the §7 heterogeneous path), and a pluggable coarse prefilter — linear
-//! scan, uniform grid, or STR R-tree, chosen by [`PrefilterPolicy`] —
-//! reduces the candidate population before any difference trajectory is
-//! built. Every policy keeps a provable superset of the exact `4r`-band
-//! survivors, so the resulting answers are identical to the exhaustive
-//! path; only the preprocessing cost changes.
+//! the §7 heterogeneous path), and the coarse prefilter — the epoch-box
+//! scan, or none, chosen by [`PrefilterPolicy`] — reduces the candidate
+//! population before any difference trajectory is built. The scan keeps a
+//! provable superset of the exact `4r`-band survivors, so the resulting
+//! answers are identical to the exhaustive path; only the preprocessing
+//! cost changes.
 
-use crate::prefilter::{epoch_box_prefilter, index_prefilter};
+use crate::prefilter::epoch_box_prefilter;
 use crate::snapshot::QuerySnapshot;
 use std::fmt;
 use std::sync::Arc;
@@ -39,18 +39,6 @@ pub enum PrefilterPolicy {
         /// Temporal granularity (more epochs = tighter filter).
         epochs: usize,
     },
-    /// Epoch prefilter with candidate retrieval through the per-snapshot
-    /// uniform-grid segment index.
-    Grid {
-        /// Temporal granularity.
-        epochs: usize,
-    },
-    /// Epoch prefilter with candidate retrieval through the per-snapshot
-    /// STR R-tree segment index.
-    RTree {
-        /// Temporal granularity.
-        epochs: usize,
-    },
 }
 
 impl Default for PrefilterPolicy {
@@ -65,8 +53,6 @@ impl PrefilterPolicy {
         match self {
             PrefilterPolicy::Exhaustive => 0,
             PrefilterPolicy::Scan { .. } => 1,
-            PrefilterPolicy::Grid { .. } => 2,
-            PrefilterPolicy::RTree { .. } => 3,
         }
     }
 
@@ -90,8 +76,6 @@ impl fmt::Display for PrefilterPolicy {
         match self {
             PrefilterPolicy::Exhaustive => write!(f, "exhaustive"),
             PrefilterPolicy::Scan { epochs } => write!(f, "scan({epochs})"),
-            PrefilterPolicy::Grid { epochs } => write!(f, "grid({epochs})"),
-            PrefilterPolicy::RTree { epochs } => write!(f, "rtree({epochs})"),
         }
     }
 }
@@ -219,22 +203,6 @@ impl QueryPlanner {
             PrefilterPolicy::Scan { epochs } => {
                 Some(epoch_box_prefilter(snapshot, query, window, radius, epochs))
             }
-            PrefilterPolicy::Grid { epochs } => Some(index_prefilter(
-                snapshot,
-                snapshot.grid(),
-                query,
-                window,
-                radius,
-                epochs,
-            )),
-            PrefilterPolicy::RTree { epochs } => Some(index_prefilter(
-                snapshot,
-                snapshot.rtree(),
-                query,
-                window,
-                radius,
-                epochs,
-            )),
         };
         match kept_oids {
             Some(oids) if !oids.is_empty() => oids
@@ -377,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_keeps_a_superset_of_band_survivors() {
+    fn the_scan_keeps_a_superset_of_band_survivors() {
         let snap = fleet(60, 23);
         let w = TimeInterval::new(0.0, 60.0);
         let exhaustive = QueryPlanner::new(PrefilterPolicy::Exhaustive)
@@ -385,27 +353,22 @@ mod tests {
             .unwrap();
         let engine = exhaustive.build_engine().unwrap();
         let survivors: Vec<Oid> = engine.uq31_all().into_iter().map(|(oid, _)| oid).collect();
-        for policy in [
-            PrefilterPolicy::Scan { epochs: 6 },
-            PrefilterPolicy::Grid { epochs: 6 },
-            PrefilterPolicy::RTree { epochs: 6 },
-        ] {
-            let plan = QueryPlanner::new(policy)
-                .plan(Arc::clone(&snap), Oid(0), w)
-                .unwrap();
-            let kept: Vec<Oid> = plan
-                .candidate_trajectories()
-                .iter()
-                .map(|t| t.oid())
-                .collect();
-            for oid in &survivors {
-                assert!(
-                    kept.contains(oid),
-                    "{policy}: band survivor {oid} was prefiltered out"
-                );
-            }
-            assert!(plan.candidate_count() <= plan.examined());
+        let policy = PrefilterPolicy::Scan { epochs: 6 };
+        let plan = QueryPlanner::new(policy)
+            .plan(Arc::clone(&snap), Oid(0), w)
+            .unwrap();
+        let kept: Vec<Oid> = plan
+            .candidate_trajectories()
+            .iter()
+            .map(|t| t.oid())
+            .collect();
+        for oid in &survivors {
+            assert!(
+                kept.contains(oid),
+                "{policy}: band survivor {oid} was prefiltered out"
+            );
         }
+        assert!(plan.candidate_count() <= plan.examined());
     }
 
     #[test]

@@ -24,16 +24,6 @@ use unn_geom::interval::TimeInterval;
 use unn_traj::trajectory::{Oid, Trajectory};
 use unn_traj::uncertain::UncertainTrajectory;
 
-/// Smallest distance between the `(x, y)` projections of two boxes.
-pub(crate) fn min_dist_xy(a: &Aabb3, b: &Aabb3) -> f64 {
-    a.min_dist_xy(b)
-}
-
-/// Largest distance between the `(x, y)` projections of two boxes.
-pub(crate) fn max_dist_xy(a: &Aabb3, b: &Aabb3) -> f64 {
-    a.max_dist_xy(b)
-}
-
 /// The spatial box of a trajectory's expected location over `[t0, t1]`.
 pub(crate) fn corridor_box(tr: &Trajectory, t0: f64, t1: f64) -> Aabb3 {
     // The expected location over an interval is contained in the box of
@@ -96,10 +86,10 @@ pub fn epoch_box_prefilter(
             .map(|o| corridor_box(o.trajectory(), t0, t1))
             .collect();
         for b in &boxes {
-            upper = upper.min(max_dist_xy(b, &qbox));
+            upper = upper.min(b.max_dist_xy(&qbox));
         }
         for (i, b) in boxes.iter().enumerate() {
-            if !keep[i] && min_dist_xy(b, &qbox) <= upper + delta {
+            if !keep[i] && b.min_dist_xy(&qbox) <= upper + delta {
                 keep[i] = true;
             }
         }
@@ -110,78 +100,6 @@ pub fn epoch_box_prefilter(
         .filter(|(_, k)| *k)
         .map(|(o, _)| o.oid())
         .collect()
-}
-
-/// Index-backed epoch prefilter: the same conservative `R_min ≤ U + 4r`
-/// rule as [`epoch_box_prefilter`], but with candidate retrieval delegated
-/// to a [`SegmentIndex`](crate::index::SegmentIndex) (grid or STR
-/// R-tree) instead of an `O(N)` box
-/// scan per epoch — the role §7 assigns to R-tree-family access methods.
-///
-/// Per epoch, an envelope upper bound `U_e` is obtained by probing the
-/// index around the query corridor with a doubling radius until some
-/// candidate is found (`U_e` = the min max-distance over the candidates
-/// found; a min over *any* non-empty candidate subset upper-bounds the
-/// envelope, so the bound is sound no matter which candidates the probe
-/// surfaces). All objects within `U_e + 4r` of the corridor are then
-/// fetched in one box query. Like the scan variant, the result is a
-/// superset of the exact `4r`-band survivors, so downstream answers are
-/// identical.
-pub fn index_prefilter(
-    snapshot: &crate::snapshot::QuerySnapshot,
-    index: &dyn crate::index::SegmentIndex,
-    query_oid: Oid,
-    window: TimeInterval,
-    radius: f64,
-    epochs: usize,
-) -> Vec<Oid> {
-    use std::collections::BTreeSet;
-
-    let epochs = epochs.max(1);
-    let query = snapshot.get(query_oid).expect("query object present");
-    if snapshot.len() < 2 {
-        return vec![];
-    }
-    let delta = 4.0 * radius;
-    // Global fallback bound from the cached whole-trajectory boxes: the
-    // smallest max-distance any candidate can be from the query.
-    let q_full = &snapshot.full_boxes()[snapshot.index_of(query_oid).expect("present")];
-    let u_global = snapshot
-        .iter()
-        .zip(snapshot.full_boxes())
-        .filter(|(t, _)| t.oid() != query_oid)
-        .map(|(_, b)| max_dist_xy(b, q_full))
-        .fold(f64::INFINITY, f64::min);
-    let mut keep: BTreeSet<Oid> = BTreeSet::new();
-    let step = window.len() / epochs as f64;
-    for e in 0..epochs {
-        let t0 = window.start() + e as f64 * step;
-        let t1 = (t0 + step).min(window.end());
-        let qbox = corridor_box(query.trajectory(), t0, t1);
-        // Probe outward until some candidate bounds the envelope.
-        let mut upper = u_global;
-        let mut probe = (delta + radius).max(1e-3);
-        while probe < u_global {
-            let hits = index.query_bbox(&qbox.inflate_xy(probe));
-            let local = hits
-                .iter()
-                .filter(|&&oid| oid != query_oid)
-                .filter_map(|&oid| snapshot.get(oid))
-                .map(|t| max_dist_xy(&corridor_box(t.trajectory(), t0, t1), &qbox))
-                .fold(f64::INFINITY, f64::min);
-            if local.is_finite() {
-                upper = local.min(u_global);
-                break;
-            }
-            probe *= 2.0;
-        }
-        for oid in index.query_bbox(&qbox.inflate_xy(upper + delta)) {
-            if oid != query_oid {
-                keep.insert(oid);
-            }
-        }
-    }
-    keep.into_iter().collect()
 }
 
 #[cfg(test)]

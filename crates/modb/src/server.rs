@@ -289,8 +289,7 @@ impl ModServer {
     }
 
     /// Like [`ModServer::engine`] with an explicit prefilter policy for
-    /// this call (the k-NN path uses [`PrefilterPolicy::Exhaustive`];
-    /// benches ablate scan vs grid vs R-tree).
+    /// this call (the k-NN path uses [`PrefilterPolicy::Exhaustive`]).
     pub fn engine_with_policy(
         &self,
         query_oid: Oid,
@@ -353,20 +352,6 @@ impl ModServer {
             cache_hit,
         };
         Ok((engine, stats))
-    }
-
-    /// Like [`ModServer::engine`], but forcing the analytic epoch-box
-    /// scan prefilter with the given temporal granularity. Kept as the
-    /// explicit-prefilter entry point; it is a thin wrapper over the
-    /// planner (the old duplicated snapshot/radius/window validation
-    /// lives there now).
-    pub fn engine_prefiltered(
-        &self,
-        query_oid: Oid,
-        window: TimeInterval,
-        epochs: usize,
-    ) -> Result<(Arc<QueryEngine>, ExecutionStats), ServerError> {
-        self.engine_with_policy(query_oid, window, PrefilterPolicy::Scan { epochs })
     }
 
     /// Runs the continuous (crisp) NN query of §1, returning the

@@ -5,38 +5,21 @@
 //! at one mutation epoch. The store hands out the **same** `Arc` until a
 //! mutation bumps the epoch, so concurrent queries share one copy of
 //! every trajectory instead of deep-cloning the MOD per call (the §2.1
-//! "server keeps a copy" made cheap). Derived per-snapshot structures —
-//! the STR R-tree and uniform-grid segment indexes and the per-object
-//! corridor boxes the prefilter consults — are built lazily at most once
-//! per snapshot and shared the same way, which is how the §7 access-method
-//! delegation gets amortized across the §4 query variants.
+//! "server keeps a copy" made cheap). A snapshot is plain data: the epoch
+//! and the objects, ascending by id.
 
 use crate::delta::NetDelta;
-use crate::index::bbox::Aabb3;
-use crate::index::grid::GridIndex;
-use crate::index::rtree::RTree;
-use crate::index::{segment_boxes, segment_boxes_of};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::ops::Deref;
-use std::sync::OnceLock;
-use unn_traj::trajectory::{Oid, Trajectory};
+use unn_traj::trajectory::Oid;
 use unn_traj::uncertain::UncertainTrajectory;
 
 /// An immutable, epoch-stamped view of the MOD's trajectories (ascending
-/// by id), with lazily built per-snapshot index structures.
+/// by id).
 #[derive(Debug)]
 pub struct QuerySnapshot {
     epoch: u64,
     objects: Vec<UncertainTrajectory>,
-    /// Objects touched by delta patches since the last from-scratch
-    /// build (0 for fresh snapshots). Patching degrades index shape —
-    /// R-tree overflow entries, emptied grid cells — so the store
-    /// charges the accumulated debt against its rebuild budget, bounding
-    /// the degradation before a re-pack restores it.
-    patch_debt: usize,
-    grid: OnceLock<GridIndex>,
-    rtree: OnceLock<RTree>,
-    full_boxes: OnceLock<Vec<Aabb3>>,
 }
 
 impl QuerySnapshot {
@@ -44,43 +27,15 @@ impl QuerySnapshot {
     /// `epoch`.
     pub fn new(epoch: u64, objects: Vec<UncertainTrajectory>) -> Self {
         debug_assert!(objects.windows(2).all(|w| w[0].oid() < w[1].oid()));
-        QuerySnapshot {
-            epoch,
-            objects,
-            patch_debt: 0,
-            grid: OnceLock::new(),
-            rtree: OnceLock::new(),
-            full_boxes: OnceLock::new(),
-        }
-    }
-
-    /// Objects touched by delta patches since the last from-scratch
-    /// build. The store adds this to the pending delta when deciding
-    /// between patching and rebuilding, so index degradation (R-tree
-    /// overflow growth, sparse grid cells) stays bounded by the rebuild
-    /// fraction even under an endless stream of small deltas.
-    pub fn patch_debt(&self) -> usize {
-        self.patch_debt
+        QuerySnapshot { epoch, objects }
     }
 
     /// Derives the snapshot at `epoch` from `prev` by applying the net
-    /// delta, instead of re-copying the store and rebuilding every index.
-    ///
-    /// The object list is merged in one pass; every index structure that
-    /// was already built on `prev` is patched via its `apply_delta`
-    /// (structural sharing, `O(|delta| · log N)`), so steady-state
-    /// update-then-query workloads never pay a full `O(N log N)` index
-    /// rebuild. Indexes never built on `prev` stay lazy. Answers are
-    /// identical to a cold rebuild — the patched indexes return exactly
-    /// the same candidate sets, and the planner's conservative-prefilter
-    /// guarantee does the rest.
+    /// delta, instead of re-copying the store: the object list is merged
+    /// in one pass, and the result equals a cold
+    /// [`QuerySnapshot::new`] of the store's contents at `epoch`.
     pub fn apply_delta(prev: &QuerySnapshot, epoch: u64, net: &NetDelta) -> QuerySnapshot {
         let removed: BTreeSet<Oid> = net.removed.iter().copied().collect();
-        let changed: BTreeSet<Oid> = removed
-            .iter()
-            .copied()
-            .chain(net.inserted.iter().map(|t| t.oid()))
-            .collect();
         // One merge pass: survivors of `prev` interleaved with the
         // (ascending) insertions.
         let mut objects: Vec<UncertainTrajectory> =
@@ -96,48 +51,7 @@ impl QuerySnapshot {
             objects.push(obj.clone());
         }
         objects.extend(ins.cloned());
-        let mut next = QuerySnapshot::new(epoch, objects);
-        next.patch_debt = prev.patch_debt + net.size();
-
-        // Patch whichever index structures the previous snapshot had
-        // materialized; the delta's index entries are the removed
-        // objects' original segment boxes (recomputed from `prev`'s
-        // content, so they match what was indexed) and the insertions'.
-        let needs_boxes = prev.grid.get().is_some() || prev.rtree.get().is_some();
-        if needs_boxes {
-            let removed_set: HashSet<Oid> = removed.iter().copied().collect();
-            let mut removed_boxes = Vec::new();
-            for oid in &removed {
-                let tr = prev.get(*oid).expect("net delta removals exist in prev");
-                segment_boxes_of(tr, &mut removed_boxes);
-            }
-            let mut insert_boxes = Vec::new();
-            for tr in &net.inserted {
-                segment_boxes_of(tr, &mut insert_boxes);
-            }
-            if let Some(grid) = prev.grid.get() {
-                let _ =
-                    next.grid
-                        .set(grid.apply_delta(&insert_boxes, &removed_set, &removed_boxes));
-            }
-            if let Some(rtree) = prev.rtree.get() {
-                let _ =
-                    next.rtree
-                        .set(rtree.apply_delta(&insert_boxes, &removed_set, &removed_boxes));
-            }
-        }
-        if let Some(prev_boxes) = prev.full_boxes.get() {
-            let boxes: Vec<Aabb3> = next
-                .objects
-                .iter()
-                .map(|t| match prev.index_of(t.oid()) {
-                    Some(i) if !changed.contains(&t.oid()) => prev_boxes[i],
-                    _ => trajectory_box(t.trajectory()),
-                })
-                .collect();
-            let _ = next.full_boxes.set(boxes);
-        }
-        next
+        QuerySnapshot::new(epoch, objects)
     }
 
     /// The store epoch this snapshot was taken at.
@@ -169,35 +83,6 @@ impl QuerySnapshot {
     pub fn to_vec(&self) -> Vec<UncertainTrajectory> {
         self.objects.clone()
     }
-
-    /// The uniform-grid segment index over this snapshot, built on first
-    /// use and shared by every query against the same epoch.
-    pub fn grid(&self) -> &GridIndex {
-        self.grid.get_or_init(|| {
-            let boxes = segment_boxes(&self.objects);
-            let cells = boxes.len().max(1);
-            GridIndex::build(boxes, cells)
-        })
-    }
-
-    /// The STR R-tree segment index over this snapshot, built on first
-    /// use and shared by every query against the same epoch.
-    pub fn rtree(&self) -> &RTree {
-        self.rtree
-            .get_or_init(|| RTree::build(segment_boxes(&self.objects)))
-    }
-
-    /// Per-object full-domain corridor boxes (same order as
-    /// [`QuerySnapshot::objects`]): the cheap whole-trajectory bounds the
-    /// indexed prefilter uses to seed its envelope upper bound.
-    pub fn full_boxes(&self) -> &[Aabb3] {
-        self.full_boxes.get_or_init(|| {
-            self.objects
-                .iter()
-                .map(|t| trajectory_box(t.trajectory()))
-                .collect()
-        })
-    }
 }
 
 impl Deref for QuerySnapshot {
@@ -206,22 +91,6 @@ impl Deref for QuerySnapshot {
     fn deref(&self) -> &[UncertainTrajectory] {
         &self.objects
     }
-}
-
-/// The `(x, y, t)` bounding box of a whole trajectory's expected
-/// locations.
-fn trajectory_box(tr: &Trajectory) -> Aabb3 {
-    let mut min = [f64::INFINITY; 3];
-    let mut max = [f64::NEG_INFINITY; 3];
-    for s in tr.samples() {
-        min[0] = min[0].min(s.position.x);
-        min[1] = min[1].min(s.position.y);
-        min[2] = min[2].min(s.time);
-        max[0] = max[0].max(s.position.x);
-        max[1] = max[1].max(s.position.y);
-        max[2] = max[2].max(s.time);
-    }
-    Aabb3::new(min, max)
 }
 
 #[cfg(test)]
@@ -256,54 +125,15 @@ mod tests {
 
     #[test]
     fn apply_delta_matches_a_fresh_snapshot() {
-        use crate::delta::NetDelta;
-        use crate::index::{query_box, SegmentIndex};
         let prev = snapshot();
-        // Materialize everything so the delta path must patch it all.
-        let everything = query_box(-100.0, -100.0, 100.0, 100.0, 0.0, 100.0);
-        let _ = (
-            prev.grid().entry_count(),
-            prev.rtree().entry_count(),
-            prev.full_boxes().len(),
-        );
         // Update Tr3 (moved to y = 9), remove Tr9, insert Tr5.
         let net = NetDelta::new(vec![Oid(3), Oid(9)], vec![tr(3, 9.0), tr(5, 7.0)]);
         let next = QuerySnapshot::apply_delta(&prev, 8, &net);
-        assert_eq!(next.patch_debt(), 3);
         let fresh = QuerySnapshot::new(8, vec![tr(1, 0.0), tr(3, 9.0), tr(5, 7.0)]);
         assert_eq!(next.epoch(), 8);
-        let oids: Vec<u64> = next.iter().map(|t| t.oid().0).collect();
-        assert_eq!(oids, vec![1, 3, 5]);
-        assert_eq!(
-            next.grid().query_bbox(&everything),
-            fresh.grid().query_bbox(&everything)
-        );
-        assert_eq!(
-            next.rtree().query_bbox(&everything),
-            fresh.rtree().query_bbox(&everything)
-        );
-        // Patched indexes were pre-materialized, full boxes realigned.
-        assert_eq!(next.full_boxes().len(), 3);
-        assert_eq!(next.full_boxes()[1].min[1], 9.0 - 0.0); // updated Tr3
-        let narrow = query_box(-1.0, 8.0, 11.0, 10.0, 0.0, 10.0);
-        assert_eq!(
-            next.grid().query_bbox(&narrow),
-            fresh.grid().query_bbox(&narrow)
-        );
+        assert_eq!(next.objects(), fresh.objects());
         // The previous snapshot is untouched.
         assert_eq!(prev.len(), 3);
         assert!(prev.contains(Oid(9)));
-    }
-
-    #[test]
-    fn lazy_indexes_cover_all_objects() {
-        use crate::index::{query_box, SegmentIndex};
-        let s = snapshot();
-        let everything = query_box(-100.0, -100.0, 100.0, 100.0, 0.0, 10.0);
-        assert_eq!(s.grid().query_bbox(&everything).len(), 3);
-        assert_eq!(s.rtree().query_bbox(&everything).len(), 3);
-        assert_eq!(s.full_boxes().len(), 3);
-        // The second call returns the same built structure.
-        assert_eq!(s.grid().entry_count(), s.grid().entry_count());
     }
 }

@@ -470,9 +470,9 @@ impl ModStore {
     /// The same snapshot is returned until a mutation bumps the epoch.
     /// After a mutation, the refresh is **incremental**: while the
     /// pending delta stays within the rebuild fraction of the
-    /// population, the previous snapshot and its materialized indexes
-    /// are patched in `O(|delta| · log N)` instead of rebuilt — with
-    /// answers identical to a cold rebuild. Oversized deltas, cold
+    /// population, the previous snapshot's object list is patched in one
+    /// merge pass instead of re-copied from the shards and sorted — the
+    /// result is identical to a cold rebuild. Oversized deltas, cold
     /// starts, and history gaps (log overflow, `clear`) rebuild fully.
     pub fn snapshot(&self) -> Arc<QuerySnapshot> {
         let now = self.epoch.load(Ordering::Acquire);
@@ -498,11 +498,8 @@ impl ModStore {
             let log = self.delta.lock().unwrap();
             let ops = log.ops_since(p.epoch())?;
             let net = NetDelta::from_ops(p, ops);
-            // Charge the accumulated patch debt too: an endless stream
-            // of tiny deltas must still re-pack periodically, or the
-            // R-tree overflow and grid edits grow without bound.
             let budget = self.rebuild_fraction() * p.len().max(1) as f64;
-            if (net.size() + p.patch_debt()) as f64 > budget {
+            if net.size() as f64 > budget {
                 return None;
             }
             Some(QuerySnapshot::apply_delta(p, epoch, &net))
@@ -1020,9 +1017,7 @@ mod tests {
     fn small_mutations_refresh_by_delta() {
         let s = ModStore::new();
         s.bulk_load((0..40).map(tr)).unwrap();
-        let first = s.snapshot();
-        // Force the indexes so the delta path has something to patch.
-        let _ = (first.grid().entry_count(), first.rtree().entry_count());
+        let _ = s.snapshot();
         s.remove(Oid(7)).unwrap();
         s.insert(tr(100)).unwrap();
         let second = s.snapshot();
@@ -1034,13 +1029,6 @@ mod tests {
         assert!(!second.contains(Oid(7)));
         assert!(second.contains(Oid(100)));
         assert_eq!(second.len(), 40);
-        // Patched indexes carry the delta too.
-        use crate::index::{query_box, SegmentIndex};
-        let everything = query_box(-1e6, -1e6, 1e6, 1e6, 0.0, 1e6);
-        let grid_hits = second.grid().query_bbox(&everything);
-        assert!(!grid_hits.contains(&Oid(7)));
-        assert!(grid_hits.contains(&Oid(100)));
-        assert_eq!(second.rtree().query_bbox(&everything), grid_hits);
     }
 
     #[test]
@@ -1058,31 +1046,32 @@ mod tests {
     }
 
     #[test]
-    fn accumulated_patch_debt_forces_a_periodic_repack() {
-        use crate::index::SegmentIndex;
+    fn an_endless_stream_of_small_deltas_never_rebuilds() {
+        let at = |oid: u64, y: f64| {
+            UncertainTrajectory::with_uniform_pdf(
+                Trajectory::from_triples(Oid(oid), &[(0.0, y, 0.0), (1.0, y, 1.0)]).unwrap(),
+                0.5,
+            )
+            .unwrap()
+        };
+        const N: u64 = 200;
         let s = ModStore::new();
-        s.bulk_load((0..40).map(tr)).unwrap();
-        let _ = s.snapshot().rtree().entry_count();
-        // An endless stream of tiny deltas: each is far under the
-        // rebuild fraction, but the debt accumulates until a re-pack
-        // clears the R-tree overflow.
-        let mut max_overflow = 0;
-        for k in 0..60u64 {
-            s.insert(tr(100 + k)).unwrap();
+        s.bulk_load((0..N).map(|oid| at(oid, 0.0))).unwrap();
+        let _ = s.snapshot();
+        let cold = s.delta_stats().snapshots_rebuilt;
+        for k in 0..2 * N {
+            s.update(at((k * 7) % N, 1.0 + k as f64));
             let snap = s.snapshot();
-            max_overflow = max_overflow.max(snap.rtree().overflow_len());
+            let live: Vec<UncertainTrajectory> =
+                s.oids().into_iter().filter_map(|o| s.get(o)).collect();
+            assert_eq!(
+                snap.objects(),
+                QuerySnapshot::new(snap.epoch(), live).objects()
+            );
         }
         let stats = s.delta_stats();
-        assert!(
-            stats.snapshots_rebuilt >= 2,
-            "patch debt never triggered a re-pack: {stats:?}"
-        );
-        assert!(
-            max_overflow <= 40,
-            "overflow grew past the rebuild budget: {max_overflow}"
-        );
-        // A re-packed snapshot starts debt-free.
-        assert!(s.snapshot().patch_debt() <= 40);
+        assert_eq!(stats.snapshots_rebuilt, cold, "{stats:?}");
+        assert_eq!(stats.snapshots_delta_applied, 2 * N);
     }
 
     #[test]

@@ -146,7 +146,6 @@
 use crate::delta::{full_xy_box, DeltaOp, DeltaRecord, ForwardProof};
 use crate::index::bbox::Aabb3;
 use crate::index::grid::GridIndex;
-use crate::index::SegmentIndex;
 use crate::plan::{PrefilterPolicy, QueryPlan, QueryPlanner};
 use crate::ql::ast::{PredicateKind, Quantifier, Query, Target};
 use crate::ql::{parse_object_name, SourceSpan};
@@ -2239,8 +2238,8 @@ impl SubscriptionRegistry {
         }
     }
 
-    /// The incremental re-eval of the forward kinds: re-plan (cheap,
-    /// index-backed prefilter), reuse every unchanged candidate's
+    /// The incremental re-eval of the forward kinds: re-plan (the
+    /// epoch-box scan), reuse every unchanged candidate's
     /// difference function from the carried engine, build fresh
     /// functions only for candidates the delta touched, and rebuild the
     /// envelope over the merged set. The candidate set and every

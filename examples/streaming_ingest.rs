@@ -4,15 +4,14 @@
 //! store does instead when GPS updates stream in continuously. Each
 //! update is one `remove` + `insert` of the same vehicle (a revised
 //! motion plan). The store logs the ops in its delta log, and the next
-//! `snapshot()` *patches* the previous snapshot and its grid/R-tree
-//! indexes in `O(|delta| · log N)` instead of rebuilding them — while
-//! every query keeps answering exactly as a cold rebuild would. Cached
+//! `snapshot()` *patches* the previous snapshot instead of re-copying
+//! the store — while every query keeps answering exactly as a cold
+//! rebuild would. Cached
 //! query engines whose `4r` band is provably out of the update's reach
 //! are carried across the mutation without rebuilding either.
 //!
 //! Run with: `cargo run --release --example streaming_ingest`
 
-use uncertain_nn::modb::index::SegmentIndex;
 use uncertain_nn::prelude::*;
 
 /// A vehicle of the remote depot fleet: ~5000 miles from the metro area,
@@ -45,34 +44,24 @@ fn main() {
     let window = TimeInterval::new(0.0, 60.0);
     let focus = Oid(0);
 
-    // Warm the pipeline: snapshot, segment indexes, one cached engine.
+    // Warm the pipeline: snapshot, one cached engine.
     let snap = server.store().snapshot();
-    println!(
-        "initial build: {} objects, grid {}x{}, r-tree height {}",
-        snap.len(),
-        snap.grid().dims().0,
-        snap.grid().dims().1,
-        snap.rtree().height()
-    );
+    println!("initial build: {} objects", snap.len());
     let before = server
         .continuous_nn(focus, window)
         .expect("query runs")
         .sequence;
 
     // A stream of 50 GPS corrections to depot vehicles. Each one bumps
-    // the store epoch — but the snapshot refresh only patches the
-    // previous snapshot's indexes, and the focus vehicle's cached engine
-    // is *carried* across every mutation because each correction is
-    // provably beyond its envelope + 4r reach.
+    // the store epoch — but the refresh patches the previous snapshot;
+    // the focus engine is *carried* across every mutation because each
+    // correction is provably beyond its envelope + 4r reach.
     for k in 0..50u64 {
         let victim = 600 + (k % 100);
         server.store().remove(Oid(victim)).expect("present");
         server
             .register(depot_vehicle(victim, 0.1 * (k + 1) as f64))
             .expect("re-registered");
-        // Every refresh patches the previous snapshot: no index rebuild.
-        let snap = server.store().snapshot();
-        let _ = (snap.grid().entry_count(), snap.rtree().entry_count());
         // The focus query keeps running against the fresh epoch, with
         // answers identical to a cold rebuild (asserted property-style in
         // tests/delta_consistency.rs; spot-checked here).

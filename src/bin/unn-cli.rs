@@ -49,7 +49,7 @@
 //! rnn <TrQ> <tb> <te>         probabilistic reverse-NN answer (§7)
 //! ipac <TrQ> <tb> <te> <d>    render the IPAC-NN tree to depth d
 //! stats <TrQ> <tb> <te>       envelope size and pruning statistics
-//! policy <kind> [epochs]      set the prefilter (exhaustive|scan|grid|rtree)
+//! policy <kind> [epochs]      set the prefilter (exhaustive|scan)
 //! cache                       engine-cache hit/miss/carry counters
 //! store delta-stats           delta-epoch machinery counters
 //! store rebuild-fraction <f>  set the delta-vs-rebuild threshold
@@ -106,7 +106,7 @@ commands:
   rnn <TrQ> <tb> <te>         probabilistic reverse-NN answer
   ipac <TrQ> <tb> <te> <d>    render the IPAC-NN tree to depth d
   stats <TrQ> <tb> <te>       envelope size and pruning statistics
-  policy <kind> [epochs]      set the prefilter (exhaustive|scan|grid|rtree)
+  policy <kind> [epochs]      set the prefilter (exhaustive|scan)
   cache                       engine-cache hit/miss/carry counters
   store delta-stats           delta-epoch machinery counters
   store rebuild-fraction <f>  set the delta-vs-rebuild threshold
@@ -380,9 +380,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             let policy = match kind {
                 "exhaustive" | "none" => PrefilterPolicy::Exhaustive,
                 "scan" => PrefilterPolicy::Scan { epochs },
-                "grid" => PrefilterPolicy::Grid { epochs },
-                "rtree" => PrefilterPolicy::RTree { epochs },
-                other => return Err(format!("unknown policy '{other}'")),
+                other => return Err(format!("unknown policy '{other}' (exhaustive|scan)")),
             };
             server.set_prefilter_policy(policy);
             println!("prefilter policy set to {policy}");

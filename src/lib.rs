@@ -12,7 +12,7 @@
 //! * [`core`] — lower envelopes, `4r` pruning, IPAC-NN tree, query
 //!   variants (the paper's contribution);
 //! * [`modb`] — the MOD engine: store, snapshots, planner, engine cache,
-//!   spatial indexes, query language, server.
+//!   query language, server.
 //!
 //! ## Architecture: the query pipeline
 //!
@@ -22,22 +22,18 @@
 //!
 //! 1. **Snapshot** — [`modb::store::ModStore::snapshot`] returns an
 //!    `Arc`-shared, epoch-stamped [`modb::snapshot::QuerySnapshot`]. The
-//!    same snapshot (and its lazily built STR R-tree / grid segment
-//!    indexes) is reused until a mutation bumps the store epoch; no
+//!    same snapshot is reused until a mutation bumps the store epoch; no
 //!    trajectory is cloned per query. After a mutation, the refresh is
 //!    **incremental**: the sharded store logs every op in a
 //!    [`modb::delta::DeltaLog`] and small deltas patch the previous
-//!    snapshot and its indexes in `O(|delta| · log N)` instead of
-//!    rebuilding (see the `unn-modb` crate docs for the delta-epoch
-//!    lifecycle).
+//!    snapshot instead of rebuilding it (see the `unn-modb` crate docs
+//!    for the delta-epoch lifecycle).
 //! 2. **Plan / prefilter** — [`modb::plan::QueryPlanner`] validates the
 //!    window, query object, and radius invariants once, then narrows the
-//!    candidate population with a pluggable
-//!    [`modb::plan::PrefilterPolicy`] (analytic epoch-box scan, grid, or
-//!    STR R-tree — the access-method delegation §7 of the paper calls
-//!    for). Every policy keeps a provable superset of the exact
-//!    `4r`-band survivors, so answers are identical to the exhaustive
-//!    path.
+//!    candidate population with the analytic epoch-box scan
+//!    ([`modb::plan::PrefilterPolicy`]; `Exhaustive` is the oracle). The
+//!    scan keeps a provable superset of the exact `4r`-band survivors,
+//!    so answers are identical to the exhaustive path.
 //! 3. **Envelope** — [`core::candidates::CandidateSet`] builds the
 //!    difference-trajectory distance functions zero-copy (and in
 //!    parallel) and feeds the `O(N log N)` lower-envelope / IPAC

@@ -110,16 +110,18 @@ fn errors_are_reported_not_fatal() {
 fn policy_and_cache_commands_drive_the_pipeline() {
     let (stdout, stderr) = run_cli(
         "gen 50 11 0.5\n\
-         policy rtree 6\n\
+         policy scan 6\n\
          stats Tr0 0 60\n\
          stats Tr0 0 60\n\
          cache\n\
          policy bogus\n\
+         policy rtree\n\
+         cache\n\
          quit\n",
     );
     assert!(stderr.is_empty(), "stderr: {stderr}");
     assert!(
-        stdout.contains("prefilter policy set to rtree(6)"),
+        stdout.contains("prefilter policy set to scan(6)"),
         "{stdout}"
     );
     // The second identical query must come from the engine cache.
@@ -129,6 +131,13 @@ fn policy_and_cache_commands_drive_the_pipeline() {
         "{stdout}"
     );
     assert!(stdout.contains("unknown policy 'bogus'"), "{stdout}");
+    // A removed backend is refused like any unknown kind, and the session
+    // keeps going.
+    assert!(
+        stdout.contains("unknown policy 'rtree' (exhaustive|scan)"),
+        "{stdout}"
+    );
+    assert_eq!(stdout.matches("engine cache:").count(), 2, "{stdout}");
 }
 
 #[test]

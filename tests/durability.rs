@@ -118,7 +118,7 @@ proptest! {
     fn recovery_at_any_commit_boundary_is_bit_identical(
         ops in arb_ops(),
         cut_frac in 0.0..1.0f64,
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..2,
     ) {
         let dir = scratch("cut");
         let crash_dir = scratch("cutimg");
@@ -152,8 +152,7 @@ proptest! {
         if let Some(&q) = recovered.oids().first() {
             let policies = [
                 PrefilterPolicy::Exhaustive,
-                PrefilterPolicy::Grid { epochs: 4 },
-                PrefilterPolicy::RTree { epochs: 4 },
+                PrefilterPolicy::Scan { epochs: 4 },
             ];
             let mut lhs = ModServer::with_store(recovered);
             lhs.set_prefilter_policy(policies[policy_idx]);

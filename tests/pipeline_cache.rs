@@ -128,22 +128,17 @@ fn cached_and_cold_answers_are_identical_across_uq_variants() {
 }
 
 /// The acceptance criterion: the default prefiltered + cached pipeline
-/// answers every query category identically to the exhaustive path, for
-/// every prefilter backend.
+/// answers every query category identically to the exhaustive path.
 #[test]
 fn prefiltered_pipeline_matches_naive_path_on_all_query_categories() {
     let trs = fleet(60, 17);
     let w = (0.0, 60.0);
     let naive = ModServer::with_policy(PrefilterPolicy::Exhaustive);
     naive.register_all(trs.clone()).unwrap();
-    for policy in [
-        PrefilterPolicy::Scan { epochs: 8 },
-        PrefilterPolicy::Grid { epochs: 8 },
-        PrefilterPolicy::RTree { epochs: 8 },
-    ] {
-        let fast = ModServer::with_policy(policy);
-        fast.register_all(trs.clone()).unwrap();
-        let statements = [
+    let policy = PrefilterPolicy::Scan { epochs: 8 };
+    let fast = ModServer::with_policy(policy);
+    fast.register_all(trs.clone()).unwrap();
+    let statements = [
             // Category 1: one target, all quantifiers.
             "SELECT Tr7 FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(Tr7, Tr0, TIME) > 0".to_string(),
             "SELECT Tr7 FROM MOD WHERE FORALL TIME IN [0, 60] AND PROB_NN(Tr7, Tr0, TIME) > 0".to_string(),
@@ -164,42 +159,41 @@ fn prefiltered_pipeline_matches_naive_path_on_all_query_categories() {
             // §7 reverse NN.
             "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_RNN(*, Tr0, TIME) > 0".to_string(),
         ];
-        for stmt in &statements {
-            let a = naive.execute(stmt).unwrap();
-            let b = fast.execute(stmt).unwrap();
-            match (a, b) {
-                (QueryOutput::Boolean(x), QueryOutput::Boolean(y)) => {
-                    assert_eq!(x, y, "{policy:?}: {stmt}");
-                }
-                (QueryOutput::Objects(mut xs), QueryOutput::Objects(mut ys)) => {
-                    xs.sort_by_key(|(o, _)| *o);
-                    ys.sort_by_key(|(o, _)| *o);
-                    let x_ids: Vec<Oid> = xs.iter().map(|(o, _)| *o).collect();
-                    let y_ids: Vec<Oid> = ys.iter().map(|(o, _)| *o).collect();
-                    assert_eq!(x_ids, y_ids, "{policy:?}: {stmt}");
-                    for ((_, fx), (_, fy)) in xs.iter().zip(&ys) {
-                        assert!(
-                            (fx - fy).abs() < 1e-9,
-                            "{policy:?}: fraction {fx} vs {fy} for {stmt}"
-                        );
-                    }
-                }
-                (a, b) => panic!("{policy:?}: shape mismatch {a:?} vs {b:?} for {stmt}"),
+    for stmt in &statements {
+        let a = naive.execute(stmt).unwrap();
+        let b = fast.execute(stmt).unwrap();
+        match (a, b) {
+            (QueryOutput::Boolean(x), QueryOutput::Boolean(y)) => {
+                assert_eq!(x, y, "{policy:?}: {stmt}");
             }
+            (QueryOutput::Objects(mut xs), QueryOutput::Objects(mut ys)) => {
+                xs.sort_by_key(|(o, _)| *o);
+                ys.sort_by_key(|(o, _)| *o);
+                let x_ids: Vec<Oid> = xs.iter().map(|(o, _)| *o).collect();
+                let y_ids: Vec<Oid> = ys.iter().map(|(o, _)| *o).collect();
+                assert_eq!(x_ids, y_ids, "{policy:?}: {stmt}");
+                for ((_, fx), (_, fy)) in xs.iter().zip(&ys) {
+                    assert!(
+                        (fx - fy).abs() < 1e-9,
+                        "{policy:?}: fraction {fx} vs {fy} for {stmt}"
+                    );
+                }
+            }
+            (a, b) => panic!("{policy:?}: shape mismatch {a:?} vs {b:?} for {stmt}"),
         }
-        // The crisp continuous answers agree too.
-        let wi = TimeInterval::new(w.0, w.1);
-        assert_eq!(
-            naive.continuous_nn(Oid(0), wi).unwrap().sequence,
-            fast.continuous_nn(Oid(0), wi).unwrap().sequence,
-            "{policy:?}"
-        );
-        assert_eq!(
-            naive.knn_answer(Oid(0), wi, 3).unwrap().cells(),
-            fast.knn_answer(Oid(0), wi, 3).unwrap().cells(),
-            "{policy:?}"
-        );
     }
+    // The crisp continuous answers agree too.
+    let wi = TimeInterval::new(w.0, w.1);
+    assert_eq!(
+        naive.continuous_nn(Oid(0), wi).unwrap().sequence,
+        fast.continuous_nn(Oid(0), wi).unwrap().sequence,
+        "{policy:?}"
+    );
+    assert_eq!(
+        naive.knn_answer(Oid(0), wi, 3).unwrap().cells(),
+        fast.knn_answer(Oid(0), wi, 3).unwrap().cells(),
+        "{policy:?}"
+    );
 }
 
 /// Regression: `ATLEAST 0 %` holds vacuously for every registered
@@ -224,8 +218,6 @@ fn atleast_zero_matches_exhaustive_for_prefiltered_out_objects() {
     for policy in [
         PrefilterPolicy::Exhaustive,
         PrefilterPolicy::Scan { epochs: 4 },
-        PrefilterPolicy::Grid { epochs: 4 },
-        PrefilterPolicy::RTree { epochs: 4 },
     ] {
         let s = ModServer::with_policy(policy);
         s.register_all(trs.clone()).unwrap();
