@@ -27,9 +27,11 @@
 //!   proof, the naive side re-plans and re-sweeps the rows from scratch
 //!   per commit (the acceptance number is ≥ 10x at one subscription).
 //! * `maintain_rnn/1` / `naive_rnn/1` — far churn under a **reverse**
-//!   (`PROB_RNN`) standing query at `N = 150`: maintenance carries every
-//!   untouched perspective (one new perspective engine per commit),
-//!   naive rebuilds all `N` perspective envelopes and re-samples.
+//!   (`PROB_RNN`) standing query at `N = 60`: maintenance carries every
+//!   perspective the commit cannot reach and re-derives the rest (the
+//!   churn object's own and those of its two lattice neighbours, whose
+//!   nearest neighbour it is), naive rebuilds all `N` perspective
+//!   envelopes and re-samples.
 //! * `push_fanout/32`       — full network path: one answer-changing
 //!   commit, then every one of 32 subscribers connected over loopback
 //!   TCP receives its pushed `AnswerDelta` frame.
@@ -97,10 +99,11 @@ fn far(k: u64, shift: f64) -> UncertainTrajectory {
 /// The RNN groups' churn object: like [`far`], but the churn fleet is
 /// spread out (500 mi between objects) so a churn insertion lands
 /// outside every *other* churn object's band too. Each far commit then
-/// re-derives exactly the new object's perspective and carries the
-/// rest — the per-perspective incrementality the group measures — while
-/// [`far`]'s dense cluster would force its 32 mutual neighbors to
-/// recompute on every commit.
+/// re-derives the new object's perspective and its two lattice
+/// neighbours' (it is their nearest neighbour, 500 mi away, so their
+/// envelopes move with it) and carries the rest — the per-perspective
+/// incrementality the group measures — while [`far`]'s dense cluster
+/// would force its 32 mutual neighbors to recompute on every commit.
 fn far_sparse(k: u64, shift: f64) -> UncertainTrajectory {
     let y = 50_000.0 + (k % 32) as f64 * 500.0;
     UncertainTrajectory::with_uniform_pdf(

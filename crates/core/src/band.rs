@@ -10,8 +10,29 @@
 //! around their difference-trajectory centers. The band supports the
 //! continuous-pruning criterion (Figure 10, `TR_7`) and the Category 1/3
 //! query variants of §4.
+//!
+//! # Bound before you solve
+//!
+//! Every predicate here walks the overlay of a candidate's pieces and the
+//! envelope's pieces; on one cell both are single hyperbolas. The exact
+//! tools for a cell are Sturm root isolations
+//! ([`Hyperbola::min_clearance_above`], [`Hyperbola::crossings_shifted`],
+//! a couple of microseconds each), but on a realistic fleet ~99 % of the
+//! cells are nowhere near the band edge: the two distance ranges
+//! ([`Hyperbola::range_on`] — two endpoints and a vertex) already prove
+//! the cell wholly outside or wholly inside `LE + δ`. So each cell is
+//! first classified from those ranges, with a margin wider than the
+//! solver's own acceptance tolerance, and only a cell that genuinely
+//! straddles the edge reaches the solver. The filter only ever skips work
+//! — a settled cell is one where the solver would have found no crossing
+//! and classified the whole cell the same way — so results are
+//! bit-identical to solving everywhere, which the tests hold against
+//! always-solve oracles. The shifted envelopes of [`crate::shifted`] and
+//! the heterogeneous-radii engine of [`crate::hetero`] settle their cells
+//! through the same classifier.
 
 use crate::envelope::Envelope;
+use unn_geom::hyperbola::Hyperbola;
 use unn_geom::interval::{IntervalSet, TimeInterval};
 use unn_traj::distance::DistanceFunction;
 
@@ -75,16 +96,152 @@ where
     }
 }
 
+/// Safety factor of the range pre-tests, relative to the cell's
+/// `1 + max f + max LE + δ`: four times the `1e-6` relative tolerance with
+/// which [`Hyperbola::crossings_shifted`] accepts a root. One part covers
+/// that tolerance; the rest covers float rounding in the bounds themselves
+/// (a near-zero distance under large coefficients evaluates to ~1e-6).
+const MARGIN: f64 = 4e-6;
+
+/// O(1) bounds on `f − LE` over one overlay cell, from
+/// [`Hyperbola::range_on`] (two endpoints and the vertex of each piece).
+struct ClearanceRange {
+    /// `min f − max LE`: no instant of the cell has less clearance.
+    lo: f64,
+    /// `max f − min LE`: no instant of the cell has more.
+    hi: f64,
+    /// `1 + max f + max LE`, what [`MARGIN`] is relative to.
+    scale: f64,
+}
+
+impl ClearanceRange {
+    fn of(fh: &Hyperbola, lh: &Hyperbola, sub: &TimeInterval) -> Self {
+        let (f_lo, f_hi) = fh.range_on(sub);
+        let (l_lo, l_hi) = lh.range_on(sub);
+        ClearanceRange {
+            lo: f_lo - l_hi,
+            hi: f_hi - l_lo,
+            scale: 1.0 + f_hi + l_hi,
+        }
+    }
+
+    fn margin(&self, delta: f64) -> f64 {
+        MARGIN * (self.scale + delta)
+    }
+}
+
+/// How a candidate piece sits against `LE + δ` over one overlay cell, as
+/// far as [`ClearanceRange`] can tell. `Outside` and `Inside` hold with
+/// [`MARGIN`] to spare — the exact solver would find no crossing it
+/// accepts and classify the whole cell the same way — so they only ever
+/// skip work; anything closer is `Straddles` and goes to the solver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cell {
+    /// `f > LE + δ` throughout.
+    Outside,
+    /// `f < LE + δ` throughout.
+    Inside,
+    /// Too close to call from ranges.
+    Straddles,
+}
+
+/// Classifies one overlay cell from the two pieces' distance ranges.
+pub(crate) fn classify_cell(
+    fh: &Hyperbola,
+    lh: &Hyperbola,
+    delta: f64,
+    sub: &TimeInterval,
+) -> Cell {
+    let range = ClearanceRange::of(fh, lh, sub);
+    let margin = range.margin(delta);
+    if range.lo > delta + margin {
+        Cell::Outside
+    } else if range.hi < delta - margin {
+        Cell::Inside
+    } else {
+        Cell::Straddles
+    }
+}
+
+/// Instants of `sub` where `fh = lh + δ`: none when ranges settle the
+/// cell, the quartic solver's otherwise.
+pub(crate) fn cell_crossings(
+    fh: &Hyperbola,
+    lh: &Hyperbola,
+    delta: f64,
+    sub: &TimeInterval,
+) -> Vec<f64> {
+    match classify_cell(fh, lh, delta, sub) {
+        Cell::Straddles => fh.crossings_shifted(lh, delta, sub),
+        Cell::Outside | Cell::Inside => Vec::new(),
+    }
+}
+
+/// Signature shared by [`slices_below`] and its always-solve twin.
+pub(crate) type SliceFn = fn(&Hyperbola, &Hyperbola, f64, TimeInterval, &mut Vec<TimeInterval>);
+
+/// Pushes the slices of `sub` on which `fh ≤ lh + δ`.
+pub(crate) fn slices_below(
+    fh: &Hyperbola,
+    lh: &Hyperbola,
+    delta: f64,
+    sub: TimeInterval,
+    spans: &mut Vec<TimeInterval>,
+) {
+    match classify_cell(fh, lh, delta, &sub) {
+        Cell::Outside => {}
+        Cell::Inside => spans.push(sub),
+        Cell::Straddles => solved_slices_below(fh, lh, delta, sub, spans),
+    }
+}
+
+/// [`slices_below`] by the exact route: cut `sub` at the crossings of
+/// [`Hyperbola::crossings_shifted`] and classify each slice by a midpoint
+/// probe.
+pub(crate) fn solved_slices_below(
+    fh: &Hyperbola,
+    lh: &Hyperbola,
+    delta: f64,
+    sub: TimeInterval,
+    spans: &mut Vec<TimeInterval>,
+) {
+    let mut cuts = vec![sub.start()];
+    for t in fh.crossings_shifted(lh, delta, &sub) {
+        if t > sub.start() + 1e-12 && t < sub.end() - 1e-12 {
+            cuts.push(t);
+        }
+    }
+    cuts.push(sub.end());
+    for w in cuts.windows(2) {
+        let slice = TimeInterval::new(w[0], w[1]);
+        if slice.is_degenerate() {
+            continue;
+        }
+        let mid = slice.midpoint();
+        if fh.eval(mid) <= lh.eval(mid) + delta {
+            spans.push(slice);
+        }
+    }
+}
+
 /// Minimum of `f(t) − LE(t)` over the window: the candidate's clearance
 /// above the envelope (zero or negative when the candidate touches or
 /// realizes the envelope).
+///
+/// Branch and bound over the overlay: every cell contributes its two
+/// endpoint values (the solver's own starting minimum), and
+/// [`Hyperbola::min_clearance_above`] runs only on cells whose lower bound
+/// could still beat the best so far.
 pub fn band_clearance(f: &DistanceFunction, le: &Envelope) -> f64 {
     let mut best = f64::INFINITY;
     overlay(f, le, |sub, i, j| {
-        let c = f.pieces()[i]
-            .hyperbola
-            .min_clearance_above(&le.pieces()[j].hyperbola, &sub);
-        best = best.min(c);
+        let (fh, lh) = (&f.pieces()[i].hyperbola, &le.pieces()[j].hyperbola);
+        let g = |t: f64| fh.eval(t) - lh.eval(t);
+        best = best.min(g(sub.start())).min(g(sub.end()));
+        let range = ClearanceRange::of(fh, lh, &sub);
+        if range.lo - range.margin(0.0) < best {
+            best = best.min(fh.min_clearance_above(lh, &sub));
+        }
         true
     });
     best
@@ -96,16 +253,39 @@ pub fn band_clearance(f: &DistanceFunction, le: &Envelope) -> f64 {
 pub fn enters_band(f: &DistanceFunction, le: &Envelope, delta: f64) -> bool {
     let mut inside = false;
     overlay(f, le, |sub, i, j| {
-        let c = f.pieces()[i]
-            .hyperbola
-            .min_clearance_above(&le.pieces()[j].hyperbola, &sub);
-        if c <= delta {
-            inside = true;
-            return false;
-        }
-        true
+        inside = cell_enters(
+            &f.pieces()[i].hyperbola,
+            &le.pieces()[j].hyperbola,
+            delta,
+            &sub,
+            Hyperbola::min_clearance_above,
+        );
+        !inside
     });
     inside
+}
+
+/// `true` when `fh ≤ lh + δ` somewhere in `sub`, i.e. when `solve` (the
+/// exact per-cell clearance — a parameter so the tests can count how often
+/// it is reached) would return at most `δ`. Ranges settle most cells; a
+/// straddling one is still settled without the solver when an endpoint is
+/// already in the band, because the solver's minimum starts from the
+/// endpoint values.
+fn cell_enters(
+    fh: &Hyperbola,
+    lh: &Hyperbola,
+    delta: f64,
+    sub: &TimeInterval,
+    solve: impl FnOnce(&Hyperbola, &Hyperbola, &TimeInterval) -> f64,
+) -> bool {
+    match classify_cell(fh, lh, delta, sub) {
+        Cell::Outside => false,
+        Cell::Inside => true,
+        Cell::Straddles => {
+            let g = |t: f64| fh.eval(t) - lh.eval(t);
+            g(sub.start()) <= delta || g(sub.end()) <= delta || solve(fh, lh, sub) <= delta
+        }
+    }
 }
 
 /// Partitions candidates into kept (may have non-zero NN probability) and
@@ -168,31 +348,21 @@ pub fn prune_by_band_heterogeneous(
 /// The set of times at which `f(t) ≤ LE(t) + delta`: the instants where
 /// the object has non-zero probability of being the nearest neighbor.
 ///
-/// Crossing instants are found exactly (quartic root isolation via
-/// [`unn_geom::hyperbola::Hyperbola::crossings_shifted`]); each slice
+/// Cells wholly outside or wholly inside the band are settled from ranges
+/// ([`classify_cell`]); in the rest, crossing instants are found exactly
+/// (quartic root isolation via
+/// [`unn_geom::hyperbola::Hyperbola::crossings_shifted`]) and each slice
 /// between crossings is classified by a midpoint probe.
 pub fn inside_band_intervals(f: &DistanceFunction, le: &Envelope, delta: f64) -> IntervalSet {
     let mut spans: Vec<TimeInterval> = Vec::new();
     overlay(f, le, |sub, i, j| {
-        let fh = &f.pieces()[i].hyperbola;
-        let lh = &le.pieces()[j].hyperbola;
-        let mut cuts = vec![sub.start()];
-        for t in fh.crossings_shifted(lh, delta, &sub) {
-            if t > sub.start() + 1e-12 && t < sub.end() - 1e-12 {
-                cuts.push(t);
-            }
-        }
-        cuts.push(sub.end());
-        for w in cuts.windows(2) {
-            let slice = TimeInterval::new(w[0], w[1]);
-            if slice.is_degenerate() {
-                continue;
-            }
-            let mid = slice.midpoint();
-            if fh.eval(mid) <= lh.eval(mid) + delta {
-                spans.push(slice);
-            }
-        }
+        slices_below(
+            &f.pieces()[i].hyperbola,
+            &le.pieces()[j].hyperbola,
+            delta,
+            sub,
+            &mut spans,
+        );
         true
     });
     IntervalSet::from_intervals(spans)
@@ -202,9 +372,252 @@ pub fn inside_band_intervals(f: &DistanceFunction, le: &Envelope, delta: f64) ->
 mod tests {
     use super::*;
     use crate::algorithms::lower_envelope;
-    use unn_geom::hyperbola::Hyperbola;
+    use proptest::prelude::*;
     use unn_geom::point::Vec2;
+    use unn_traj::difference::difference_distances;
+    use unn_traj::distance::DistancePiece;
+    use unn_traj::generator::{generate, WorkloadConfig};
     use unn_traj::trajectory::Oid;
+
+    // The always-solve predicates the range pre-tests replaced, kept as
+    // the oracles the fast paths must match bit for bit.
+
+    fn band_clearance_oracle(f: &DistanceFunction, le: &Envelope) -> f64 {
+        let mut best = f64::INFINITY;
+        overlay(f, le, |sub, i, j| {
+            let c = f.pieces()[i]
+                .hyperbola
+                .min_clearance_above(&le.pieces()[j].hyperbola, &sub);
+            best = best.min(c);
+            true
+        });
+        best
+    }
+
+    fn enters_band_oracle(f: &DistanceFunction, le: &Envelope, delta: f64) -> bool {
+        let mut inside = false;
+        overlay(f, le, |sub, i, j| {
+            let c = f.pieces()[i]
+                .hyperbola
+                .min_clearance_above(&le.pieces()[j].hyperbola, &sub);
+            inside = c <= delta;
+            !inside
+        });
+        inside
+    }
+
+    fn inside_band_intervals_oracle(
+        f: &DistanceFunction,
+        le: &Envelope,
+        delta: f64,
+    ) -> IntervalSet {
+        let mut spans = Vec::new();
+        overlay(f, le, |sub, i, j| {
+            let (fh, lh) = (&f.pieces()[i].hyperbola, &le.pieces()[j].hyperbola);
+            solved_slices_below(fh, lh, delta, sub, &mut spans);
+            true
+        });
+        IntervalSet::from_intervals(spans)
+    }
+
+    fn span_bits(set: &IntervalSet) -> Vec<(u64, u64)> {
+        set.spans()
+            .iter()
+            .map(|iv| (iv.start().to_bits(), iv.end().to_bits()))
+            .collect()
+    }
+
+    /// All three predicates against their oracles for one candidate.
+    fn assert_matches_oracles(
+        f: &DistanceFunction,
+        le: &Envelope,
+        delta: f64,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            enters_band(f, le, delta),
+            enters_band_oracle(f, le, delta),
+            "enters_band, delta {delta}"
+        );
+        prop_assert_eq!(
+            span_bits(&inside_band_intervals(f, le, delta)),
+            span_bits(&inside_band_intervals_oracle(f, le, delta)),
+            "inside_band_intervals, delta {delta}"
+        );
+        prop_assert_eq!(
+            band_clearance(f, le).to_bits(),
+            band_clearance_oracle(f, le).to_bits(),
+            "band_clearance"
+        );
+        Ok(())
+    }
+
+    /// One object seen from a query at rest in the origin: a start
+    /// position and one velocity per leg (`None` = parked, a constant
+    /// `a = 0` hyperbola).
+    type Motion = ((f64, f64), Vec<Option<(f64, f64)>>);
+
+    const LEG: f64 = 10.0;
+
+    fn motion() -> impl Strategy<Value = Motion> {
+        let leg = prop_oneof![
+            Just(None),
+            (-1.0..1.0f64, -1.0..1.0f64).prop_map(Some),
+            (-1.0..1.0f64, -1.0..1.0f64).prop_map(Some),
+        ];
+        (
+            (-12.0..12.0f64, -12.0..12.0f64),
+            prop::collection::vec(leg, 3),
+        )
+    }
+
+    fn distance_of(owner: u64, motion: &Motion) -> DistanceFunction {
+        let mut p = Vec2::new(motion.0 .0, motion.0 .1);
+        let mut pieces = Vec::new();
+        for (k, leg) in motion.1.iter().enumerate() {
+            let v = leg.map_or(Vec2::new(0.0, 0.0), |(x, y)| Vec2::new(x, y));
+            let t0 = k as f64 * LEG;
+            pieces.push(DistancePiece {
+                span: TimeInterval::new(t0, t0 + LEG),
+                hyperbola: Hyperbola::from_relative_motion(p, v, t0),
+            });
+            p += v * LEG;
+        }
+        DistanceFunction::new(Oid(owner), pieces).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn range_pretests_match_the_always_solve_oracles(
+            motions in prop::collection::vec(motion(), 2..7),
+            delta in 0.05..6.0f64,
+        ) {
+            let fs: Vec<DistanceFunction> = motions
+                .iter()
+                .enumerate()
+                .map(|(k, m)| distance_of(k as u64 + 1, m))
+                .collect();
+            let le = lower_envelope(&fs);
+            // An envelope that leaves the first candidate out, so a
+            // candidate can also run *below* it.
+            let partial = lower_envelope(&fs[1..]);
+            for f in &fs {
+                for d in [0.0, delta, 2.0] {
+                    assert_matches_oracles(f, &le, d)?;
+                    assert_matches_oracles(f, &partial, d)?;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn close_calls_reach_the_solver() {
+        let w = TimeInterval::new(0.0, 10.0);
+        let delta = 2.0;
+        let le = lower_envelope(&[flyby(1, 0.0, 1.0, 0.0, w)]); // constant 1
+        let lh = le.pieces()[0].hyperbola;
+        // A tangency at exactly δ: the flyby bottoms out at 3 = 1 + δ.
+        let tangent = flyby(2, -5.0, 3.0, 1.0, w);
+        // Constant clearances a hair (well inside the margin) either side
+        // of δ.
+        let above = flyby(3, 0.0, 3.0 + 1e-6, 0.0, w);
+        let below = flyby(4, 0.0, 3.0 - 1e-6, 0.0, w);
+        for f in [&tangent, &above, &below] {
+            let fh = f.pieces()[0].hyperbola;
+            assert_eq!(classify_cell(&fh, &lh, delta, &w), Cell::Straddles);
+            assert_matches_oracles(f, &le, delta).unwrap();
+        }
+        // Neither endpoint of `above` is in the band, so its verdict can
+        // only have come from the solver.
+        let mut solved = 0;
+        let fh = above.pieces()[0].hyperbola;
+        let verdict = cell_enters(&fh, &lh, delta, &w, |f, l, iv| {
+            solved += 1;
+            f.min_clearance_above(l, iv)
+        });
+        assert!(!verdict);
+        assert_eq!(solved, 1);
+    }
+
+    #[test]
+    fn settled_cells_skip_the_solver() {
+        let w = TimeInterval::new(0.0, 10.0);
+        let delta = 2.0;
+        let le = lower_envelope(&[flyby(1, 0.0, 1.0, 0.0, w)]); // constant 1
+        let lh = le.pieces()[0].hyperbola;
+        let unreachable = |_: &Hyperbola, _: &Hyperbola, _: &TimeInterval| -> f64 {
+            panic!("a settled cell reached the solver")
+        };
+        // Constant (`a = 0`) hyperbolas on either side of the band edge,
+        // and a flyby that stays inside throughout.
+        let far = flyby(2, 0.0, 10.0, 0.0, w);
+        let near = flyby(3, 0.0, 2.0, 0.0, w);
+        let passing = flyby(4, -1.0, 1.5, 0.2, w);
+        for (f, cell) in [
+            (&far, Cell::Outside),
+            (&near, Cell::Inside),
+            (&passing, Cell::Inside),
+        ] {
+            let fh = f.pieces()[0].hyperbola;
+            assert_eq!(classify_cell(&fh, &lh, delta, &w), cell);
+            assert_eq!(
+                cell_enters(&fh, &lh, delta, &w, unreachable),
+                cell == Cell::Inside
+            );
+            assert!(cell_crossings(&fh, &lh, delta, &w).is_empty());
+            assert_matches_oracles(f, &le, delta).unwrap();
+        }
+        // A cell wholly inside is the whole cell, endpoints untouched.
+        let inside = inside_band_intervals(&passing, &le, delta);
+        assert_eq!(inside.spans(), &[w][..]);
+        assert!(inside_band_intervals(&far, &le, delta).is_empty());
+    }
+
+    /// The ratio the speed-up rests on, on the §5 fleet the `query_mix`
+    /// benchmark uses: the range pre-tests leave the solver a sliver of
+    /// the overlay cells.
+    #[test]
+    fn the_solver_sees_a_sliver_of_the_fleets_cells() {
+        let fleet = generate(&WorkloadConfig::with_objects(500, 0xEDB7_2009));
+        let window = TimeInterval::new(0.0, 60.0);
+        let delta = 4.0 * 0.5;
+        let (mut cells, mut straddles) = (0usize, 0usize);
+        let (mut visited, mut solved) = (0usize, 0usize);
+        for q in fleet.iter().step_by(25) {
+            let fs = difference_distances(q, &fleet, &window).unwrap();
+            assert_eq!(fs.len(), 499);
+            let le = lower_envelope(&fs);
+            for f in &fs {
+                overlay(f, &le, |sub, i, j| {
+                    let (fh, lh) = (&f.pieces()[i].hyperbola, &le.pieces()[j].hyperbola);
+                    cells += 1;
+                    if classify_cell(fh, lh, delta, &sub) == Cell::Straddles {
+                        straddles += 1;
+                    }
+                    true
+                });
+                // `enters_band`'s own walk, with the solver counted.
+                overlay(f, &le, |sub, i, j| {
+                    let (fh, lh) = (&f.pieces()[i].hyperbola, &le.pieces()[j].hyperbola);
+                    visited += 1;
+                    !cell_enters(fh, lh, delta, &sub, |f, l, iv| {
+                        solved += 1;
+                        f.min_clearance_above(l, iv)
+                    })
+                });
+            }
+        }
+        assert!(cells > 100_000, "{cells} cells");
+        assert!(
+            straddles * 20 <= cells,
+            "{straddles} of {cells} cells straddle the band edge"
+        );
+        assert!(
+            solved * 100 <= visited,
+            "enters_band solved {solved} of the {visited} cells it visited"
+        );
+    }
 
     fn flyby(owner: u64, x0: f64, y: f64, v: f64, w: TimeInterval) -> DistanceFunction {
         DistanceFunction::single(

@@ -32,6 +32,7 @@
 //! generalization of [`crate::query::QueryEngine`]'s Category 1/3
 //! semantics.
 
+use crate::band::SliceFn;
 use crate::shifted::{shifted_lower_envelope, ShiftedEnvelope, ShiftedFunction, ShiftedPiece};
 use unn_geom::interval::{IntervalSet, TimeInterval};
 use unn_prob::disk_diff::DiskDifferencePdf;
@@ -202,10 +203,18 @@ impl HeteroEngine {
     /// The set of times at which `oid` has non-zero probability of being
     /// the NN: `{ t : d_i(t) − s_i ≤ min_{j≠i} (d_j(t) + s_j) }`.
     ///
-    /// Crossings are found exactly through the quartic solver behind
-    /// [`unn_geom::hyperbola::Hyperbola::crossings_shifted`]; slices
-    /// between crossings are classified at their midpoints.
+    /// Each (candidate piece × threshold piece) cell goes through
+    /// [`crate::band::slices_below`]: settled from distance ranges where
+    /// they suffice, otherwise cut at the exact crossings of
+    /// [`unn_geom::hyperbola::Hyperbola::crossings_shifted`] with slices
+    /// classified at their midpoints.
     pub fn possible_intervals(&self, oid: Oid) -> Option<IntervalSet> {
+        self.possible_intervals_via(oid, crate::band::slices_below)
+    }
+
+    /// [`HeteroEngine::possible_intervals`] over an explicit per-cell
+    /// slicer (the tests pass the always-solve one as the oracle).
+    fn possible_intervals_via(&self, oid: Oid, below: SliceFn) -> Option<IntervalSet> {
         let idx = self.candidate_index(oid)?;
         if self.cands.len() == 1 {
             return Some(IntervalSet::from_intervals(vec![self.window]));
@@ -215,7 +224,7 @@ impl HeteroEngine {
         let mut spans: Vec<TimeInterval> = Vec::new();
         for piece in self.upper.pieces() {
             if piece.owner != oid {
-                self.collect_below(f, s_i, piece, piece.span, &mut spans);
+                collect_below(f, s_i, piece, piece.span, &mut spans, below);
             } else {
                 // `i` owns the envelope here: compare against the
                 // owner-excluded second envelope.
@@ -223,54 +232,13 @@ impl HeteroEngine {
                 for sp in second.pieces() {
                     if let Some(sub) = sp.span.intersection(&piece.span) {
                         if !sub.is_degenerate() {
-                            self.collect_below(f, s_i, sp, sub, &mut spans);
+                            collect_below(f, s_i, sp, sub, &mut spans, below);
                         }
                     }
                 }
             }
         }
         Some(IntervalSet::from_intervals(spans))
-    }
-
-    /// Within `sub`, finds where `f(t) − s_i ≤ piece.hyperbola(t) +
-    /// piece.shift` and pushes the qualifying slices.
-    fn collect_below(
-        &self,
-        f: &DistanceFunction,
-        s_i: f64,
-        piece: &ShiftedPiece,
-        sub: TimeInterval,
-        spans: &mut Vec<TimeInterval>,
-    ) {
-        let delta = piece.shift + s_i; // ≥ 0: d_i = thr ⇔ d_i = h + delta
-        for fp in f.pieces() {
-            let Some(seg) = fp.span.intersection(&sub) else {
-                continue;
-            };
-            if seg.is_degenerate() {
-                continue;
-            }
-            let mut cuts = vec![seg.start()];
-            for t in fp
-                .hyperbola
-                .crossings_shifted(&piece.hyperbola, delta, &seg)
-            {
-                if t > seg.start() + 1e-12 && t < seg.end() - 1e-12 {
-                    cuts.push(t);
-                }
-            }
-            cuts.push(seg.end());
-            for w in cuts.windows(2) {
-                let slice = TimeInterval::new(w[0], w[1]);
-                if slice.is_degenerate() {
-                    continue;
-                }
-                let mid = slice.midpoint();
-                if fp.hyperbola.eval(mid) <= piece.hyperbola.eval(mid) + delta {
-                    spans.push(slice);
-                }
-            }
-        }
     }
 
     /// Hetero-`UQ11(∃t)`: non-zero probability at some time?
@@ -398,6 +366,28 @@ fn build_second_envelope(
         pieces.extend(env.pieces().iter().copied());
     }
     Some(ShiftedEnvelope::new(pieces).expect("second envelope tiles the window"))
+}
+
+/// Within `sub`, finds where `f(t) − s_i ≤ piece.hyperbola(t) +
+/// piece.shift` and pushes the qualifying slices.
+fn collect_below(
+    f: &DistanceFunction,
+    s_i: f64,
+    piece: &ShiftedPiece,
+    sub: TimeInterval,
+    spans: &mut Vec<TimeInterval>,
+    below: SliceFn,
+) {
+    let delta = piece.shift + s_i; // ≥ 0: d_i = thr ⇔ d_i = h + delta
+    for fp in f.pieces() {
+        let Some(seg) = fp.span.intersection(&sub) else {
+            continue;
+        };
+        if seg.is_degenerate() {
+            continue;
+        }
+        below(&fp.hyperbola, &piece.hyperbola, delta, seg, spans);
+    }
 }
 
 #[cfg(test)]
@@ -652,7 +642,7 @@ mod tests {
     fn random_configurations_validate_against_oracle() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
         let w = TimeInterval::new(0.0, 20.0);
-        for _ in 0..10 {
+        for _ in 0..40 {
             let n = rng.random_range(2..7);
             let cands: Vec<HeteroCandidate> = (0..n)
                 .map(|k| {
@@ -670,6 +660,12 @@ mod tests {
             let e = HeteroEngine::new(Oid(0), cands.clone(), rq);
             for c in &cands {
                 let set = e.possible_intervals(c.f.owner()).unwrap();
+                // The range pre-tests only skip work: solving every cell
+                // gives the same spans, bit for bit.
+                let solved = e
+                    .possible_intervals_via(c.f.owner(), crate::band::solved_slices_below)
+                    .unwrap();
+                assert_eq!(set, solved, "{}", c.f.owner());
                 for k in 0..100 {
                     let t = w.start() + (k as f64 + 0.5) * w.len() / 100.0;
                     let d_i = c.f.eval(t).unwrap();

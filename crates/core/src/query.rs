@@ -24,7 +24,7 @@ use crate::ipac::{build_ipac_tree, IpacConfig, IpacTree};
 use crate::kernel::{ColumnBatch, ColumnKernel};
 use crate::probrows::{ProbRow, ProbRowSet, RowPerspective};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use unn_geom::interval::{IntervalSet, TimeInterval};
 use unn_prob::pdf::RadialPdf;
 use unn_traj::distance::DistanceFunction;
@@ -49,6 +49,11 @@ pub struct QueryEngine {
     /// `RefCell`) so built engines are `Sync` and can be shared through
     /// the epoch-keyed engine cache.
     tree_cache: Mutex<Option<(usize, IpacTree)>>,
+    /// The engine's [`AnswerSet`], computed on the first
+    /// [`QueryEngine::answer_set`]. It is a pure function of the fields
+    /// above, so it lives and dies with the engine: a carried engine
+    /// starts empty.
+    answer: OnceLock<AnswerSet>,
 }
 
 impl QueryEngine {
@@ -77,6 +82,7 @@ impl QueryEngine {
             kept,
             stats,
             tree_cache: Mutex::new(None),
+            answer: OnceLock::new(),
         }
     }
 
@@ -195,6 +201,7 @@ impl QueryEngine {
             kept,
             stats,
             tree_cache: Mutex::new(None),
+            answer: OnceLock::new(),
         })
     }
 
@@ -500,19 +507,26 @@ impl QueryEngine {
     /// object with its non-zero-probability qualification intervals,
     /// ascending by id. Category 3 queries — and the subscription layer's
     /// incremental answer maintenance — are views over this object.
+    /// Computed once per engine; later calls clone the memo.
     pub fn answer_set(&self) -> AnswerSet {
-        let entries = self
-            .kept
-            .iter()
-            .map(|&i| {
-                let f = &self.fs[i];
-                AnswerEntry {
-                    oid: f.owner(),
-                    intervals: inside_band_intervals(f, &self.envelope, self.band_delta()),
-                }
-            })
-            .collect();
-        AnswerSet::new(self.query, self.window, None, entries)
+        self.memoised_answer().clone()
+    }
+
+    fn memoised_answer(&self) -> &AnswerSet {
+        self.answer.get_or_init(|| {
+            let entries = self
+                .kept
+                .iter()
+                .map(|&i| {
+                    let f = &self.fs[i];
+                    AnswerEntry {
+                        oid: f.owner(),
+                        intervals: inside_band_intervals(f, &self.envelope, self.band_delta()),
+                    }
+                })
+                .collect();
+            AnswerSet::new(self.query, self.window, None, entries)
+        })
     }
 
     /// Like [`QueryEngine::answer_set`], but **reusing** `prev`'s
@@ -568,19 +582,21 @@ impl QueryEngine {
     /// `UQ32(∀t)`: objects with non-zero probability throughout.
     pub fn uq32_all(&self) -> Vec<Oid> {
         let tol = 1e-7 * self.window.len().max(1.0);
-        self.uq31_all()
-            .into_iter()
-            .filter(|(_, iv)| iv.covers_interval(self.window, tol))
-            .map(|(oid, _)| oid)
+        self.memoised_answer()
+            .entries()
+            .iter()
+            .filter(|e| e.intervals.covers_interval(self.window, tol))
+            .map(|e| e.oid)
             .collect()
     }
 
     /// `UQ33(X%)`: objects with non-zero probability at least `x` of the
     /// window, with their fractions.
     pub fn uq33_all(&self, x: f64) -> Vec<(Oid, f64)> {
-        self.uq31_all()
-            .into_iter()
-            .map(|(oid, iv)| (oid, iv.total_len() / self.window.len()))
+        self.memoised_answer()
+            .entries()
+            .iter()
+            .map(|e| (e.oid, e.fraction(self.window)))
             .filter(|(_, frac)| *frac + 1e-12 >= x)
             .collect()
     }
@@ -811,6 +827,11 @@ mod tests {
             flyby(4, 0.0, 50.0, 0.0, w),
         ];
         let old = QueryEngine::new(Oid(0), base.clone(), 0.5);
+        // The answer is computed by the first call and kept.
+        assert!(old.answer.get().is_none());
+        let first = old.answer_set();
+        assert_eq!(old.answer.get(), Some(&first));
+        assert_eq!(old.answer_set(), first);
         // Nudge the far object (never an envelope owner, stays far above
         // the envelope) and add another far newcomer.
         let mut fs = base.clone();
@@ -820,6 +841,10 @@ mod tests {
         let carried = old
             .carry_envelope(fs.clone(), 0.5, &fresh)
             .expect("far delta must carry");
+        assert!(
+            carried.answer.get().is_none(),
+            "a carried engine starts unmemoised"
+        );
         let rebuilt = QueryEngine::new(Oid(0), fs, 0.5);
         assert_eq!(carried.envelope().pieces(), old.envelope().pieces());
         assert_eq!(carried.answer_set(), rebuilt.answer_set());

@@ -21,6 +21,7 @@
 //! changes of `f − g − δ`), so the Davenport–Schinzel bound λ₂ and the
 //! `O(N log N)` construction carry over.
 
+use crate::band::cell_crossings;
 use std::fmt;
 use unn_geom::hyperbola::Hyperbola;
 use unn_geom::interval::TimeInterval;
@@ -326,10 +327,10 @@ pub fn shifted_crossings(
         a.hyperbola.intersections(&b.hyperbola, span)
     } else if delta > 0.0 {
         // a = b + delta
-        a.hyperbola.crossings_shifted(&b.hyperbola, delta, span)
+        cell_crossings(&a.hyperbola, &b.hyperbola, delta, span)
     } else {
         // b = a + (−delta)
-        b.hyperbola.crossings_shifted(&a.hyperbola, -delta, span)
+        cell_crossings(&b.hyperbola, &a.hyperbola, -delta, span)
     }
 }
 
@@ -582,6 +583,56 @@ mod tests {
         for t in ab {
             assert!((a.eval(t) - b.eval(t)).abs() < 1e-6, "t={t}");
         }
+    }
+
+    /// `shifted_crossings` with the solver on every cell (what it was
+    /// before the range pre-test of [`cell_crossings`]).
+    fn shifted_crossings_oracle(
+        a: &LabelledShifted,
+        b: &LabelledShifted,
+        span: &TimeInterval,
+    ) -> Vec<f64> {
+        let delta = b.shift - a.shift;
+        if delta.abs() < 1e-15 {
+            a.hyperbola.intersections(&b.hyperbola, span)
+        } else if delta > 0.0 {
+            a.hyperbola.crossings_shifted(&b.hyperbola, delta, span)
+        } else {
+            b.hyperbola.crossings_shifted(&a.hyperbola, -delta, span)
+        }
+    }
+
+    #[test]
+    fn range_settled_cells_have_the_solvers_crossings() {
+        let labelled: Vec<LabelledShifted> = (0..24)
+            .map(|k| LabelledShifted {
+                owner: Oid(k as u64 + 1),
+                hyperbola: Hyperbola::from_relative_motion(
+                    Vec2::new(-30.0 + 2.7 * k as f64, 0.5 + 0.37 * ((k * 7) % 11) as f64),
+                    Vec2::new(0.4 + 0.13 * ((k * 3) % 5) as f64, 0.0),
+                    0.0,
+                ),
+                shift: 0.25 * ((k * 5) % 7) as f64,
+            })
+            .collect();
+        let spans = [(0.0, 60.0), (0.0, 7.5), (20.0, 31.0), (44.0, 60.0)];
+        let (mut settled, mut cells) = (0, 0);
+        for a in &labelled {
+            for b in &labelled {
+                for (s, e) in spans {
+                    let span = TimeInterval::new(s, e);
+                    let got = shifted_crossings(a, b, &span);
+                    let want = shifted_crossings_oracle(a, b, &span);
+                    assert_eq!(got, want, "{} vs {} on {span}", a.owner, b.owner);
+                    cells += 1;
+                    if got.is_empty() {
+                        settled += 1;
+                    }
+                }
+            }
+        }
+        // The comparison is not vacuous on either side.
+        assert!(settled > cells / 10 && settled < cells, "{settled}/{cells}");
     }
 
     #[test]

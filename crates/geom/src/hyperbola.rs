@@ -145,6 +145,23 @@ impl Hyperbola {
         }
     }
 
+    /// `(min, max)` of the distance over a closed interval — the values of
+    /// [`Hyperbola::min_on`] and [`Hyperbola::max_on`] from one pass over
+    /// the two endpoints and the vertex.
+    pub fn range_on(&self, iv: &TimeInterval) -> (f64, f64) {
+        let s = self.eval_sq(iv.start());
+        let e = self.eval_sq(iv.end());
+        let mut lo = s.min(e);
+        if self.q.a > 0.0 {
+            if let Some(v) = self.vertex() {
+                if iv.contains(v) {
+                    lo = lo.min(self.eval_sq(v));
+                }
+            }
+        }
+        (lo.sqrt(), s.max(e).sqrt())
+    }
+
     /// Compares the two distance values at `t` (via the squared values,
     /// avoiding square roots).
     pub fn compare_at(&self, other: &Hyperbola, t: f64) -> Ordering {
@@ -277,11 +294,14 @@ mod tests {
         let (tx, dx) = f.max_on(&iv);
         assert_eq!(tx, 5.0);
         assert!((dx - 10.0_f64.sqrt()).abs() < 1e-12);
+        assert_eq!(f.range_on(&iv), (dm, dx));
         // interval excluding vertex
         let iv2 = TimeInterval::new(3.0, 5.0);
         let (tm2, dm2) = f.min_on(&iv2);
         assert_eq!(tm2, 3.0);
         assert!((dm2 - 2.0_f64.sqrt()).abs() < 1e-12);
+        assert_eq!(f.range_on(&iv2), (dm2, f.max_on(&iv2).1));
+        assert_eq!(Hyperbola::constant(3.0).range_on(&iv), (3.0, 3.0));
     }
 
     #[test]

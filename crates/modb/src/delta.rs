@@ -272,7 +272,7 @@ fn envelope_max(engine: &QueryEngine) -> f64 {
         .envelope()
         .pieces()
         .iter()
-        .map(|p| p.hyperbola.max_on(&p.span).0)
+        .map(|p| p.hyperbola.max_on(&p.span).1)
         .fold(0.0, f64::max)
 }
 
@@ -461,6 +461,8 @@ pub fn forward_engine_unaffected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unn_geom::interval::TimeInterval;
+    use unn_traj::difference::difference_distance;
     use unn_traj::trajectory::Trajectory;
 
     fn tr(oid: u64, y: f64) -> UncertainTrajectory {
@@ -469,6 +471,48 @@ mod tests {
             0.5,
         )
         .unwrap()
+    }
+
+    /// An object parked at `(x, 0)` over the `[0, 60]` window.
+    fn parked(oid: u64, x: f64) -> UncertainTrajectory {
+        UncertainTrajectory::with_uniform_pdf(
+            Trajectory::from_triples(Oid(oid), &[(x, 0.0, 0.0), (x, 0.0, 60.0)]).unwrap(),
+            0.5,
+        )
+        .unwrap()
+    }
+
+    /// A query parked in the origin whose nearest neighbor stays 3 mi
+    /// away: `max LE = 3` on a window whose *instants* run to 60.
+    fn three_mile_proof() -> ForwardProof {
+        let query = parked(0, 0.0);
+        let window = TimeInterval::new(0.0, 60.0);
+        let fs = [parked(1, 3.0), parked(2, 10.0)]
+            .iter()
+            .map(|o| difference_distance(query.trajectory(), o.trajectory(), &window).unwrap())
+            .collect();
+        let engine = QueryEngine::new(Oid(0), fs, 0.5);
+        ForwardProof::derive(&engine, query.trajectory())
+    }
+
+    fn insert(tr: UncertainTrajectory) -> DeltaRecord {
+        DeltaRecord {
+            epoch: 1,
+            op: DeltaOp::Insert(Arc::new(tr)),
+        }
+    }
+
+    #[test]
+    fn reach_is_the_envelope_maximum_plus_the_band() {
+        let reach = three_mile_proof().reach;
+        assert!((reach - (3.0 + 4.0 * 0.5)).abs() < 1e-9, "reach {reach}");
+    }
+
+    #[test]
+    fn insertions_are_judged_against_the_true_reach() {
+        let proof = three_mile_proof();
+        assert!(proof.ops_unaffected(&[&insert(parked(7, 5.1))]));
+        assert!(!proof.ops_unaffected(&[&insert(parked(7, 4.9))]));
     }
 
     #[test]

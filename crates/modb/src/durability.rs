@@ -279,11 +279,22 @@ impl Wal {
     /// segment's end and appends).
     pub fn open(dir: &Path, options: WalOptions) -> Result<Arc<Wal>, WalError> {
         fs::create_dir_all(dir)?;
-        let mut segments = list_segments(dir)?;
         let checkpoint_epoch = match fs::metadata(dir.join(SNAPSHOT_FILE)) {
             Ok(_) => persist::load_image(&dir.join(SNAPSHOT_FILE))?.epoch,
             Err(_) => 0,
         };
+        Wal::open_at(dir, options, checkpoint_epoch)
+    }
+
+    /// [`Wal::open`] for a caller that already knows the checkpoint
+    /// image's epoch (`0` without an image) — [`open_store`], which has
+    /// just parsed and validated that image in [`recover`].
+    fn open_at(
+        dir: &Path,
+        options: WalOptions,
+        checkpoint_epoch: u64,
+    ) -> Result<Arc<Wal>, WalError> {
+        let mut segments = list_segments(dir)?;
         // Scan the tail segment for its last epoch so appends continue
         // the chain (non-tail segments only need their names).
         let mut last_epoch = checkpoint_epoch;
@@ -746,7 +757,7 @@ pub fn open_store(
 ) -> Result<(ModStore, Arc<Wal>, RecoveryReport), WalError> {
     fs::create_dir_all(dir)?;
     let (store, report) = recover(dir)?;
-    let wal = Wal::open(dir, options)?;
+    let wal = Wal::open_at(dir, options, report.snapshot_epoch)?;
     store.attach_wal(&wal);
     Ok((store, wal, report))
 }
