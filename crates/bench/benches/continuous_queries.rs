@@ -49,6 +49,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
+use unn_core::kernel::ColumnKernel;
 use unn_core::probrows::ProbRowSet;
 use unn_geom::interval::TimeInterval;
 use unn_modb::net::{NetClient, NetServer, WireOutput};
@@ -192,7 +193,7 @@ fn fresh_threshold_rows(server: &ModServer, query: Oid) -> ProbRowSet {
         .expect("plans")
         .build_engine()
         .expect("builds")
-        .prob_row_set(diff_pdf(server).as_ref(), samples)
+        .prob_row_set_kernel(&ColumnKernel::new(diff_pdf(server).as_ref()), samples)
 }
 
 /// A fresh exhaustive reverse row evaluation (the naive-RNN work) at
@@ -204,7 +205,7 @@ fn fresh_rnn_rows(server: &ModServer, query: Oid) -> ProbRowSet {
         .expect("plans")
         .build_reverse_engine()
         .expect("builds")
-        .prob_row_set(diff_pdf(server).as_ref(), samples)
+        .prob_row_set_kernel(&ColumnKernel::new(diff_pdf(server).as_ref()), samples)
 }
 
 /// The maintained answer of `name`, unwrapped to its representation.
@@ -462,7 +463,10 @@ fn continuous_queries(c: &mut Criterion) {
                             .expect("plans")
                             .build_engine()
                             .expect("builds")
-                            .prob_row_set(pdf.as_ref(), ROW_BENCH_SAMPLES);
+                            .prob_row_set_kernel(
+                                &ColumnKernel::new(pdf.as_ref()),
+                                ROW_BENCH_SAMPLES,
+                            );
                         criterion::black_box(rows);
                     }
                 })

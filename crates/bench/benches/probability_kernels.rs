@@ -11,11 +11,8 @@
 //!   sweep — because the scalar baseline's cost grows cubically with the
 //!   in-band candidate count and a production-density window would take
 //!   minutes per iteration at the large tier.
-//! * `rows_full` vs `rows_adaptive` — a full probability-row sweep at
-//!   production density (128 probes) with the adaptive
-//!   coarse-then-refine ladder off (tolerance 0, bit-exact) and on
-//!   (tolerance 1e-3 against a 0.3 threshold: only columns straddling
-//!   the threshold pay full quadrature density).
+//! * `rows_full` — a full probability-row sweep at production density
+//!   (128 probes).
 //!
 //! Timed runs write `BENCH_probability_kernels.json` at the workspace
 //! root (validated by `check_bench_json`); `-- --test` smoke-runs each
@@ -134,17 +131,11 @@ fn bench_kernels(c: &mut Criterion) {
         });
     }
 
-    // Full row sweeps through the engine: the adaptive ladder's win on
-    // a production-shaped workload (most columns far from the 0.3
-    // threshold settle at coarse density).
+    // A full row sweep through the engine.
     let engine = QueryEngine::new(Oid(0), fleet(64), RADIUS);
     let full = ColumnKernel::new(&pdf);
     group.bench_function("rows_full", |b| {
         b.iter(|| black_box(engine.prob_row_set_kernel(&full, SAMPLES)))
-    });
-    let adaptive = ColumnKernel::new(&pdf).adaptive(1e-3, 0.3);
-    group.bench_function("rows_adaptive", |b| {
-        b.iter(|| black_box(engine.prob_row_set_kernel(&adaptive, SAMPLES)))
     });
     group.finish();
 }

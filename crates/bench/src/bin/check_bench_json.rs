@@ -247,12 +247,7 @@ const REQUIRED_GROUPS: &[(&str, &[&str])] = &[
     ),
     (
         "BENCH_probability_kernels.json",
-        &[
-            "column_scalar",
-            "column_batched",
-            "rows_full",
-            "rows_adaptive",
-        ],
+        &["column_scalar", "column_batched", "rows_full"],
     ),
     (
         "BENCH_fanout.json",

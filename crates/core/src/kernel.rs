@@ -17,19 +17,7 @@
 //! 3. **Scatter** — callers zip the flat result back into
 //!    [`crate::probrows::ProbRowSet`] columns (or pick the single owner
 //!    they care about).
-//!
-//! On top of the batched path sits the **coarse-then-refine ladder**
-//! (adaptive density): with a nonzero `tolerance`, each column is first
-//! evaluated at 4 and 8 Gauss–Legendre points per segment; the spread
-//! `|v₈ − v₄|` is a conservative interval bound for `v₈`, and only
-//! columns whose bound exceeds the tolerance *or* straddles the
-//! subscription threshold `p` are refined at the full 32-point density.
-//! `tolerance == 0` (the default) skips the ladder entirely, so the
-//! kernel is then exactly the full-density evaluator — the bit-identity
-//! contract between maintained and freshly computed rows is untouched
-//! unless the knob is explicitly turned.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use unn_prob::pdf::RadialPdf;
 use unn_prob::profile::{nn_probabilities_profiled, NnScratch, ProfiledPdf};
@@ -39,12 +27,6 @@ use unn_traj::trajectory::Oid;
 /// Gauss–Legendre points per segment at full density — matches
 /// `unn_prob::nn_prob::NnConfig::default()`.
 pub const FULL_POINTS_PER_SEGMENT: usize = 32;
-
-/// First rung of the coarse ladder.
-const COARSE_POINTS: usize = 4;
-
-/// Second rung; the spread against the first rung is the error bound.
-const CHECK_POINTS: usize = 8;
 
 /// A batch of probe columns gathered into flat arrays.
 ///
@@ -115,15 +97,8 @@ impl ColumnBatch {
     }
 }
 
-#[derive(Default)]
-struct EvalScratch {
-    nn: NnScratch,
-    coarse: Vec<f64>,
-    check: Vec<f64>,
-}
-
-/// The shared column evaluator: one profiled difference pdf, the adaptive
-/// ladder configuration, and the refinement counters.
+/// The shared column evaluator: one profiled difference pdf, evaluated at
+/// full density ([`FULL_POINTS_PER_SEGMENT`]).
 ///
 /// Cheap to build from an already-profiled pdf
 /// ([`ColumnKernel::from_profile`]); [`ColumnKernel::new`] profiles on the
@@ -131,49 +106,18 @@ struct EvalScratch {
 #[derive(Debug)]
 pub struct ColumnKernel {
     profile: Arc<ProfiledPdf>,
-    tolerance: f64,
-    threshold: f64,
-    refined: AtomicU64,
-    coarse_only: AtomicU64,
 }
 
 impl ColumnKernel {
-    /// Profiles `pdf` and builds a full-density kernel (tolerance 0).
+    /// Profiles `pdf` and builds the kernel.
     pub fn new(pdf: &dyn RadialPdf) -> Self {
         Self::from_profile(Arc::new(ProfiledPdf::of(pdf)))
     }
 
-    /// Builds a full-density kernel around an existing profile (the
-    /// store-wide cache hands these out).
+    /// Builds the kernel around an existing profile (the store-wide cache
+    /// hands these out).
     pub fn from_profile(profile: Arc<ProfiledPdf>) -> Self {
-        ColumnKernel {
-            profile,
-            tolerance: 0.0,
-            threshold: 0.0,
-            refined: AtomicU64::new(0),
-            coarse_only: AtomicU64::new(0),
-        }
-    }
-
-    /// Enables the coarse-then-refine ladder: columns whose coarse error
-    /// bound is below `tolerance` *and* clear of the threshold `p` by more
-    /// than the bound plus the tolerance keep their coarse value; all
-    /// others are refined at full density. `tolerance <= 0` disables the
-    /// ladder (always full density).
-    pub fn adaptive(mut self, tolerance: f64, threshold: f64) -> Self {
-        self.tolerance = tolerance.max(0.0);
-        self.threshold = threshold;
-        self
-    }
-
-    /// The profile this kernel evaluates with.
-    pub fn profile(&self) -> &Arc<ProfiledPdf> {
-        &self.profile
-    }
-
-    /// Support radius of the profiled (difference) pdf.
-    pub fn support_radius(&self) -> f64 {
-        self.profile.support_radius()
+        ColumnKernel { profile }
     }
 
     /// The gather band: `2 · support` — the `4r` rule for uniform pairs.
@@ -181,24 +125,21 @@ impl ColumnKernel {
         2.0 * self.profile.support_radius()
     }
 
-    /// Drains the `(refined, coarse_only)` column counters accumulated
-    /// since the last call. Both stay 0 while the ladder is disabled.
-    pub fn take_counters(&self) -> (u64, u64) {
-        (
-            self.refined.swap(0, Ordering::Relaxed),
-            self.coarse_only.swap(0, Ordering::Relaxed),
-        )
-    }
-
     /// Evaluates every column of the batch; the result is index-aligned
     /// with the batch's flat work items (see [`ColumnBatch::columns`]).
     pub fn evaluate(&self, batch: &ColumnBatch) -> Vec<f64> {
         let mut probs = vec![0.0; batch.ids.len()];
-        let mut scratch = EvalScratch::default();
+        let mut scratch = NnScratch::default();
         let mut out = Vec::new();
         for &(_, start, len) in &batch.cols {
             let (s, e) = (start as usize, (start + len) as usize);
-            self.eval_column(&batch.dists[s..e], &mut scratch, &mut out);
+            nn_probabilities_profiled(
+                &self.profile,
+                &batch.dists[s..e],
+                FULL_POINTS_PER_SEGMENT,
+                &mut scratch,
+                &mut out,
+            );
             probs[s..e].copy_from_slice(&out);
         }
         probs
@@ -214,51 +155,6 @@ impl ColumnKernel {
         }
         let probs = self.evaluate(&batch);
         batch.ids.into_iter().zip(probs).collect()
-    }
-
-    fn eval_column(&self, dists: &[f64], scratch: &mut EvalScratch, out: &mut Vec<f64>) {
-        if self.tolerance <= 0.0 || dists.len() <= 1 {
-            nn_probabilities_profiled(
-                &self.profile,
-                dists,
-                FULL_POINTS_PER_SEGMENT,
-                &mut scratch.nn,
-                out,
-            );
-            return;
-        }
-        nn_probabilities_profiled(
-            &self.profile,
-            dists,
-            COARSE_POINTS,
-            &mut scratch.nn,
-            &mut scratch.coarse,
-        );
-        nn_probabilities_profiled(
-            &self.profile,
-            dists,
-            CHECK_POINTS,
-            &mut scratch.nn,
-            &mut scratch.check,
-        );
-        let clear = scratch.check.iter().zip(&scratch.coarse).all(|(&v8, &v4)| {
-            let err = (v8 - v4).abs();
-            err <= self.tolerance && (v8 - self.threshold).abs() > err + self.tolerance
-        });
-        if clear {
-            self.coarse_only.fetch_add(1, Ordering::Relaxed);
-            out.clear();
-            out.extend_from_slice(&scratch.check);
-        } else {
-            self.refined.fetch_add(1, Ordering::Relaxed);
-            nn_probabilities_profiled(
-                &self.profile,
-                dists,
-                FULL_POINTS_PER_SEGMENT,
-                &mut scratch.nn,
-                out,
-            );
-        }
     }
 }
 
@@ -311,45 +207,5 @@ mod tests {
         probs: &'a [f64],
     ) -> (u32, &'a [Oid], &'a [f64]) {
         batch.columns(probs).next().expect("non-empty batch")
-    }
-
-    #[test]
-    fn zero_tolerance_matches_full_density_bitwise() {
-        let fs = fleet();
-        let pdf = UniformDifferencePdf::new(0.5);
-        let full = ColumnKernel::new(&pdf);
-        let adaptive_zero = ColumnKernel::new(&pdf).adaptive(0.0, 0.3);
-        for t in [1.0, 3.5, 7.0] {
-            let a = full.column(&fs, 1.5, t);
-            let b = adaptive_zero.column(&fs, 1.5, t);
-            assert_eq!(a.len(), b.len());
-            for ((ao, ap), (bo, bp)) in a.iter().zip(&b) {
-                assert_eq!(ao, bo);
-                assert_eq!(ap.to_bits(), bp.to_bits());
-            }
-        }
-        assert_eq!(adaptive_zero.take_counters(), (0, 0));
-    }
-
-    #[test]
-    fn adaptive_ladder_classifies_like_full_density() {
-        let fs = fleet();
-        let pdf = UniformDifferencePdf::new(0.5);
-        let tol = 1e-3;
-        let p = 0.3;
-        let full = ColumnKernel::new(&pdf);
-        let adaptive = ColumnKernel::new(&pdf).adaptive(tol, p);
-        for t in [0.5, 2.0, 4.5, 6.0, 8.5] {
-            let exact = full.column(&fs, 1.5, t);
-            let approx = adaptive.column(&fs, 1.5, t);
-            assert_eq!(exact.len(), approx.len());
-            for ((_, pe), (_, pa)) in exact.iter().zip(&approx) {
-                // Same side of the threshold, and within the stated bound.
-                assert_eq!(*pe > p, *pa > p, "t={t}: exact {pe} vs approx {pa}");
-                assert!((pe - pa).abs() <= tol, "t={t}: exact {pe} vs approx {pa}");
-            }
-        }
-        let (refined, coarse) = adaptive.take_counters();
-        assert!(refined + coarse > 0, "ladder should have been exercised");
     }
 }

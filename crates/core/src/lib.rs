@@ -71,15 +71,6 @@
 //! inner loops are table-lerps and multiply-adds over
 //! structure-of-arrays scratch, not virtual `density()` calls under
 //! adaptive quadrature.
-//!
-//! **Coarse-then-refine ladder.** With a nonzero tolerance the kernel
-//! first evaluates each column at 4 and 8 Gauss–Legendre points per
-//! segment; `|v₈ − v₄|` is a conservative error bound, and only columns
-//! whose bound exceeds the tolerance or straddles the subscription
-//! threshold `p` are refined at the full 32-point density. Tolerance 0
-//! (the default) bypasses the ladder: results are then bit-identical to
-//! the full-density evaluator, preserving the maintained-vs-fresh
-//! bit-identity contract of [`probrows`].
 
 #![warn(missing_docs)]
 
@@ -121,9 +112,5 @@ pub use probrows::{ProbRow, ProbRowDelta, ProbRowSet, RowPerspective};
 pub use query::QueryEngine;
 pub use reverse::{all_pairs_nn, PairAnswer, ReverseNnEngine};
 pub use shifted::{shifted_lower_envelope, ShiftedEnvelope, ShiftedFunction};
-pub use threshold::{
-    probability_at, probability_at_kernel, probability_at_with, threshold_nn_query,
-    threshold_nn_query_with, threshold_nn_sweep, threshold_nn_sweep_kernel,
-    threshold_nn_sweep_with, ThresholdRow,
-};
+pub use threshold::{probability_at_kernel, threshold_nn_sweep_kernel, ThresholdRow};
 pub use topk::{continuous_knn, probabilistic_topk_at, semantics_agreement, KnnAnswer, KnnCell};

@@ -34,6 +34,21 @@ use crate::keyed::{self, Keyed};
 use unn_geom::interval::TimeInterval;
 use unn_traj::trajectory::Oid;
 
+/// The probe instant of column `k`: the midpoint of the k-th of `samples`
+/// equal slices of `window`. Every row producer and every one-shot
+/// threshold view places its probes here, which is what makes their
+/// columns comparable bit-for-bit.
+pub fn probe_time(window: TimeInterval, samples: u32, k: u32) -> f64 {
+    window.start() + (k as f64 + 0.5) * window.len() / samples as f64
+}
+
+/// The inverse of [`probe_time`]: the column whose slice contains `t`
+/// (instants outside the window clamp to the first / last column).
+pub fn probe_column(window: TimeInterval, samples: u32, t: f64) -> u32 {
+    let frac = ((t - window.start()) / window.len()).clamp(0.0, 1.0);
+    ((frac * samples as f64) as u32).min(samples - 1)
+}
+
 /// Which side of the NN relation the rows describe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowPerspective {
@@ -154,10 +169,10 @@ impl ProbRowSet {
         self.samples
     }
 
-    /// The probe instant of sample `k`: the midpoint of the k-th of
-    /// `samples` equal window slices (the [`crate::threshold`] scheme).
+    /// The probe instant of sample `k` ([`probe_time`] on this set's
+    /// grid).
     pub fn sample_time(&self, k: u32) -> f64 {
-        self.window.start() + (k as f64 + 0.5) * self.window.len() / self.samples as f64
+        probe_time(self.window, self.samples, k)
     }
 
     /// The rows, ascending by id.
@@ -353,6 +368,13 @@ mod tests {
         // Probe instants are slice midpoints.
         assert_eq!(s.sample_time(0), 0.625);
         assert_eq!(s.sample_time(7), 9.375);
+        // ... and `probe_column` maps every instant of a slice back to it.
+        for k in 0..8 {
+            assert_eq!(probe_column(s.window(), 8, s.sample_time(k)), k);
+        }
+        assert_eq!(probe_column(s.window(), 8, 1.25), 1);
+        assert_eq!(probe_column(s.window(), 8, -3.0), 0);
+        assert_eq!(probe_column(s.window(), 8, 10.0), 7);
         // Threshold views.
         assert_eq!(s.fraction_above(Oid(5), 0.4), 2.0 / 8.0);
         assert_eq!(s.fraction_above(Oid(5), 0.7), 1.0 / 8.0);

@@ -22,11 +22,10 @@ use crate::band::{inside_band_intervals, prune_by_band, BandStats};
 use crate::envelope::Envelope;
 use crate::ipac::{build_ipac_tree, IpacConfig, IpacTree};
 use crate::kernel::{ColumnBatch, ColumnKernel};
-use crate::probrows::{ProbRow, ProbRowSet, RowPerspective};
+use crate::probrows::{probe_time, ProbRow, ProbRowSet, RowPerspective};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 use unn_geom::interval::{IntervalSet, TimeInterval};
-use unn_prob::pdf::RadialPdf;
 use unn_traj::distance::DistanceFunction;
 use unn_traj::trajectory::Oid;
 
@@ -213,26 +212,13 @@ impl QueryEngine {
     }
 
     /// The engine's sampled **probability rows** (the threshold-query
-    /// substrate, see [`crate::probrows`]): the window is probed at the
-    /// midpoints of `samples` equal slices and, per probe, the joint
-    /// Eq. 5 `P^NN` vector over the in-band candidates is evaluated
-    /// under the given (difference) `pdf`. Each candidate's row holds
-    /// its `P` value at exactly the probes where it was in-band — the
-    /// row's provenance.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `samples == 0`.
-    pub fn prob_row_set(&self, pdf: &dyn RadialPdf, samples: u32) -> ProbRowSet {
-        self.prob_row_set_kernel(&ColumnKernel::new(pdf), samples)
-    }
-
-    /// [`QueryEngine::prob_row_set`] over an already-built column kernel
-    /// (gather → evaluate → scatter): all probe columns are gathered into
-    /// one flat batch and evaluated in a single pass. The subscription
-    /// layer calls this with the store-cached profile and its adaptive
-    /// configuration; the `&dyn RadialPdf` entry point profiles on the
-    /// spot and is bit-identical to this one at tolerance 0.
+    /// substrate, see [`crate::probrows`]): the window is probed at
+    /// [`probe_time`]'s `samples` instants and, per probe, the joint
+    /// Eq. 5 `P^NN` vector over the in-band candidates is evaluated by
+    /// `kernel` (gather → evaluate → scatter: all probe columns go into
+    /// one flat batch, evaluated in a single pass). Each candidate's row
+    /// holds its `P` value at exactly the probes where it was in-band —
+    /// the row's provenance.
     ///
     /// # Panics
     ///
@@ -242,7 +228,7 @@ impl QueryEngine {
         let window = self.window;
         let mut batch = ColumnBatch::default();
         for k in 0..samples {
-            let t = window.start() + (k as f64 + 0.5) * window.len() / samples as f64;
+            let t = probe_time(window, samples, k);
             if let Some(le) = self.envelope.eval(t) {
                 batch.gather(k, &self.fs, le, t, kernel.band());
             }
@@ -261,9 +247,11 @@ impl QueryEngine {
         ProbRowSet::new(self.query, window, RowPerspective::Forward, samples, rows)
     }
 
-    /// Like [`QueryEngine::prob_row_set`], but **reusing** `prev`'s
+    /// Like [`QueryEngine::prob_row_set_kernel`], but **reusing** `prev`'s
     /// sampled values wherever the delta provably cannot have changed
-    /// them. A probe column is *dirty* — and jointly recomputed — iff a
+    /// them: the dirty columns are gathered into one flat batch and
+    /// evaluated in a single pass, clean columns are copied bit-for-bit.
+    /// A probe column is *dirty* — and jointly recomputed — iff a
     /// `fresh` function is in-band there now, or a previously sampled
     /// value there was produced with a `fresh` (or since-dropped) owner
     /// among its inputs; every other column's values are pure functions
@@ -274,18 +262,6 @@ impl QueryEngine {
     /// Sound exactly when this engine's envelope equals the one that
     /// produced `prev` (see [`QueryEngine::carry_envelope`]) and every
     /// non-fresh owner's distance function is unchanged.
-    pub fn prob_row_set_reusing(
-        &self,
-        pdf: &dyn RadialPdf,
-        prev: &ProbRowSet,
-        fresh: &dyn Fn(Oid) -> bool,
-    ) -> (ProbRowSet, usize) {
-        self.prob_row_set_reusing_kernel(&ColumnKernel::new(pdf), prev, fresh)
-    }
-
-    /// [`QueryEngine::prob_row_set_reusing`] over an already-built column
-    /// kernel: the dirty columns are gathered into one flat batch and
-    /// evaluated in a single pass, clean columns are copied bit-for-bit.
     pub fn prob_row_set_reusing_kernel(
         &self,
         kernel: &ColumnKernel,
@@ -297,10 +273,7 @@ impl QueryEngine {
         // Envelope values per probe, shared by the dirty-marking pass
         // and the recompute pass.
         let les: Vec<Option<f64>> = (0..samples)
-            .map(|k| {
-                let t = window.start() + (k as f64 + 0.5) * window.len() / samples as f64;
-                self.envelope.eval(t)
-            })
+            .map(|k| self.envelope.eval(probe_time(window, samples, k)))
             .collect();
         let delta = kernel.band();
         let mut dirty = vec![false; samples as usize];
@@ -314,10 +287,9 @@ impl QueryEngine {
                 if dirty[k as usize] {
                     continue;
                 }
-                if let (Some(le), Some(d)) = (les[k as usize], {
-                    let t = window.start() + (k as f64 + 0.5) * window.len() / samples as f64;
-                    f.eval(t)
-                }) {
+                if let (Some(le), Some(d)) =
+                    (les[k as usize], f.eval(probe_time(window, samples, k)))
+                {
                     if d <= le + delta {
                         dirty[k as usize] = true;
                     }
@@ -341,7 +313,7 @@ impl QueryEngine {
                 continue;
             }
             let Some(le) = les[k as usize] else { continue };
-            let t = window.start() + (k as f64 + 0.5) * window.len() / samples as f64;
+            let t = probe_time(window, samples, k);
             batch.gather(k, &self.fs, le, t, delta);
         }
         let probs = kernel.evaluate(&batch);
@@ -876,9 +848,9 @@ mod tests {
             flyby(3, -8.0, 3.0, 1.0, w),
             flyby(4, 0.0, 50.0, 0.0, w),
         ];
-        let pdf = UniformDifferencePdf::new(0.5);
+        let kernel = ColumnKernel::new(&UniformDifferencePdf::new(0.5));
         let old = QueryEngine::new(Oid(0), base.clone(), 0.5);
-        let prev = old.prob_row_set(&pdf, 32);
+        let prev = old.prob_row_set_kernel(&kernel, 32);
         assert!(prev.row_of(Oid(1)).is_some());
         assert!(prev.row_of(Oid(4)).is_none(), "out-of-band object rowless");
         // Nudge an in-band non-envelope-owner... object 3 dips to 3 at
@@ -893,8 +865,8 @@ mod tests {
         let carried = old
             .carry_envelope(fs.clone(), 0.5, &fresh)
             .expect("far delta carries");
-        let (reused, touched) = carried.prob_row_set_reusing(&pdf, &prev, &fresh);
-        let rebuilt = QueryEngine::new(Oid(0), fs, 0.5).prob_row_set(&pdf, 32);
+        let (reused, touched) = carried.prob_row_set_reusing_kernel(&kernel, &prev, &fresh);
+        let rebuilt = QueryEngine::new(Oid(0), fs, 0.5).prob_row_set_kernel(&kernel, 32);
         assert_eq!(reused, rebuilt, "reused rows must be bit-identical");
         assert_eq!(touched, 0, "far-only delta recomputes no row");
         // A genuinely touched in-band candidate forces a joint recompute
@@ -903,8 +875,8 @@ mod tests {
         near[2] = flyby(3, -8.0, 3.5, 1.0, w);
         if let Ok(carried2) = old.carry_envelope(near.clone(), 0.5, &|oid| oid == Oid(3)) {
             let (reused2, touched2) =
-                carried2.prob_row_set_reusing(&pdf, &prev, &|oid| oid == Oid(3));
-            let rebuilt2 = QueryEngine::new(Oid(0), near, 0.5).prob_row_set(&pdf, 32);
+                carried2.prob_row_set_reusing_kernel(&kernel, &prev, &|oid| oid == Oid(3));
+            let rebuilt2 = QueryEngine::new(Oid(0), near, 0.5).prob_row_set_kernel(&kernel, 32);
             assert_eq!(reused2, rebuilt2);
             assert!(touched2 >= 1, "the touched candidate's columns recompute");
         }

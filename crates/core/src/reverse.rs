@@ -23,11 +23,10 @@
 //! envelope; this is inherent, the reverse relation is not symmetric).
 
 use crate::kernel::{ColumnBatch, ColumnKernel};
-use crate::probrows::{ProbRow, ProbRowSet, RowPerspective};
+use crate::probrows::{probe_time, ProbRow, ProbRowSet, RowPerspective};
 use crate::query::QueryEngine;
 use std::sync::Arc;
 use unn_geom::interval::{IntervalSet, TimeInterval};
-use unn_prob::pdf::RadialPdf;
 use unn_traj::difference::{difference_distances, difference_distances_refs, DifferenceError};
 use unn_traj::trajectory::{Oid, Trajectory};
 
@@ -232,24 +231,14 @@ impl ReverseNnEngine {
 
     /// The engine's sampled reverse **probability rows** (the
     /// `PROB_RNN` standing-query substrate, see [`crate::probrows`]):
-    /// per perspective object `i`, the window is probed at the midpoints
-    /// of `samples` equal slices and, wherever the query's difference
-    /// function is inside `i`'s band, the query's `P^NN` among `i`'s
-    /// in-band candidates is evaluated under the given (difference)
-    /// `pdf`. Row `i` therefore holds `P(query is i's NN at t)` at
+    /// per perspective object `i`, the window is probed at
+    /// [`probe_time`]'s `samples` instants and, wherever the query's
+    /// difference function is inside `i`'s band, the query's `P^NN`
+    /// among `i`'s in-band candidates is evaluated by `kernel` (every
+    /// perspective shares the one profiled difference pdf; each
+    /// perspective's probe columns are gathered and evaluated as one
+    /// batch). Row `i` therefore holds `P(query is i's NN at t)` at
     /// exactly the probes where that probability is non-zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `samples == 0`.
-    pub fn prob_row_set(&self, pdf: &dyn RadialPdf, samples: u32) -> ProbRowSet {
-        self.prob_row_set_kernel(&ColumnKernel::new(pdf), samples)
-    }
-
-    /// [`ReverseNnEngine::prob_row_set`] over an already-built column
-    /// kernel: every perspective engine shares the one profiled
-    /// difference pdf, and each perspective's probe columns are gathered
-    /// and evaluated as one batch.
     ///
     /// # Panics
     ///
@@ -271,7 +260,7 @@ impl ReverseNnEngine {
         )
     }
 
-    /// Like [`ReverseNnEngine::prob_row_set`], but copying `prev`'s row
+    /// Like [`ReverseNnEngine::prob_row_set_kernel`], but copying `prev`'s row
     /// for every perspective where `carried(oid)` holds — including its
     /// *absence* (a perspective whose band the query never entered stays
     /// rowless without re-probing). Only non-carried perspectives pay
@@ -282,18 +271,6 @@ impl ReverseNnEngine {
     /// identically to a fresh build — the per-perspective carry proof
     /// the subscription layer derives (untouched object, ops provably
     /// outside its envelope and band).
-    pub fn prob_row_set_reusing(
-        &self,
-        pdf: &dyn RadialPdf,
-        prev: &ProbRowSet,
-        carried: &(dyn Fn(Oid) -> bool + Sync),
-    ) -> (ProbRowSet, usize) {
-        self.prob_row_set_reusing_kernel(&ColumnKernel::new(pdf), prev, carried)
-    }
-
-    /// [`ReverseNnEngine::prob_row_set_reusing`] over an already-built
-    /// column kernel: carried perspectives are copied bit-for-bit, the
-    /// rest evaluate through the shared profile.
     pub fn prob_row_set_reusing_kernel(
         &self,
         kernel: &ColumnKernel,
@@ -337,7 +314,7 @@ impl ReverseNnEngine {
         // evaluate in a single pass and keep the query's values.
         let mut batch = ColumnBatch::default();
         for k in 0..samples {
-            let t = self.window.start() + (k as f64 + 0.5) * self.window.len() / samples as f64;
+            let t = probe_time(self.window, samples, k);
             if let Some(le) = engine.envelope().eval(t) {
                 batch.gather(k, engine.functions(), le, t, kernel.band());
             }
@@ -563,9 +540,9 @@ mod tests {
         ];
         let w = TimeInterval::new(0.0, 10.0);
         let r = 0.4;
-        let pdf = UniformDifferencePdf::new(r);
+        let kernel = ColumnKernel::new(&UniformDifferencePdf::new(r));
         let e = ReverseNnEngine::new(&trs, Oid(0), w, r).unwrap();
-        let rows = e.prob_row_set(&pdf, 24);
+        let rows = e.prob_row_set_kernel(&kernel, 24);
         // A perspective row exists exactly where the query enters the
         // perspective's band, and each sampled P agrees with the
         // perspective engine's instantaneous evaluation.
@@ -575,8 +552,9 @@ mod tests {
                 Some(row) => {
                     for (k, p) in &row.points {
                         let t = rows.sample_time(*k);
-                        let direct = crate::threshold::probability_at_with(engine, &pdf, Oid(0), t)
-                            .expect("in-band sample");
+                        let direct =
+                            crate::threshold::probability_at_kernel(engine, &kernel, Oid(0), t)
+                                .expect("in-band sample");
                         assert_eq!(p.to_bits(), direct.to_bits(), "oid {oid} k {k}");
                     }
                 }
@@ -589,13 +567,14 @@ mod tests {
             e.perspective_engine_arc(oid)
         })
         .unwrap();
-        let (reused_rows, recomputed) = reused_engine.prob_row_set_reusing(&pdf, &rows, &|_| true);
+        let (reused_rows, recomputed) =
+            reused_engine.prob_row_set_reusing_kernel(&kernel, &rows, &|_| true);
         assert_eq!(reused_rows, rows);
         assert_eq!(recomputed, 0);
         // Recomputing one perspective from its carried engine is also
         // bit-identical to the fresh sweep.
         let (mixed, recomputed) =
-            reused_engine.prob_row_set_reusing(&pdf, &rows, &|oid| oid != Oid(2));
+            reused_engine.prob_row_set_reusing_kernel(&kernel, &rows, &|oid| oid != Oid(2));
         assert_eq!(mixed, rows);
         assert_eq!(recomputed, 1);
     }

@@ -18,8 +18,6 @@
 
 use crate::kernel::ColumnKernel;
 use crate::query::QueryEngine;
-use unn_prob::pdf::RadialPdf;
-use unn_prob::uniform_diff::UniformDifferencePdf;
 use unn_traj::trajectory::Oid;
 
 /// Result row of a threshold sweep.
@@ -37,41 +35,15 @@ pub struct ThresholdRow {
 /// object that ever exceeds the probability threshold `p`, the fraction
 /// of probes where it did (plus its mean in-band probability).
 ///
-/// Assumes the paper's running uniform location model: the difference pdf
-/// is the exact disk autocorrelation of radius `2r`. For other
-/// rotationally symmetric models use [`threshold_nn_sweep_with`].
-///
-/// # Panics
-///
-/// Panics when `p` is outside `[0, 1)` or `samples == 0`.
-pub fn threshold_nn_sweep(engine: &QueryEngine, p: f64, samples: usize) -> Vec<ThresholdRow> {
-    let pdf = UniformDifferencePdf::new(engine.radius());
-    threshold_nn_sweep_with(engine, &pdf, p, samples)
-}
-
-/// [`threshold_nn_sweep`] generalized to an arbitrary rotationally
-/// symmetric **difference** pdf (the convolution of the two location
-/// pdfs, cf. §3.1 / [`unn_prob::pdf::PdfKind::convolve_with`]).
-///
+/// `kernel` carries the **difference** pdf (the convolution of the two
+/// location pdfs, cf. §3.1 / [`unn_prob::pdf::PdfKind::convolve_with`]):
+/// [`unn_prob::uniform_diff::UniformDifferencePdf`] for the paper's
+/// running uniform model, any other rotationally symmetric pdf otherwise.
 /// The in-band test uses `2 × support_radius(pdf)` — for disk-bounded
 /// location pdfs of radius `r` the convolved support is `2r`, so this is
-/// the paper's `4r` band exactly, independent of the pdf's shape.
-///
-/// # Panics
-///
-/// Panics when `p` is outside `[0, 1)` or `samples == 0`.
-pub fn threshold_nn_sweep_with(
-    engine: &QueryEngine,
-    pdf: &dyn RadialPdf,
-    p: f64,
-    samples: usize,
-) -> Vec<ThresholdRow> {
-    threshold_nn_sweep_kernel(engine, &ColumnKernel::new(pdf), p, samples)
-}
-
-/// [`threshold_nn_sweep_with`] over an already-built column kernel — the
-/// entry point the server shares with the subscription layer so one-shot
-/// sweeps reuse the store-cached profile.
+/// the paper's `4r` band exactly, independent of the pdf's shape. The
+/// server passes the store-cached profile, shared with the subscription
+/// layer.
 ///
 /// # Panics
 ///
@@ -105,59 +77,11 @@ pub fn threshold_nn_sweep_kernel(
         .collect()
 }
 
-/// The §7 example query: objects whose `P^NN` exceeds `p` for at least
-/// fraction `x` of the window.
-pub fn threshold_nn_query(
-    engine: &QueryEngine,
-    p: f64,
-    x: f64,
-    samples: usize,
-) -> Vec<ThresholdRow> {
-    threshold_nn_sweep(engine, p, samples)
-        .into_iter()
-        .filter(|row| row.fraction + 1e-12 >= x)
-        .collect()
-}
-
-/// [`threshold_nn_query`] generalized to an arbitrary rotationally
-/// symmetric difference pdf.
-pub fn threshold_nn_query_with(
-    engine: &QueryEngine,
-    pdf: &dyn RadialPdf,
-    p: f64,
-    x: f64,
-    samples: usize,
-) -> Vec<ThresholdRow> {
-    threshold_nn_sweep_with(engine, pdf, p, samples)
-        .into_iter()
-        .filter(|row| row.fraction + 1e-12 >= x)
-        .collect()
-}
-
 /// The instantaneous `P^NN` of one object at time `t` (or `None` when the
 /// object is unknown, the instant is outside the window, or the object is
-/// out of the band — i.e. probability zero). Uniform location model; see
-/// [`probability_at_with`] for other pdfs.
-pub fn probability_at(engine: &QueryEngine, oid: Oid, t: f64) -> Option<f64> {
-    let pdf = UniformDifferencePdf::new(engine.radius());
-    probability_at_with(engine, &pdf, oid, t)
-}
-
-/// [`probability_at`] generalized to an arbitrary rotationally symmetric
-/// difference pdf.
-pub fn probability_at_with(
-    engine: &QueryEngine,
-    pdf: &dyn RadialPdf,
-    oid: Oid,
-    t: f64,
-) -> Option<f64> {
-    probability_at_kernel(engine, &ColumnKernel::new(pdf), oid, t)
-}
-
-/// [`probability_at_with`] over an already-built column kernel. The probe
-/// is the same canonical column every row producer evaluates, so the
-/// result is bit-identical to the matching [`crate::probrows`] column
-/// value (at equal kernel configuration).
+/// out of the band — i.e. probability zero). The probe is the same
+/// canonical column every row producer evaluates, so the result is
+/// bit-identical to the matching [`crate::probrows`] column value.
 pub fn probability_at_kernel(
     engine: &QueryEngine,
     kernel: &ColumnKernel,
@@ -181,6 +105,7 @@ mod tests {
     use unn_geom::hyperbola::Hyperbola;
     use unn_geom::interval::TimeInterval;
     use unn_geom::point::Vec2;
+    use unn_prob::uniform_diff::UniformDifferencePdf;
     use unn_traj::distance::DistanceFunction;
 
     fn flyby(owner: u64, x0: f64, y: f64, v: f64, w: TimeInterval) -> DistanceFunction {
@@ -201,10 +126,26 @@ mod tests {
         QueryEngine::new(Oid(0), fs, 0.5)
     }
 
+    /// The paper's running uniform model for `e`.
+    fn uniform_kernel(e: &QueryEngine) -> ColumnKernel {
+        ColumnKernel::new(&UniformDifferencePdf::new(e.radius()))
+    }
+
+    /// The §7 example query: objects whose `P^NN` exceeds `p` for at
+    /// least fraction `x` of the window.
+    fn at_least(rows: Vec<ThresholdRow>, x: f64) -> Vec<ThresholdRow> {
+        rows.into_iter()
+            .filter(|row| row.fraction + 1e-12 >= x)
+            .collect()
+    }
+
     #[test]
     fn dominant_object_passes_high_threshold() {
         let e = engine();
-        let rows = threshold_nn_query(&e, 0.6, 0.3, 64);
+        let rows = at_least(
+            threshold_nn_sweep_kernel(&e, &uniform_kernel(&e), 0.6, 64),
+            0.3,
+        );
         // Object 1 dominates around its closest approach.
         assert!(rows.iter().any(|r| r.oid == Oid(1)), "{rows:?}");
         // The unreachable object never appears.
@@ -214,8 +155,9 @@ mod tests {
     #[test]
     fn fractions_shrink_with_threshold() {
         let e = engine();
-        let lo = threshold_nn_sweep(&e, 0.1, 64);
-        let hi = threshold_nn_sweep(&e, 0.8, 64);
+        let kernel = uniform_kernel(&e);
+        let lo = threshold_nn_sweep_kernel(&e, &kernel, 0.1, 64);
+        let hi = threshold_nn_sweep_kernel(&e, &kernel, 0.8, 64);
         let f = |rows: &[ThresholdRow], oid: u64| {
             rows.iter()
                 .find(|r| r.oid == Oid(oid))
@@ -237,22 +179,23 @@ mod tests {
         let e = engine();
         // At t=5 object 1 is at distance 1, object 2 at sqrt(9+4)≈3.6:
         // object 1 clearly dominates.
-        let p1 = probability_at(&e, Oid(1), 5.0).unwrap();
-        let p2 = probability_at(&e, Oid(2), 5.0);
+        let kernel = uniform_kernel(&e);
+        let p1 = probability_at_kernel(&e, &kernel, Oid(1), 5.0).unwrap();
+        let p2 = probability_at_kernel(&e, &kernel, Oid(2), 5.0);
         assert!(p1 > 0.9, "{p1}");
         if let Some(p2) = p2 {
             assert!(p1 > p2);
         }
         // Out-of-band object has no probability (None).
-        assert!(probability_at(&e, Oid(3), 5.0).is_none());
+        assert!(probability_at_kernel(&e, &kernel, Oid(3), 5.0).is_none());
         // Outside the window.
-        assert!(probability_at(&e, Oid(1), 99.0).is_none());
+        assert!(probability_at_kernel(&e, &kernel, Oid(1), 99.0).is_none());
     }
 
     #[test]
     fn mean_probability_bounded() {
         let e = engine();
-        for row in threshold_nn_sweep(&e, 0.05, 48) {
+        for row in threshold_nn_sweep_kernel(&e, &uniform_kernel(&e), 0.05, 48) {
             assert!((0.0..=1.0).contains(&row.mean_probability), "{row:?}");
             assert!((0.0..=1.0).contains(&row.fraction));
         }
@@ -262,7 +205,7 @@ mod tests {
     #[should_panic]
     fn threshold_must_be_below_one() {
         let e = engine();
-        let _ = threshold_nn_sweep(&e, 1.0, 8);
+        let _ = threshold_nn_sweep_kernel(&e, &uniform_kernel(&e), 1.0, 8);
     }
 
     #[test]
@@ -271,7 +214,7 @@ mod tests {
         // A concentrated truncated Gaussian (σ = r/4) puts nearly all mass
         // at the expected location, so the leading object's P^NN is at
         // least the uniform model's almost everywhere.
-        use unn_prob::pdf::PdfKind;
+        use unn_prob::pdf::{PdfKind, RadialPdf};
         let e = engine();
         let r = e.radius();
         let uniform_pdf = UniformDifferencePdf::new(r);
@@ -282,27 +225,14 @@ mod tests {
         let gauss_diff = gauss_kind.convolve_with(&gauss_kind);
         // Same support ⇒ same band ⇒ same candidate sets.
         assert!((gauss_diff.support_radius() - uniform_pdf.support_radius()).abs() < 1e-6);
-        let pu = probability_at_with(&e, &uniform_pdf, Oid(1), 5.0).unwrap();
-        let pg = probability_at_with(&e, gauss_diff.as_ref(), Oid(1), 5.0).unwrap();
+        let gauss = ColumnKernel::new(gauss_diff.as_ref());
+        let pu = probability_at_kernel(&e, &uniform_kernel(&e), Oid(1), 5.0).unwrap();
+        let pg = probability_at_kernel(&e, &gauss, Oid(1), 5.0).unwrap();
         assert!(pg >= pu - 1e-6, "gaussian {pg} vs uniform {pu}");
         assert!(pg <= 1.0 + 1e-9);
         // Threshold sweeps run under the Gaussian model too, and the
         // leader qualifies at a high threshold.
-        let rows = threshold_nn_query_with(&e, gauss_diff.as_ref(), 0.6, 0.3, 48);
+        let rows = at_least(threshold_nn_sweep_kernel(&e, &gauss, 0.6, 48), 0.3);
         assert!(rows.iter().any(|row| row.oid == Oid(1)), "{rows:?}");
-    }
-
-    #[test]
-    fn generalized_and_uniform_entry_points_agree() {
-        let e = engine();
-        let pdf = UniformDifferencePdf::new(e.radius());
-        let a = threshold_nn_sweep(&e, 0.2, 32);
-        let b = threshold_nn_sweep_with(&e, &pdf, 0.2, 32);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.oid, y.oid);
-            assert!((x.fraction - y.fraction).abs() < 1e-12);
-            assert!((x.mean_probability - y.mean_probability).abs() < 1e-12);
-        }
     }
 }

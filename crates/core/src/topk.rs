@@ -19,9 +19,11 @@
 //! heterogeneous radii, where [`crate::hetero`] takes over).
 
 use crate::algorithms::lower_envelope;
+use crate::kernel::ColumnKernel;
 use crate::query::QueryEngine;
-use crate::threshold::probability_at;
+use crate::threshold::probability_at_kernel;
 use unn_geom::interval::{IntervalSet, TimeInterval};
+use unn_prob::uniform_diff::UniformDifferencePdf;
 use unn_traj::distance::DistanceFunction;
 use unn_traj::trajectory::Oid;
 
@@ -216,11 +218,12 @@ fn peel(
 /// uncertain semantics (descending `P^NN`, zero-probability objects
 /// omitted, hence possibly fewer than `k`).
 pub fn probabilistic_topk_at(engine: &QueryEngine, t: f64, k: usize) -> Vec<(Oid, f64)> {
+    let kernel = ColumnKernel::new(&UniformDifferencePdf::new(engine.radius()));
     let mut scored: Vec<(Oid, f64)> = engine
         .functions()
         .iter()
         .filter_map(|f| {
-            let p = probability_at(engine, f.owner(), t)?;
+            let p = probability_at_kernel(engine, &kernel, f.owner(), t)?;
             if p > 0.0 {
                 Some((f.owner(), p))
             } else {

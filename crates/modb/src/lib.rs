@@ -90,22 +90,17 @@
 //! gathered into flat arrays and evaluated against the **store-wide
 //! difference-model cache** ([`store::ModStore::difference_model`]
 //! interns one convolved + profiled pdf per [`unn_prob::pdf::PdfKind`],
-//! shared by every subscription, sweep, and perspective engine). An
-//! optional adaptive ladder
-//! ([`subscription::SubscriptionRegistry::set_row_tolerance`]) lets
-//! maintenance settle columns far from the subscription threshold at
-//! coarse quadrature density; at the default tolerance 0 it is inert
-//! and every path stays bit-identical to a cold full-density rebuild:
+//! shared by every subscription, sweep, and perspective engine), always
+//! at full quadrature density — so every path stays bit-identical to a
+//! cold rebuild:
 //!
 //! ```text
 //!  commit ──▶ dirty columns ──gather──▶ ColumnBatch (flat SoA)
 //!                                          │ evaluate
-//!                 ModStore.difference_model ├─ tolerance 0: full density
-//!                 (PdfKind → ProfiledPdf,   ├─ else: coarse → check →
-//!                  interned store-wide)     │   refine near threshold p
+//!                 ModStore.difference_model │ (PdfKind → ProfiledPdf,
+//!                                          │  interned store-wide)
 //!                                          ▼ scatter
 //!                                   ProbRowSet columns
-//!                        (columns_refined / columns_coarse_only stats)
 //! ```
 //!
 //! ## Standing-query ladders by statement shape
@@ -116,10 +111,11 @@
 //!   │     skip:   ForwardProof::ops_unaffected (candidate set)
 //!   │     patch:  reuse functions + carry_envelope
 //!   │             + answer_set_reusing (touched intervals only)
-//!   ├── PROB_NN(…) > p, p > 0    ──▶ ProbRowSet (sampled P^NN rows)
+//!   ├── PROB_NN(…) > p, p > 0    ──▶ ProbRowSet (sampled P^NN rows;
+//!   │                                 one share for every p)
 //!   │     skip:   ForwardProof::ops_unaffected_rows (band survivors)
 //!   │     patch:  reuse functions + carry_envelope
-//!   │             + prob_row_set_reusing (dirty probe columns only)
+//!   │             + prob_row_set_reusing_kernel (dirty columns only)
 //!   └── PROB_RNN(…) > p          ──▶ ProbRowSet (one row/perspective)
 //!         patch:  per-perspective ForwardProof — untouched
 //!                 perspectives carry their envelope AND row wholesale

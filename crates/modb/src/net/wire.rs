@@ -66,8 +66,10 @@ pub const WIRE_MAGIC: u32 = 0x554E_4E31;
 /// pushed [`Frame::ReplDelta`] / [`Frame::ReplLagged`] stream.
 /// Version 5 added the telemetry outputs: [`WireOutput::Metrics`]
 /// (the `SHOW METRICS` snapshot) and [`WireOutput::Trace`] (the
-/// `TRACE EPOCH` event list).
-pub const WIRE_VERSION: u16 = 5;
+/// `TRACE EPOCH` event list). Version 6 dropped the two adaptive-kernel
+/// column counters from the subscription-info stats block (twelve
+/// `u64`s).
+pub const WIRE_VERSION: u16 = 6;
 
 /// Upper bound on one frame's payload (a defense against hostile or
 /// corrupt length prefixes, not a practical limit — a 64 MiB answer
@@ -428,8 +430,6 @@ fn put_info(buf: &mut Vec<u8>, info: &SubscriptionInfo) {
         s.functions_built,
         s.rows_patched,
         s.perspectives_skipped,
-        s.columns_refined,
-        s.columns_coarse_only,
         s.visited,
         s.skipped_unvisited,
         s.batched_commits,
@@ -919,8 +919,6 @@ impl<'a> Cursor<'a> {
             functions_built: self.u64()?,
             rows_patched: self.u64()?,
             perspectives_skipped: self.u64()?,
-            columns_refined: self.u64()?,
-            columns_coarse_only: self.u64()?,
             visited: self.u64()?,
             skipped_unvisited: self.u64()?,
             batched_commits: self.u64()?,
@@ -1348,11 +1346,11 @@ mod tests {
     fn version_constants_are_sane() {
         assert_eq!(&WIRE_MAGIC.to_be_bytes(), b"UNN1");
         assert_eq!(
-            WIRE_VERSION, 5,
+            WIRE_VERSION, 6,
             "bump deliberately with the frame bodies: edit this literal \
              alongside WIRE_VERSION and the docs/WIRE.md constants row"
         );
-        assert!(include_str!("../../../../docs/WIRE.md").contains("| `WIRE_VERSION` | `5` |"));
+        assert!(include_str!("../../../../docs/WIRE.md").contains("| `WIRE_VERSION` | `6` |"));
     }
 
     #[test]

@@ -820,8 +820,9 @@ impl ModServer {
     }
 
     /// Evaluates a `PROB_RNN` statement: the reverse-NN predicate over the
-    /// per-candidate perspective engines. Positive thresholds sample the
-    /// instantaneous probability of the query being the candidate's NN.
+    /// per-candidate perspective engines. Positive thresholds read the
+    /// sampled reverse probability rows (one batched evaluation for the
+    /// whole statement); `AT t` probes the exact instant.
     fn execute_reverse(
         &self,
         query: &Query,
@@ -832,86 +833,61 @@ impl ModServer {
         use unn_core::threshold::probability_at_kernel;
         let rev = self.reverse_engine(q_oid, window)?;
         let p = query.prob_threshold;
-        let kernel = if p > 0.0 {
-            Some(ColumnKernel::from_profile(self.difference_model()?.profile))
+        let samples = Self::THRESHOLD_SAMPLES as u32;
+        // `Some` exactly when p > 0: the kernel and the sampled rows.
+        let sampled = if p > 0.0 {
+            let kernel = ColumnKernel::from_profile(self.difference_model()?.profile);
+            let rows = rev.prob_row_set_kernel(&kernel, samples);
+            Some((kernel, rows))
         } else {
             None
-        };
-        // Fraction of the window during which the query may be (p == 0) or
-        // probably is (p > 0) `oid`'s nearest neighbor.
-        let fraction_of = |oid: Oid| -> Option<f64> {
-            let engine = rev
-                .perspective_engines()
-                .find(|(o, _)| *o == oid)
-                .map(|(_, e)| e)?;
-            if p == 0.0 {
-                return rev.rnn_fraction(oid);
-            }
-            let kernel = kernel.as_ref().expect("built for p > 0");
-            let n = Self::THRESHOLD_SAMPLES;
-            let hits = (0..n)
-                .filter(|k| {
-                    let t = window.start() + (*k as f64 + 0.5) * window.len() / n as f64;
-                    probability_at_kernel(engine, kernel, q_oid, t).unwrap_or(0.0) > p
-                })
-                .count();
-            Some(hits as f64 / n as f64)
         };
         let full = if p == 0.0 {
             1.0 - 1e-6
         } else {
-            1.0 - 0.5 / Self::THRESHOLD_SAMPLES as f64
+            1.0 - 0.5 / samples as f64
         };
-        let decide = |frac: f64, quant: &Quantifier, at_hit: bool| match quant {
-            Quantifier::Exists => frac > 0.0,
-            Quantifier::Forall => frac >= full,
-            Quantifier::AtLeast(x) => frac + 1e-12 >= *x,
-            Quantifier::At(_) => at_hit,
-        };
-        let at_hit_of = |oid: Oid, t: f64| -> bool {
-            if p == 0.0 {
-                rev.rnn_intervals(oid)
-                    .map(|iv| iv.covers(t))
-                    .unwrap_or(false)
-            } else {
-                let kernel = kernel.as_ref().expect("built for p > 0");
-                rev.perspective_engines()
-                    .find(|(o, _)| *o == oid)
-                    .map(|(_, e)| probability_at_kernel(e, kernel, q_oid, t).unwrap_or(0.0) > p)
-                    .unwrap_or(false)
-            }
+        // The verdict and the fraction of the window during which the
+        // query may be (p == 0) or probably is (p > 0) `oid`'s nearest
+        // neighbor, from `oid`'s perspective engine.
+        let verdict = |oid: Oid, engine: &QueryEngine| -> Option<(bool, f64)> {
+            let frac = match &sampled {
+                None => engine.uq13_fraction(q_oid)?,
+                Some((_, rows)) => rows.fraction_above(oid, p),
+            };
+            let keep = match &query.quantifier {
+                Quantifier::Exists => frac > 0.0,
+                Quantifier::Forall => frac >= full,
+                Quantifier::AtLeast(x) => frac + 1e-12 >= *x,
+                Quantifier::At(t) => match &sampled {
+                    None => engine
+                        .nonzero_intervals(q_oid)
+                        .is_some_and(|iv| iv.covers(*t)),
+                    Some((kernel, _)) => {
+                        probability_at_kernel(engine, kernel, q_oid, *t).unwrap_or(0.0) > p
+                    }
+                },
+            };
+            Some((keep, frac))
         };
         match &query.target {
             Target::One(name) => {
                 let oid = self.resolve(name)?;
-                let frac =
-                    fraction_of(oid).ok_or_else(|| ServerError::UnknownObject(name.clone()))?;
-                let at_hit = match &query.quantifier {
-                    Quantifier::At(t) => at_hit_of(oid, *t),
-                    _ => false,
-                };
-                Ok(QueryOutput::Boolean(decide(
-                    frac,
-                    &query.quantifier,
-                    at_hit,
-                )))
+                let (keep, _) = rev
+                    .perspective_engines()
+                    .find(|(o, _)| *o == oid)
+                    .and_then(|(_, engine)| verdict(oid, engine))
+                    .ok_or_else(|| ServerError::UnknownObject(name.clone()))?;
+                Ok(QueryOutput::Boolean(keep))
             }
-            Target::All => {
-                let mut out = Vec::new();
-                for (oid, _) in rev.perspective_engines() {
-                    let Some(frac) = fraction_of(oid) else {
-                        continue;
-                    };
-                    let at_hit = match &query.quantifier {
-                        Quantifier::At(t) => at_hit_of(oid, *t),
-                        _ => false,
-                    };
-                    if decide(frac, &query.quantifier, at_hit) {
-                        out.push((oid, frac));
-                    }
-                }
-                Ok(QueryOutput::Objects(out))
-            }
+            Target::All => Ok(QueryOutput::Objects(
+                rev.perspective_engines()
+                    .filter_map(|(oid, engine)| match verdict(oid, engine)? {
+                        (true, frac) => Some((oid, frac)),
+                        (false, _) => None,
+                    })
+                    .collect(),
+            )),
         }
     }
 
@@ -1258,6 +1234,78 @@ mod tests {
         let qt = "SELECT Tr1 FROM MOD WHERE ATLEAST 0.5 OF TIME IN [0, 10] \
                   AND PROB_RNN(Tr1, Tr0, TIME) > 0.5";
         assert!(matches!(s.execute(qt).unwrap(), QueryOutput::Boolean(_)));
+    }
+
+    /// `execute_reverse` reads one batched row set; the oracle here is
+    /// the per-perspective, per-probe `probability_at_kernel` loop it
+    /// replaced. Fractions must agree to the bit, verdicts exactly.
+    #[test]
+    fn reverse_threshold_rows_match_the_per_probe_loop() {
+        use unn_core::kernel::ColumnKernel;
+        use unn_core::threshold::probability_at_kernel;
+        let s = server();
+        // A fourth neighbour that contests Tr0 from Tr1's and Tr2's
+        // perspectives for part of the window.
+        s.register(tr(4, &[(0.0, 3.0, 0.0), (10.0, -1.0, 10.0)]))
+            .unwrap();
+        let q_oid = Oid(0);
+        let w = TimeInterval::new(0.0, 10.0);
+        let rev = s.reverse_engine(q_oid, w).unwrap();
+        let kernel = ColumnKernel::from_profile(s.difference_model().unwrap().profile);
+        let n = ModServer::THRESHOLD_SAMPLES;
+        let full = 1.0 - 0.5 / n as f64;
+        for p in [0.3, 0.6] {
+            let oracle: Vec<(Oid, f64)> = rev
+                .perspective_engines()
+                .map(|(oid, engine)| {
+                    let hits = (0..n)
+                        .filter(|k| {
+                            let t = w.start() + (*k as f64 + 0.5) * w.len() / n as f64;
+                            probability_at_kernel(engine, &kernel, q_oid, t).unwrap_or(0.0) > p
+                        })
+                        .count();
+                    (oid, hits as f64 / n as f64)
+                })
+                .collect();
+            assert!(
+                oracle.iter().any(|(_, f)| *f > 0.0 && *f < full),
+                "fleet must contest the threshold {p}: {oracle:?}"
+            );
+            let keep = |quant: &str, f: f64| match quant {
+                "EXISTS" => f > 0.0,
+                "FORALL" => f >= full,
+                _ => f + 1e-12 >= 0.4,
+            };
+            for quant in ["EXISTS", "FORALL", "ATLEAST 0.4 OF"] {
+                let all = format!(
+                    "SELECT * FROM MOD WHERE {quant} TIME IN [0, 10] \
+                     AND PROB_RNN(*, Tr0, TIME) > {p}"
+                );
+                let QueryOutput::Objects(got) = s.execute(&all).unwrap() else {
+                    panic!("expected Objects for {all}");
+                };
+                let bits = |objs: &[(Oid, f64)]| -> Vec<(Oid, u64)> {
+                    objs.iter().map(|(o, f)| (*o, f.to_bits())).collect()
+                };
+                let want: Vec<(Oid, f64)> = oracle
+                    .iter()
+                    .copied()
+                    .filter(|(_, f)| keep(quant, *f))
+                    .collect();
+                assert_eq!(bits(&got), bits(&want), "{all}");
+                for (oid, f) in &oracle {
+                    let one = format!(
+                        "SELECT {oid} FROM MOD WHERE {quant} TIME IN [0, 10] \
+                         AND PROB_RNN({oid}, Tr0, TIME) > {p}"
+                    );
+                    assert_eq!(
+                        s.execute(&one).unwrap(),
+                        QueryOutput::Boolean(keep(quant, *f)),
+                        "{one}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,10 +46,10 @@
 //!    those whose provenance includes a touched function, or that a
 //!    fresh function's band now reaches — are jointly re-evaluated, and
 //!    every clean column's `P` values are copied bit-for-bit
-//!    ([`unn_core::query::QueryEngine::prob_row_set_reusing`]). Reverse
-//!    subscriptions patch **per perspective**: each perspective object
-//!    keeps its own carried lower envelope and [`ForwardProof`], so a
-//!    far commit re-derives one new perspective and carries all
+//!    ([`unn_core::query::QueryEngine::prob_row_set_reusing_kernel`]).
+//!    Reverse subscriptions patch **per perspective**: each perspective
+//!    object keeps its own carried lower envelope and [`ForwardProof`],
+//!    so a far commit re-derives one new perspective and carries all
 //!    untouched ones (`perspectives_skipped` counts the carries).
 //! 3. **Rebuild** — the delta log was truncated past the subscription's
 //!    last epoch (or the query object itself changed): patching against
@@ -101,14 +101,14 @@
 //! ([`SubscriptionStats::batched_commits`] counts the epochs folded
 //! beyond each visit's first). `tests/indexed_sync.rs` holds the
 //! indexed, batched path bit-identical to a cold exhaustive evaluation
-//! of the final contents across random interleavings, backends, and
-//! mid-batch registrations.
+//! of the final contents across random interleavings, prefilter
+//! policies, and mid-batch registrations.
 //!
 //! ## Engine sharing
 //!
 //! Registrations with the same computation shape — query object, window,
 //! kind (interval / threshold rows / reverse rows), prefilter policy,
-//! sample density, threshold — coalesce onto **one share**: one carried
+//! sample density — coalesce onto **one share**: one carried
 //! engine, one skip/patch/rebuild round per commit, however many
 //! subscription names ride it. Each member keeps its own identity (pull
 //! feed, attached sinks, per-name `Event` frames), but the maintained
@@ -140,7 +140,7 @@
 //! difference functions whose inputs are untouched, and recomputes
 //! probe columns with the canonical joint evaluation a cold sweep runs;
 //! `tests/continuous_queries.rs` asserts the equivalence property-style
-//! across random mutation interleavings and all prefilter backends, for
+//! across random mutation interleavings and both prefilter policies, for
 //! interval and row subscriptions alike.
 
 use crate::delta::{full_xy_box, DeltaOp, DeltaRecord, ForwardProof};
@@ -161,7 +161,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use unn_core::answer::{AnswerDelta, AnswerSet};
 use unn_core::candidates::CandidateSet;
 use unn_core::kernel::ColumnKernel;
-use unn_core::probrows::{ProbRowDelta, ProbRowSet, RowPerspective};
+use unn_core::probrows::{probe_column, ProbRowDelta, ProbRowSet, RowPerspective};
 use unn_core::query::QueryEngine;
 use unn_core::reverse::ReverseNnEngine;
 use unn_geom::interval::TimeInterval;
@@ -302,16 +302,6 @@ pub struct SubscriptionStats {
     /// wholesale under their per-perspective proof — the work a far
     /// commit skips.
     pub perspectives_skipped: u64,
-    /// Dirty probe columns the adaptive kernel escalated to full
-    /// quadrature density because the coarse estimate sat within its
-    /// error bound of the subscription's threshold `p` (or the bound
-    /// exceeded the tolerance). Always 0 while the registry's
-    /// [`SubscriptionRegistry::row_tolerance`] knob is 0.
-    pub columns_refined: u64,
-    /// Dirty probe columns the adaptive kernel settled at coarse
-    /// density — provably within the configured tolerance and clear of
-    /// the threshold. Always 0 while the tolerance knob is 0.
-    pub columns_coarse_only: u64,
     /// Maintenance rounds that examined this share at all — each lands
     /// in exactly one of `skipped` / `patched` / `rebuilt`, so
     /// `visited` always equals their sum (the legibility counter next
@@ -745,7 +735,8 @@ enum SubKind {
 /// The identity of one maintained computation — everything that shapes
 /// the engine, the maintenance ladder, and the produced answer.
 /// Subscriptions whose statements agree on every field (the statement's
-/// quantifier/target are *render-side* and deliberately absent) share
+/// quantifier, target and threshold `p` are *render-side* and
+/// deliberately absent) share
 /// one [`SharedSub`]: one engine, one skip/patch/rebuild round per
 /// commit, one answer diffed once and broadcast to every subscriber
 /// slot.
@@ -758,11 +749,6 @@ struct ShareKey {
     kind: SubKind,
     policy: PrefilterPolicy,
     samples: u32,
-    /// The probability threshold's bit pattern. Rows are maintained
-    /// threshold-independently at tolerance 0, but the adaptive kernel
-    /// aims its refinement at the threshold, so differing thresholds
-    /// must not share a kernel ladder.
-    threshold: u64,
 }
 
 /// One subscriber's view of a shared computation: its private pull feed
@@ -838,9 +824,6 @@ struct ShareCore {
     /// Probe count of this share's rows (fixed at registration; part of
     /// the row-set shape).
     samples: u32,
-    /// The statement threshold the adaptive kernel aims refinement at
-    /// (part of the share key).
-    threshold: f64,
     last_epoch: u64,
     /// The forward engine the current answer was computed with — the
     /// carried preprocessing the skip/patch paths reuse. `None` while
@@ -934,7 +917,6 @@ impl ShareCore {
             kind: key.kind,
             policy: key.policy,
             samples: key.samples,
-            threshold: f64::from_bits(key.threshold),
             last_epoch: 0,
             engine: None,
             rev: None,
@@ -1006,43 +988,26 @@ impl ShareCore {
         self.last_epoch = epoch;
     }
 
-    /// The convolved difference-pdf model of the MOD's shared location
-    /// model, served from the store-wide cache
-    /// ([`ModStore::difference_model`]) and memoized here by kind so a
-    /// maintenance round holding a shard lock does not touch the shared
-    /// cache mutex while the registered kind is unchanged.
-    fn ensure_model(
+    /// The probability kernel row maintenance evaluates its probe
+    /// columns with: the profiled difference pdf of the MOD's shared
+    /// location model, served from the store-wide cache
+    /// ([`ModStore::difference_model`], shared with the one-shot sweeps)
+    /// and memoized here by kind so a maintenance round holding a shard
+    /// lock does not touch the shared cache mutex while the registered
+    /// kind is unchanged.
+    fn row_kernel(
         &mut self,
         store: &ModStore,
         snapshot: &QuerySnapshot,
-    ) -> Result<DifferenceModel, String> {
+    ) -> Result<ColumnKernel, String> {
         let kind = common_pdf_kind(snapshot)
             .map_err(|_| "trajectories have differing location pdfs".to_string())?
             .ok_or_else(|| "the MOD needs at least two trajectories".to_string())?;
-        if let Some((cached_kind, model)) = &self.model {
-            if *cached_kind == kind {
-                return Ok(model.clone());
-            }
+        if !matches!(&self.model, Some((cached, _)) if *cached == kind) {
+            self.model = Some((kind, store.difference_model(&kind)));
         }
-        let model = store.difference_model(&kind);
-        self.model = Some((kind, model.clone()));
-        Ok(model)
-    }
-
-    /// The probability kernel one maintenance round evaluates its dirty
-    /// probe columns with: the store-cached profile, plus the adaptive
-    /// coarse-then-refine ladder aimed at this subscription's threshold
-    /// (inert at tolerance 0 — every column runs full density,
-    /// bit-identical to the one-shot sweeps).
-    fn row_kernel(&self, model: &DifferenceModel, tolerance: f64) -> ColumnKernel {
-        ColumnKernel::from_profile(Arc::clone(&model.profile)).adaptive(tolerance, self.threshold)
-    }
-
-    /// Folds a drained kernel's refinement counters into the stats row.
-    fn absorb_kernel_counters(&mut self, kernel: &ColumnKernel) {
-        let (refined, coarse_only) = kernel.take_counters();
-        self.stats.columns_refined += refined;
-        self.stats.columns_coarse_only += coarse_only;
+        let (_, model) = self.model.as_ref().expect("memoized above");
+        Ok(ColumnKernel::from_profile(Arc::clone(&model.profile)))
     }
 }
 
@@ -1358,9 +1323,6 @@ pub struct SubscriptionRegistry {
     /// key and removed when its last subscriber unregisters.
     shares: Mutex<HashMap<ShareKey, Arc<SharedSub>>>,
     row_samples: std::sync::atomic::AtomicU32,
-    /// Adaptive-refinement tolerance of row maintenance, stored as the
-    /// `f64` bit pattern (same idiom as the store's rebuild fraction).
-    row_tolerance: std::sync::atomic::AtomicU64,
     /// The publication-style guard index the sharded sync prunes its
     /// visit set with (see [`SubscriptionIndex`]).
     index: Mutex<SubscriptionIndex>,
@@ -1387,7 +1349,6 @@ impl Default for SubscriptionRegistry {
             shards: (0..REGISTRY_SHARDS).map(|_| Mutex::default()).collect(),
             shares: Mutex::new(HashMap::new()),
             row_samples: std::sync::atomic::AtomicU32::new(PROB_ROW_SAMPLES),
-            row_tolerance: std::sync::atomic::AtomicU64::new(0),
             index: Mutex::new(SubscriptionIndex::default()),
             sync_rounds: AtomicU64::new(0),
             round_finish: Mutex::new(()),
@@ -1445,38 +1406,6 @@ impl SubscriptionRegistry {
         self.row_samples.store(samples.max(1), Ordering::Relaxed);
     }
 
-    /// The adaptive-refinement tolerance row maintenance runs at
-    /// (default 0 = disabled: every dirty probe column is evaluated at
-    /// full quadrature density).
-    pub fn row_tolerance(&self) -> f64 {
-        f64::from_bits(self.row_tolerance.load(Ordering::Relaxed))
-    }
-
-    /// Sets the adaptive tolerance for row maintenance (non-finite or
-    /// negative values clamp to 0 = disabled). At 0 — the default —
-    /// maintained rows stay bit-identical to a fresh full-density
-    /// evaluation. A positive tolerance lets a maintenance round settle
-    /// a dirty probe column at coarse quadrature density when the
-    /// coarse/check disagreement is within the tolerance **and** the
-    /// estimate sits farther than that error bound from the
-    /// subscription's threshold `p`; only columns straddling the
-    /// threshold pay full density
-    /// ([`SubscriptionStats::columns_refined`] /
-    /// [`SubscriptionStats::columns_coarse_only`] count the split).
-    /// Unlike [`SubscriptionRegistry::set_row_samples`] this applies to
-    /// **existing** subscriptions from their next maintenance round —
-    /// the tolerance shapes per-column evaluation cost, not the row-set
-    /// shape.
-    pub fn set_row_tolerance(&self, tolerance: f64) {
-        let clamped = if tolerance.is_finite() && tolerance > 0.0 {
-            tolerance
-        } else {
-            0.0
-        };
-        self.row_tolerance
-            .store(clamped.to_bits(), Ordering::Relaxed);
-    }
-
     /// The registered name closest to `name` by Levenshtein distance,
     /// when one is near enough (distance ≤ max(2, |name| / 3)) to
     /// plausibly be a typo — the `UNREGISTER` / `sub drop` hint.
@@ -1525,8 +1454,10 @@ impl SubscriptionRegistry {
     /// in which a delta reaches only the pull feed.)
     ///
     /// When a share with the same `ShareKey` already exists — same
-    /// query object, window, ladder kind, policy, sampling, and
-    /// threshold — the registration attaches a subscriber slot to it in
+    /// query object, window, ladder kind, policy, and sampling (row
+    /// statements differing only in their threshold `p` included: `p` is
+    /// applied at render time) — the registration attaches a subscriber
+    /// slot to it in
     /// `O(1)` instead of evaluating anything: thousands of subscriptions
     /// on one query object/window cost one engine and one maintenance
     /// round per commit. A reverse share's `O(N²)` perspective build is
@@ -1572,9 +1503,7 @@ impl SubscriptionRegistry {
             kind,
             policy,
             samples: self.row_samples(),
-            threshold: query.prob_threshold.to_bits(),
         };
-        let tolerance = self.row_tolerance();
         loop {
             // Racy duplicate pre-check (re-checked under the lock
             // below): fail fast before paying an evaluation.
@@ -1591,7 +1520,7 @@ impl SubscriptionRegistry {
                 let snapshot = store.snapshot();
                 let mut core = ShareCore::new(&key);
                 core.last_epoch = snapshot.epoch();
-                Self::evaluate_into(&mut core, store, &snapshot, usize::MAX, tolerance)
+                Self::evaluate_into(&mut core, store, &snapshot, usize::MAX)
                     .map_err(SubscriptionError::Evaluation)?;
                 Some(core)
             };
@@ -1639,15 +1568,8 @@ impl SubscriptionRegistry {
             // pruned-round fold just below), so its ladder movement
             // stays out of the rider-visible stats.
             let saved = core.stats;
-            Self::refresh(&mut core, store, &mut lazy, store.feed_bound(), tolerance);
-            self.publish_guard(
-                share.id,
-                &mut core,
-                store,
-                &mut lazy,
-                store.feed_bound(),
-                tolerance,
-            );
+            Self::refresh(&mut core, store, &mut lazy, store.feed_bound());
+            self.publish_guard(share.id, &mut core, store, &mut lazy, store.feed_bound());
             core.stats = saved;
             let rounds = self.sync_rounds.load(Ordering::Acquire);
             core.stats.skipped_unvisited += rounds.saturating_sub(core.rounds_absorbed);
@@ -1845,7 +1767,6 @@ impl SubscriptionRegistry {
     /// work, no thread spawned.
     pub fn sync(&self, store: &ModStore) {
         let feed_cap = store.feed_bound();
-        let tolerance = self.row_tolerance();
         let now = store.epoch();
         let round_started =
             (telemetry::metrics_on() || telemetry::trace_on()).then(std::time::Instant::now);
@@ -1903,7 +1824,7 @@ impl SubscriptionRegistry {
             core.stats.skipped_unvisited += completed.saturating_sub(core.rounds_absorbed);
             core.rounds_absorbed = core.rounds_absorbed.max(completed);
             if Self::settle(&mut core, store, now, &mut shared) {
-                self.publish_guard(*id, &mut core, store, &mut None, feed_cap, tolerance);
+                self.publish_guard(*id, &mut core, store, &mut None, feed_cap);
                 if let Some(before) = before {
                     Self::record_visit(store, *id, now, &before, &core.stats);
                 }
@@ -1928,14 +1849,14 @@ impl SubscriptionRegistry {
             match shared.get(&core.last_epoch) {
                 Some(delta) if store.epoch() == now => {
                     let delta = delta.as_deref();
-                    Self::climb(&mut core, store, &mut lazy, now, delta, feed_cap, tolerance);
+                    Self::climb(&mut core, store, &mut lazy, now, delta, feed_cap);
                 }
                 // Commits raced past `now`, or a concurrent round moved
                 // the share off every watermark this round fetched,
                 // since the cheap pass let go of the core: start over.
-                _ => Self::refresh(&mut core, store, &mut lazy, feed_cap, tolerance),
+                _ => Self::refresh(&mut core, store, &mut lazy, feed_cap),
             }
-            self.publish_guard(*id, &mut core, store, &mut lazy, feed_cap, tolerance);
+            self.publish_guard(*id, &mut core, store, &mut lazy, feed_cap);
             if let Some(before) = before {
                 Self::record_visit(store, *id, now, before, &core.stats);
             }
@@ -2017,8 +1938,7 @@ impl SubscriptionRegistry {
     }
 
     /// Folds one visited share's stats movement into the telemetry
-    /// registry: per-ladder-rung counters, kernel refinement counters,
-    /// and (when tracing) a visit event naming the share and its ladder
+    /// registry: per-ladder-rung counters and (when tracing) a visit event naming the share and its ladder
     /// decision.
     fn record_visit(
         store: &ModStore,
@@ -2034,13 +1954,6 @@ impl SubscriptionRegistry {
             .add(after.patched.saturating_sub(before.patched));
         t.ladder_rebuilt
             .add(after.rebuilt.saturating_sub(before.rebuilt));
-        t.kernel_columns_refined
-            .add(after.columns_refined.saturating_sub(before.columns_refined));
-        t.kernel_columns_coarse.add(
-            after
-                .columns_coarse_only
-                .saturating_sub(before.columns_coarse_only),
-        );
         if telemetry::trace_on() {
             let detail = if after.rebuilt > before.rebuilt {
                 telemetry::LADDER_REBUILT
@@ -2095,7 +2008,6 @@ impl SubscriptionRegistry {
         store: &ModStore,
         lazy: &mut Option<Arc<QuerySnapshot>>,
         feed_cap: usize,
-        tolerance: f64,
     ) {
         loop {
             let guard = Self::guard_of(core);
@@ -2115,7 +2027,7 @@ impl SubscriptionRegistry {
             // `visited + skipped_unvisited` overshoot the commit
             // count, so the share's stats are restored around it.
             let saved = core.stats;
-            Self::refresh(core, store, lazy, feed_cap, tolerance);
+            Self::refresh(core, store, lazy, feed_cap);
             core.stats = saved;
         }
     }
@@ -2165,13 +2077,12 @@ impl SubscriptionRegistry {
         store: &ModStore,
         lazy: &mut Option<Arc<QuerySnapshot>>,
         feed_cap: usize,
-        tolerance: f64,
     ) {
         let now = store.epoch();
         let mut fetched = SharedOps::new();
         if !Self::settle(sub, store, now, &mut fetched) {
             let delta = fetched.get(&sub.last_epoch).and_then(Option::as_deref);
-            Self::climb(sub, store, lazy, now, delta, feed_cap, tolerance);
+            Self::climb(sub, store, lazy, now, delta, feed_cap);
         }
     }
 
@@ -2186,7 +2097,6 @@ impl SubscriptionRegistry {
         now: u64,
         delta: Option<&LoggedDelta>,
         feed_cap: usize,
-        tolerance: f64,
     ) {
         sub.stats.visited += 1;
         // Both rungs need the consistent snapshot view.
@@ -2197,14 +2107,10 @@ impl SubscriptionRegistry {
                 if snapshot.epoch() == now && !delta.changed.contains(&sub.oid) {
                     if sub.kind != SubKind::ReverseRows {
                         if sub.engine.is_some() {
-                            return Self::patch(
-                                sub, store, &snapshot, now, delta, feed_cap, tolerance,
-                            );
+                            return Self::patch(sub, store, &snapshot, now, delta, feed_cap);
                         }
                     } else if sub.rev.is_some() && snapshot.len() >= 2 {
-                        return Self::patch_reverse(
-                            sub, store, &snapshot, now, delta, feed_cap, tolerance,
-                        );
+                        return Self::patch_reverse(sub, store, &snapshot, now, delta, feed_cap);
                     }
                 }
                 // The query object itself changed, there is no engine to
@@ -2220,7 +2126,7 @@ impl SubscriptionRegistry {
         }
         // The full re-plan: the same pipeline a cold registration runs.
         sub.stats.rebuilt += 1;
-        if let Err(e) = Self::evaluate_into(sub, store, &snapshot, feed_cap, tolerance) {
+        if let Err(e) = Self::evaluate_into(sub, store, &snapshot, feed_cap) {
             sub.park(snapshot.epoch(), e, feed_cap);
         }
     }
@@ -2247,7 +2153,6 @@ impl SubscriptionRegistry {
     /// answer is bit-identical — only the per-candidate difference
     /// construction (and, with a carried envelope, the untouched
     /// intervals / clean probe columns) is skipped.
-    #[allow(clippy::too_many_arguments)]
     fn patch(
         sub: &mut ShareCore,
         store: &ModStore,
@@ -2255,7 +2160,6 @@ impl SubscriptionRegistry {
         now: u64,
         delta: &LoggedDelta,
         feed_cap: usize,
-        tolerance: f64,
     ) {
         let changed = &delta.changed;
         let plan =
@@ -2301,8 +2205,8 @@ impl SubscriptionRegistry {
         }
         let query_tr = query_tr.clone();
         let kernel = match sub.kind {
-            SubKind::ForwardRows => match sub.ensure_model(store, snapshot) {
-                Ok(model) => Some(sub.row_kernel(&model, tolerance)),
+            SubKind::ForwardRows => match sub.row_kernel(store, snapshot) {
+                Ok(kernel) => Some(kernel),
                 Err(e) => {
                     sub.stats.rebuilt += 1;
                     return sub.park(now, e, feed_cap);
@@ -2363,9 +2267,6 @@ impl SubscriptionRegistry {
         sub.stats.patched += 1;
         sub.stats.functions_reused += reused;
         sub.stats.functions_built += built;
-        if let Some(kernel) = &kernel {
-            sub.absorb_kernel_counters(kernel);
-        }
         sub.engine = Some(engine);
         sub.query_tr = Some(query_tr);
         sub.proof = None;
@@ -2385,7 +2286,6 @@ impl SubscriptionRegistry {
         now: u64,
         delta: &LoggedDelta,
         feed_cap: usize,
-        tolerance: f64,
     ) {
         let (ops, changed) = (delta.ops.iter().collect::<Vec<_>>(), &delta.changed);
         let old = Arc::clone(sub.rev.as_ref().expect("patch requires a carried engine"));
@@ -2400,8 +2300,8 @@ impl SubscriptionRegistry {
                 );
             }
         };
-        let kernel = match sub.ensure_model(store, snapshot) {
-            Ok(model) => sub.row_kernel(&model, tolerance),
+        let kernel = match sub.row_kernel(store, snapshot) {
+            Ok(kernel) => kernel,
             Err(e) => {
                 sub.stats.rebuilt += 1;
                 return sub.park(now, e, feed_cap);
@@ -2451,7 +2351,6 @@ impl SubscriptionRegistry {
         sub.stats.patched += 1;
         sub.stats.perspectives_skipped += carried.len() as u64;
         sub.stats.rows_patched += recomputed as u64;
-        sub.absorb_kernel_counters(&kernel);
         sub.rev = Some(Arc::new(rev));
         sub.commit_answer(SubAnswer::Rows(rows), now, feed_cap);
     }
@@ -2464,7 +2363,6 @@ impl SubscriptionRegistry {
         store: &ModStore,
         snapshot: &Arc<QuerySnapshot>,
         feed_cap: usize,
-        tolerance: f64,
     ) -> Result<(), String> {
         let epoch = snapshot.epoch();
         match sub.kind {
@@ -2478,15 +2376,13 @@ impl SubscriptionRegistry {
                 sub.commit_answer(SubAnswer::Intervals(answer), epoch, feed_cap);
             }
             SubKind::ForwardRows => {
-                let model = sub.ensure_model(store, snapshot)?;
-                let kernel = sub.row_kernel(&model, tolerance);
+                let kernel = sub.row_kernel(store, snapshot)?;
                 let plan: QueryPlan = QueryPlanner::new(sub.policy)
                     .plan(Arc::clone(snapshot), sub.oid, sub.window)
                     .map_err(|e| e.to_string())?;
                 let query_tr = plan.query_trajectory().clone();
                 let engine = Arc::new(plan.build_engine().map_err(|e| e.to_string())?);
                 let rows = engine.prob_row_set_kernel(&kernel, sub.samples);
-                sub.absorb_kernel_counters(&kernel);
                 sub.engine = Some(engine);
                 sub.rev = None;
                 sub.query_tr = Some(query_tr);
@@ -2494,8 +2390,7 @@ impl SubscriptionRegistry {
                 sub.commit_answer(SubAnswer::Rows(rows), epoch, feed_cap);
             }
             SubKind::ReverseRows => {
-                let model = sub.ensure_model(store, snapshot)?;
-                let kernel = sub.row_kernel(&model, tolerance);
+                let kernel = sub.row_kernel(store, snapshot)?;
                 // The exhaustive plan validates the snapshot, window,
                 // query object, and shared radius; the reverse build
                 // needs the full population regardless of policy.
@@ -2505,7 +2400,6 @@ impl SubscriptionRegistry {
                 let query_tr = plan.query_trajectory().clone();
                 let rev = Arc::new(plan.build_reverse_engine().map_err(|e| e.to_string())?);
                 let rows = rev.prob_row_set_kernel(&kernel, sub.samples);
-                sub.absorb_kernel_counters(&kernel);
                 sub.engine = None;
                 sub.rev = Some(rev);
                 sub.query_tr = Some(query_tr);
@@ -2701,11 +2595,6 @@ pub fn render_row_output(query: &Query, rows: &ProbRowSet) -> QueryOutput {
     let p = query.prob_threshold;
     let samples = rows.samples();
     let full = 1.0 - 0.5 / samples as f64;
-    let window = rows.window();
-    let column_of = |t: f64| -> u32 {
-        let frac = ((t - window.start()) / window.len()).clamp(0.0, 1.0);
-        ((frac * samples as f64) as u32).min(samples - 1)
-    };
     let decide = |frac: f64, at_hit: bool| match &query.quantifier {
         Quantifier::Exists => frac > 0.0,
         Quantifier::Forall => frac >= full,
@@ -2715,7 +2604,7 @@ pub fn render_row_output(query: &Query, rows: &ProbRowSet) -> QueryOutput {
     let at_hit_of = |oid: Oid| match &query.quantifier {
         Quantifier::At(t) => rows
             .row_of(oid)
-            .and_then(|r| r.at(column_of(*t)))
+            .and_then(|r| r.at(probe_column(rows.window(), samples, *t)))
             .map(|prob| prob > p)
             .unwrap_or(false),
         _ => false,
@@ -2797,16 +2686,16 @@ mod tests {
     fn fresh_rows(store: &ModStore, query: Oid, reverse: bool) -> ProbRowSet {
         let snapshot = store.snapshot();
         let kind = common_pdf_kind(&snapshot).unwrap().unwrap();
-        let pdf = kind.convolve_with(&kind);
+        let kernel = ColumnKernel::new(kind.convolve_with(&kind).as_ref());
         let plan = QueryPlanner::new(PrefilterPolicy::Exhaustive)
             .plan(snapshot, query, TimeInterval::new(0.0, 10.0))
             .unwrap();
         if reverse {
             let engine = plan.build_reverse_engine().unwrap();
-            engine.prob_row_set(pdf.as_ref(), PROB_ROW_SAMPLES)
+            engine.prob_row_set_kernel(&kernel, PROB_ROW_SAMPLES)
         } else {
             let engine = plan.build_engine().unwrap();
-            engine.prob_row_set(pdf.as_ref(), PROB_ROW_SAMPLES)
+            engine.prob_row_set_kernel(&kernel, PROB_ROW_SAMPLES)
         }
     }
 
@@ -3283,6 +3172,56 @@ mod tests {
         assert_eq!(interval_answer(&reg, "c"), reference);
         assert!(reg.unregister("c"));
         assert_eq!(reg.share_count(), 1);
+    }
+
+    #[test]
+    fn registrations_differing_only_in_threshold_share_one_engine() {
+        let store = populated_store();
+        let reg = Arc::new(SubscriptionRegistry::new());
+        store.attach_subscriptions(&reg);
+        let stmt = |pred: &str, p: f64| {
+            parse(&format!(
+                "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 10] AND {pred}(*, Tr0, TIME) > {p}"
+            ))
+            .unwrap()
+        };
+        let names = [
+            ("nn3", "PROB_NN", 0.3),
+            ("nn6", "PROB_NN", 0.6),
+            ("rnn3", "PROB_RNN", 0.3),
+            ("rnn6", "PROB_RNN", 0.6),
+        ];
+        for (i, (name, pred, p)) in names.iter().enumerate() {
+            reg.register(&store, name, stmt(pred, *p), PrefilterPolicy::default())
+                .unwrap();
+            assert_eq!(reg.share_count(), i / 2 + 1, "one share per predicate");
+        }
+        // Each name renders the shared rows under its own threshold.
+        let fresh_output = |pred: &str, p: f64| {
+            let fresh = fresh_rows(&store, Oid(0), pred == "PROB_RNN");
+            render_row_output(&stmt(pred, p), &fresh)
+        };
+        for (name, pred, p) in &names {
+            assert_eq!(reg.output(name).unwrap(), fresh_output(pred, *p), "{name}");
+        }
+        let bases: Vec<ProbRowSet> = names.iter().map(|n| row_answer(&reg, n.0)).collect();
+        // A near newcomer contests Tr1: the two thresholds now cut the
+        // same rows differently, and each feed folds to its own answer.
+        store.insert(tr(60, 0.8)).unwrap();
+        assert_ne!(reg.output("nn3"), reg.output("nn6"));
+        for ((name, pred, p), base) in names.iter().zip(bases) {
+            assert_eq!(reg.output(name).unwrap(), fresh_output(pred, *p), "{name}");
+            let folded = reg
+                .drain(name)
+                .unwrap()
+                .iter()
+                .fold(base, |acc, d| acc.apply(d.as_rows().unwrap()));
+            assert_eq!(
+                render_row_output(&stmt(pred, *p), &folded),
+                fresh_output(pred, *p),
+                "{name}"
+            );
+        }
     }
 
     #[test]

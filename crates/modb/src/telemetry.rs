@@ -7,8 +7,8 @@
 //!    instrumented at every hot boundary of the seven-stage pipeline —
 //!    commit latency, snapshot patch-vs-rebuild time, WAL append and
 //!    fsync time, maintenance-round duration, per-ladder-rung counts,
-//!    kernel columns refined vs coarse, frame encode time, outbox
-//!    push-to-drain lag, and follower replication lag. The pre-existing
+//!    frame encode time, outbox push-to-drain lag, and follower
+//!    replication lag. The pre-existing
 //!    stats structs ([`crate::cache::CacheStats`],
 //!    [`crate::store::DeltaStats`], [`crate::durability::WalStatus`],
 //!    [`crate::subscription::SubscriptionStats`]) are re-expressed as
@@ -468,10 +468,6 @@ pub struct Telemetry {
     pub ladder_rebuilt: Counter,
     /// Ladder rung: rounds absorbed without visiting (spatial index).
     pub ladder_unvisited: Counter,
-    /// Kernel probability columns refined at full quadrature density.
-    pub kernel_columns_refined: Counter,
-    /// Kernel probability columns resolved at coarse density.
-    pub kernel_columns_coarse: Counter,
     /// Pushed frames encoded (encode-once, fan-out shared).
     pub frames_encoded: Counter,
     /// Commits replicated to the follower hub.
@@ -533,8 +529,6 @@ impl Telemetry {
             ("ladder_patched_total", &self.ladder_patched),
             ("ladder_rebuilt_total", &self.ladder_rebuilt),
             ("ladder_unvisited_total", &self.ladder_unvisited),
-            ("kernel_columns_refined_total", &self.kernel_columns_refined),
-            ("kernel_columns_coarse_total", &self.kernel_columns_coarse),
             ("frames_encoded_total", &self.frames_encoded),
             ("repl_frames_total", &self.repl_frames),
             ("repl_bytes_total", &self.repl_bytes),

@@ -92,9 +92,9 @@ fn main() {
             radius,
             sigma: radius / 3.0,
         };
-        let diff = kind.convolve_with(&kind);
+        let kernel = ColumnKernel::new(kind.convolve_with(&kind).as_ref());
         let p_gauss =
-            uncertain_nn::core::threshold::probability_at_with(&engine, diff.as_ref(), leader, t)
+            uncertain_nn::core::threshold::probability_at_kernel(&engine, &kernel, leader, t)
                 .unwrap_or(0.0);
         println!(
             "\nleader at t = {t}: {leader} — P^NN {p_uni:.3} (uniform) vs \

@@ -56,7 +56,6 @@
 //! store delta-capacity <n>    cap the delta log (forces rebuilds past it)
 //! store feed-bound <n>        cap per-subscription change feeds (squash past it)
 //! store row-samples <n>       probe density of future row subscriptions
-//! store row-tolerance <f>     adaptive refinement tolerance (0 = full density)
 //! store maintenance-batch <n> coalesce n commits per maintenance round
 //! store metrics [p] [--watch <s> [n]]  telemetry registry (Prometheus text)
 //! store telemetry <metrics|trace> <on|off>  flip the telemetry switches
@@ -113,7 +112,6 @@ commands:
   store delta-capacity <n>    cap the delta log (forces rebuilds past it)
   store feed-bound <n>        cap per-subscription change feeds (squash past it)
   store row-samples <n>       probe density of future row subscriptions
-  store row-tolerance <f>     adaptive refinement tolerance (0 = full density)
   store maintenance-batch <n> coalesce n commits per maintenance round
   store wal-open <dir> [fsync] recover from a WAL dir and journal into it
   store wal-status            write-ahead log segment/fsync/checkpoint counters
@@ -457,24 +455,6 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     );
                     Ok(())
                 }
-                "row-tolerance" => {
-                    let f: f64 = parse(parts.next().ok_or("usage: store row-tolerance <f>")?)?;
-                    let registry = server.subscription_registry();
-                    registry.set_row_tolerance(f);
-                    let tol = registry.row_tolerance();
-                    if tol > 0.0 {
-                        println!(
-                            "row maintenance refines adaptively at tolerance {tol} \
-                             (columns near the threshold get full density)"
-                        );
-                    } else {
-                        println!(
-                            "adaptive refinement disabled: every dirty probe column \
-                             runs full quadrature density"
-                        );
-                    }
-                    Ok(())
-                }
                 "maintenance-batch" => {
                     let n: usize =
                         parse(parts.next().ok_or("usage: store maintenance-batch <n>")?)?;
@@ -700,11 +680,10 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     let subs = server.subscriptions();
                     let registry = server.subscription_registry();
                     println!(
-                        "{} subscriptions on {} shared engines (row samples {}, row tolerance {})",
+                        "{} subscriptions on {} shared engines (row samples {})",
                         subs.len(),
                         registry.share_count(),
-                        registry.row_samples(),
-                        registry.row_tolerance()
+                        registry.row_samples()
                     );
                     for info in &subs {
                         print_subscription(info);
@@ -736,16 +715,13 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                         );
                         println!(
                             "  {} ops skipped, {} envelopes carried, {} fns reused / {} built, \
-                             {} rows patched, {} perspectives skipped, \
-                             {} columns refined / {} coarse-only",
+                             {} rows patched, {} perspectives skipped",
                             s.skipped_ops,
                             s.envelopes_carried,
                             s.functions_reused,
                             s.functions_built,
                             s.rows_patched,
-                            s.perspectives_skipped,
-                            s.columns_refined,
-                            s.columns_coarse_only
+                            s.perspectives_skipped
                         );
                     }
                     Ok(())
@@ -1383,8 +1359,7 @@ fn print_subscription(info: &SubscriptionInfo) {
     println!(
         "subscription '{}' @epoch {}: {} qualifying, {} pending deltas \
          ({} unvisited / {} skipped / {} patched / {} rebuilt, {} commits batched, \
-         {} rows patched / {} perspectives skipped, \
-         {} columns refined / {} coarse-only){}",
+         {} rows patched / {} perspectives skipped){}",
         info.name,
         info.last_epoch,
         info.entries,
@@ -1396,8 +1371,6 @@ fn print_subscription(info: &SubscriptionInfo) {
         info.stats.batched_commits,
         info.stats.rows_patched,
         info.stats.perspectives_skipped,
-        info.stats.columns_refined,
-        info.stats.columns_coarse_only,
         match &info.error {
             Some(e) => format!(" [error: {e}]"),
             None => String::new(),

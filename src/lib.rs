@@ -133,7 +133,7 @@
 //! registry: atomic counters, gauges, and log₂-bucketed latency
 //! histograms recorded at the hot boundaries (commit, WAL append/fsync,
 //! snapshot patch vs rebuild, maintenance rounds and their ladder
-//! decisions, kernel column refinement, frame encode, outbox drain lag,
+//! decisions, row-kernel patches, frame encode, outbox drain lag,
 //! follower replication lag). `SHOW METRICS [PREFIX p]` exposes the
 //! merged snapshot through the query language and the wire protocol,
 //! `unn-cli store metrics [--watch]` renders it as Prometheus-style
@@ -196,7 +196,7 @@ pub mod prelude {
     pub use unn_core::topk::{continuous_knn, probabilistic_topk_at, KnnAnswer};
     pub use unn_core::{
         build_ipac_tree, inside_band_intervals, lower_envelope, lower_envelope_naive,
-        prune_by_band, threshold_nn_query,
+        prune_by_band, threshold_nn_sweep_kernel, ColumnKernel,
     };
     pub use unn_geom::interval::{IntervalSet, TimeInterval};
     pub use unn_geom::point::{Point2, Vec2};

@@ -64,18 +64,18 @@ fn fresh_rows(server: &ModServer, query: Oid, reverse: bool) -> ProbRowSet {
     let kind = common_pdf_kind(&snapshot)
         .expect("shared pdf")
         .expect("populated");
-    let pdf = kind.convolve_with(&kind);
+    let kernel = ColumnKernel::new(kind.convolve_with(&kind).as_ref());
     let plan = QueryPlanner::new(PrefilterPolicy::Exhaustive)
         .plan(snapshot, query, TimeInterval::new(WINDOW.0, WINDOW.1))
         .expect("plans");
     if reverse {
         plan.build_reverse_engine()
             .expect("builds")
-            .prob_row_set(pdf.as_ref(), samples)
+            .prob_row_set_kernel(&kernel, samples)
     } else {
         plan.build_engine()
             .expect("builds")
-            .prob_row_set(pdf.as_ref(), samples)
+            .prob_row_set_kernel(&kernel, samples)
     }
 }
 

@@ -74,9 +74,9 @@ fn cold_answer(server: &ModServer, query: Oid, rows: bool) -> SubAnswer {
         .build_engine()
         .expect("builds");
     if rows {
-        let pdf = kind.convolve_with(&kind);
+        let kernel = ColumnKernel::new(kind.convolve_with(&kind).as_ref());
         let samples = server.subscription_registry().row_samples();
-        SubAnswer::Rows(engine.prob_row_set(pdf.as_ref(), samples))
+        SubAnswer::Rows(engine.prob_row_set_kernel(&kernel, samples))
     } else {
         SubAnswer::Intervals(engine.answer_set())
     }

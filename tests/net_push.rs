@@ -68,18 +68,18 @@ fn fresh_rows(server: &ModServer, reverse: bool) -> ProbRowSet {
     let kind = common_pdf_kind(&snapshot)
         .expect("shared pdf")
         .expect("populated");
-    let pdf = kind.convolve_with(&kind);
+    let kernel = ColumnKernel::new(kind.convolve_with(&kind).as_ref());
     let plan = QueryPlanner::new(PrefilterPolicy::Exhaustive)
         .plan(snapshot, Oid(0), TimeInterval::new(WINDOW.0, WINDOW.1))
         .expect("plans");
     if reverse {
         plan.build_reverse_engine()
             .expect("builds")
-            .prob_row_set(pdf.as_ref(), ROW_TEST_SAMPLES)
+            .prob_row_set_kernel(&kernel, ROW_TEST_SAMPLES)
     } else {
         plan.build_engine()
             .expect("builds")
-            .prob_row_set(pdf.as_ref(), ROW_TEST_SAMPLES)
+            .prob_row_set_kernel(&kernel, ROW_TEST_SAMPLES)
     }
 }
 

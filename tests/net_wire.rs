@@ -93,8 +93,6 @@ fn arb_stats() -> impl Strategy<Value = SubscriptionStats> {
         functions_built: c ^ d,
         rows_patched: a + c,
         perspectives_skipped: b ^ d,
-        columns_refined: a + d,
-        columns_coarse_only: b + c,
         visited: a + b + c,
         skipped_unvisited: d + a,
         batched_commits: c + b,
@@ -526,6 +524,11 @@ fn wire_spec_constants_match_docs() {
     };
     let spec = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/WIRE.md"))
         .expect("docs/WIRE.md exists");
+    assert_eq!(
+        WIRE_VERSION, 6,
+        "a deliberate bump edits this literal, wire.rs::version_constants_are_sane \
+         and the docs/WIRE.md constants row together"
+    );
     let expected: &[(&str, u64)] = &[
         ("WIRE_MAGIC", WIRE_MAGIC as u64),
         ("WIRE_VERSION", WIRE_VERSION as u64),
@@ -559,4 +562,49 @@ fn wire_spec_constants_match_docs() {
             "docs/WIRE.md documents {name} = {documented}, code says {value}"
         );
     }
+}
+
+/// The `info` stats block is twelve `u64le` counters in the order
+/// `docs/WIRE.md` lists them — the tail of a `Registered` response.
+/// Every field is spelled out, so growing or shrinking
+/// `SubscriptionStats` without revisiting the wire format fails here.
+#[test]
+fn info_stats_block_is_twelve_counters() {
+    let stats = SubscriptionStats {
+        skipped: 1,
+        skipped_ops: 2,
+        patched: 3,
+        rebuilt: 4,
+        envelopes_carried: 5,
+        functions_reused: 6,
+        functions_built: 7,
+        rows_patched: 8,
+        perspectives_skipped: 9,
+        visited: 10,
+        skipped_unvisited: 11,
+        batched_commits: 12,
+    };
+    let payload = encode_payload(&Frame::Response {
+        id: 1,
+        result: Ok(WireOutput::Registered(SubscriptionInfo {
+            name: "n".to_string(),
+            statement: "s".to_string(),
+            last_epoch: 0,
+            entries: 0,
+            pending_deltas: 0,
+            error: None,
+            stats,
+        })),
+    });
+    // RESPONSE tag, id, ok flag, output tag, two 1-byte strings, three
+    // u64 fields, the error presence byte.
+    let fixed = 1 + 8 + 1 + 1 + (4 + 1) + (4 + 1) + 3 * 8 + 1;
+    let words: Vec<u64> = payload[fixed..]
+        .chunks(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("whole words")))
+        .collect();
+    assert_eq!(words, (1..=12).collect::<Vec<u64>>());
+    let spec = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/WIRE.md"))
+        .expect("docs/WIRE.md exists");
+    assert!(spec.contains("(twelve u64le values)"));
 }
