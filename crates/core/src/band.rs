@@ -349,7 +349,7 @@ pub fn prune_by_band_heterogeneous(
 /// the object has non-zero probability of being the nearest neighbor.
 ///
 /// Cells wholly outside or wholly inside the band are settled from ranges
-/// ([`classify_cell`]); in the rest, crossing instants are found exactly
+/// (`classify_cell`); in the rest, crossing instants are found exactly
 /// (quartic root isolation via
 /// [`unn_geom::hyperbola::Hyperbola::crossings_shifted`]) and each slice
 /// between crossings is classified by a midpoint probe.

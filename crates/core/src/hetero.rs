@@ -204,7 +204,7 @@ impl HeteroEngine {
     /// the NN: `{ t : d_i(t) − s_i ≤ min_{j≠i} (d_j(t) + s_j) }`.
     ///
     /// Each (candidate piece × threshold piece) cell goes through
-    /// [`crate::band::slices_below`]: settled from distance ranges where
+    /// `crate::band::slices_below`: settled from distance ranges where
     /// they suffice, otherwise cut at the exact crossings of
     /// [`unn_geom::hyperbola::Hyperbola::crossings_shifted`] with slices
     /// classified at their midpoints.

@@ -13,20 +13,25 @@
 //! 2. **Evaluate** — [`ColumnKernel::evaluate`] runs the profiled Eq. 5
 //!    evaluator ([`unn_prob::profile`]) over each column slice,
 //!    structure-of-arrays, sharing one scratch allocation across the whole
-//!    batch and one [`ProfiledPdf`] across every candidate.
+//!    batch and one [`ProfiledPdf`] across every candidate. Per active
+//!    (candidate, outer node) pair that is **one** fused `(P^WD, pdf^WD)`
+//!    evaluation — 32 shared arc nodes, one radical each — at the fixed
+//!    32-point outer order of `unn_prob::nn_prob::NnConfig::default()`;
+//!    there is no density knob.
 //! 3. **Scatter** — callers zip the flat result back into
 //!    [`crate::probrows::ProbRowSet`] columns (or pick the single owner
 //!    they care about).
+//!
+//! The evaluator is a pure function of `(profile, distances)` built from
+//! correctly-rounded IEEE operations in a source-fixed order (see
+//! [`unn_prob::profile`]'s determinism section), so a column's bits do not
+//! depend on which consumer, batch, process or CPU evaluated it.
 
 use std::sync::Arc;
 use unn_prob::pdf::RadialPdf;
 use unn_prob::profile::{nn_probabilities_profiled, NnScratch, ProfiledPdf};
 use unn_traj::distance::DistanceFunction;
 use unn_traj::trajectory::Oid;
-
-/// Gauss–Legendre points per segment at full density — matches
-/// `unn_prob::nn_prob::NnConfig::default()`.
-pub const FULL_POINTS_PER_SEGMENT: usize = 32;
 
 /// A batch of probe columns gathered into flat arrays.
 ///
@@ -68,21 +73,6 @@ impl ColumnBatch {
         true
     }
 
-    /// Number of gathered columns.
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// `true` when no column has been gathered.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
-    /// Total number of `(probe, candidate)` work items in the batch.
-    pub fn items(&self) -> usize {
-        self.ids.len()
-    }
-
     /// Iterates the batch's columns zipped with an evaluation result:
     /// `(sample index, owners, probabilities)` per column.
     pub fn columns<'a>(
@@ -97,8 +87,7 @@ impl ColumnBatch {
     }
 }
 
-/// The shared column evaluator: one profiled difference pdf, evaluated at
-/// full density ([`FULL_POINTS_PER_SEGMENT`]).
+/// The shared column evaluator: one profiled difference pdf.
 ///
 /// Cheap to build from an already-profiled pdf
 /// ([`ColumnKernel::from_profile`]); [`ColumnKernel::new`] profiles on the
@@ -133,13 +122,7 @@ impl ColumnKernel {
         let mut out = Vec::new();
         for &(_, start, len) in &batch.cols {
             let (s, e) = (start as usize, (start + len) as usize);
-            nn_probabilities_profiled(
-                &self.profile,
-                &batch.dists[s..e],
-                FULL_POINTS_PER_SEGMENT,
-                &mut scratch,
-                &mut out,
-            );
+            nn_probabilities_profiled(&self.profile, &batch.dists[s..e], &mut scratch, &mut out);
             probs[s..e].copy_from_slice(&out);
         }
         probs

@@ -10,11 +10,10 @@
 //! P)` pairs at the probe instants where the object's difference
 //! function was inside the `4r` band — exactly the instants whose joint
 //! Eq. 5 evaluation included that function. The sparse index set **is**
-//! the row's provenance: the owners holding a point at column `k`
-//! ([`ProbRowSet::column_owners`]) are precisely the difference
-//! functions that produced every `P` value of that column, so a delta
-//! consumer can tell which columns a touched function can have
-//! influenced without re-deriving anything.
+//! the row's provenance: the owners holding a point at column `k` are
+//! precisely the difference functions that produced every `P` value of
+//! that column, so a delta consumer can tell which columns a touched
+//! function can have influenced without re-deriving anything.
 //!
 //! [`ProbRowDelta`] is the exact diff of two row sets — the
 //! [`crate::keyed`] algebra instantiated for rows, as
@@ -198,17 +197,6 @@ impl ProbRowSet {
             .map(|i| &self.rows[i])
     }
 
-    /// The provenance of column `k`: the owners whose difference
-    /// functions were in-band at that probe — the exact inputs of every
-    /// `P` value in the column.
-    pub fn column_owners(&self, k: u32) -> Vec<Oid> {
-        self.rows
-            .iter()
-            .filter(|r| r.at(k).is_some())
-            .map(|r| r.oid)
-            .collect()
-    }
-
     /// Fraction of the probes where `oid`'s probability exceeds `p`
     /// (zero for absent objects).
     pub fn fraction_above(&self, oid: Oid, p: f64) -> f64 {
@@ -380,10 +368,6 @@ mod tests {
         assert_eq!(s.fraction_above(Oid(5), 0.7), 1.0 / 8.0);
         assert_eq!(s.fraction_above(Oid(9), 0.0), 0.0);
         assert!((s.mean_probability(Oid(5)) - 0.7).abs() < 1e-12);
-        // Column provenance.
-        assert_eq!(s.column_owners(0), vec![Oid(5)]);
-        assert_eq!(s.column_owners(1), vec![Oid(2)]);
-        assert!(s.column_owners(7).is_empty());
     }
 
     // The diff/apply/then laws are checked once, generically, in

@@ -88,15 +88,24 @@ pub fn probability_at_kernel(
     oid: Oid,
     t: f64,
 ) -> Option<f64> {
+    column_at(engine, kernel, t)?
+        .into_iter()
+        .find(|(owner, _)| *owner == oid)
+        .map(|(_, p)| p)
+}
+
+/// The canonical probe column at `t`: `(owner, P^NN)` of every in-band
+/// function, in the functions' order (`None` outside the window).
+pub(crate) fn column_at(
+    engine: &QueryEngine,
+    kernel: &ColumnKernel,
+    t: f64,
+) -> Option<Vec<(Oid, f64)>> {
     if !engine.window().contains(t) {
         return None;
     }
     let le = engine.envelope().eval(t)?;
-    kernel
-        .column(engine.functions(), le, t)
-        .into_iter()
-        .find(|(owner, _)| *owner == oid)
-        .map(|(_, p)| p)
+    Some(kernel.column(engine.functions(), le, t))
 }
 
 #[cfg(test)]

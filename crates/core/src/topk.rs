@@ -21,7 +21,7 @@
 use crate::algorithms::lower_envelope;
 use crate::kernel::ColumnKernel;
 use crate::query::QueryEngine;
-use crate::threshold::probability_at_kernel;
+use crate::threshold::column_at;
 use unn_geom::interval::{IntervalSet, TimeInterval};
 use unn_prob::uniform_diff::UniformDifferencePdf;
 use unn_traj::distance::DistanceFunction;
@@ -218,19 +218,24 @@ fn peel(
 /// uncertain semantics (descending `P^NN`, zero-probability objects
 /// omitted, hence possibly fewer than `k`).
 pub fn probabilistic_topk_at(engine: &QueryEngine, t: f64, k: usize) -> Vec<(Oid, f64)> {
-    let kernel = ColumnKernel::new(&UniformDifferencePdf::new(engine.radius()));
-    let mut scored: Vec<(Oid, f64)> = engine
-        .functions()
-        .iter()
-        .filter_map(|f| {
-            let p = probability_at_kernel(engine, &kernel, f.owner(), t)?;
-            if p > 0.0 {
-                Some((f.owner(), p))
-            } else {
-                None
-            }
-        })
-        .collect();
+    topk_of_column(engine, &uniform_kernel(engine), t, k)
+}
+
+/// The paper's running uniform model for `engine`'s radius.
+fn uniform_kernel(engine: &QueryEngine) -> ColumnKernel {
+    ColumnKernel::new(&UniformDifferencePdf::new(engine.radius()))
+}
+
+/// Ranks the one canonical probe column at `t` — the column
+/// [`crate::threshold::probability_at_kernel`] reads a single owner from.
+fn topk_of_column(
+    engine: &QueryEngine,
+    kernel: &ColumnKernel,
+    t: f64,
+    k: usize,
+) -> Vec<(Oid, f64)> {
+    let mut scored = column_at(engine, kernel, t).unwrap_or_default();
+    scored.retain(|(_, p)| *p > 0.0);
     scored.sort_by(|a, b| b.1.total_cmp(&a.1));
     scored.truncate(k);
     scored
@@ -248,6 +253,7 @@ pub fn semantics_agreement(
 ) -> f64 {
     assert!(samples > 0, "need at least one probe");
     let window = engine.window();
+    let kernel = uniform_kernel(engine);
     let mut agree = 0usize;
     let mut probes = 0usize;
     for p in 0..samples {
@@ -255,7 +261,7 @@ pub fn semantics_agreement(
         let Some(crisp_list) = crisp.knn_at(t) else {
             continue;
         };
-        let prob_list = probabilistic_topk_at(engine, t, k);
+        let prob_list = topk_of_column(engine, &kernel, t, k);
         if crisp_list.is_empty() || prob_list.is_empty() {
             continue;
         }
@@ -278,6 +284,7 @@ pub fn semantics_agreement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::threshold::probability_at_kernel;
     use unn_geom::hyperbola::Hyperbola;
     use unn_geom::point::Vec2;
 
@@ -389,6 +396,35 @@ mod tests {
             }
             for (_, p) in &top {
                 assert!((0.0..=1.0 + 1e-9).contains(p));
+            }
+        }
+    }
+
+    #[test]
+    fn topk_of_one_column_equals_the_per_candidate_loop() {
+        // The oracle evaluates the whole column once per candidate and
+        // picks that candidate's value out of it.
+        let w = TimeInterval::new(0.0, 10.0);
+        let engine = QueryEngine::new(Oid(0), fleet(w), 0.5);
+        let kernel = uniform_kernel(&engine);
+        for t in [0.5, 1.0, 3.3, 5.0, 7.5, 9.0, 10.0, 11.0] {
+            let mut oracle: Vec<(Oid, f64)> = engine
+                .functions()
+                .iter()
+                .filter_map(|f| {
+                    let p = probability_at_kernel(&engine, &kernel, f.owner(), t)?;
+                    (p > 0.0).then_some((f.owner(), p))
+                })
+                .collect();
+            oracle.sort_by(|a, b| b.1.total_cmp(&a.1));
+            for k in [1, 2, 4] {
+                let got = probabilistic_topk_at(&engine, t, k);
+                let want = &oracle[..k.min(oracle.len())];
+                assert_eq!(got.len(), want.len(), "t={t} k={k}");
+                for ((o, p), (wo, wp)) in got.iter().zip(want) {
+                    assert_eq!(o, wo, "t={t} k={k}");
+                    assert_eq!(p.to_bits(), wp.to_bits(), "t={t} k={k}");
+                }
             }
         }
     }

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
-use unn_prob::pdf::{PdfKind, RadialPdf};
+use unn_prob::pdf::PdfKind;
 use unn_prob::profile::ProfiledPdf;
 use unn_traj::trajectory::Oid;
 use unn_traj::uncertain::UncertainTrajectory;
@@ -102,19 +102,17 @@ struct JournalSinks {
     hubs: Vec<Weak<ReplicationHub>>,
 }
 
-/// A convolved **difference** pdf together with its profiled evaluation
-/// tables — the shared unit every probability consumer works from.
+/// The profiled evaluation tables of a convolved **difference** pdf
+/// (`kind ∗ kind`, §3.1) — the shared unit every probability consumer
+/// works from.
 ///
 /// Handed out by [`ModStore::difference_model`]: one-shot threshold
 /// sweeps, forward row subscriptions, and every RNN perspective engine
-/// evaluating under the same location-pdf kind reuse the same convolution
-/// and the same [`ProfiledPdf`] tables (profiling is deterministic, so
-/// shared tables also guarantee bit-identical probabilities across
-/// consumers).
+/// evaluating under the same location-pdf kind reuse the same
+/// [`ProfiledPdf`] tables (profiling is deterministic, so shared tables
+/// also guarantee bit-identical probabilities across consumers).
 #[derive(Debug, Clone)]
 pub struct DifferenceModel {
-    /// The convolved difference pdf (`kind ∗ kind`, §3.1).
-    pub pdf: Arc<dyn RadialPdf>,
     /// The profiled kernel tables for batched column evaluation.
     pub profile: Arc<ProfiledPdf>,
 }
@@ -235,9 +233,8 @@ impl ModStore {
         // milliseconds and must not block concurrent consumers of other
         // kinds. Determinism makes a racing double-build harmless (both
         // produce bit-identical tables).
-        let pdf: Arc<dyn RadialPdf> = Arc::from(kind.convolve_with(kind));
-        let profile = Arc::new(ProfiledPdf::of(pdf.as_ref()));
-        let model = DifferenceModel { pdf, profile };
+        let profile = Arc::new(ProfiledPdf::of(kind.convolve_with(kind).as_ref()));
+        let model = DifferenceModel { profile };
         self.pdf_cache
             .lock()
             .unwrap()

@@ -1,4 +1,4 @@
-//! Profiled pdfs: dispatch-free `P^WD` / `pdf^WD` evaluation kernels.
+//! Profiled pdfs: one dispatch-free evaluator for `P^WD` **and** `pdf^WD`.
 //!
 //! The generic [`crate::within_distance`] evaluators take a `&dyn RadialPdf`
 //! and integrate the density with adaptive Simpson (tolerance `1e-11`) —
@@ -11,79 +11,140 @@
 //! [`ProfiledPdf`] profiles a pdf **once** — classifying uniform disks and
 //! tabulating everything else on a dense radial grid (the same idiom as the
 //! precomputed CDF inside [`crate::uniform_diff::UniformDifferencePdf`]) —
-//! and then answers `P^WD(d, R)` and `pdf^WD(d, R)` with fixed-order
-//! Gauss–Legendre sums over table lookups: no virtual dispatch, no
+//! and then answers `(P^WD(d, R), pdf^WD(d, R))` with one fixed-order
+//! Gauss–Legendre pass over table lookups: no virtual dispatch, no
 //! adaptive recursion, no per-call trigonometry beyond a single `acos` in
 //! one boundary configuration.
 //!
-//! Two analytic rewrites make the fixed-order rules accurate:
+//! Two analytic rewrites make the fixed-order rule accurate:
 //!
 //! * `P^WD` (Eq. 3) splits into a full-circle part — a CDF lookup — and a
 //!   partial-arc part `∫ f(s)·s·θ(s) ds` that is integrated **by parts**
 //!   so the arc angle `θ = 2·acos(·)` never appears inside the loop:
 //!   `∫ f s θ = θ(hi)·G(hi) + ∫ 2c′(s)/√(1−c²(s)) · G(s) ds` with
-//!   `G(s) = (M(s) − M(lo)) / 2π` a CDF lookup.
+//!   `G(s) = (M(s) − M(lo)) / 2π` a CDF lookup,
+//!   `c(s) = (d² + s² − R²)/(2ds)`, `c′(s) = (s² − d² + R²)/(2ds²)`.
 //! * `pdf^WD` (Eq. 4's density) changes variables from the angle `φ` to the
-//!   radial offset `s`: `pdf^WD(R) = (2/d)·∫ f(s)·s/√(1−q²(s)) ds`.
+//!   radial offset `s`: `pdf^WD(R) = (2/d)·∫ f(s)·s/√(1−q²(s)) ds`,
+//!   `q(s) = (R² + d² − s²)/(2Rd)`.
 //!
-//! Both integrands have inverse-square-root singularities exactly at the
-//! interval endpoints, which the substitution `s = lo + (hi−lo)·sin²u`
-//! removes analytically; the substituted node positions and weights are
-//! process-wide constants (the private `endpoint_rule` tables), so the
-//! inner loops are pure table-lerp + multiply-add + one `sqrt`.
+//! Both run over the same interval `[lo, hi] = [|R−d|, min(S, R+d)]` and
+//! have inverse-square-root singularities exactly at its endpoints, which
+//! the substitution `s = lo + (hi−lo)·sin²u` removes analytically. So they
+//! share their nodes `s_j` — and they share their **radical**:
+//!
+//! ```text
+//! 1 − c² = H² / (2ds)²        1 − q² = H² / (2Rd)²
+//! H² = (d+R+s) · (s−|R−d|) · (s+|R−d|) · (d+R−s)
+//! ```
+//!
+//! `H²` is sixteen times the squared area of the triangle with sides
+//! `(d, s, R)` (Heron), the one geometric quantity both cosines measure.
+//! With `w = 1/(s·H)` the two integrands become
+//! `2c′/√(1−c²) = 2·(s² − d² + R²)·w` and `s/√(1−q²) = 2Rd·s²·w`: **one
+//! `sqrt` and one division per node serve both integrals.**
+//!
+//! The four factors of `H²` are formed without cancellation. The node is
+//! *defined* as `s_j = lo + len·sin²u_j`, so `s − |R−d|` is `len·sin²u_j`
+//! exactly, not a difference of two nearly equal numbers; likewise
+//! `d+R−s = ((d+R) − hi) + len·cos²u_j` is a sum of two non-negative
+//! terms. The other two factors are sums of positives. Evaluating
+//! `(1−c)(1+c)` from a rounded `c` instead loses half the digits at the
+//! end nodes of a short interval (`R − d` just inside the support), which
+//! is where the one-radical form differs most from the two-integral one —
+//! by ≈ 2e-12 on `P^NN`.
+//!
+//! # Determinism
+//!
+//! Cold and maintained answers, leaders and followers must produce the
+//! same **bits**, on whatever CPU each runs. The node loop is therefore
+//! staged over fixed `[f64; 32]` arrays in plain safe Rust so that the
+//! baseline x86-64 target already vectorises it, and uses only
+//! correctly-rounded IEEE operations (`+ − × ÷ √`) in an order fixed by the
+//! source: no fused multiply-add (it rounds once where `a*b + c` rounds
+//! twice, and whether the hardware has one varies), no per-CPU feature
+//! attributes, no runtime dispatch, nothing outside safe Rust. The two node
+//! sums are accumulated in four interleaved lanes combined as
+//! `(0+1) + (2+3)` — again an order the source fixes, not the optimiser.
+//! `examples/kernel_digest.rs` checks the claim: its hash over a corpus of
+//! rows must be equal under the default flags and under
+//! `-C target-cpu=native`.
 
-use crate::integrate::shared_rule;
+use crate::integrate::GaussLegendre;
 use crate::pdf::RadialPdf;
 use crate::within_distance::{uniform_within_distance, uniform_within_distance_density};
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// Radial resolution of the tabulated profile (number of grid intervals).
 const GRID: usize = 2048;
 
-/// Fixed Gauss–Legendre order for the endpoint-regularized integrals.
-const ARC_ORDER: usize = 32;
+/// Fixed Gauss–Legendre order of both quadratures: the outer rule of
+/// Eq. 5 (matching `NnConfig::default()`) and the endpoint-regularized
+/// arc rule inside every `(P^WD, pdf^WD)` pair.
+const ORDER: usize = 32;
 
-/// A Gauss–Legendre rule pre-substituted with `s = lo + (hi−lo)·sin²u`:
-/// `∫_lo^hi F(s) ds = Σ_j wgt_j · F(lo + (hi−lo)·frac_j) · (hi−lo)`.
+/// Interleaved accumulator lanes of the node sums (see the module docs).
+const LANES: usize = 4;
+const _: () = assert!(
+    LANES == 4 && ORDER % LANES == 0,
+    "the lane fold is written out"
+);
+
+/// The two fixed-order rules of the column kernel, built once per process.
 ///
-/// The substitution turns inverse-square-root endpoint singularities into
-/// analytic integrands, and its trigonometric factors depend only on the
-/// rule order — they are interned once per process.
-struct EndpointRule {
-    frac: Vec<f64>,
-    wgt: Vec<f64>,
+/// `x`/`w` are the plain Gauss–Legendre nodes and weights on `[-1, 1]`.
+/// `frac`/`cofrac`/`wgt` are the same rule pre-substituted with
+/// `s = lo + (hi−lo)·sin²u`:
+/// `∫_lo^hi F(s) ds = (hi−lo) · Σ_j wgt_j · F(lo + (hi−lo)·frac_j)`, with
+/// `frac_j = sin²u_j` and `cofrac_j = cos²u_j` (so `hi − s_j` is
+/// `(hi−lo)·cofrac_j`). The substitution turns inverse-square-root
+/// endpoint singularities into analytic integrands.
+struct KernelRules {
+    x: [f64; ORDER],
+    w: [f64; ORDER],
+    frac: [f64; ORDER],
+    cofrac: [f64; ORDER],
+    wgt: [f64; ORDER],
 }
 
-fn endpoint_rule(n: usize) -> &'static EndpointRule {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static RULES: OnceLock<Mutex<HashMap<usize, &'static EndpointRule>>> = OnceLock::new();
-    let rules = RULES.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = rules.lock().expect("endpoint rule registry poisoned");
-    map.entry(n).or_insert_with(|| {
-        let gl = shared_rule(n);
-        let mut frac = Vec::with_capacity(n);
-        let mut wgt = Vec::with_capacity(n);
-        for k in 0..gl.len() {
+fn kernel_rules() -> &'static KernelRules {
+    static RULES: OnceLock<KernelRules> = OnceLock::new();
+    RULES.get_or_init(|| {
+        let gl = GaussLegendre::new(ORDER);
+        let mut rules = KernelRules {
+            x: [0.0; ORDER],
+            w: [0.0; ORDER],
+            frac: [0.0; ORDER],
+            cofrac: [0.0; ORDER],
+            wgt: [0.0; ORDER],
+        };
+        for k in 0..ORDER {
             let (x, w) = gl.node_weight(k);
             // Map [-1, 1] -> u in [0, π/2].
             let u = 0.25 * PI * (x + 1.0);
-            frac.push(u.sin() * u.sin());
-            wgt.push(0.25 * PI * w * (2.0 * u).sin());
+            rules.x[k] = x;
+            rules.w[k] = w;
+            rules.frac[k] = u.sin() * u.sin();
+            rules.cofrac[k] = u.cos() * u.cos();
+            rules.wgt[k] = 0.25 * PI * w * (2.0 * u).sin();
         }
-        Box::leak(Box::new(EndpointRule { frac, wgt }))
+        rules
     })
 }
+
+/// One grid point of a tabulated profile: `[M(s_k), f(s_k)]`, CDF and
+/// density side by side so a node's lerp reads one cache line.
+type GridPoint = [f64; 2];
 
 #[derive(Debug)]
 enum Shape {
     /// Uniform disk: `P^WD`/`pdf^WD` use the exact closed forms.
     Uniform { radius: f64 },
     /// Arbitrary radial pdf tabulated on a uniform grid over `[0, S]`:
-    /// `dens[k] = f(k·S/GRID)` and `cdf[k] = M(k·S/GRID)` (normalized).
+    /// `table[k] = [M(k·S/GRID), f(k·S/GRID)]` (CDF normalized).
     Tabulated {
-        dens: Box<[f64]>,
-        cdf: Box<[f64]>,
+        table: Box<[GridPoint; GRID + 1]>,
         inv_step: f64,
     },
 }
@@ -101,6 +162,18 @@ enum Shape {
 pub struct ProfiledPdf {
     support: f64,
     shape: Shape,
+}
+
+/// The raw table lerp `(M(s), f(s))`. Callers own the two rules that make
+/// it a pdf: `s ≥ support` is `(1, 0)`, and the CDF is clamped to `[0, 1]`.
+#[inline]
+fn lerp_raw(table: &[GridPoint; GRID + 1], inv_step: f64, s: f64) -> (f64, f64) {
+    let x = s * inv_step;
+    let k = (x as usize).min(GRID - 1);
+    let frac = x - k as f64;
+    let [m0, f0] = table[k];
+    let [m1, f1] = table[k + 1];
+    (m0 + (m1 - m0) * frac, f0 + (f1 - f0) * frac)
 }
 
 impl ProfiledPdf {
@@ -123,33 +196,32 @@ impl ProfiledPdf {
             };
         }
         let step = support / GRID as f64;
-        let mut dens = Vec::with_capacity(GRID + 1);
-        for k in 0..=GRID {
-            dens.push(pdf.density(k as f64 * step).max(0.0));
-        }
+        let mut table: Vec<GridPoint> = (0..=GRID)
+            .map(|k| [0.0, pdf.density(k as f64 * step).max(0.0)])
+            .collect();
         // Trapezoid-accumulated radial CDF of f(s)·2πs, normalized so the
         // profile carries exactly unit mass (same idiom as the precomputed
         // CDF in `uniform_diff`).
-        let mut cdf = Vec::with_capacity(GRID + 1);
-        cdf.push(0.0);
         let mut acc = 0.0;
         for k in 1..=GRID {
             let s0 = (k - 1) as f64 * step;
             let s1 = k as f64 * step;
-            let f0 = dens[k - 1] * 2.0 * PI * s0;
-            let f1 = dens[k] * 2.0 * PI * s1;
+            let f0 = table[k - 1][1] * 2.0 * PI * s0;
+            let f1 = table[k][1] * 2.0 * PI * s1;
             acc += 0.5 * (f0 + f1) * step;
-            cdf.push(acc);
+            table[k][0] = acc;
         }
         let total = acc.max(f64::MIN_POSITIVE);
-        for v in &mut cdf {
-            *v /= total;
+        for point in &mut table {
+            point[0] /= total;
         }
         ProfiledPdf {
             support,
             shape: Shape::Tabulated {
-                dens: dens.into_boxed_slice(),
-                cdf: cdf.into_boxed_slice(),
+                table: table
+                    .into_boxed_slice()
+                    .try_into()
+                    .expect("GRID + 1 grid points"),
                 inv_step: GRID as f64 / support,
             },
         }
@@ -167,12 +239,7 @@ impl ProfiledPdf {
         }
         match &self.shape {
             Shape::Uniform { radius } => 1.0 / (PI * radius * radius),
-            Shape::Tabulated { dens, inv_step, .. } => {
-                let x = s * inv_step;
-                let k = (x as usize).min(GRID - 1);
-                let frac = x - k as f64;
-                dens[k] + (dens[k + 1] - dens[k]) * frac
-            }
+            Shape::Tabulated { table, inv_step } => lerp_raw(table, *inv_step, s).1,
         }
     }
 
@@ -186,12 +253,7 @@ impl ProfiledPdf {
         }
         match &self.shape {
             Shape::Uniform { radius } => (r * r) / (radius * radius),
-            Shape::Tabulated { cdf, inv_step, .. } => {
-                let x = r * inv_step;
-                let k = (x as usize).min(GRID - 1);
-                let frac = x - k as f64;
-                (cdf[k] + (cdf[k + 1] - cdf[k]) * frac).clamp(0.0, 1.0)
-            }
+            Shape::Tabulated { table, inv_step } => lerp_raw(table, *inv_step, r).0.clamp(0.0, 1.0),
         }
     }
 
@@ -199,106 +261,126 @@ impl ProfiledPdf {
     /// (difference-)pdf is centered `d` away from the query point lies
     /// within distance `rd` of it.
     pub fn pwd(&self, d: f64, rd: f64) -> f64 {
-        match &self.shape {
-            Shape::Uniform { radius } => uniform_within_distance(d, *radius, rd),
-            Shape::Tabulated { .. } => self.pwd_tabulated(d, rd),
-        }
+        self.pwd_pair(d, rd, kernel_rules()).0
     }
 
     /// `pdf^WD(d, rd)` — the density of the within-distance probability in
     /// `rd` (the integrand weight of Eq. 5).
     pub fn pwd_density(&self, d: f64, rd: f64) -> f64 {
+        self.pwd_pair(d, rd, kernel_rules()).1
+    }
+
+    /// `(P^WD(d, rd), pdf^WD(d, rd))` — what Eq. 5 needs of one candidate
+    /// at one outer node.
+    fn pwd_pair(&self, d: f64, rd: f64, rules: &KernelRules) -> (f64, f64) {
         match &self.shape {
-            Shape::Uniform { radius } => uniform_within_distance_density(d, *radius, rd),
-            Shape::Tabulated { .. } => self.pwd_density_tabulated(d, rd),
+            Shape::Uniform { radius } => (
+                uniform_within_distance(d, *radius, rd),
+                uniform_within_distance_density(d, *radius, rd),
+            ),
+            Shape::Tabulated { table, inv_step } => {
+                self.pwd_pair_tabulated(table, *inv_step, d, rd, rules)
+            }
         }
     }
 
-    /// Tabulated-shape `P^WD`: full-circle CDF lookup plus the partial-arc
-    /// integral rewritten by parts (module docs) so the loop body is two
-    /// table lerps, a `sqrt` and a handful of multiply-adds.
-    fn pwd_tabulated(&self, d: f64, rd: f64) -> f64 {
+    /// The fused tabulated evaluator (module docs): the full-circle CDF
+    /// lookup, the truncated-arc boundary term, and one staged pass over
+    /// the 32 shared nodes feeding both sums from one radical.
+    fn pwd_pair_tabulated(
+        &self,
+        table: &[GridPoint; GRID + 1],
+        inv_step: f64,
+        d: f64,
+        rd: f64,
+        rules: &KernelRules,
+    ) -> (f64, f64) {
         let s_max = self.support;
         if rd <= 0.0 || d - s_max >= rd {
-            return 0.0;
+            return (0.0, 0.0);
         }
         if d + s_max <= rd {
-            return 1.0;
+            return (1.0, 0.0);
         }
         if d == 0.0 {
-            return self.mass_within(rd);
+            return (self.mass_within(rd), self.density(rd) * 2.0 * PI * rd);
         }
         // Offsets s ≤ rd − d put the whole circle of radius s inside the
         // query disk: their arc angle is 2π and they contribute the plain
-        // radial mass.
-        let full_mass = if rd > d {
-            self.mass_within(rd - d)
+        // radial mass M(lo); for rd ≤ d there are none.
+        let lo = (rd - d).abs();
+        let m_lo = self.mass_within(lo);
+        let full_mass = if rd > d { m_lo } else { 0.0 };
+        let sum = rd + d;
+        // `top` is (d + R) − hi: zero unless the support truncates the arc.
+        let (hi, top) = if s_max < sum {
+            (s_max, sum - s_max)
         } else {
-            0.0
+            (sum, 0.0)
         };
-        let mut acc = full_mass;
-        let lo = (rd - d).abs();
-        let hi = s_max.min(rd + d);
-        if hi > lo {
-            let len = hi - lo;
-            // ∫_lo^hi f(s)·s·θ(s) ds by parts with G(s) = (M(s) − M(lo))/2π:
-            //   = θ(hi)·G(hi) + ∫ 2c′(s)/√(1−c²(s)) · G(s) ds,
-            // c(s) = (d² + s² − rd²)/(2ds), c′(s) = (s² − d² + rd²)/(2ds²).
-            let m_lo = self.mass_within(lo);
-            let inv_2pi = 1.0 / (2.0 * PI);
-            if hi < rd + d {
-                // Support truncates the arc: nonzero boundary angle at s_max.
-                let c_hi = ((d * d + hi * hi - rd * rd) / (2.0 * d * hi)).clamp(-1.0, 1.0);
-                let theta_hi = 2.0 * c_hi.acos();
-                acc += theta_hi * (self.mass_within(hi) - m_lo) * inv_2pi;
-            }
-            let rule = endpoint_rule(ARC_ORDER);
-            let mut sum = 0.0;
-            for (frac, wgt) in rule.frac.iter().zip(&rule.wgt) {
-                let s = lo + len * frac;
-                let c = (d * d + s * s - rd * rd) / (2.0 * d * s);
-                // (1−c)(1+c) instead of 1−c² to limit cancellation near ±1.
-                let one_minus_c2 = ((1.0 - c) * (1.0 + c)).max(0.0);
-                if one_minus_c2 <= 0.0 {
-                    continue;
-                }
-                let cp = (s * s - d * d + rd * rd) / (2.0 * d * s * s);
-                let g = (self.mass_within(s) - m_lo) * inv_2pi;
-                sum += wgt * 2.0 * cp / one_minus_c2.sqrt() * g;
-            }
-            acc += sum * len;
-        }
-        acc.clamp(0.0, 1.0)
-    }
-
-    /// Tabulated-shape `pdf^WD` via the angle-to-offset change of variables
-    /// `pdf^WD(R) = (2/d)·∫ f(s)·s/√(1−q²(s)) ds`, `q = (R²+d²−s²)/(2Rd)`.
-    fn pwd_density_tabulated(&self, d: f64, rd: f64) -> f64 {
-        let s_max = self.support;
-        if rd <= 0.0 || (rd - d).abs() >= s_max {
-            return 0.0;
-        }
-        if d == 0.0 {
-            return self.density(rd) * 2.0 * PI * rd;
-        }
-        let lo = (rd - d).abs();
-        let hi = s_max.min(rd + d);
-        if hi <= lo {
-            return 0.0;
+        if lo >= s_max || hi <= lo {
+            return (full_mass, 0.0);
         }
         let len = hi - lo;
-        let rule = endpoint_rule(ARC_ORDER);
-        let mut sum = 0.0;
-        for (frac, wgt) in rule.frac.iter().zip(&rule.wgt) {
-            let s = lo + len * frac;
-            let q = (rd * rd + d * d - s * s) / (2.0 * rd * d);
-            let one_minus_q2 = ((1.0 - q) * (1.0 + q)).max(0.0);
-            if one_minus_q2 <= 0.0 {
-                continue;
-            }
-            sum += wgt * self.density(s) * s / one_minus_q2.sqrt();
+        let mut p = full_mass;
+        if top > 0.0 {
+            // Nonzero boundary angle θ(hi) at hi = support, where M = 1.
+            let c_hi = ((d * d + hi * hi - rd * rd) / (2.0 * d * hi)).clamp(-1.0, 1.0);
+            let theta_hi = 2.0 * c_hi.acos();
+            p += theta_hi * (1.0 - m_lo) * (1.0 / (2.0 * PI));
         }
-        (2.0 / d * sum * len).max(0.0)
+
+        // Stage 1 — arithmetic only: node, radical, the two node weights
+        //   pw_j = wgt_j · (s² − d² + R²) / (s·H)    (× (M(s) − M(lo)) / π)
+        //   dw_j = wgt_j · s² / (s·H)                (× f(s) · 4R)
+        let r2_minus_d2 = (rd - d) * sum;
+        let mut s = [0.0; ORDER];
+        let mut pw = [0.0; ORDER];
+        let mut dw = [0.0; ORDER];
+        for j in 0..ORDER {
+            let below = len * rules.frac[j];
+            let sj = lo + below;
+            let above = top + len * rules.cofrac[j];
+            let h2 = ((sum + sj) * below) * ((sj + lo) * above);
+            let sh = sj * h2.sqrt();
+            // Divide first, select second: a branch around the division
+            // would keep the loop scalar. (`sh` is zero only by underflow.)
+            let quot = rules.wgt[j] / sh;
+            let w = if sh > 0.0 { quot } else { 0.0 };
+            let s2 = sj * sj;
+            s[j] = sj;
+            pw[j] = w * (s2 + r2_minus_d2);
+            dw[j] = w * s2;
+        }
+        // Stage 2 — one table lerp per node for both M(s) and f(s); the
+        // only stage that cannot vectorise (it gathers).
+        let mut m = [0.0; ORDER];
+        let mut f = [0.0; ORDER];
+        for j in 0..ORDER {
+            (m[j], f[j]) = lerp_raw(table, inv_step, s[j]);
+        }
+        // Stage 3 — the pdf rules `lerp_raw` leaves to its caller, as
+        // selects rather than branches, and the two sums in LANES
+        // interleaved accumulators.
+        let mut p_acc = [0.0; LANES];
+        let mut d_acc = [0.0; LANES];
+        for j in (0..ORDER).step_by(LANES) {
+            for l in 0..LANES {
+                let inside = s[j + l] < s_max;
+                let mj = if inside {
+                    m[j + l].clamp(0.0, 1.0)
+                } else {
+                    1.0
+                };
+                let fj = if inside { f[j + l] } else { 0.0 };
+                p_acc[l] += pw[j + l] * (mj - m_lo);
+                d_acc[l] += dw[j + l] * fj;
+            }
+        }
+        let p_sum = (p_acc[0] + p_acc[1]) + (p_acc[2] + p_acc[3]);
+        let d_sum = (d_acc[0] + d_acc[1]) + (d_acc[2] + d_acc[3]);
+        p += p_sum * len * (1.0 / PI);
+        (p.clamp(0.0, 1.0), (4.0 * rd * d_sum * len).max(0.0))
     }
 }
 
@@ -315,19 +397,36 @@ pub struct NnScratch {
 }
 
 /// Eq. 5 over a profiled pdf: the same sorted-boundary decomposition as
-/// [`crate::nn_prob::nn_probabilities`] (§2.2-III), with every candidate
-/// sharing the one profiled difference pdf and all per-node state held in
-/// flat scratch arrays — no virtual dispatch anywhere in the loops.
+/// [`crate::nn_prob::nn_probabilities`] (§2.2-III) at the same 32-point
+/// outer order, with every candidate sharing the one profiled difference
+/// pdf, one fused `(P^WD, pdf^WD)` evaluation per active (candidate, node)
+/// pair, and all per-node state held in flat scratch arrays — no virtual
+/// dispatch and no lock anywhere in the loops.
 ///
 /// `dists` are the candidate center distances; the result (written into
-/// `out`, cleared first) is index-aligned with them. `points_per_segment`
-/// is the outer Gauss–Legendre order (the knob the adaptive ladder turns).
+/// `out`, cleared first) is index-aligned with them.
 pub fn nn_probabilities_profiled(
     pdf: &ProfiledPdf,
     dists: &[f64],
-    points_per_segment: usize,
     scratch: &mut NnScratch,
     out: &mut Vec<f64>,
+) {
+    let rules = kernel_rules();
+    nn_probabilities_over(pdf.support_radius(), dists, rules, scratch, out, |d, r| {
+        pdf.pwd_pair(d, r, rules)
+    });
+}
+
+/// The sorted-boundary decomposition itself, over any `(d, R) ↦ (P^WD,
+/// pdf^WD)` of the given support (the tests run it over the two separate
+/// integrals the fused evaluator replaced).
+fn nn_probabilities_over(
+    support: f64,
+    dists: &[f64],
+    rules: &KernelRules,
+    scratch: &mut NnScratch,
+    out: &mut Vec<f64>,
+    pair: impl Fn(f64, f64) -> (f64, f64),
 ) {
     out.clear();
     let n = dists.len();
@@ -338,10 +437,9 @@ pub fn nn_probabilities_profiled(
         out.push(1.0);
         return;
     }
-    let s = pdf.support_radius();
     let bounds = &mut scratch.bounds;
     bounds.clear();
-    bounds.extend(dists.iter().map(|&d| ((d - s).max(0.0), d + s)));
+    bounds.extend(dists.iter().map(|&d| ((d - support).max(0.0), d + support)));
     let global_rmax = bounds.iter().map(|b| b.1).fold(f64::INFINITY, f64::min);
     let cuts = &mut scratch.cuts;
     cuts.clear();
@@ -355,7 +453,6 @@ pub fn nn_probabilities_profiled(
     cuts.sort_by(f64::total_cmp);
     cuts.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
 
-    let rule = shared_rule(points_per_segment);
     out.resize(n, 0.0);
     scratch.pwd.clear();
     scratch.pwd.resize(n, 0.0);
@@ -377,17 +474,14 @@ pub fn nn_probabilities_profiled(
         }
         let half = 0.5 * (b - a);
         let mid = 0.5 * (a + b);
-        for k in 0..rule.len() {
-            let (x, wgt) = rule.node_weight(k);
+        for (&x, &wgt) in rules.x.iter().zip(&rules.w) {
             let r = mid + half * x;
             for (i, &d) in dists.iter().enumerate() {
-                if bounds[i].0 >= r {
-                    pwd[i] = 0.0;
-                    dens[i] = 0.0;
+                (pwd[i], dens[i]) = if bounds[i].0 >= r {
+                    (0.0, 0.0)
                 } else {
-                    pwd[i] = pdf.pwd(d, r);
-                    dens[i] = pdf.pwd_density(d, r);
-                }
+                    pair(d, r)
+                };
             }
             prefix[0] = 1.0;
             for i in 0..n {
@@ -412,11 +506,113 @@ pub fn nn_probabilities_profiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrate::shared_rule;
     use crate::nn_prob::{nn_probabilities, NnCandidate, NnConfig};
     use crate::pdf::PdfKind;
     use crate::uniform::UniformDiskPdf;
     use crate::uniform_diff::UniformDifferencePdf;
     use crate::within_distance::{within_distance, within_distance_density};
+    use proptest::prelude::*;
+
+    /// The oracle: the two separate arc integrals the fused evaluator
+    /// replaced, kept verbatim — `(1−c)(1+c)` from a rounded cosine, one
+    /// `sqrt` per integrand, sequential sums.
+    impl ProfiledPdf {
+        fn pwd_tabulated(&self, d: f64, rd: f64) -> f64 {
+            let s_max = self.support;
+            if rd <= 0.0 || d - s_max >= rd {
+                return 0.0;
+            }
+            if d + s_max <= rd {
+                return 1.0;
+            }
+            if d == 0.0 {
+                return self.mass_within(rd);
+            }
+            let full_mass = if rd > d {
+                self.mass_within(rd - d)
+            } else {
+                0.0
+            };
+            let mut acc = full_mass;
+            let lo = (rd - d).abs();
+            let hi = s_max.min(rd + d);
+            if hi > lo {
+                let len = hi - lo;
+                let m_lo = self.mass_within(lo);
+                let inv_2pi = 1.0 / (2.0 * PI);
+                if hi < rd + d {
+                    let c_hi = ((d * d + hi * hi - rd * rd) / (2.0 * d * hi)).clamp(-1.0, 1.0);
+                    let theta_hi = 2.0 * c_hi.acos();
+                    acc += theta_hi * (self.mass_within(hi) - m_lo) * inv_2pi;
+                }
+                let rule = kernel_rules();
+                let mut sum = 0.0;
+                for (frac, wgt) in rule.frac.iter().zip(&rule.wgt) {
+                    let s = lo + len * frac;
+                    let c = (d * d + s * s - rd * rd) / (2.0 * d * s);
+                    let one_minus_c2 = ((1.0 - c) * (1.0 + c)).max(0.0);
+                    if one_minus_c2 <= 0.0 {
+                        continue;
+                    }
+                    let cp = (s * s - d * d + rd * rd) / (2.0 * d * s * s);
+                    let g = (self.mass_within(s) - m_lo) * inv_2pi;
+                    sum += wgt * 2.0 * cp / one_minus_c2.sqrt() * g;
+                }
+                acc += sum * len;
+            }
+            acc.clamp(0.0, 1.0)
+        }
+
+        fn pwd_density_tabulated(&self, d: f64, rd: f64) -> f64 {
+            let s_max = self.support;
+            if rd <= 0.0 || (rd - d).abs() >= s_max {
+                return 0.0;
+            }
+            if d == 0.0 {
+                return self.density(rd) * 2.0 * PI * rd;
+            }
+            let lo = (rd - d).abs();
+            let hi = s_max.min(rd + d);
+            if hi <= lo {
+                return 0.0;
+            }
+            let len = hi - lo;
+            let rule = kernel_rules();
+            let mut sum = 0.0;
+            for (frac, wgt) in rule.frac.iter().zip(&rule.wgt) {
+                let s = lo + len * frac;
+                let q = (rd * rd + d * d - s * s) / (2.0 * rd * d);
+                let one_minus_q2 = ((1.0 - q) * (1.0 + q)).max(0.0);
+                if one_minus_q2 <= 0.0 {
+                    continue;
+                }
+                sum += wgt * self.density(s) * s / one_minus_q2.sqrt();
+            }
+            (2.0 / d * sum * len).max(0.0)
+        }
+    }
+
+    /// The oracle's Eq. 5: the same decomposition over the two separate
+    /// integrals (tabulated shapes only).
+    fn nn_probabilities_two_integrals(pdf: &ProfiledPdf, dists: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        nn_probabilities_over(
+            pdf.support_radius(),
+            dists,
+            kernel_rules(),
+            &mut NnScratch::default(),
+            &mut out,
+            |d, r| (pdf.pwd_tabulated(d, r), pdf.pwd_density_tabulated(d, r)),
+        );
+        out
+    }
+
+    fn fused(prof: &ProfiledPdf, dists: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        nn_probabilities_profiled(prof, dists, &mut NnScratch::default(), &mut out);
+        out
+    }
 
     fn gaussian_diff() -> Box<dyn RadialPdf> {
         let kind = PdfKind::TruncatedGaussian {
@@ -424,6 +620,27 @@ mod tests {
             sigma: 0.4,
         };
         kind.convolve_with(&kind)
+    }
+
+    /// The uniform-difference and the truncated-Gaussian-difference
+    /// profile, both of support 2.
+    fn both_profiles() -> &'static [ProfiledPdf; 2] {
+        static PROFILES: OnceLock<[ProfiledPdf; 2]> = OnceLock::new();
+        PROFILES.get_or_init(|| {
+            [
+                ProfiledPdf::of(&UniformDifferencePdf::new(1.0)),
+                ProfiledPdf::of(gaussian_diff().as_ref()),
+            ]
+        })
+    }
+
+    /// Max `|ΔP^NN|` of the fused kernel against the two-integral oracle.
+    fn max_gap(prof: &ProfiledPdf, dists: &[f64]) -> f64 {
+        fused(prof, dists)
+            .iter()
+            .zip(nn_probabilities_two_integrals(prof, dists))
+            .map(|(new, old)| (new - old).abs())
+            .fold(0.0, f64::max)
     }
 
     #[test]
@@ -461,7 +678,7 @@ mod tests {
             let prof = ProfiledPdf::of(pdf.as_ref());
             for d in [0.0, 0.4, 1.1, 2.3, 3.5] {
                 for rd in [0.1, 0.7, 1.3, 2.0, 2.9, 4.1] {
-                    let fast = prof.pwd(d, rd);
+                    let (fast, _) = prof.pwd_pair(d, rd, kernel_rules());
                     let slow = within_distance(pdf.as_ref(), d, rd);
                     assert!(
                         (fast - slow).abs() < 2e-5,
@@ -481,7 +698,7 @@ mod tests {
             let prof = ProfiledPdf::of(pdf.as_ref());
             for d in [0.0, 0.4, 1.1, 2.3] {
                 for rd in [0.1, 0.7, 1.3, 2.0, 2.9] {
-                    let fast = prof.pwd_density(d, rd);
+                    let (_, fast) = prof.pwd_pair(d, rd, kernel_rules());
                     let slow = within_distance_density(pdf.as_ref(), d, rd);
                     assert!(
                         (fast - slow).abs() < 2e-4,
@@ -519,9 +736,7 @@ mod tests {
             })
             .collect();
         let slow = nn_probabilities(&cands, NnConfig::default());
-        let mut scratch = NnScratch::default();
-        let mut fast = Vec::new();
-        nn_probabilities_profiled(&prof, &dists, 32, &mut scratch, &mut fast);
+        let fast = fused(&prof, &dists);
         for (f, s) in fast.iter().zip(&slow) {
             assert!((f - s).abs() < 1e-4, "fast {fast:?} vs slow {slow:?}");
         }
@@ -532,12 +747,8 @@ mod tests {
     #[test]
     fn profiled_nn_handles_trivial_columns() {
         let prof = ProfiledPdf::of(&UniformDifferencePdf::new(1.0));
-        let mut scratch = NnScratch::default();
-        let mut out = Vec::new();
-        nn_probabilities_profiled(&prof, &[], 32, &mut scratch, &mut out);
-        assert!(out.is_empty());
-        nn_probabilities_profiled(&prof, &[4.2], 32, &mut scratch, &mut out);
-        assert_eq!(out, vec![1.0]);
+        assert!(fused(&prof, &[]).is_empty());
+        assert_eq!(fused(&prof, &[4.2]), vec![1.0]);
     }
 
     #[test]
@@ -554,6 +765,136 @@ mod tests {
                     a.pwd_density(d, rd).to_bits(),
                     b.pwd_density(d, rd).to_bits()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_rules_are_the_shared_gauss_legendre_rule() {
+        // The kernel's private tables must not drift from the interned
+        // rule every other Eq. 5 evaluator draws its nodes from.
+        let (rules, gl) = (kernel_rules(), shared_rule(ORDER));
+        for k in 0..ORDER {
+            let (x, w) = gl.node_weight(k);
+            assert_eq!(rules.x[k].to_bits(), x.to_bits());
+            assert_eq!(rules.w[k].to_bits(), w.to_bits());
+            assert!((rules.frac[k] + rules.cofrac[k] - 1.0).abs() < 4.0 * f64::EPSILON);
+        }
+    }
+
+    #[test]
+    fn fused_pair_keeps_the_support_edge_and_degenerate_rules() {
+        for prof in both_profiles() {
+            let s = prof.support_radius();
+            let pair = |d: f64, rd: f64| prof.pwd_pair(d, rd, kernel_rules());
+            // R ≤ 0, the far side (d − S ≥ R) and the near side (d + S ≤ R).
+            assert_eq!(pair(1.0, 0.0), (0.0, 0.0));
+            assert_eq!(pair(1.0, -3.0), (0.0, 0.0));
+            assert_eq!(pair(5.0, 5.0 - s), (0.0, 0.0));
+            assert_eq!(pair(1.0, 1.0 + s), (1.0, 0.0));
+            // d == 0 is the plain radial mass / ring density.
+            assert_eq!(
+                pair(0.0, 0.7),
+                (prof.mass_within(0.7), prof.density(0.7) * 2.0 * PI * 0.7)
+            );
+            assert_eq!(pair(0.0, s + 1.0), (1.0, 0.0));
+            // |R − d| ≥ S reached only through rounding of d ± S: the density
+            // is zero and the mass is the full-circle lookup.
+            let d = 0.1 + 0.2; // 0.30000000000000004
+            assert_eq!(pair(d, d + s), (1.0, 0.0));
+            // Every pair is a probability and a non-negative density, and
+            // agrees with the two separate integrals, right up to the edges
+            // of the arc interval (the boundary term θ(hi) included: the
+            // `d = 3, R = 1.5` rows have hi = S < R + d).
+            for d in [1e-5, 0.25, 1.0, 3.0, 17.0] {
+                for rd in [
+                    d,
+                    d + s - 1e-12,
+                    (d - s + 1e-12).max(1e-12),
+                    d + 0.5 * s,
+                    (d - 0.5 * s).max(1e-9),
+                    1.5,
+                ] {
+                    let (p, f) = pair(d, rd);
+                    assert!((0.0..=1.0).contains(&p) && f >= 0.0, "({d}, {rd})");
+                    let (p0, f0) = (prof.pwd_tabulated(d, rd), prof.pwd_density_tabulated(d, rd));
+                    assert!((p - p0).abs() < 1e-12, "P^WD({d}, {rd}): {p} vs {p0}");
+                    // Widest at d == R = 17 (6e-9): there `q = 1 − s²/2Rd`
+                    // and the oracle's `1 − q` keeps three digits at the
+                    // first node; everywhere else the gap is below 1e-9.
+                    assert!((f - f0).abs() < 1e-8, "pdf^WD({d}, {rd}): {f} vs {f0}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_kernel_matches_two_integrals_on_directed_columns() {
+        for prof in both_profiles() {
+            let s = prof.support_radius();
+            let columns: [&[f64]; 8] = [
+                // (`d == R` and `R − d = S ∓ 1e-12` are also pinned pair by
+                // pair in the previous test.)
+                &[3.0, 3.0],                      // two equal distances
+                &[3.0, 3.0, 3.0 + 1e-6],          // … and a near-tie
+                &[1e-3, 0.5, 1.0],                // d → 0 (see the next test)
+                &[0.0, 0.3],                      // d == 0
+                &[5.0, 5.0 + s - 1e-12, 5.0 + s], // R − d = S ∓ 1e-12 at rmax
+                &[5.0, 5.0 + 2.0 * s - 1e-12],    // a cut at global_rmax − 1e-12
+                &[5.0, 5.0 + 2.0 * s],            // global_rmax coincides with a cut
+                &[0.4, 0.9, 1.7, 2.1, 2.1, 2.35], // query inside several zones
+            ];
+            for dists in columns {
+                let gap = max_gap(prof, dists);
+                assert!(gap <= 1e-10, "{dists:?}: |ΔP^NN| = {gap:e}");
+                let total: f64 = fused(prof, dists).iter().sum();
+                assert!((total - 1.0).abs() < 1e-4, "{dists:?}: sum {total}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_kernel_is_continuous_at_zero_distance() {
+        // `d == 0` takes the closed forms (ring density, radial mass), and
+        // `d = 1e-9` must land on them. The two-integral oracle does not:
+        // it forms `R² + d² − s²` with `s ≈ R` by cancellation and divides
+        // by `2Rd`, and is 2e-6 off its own `d == 0` value here — the one
+        // place the fused kernel knowingly departs from it by more than
+        // 1e-10 (from `d ≥ 1e-3` up the two agree, see above).
+        for prof in both_profiles() {
+            let at_zero = fused(prof, &[0.0, 0.5, 1.0]);
+            let near_zero = fused(prof, &[1e-9, 0.5, 1.0]);
+            for i in 0..3 {
+                assert!(
+                    (near_zero[i] - at_zero[i]).abs() < 1e-11,
+                    "{near_zero:?} vs {at_zero:?}"
+                );
+            }
+        }
+    }
+
+    /// Columns of 2–30 distances in `[0, 40]`: a base plus offsets inside
+    /// a spread drawn log-uniformly from `1e-6` to `2·support`.
+    fn column() -> impl Strategy<Value = Vec<f64>> {
+        (
+            0.0..36.0f64,
+            -6.0..0.6021f64, // log10 of the spread: 1e-6 ..= 4 = 2·support
+            prop::collection::vec(0.0..=1.0f64, 2..=30),
+        )
+            .prop_map(|(base, log_spread, offsets)| {
+                let spread = 10f64.powf(log_spread);
+                offsets.iter().map(|u| base + spread * u).collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn fused_kernel_matches_two_integrals_on_random_columns(dists in column()) {
+            for prof in both_profiles() {
+                let gap = max_gap(prof, &dists);
+                prop_assert!(gap <= 1e-10, "{:?}: |ΔP^NN| = {:e}", dists, gap);
             }
         }
     }
