@@ -11,9 +11,11 @@
 //!   body of a [`crate::net::Frame::ReplDelta`]). Records rotate across
 //!   size-bounded segment files; the fsync cadence is configurable
 //!   ([`FsyncPolicy`]).
-//! * Checkpoints write the store as a v2 [`crate::persist`] image
-//!   (epoch watermark + contents) via atomic tmp-then-rename, then
-//!   prune every WAL segment whose records the watermark covers.
+//! * Checkpoints write the store as one binary **image** — a
+//!   checksummed fixed-size header (epoch watermark, object count) and
+//!   a checksummed body that is the wire's own trajectory encoding —
+//!   via atomic tmp-then-rename, then prune every WAL segment whose
+//!   records the watermark covers.
 //! * [`recover`] rebuilds a store from a directory: load the last
 //!   durable image, replay every WAL record with a newer epoch, and
 //!   truncate a torn tail record **loudly** (reported, never silently
@@ -28,15 +30,32 @@
 //! ## On-disk layout
 //!
 //! ```text
-//! <dir>/snapshot.unn            last durable checkpoint (persist v2)
+//! <dir>/snapshot.unn            last durable checkpoint image
 //! <dir>/wal-<first-epoch>.seg   WAL segments, named by first epoch
+//!
+//! image   := header body
+//! header  := IMAGE_MAGIC (8 bytes) epoch:u64le count:u64le
+//!            body_len:u64le body_crc32:u32le header_crc32:u32le
+//! body    := trajectory*                        (count of them, wire
+//!                                                encoding, ascending oid)
 //!
 //! segment := WAL_MAGIC (8 bytes) record*
 //! record  := len:u32le crc32:u32le payload(len)
 //! payload := epoch:u64le count:u32le op*        (wire commit body)
 //! ```
 //!
-//! The CRC is IEEE 802.3 (the zlib polynomial) over the payload bytes.
+//! Every CRC is IEEE 802.3 (the zlib polynomial): a record's over its
+//! payload, `body_crc32` over the image body, `header_crc32` over the 36
+//! header bytes before it. The image body is byte-for-byte the object
+//! list a follower's `Resync` carries for the same snapshot
+//! (`docs/WIRE.md`), so disk and wire share one trajectory encoding;
+//! unlike a frame it is not bounded by `MAX_FRAME_LEN`. The header alone
+//! says where the log resumes, so [`Wal::open`] never reads the body. An
+//! image that is damaged anywhere — a flipped bit, a short or a long
+//! file — refuses recovery; a text image from before this format is
+//! refused with a pointer to `unn-cli store convert <dir>`
+//! ([`convert_text_image`]).
+//!
 //! Recovery replays records strictly in epoch order and rejects gaps:
 //! a record chain `watermark+1, watermark+2, …` must be contiguous, so
 //! a recovered store's answers are bit-identical to an uninterrupted
@@ -44,17 +63,20 @@
 //! random churn and random kill points).
 
 use crate::delta::ReplOp;
-use crate::net::wire::{decode_commit_body, TAG_REPL_DELTA};
-use crate::persist::{self, StoreImage};
+use crate::net::wire::{
+    decode_commit_body, decode_trajectory_list, put_trajectory, TAG_REPL_DELTA,
+};
+use crate::persist;
 use crate::store::ModStore;
 use crate::telemetry::{self, Telemetry, TraceEvent, TraceStage};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use unn_traj::uncertain::UncertainTrajectory;
 
 /// First bytes of every WAL segment file.
 pub const WAL_MAGIC: &[u8; 8] = b"UNNWAL1\n";
@@ -65,6 +87,12 @@ pub const MAX_WAL_RECORD: u32 = crate::net::wire::MAX_FRAME_LEN;
 
 /// File name of the checkpoint image inside a WAL directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.unn";
+
+/// First bytes of every checkpoint image.
+pub const IMAGE_MAGIC: &[u8; 8] = b"UNNIMG1\n";
+
+/// Byte length of a checkpoint image's header.
+pub const IMAGE_HEADER_LEN: usize = 40;
 
 /// When to force WAL bytes to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,8 +174,16 @@ pub enum WalError {
         /// What was wrong.
         message: String,
     },
-    /// The checkpoint image failed to load or save.
-    Snapshot(persist::PersistError),
+    /// The checkpoint image cannot be trusted: wrong magic (a text
+    /// image from before the binary format is answered with the convert
+    /// hint), a checksum mismatch, a file shorter or longer than its
+    /// header says, or an undecodable body.
+    Snapshot {
+        /// The image file.
+        path: PathBuf,
+        /// What was wrong.
+        message: String,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -163,7 +199,9 @@ impl fmt::Display for WalError {
                 "corrupt wal record in {} at byte {offset}: {message}",
                 segment.display()
             ),
-            WalError::Snapshot(e) => write!(f, "checkpoint image error: {e}"),
+            WalError::Snapshot { path, message } => {
+                write!(f, "checkpoint image {}: {message}", path.display())
+            }
         }
     }
 }
@@ -172,8 +210,7 @@ impl std::error::Error for WalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WalError::Io(e) => Some(e),
-            WalError::Snapshot(e) => Some(e),
-            WalError::Corrupt { .. } => None,
+            WalError::Corrupt { .. } | WalError::Snapshot { .. } => None,
         }
     }
 }
@@ -181,12 +218,6 @@ impl std::error::Error for WalError {
 impl From<io::Error> for WalError {
     fn from(e: io::Error) -> Self {
         WalError::Io(e)
-    }
-}
-
-impl From<persist::PersistError> for WalError {
-    fn from(e: persist::PersistError) -> Self {
-        WalError::Snapshot(e)
     }
 }
 
@@ -276,56 +307,60 @@ impl Wal {
     /// Call [`recover`] first when the directory may hold prior state:
     /// recovery validates the record chain and truncates a torn tail,
     /// which `open` assumes has happened (it seeks to the tail
-    /// segment's end and appends).
+    /// segment's end and appends). Of the checkpoint image only the
+    /// header is read (and checksum-verified) — it holds the watermark.
     pub fn open(dir: &Path, options: WalOptions) -> Result<Arc<Wal>, WalError> {
         fs::create_dir_all(dir)?;
-        let checkpoint_epoch = match fs::metadata(dir.join(SNAPSHOT_FILE)) {
-            Ok(_) => persist::load_image(&dir.join(SNAPSHOT_FILE))?.epoch,
-            Err(_) => 0,
+        let checkpoint_epoch = match open_image(&dir.join(SNAPSHOT_FILE))? {
+            Some((_, header)) => header.epoch,
+            None => 0,
         };
-        Wal::open_at(dir, options, checkpoint_epoch)
-    }
-
-    /// [`Wal::open`] for a caller that already knows the checkpoint
-    /// image's epoch (`0` without an image) — [`open_store`], which has
-    /// just parsed and validated that image in [`recover`].
-    fn open_at(
-        dir: &Path,
-        options: WalOptions,
-        checkpoint_epoch: u64,
-    ) -> Result<Arc<Wal>, WalError> {
-        let mut segments = list_segments(dir)?;
-        // Scan the tail segment for its last epoch so appends continue
-        // the chain (non-tail segments only need their names).
-        let mut last_epoch = checkpoint_epoch;
-        let mut sealed_bytes = 0;
-        for (i, (first, path)) in segments.iter().enumerate() {
-            if i + 1 < segments.len() {
-                sealed_bytes += fs::metadata(path)?.len();
+        // Only the tail segment's records matter (appends continue after
+        // its last one); sealed segments are known by name and size.
+        let mut end = LogEnd::at_checkpoint(checkpoint_epoch);
+        let segments = list_segments(dir)?;
+        let last_index = segments.len().wrapping_sub(1);
+        for (i, (first, path)) in segments.into_iter().enumerate() {
+            if i != last_index {
+                let len = fs::metadata(&path)?.len();
+                end.push(first, path, len, None);
                 continue;
             }
-            let (records, torn) = read_segment(path, true)?;
-            if let Some(t) = torn {
+            let scan = read_segment(&path, true)?;
+            if let Some(t) = scan.torn {
                 return Err(WalError::Corrupt {
-                    segment: path.clone(),
+                    segment: path,
                     offset: t.offset,
                     message: format!("torn tail not recovered before open: {}", t.reason),
                 });
             }
-            last_epoch = records
-                .last()
-                .map(|r| r.epoch)
-                .unwrap_or(first.wrapping_sub(1).max(checkpoint_epoch));
-            if records.is_empty() {
-                last_epoch = last_epoch.max(checkpoint_epoch);
-            }
+            let last_record = scan.records.last().map(|r| r.epoch);
+            end.push(first, path, scan.len, last_record);
         }
+        Wal::open_at(dir, options, checkpoint_epoch, end)
+    }
+
+    /// Opens the append handle at a log end some scan has already
+    /// established — [`Wal::open`]'s tail scan, or the full replay
+    /// [`open_store`] has just done in [`recover`], which therefore reads
+    /// no record twice.
+    fn open_at(
+        dir: &Path,
+        options: WalOptions,
+        checkpoint_epoch: u64,
+        end: LogEnd,
+    ) -> Result<Arc<Wal>, WalError> {
+        let LogEnd {
+            mut segments,
+            sealed_bytes,
+            tail_bytes,
+            last_epoch,
+        } = end;
         let (file, tail_bytes) = match segments.last() {
-            Some((_, path)) => {
-                let mut f = OpenOptions::new().append(true).read(true).open(path)?;
-                let len = f.seek(SeekFrom::End(0))?;
-                (f, len)
-            }
+            Some((_, path)) => (
+                OpenOptions::new().append(true).read(true).open(path)?,
+                tail_bytes,
+            ),
             None => {
                 let first = last_epoch + 1;
                 let path = segment_path(dir, first);
@@ -480,9 +515,10 @@ impl Wal {
         Ok(())
     }
 
-    /// Writes a checkpoint image of `store` (atomic tmp-then-rename)
-    /// and prunes every segment whose records the new watermark
-    /// covers. Returns the watermark epoch.
+    /// Writes a checkpoint image of `store` (streamed from its snapshot
+    /// to a temp file, fsynced, renamed into place) and prunes every
+    /// segment whose records the new watermark covers. Returns the
+    /// watermark epoch.
     ///
     /// Runs with **no store lock held** — it takes a snapshot, which
     /// acquires every shard read lock. The store calls this through
@@ -503,37 +539,28 @@ impl Wal {
 
     fn checkpoint_inner(&self, store: &ModStore) -> Result<u64, WalError> {
         let snap = store.snapshot();
-        let image = StoreImage {
-            epoch: snap.epoch(),
-            objects: snap.to_vec(),
-            catalog: Vec::new(),
-        };
-        let tmp = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        persist::save_image(&image, &tmp)?;
-        // The rename is the commit point: a crash before it leaves the
-        // old image in place, after it the new watermark rules.
-        File::open(&tmp)?.sync_all()?;
-        fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
+        let epoch = snap.epoch();
+        install_image(&self.dir, epoch, snap.objects())?;
         let mut inner = self.inner.lock().unwrap();
-        inner.checkpoint_epoch = image.epoch;
+        inner.checkpoint_epoch = epoch;
         inner.checkpoints += 1;
         inner.since_checkpoint = 0;
         // Seal the tail so the watermark can retire it too, then drop
         // every segment fully covered by the watermark: segment i is
         // prunable when the *next* segment starts at or before
         // watermark + 1 (every record recovery needs lives later).
-        if inner.tail_bytes > WAL_MAGIC.len() as u64 && inner.last_epoch <= image.epoch {
+        if inner.tail_bytes > WAL_MAGIC.len() as u64 && inner.last_epoch <= epoch {
             let next = inner.last_epoch + 1;
             self.rotate_locked(&mut inner, next)?;
         }
-        while inner.segments.len() > 1 && inner.segments[1].0 <= image.epoch + 1 {
+        while inner.segments.len() > 1 && inner.segments[1].0 <= epoch + 1 {
             let (_, path) = inner.segments.remove(0);
             inner.sealed_bytes = inner
                 .sealed_bytes
                 .saturating_sub(fs::metadata(&path).map(|m| m.len()).unwrap_or(0));
             fs::remove_file(&path)?;
         }
-        Ok(image.epoch)
+        Ok(epoch)
     }
 
     /// Checkpoints when the configured commit cadence is due; called by
@@ -623,35 +650,81 @@ pub fn recover(dir: &Path) -> Result<(ModStore, RecoveryReport), WalError> {
 /// [`recover`] into an existing (fresh) store — the hook for callers
 /// that configure shard counts or policies before recovery.
 pub fn recover_into(store: &ModStore, dir: &Path) -> Result<RecoveryReport, WalError> {
-    let mut report = RecoveryReport::default();
-    let snapshot_path = dir.join(SNAPSHOT_FILE);
-    if snapshot_path.exists() {
-        let image = persist::load_image(&snapshot_path)?;
-        report.snapshot_epoch = image.epoch;
-        report.snapshot_objects = image.objects.len();
-        store.restore(image.objects, image.epoch);
+    replay(store, dir).map(|(report, _)| report)
+}
+
+/// Where a directory's log ends — everything [`Wal::open_at`] needs to
+/// resume appending, gathered by whichever scan read the segments.
+struct LogEnd {
+    /// `(first_epoch, path)` of every live segment, ascending.
+    segments: Vec<(u64, PathBuf)>,
+    /// Bytes across all non-tail segments.
+    sealed_bytes: u64,
+    /// Bytes of the tail segment (`0` without one).
+    tail_bytes: u64,
+    /// The epoch the next appended record must follow.
+    last_epoch: u64,
+}
+
+impl LogEnd {
+    /// The end of a log without segments: appends follow the image.
+    fn at_checkpoint(checkpoint_epoch: u64) -> LogEnd {
+        LogEnd {
+            segments: Vec::new(),
+            sealed_bytes: 0,
+            tail_bytes: 0,
+            last_epoch: checkpoint_epoch,
+        }
     }
+
+    /// Accounts for the next segment in ascending order, which becomes
+    /// the tail: `len` valid bytes, ending with a record of epoch
+    /// `last_record` (`None` for a segment holding none — its name then
+    /// says which epoch it was opened for).
+    fn push(&mut self, first: u64, path: PathBuf, len: u64, last_record: Option<u64>) {
+        self.sealed_bytes += self.tail_bytes;
+        self.tail_bytes = len;
+        self.last_epoch = self
+            .last_epoch
+            .max(last_record.unwrap_or(first.saturating_sub(1)));
+        self.segments.push((first, path));
+    }
+}
+
+/// The body of [`recover_into`]; also reports where the log ends, so
+/// [`open_store`] resumes appending without a second scan.
+fn replay(store: &ModStore, dir: &Path) -> Result<(RecoveryReport, LogEnd), WalError> {
+    let mut report = RecoveryReport::default();
+    let image_path = dir.join(SNAPSHOT_FILE);
+    if let Some((file, header)) = open_image(&image_path)? {
+        let objects = read_image_body(&image_path, file, &header)?;
+        report.snapshot_epoch = header.epoch;
+        report.snapshot_objects = objects.len();
+        store.restore(objects, header.epoch);
+    }
+    let mut end = LogEnd::at_checkpoint(report.snapshot_epoch);
     let segments = list_segments(dir)?;
     let last_index = segments.len().wrapping_sub(1);
-    for (i, (_, path)) in segments.iter().enumerate() {
+    for (i, (first, path)) in segments.into_iter().enumerate() {
         let is_tail = i == last_index;
-        let (records, torn) = read_segment(path, is_tail)?;
-        if let Some(t) = &torn {
+        let scan = read_segment(&path, is_tail)?;
+        if let Some(t) = &scan.torn {
             // Tearing is only explicable at the end of the final
             // segment; read_segment already rejects it elsewhere.
             // Truncate so the writer resumes at a record boundary.
-            let f = OpenOptions::new().write(true).open(path)?;
+            let f = OpenOptions::new().write(true).open(&path)?;
             f.set_len(t.offset)?;
             f.sync_all()?;
         }
-        for record in records {
+        let last_record = scan.records.last().map(|r| r.epoch);
+        for record in scan.records {
             let current = store.epoch();
             if record.epoch <= current {
                 continue; // already folded into the checkpoint image
             }
             if record.epoch != current + 1 {
                 return Err(WalError::Corrupt {
-                    segment: path.clone(),
+                    segment: path,
                     offset: record.offset,
                     message: format!(
                         "record chain gap: epoch {} after {} (missing commits cannot \
@@ -664,10 +737,11 @@ pub fn recover_into(store: &ModStore, dir: &Path) -> Result<RecoveryReport, WalE
             report.replayed_ops += record.ops.len() as u64;
             store.apply_replicated(&record.ops);
         }
-        report.torn_tail = report.torn_tail.take().or(torn);
+        report.torn_tail = report.torn_tail.take().or(scan.torn);
+        end.push(first, path, scan.len, last_record);
     }
     report.recovered_epoch = store.epoch();
-    Ok(report)
+    Ok((report, end))
 }
 
 /// One decoded WAL record.
@@ -677,14 +751,21 @@ struct WalRecord {
     ops: Vec<ReplOp>,
 }
 
+/// What [`read_segment`] found in one segment file.
+struct SegmentScan {
+    records: Vec<WalRecord>,
+    /// An incomplete record at EOF (only with `allow_torn_tail`).
+    torn: Option<TornTail>,
+    /// Bytes up to the end of the last complete record — the file's
+    /// length, or the torn record's offset.
+    len: u64,
+}
+
 /// Reads and verifies one segment. With `allow_torn_tail`, an
 /// incomplete record at EOF yields a [`TornTail`] instead of an error;
 /// all other damage — bad magic, over-bound lengths, checksum
 /// mismatches, undecodable payloads — is [`WalError::Corrupt`].
-fn read_segment(
-    path: &Path,
-    allow_torn_tail: bool,
-) -> Result<(Vec<WalRecord>, Option<TornTail>), WalError> {
+fn read_segment(path: &Path, allow_torn_tail: bool) -> Result<SegmentScan, WalError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
     let corrupt = |offset: u64, message: String| WalError::Corrupt {
@@ -698,17 +779,25 @@ fn read_segment(
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
     while pos < bytes.len() {
-        let torn = |reason: String| TornTail {
-            segment: path.to_path_buf(),
-            offset: pos as u64,
-            reason,
+        // An incomplete record at EOF ends the scan: a reported tear
+        // where one is explicable, corruption elsewhere.
+        let torn = |records: Vec<WalRecord>, reason: String| {
+            if !allow_torn_tail {
+                return Err(corrupt(pos as u64, reason));
+            }
+            Ok(SegmentScan {
+                records,
+                len: pos as u64,
+                torn: Some(TornTail {
+                    segment: path.to_path_buf(),
+                    offset: pos as u64,
+                    reason,
+                }),
+            })
         };
         if bytes.len() - pos < 8 {
-            let t = torn(format!("{} header bytes at EOF", bytes.len() - pos));
-            if allow_torn_tail {
-                return Ok((records, Some(t)));
-            }
-            return Err(corrupt(t.offset, t.reason));
+            let reason = format!("{} header bytes at EOF", bytes.len() - pos);
+            return torn(records, reason);
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
         if len > MAX_WAL_RECORD {
@@ -721,14 +810,11 @@ fn read_segment(
         let body_start = pos + 8;
         let body_end = body_start + len as usize;
         if body_end > bytes.len() {
-            let t = torn(format!(
+            let reason = format!(
                 "record claims {len} payload bytes, {} present",
                 bytes.len() - body_start
-            ));
-            if allow_torn_tail {
-                return Ok((records, Some(t)));
-            }
-            return Err(corrupt(t.offset, t.reason));
+            );
+            return torn(records, reason);
         }
         let body = &bytes[body_start..body_end];
         if crc32(body) != crc {
@@ -746,18 +832,24 @@ fn read_segment(
         });
         pos = body_end;
     }
-    Ok((records, None))
+    Ok(SegmentScan {
+        records,
+        torn: None,
+        len: bytes.len() as u64,
+    })
 }
 
 /// Recovers (or initializes) a store from `dir` and reattaches an open
-/// WAL to it — the one-call path `unn-cli serve --wal` uses.
+/// WAL to it — the one-call path `unn-cli serve --wal` uses. The image
+/// and every segment are read exactly once.
 pub fn open_store(
     dir: &Path,
     options: WalOptions,
 ) -> Result<(ModStore, Arc<Wal>, RecoveryReport), WalError> {
     fs::create_dir_all(dir)?;
-    let (store, report) = recover(dir)?;
-    let wal = Wal::open_at(dir, options, report.snapshot_epoch)?;
+    let store = ModStore::new();
+    let (report, end) = replay(&store, dir)?;
+    let wal = Wal::open_at(dir, options, report.snapshot_epoch, end)?;
     store.attach_wal(&wal);
     Ok((store, wal, report))
 }
@@ -784,6 +876,249 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
     }
     out.sort();
     Ok(out)
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint image
+// ---------------------------------------------------------------------
+
+/// How every text image (`crate::persist`, the format before this one)
+/// begins.
+const TEXT_IMAGE_PREFIX: &[u8] = b"# unn-modb";
+
+/// The fixed-size header of a checkpoint image, decoded and verified.
+#[derive(Debug, Clone, Copy)]
+struct ImageHeader {
+    /// The commit epoch the image is current at (the recovery
+    /// watermark: WAL records at or below it are already folded in).
+    epoch: u64,
+    /// Trajectories in the body.
+    count: u64,
+    /// Byte length of the body — the file is exactly header + body.
+    body_len: u64,
+    /// CRC-32 of the body.
+    body_crc: u32,
+}
+
+impl ImageHeader {
+    /// Bytes the header's own CRC covers: everything before it.
+    const CHECKED: usize = IMAGE_HEADER_LEN - 4;
+
+    fn encode(&self) -> [u8; IMAGE_HEADER_LEN] {
+        let mut h = [0u8; IMAGE_HEADER_LEN];
+        h[..8].copy_from_slice(IMAGE_MAGIC);
+        h[8..16].copy_from_slice(&self.epoch.to_le_bytes());
+        h[16..24].copy_from_slice(&self.count.to_le_bytes());
+        h[24..32].copy_from_slice(&self.body_len.to_le_bytes());
+        h[32..36].copy_from_slice(&self.body_crc.to_le_bytes());
+        let crc = crc32(&h[..Self::CHECKED]);
+        h[Self::CHECKED..].copy_from_slice(&crc.to_le_bytes());
+        h
+    }
+
+    /// Decodes the first bytes of an image file; `Err` says what is
+    /// wrong with them.
+    fn decode(bytes: &[u8]) -> Result<ImageHeader, String> {
+        if bytes.starts_with(TEXT_IMAGE_PREFIX) {
+            return Err(
+                "a text image from before the binary checkpoint format; rewrite it once \
+                 with `unn-cli store convert <dir>`"
+                    .to_string(),
+            );
+        }
+        let Some(h) = bytes.get(..IMAGE_HEADER_LEN) else {
+            return Err(format!(
+                "truncated header: {} of {IMAGE_HEADER_LEN} bytes",
+                bytes.len()
+            ));
+        };
+        if &h[..8] != IMAGE_MAGIC {
+            return Err("bad image magic".to_string());
+        }
+        let u64_at = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().unwrap());
+        let u32_at = |at: usize| u32::from_le_bytes(h[at..at + 4].try_into().unwrap());
+        if crc32(&h[..Self::CHECKED]) != u32_at(Self::CHECKED) {
+            return Err("header checksum mismatch".to_string());
+        }
+        Ok(ImageHeader {
+            epoch: u64_at(8),
+            count: u64_at(16),
+            body_len: u64_at(24),
+            body_crc: u32_at(32),
+        })
+    }
+}
+
+/// The refusal of the image at `path`.
+fn refuse_image(path: &Path, message: String) -> WalError {
+    WalError::Snapshot {
+        path: path.to_path_buf(),
+        message,
+    }
+}
+
+/// Opens the image at `path` and reads its header: magic and header
+/// checksum verified, and the file exactly as long as the header says
+/// (so a truncated or extended image is refused before its body is
+/// read). `None` when there is no image. The file is left positioned at
+/// the body.
+fn open_image(path: &Path) -> Result<Option<(File, ImageHeader)>, WalError> {
+    let file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let file_len = file.metadata()?.len();
+    let mut head = Vec::with_capacity(IMAGE_HEADER_LEN);
+    (&file)
+        .take(IMAGE_HEADER_LEN as u64)
+        .read_to_end(&mut head)?;
+    let refuse = |message| refuse_image(path, message);
+    let header = ImageHeader::decode(&head).map_err(refuse)?;
+    if (IMAGE_HEADER_LEN as u64).checked_add(header.body_len) != Some(file_len) {
+        return Err(refuse(format!(
+            "header promises {} body bytes, the file holds {}",
+            header.body_len,
+            file_len.saturating_sub(IMAGE_HEADER_LEN as u64)
+        )));
+    }
+    Ok(Some((file, header)))
+}
+
+/// Reads the body of the image [`open_image`] has just opened: its
+/// checksum is verified **before** anything is decoded, then the
+/// trajectories are decoded (validated, ascending ids, no trailing
+/// bytes) straight into the `Arc`s the store keeps.
+fn read_image_body(
+    path: &Path,
+    mut file: File,
+    header: &ImageHeader,
+) -> Result<Vec<Arc<UncertainTrajectory>>, WalError> {
+    let refuse = |message| refuse_image(path, message);
+    // `open_image` matched `body_len` against the file's real size, so
+    // this allocation is bounded by bytes that exist.
+    let mut body = Vec::with_capacity(header.body_len as usize);
+    file.read_to_end(&mut body)?;
+    if body.len() as u64 != header.body_len {
+        return Err(refuse(format!(
+            "header promises {} body bytes, {} read",
+            header.body_len,
+            body.len()
+        )));
+    }
+    if crc32(&body) != header.body_crc {
+        return Err(refuse("body checksum mismatch".to_string()));
+    }
+    decode_trajectory_list(&body, header.count)
+        .map_err(|e| refuse(format!("undecodable body: {e}")))
+}
+
+/// A [`Write`] adapter keeping the CRC-32 register and the length of
+/// everything written through it.
+struct CrcWriter<W> {
+    inner: W,
+    /// The running register ([`crc32_update`]); complement to finish.
+    crc: u32,
+    len: u64,
+}
+
+impl<W: Write> CrcWriter<W> {
+    fn new(inner: W) -> Self {
+        CrcWriter {
+            inner,
+            crc: !0,
+            len: 0,
+        }
+    }
+}
+
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.crc = crc32_update(self.crc, &buf[..n]);
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Streams an image body — each trajectory in the wire encoding, one
+/// small reused buffer, never the whole payload in memory.
+fn write_image_body<W: Write>(w: &mut W, objects: &[UncertainTrajectory]) -> io::Result<()> {
+    let mut one = Vec::with_capacity(256);
+    for tr in objects {
+        one.clear();
+        put_trajectory(&mut one, tr);
+        w.write_all(&one)?;
+    }
+    Ok(())
+}
+
+/// Writes a complete image file at `path` and fsyncs it.
+fn write_image(path: &Path, epoch: u64, objects: &[UncertainTrajectory]) -> io::Result<()> {
+    let mut file = File::create(path)?;
+    // The header carries the body's length and checksum, which are known
+    // only once the body has streamed past: reserve its bytes now, fill
+    // them in last.
+    file.write_all(&[0; IMAGE_HEADER_LEN])?;
+    let mut body = CrcWriter::new(BufWriter::new(file));
+    write_image_body(&mut body, objects)?;
+    let header = ImageHeader {
+        epoch,
+        count: objects.len() as u64,
+        body_len: body.len,
+        body_crc: !body.crc,
+    };
+    let mut file = body.inner.into_inner().map_err(|e| e.into_error())?;
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(&header.encode())?;
+    file.sync_all()
+}
+
+/// Puts a new image of `objects` (ascending by id) at `epoch` in place
+/// in `dir`: written to a temp file, fsynced, renamed over the old
+/// image, and the directory fsynced.
+fn install_image(dir: &Path, epoch: u64, objects: &[UncertainTrajectory]) -> io::Result<()> {
+    let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
+    write_image(&tmp, epoch, objects)?;
+    // The rename is the commit point: a crash before it leaves the old
+    // image in place, after it the new watermark rules.
+    fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+    // Make the rename durable before the caller unlinks any segment the
+    // new watermark covers: both are directory updates, and without this
+    // barrier a power loss may keep the unlinks but not the rename — the
+    // old watermark with its records gone, a chain gap recovery must
+    // refuse. (A directory fsync, not a WAL fsync: `syncs` does not
+    // count it.)
+    File::open(dir)?.sync_all()
+}
+
+/// Rewrites a WAL directory's **text** checkpoint image (what
+/// `snapshot.unn` was before the binary format — see
+/// [`crate::persist::load_image`]) as a binary one, in place; the WAL
+/// segments are untouched. Returns the image's epoch and object count.
+/// This is `unn-cli store convert <dir>`, the one step an old directory
+/// needs before [`recover`] accepts it.
+pub fn convert_text_image(dir: &Path) -> Result<(u64, usize), WalError> {
+    let path = dir.join(SNAPSHOT_FILE);
+    let refuse = |message| refuse_image(&path, message);
+    if let Ok(Some((_, header))) = open_image(&path) {
+        return Err(refuse(format!(
+            "already a binary image (epoch {}, {} objects); nothing to convert",
+            header.epoch, header.count
+        )));
+    }
+    let mut image =
+        persist::load_image(&path).map_err(|e| refuse(format!("not a text image: {e}")))?;
+    image.objects.sort_by_key(UncertainTrajectory::oid);
+    if let Some(w) = image.objects.windows(2).find(|w| w[0].oid() == w[1].oid()) {
+        return Err(refuse(format!("object {} appears twice", w[0].oid())));
+    }
+    install_image(dir, image.epoch, &image.objects)?;
+    Ok((image.epoch, image.objects.len()))
 }
 
 // ---------------------------------------------------------------------
@@ -977,13 +1312,16 @@ impl FollowerFeed {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven, no deps.
+// CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-8, no deps.
 // ---------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the register after byte `b` and then `k` zero bytes, which lets
+/// eight input bytes be folded with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -996,19 +1334,50 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Feeds `bytes` into a running CRC register: start from `!0`,
+/// complement the final value. Eight bytes per step; the values are
+/// those of the byte-at-a-time loop, so every record written before
+/// this was sliced still verifies.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
 }
 
 /// IEEE CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    !crc32_update(!0, bytes)
 }
 
 #[cfg(test)]
@@ -1035,6 +1404,51 @@ mod tests {
         );
     }
 
+    /// The byte-at-a-time loop `crc32` was before slicing — the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic noise (SplitMix64), one byte per step.
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        // Every length 0–64 starting at every address 0–7 mod 8, so the
+        // eight-byte steps meet every alignment and every remainder.
+        let buf = noise(8 + 7 + 64, 1);
+        let to_aligned = (8 - buf.as_ptr() as usize % 8) % 8;
+        for align in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[to_aligned + align..][..len];
+                assert_eq!(slice.as_ptr() as usize % 8, align);
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "{align}+{len}");
+            }
+        }
+        let big = noise(1 << 20, 7);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+        // Fed in pieces of any size, the register ends the same.
+        let mut c = !0;
+        for piece in big.chunks(189) {
+            c = crc32_update(c, piece);
+        }
+        assert_eq!(!c, crc32(&big));
+    }
+
     #[test]
     fn fsync_policy_parses_its_display() {
         for p in [FsyncPolicy::Always, FsyncPolicy::EveryN(8), FsyncPolicy::Os] {
@@ -1042,6 +1456,46 @@ mod tests {
         }
         assert_eq!(FsyncPolicy::parse("every-0"), None);
         assert_eq!(FsyncPolicy::parse("sometimes"), None);
+    }
+
+    #[test]
+    fn streaming_writer_crc_equals_crc32_of_body() {
+        let objects = generate_uncertain(&WorkloadConfig::with_objects(40, 11), 0.5);
+        let mut w = CrcWriter::new(Vec::new());
+        write_image_body(&mut w, &objects).unwrap();
+        assert!(!w.inner.is_empty());
+        assert_eq!(w.len, w.inner.len() as u64);
+        assert_eq!(!w.crc, crc32(&w.inner));
+    }
+
+    #[test]
+    fn text_image_is_refused_until_converted() {
+        let dir = tempdir("text_image");
+        let objects = generate_uncertain(&WorkloadConfig::with_objects(5, 8), 0.5);
+        let mut text = b"# unn-modb v2\nEPOCH 17\n".to_vec();
+        persist::save_to(&objects, &mut text).unwrap();
+        fs::write(dir.join(SNAPSHOT_FILE), &text).unwrap();
+
+        for refused in [
+            recover(&dir).map(|_| ()),
+            Wal::open(&dir, WalOptions::default()).map(|_| ()),
+        ] {
+            match refused {
+                Err(e @ WalError::Snapshot { .. }) => {
+                    assert!(e.to_string().contains("unn-cli store convert <dir>"), "{e}");
+                }
+                other => panic!("expected the convert hint, got {other:?}"),
+            }
+        }
+        assert_eq!(convert_text_image(&dir).unwrap(), (17, 5));
+        let (recovered, report) = recover(&dir).unwrap();
+        assert_eq!(report.snapshot_epoch, 17);
+        assert_eq!(recovered.epoch(), 17);
+        assert_eq!(recovered.snapshot().to_vec(), objects);
+        // A second conversion has nothing to do and says so.
+        let again = convert_text_image(&dir).unwrap_err().to_string();
+        assert!(again.contains("already a binary image"), "{again}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -194,11 +194,13 @@
 //! * [`net`] — the framed TCP service layer: wire codec, multiplexed
 //!   event-loop server with encode-once push delivery, and the blocking
 //!   client;
-//! * [`persist`] — replayable text snapshots of MOD contents (v2 images
-//!   carry the epoch watermark + catalog metadata);
+//! * [`persist`] — replayable, diff-friendly text snapshots of MOD
+//!   contents (import/export; not read by the serving path);
 //! * [`durability`] — the write-ahead delta log: checksummed segment
-//!   files journaling every commit, snapshot checkpoints, crash
-//!   recovery by replay (torn tails truncated loudly), and the
+//!   files journaling every commit, checksummed binary checkpoint
+//!   images in the wire's trajectory encoding, crash recovery by image
+//!   load + replay (torn tails truncated loudly, damaged images
+//!   refused), and the
 //!   replication hub fanning the same encode-once commit frames to
 //!   socket-attached follower stores (`FOLLOW` in `docs/WIRE.md`).
 
@@ -225,8 +227,8 @@ pub use cache::{CacheStats, EngineCache};
 pub use catalog::{Catalog, ObjectMeta};
 pub use delta::{DeltaLog, DeltaOp, DeltaRecord, ForwardProof, NetDelta, ReplOp};
 pub use durability::{
-    open_store, recover, FsyncPolicy, RecoveryReport, ReplicationHub, Wal, WalError, WalOptions,
-    WalStatus,
+    convert_text_image, open_store, recover, FsyncPolicy, RecoveryReport, ReplicationHub, Wal,
+    WalError, WalOptions, WalStatus,
 };
 pub use net::{NetClient, NetError, NetServer, NetServerConfig};
 pub use plan::{PlanError, PrefilterPolicy, QueryPlan, QueryPlanner};

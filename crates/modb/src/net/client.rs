@@ -595,6 +595,7 @@ impl Follower {
         match self.client.follow(from)? {
             FollowStart::Continue { .. } => {}
             FollowStart::Resync { epoch, objects } => {
+                let objects = objects.into_iter().map(Arc::new).collect();
                 self.server.store().restore(objects, epoch);
             }
         }

@@ -467,7 +467,14 @@ fn put_metrics(buf: &mut Vec<u8>, snap: &MetricsSnapshot) {
     }
 }
 
-fn put_trajectory(buf: &mut Vec<u8>, tr: &UncertainTrajectory) {
+/// The shortest trajectory encoding (`oid radius pdf-tag sample-count`,
+/// no samples) — what bounds a trajectory count against its payload.
+const MIN_TRAJECTORY_LEN: usize = 8 + 8 + 1 + 4;
+
+/// Appends one trajectory in the wire's bit-exact encoding — the element
+/// of a [`WireOutput::Resync`] object list, of a commit body's insert
+/// op, and (via [`crate::durability`]) of a checkpoint image's body.
+pub(crate) fn put_trajectory(buf: &mut Vec<u8>, tr: &UncertainTrajectory) {
     put_u64(buf, tr.oid().0);
     put_f64(buf, tr.radius());
     match tr.pdf() {
@@ -517,6 +524,30 @@ pub(crate) fn encode_commit_body(buf: &mut Vec<u8>, epoch: u64, ops: &[ReplOp]) 
 pub(crate) fn decode_commit_body(payload: &[u8]) -> Result<(u64, Vec<ReplOp>), WireError> {
     let mut c = Cursor::new(payload);
     let out = c.commit_body()?;
+    c.finish()?;
+    Ok(out)
+}
+
+/// Decodes `count` back-to-back trajectories (the exact inverse of
+/// repeated [`put_trajectory`] calls — a checkpoint image's body, which
+/// is a [`WireOutput::Resync`] object list without its count prefix),
+/// enforcing strictly ascending ids and rejecting trailing bytes. The
+/// caller has verified the body's checksum; this validates structure.
+pub(crate) fn decode_trajectory_list(
+    body: &[u8],
+    count: u64,
+) -> Result<Vec<Arc<UncertainTrajectory>>, WireError> {
+    let mut c = Cursor::new(body);
+    let n = usize::try_from(count)
+        .ok()
+        .filter(|n| n.saturating_mul(MIN_TRAJECTORY_LEN) <= body.len())
+        .ok_or_else(|| c.bad("count overruns payload"))?;
+    let out = c.ascending_n(
+        n,
+        "image objects",
+        |tr: &Arc<UncertainTrajectory>| tr.oid(),
+        |c| c.trajectory().map(Arc::new),
+    )?;
     c.finish()?;
     Ok(out)
 }
@@ -833,6 +864,18 @@ impl<'a> Cursor<'a> {
         item: impl Fn(&mut Self) -> Result<T, WireError>,
     ) -> Result<Vec<T>, WireError> {
         let n = self.count(min_size)?;
+        self.ascending_n(n, what, key, item)
+    }
+
+    /// [`Cursor::ascending`] for a count the caller has already read and
+    /// bounded against the remaining bytes.
+    fn ascending_n<T>(
+        &mut self,
+        n: usize,
+        what: &str,
+        key: impl Fn(&T) -> Oid,
+        item: impl Fn(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
         let mut items: Vec<T> = Vec::with_capacity(n);
         for _ in 0..n {
             let next = item(self)?;

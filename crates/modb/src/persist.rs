@@ -11,28 +11,27 @@
 //! ```
 //!
 //! Floats are written with Rust's shortest round-trip formatting, so a
-//! save/load cycle reproduces the exact same `f64`s.
+//! save/load cycle reproduces the exact same `f64`s. This is the
+//! import/export format (`unn-cli load` / `save`); nothing in the
+//! serving path reads it.
 //!
-//! ## Format v2: checkpoint images
+//! ## Text checkpoint images (read-only, for conversion)
 //!
-//! The durability subsystem ([`crate::durability`]) checkpoints the
-//! store as a **v2 image**: the same object records plus the epoch
-//! watermark that tells recovery which WAL frames are already folded
-//! in, and the object catalog so labels survive a restart:
+//! Before the binary checkpoint image ([`crate::durability`], "Checkpoint
+//! image") a WAL directory's `snapshot.unn` was this text format plus
+//! one record, the epoch watermark:
 //!
 //! ```text
 //! # unn-modb v2
 //! EPOCH <epoch>                   # commit epoch the image is current at
-//! META <oid> <label> <kind> <tag>*  # catalog entry (fields %-escaped)
 //! OBJ/PT records as in v1
 //! ```
 //!
-//! `META` string fields are percent-escaped (space, `%`, and control
-//! bytes as `%XX`; the empty string as a lone `%`) so the format stays
-//! whitespace-tokenized. [`load_image`] accepts both versions — a v1
-//! file loads as an image at epoch 0 with an empty catalog.
+//! [`load_image`] still reads it (a file without an `EPOCH` record is an
+//! image at epoch 0) so that `unn-cli store convert <dir>`
+//! ([`crate::durability::convert_text_image`]) can rewrite an old
+//! directory once; recovery itself refuses a text image.
 
-use crate::catalog::ObjectMeta;
 use crate::store::ModStore;
 use std::fmt;
 use std::fs::File;
@@ -82,26 +81,20 @@ impl From<io::Error> for PersistError {
     }
 }
 
-/// A point-in-time image of a store: its contents, the commit epoch they
-/// are current at, and the object catalog — what a v2 file carries.
+/// What a text checkpoint image carries: the store's contents and the
+/// commit epoch they are current at.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreImage {
     /// The commit epoch the objects are current at (the recovery
     /// watermark: WAL frames at or below it are already folded in).
     pub epoch: u64,
-    /// Every stored trajectory, ascending by id.
+    /// Every stored trajectory, in file order.
     pub objects: Vec<UncertainTrajectory>,
-    /// Catalog entries, ascending by id.
-    pub catalog: Vec<(Oid, ObjectMeta)>,
 }
 
 /// Serializes trajectories to a writer.
 pub fn save_to<W: Write>(trs: &[UncertainTrajectory], w: &mut W) -> Result<(), PersistError> {
     writeln!(w, "# unn-modb v1")?;
-    write_objects(trs, w)
-}
-
-fn write_objects<W: Write>(trs: &[UncertainTrajectory], w: &mut W) -> Result<(), PersistError> {
     for tr in trs {
         match tr.pdf() {
             PdfKind::Uniform { .. } => {
@@ -122,32 +115,6 @@ fn write_objects<W: Write>(trs: &[UncertainTrajectory], w: &mut W) -> Result<(),
 pub fn save(store: &ModStore, path: &Path) -> Result<(), PersistError> {
     let mut w = BufWriter::new(File::create(path)?);
     save_to(&store.snapshot(), &mut w)
-}
-
-/// Serializes a v2 image (epoch watermark + catalog + objects).
-pub fn save_image_to<W: Write>(image: &StoreImage, w: &mut W) -> Result<(), PersistError> {
-    writeln!(w, "# unn-modb v2")?;
-    writeln!(w, "EPOCH {}", image.epoch)?;
-    for (oid, meta) in &image.catalog {
-        write!(
-            w,
-            "META {} {} {}",
-            oid.0,
-            escape(&meta.label),
-            escape(&meta.kind)
-        )?;
-        for tag in &meta.tags {
-            write!(w, " {}", escape(tag))?;
-        }
-        writeln!(w)?;
-    }
-    write_objects(&image.objects, w)
-}
-
-/// Saves a v2 image to `path`.
-pub fn save_image(image: &StoreImage, path: &Path) -> Result<(), PersistError> {
-    let mut w = BufWriter::new(File::create(path)?);
-    save_image_to(image, &mut w)
 }
 
 /// Deserializes trajectories from a reader.
@@ -172,30 +139,13 @@ pub fn load(path: &Path) -> Result<Vec<UncertainTrajectory>, PersistError> {
     load_from(BufReader::new(File::open(path)?))
 }
 
-/// Deserializes a store image, accepting either format version: a file
-/// opening with the `# unn-modb v2` header parses `EPOCH` / `META`
-/// records; anything else is read as v1 (epoch 0, empty catalog).
+/// Deserializes a text checkpoint image: the v1 records plus at most
+/// one `EPOCH` record (absent means epoch 0).
 pub fn load_image_from<R: BufRead>(r: R) -> Result<StoreImage, PersistError> {
-    let mut lines = Vec::new();
-    for line in r.lines() {
-        lines.push(line?);
-    }
-    let v2 = lines
-        .first()
-        .map(|l| l.trim() == "# unn-modb v2")
-        .unwrap_or(false);
-    if !v2 {
-        let joined = lines.join("\n");
-        return Ok(StoreImage {
-            epoch: 0,
-            objects: load_from(joined.as_bytes())?,
-            catalog: Vec::new(),
-        });
-    }
-    let mut image = StoreImage::default();
+    let mut epoch = None;
     let mut objs = ObjectLines::default();
-    let mut seen_epoch = false;
-    for (ln, line) in lines.iter().enumerate() {
+    for (ln, line) in r.lines().enumerate() {
+        let line = line?;
         let lineno = ln + 1;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -204,46 +154,30 @@ pub fn load_image_from<R: BufRead>(r: R) -> Result<StoreImage, PersistError> {
         let mut parts = line.split_whitespace();
         match parts.next().expect("non-empty line has a first token") {
             "EPOCH" => {
-                if seen_epoch {
+                if epoch.is_some() {
                     return Err(PersistError::Format {
                         line: lineno,
                         message: "duplicate EPOCH record".to_string(),
                     });
                 }
-                seen_epoch = true;
-                image.epoch = parse_field(parts.next(), lineno, "epoch")?;
-            }
-            "META" => {
-                let oid: u64 = parse_field(parts.next(), lineno, "oid")?;
-                let label = unescape(require(parts.next(), lineno, "label")?, lineno)?;
-                let kind = unescape(require(parts.next(), lineno, "kind")?, lineno)?;
-                let mut meta = ObjectMeta::new(label, kind);
-                for tag in parts {
-                    meta.tags.push(unescape(tag, lineno)?);
-                }
-                if let Some((last, _)) = image.catalog.last() {
-                    if Oid(oid) <= *last {
-                        return Err(PersistError::Format {
-                            line: lineno,
-                            message: "META oids not ascending".to_string(),
-                        });
-                    }
-                }
-                image.catalog.push((Oid(oid), meta));
+                epoch = Some(parse_field(parts.next(), lineno, "epoch")?);
             }
             record => objs.line(record, parts, lineno)?,
         }
     }
-    image.objects = objs.finish()?;
-    Ok(image)
+    Ok(StoreImage {
+        epoch: epoch.unwrap_or(0),
+        objects: objs.finish()?,
+    })
 }
 
-/// Loads a store image from `path` (either format version).
+/// Loads a text checkpoint image from `path`.
 pub fn load_image(path: &Path) -> Result<StoreImage, PersistError> {
     load_image_from(BufReader::new(File::open(path)?))
 }
 
-/// The `OBJ` / `PT` state machine shared by the v1 and v2 parsers.
+/// The `OBJ` / `PT` state machine shared by [`load_from`] and
+/// [`load_image_from`].
 #[derive(Default)]
 struct ObjectLines {
     current: Option<(Oid, f64, PdfKind, Vec<TrajectorySample>)>,
@@ -309,52 +243,6 @@ impl ObjectLines {
         }
         Ok(self.out)
     }
-}
-
-/// Percent-escapes a `META` string field: `%`, whitespace, and control
-/// bytes become `%XX`; the empty string is a lone `%` (unambiguous —
-/// a literal percent always escapes to `%25`).
-fn escape(s: &str) -> String {
-    if s.is_empty() {
-        return "%".to_string();
-    }
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        if b == b'%' || b.is_ascii_whitespace() || b.is_ascii_control() {
-            out.push('%');
-            out.push_str(&format!("{b:02X}"));
-        } else {
-            out.push(b as char);
-        }
-    }
-    out
-}
-
-fn unescape(s: &str, lineno: usize) -> Result<String, PersistError> {
-    if s == "%" {
-        return Ok(String::new());
-    }
-    let bad = |message: &str| PersistError::Format {
-        line: lineno,
-        message: message.to_string(),
-    };
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = bytes
-                .get(i + 1..i + 3)
-                .ok_or_else(|| bad("truncated %-escape"))?;
-            let hex = std::str::from_utf8(hex).map_err(|_| bad("malformed %-escape"))?;
-            out.push(u8::from_str_radix(hex, 16).map_err(|_| bad("malformed %-escape"))?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).map_err(|_| bad("escaped field is not UTF-8"))
 }
 
 fn require<'a>(field: Option<&'a str>, line: usize, name: &str) -> Result<&'a str, PersistError> {
@@ -484,24 +372,13 @@ mod tests {
     }
 
     #[test]
-    fn v2_image_round_trips_with_epoch_and_catalog() {
-        let objects = generate_uncertain(&WorkloadConfig::with_objects(7, 5), 0.5);
-        let image = StoreImage {
-            epoch: 424242,
-            objects,
-            catalog: vec![
-                (
-                    Oid(0),
-                    ObjectMeta::new("truck 17", "truck").with_tag("cold chain"),
-                ),
-                (Oid(3), ObjectMeta::labelled("medevac-3")),
-                (Oid(5), ObjectMeta::default()),
-            ],
-        };
-        let mut buf = Vec::new();
-        save_image_to(&image, &mut buf).unwrap();
-        let loaded = load_image_from(buf.as_slice()).unwrap();
-        assert_eq!(loaded, image);
+    fn text_image_loads_its_epoch_and_objects() {
+        let trs = generate_uncertain(&WorkloadConfig::with_objects(7, 5), 0.5);
+        let mut buf = b"# unn-modb v2\nEPOCH 424242\n".to_vec();
+        save_to(&trs, &mut buf).unwrap();
+        let image = load_image_from(buf.as_slice()).unwrap();
+        assert_eq!(image.epoch, 424242);
+        assert_eq!(image.objects, trs);
     }
 
     #[test]
@@ -512,32 +389,18 @@ mod tests {
         let image = load_image_from(buf.as_slice()).unwrap();
         assert_eq!(image.epoch, 0);
         assert_eq!(image.objects, trs);
-        assert!(image.catalog.is_empty());
     }
 
     #[test]
-    fn v2_rejects_duplicates_and_disorder() {
+    fn duplicate_epoch_is_rejected_and_v1_has_no_epoch() {
         assert!(matches!(
             load_image_from("# unn-modb v2\nEPOCH 1\nEPOCH 2\n".as_bytes()),
             Err(PersistError::Format { .. })
         ));
-        assert!(matches!(
-            load_image_from("# unn-modb v2\nMETA 5 a b\nMETA 2 c d\n".as_bytes()),
-            Err(PersistError::Format { .. })
-        ));
-        // v1 files must not contain v2 records.
+        // v1 files must not contain image records.
         assert!(matches!(
             load_from("EPOCH 3\n".as_bytes()),
             Err(PersistError::Format { .. })
         ));
-    }
-
-    #[test]
-    fn meta_escaping_is_lossless() {
-        for s in ["", "plain", "two words", "100%", "a%20b", "tab\there", "%"] {
-            assert_eq!(unescape(&escape(s), 1).unwrap(), s, "{s:?}");
-        }
-        assert!(unescape("%2", 1).is_err());
-        assert!(unescape("%zz", 1).is_err());
     }
 }

@@ -838,14 +838,23 @@ impl ModStore {
     /// rebuild against the restored contents in the maintenance round
     /// this triggers. Not journaled — a restore re-establishes state
     /// that is already durable elsewhere.
-    pub fn restore(&self, objects: Vec<UncertainTrajectory>, epoch: u64) {
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.map.write().unwrap()).collect();
-        for g in guards.iter_mut() {
-            g.clear();
-        }
+    pub fn restore(&self, objects: Vec<Arc<UncertainTrajectory>>, epoch: u64) {
+        // Deal the objects out per shard, then bulk-build each map from
+        // its run (collecting sorts first — a no-op pass here, since both
+        // producers, image decode and resync decode, hand the objects
+        // over ascending by id) instead of one tree descent per object.
+        let per_shard = objects.len() / self.shards.len() + 1;
+        let mut runs: Vec<Vec<(Oid, Arc<UncertainTrajectory>)>> = self
+            .shards
+            .iter()
+            .map(|_| Vec::with_capacity(per_shard + per_shard / 8))
+            .collect();
         for tr in objects {
-            let tr = Arc::new(tr);
-            guards[self.shard_index(tr.oid())].insert(tr.oid(), tr);
+            runs[self.shard_index(tr.oid())].push((tr.oid(), tr));
+        }
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.map.write().unwrap()).collect();
+        for (g, run) in guards.iter_mut().zip(runs) {
+            **g = run.into_iter().collect();
         }
         {
             let mut log = self.delta.lock().unwrap();

@@ -18,6 +18,11 @@
 //! report is printed) and every subsequent commit is journaled there,
 //! so a `kill -9` loses at most the unsynced fsync window.
 //!
+//! `unn-cli store convert <dir>` rewrites a WAL directory's checkpoint
+//! image from the text format older builds wrote to the binary one
+//! recovery reads (in place; the log segments are untouched). A text
+//! image is otherwise refused, with this command named in the error.
+//!
 //! `unn-cli follow <addr> [deltas] [ms]` attaches a read replica: it
 //! bootstraps a local mirror over the `FOLLOW` wire exchange, applies
 //! up to `deltas` streamed commits (waiting at most `ms` for each), and
@@ -86,7 +91,8 @@ use uncertain_nn::modb::net::{Follower, NetClient, WireOutput};
 use uncertain_nn::modb::subscription::{SubAnswer, SubDelta, SubscriptionError};
 use uncertain_nn::modb::telemetry::{self, MetricsSnapshot, TraceEvent, TraceStage};
 use uncertain_nn::modb::{
-    open_store, persist, FsyncPolicy, RecoveryReport, ServerError, SubscriptionInfo, WalOptions,
+    convert_text_image, open_store, persist, FsyncPolicy, RecoveryReport, ServerError,
+    SubscriptionInfo, WalOptions,
 };
 use uncertain_nn::prelude::*;
 
@@ -168,6 +174,22 @@ fn main() {
         };
         match run_serve(addr, &args[3..]) {
             Ok(()) => return,
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+    if args.get(1).map(String::as_str) == Some("store") {
+        let (Some("convert"), Some(dir)) = (args.get(2).map(String::as_str), args.get(3)) else {
+            eprintln!("usage: unn-cli store convert <dir>");
+            std::process::exit(2);
+        };
+        match convert_text_image(Path::new(dir)) {
+            Ok((epoch, objects)) => {
+                println!("converted {dir}: checkpoint epoch {epoch} ({objects} objects)");
+                return;
+            }
             Err(e) => {
                 eprintln!("error: {e}");
                 std::process::exit(1);

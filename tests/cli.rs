@@ -244,6 +244,59 @@ fn wal_open_journals_and_a_second_session_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A directory whose checkpoint image is the text format older builds
+/// wrote: `serve --wal` refuses it and names the convert verb, the verb
+/// rewrites the image in place, and the directory then recovers the
+/// same epoch and objects.
+#[test]
+fn text_image_directory_is_refused_then_converted() {
+    let dir = std::env::temp_dir().join(format!("unn-cli-convert-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("dir creates");
+    std::fs::write(
+        dir.join("snapshot.unn"),
+        "# unn-modb v2\nEPOCH 3\n\
+         OBJ 0 0.5 U\nPT 0 0 0\nPT 30 0 60\n\
+         OBJ 1 0.5 G 0.2\nPT 0 1 0\nPT 30 1 60\n\
+         OBJ 2 0.5 U\nPT 0 2 0\nPT 30 2 60\n",
+    )
+    .expect("text image writes");
+
+    let cli = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_unn-cli"))
+            .args(args)
+            .arg(&dir)
+            .stdin(Stdio::null())
+            .output()
+            .expect("cli runs")
+    };
+    let refused = cli(&["serve", "127.0.0.1:0", "--wal"]);
+    assert!(!refused.status.success(), "a text image must not serve");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("unn-cli store convert <dir>"),
+        "stderr: {stderr}"
+    );
+
+    let converted = cli(&["store", "convert"]);
+    let stdout = String::from_utf8_lossy(&converted.stdout);
+    assert!(converted.status.success(), "{converted:?}");
+    assert!(
+        stdout.contains("checkpoint epoch 3 (3 objects)"),
+        "{stdout}"
+    );
+
+    let script = format!("store wal-open {d}\nlist\nquit\n", d = dir.display());
+    let (stdout, stderr) = run_cli(&script);
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+    assert!(
+        stdout.contains("checkpoint epoch 3 (3 objects) + 0 wal records (0 ops) -> epoch 3"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("3 objects, ids Tr0 .. Tr2"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn live_server_renders_metrics_over_loopback() {
     use std::io::{BufRead, BufReader};

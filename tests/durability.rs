@@ -11,12 +11,17 @@
 //!   cleanly to the previous commit, loudly reported;
 //! * a **flipped byte** anywhere in the final record either fails
 //!   loudly (checksum / bound / chain error) or recovers to the
-//!   previous commit — never a silent divergence.
+//!   previous commit — never a silent divergence;
+//! * a **damaged checkpoint image** — any byte flipped, cut at any
+//!   length, or grown — is refused, and an intact one recovers
+//!   `to_bits`-equal to the store that wrote it.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use uncertain_nn::modb::{open_store, recover, FsyncPolicy, WalOptions};
+use uncertain_nn::modb::durability::{IMAGE_HEADER_LEN, SNAPSHOT_FILE};
+use uncertain_nn::modb::net::wire::{encode_payload, Frame, WireOutput};
+use uncertain_nn::modb::{open_store, recover, FsyncPolicy, Wal, WalOptions};
 use uncertain_nn::prelude::*;
 
 /// Unique scratch directory per test case (proptest cases of one
@@ -263,6 +268,126 @@ proptest! {
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Checkpoint a small mixed-pdf store, then damage `snapshot.unn`
+    /// every way one write can go wrong: each byte flipped in turn
+    /// (header and body), the file cut at each length, a byte appended.
+    /// Recovery must refuse every one of them — never a store, never
+    /// another epoch — and so must `Wal::open`, which reads only the
+    /// header, for every damage inside it. The intact image recovers
+    /// `to_bits`-equal to the live store.
+    #[test]
+    fn damaged_image_is_never_accepted(
+        fleet in prop::collection::vec((-30i32..30, -30i32..30, 0usize..2, 2usize..5), 1..5),
+        mask in 1u8..=255,
+        extra in 0u8..=255,
+    ) {
+        let dir = scratch("image");
+        let options = WalOptions { checkpoint_every: 0, ..WalOptions::default() };
+        let (store, wal, _) = open_store(&dir, options.clone()).expect("fresh wal opens");
+        for (oid, &(x, y, pdf, samples)) in fleet.iter().enumerate() {
+            store.update(wandering(oid as u64, f64::from(x), f64::from(y), pdf == 1, samples));
+        }
+        let watermark = wal.checkpoint(&store).expect("checkpoint writes");
+        let live = store.snapshot();
+        drop((store, wal));
+
+        let image_path = dir.join(SNAPSHOT_FILE);
+        let intact = std::fs::read(&image_path).expect("image reads");
+        let (recovered, report) = recover(&dir).expect("intact image recovers");
+        prop_assert_eq!(report.snapshot_epoch, watermark);
+        prop_assert_eq!(report.snapshot_objects, fleet.len());
+        prop_assert_eq!(recovered.epoch(), live.epoch());
+        prop_assert_eq!(bits(&recovered.snapshot()), bits(&live));
+        drop(recovered);
+
+        let refused = |damaged: &[u8], what: String| -> Result<(), TestCaseError> {
+            std::fs::write(&image_path, damaged).expect("image rewrites");
+            let err = match recover(&dir) {
+                Err(e) => e.to_string(),
+                Ok((s, _)) => {
+                    return Err(TestCaseError::fail(format!(
+                        "{what}: recovered a store at epoch {}", s.epoch()
+                    )))
+                }
+            };
+            prop_assert!(err.contains("checkpoint image"), "{what}: unexpected error {err}");
+            // Every damage below either lands inside the header or
+            // changes the file's length, and the header states both.
+            if damaged.len() != intact.len() || damaged[..IMAGE_HEADER_LEN] != intact[..IMAGE_HEADER_LEN] {
+                prop_assert!(
+                    Wal::open(&dir, options.clone()).is_err(),
+                    "{what}: Wal::open accepted the header"
+                );
+            }
+            Ok(())
+        };
+        for at in 0..intact.len() {
+            let mut flipped = intact.clone();
+            flipped[at] ^= mask;
+            refused(&flipped, format!("byte {at} ^ {mask:#04x}"))?;
+        }
+        for len in 0..intact.len() {
+            refused(&intact[..len], format!("cut to {len} bytes"))?;
+        }
+        let mut grown = intact.clone();
+        grown.push(extra);
+        refused(&grown, format!("byte {extra:#04x} appended"))?;
+
+        // Put back, the directory is whole again.
+        std::fs::write(&image_path, &intact).expect("image restores");
+        let (again, _) = recover(&dir).expect("restored image recovers");
+        prop_assert_eq!(bits(&again.snapshot()), bits(&live));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A track of `samples` points with a uniform or a truncated-Gaussian
+/// location pdf, on awkward (non-dyadic) coordinates so a formatting or
+/// rounding slip anywhere between disk and store would show in the bits.
+fn wandering(oid: u64, x: f64, y: f64, gaussian: bool, samples: usize) -> UncertainTrajectory {
+    let points: Vec<(f64, f64, f64)> = (0..samples)
+        .map(|k| {
+            let k = k as f64;
+            (x + k / 3.0, y - k * 0.1, k * 60.0 / 7.0)
+        })
+        .collect();
+    let tr = Trajectory::from_triples(Oid(oid), &points).unwrap();
+    let radius = 0.5 + x.abs() / 97.0;
+    let pdf = if gaussian {
+        PdfKind::TruncatedGaussian {
+            radius,
+            sigma: radius / 3.0,
+        }
+    } else {
+        PdfKind::Uniform { radius }
+    };
+    UncertainTrajectory::new(tr, radius, pdf).unwrap()
+}
+
+/// Every number of every object as its bit pattern.
+fn bits(objects: &[UncertainTrajectory]) -> Vec<Vec<u64>> {
+    objects
+        .iter()
+        .map(|tr| {
+            let mut out = vec![tr.oid().0, tr.radius().to_bits()];
+            match tr.pdf() {
+                PdfKind::Uniform { radius } => out.extend([0, radius.to_bits()]),
+                PdfKind::TruncatedGaussian { radius, sigma } => {
+                    out.extend([1, radius.to_bits(), sigma.to_bits()])
+                }
+            }
+            for s in tr.trajectory().samples() {
+                out.extend([
+                    s.position.x.to_bits(),
+                    s.position.y.to_bits(),
+                    s.time.to_bits(),
+                ]);
+            }
+            out
+        })
+        .collect()
 }
 
 /// Applies `ops` (all committing) against a single-segment WAL and
@@ -384,5 +509,61 @@ fn cold_start_opens_an_empty_journaled_store() {
     store.update(straight(0, 1.0, 1.0));
     assert_eq!(wal.status().last_epoch, 1);
     assert_eq!(wal.status().appended, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An image of a store that holds nothing still carries its epoch:
+/// recovery lands on an empty store at that epoch and the chain resumes.
+#[test]
+fn empty_image_restores_an_empty_store() {
+    let dir = scratch("empty");
+    let options = WalOptions {
+        checkpoint_every: 0,
+        ..WalOptions::default()
+    };
+    let (store, wal, _) = open_store(&dir, options.clone()).expect("fresh wal opens");
+    store.update(straight(4, 1.0, 1.0));
+    store.remove(Oid(4)).expect("Tr4 present");
+    assert_eq!(wal.checkpoint(&store).expect("checkpoint writes"), 2);
+    assert_eq!(
+        std::fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len(),
+        IMAGE_HEADER_LEN as u64,
+        "an empty image is its header"
+    );
+    drop((store, wal));
+
+    let (recovered, wal, report) = open_store(&dir, options).expect("reopens");
+    assert_eq!(report.snapshot_epoch, 2);
+    assert_eq!(report.snapshot_objects, 0);
+    assert_eq!(report.replayed_records, 0);
+    assert_eq!((recovered.epoch(), recovered.len()), (2, 0));
+    recovered.update(straight(5, 2.0, 2.0));
+    assert_eq!(wal.status().last_epoch, 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Disk and wire share one trajectory encoding: the body of a checkpoint
+/// image is byte-for-byte the object list a follower's `Resync` carries
+/// for the same snapshot.
+#[test]
+fn image_body_is_the_resync_object_list() {
+    let dir = scratch("resync");
+    let (store, wal, _) = open_store(&dir, WalOptions::default()).expect("fresh wal opens");
+    for (oid, gaussian) in [(3, false), (1, true), (8, false), (5, true)] {
+        store.update(wandering(oid, oid as f64, -2.0, gaussian, 4));
+    }
+    wal.checkpoint(&store).expect("checkpoint writes");
+    let snap = store.snapshot();
+    let resync = encode_payload(&Frame::Response {
+        id: 0,
+        result: Ok(WireOutput::Resync {
+            epoch: snap.epoch(),
+            objects: snap.to_vec(),
+        }),
+    });
+    // tag, id, ok flag, output tag, epoch, count — then the list.
+    let list = &resync[1 + 8 + 1 + 1 + 8 + 4..];
+    let image = std::fs::read(dir.join(SNAPSHOT_FILE)).expect("image reads");
+    assert_eq!(&image[IMAGE_HEADER_LEN..], list);
     let _ = std::fs::remove_dir_all(&dir);
 }

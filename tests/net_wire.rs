@@ -518,6 +518,7 @@ fn unknown_trace_stage_is_rejected() {
 /// lying about the bytes on the wire.
 #[test]
 fn wire_spec_constants_match_docs() {
+    use uncertain_nn::modb::durability::IMAGE_MAGIC;
     use uncertain_nn::modb::net::wire::{
         MAX_FRAME_LEN, TAG_BYE, TAG_EVENT, TAG_HELLO, TAG_REPL_DELTA, TAG_REPL_LAGGED, TAG_REQUEST,
         TAG_RESPONSE, TAG_ROW_EVENT, TAG_WELCOME, WIRE_MAGIC,
@@ -542,6 +543,9 @@ fn wire_spec_constants_match_docs() {
         ("TAG_ROW_EVENT", TAG_ROW_EVENT as u64),
         ("TAG_REPL_DELTA", TAG_REPL_DELTA as u64),
         ("TAG_REPL_LAGGED", TAG_REPL_LAGGED as u64),
+        // Not a wire constant, but the image body is wire-encoded and
+        // the spec describes it: the magic read as a little-endian u64.
+        ("IMAGE_MAGIC", u64::from_le_bytes(*IMAGE_MAGIC)),
     ];
     for (name, value) in expected {
         // Rows look like: | `NAME` | `VALUE` | with VALUE decimal or 0x-hex.
