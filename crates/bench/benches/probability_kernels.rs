@@ -14,12 +14,18 @@
 //! * `rows_full` — a full probability-row sweep at production density
 //!   (128 probes).
 //!
+//! Every kernel-path iteration evaluates through a fresh kernel over the
+//! one profile: a kept kernel remembers the blocks of a column evaluated
+//! twice (`unn_core::kernel`, "Memo") and would time the memo, not the
+//! evaluator.
+//!
 //! Timed runs write `BENCH_probability_kernels.json` at the workspace
 //! root (validated by `check_bench_json`); `-- --test` smoke-runs each
 //! closure once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 use unn_core::kernel::{ColumnBatch, ColumnKernel};
 use unn_core::query::QueryEngine;
@@ -27,6 +33,7 @@ use unn_geom::hyperbola::Hyperbola;
 use unn_geom::interval::TimeInterval;
 use unn_geom::point::Vec2;
 use unn_prob::nn_prob::{nn_probabilities, NnCandidate, NnConfig};
+use unn_prob::profile::ProfiledPdf;
 use unn_prob::uniform_diff::UniformDifferencePdf;
 use unn_traj::distance::DistanceFunction;
 use unn_traj::trajectory::Oid;
@@ -82,6 +89,8 @@ fn lower_envelope(fs: &[DistanceFunction], t: f64) -> f64 {
 
 fn bench_kernels(c: &mut Criterion) {
     let pdf = UniformDifferencePdf::new(RADIUS);
+    let profile = Arc::new(ProfiledPdf::of(&pdf));
+    let fresh = || ColumnKernel::from_profile(Arc::clone(&profile));
     let mut group = c.benchmark_group("probability_kernels");
     group
         .sample_size(10)
@@ -90,8 +99,7 @@ fn bench_kernels(c: &mut Criterion) {
 
     for &n in &[16usize, 32] {
         let fs = fleet(n);
-        let kernel = ColumnKernel::new(&pdf);
-        let band = kernel.band();
+        let band = fresh().band();
         // Scalar baseline: per column, collect the in-band candidates
         // and run the generic Eq. 5 evaluator against the virtual-
         // dispatch difference pdf — the pre-kernel inner loop.
@@ -126,16 +134,15 @@ fn bench_kernels(c: &mut Criterion) {
                     let t = probe_t(k, COLUMN_WINDOW);
                     batch.gather(k, &fs, lower_envelope(&fs, t), t, band);
                 }
-                black_box(kernel.evaluate(&batch))
+                black_box(fresh().evaluate(&batch))
             })
         });
     }
 
     // A full row sweep through the engine.
     let engine = QueryEngine::new(Oid(0), fleet(64), RADIUS);
-    let full = ColumnKernel::new(&pdf);
     group.bench_function("rows_full", |b| {
-        b.iter(|| black_box(engine.prob_row_set_kernel(&full, SAMPLES)))
+        b.iter(|| black_box(engine.prob_row_set_kernel(&fresh(), SAMPLES)))
     });
     group.finish();
 }

@@ -26,10 +26,36 @@
 //! correctly-rounded IEEE operations in a source-fixed order (see
 //! [`unn_prob::profile`]'s determinism section), so a column's bits do not
 //! depend on which consumer, batch, process or CPU evaluated it.
+//!
+//! # Memo
+//!
+//! The evaluator works in quadrature blocks — the 32 outer-node values of
+//! one candidate distance `d` in one segment `(a, b)` — and can copy any
+//! block whose `(a, b, d)` bits a previous evaluation's
+//! [`BlockList`] holds ([`unn_prob::profile`], "Memo"). A kernel keeps
+//! one such list per **probe index**: evaluating column `k` reads the
+//! blocks its last evaluation left and leaves its own. A kernel that
+//! lives across commits — a threshold share's, in `unn-modb` — therefore
+//! re-integrates only the `(segment, candidate)` pairs whose inputs
+//! changed since the probe was last evaluated, whether the column is
+//! patched under a carried envelope or re-evaluated in full after an
+//! envelope rebuild. The result is the same bits either way.
+//!
+//! A column is remembered only from its **second** evaluation on: the
+//! first leaves an empty list behind. One-shot sweeps, fresh-kernel
+//! reference evaluations and a share that is never patched therefore
+//! hold no blocks at all; a maintained share holds at most one
+//! evaluation per probe — about `n(n+1)/2` blocks of 536 bytes for a
+//! column of `n` in-band candidates. Reverse (`PROB_RNN`) rows evaluate
+//! every perspective's column `k` through the same index, so their memo
+//! is bounded the same way but rarely hits.
 
-use std::sync::Arc;
+use std::fmt;
+#[cfg(test)]
+use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::{Arc, Mutex};
 use unn_prob::pdf::RadialPdf;
-use unn_prob::profile::{nn_probabilities_profiled, NnScratch, ProfiledPdf};
+use unn_prob::profile::{nn_probabilities_profiled, BlockList, ProfiledPdf};
 use unn_traj::distance::DistanceFunction;
 use unn_traj::trajectory::Oid;
 
@@ -87,14 +113,39 @@ impl ColumnBatch {
     }
 }
 
-/// The shared column evaluator: one profiled difference pdf.
+/// The shared column evaluator: one profiled difference pdf, and the
+/// memo of the columns it evaluated (module docs).
 ///
 /// Cheap to build from an already-profiled pdf
 /// ([`ColumnKernel::from_profile`]); [`ColumnKernel::new`] profiles on the
-/// spot for one-shot callers.
-#[derive(Debug)]
+/// spot for one-shot callers. A clone is a second handle on the same
+/// kernel: it shares the profile and the memo.
+#[derive(Clone)]
 pub struct ColumnKernel {
     profile: Arc<ProfiledPdf>,
+    /// Per probe index: `None` until the column's first evaluation, then
+    /// the blocks of its latest one — an empty list after the first, so
+    /// that only a column evaluated again is remembered. A `Mutex` (as
+    /// `QueryEngine`'s IPAC cache) keeps the kernel `Sync`; it is held
+    /// only to take a list out and to put one back, never while
+    /// evaluating.
+    memo: Arc<Mutex<Vec<Option<BlockList>>>>,
+    /// Blocks computed rather than copied, for the tests that pin the
+    /// memo's reach.
+    #[cfg(test)]
+    computed: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl fmt::Debug for ColumnKernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let memo = self.memo.lock().expect("kernel memo poisoned");
+        let kept = memo.iter().flatten().filter(|list| !list.is_empty());
+        f.debug_struct("ColumnKernel")
+            .field("support", &self.profile.support_radius())
+            .field("memo_columns", &kept.clone().count())
+            .field("memo_blocks", &kept.map(BlockList::len).sum::<usize>())
+            .finish()
+    }
 }
 
 impl ColumnKernel {
@@ -106,7 +157,12 @@ impl ColumnKernel {
     /// Builds the kernel around an existing profile (the store-wide cache
     /// hands these out).
     pub fn from_profile(profile: Arc<ProfiledPdf>) -> Self {
-        ColumnKernel { profile }
+        ColumnKernel {
+            profile,
+            memo: Default::default(),
+            #[cfg(test)]
+            computed: Default::default(),
+        }
     }
 
     /// The gather band: `2 · support` — the `4r` rule for uniform pairs.
@@ -116,16 +172,53 @@ impl ColumnKernel {
 
     /// Evaluates every column of the batch; the result is index-aligned
     /// with the batch's flat work items (see [`ColumnBatch::columns`]).
+    /// Each column reads the blocks this kernel remembers for its probe
+    /// index and leaves its own behind (module docs).
     pub fn evaluate(&self, batch: &ColumnBatch) -> Vec<f64> {
         let mut probs = vec![0.0; batch.ids.len()];
-        let mut scratch = NnScratch::default();
-        let mut out = Vec::new();
-        for &(_, start, len) in &batch.cols {
+        let (empty, mut next, mut out) = (BlockList::default(), BlockList::default(), Vec::new());
+        for &(k, start, len) in &batch.cols {
             let (s, e) = (start as usize, (start + len) as usize);
-            nn_probabilities_profiled(&self.profile, &batch.dists[s..e], &mut scratch, &mut out);
+            let prev = self.take(k);
+            let computed = nn_probabilities_profiled(
+                &self.profile,
+                &batch.dists[s..e],
+                prev.as_ref().unwrap_or(&empty),
+                &mut next,
+                &mut out,
+            );
             probs[s..e].copy_from_slice(&out);
+            #[cfg(test)]
+            self.computed.fetch_add(computed, AtomicOrdering::Relaxed);
+            #[cfg(not(test))]
+            let _ = computed;
+            // A first evaluation leaves an empty list; a later one keeps
+            // its blocks, and the list it read becomes the next scratch.
+            let kept = match prev {
+                None => BlockList::default(),
+                Some(prev) => std::mem::replace(&mut next, prev),
+            };
+            self.put(k, kept);
         }
         probs
+    }
+
+    /// Takes column `k`'s list out of the memo (`None`: never evaluated,
+    /// or out with a concurrent evaluation of the same index — either
+    /// way the column is evaluated cold).
+    fn take(&self, k: u32) -> Option<BlockList> {
+        let mut memo = self.memo.lock().expect("kernel memo poisoned");
+        memo.get_mut(k as usize).and_then(Option::take)
+    }
+
+    /// Puts column `k`'s list (back) into the memo.
+    fn put(&self, k: u32, list: BlockList) {
+        let mut memo = self.memo.lock().expect("kernel memo poisoned");
+        let k = k as usize;
+        if memo.len() <= k {
+            memo.resize_with(k + 1, || None);
+        }
+        memo[k] = Some(list);
     }
 
     /// Gathers and evaluates a single column — the one-shot entry point
@@ -144,10 +237,14 @@ impl ColumnKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::CandidateSet;
+    use crate::probrows::probe_time;
     use unn_geom::hyperbola::Hyperbola;
     use unn_geom::interval::TimeInterval;
     use unn_geom::point::Vec2;
     use unn_prob::UniformDifferencePdf;
+    use unn_traj::generator::{generate, WorkloadConfig};
+    use unn_traj::trajectory::{Trajectory, TrajectorySample};
 
     fn flyby(owner: u64, x0: f64, y: f64, v: f64) -> DistanceFunction {
         DistanceFunction::single(
@@ -190,5 +287,118 @@ mod tests {
         probs: &'a [f64],
     ) -> (u32, &'a [Oid], &'a [f64]) {
         batch.columns(probs).next().expect("non-empty batch")
+    }
+
+    fn computed(kernel: &ColumnKernel) -> usize {
+        kernel.computed.load(AtomicOrdering::Relaxed)
+    }
+
+    /// `(columns, blocks)` the kernel remembers.
+    fn remembered(kernel: &ColumnKernel) -> (usize, usize) {
+        let memo = kernel.memo.lock().unwrap();
+        let kept: Vec<usize> = memo.iter().flatten().map(BlockList::len).collect();
+        (kept.iter().filter(|&&n| n > 0).count(), kept.iter().sum())
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_column_is_remembered_from_its_second_evaluation_on() {
+        let fs = fleet();
+        let kernel = ColumnKernel::new(&UniformDifferencePdf::new(0.5));
+        let mut batch = ColumnBatch::default();
+        assert!(batch.gather(3, &fs, 1.5, 5.0, kernel.band()));
+        assert!(batch.gather(4, &fs, 1.5, 6.0, kernel.band()));
+        let first = kernel.evaluate(&batch);
+        let cold = computed(&kernel);
+        assert!(cold > 0);
+        assert_eq!(
+            remembered(&kernel),
+            (0, 0),
+            "the first evaluation keeps nothing"
+        );
+        let second = kernel.evaluate(&batch);
+        assert_eq!(computed(&kernel), 2 * cold, "nothing to read back yet");
+        assert_eq!(remembered(&kernel), (2, cold), "the second is kept");
+        let third = kernel.evaluate(&batch);
+        assert_eq!(computed(&kernel), 2 * cold, "every block read back");
+        assert_eq!(bits(&first), bits(&second));
+        assert_eq!(bits(&first), bits(&third));
+        assert_eq!(
+            format!("{kernel:?}"),
+            format!("ColumnKernel {{ support: 1.0, memo_columns: 2, memo_blocks: {cold} }}")
+        );
+    }
+
+    /// The query's own path shifted by `(dx, dy)`, as `oid`.
+    fn shifted(tr: &Trajectory, oid: Oid, dx: f64, dy: f64) -> Trajectory {
+        let samples = tr
+            .samples()
+            .iter()
+            .map(|s| TrajectorySample::new(s.position.x + dx, s.position.y + dy, s.time))
+            .collect();
+        Trajectory::new(oid, samples).unwrap()
+    }
+
+    #[test]
+    fn a_kept_kernel_recomputes_a_fraction_of_the_blocks_across_a_band_entry_and_exit() {
+        // The corpus of `examples/kernel_digest.rs`, and a band object on
+        // each query object's own path, a constant distance off: up to
+        // 1.8 mi (where `near_churn` parks its entries), inside the 4r
+        // band for the whole window, and closer than the query's nearest
+        // neighbour somewhere — so it redraws the envelope and the rows
+        // are re-evaluated in full, as on 13 of `near_churn`'s 16 spots.
+        const RADIUS: f64 = 0.5;
+        const SAMPLES: u32 = 128;
+        let fleet = generate(&WorkloadConfig::with_objects(600, 0xEDB7_2009));
+        let window = TimeInterval::new(0.0, 60.0);
+        let pdf = Arc::new(ProfiledPdf::of(&UniformDifferencePdf::new(RADIUS)));
+        for q in [0usize, 150, 300, 450] {
+            let query = &fleet[q];
+            let engine = |extra: Option<&Trajectory>| {
+                let others = fleet.iter().filter(|t| t.oid() != query.oid()).chain(extra);
+                CandidateSet::build(query, others, &window)
+                    .unwrap()
+                    .into_query_engine(RADIUS)
+            };
+            let without = engine(None);
+            let farthest_nn = (0..SAMPLES)
+                .filter_map(|k| without.envelope().eval(probe_time(window, SAMPLES, k)))
+                .fold(0.0, f64::max);
+            let offset = (0.9 * farthest_nn).min(1.8);
+            let band = shifted(query, Oid(600), 0.6 * offset, 0.8 * offset);
+            let with = engine(Some(&band));
+            assert!(
+                without
+                    .carry_envelope(with.functions().to_vec(), RADIUS, &|o| o == band.oid())
+                    .is_err(),
+                "query {q}: the band object must take an envelope piece"
+            );
+            let kept = ColumnKernel::from_profile(Arc::clone(&pdf));
+            // Registration and a first patch: from here on every column
+            // is remembered.
+            for _ in 0..2 {
+                without.prob_row_set_kernel(&kept, SAMPLES);
+            }
+            for (step, engine, bound) in [
+                ("entry", &with, 0.30),
+                ("exit", &without, 0.16),
+                ("entry again", &with, 0.30),
+            ] {
+                let fresh = ColumnKernel::from_profile(Arc::clone(&pdf));
+                let want = engine.prob_row_set_kernel(&fresh, SAMPLES);
+                let before = computed(&kept);
+                let got = engine.prob_row_set_kernel(&kept, SAMPLES);
+                let share = (computed(&kept) - before) as f64 / computed(&fresh) as f64;
+                assert_eq!(got.bits(), want.bits(), "query {q}, {step}");
+                assert!(
+                    share <= bound,
+                    "query {q}, {step}: {:.1} % of the cold blocks recomputed",
+                    100.0 * share
+                );
+            }
+        }
     }
 }

@@ -62,6 +62,10 @@
 //!   ColumnBatch ──► ColumnKernel::evaluate ──► flat P^NN values
 //!        │    ProfiledPdf (tabulated P^WD/pdf^WD,       │
 //!        │    no dyn dispatch, shared scratch)          │ scatter
+//!        │              ▲ │                             │
+//!        │   column k's │ │ column k's blocks           │
+//!        │   last blocks│ ▼ (from its 2nd evaluation)   │
+//!        │    memo: one BlockList per probe index       │
 //!        ▼                                              ▼
 //!   provenance (which owners fed column k)      ProbRowSet columns
 //! ```
@@ -70,7 +74,10 @@
 //! the difference pdf profiled once into dense radial tables — so the
 //! inner loops are table-lerps and multiply-adds over
 //! structure-of-arrays scratch, not virtual `density()` calls under
-//! adaptive quadrature.
+//! adaptive quadrature. A kernel that is kept (a threshold share keeps
+//! one across commits) also remembers each probe column's quadrature
+//! blocks and copies every block whose inputs did not change; the bits
+//! are those of a cold evaluation either way ([`kernel`], "Memo").
 
 #![warn(missing_docs)]
 

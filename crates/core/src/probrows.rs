@@ -223,6 +223,16 @@ impl ProbRowSet {
             && self.samples == other.samples
     }
 
+    /// Every `(owner, probe, P bits)` — what the bit-identity tests
+    /// compare (`==` on `f64` would let `-0.0` pass for `0.0`).
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> Vec<(Oid, u32, u64)> {
+        self.rows
+            .iter()
+            .flat_map(|r| r.points.iter().map(move |&(k, p)| (r.oid, k, p.to_bits())))
+            .collect()
+    }
+
     /// The delta transforming `self` into `newer`, tagged with the store
     /// epoch `newer` was computed at.
     ///

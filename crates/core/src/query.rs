@@ -847,17 +847,23 @@ mod tests {
             flyby(2, -2.0, 2.0, 1.0, w),
             flyby(3, -8.0, 3.0, 1.0, w),
             flyby(4, 0.0, 50.0, 0.0, w),
+            // Shadows 1 at 1.8 (in-band around t = 5), never below it.
+            flyby(6, -5.0, 1.8, 1.0, w),
         ];
+        // One kernel throughout, so every evaluation after the first two
+        // of a column reads its remembered blocks; `cold` is a fresh
+        // kernel's evaluation.
         let kernel = ColumnKernel::new(&UniformDifferencePdf::new(0.5));
+        let cold = |fs: Vec<DistanceFunction>| {
+            QueryEngine::new(Oid(0), fs, 0.5)
+                .prob_row_set_kernel(&ColumnKernel::new(&UniformDifferencePdf::new(0.5)), 32)
+        };
         let old = QueryEngine::new(Oid(0), base.clone(), 0.5);
         let prev = old.prob_row_set_kernel(&kernel, 32);
         assert!(prev.row_of(Oid(1)).is_some());
         assert!(prev.row_of(Oid(4)).is_none(), "out-of-band object rowless");
-        // Nudge an in-band non-envelope-owner... object 3 dips to 3 at
-        // t=8 while 1 and 2 own the envelope; moving 3 slightly keeps
-        // the envelope if it never realized it. Use the far object plus
-        // a newcomer instead (guaranteed carriable), then check a
-        // touched in-band object dirties its columns.
+        // The far object nudged plus a far newcomer: carried, no column
+        // dirty.
         let mut fs = base.clone();
         fs[3] = flyby(4, 0.0, 49.0, 0.0, w);
         fs.push(flyby(5, 0.0, 60.0, 0.0, w));
@@ -866,19 +872,40 @@ mod tests {
             .carry_envelope(fs.clone(), 0.5, &fresh)
             .expect("far delta carries");
         let (reused, touched) = carried.prob_row_set_reusing_kernel(&kernel, &prev, &fresh);
-        let rebuilt = QueryEngine::new(Oid(0), fs, 0.5).prob_row_set_kernel(&kernel, 32);
-        assert_eq!(reused, rebuilt, "reused rows must be bit-identical");
+        let rebuilt = QueryEngine::new(Oid(0), fs.clone(), 0.5).prob_row_set_kernel(&kernel, 32);
+        assert_eq!(
+            reused.bits(),
+            rebuilt.bits(),
+            "reused rows must be bit-identical"
+        );
+        assert_eq!(rebuilt.bits(), cold(fs).bits());
         assert_eq!(touched, 0, "far-only delta recomputes no row");
-        // A genuinely touched in-band candidate forces a joint recompute
-        // of its columns — and stays bit-identical to a fresh sweep.
-        let mut near = base.clone();
-        near[2] = flyby(3, -8.0, 3.5, 1.0, w);
-        if let Ok(carried2) = old.carry_envelope(near.clone(), 0.5, &|oid| oid == Oid(3)) {
-            let (reused2, touched2) =
-                carried2.prob_row_set_reusing_kernel(&kernel, &prev, &|oid| oid == Oid(3));
-            let rebuilt2 = QueryEngine::new(Oid(0), near, 0.5).prob_row_set_kernel(&kernel, 32);
-            assert_eq!(reused2, rebuilt2);
-            assert!(touched2 >= 1, "the touched candidate's columns recompute");
+        // A touched in-band candidate that stays above the envelope
+        // carries it and forces a joint recompute of its columns — still
+        // bit-identical to a cold sweep.
+        let mut shadow = base.clone();
+        shadow[4] = flyby(6, -5.0, 1.9, 1.0, w);
+        let carried2 = old
+            .carry_envelope(shadow.clone(), 0.5, &|oid| oid == Oid(6))
+            .expect("an in-band move above the envelope carries");
+        let (reused2, touched2) =
+            carried2.prob_row_set_reusing_kernel(&kernel, &prev, &|oid| oid == Oid(6));
+        assert_eq!(reused2.bits(), cold(shadow).bits());
+        assert!(touched2 >= 1, "the touched candidate's columns recompute");
+        // Moving an envelope owner (3 is the nearest around t = 8), or an
+        // entering object that takes an envelope piece, refuses the carry:
+        // the rows of the rebuilt engine, through the same kernel, equal
+        // a cold sweep bit for bit.
+        let mut moved = base.clone();
+        moved[2] = flyby(3, -8.0, 3.5, 1.0, w);
+        let mut entered = base.clone();
+        entered.push(flyby(9, -5.0, 0.1, 1.0, w));
+        for (fs, touched) in [(moved, Oid(3)), (entered, Oid(9))] {
+            let Err(fs) = old.carry_envelope(fs, 0.5, &|oid| oid == touched) else {
+                panic!("{touched} redraws the envelope: the carry must be refused");
+            };
+            let rows = QueryEngine::new(Oid(0), fs.clone(), 0.5).prob_row_set_kernel(&kernel, 32);
+            assert_eq!(rows.bits(), cold(fs).bits(), "{touched}");
         }
     }
 

@@ -151,7 +151,7 @@ use crate::ql::ast::{PredicateKind, Quantifier, Query, Target};
 use crate::ql::{parse_object_name, SourceSpan};
 use crate::server::QueryOutput;
 use crate::snapshot::QuerySnapshot;
-use crate::store::{DifferenceModel, ModStore};
+use crate::store::ModStore;
 use crate::telemetry::{self, TraceEvent, TraceStage};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -846,12 +846,16 @@ struct ShareCore {
     /// snapshot, sound because only provably untouched perspectives are
     /// ever proven against).
     rev_proofs: HashMap<Oid, ForwardProof>,
-    /// The convolved difference-pdf model of the MOD's shared location
-    /// model, memoized by kind (row subscriptions only; re-fetched from
-    /// the store-wide cache when the MOD's registered pdf kind changes,
-    /// which forces every column dirty anyway since it requires
-    /// replacing the objects).
-    model: Option<(PdfKind, DifferenceModel)>,
+    /// The column kernel of the MOD's shared location model, by kind
+    /// (row subscriptions only). Kept across commits, so from a probe
+    /// column's second evaluation on it remembers that column's
+    /// quadrature blocks and re-integrates only the pairs whose inputs
+    /// changed — under a carried envelope and after a rebuild alike
+    /// (`unn_core::kernel`, "Memo"; at most one evaluation per probe).
+    /// Rebuilt over the store-wide cached profile when the MOD's
+    /// registered pdf kind changes, which forces every column dirty
+    /// anyway since it requires replacing the objects.
+    kernel: Option<(PdfKind, ColumnKernel)>,
     answer: SubAnswer,
     /// The subscriber views this share's deltas broadcast to (one per
     /// registered name on this key).
@@ -923,7 +927,7 @@ impl ShareCore {
             query_tr: None,
             proof: None,
             rev_proofs: HashMap::new(),
-            model: None,
+            kernel: None,
             answer: empty_answer_of(key.kind, key.oid, window, key.samples),
             slots: Vec::new(),
             error: None,
@@ -992,9 +996,10 @@ impl ShareCore {
     /// columns with: the profiled difference pdf of the MOD's shared
     /// location model, served from the store-wide cache
     /// ([`ModStore::difference_model`], shared with the one-shot sweeps)
-    /// and memoized here by kind so a maintenance round holding a shard
-    /// lock does not touch the shared cache mutex while the registered
-    /// kind is unchanged.
+    /// and kept here by kind so a maintenance round holding a shard lock
+    /// does not touch the shared cache mutex while the registered kind is
+    /// unchanged. The result is a handle on the kept kernel: it shares
+    /// the memo.
     fn row_kernel(
         &mut self,
         store: &ModStore,
@@ -1003,11 +1008,12 @@ impl ShareCore {
         let kind = common_pdf_kind(snapshot)
             .map_err(|_| "trajectories have differing location pdfs".to_string())?
             .ok_or_else(|| "the MOD needs at least two trajectories".to_string())?;
-        if !matches!(&self.model, Some((cached, _)) if *cached == kind) {
-            self.model = Some((kind, store.difference_model(&kind)));
+        if !matches!(&self.kernel, Some((cached, _)) if *cached == kind) {
+            let profile = store.difference_model(&kind).profile;
+            self.kernel = Some((kind, ColumnKernel::from_profile(profile)));
         }
-        let (_, model) = self.model.as_ref().expect("memoized above");
-        Ok(ColumnKernel::from_profile(Arc::clone(&model.profile)))
+        let (_, kernel) = self.kernel.as_ref().expect("memoized above");
+        Ok(kernel.clone())
     }
 }
 

@@ -52,6 +52,6 @@ pub use disk_diff::DiskDifferencePdf;
 pub use gaussian::TruncatedGaussianPdf;
 pub use nn_prob::{nn_probabilities, NnCandidate, NnConfig};
 pub use pdf::{PdfKind, RadialPdf};
-pub use profile::{nn_probabilities_profiled, NnScratch, ProfiledPdf};
+pub use profile::{nn_probabilities_profiled, BlockList, ProfiledPdf};
 pub use uniform::UniformDiskPdf;
 pub use uniform_diff::UniformDifferencePdf;

@@ -69,11 +69,43 @@
 //! `examples/kernel_digest.rs` checks the claim: its hash over a corpus of
 //! rows must be equal under the default flags and under
 //! `-C target-cpu=native`.
+//!
+//! # Memo
+//!
+//! Eq. 5 over a column is a sum over the segments `(a, b)` between sorted
+//! boundaries, and inside a segment every candidate `d` contributes the
+//! `(P^WD, pdf^WD)` values at the segment's 32 outer nodes. Those 64
+//! numbers — one **block** — depend on nothing but the profile and the
+//! bits of `(a, b, d)`: the nodes are `(a+b)/2 + (b−a)/2 · x_j`, a node at
+//! or below `max(d − S, 0)` contributes zero, and every other value is
+//! [`ProfiledPdf`]'s pure pair evaluator. [`nn_probabilities_profiled`]
+//! is therefore written segment-major over a [`BlockList`]: for each
+//! segment it fills one block per distinct active distance, copying it
+//! from the previous evaluation's list when that list holds the same
+//! `(a, b, d)` bits and computing it otherwise, and only then runs the
+//! node loop (prefix/suffix survival products, lane order, clamp) over
+//! the blocks. A copied block equals the block the evaluator would have
+//! computed bit for bit, so the result cannot depend on what the list
+//! held: the cold evaluation is the same call with an empty list, and
+//! there is one quadrature loop, not a cached and an uncached one.
+//!
+//! Nothing ever needs invalidating. The key is the block's whole input,
+//! so a block that no longer matches is simply not found; the list a call
+//! writes holds only the blocks of its own column, which bounds it at one
+//! evaluation. A list is only meaningful under the profile that wrote it
+//! (`unn_core::kernel::ColumnKernel` keeps one per probe index next to its
+//! profile). When a candidate enters or leaves a column, the segment its
+//! `rmin` cuts (and, for a new nearest candidate, the last one) changes
+//! its `(a, b)` and is recomputed, as is the candidate's own block in
+//! every other segment; all the other blocks keep their keys and are
+//! copied.
 
 use crate::integrate::GaussLegendre;
 use crate::pdf::RadialPdf;
 use crate::within_distance::{uniform_within_distance, uniform_within_distance_density};
+use std::cmp::Ordering;
 use std::f64::consts::PI;
+use std::fmt;
 use std::sync::OnceLock;
 
 /// Radial resolution of the tabulated profile (number of grid intervals).
@@ -257,21 +289,10 @@ impl ProfiledPdf {
         }
     }
 
-    /// `P^WD(d, rd)` — Eq. 3: the probability that an object whose
-    /// (difference-)pdf is centered `d` away from the query point lies
-    /// within distance `rd` of it.
-    pub fn pwd(&self, d: f64, rd: f64) -> f64 {
-        self.pwd_pair(d, rd, kernel_rules()).0
-    }
-
-    /// `pdf^WD(d, rd)` — the density of the within-distance probability in
-    /// `rd` (the integrand weight of Eq. 5).
-    pub fn pwd_density(&self, d: f64, rd: f64) -> f64 {
-        self.pwd_pair(d, rd, kernel_rules()).1
-    }
-
     /// `(P^WD(d, rd), pdf^WD(d, rd))` — what Eq. 5 needs of one candidate
-    /// at one outer node.
+    /// at one outer node: Eq. 3's probability that an object whose
+    /// (difference-)pdf is centered `d` away from the query point lies
+    /// within distance `rd` of it, and its density in `rd`.
     fn pwd_pair(&self, d: f64, rd: f64, rules: &KernelRules) -> (f64, f64) {
         match &self.shape {
             Shape::Uniform { radius } => (
@@ -384,16 +405,68 @@ impl ProfiledPdf {
     }
 }
 
-/// Reusable scratch for [`nn_probabilities_profiled`] — lets a batch of
-/// columns share one set of allocations.
-#[derive(Debug, Default)]
-pub struct NnScratch {
-    bounds: Vec<(f64, f64)>,
+/// One quadrature block: `(P^WD, pdf^WD)` of one candidate distance `d`
+/// at the 32 outer nodes of one segment `(a, b)` of the sorted-boundary
+/// decomposition — zero at the nodes at or below the candidate's
+/// `rmin = max(d − S, 0)`. A pure function of `(profile, a, b, d)`.
+#[derive(Clone, Copy)]
+struct Block {
+    /// `(a, b, d)`: everything the values depend on besides the profile.
+    key: [f64; 3],
+    pwd: [f64; ORDER],
+    dens: [f64; ORDER],
+}
+
+/// `slot` value of a candidate with no block in the current segment
+/// (`rmin` at or above every node: all values zero).
+const NO_BLOCK: usize = usize::MAX;
+
+/// The order blocks are written in: `(a, b, d)` lexicographically, each
+/// component by `total_cmp` (equal exactly when the bits are).
+fn key_cmp(x: &[f64; 3], y: &[f64; 3]) -> Ordering {
+    x[0].total_cmp(&y[0])
+        .then(x[1].total_cmp(&y[1]))
+        .then(x[2].total_cmp(&y[2]))
+}
+
+/// The quadrature blocks one column's evaluation computed or copied,
+/// ascending by `(a, b, d)`, plus the evaluator's per-column scratch —
+/// what [`nn_probabilities_profiled`] writes, and may read back on the
+/// column's next evaluation (module docs, "Memo"). The default list is
+/// empty and allocates nothing.
+#[derive(Default)]
+pub struct BlockList {
+    blocks: Vec<Block>,
+    rmin: Vec<f64>,
     cuts: Vec<f64>,
+    /// Candidate indices ascending by distance: a segment's write order.
+    order: Vec<usize>,
+    /// Per candidate, its block in `blocks` for the current segment.
+    slot: Vec<usize>,
     pwd: Vec<f64>,
     dens: Vec<f64>,
     prefix: Vec<f64>,
     suffix: Vec<f64>,
+}
+
+impl BlockList {
+    /// Number of blocks held (536 bytes each).
+    pub fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// `true` when no block is held.
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+}
+
+impl fmt::Debug for BlockList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BlockList")
+            .field("blocks", &self.blocks.len())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Eq. 5 over a profiled pdf: the same sorted-boundary decomposition as
@@ -404,17 +477,31 @@ pub struct NnScratch {
 /// dispatch and no lock anywhere in the loops.
 ///
 /// `dists` are the candidate center distances; the result (written into
-/// `out`, cleared first) is index-aligned with them.
+/// `out`, cleared first) is index-aligned with them. The pairs are
+/// evaluated a block at a time (module docs, "Memo"): a block whose
+/// `(a, b, d)` bits `prev` holds is copied from it, every other one is
+/// computed, and `next` (cleared first) receives this evaluation's
+/// blocks. An empty `prev` is the cold evaluation; any `prev` written by
+/// this function over the same profile — this column's last evaluation,
+/// another column's, in any order — gives the same bits and the same
+/// `next`. Returns the number of blocks computed rather than copied.
 pub fn nn_probabilities_profiled(
     pdf: &ProfiledPdf,
     dists: &[f64],
-    scratch: &mut NnScratch,
+    prev: &BlockList,
+    next: &mut BlockList,
     out: &mut Vec<f64>,
-) {
+) -> usize {
     let rules = kernel_rules();
-    nn_probabilities_over(pdf.support_radius(), dists, rules, scratch, out, |d, r| {
-        pdf.pwd_pair(d, r, rules)
-    });
+    nn_probabilities_over(
+        pdf.support_radius(),
+        dists,
+        rules,
+        prev,
+        next,
+        out,
+        |d, r| pdf.pwd_pair(d, r, rules),
+    )
 }
 
 /// The sorted-boundary decomposition itself, over any `(d, R) ↦ (P^WD,
@@ -424,49 +511,63 @@ fn nn_probabilities_over(
     support: f64,
     dists: &[f64],
     rules: &KernelRules,
-    scratch: &mut NnScratch,
+    prev: &BlockList,
+    next: &mut BlockList,
     out: &mut Vec<f64>,
     pair: impl Fn(f64, f64) -> (f64, f64),
-) {
+) -> usize {
+    let BlockList {
+        blocks,
+        rmin,
+        cuts,
+        order,
+        slot,
+        pwd,
+        dens,
+        prefix,
+        suffix,
+    } = next;
     out.clear();
+    blocks.clear();
     let n = dists.len();
     if n == 0 {
-        return;
+        return 0;
     }
     if n == 1 {
         out.push(1.0);
-        return;
+        return 0;
     }
-    let bounds = &mut scratch.bounds;
-    bounds.clear();
-    bounds.extend(dists.iter().map(|&d| ((d - support).max(0.0), d + support)));
-    let global_rmax = bounds.iter().map(|b| b.1).fold(f64::INFINITY, f64::min);
-    let cuts = &mut scratch.cuts;
+    rmin.clear();
+    rmin.extend(dists.iter().map(|&d| (d - support).max(0.0)));
+    let global_rmax = dists
+        .iter()
+        .map(|&d| d + support)
+        .fold(f64::INFINITY, f64::min);
     cuts.clear();
-    cuts.extend(
-        bounds
-            .iter()
-            .map(|b| b.0)
-            .filter(|&rmin| rmin < global_rmax),
-    );
+    cuts.extend(rmin.iter().copied().filter(|&r| r < global_rmax));
     cuts.push(global_rmax);
     cuts.sort_by(f64::total_cmp);
     cuts.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
+    order.clear();
+    order.extend(0..n);
+    order.sort_by(|&i, &j| dists[i].total_cmp(&dists[j]));
 
     out.resize(n, 0.0);
-    scratch.pwd.clear();
-    scratch.pwd.resize(n, 0.0);
-    scratch.dens.clear();
-    scratch.dens.resize(n, 0.0);
-    scratch.prefix.clear();
-    scratch.prefix.resize(n + 1, 0.0);
-    scratch.suffix.clear();
-    scratch.suffix.resize(n + 1, 0.0);
-    let pwd = &mut scratch.pwd;
-    let dens = &mut scratch.dens;
-    let prefix = &mut scratch.prefix;
-    let suffix = &mut scratch.suffix;
+    slot.clear();
+    slot.resize(n, NO_BLOCK);
+    pwd.clear();
+    pwd.resize(n, 0.0);
+    dens.clear();
+    dens.resize(n, 0.0);
+    prefix.clear();
+    prefix.resize(n + 1, 0.0);
+    suffix.clear();
+    suffix.resize(n + 1, 0.0);
 
+    let mut computed = 0;
+    // Both lists ascend by key, so one forward cursor finds every block
+    // `prev` shares with this evaluation.
+    let mut cursor = 0;
     for w in cuts.windows(2) {
         let (a, b) = (w[0], w[1]);
         if b - a <= 1e-15 {
@@ -474,14 +575,57 @@ fn nn_probabilities_over(
         }
         let half = 0.5 * (b - a);
         let mid = 0.5 * (a + b);
-        for (&x, &wgt) in rules.x.iter().zip(&rules.w) {
-            let r = mid + half * x;
-            for (i, &d) in dists.iter().enumerate() {
-                (pwd[i], dens[i]) = if bounds[i].0 >= r {
-                    (0.0, 0.0)
-                } else {
-                    pair(d, r)
-                };
+        let r: [f64; ORDER] = std::array::from_fn(|j| mid + half * rules.x[j]);
+        let r_top = r.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        // The segment's blocks, ascending by distance: one per distinct
+        // `d` with a node above its `rmin`, copied or computed.
+        let first = blocks.len();
+        for &i in order.iter() {
+            let d = dists[i];
+            if rmin[i] >= r_top {
+                slot[i] = NO_BLOCK;
+                continue;
+            }
+            if blocks.len() > first && blocks[blocks.len() - 1].key[2].to_bits() == d.to_bits() {
+                // A tie shares its predecessor's block.
+                slot[i] = blocks.len() - 1;
+                continue;
+            }
+            let key = [a, b, d];
+            while prev
+                .blocks
+                .get(cursor)
+                .is_some_and(|p| key_cmp(&p.key, &key).is_lt())
+            {
+                cursor += 1;
+            }
+            let block = match prev.blocks.get(cursor) {
+                Some(p) if key_cmp(&p.key, &key).is_eq() => *p,
+                _ => {
+                    computed += 1;
+                    let mut block = Block {
+                        key,
+                        pwd: [0.0; ORDER],
+                        dens: [0.0; ORDER],
+                    };
+                    for (j, &rj) in r.iter().enumerate() {
+                        if rmin[i] >= rj {
+                            continue;
+                        }
+                        (block.pwd[j], block.dens[j]) = pair(d, rj);
+                    }
+                    block
+                }
+            };
+            slot[i] = blocks.len();
+            blocks.push(block);
+        }
+        for (j, &wgt) in rules.w.iter().enumerate() {
+            for ((p, f), &s) in pwd.iter_mut().zip(dens.iter_mut()).zip(slot.iter()) {
+                // `NO_BLOCK` is past the end: all zero.
+                (*p, *f) = blocks
+                    .get(s)
+                    .map_or((0.0, 0.0), |blk| (blk.pwd[j], blk.dens[j]));
             }
             prefix[0] = 1.0;
             for i in 0..n {
@@ -501,6 +645,7 @@ fn nn_probabilities_over(
     for p in out.iter_mut() {
         *p = p.clamp(0.0, 1.0);
     }
+    computed
 }
 
 #[cfg(test)]
@@ -601,17 +746,44 @@ mod tests {
             pdf.support_radius(),
             dists,
             kernel_rules(),
-            &mut NnScratch::default(),
+            &BlockList::default(),
+            &mut BlockList::default(),
             &mut out,
             |d, r| (pdf.pwd_tabulated(d, r), pdf.pwd_density_tabulated(d, r)),
         );
         out
     }
 
+    /// The cold evaluation: an empty previous list.
     fn fused(prof: &ProfiledPdf, dists: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        nn_probabilities_profiled(prof, dists, &mut NnScratch::default(), &mut out);
-        out
+        cold(prof, dists).0
+    }
+
+    /// The cold evaluation's result and the list it writes.
+    fn cold(prof: &ProfiledPdf, dists: &[f64]) -> (Vec<f64>, BlockList) {
+        warm(prof, dists, &BlockList::default()).0
+    }
+
+    /// An evaluation reading `prev`: its result, the list it writes, and
+    /// the number of blocks it computed.
+    fn warm(prof: &ProfiledPdf, dists: &[f64], prev: &BlockList) -> ((Vec<f64>, BlockList), usize) {
+        let (mut out, mut next) = (Vec::new(), BlockList::default());
+        let computed = nn_probabilities_profiled(prof, dists, prev, &mut next, &mut out);
+        ((out, next), computed)
+    }
+
+    /// Bit equality of two lists' blocks (keys and values).
+    fn same_blocks(x: &BlockList, y: &BlockList) -> bool {
+        x.blocks.len() == y.blocks.len()
+            && x.blocks.iter().zip(&y.blocks).all(|(a, b)| {
+                bits(&a.key) == bits(&b.key)
+                    && bits(&a.pwd) == bits(&b.pwd)
+                    && bits(&a.dens) == bits(&b.dens)
+            })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     fn gaussian_diff() -> Box<dyn RadialPdf> {
@@ -716,7 +888,7 @@ mod tests {
         let mut prev = 0.0;
         for k in 0..200 {
             let rd = k as f64 * 0.02;
-            let v = prof.pwd(d, rd);
+            let (v, _) = prof.pwd_pair(d, rd, kernel_rules());
             assert!(v + 1e-9 >= prev, "pwd not monotone at rd={rd}");
             prev = v;
         }
@@ -760,11 +932,10 @@ mod tests {
         let b = ProfiledPdf::of(kind.convolve_with(&kind).as_ref());
         for d in [0.1, 0.9, 1.7, 2.4] {
             for rd in [0.2, 0.8, 1.5, 2.2] {
-                assert_eq!(a.pwd(d, rd).to_bits(), b.pwd(d, rd).to_bits());
-                assert_eq!(
-                    a.pwd_density(d, rd).to_bits(),
-                    b.pwd_density(d, rd).to_bits()
-                );
+                let (pa, fa) = a.pwd_pair(d, rd, kernel_rules());
+                let (pb, fb) = b.pwd_pair(d, rd, kernel_rules());
+                assert_eq!(pa.to_bits(), pb.to_bits());
+                assert_eq!(fa.to_bits(), fb.to_bits());
             }
         }
     }
@@ -895,6 +1066,107 @@ mod tests {
             for prof in both_profiles() {
                 let gap = max_gap(prof, &dists);
                 prop_assert!(gap <= 1e-10, "{:?}: |ΔP^NN| = {:e}", dists, gap);
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_is_536_bytes() {
+        // The per-share memory formula in docs/OPERATIONS.md counts this.
+        assert_eq!(std::mem::size_of::<Block>(), 536);
+    }
+
+    #[test]
+    fn a_column_read_back_with_its_own_blocks_computes_none() {
+        for prof in both_profiles() {
+            let dists = [0.4, 0.9, 1.7, 2.1, 2.1, 2.35];
+            let (want, list) = cold(prof, &dists);
+            // Six candidates, one tie: at most 5·6/2 distinct blocks.
+            assert!(!list.is_empty() && list.len() <= 15, "{list:?}");
+            let ((got, again), computed) = warm(prof, &dists, &list);
+            assert_eq!(computed, 0);
+            assert_eq!(bits(&got), bits(&want));
+            assert!(same_blocks(&again, &list));
+            // Columns of fewer than two candidates write no block.
+            assert!(cold(prof, &[3.0]).1.is_empty());
+        }
+    }
+
+    /// One edit of a column (support `s`): `kind` picks insert, remove,
+    /// move, a tie, `d = 0`, a cut exactly at `global_rmax`, a tie with
+    /// the nearest candidate (`d + S == global_rmax`), or a cut a few ulps
+    /// from another (closer than the `1e-15` the cut dedup merges); `u`
+    /// picks where and `v` how far.
+    fn edit(dists: &mut Vec<f64>, s: f64, (kind, u, v): (u8, f64, f64)) {
+        let pick = |len: usize| ((u * len as f64) as usize).min(len.saturating_sub(1));
+        let nearest = dists.iter().copied().fold(f64::INFINITY, f64::min);
+        let len = dists.len();
+        match kind {
+            0 => {
+                let near = if len == 0 { 10.0 * v } else { dists[pick(len)] };
+                dists.insert(pick(len + 1), (near + (v - 0.5) * 4.0 * s).max(0.0));
+            }
+            1 if len > 0 => {
+                dists.remove(pick(len));
+            }
+            2 if len > 0 => {
+                let i = pick(len);
+                dists[i] = (dists[i] + (v - 0.5) * s).max(0.0);
+            }
+            3 if len > 0 => dists.insert(pick(len + 1), dists[pick(len)]),
+            4 => dists.insert(pick(len + 1), 0.0),
+            5 if len > 0 => dists.push((nearest + s) + s),
+            6 if len > 0 => dists.insert(pick(len + 1), nearest),
+            7 if len > 0 => {
+                let d = dists[pick(len)];
+                dists.push(f64::from_bits(d.to_bits() + 1 + (3.0 * v) as u64));
+            }
+            _ => {}
+        }
+    }
+
+    /// A deterministic Fisher–Yates shuffle (xorshift from `seed`).
+    fn shuffle(blocks: &mut [Block], mut seed: u64) {
+        for i in (1..blocks.len()).rev() {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            blocks.swap(i, (seed % (i as u64 + 1)) as usize);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn remembered_blocks_never_change_a_bit(
+            start in column(),
+            edits in prop::collection::vec((0u8..8, 0.0..=1.0f64, 0.0..=1.0f64), 1..=8),
+            seed in 1u64..u64::MAX,
+        ) {
+            for prof in both_profiles() {
+                let s = prof.support_radius();
+                let (_, other) = cold(prof, &start);
+                let mut dists = start.clone();
+                let mut prev = cold(prof, &dists).1;
+                for &e in &edits {
+                    edit(&mut dists, s, e);
+                    let (want, want_list) = cold(prof, &dists);
+                    // The column's previous evaluation, as a kernel keeps it.
+                    let ((got, got_list), _) = warm(prof, &dists, &prev);
+                    prop_assert!(bits(&got) == bits(&want), "{:?}", dists);
+                    prop_assert!(same_blocks(&got_list, &want_list), "{:?}", dists);
+                    // Another column's blocks with this one's, shuffled.
+                    let mut adversary = BlockList {
+                        blocks: prev.blocks.iter().chain(&other.blocks).copied().collect(),
+                        ..BlockList::default()
+                    };
+                    shuffle(&mut adversary.blocks, seed);
+                    let ((got, got_list), _) = warm(prof, &dists, &adversary);
+                    prop_assert!(bits(&got) == bits(&want), "{:?}", dists);
+                    prop_assert!(same_blocks(&got_list, &want_list), "{:?}", dists);
+                    prev = got_list;
+                }
             }
         }
     }
