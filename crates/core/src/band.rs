@@ -15,10 +15,11 @@
 //!
 //! Every predicate here walks the overlay of a candidate's pieces and the
 //! envelope's pieces; on one cell both are single hyperbolas. The exact
-//! tools for a cell are Sturm root isolations
-//! ([`Hyperbola::min_clearance_above`], [`Hyperbola::crossings_shifted`],
-//! a couple of microseconds each), but on a realistic fleet ~99 % of the
-//! cells are nowhere near the band edge: the two distance ranges
+//! tools for a cell are quartic root isolations
+//! ([`Hyperbola::min_clearance_above`], [`Hyperbola::crossings_shifted`]:
+//! a few hundred nanoseconds each, heap-free, by `unn_geom::roots`), but
+//! on a realistic fleet ~99 % of the cells are nowhere near the band
+//! edge: the two distance ranges
 //! ([`Hyperbola::range_on`] — two endpoints and a vertex) already prove
 //! the cell wholly outside or wholly inside `LE + δ`. So each cell is
 //! first classified from those ranges, with a margin wider than the
@@ -34,6 +35,7 @@
 use crate::envelope::Envelope;
 use unn_geom::hyperbola::Hyperbola;
 use unn_geom::interval::{IntervalSet, TimeInterval};
+use unn_geom::roots::Roots;
 use unn_traj::distance::DistanceFunction;
 
 /// Statistics of a pruning pass — the quantity Figure 13 reports
@@ -170,10 +172,10 @@ pub(crate) fn cell_crossings(
     lh: &Hyperbola,
     delta: f64,
     sub: &TimeInterval,
-) -> Vec<f64> {
+) -> Roots {
     match classify_cell(fh, lh, delta, sub) {
         Cell::Straddles => fh.crossings_shifted(lh, delta, sub),
-        Cell::Outside | Cell::Inside => Vec::new(),
+        Cell::Outside | Cell::Inside => Roots::new(),
     }
 }
 

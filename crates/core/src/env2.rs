@@ -34,16 +34,16 @@ pub fn env2_into(a: &Labelled, b: &Labelled, span: TimeInterval, out: &mut Envel
     if span.is_degenerate() {
         return;
     }
-    let mut cuts = vec![span.start()];
-    for t in a.hyperbola.intersections(&b.hyperbola, &span) {
-        // Interior critical points only; skip near-endpoint slivers.
-        if t > span.start() + 1e-12 && t < span.end() - 1e-12 {
-            cuts.push(t);
-        }
-    }
-    cuts.push(span.end());
-    for w in cuts.windows(2) {
-        let sub = TimeInterval::new(w[0], w[1]);
+    // Interior critical points only; skip near-endpoint slivers.
+    let interior = a
+        .hyperbola
+        .intersections(&b.hyperbola, &span)
+        .into_iter()
+        .filter(|&t| t > span.start() + 1e-12 && t < span.end() - 1e-12);
+    let mut start = span.start();
+    for end in interior.chain([span.end()]) {
+        let sub = TimeInterval::new(start, end);
+        start = end;
         if sub.is_degenerate() {
             continue;
         }

@@ -25,6 +25,7 @@ use crate::band::cell_crossings;
 use std::fmt;
 use unn_geom::hyperbola::Hyperbola;
 use unn_geom::interval::TimeInterval;
+use unn_geom::roots::Roots;
 use unn_traj::distance::DistanceFunction;
 use unn_traj::trajectory::Oid;
 
@@ -317,11 +318,7 @@ impl LabelledShifted {
 /// Instants within `span` where `a(t) + a.shift = b(t) + b.shift`
 /// (ascending). Reduces to the plain/shifted crossing solvers depending
 /// on the shift difference.
-pub fn shifted_crossings(
-    a: &LabelledShifted,
-    b: &LabelledShifted,
-    span: &TimeInterval,
-) -> Vec<f64> {
+pub fn shifted_crossings(a: &LabelledShifted, b: &LabelledShifted, span: &TimeInterval) -> Roots {
     let delta = b.shift - a.shift;
     if delta.abs() < 1e-15 {
         a.hyperbola.intersections(&b.hyperbola, span)
@@ -591,7 +588,7 @@ mod tests {
         a: &LabelledShifted,
         b: &LabelledShifted,
         span: &TimeInterval,
-    ) -> Vec<f64> {
+    ) -> Roots {
         let delta = b.shift - a.shift;
         if delta.abs() < 1e-15 {
             a.hyperbola.intersections(&b.hyperbola, span)

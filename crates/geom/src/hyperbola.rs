@@ -5,12 +5,16 @@
 //! (the square root of a convex quadratic). Two such hyperbolas intersect
 //! in at most two points — the property behind the Davenport–Schinzel
 //! bound λ₂(N) = 2N − 1 on the lower-envelope complexity.
+//!
+//! Pairwise intersections are a quadratic's roots; shifted crossings
+//! (`f = g + δ`, the `4r` band edge) and clearance extrema square into
+//! quartics, built into fixed arrays and solved by [`crate::roots`]. None
+//! of the three allocates.
 
 use crate::interval::TimeInterval;
 use crate::point::Vec2;
-use crate::poly::Poly;
 use crate::quadratic::Quadratic;
-use crate::roots::find_roots;
+use crate::roots::{find_roots, Roots};
 use std::cmp::Ordering;
 
 /// A distance function `d(t) = sqrt(q(t))`, where `q` is a quadratic that
@@ -170,7 +174,7 @@ impl Hyperbola {
 
     /// Instants within `iv` where the two distance functions are equal
     /// (at most two — the critical time points of §3.2), ascending.
-    pub fn intersections(&self, other: &Hyperbola, iv: &TimeInterval) -> Vec<f64> {
+    pub fn intersections(&self, other: &Hyperbola, iv: &TimeInterval) -> Roots {
         self.q.sub(&other.q).roots_in(iv)
     }
 
@@ -179,29 +183,30 @@ impl Hyperbola {
     ///
     /// Setting `delta = 4r` gives the crossing times of the pruning band of
     /// §3.2. The equation is squared into the quartic
-    /// `(q_s − q_o − δ²)² = 4 δ² q_o`, solved by Sturm isolation, and the
+    /// `(q_s − q_o − δ²)² = 4 δ² q_o`, solved by [`find_roots`], and the
     /// candidates are verified against the original (unsquared) equation to
-    /// drop the spurious `self = other − δ` branch.
-    pub fn crossings_shifted(&self, other: &Hyperbola, delta: f64, iv: &TimeInterval) -> Vec<f64> {
+    /// drop the spurious `self = other − δ` branch. Allocates nothing.
+    pub fn crossings_shifted(&self, other: &Hyperbola, delta: f64, iv: &TimeInterval) -> Roots {
         assert!(delta >= 0.0, "negative shift {delta}");
         if delta == 0.0 {
             return self.intersections(other, iv);
         }
-        let qs = poly_of(&self.q);
-        let qo = poly_of(&other.q);
-        let u = qs.sub(&qo).sub(&Poly::constant(delta * delta));
-        let quartic = u.mul(&u).sub(&qo.scale(4.0 * delta * delta));
-        let candidates = find_roots(&quartic, iv.start(), iv.end());
-        let mut out = Vec::with_capacity(candidates.len());
-        for t in candidates {
+        let (qs, qo) = (coeffs(&self.q), coeffs(&other.q));
+        let d2 = delta * delta;
+        let u = [qs[0] - qo[0] - d2, qs[1] - qo[1], qs[2] - qo[2]];
+        let mut quartic: [f64; 5] = product(&u, &u);
+        for (c, o) in quartic.iter_mut().zip(qo) {
+            *c -= o * (4.0 * d2);
+        }
+        let mut out = Roots::new();
+        for t in find_roots(&quartic, iv.start(), iv.end()) {
             let ds = self.eval(t);
             let do_ = other.eval(t);
             let tol = 1e-6 * (1.0 + ds + do_ + delta);
-            if (ds - do_ - delta).abs() <= tol {
+            if (ds - do_ - delta).abs() <= tol && out.last().map_or(true, |&l| t - l >= 1e-10) {
                 out.push(t);
             }
         }
-        out.dedup_by(|a, b| (*a - *b).abs() < 1e-10);
         out
     }
 
@@ -215,7 +220,8 @@ impl Hyperbola {
     /// interior stationary points of the difference, and both vertices.
     ///
     /// Used for the pruning decision: an object can be discarded when its
-    /// clearance above the envelope exceeds `4r` everywhere.
+    /// clearance above the envelope exceeds `4r` everywhere. Allocates
+    /// nothing.
     pub fn min_clearance_above(&self, other: &Hyperbola, iv: &TimeInterval) -> f64 {
         let g = |t: f64| self.eval(t) - other.eval(t);
         let mut best = g(iv.start()).min(g(iv.end()));
@@ -223,13 +229,12 @@ impl Hyperbola {
         //   h'(t) = qs' / (2 sqrt(qs)) - qo' / (2 sqrt(qo)) = 0
         //   ⇔ qs' * sqrt(qo) = qo' * sqrt(qs)
         //   ⇒ qs'^2 qo = qo'^2 qs   (square, then verify sign)
-        let qs = poly_of(&self.q);
-        let qo = poly_of(&other.q);
-        let dqs = qs.derivative();
-        let dqo = qo.derivative();
-        let lhs = dqs.mul(&dqs).mul(&qo);
-        let rhs = dqo.mul(&dqo).mul(&qs);
-        for t in find_roots(&lhs.sub(&rhs), iv.start(), iv.end()) {
+        let (qs, qo) = (coeffs(&self.q), coeffs(&other.q));
+        let (dqs, dqo) = ([qs[1], 2.0 * qs[2]], [qo[1], 2.0 * qo[2]]);
+        let lhs: [f64; 5] = product(&product::<3>(&dqs, &dqs), &qo);
+        let rhs: [f64; 5] = product(&product::<3>(&dqo, &dqo), &qs);
+        let quartic: [f64; 5] = std::array::from_fn(|i| lhs[i] - rhs[i]);
+        for t in find_roots(&quartic, iv.start(), iv.end()) {
             best = best.min(g(t));
         }
         // Vertices of either branch are also candidate extrema when a
@@ -243,13 +248,27 @@ impl Hyperbola {
     }
 }
 
-fn poly_of(q: &Quadratic) -> Poly {
-    Poly::new(vec![q.c, q.b, q.a])
+/// `q`'s coefficients, lowest degree first.
+fn coeffs(q: &Quadratic) -> [f64; 3] {
+    [q.c, q.b, q.a]
+}
+
+/// Coefficients of the product of two polynomials (lowest degree first),
+/// in an array of the product's length `N`.
+fn product<const N: usize>(p: &[f64], q: &[f64]) -> [f64; N] {
+    let mut out = [0.0; N];
+    for (i, &x) in p.iter().enumerate() {
+        for (j, &y) in q.iter().enumerate() {
+            out[i + j] += x * y;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn h(p0: (f64, f64), v: (f64, f64), t_ref: f64) -> Hyperbola {
         Hyperbola::from_relative_motion(Vec2::new(p0.0, p0.1), Vec2::new(v.0, v.1), t_ref)
@@ -373,6 +392,47 @@ mod tests {
         let g = h((-2.0, 1.0), (1.0, 0.0), 0.0);
         let iv = TimeInterval::new(0.0, 5.0);
         assert_eq!(g.crossings_shifted(&f, 0.0, &iv), g.intersections(&f, &iv));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// A flyby grazing a parked object's band edge `g + δ` at a
+        /// relative depth of 1e-12 … 1e-1, on either side, at the spread
+        /// of scales the system meets (spacing 1e-3 … 1e4 mi, windows of
+        /// one second … three days, in minutes). Its crossings are known in
+        /// closed form: those of the quadratic `q_f = (g + δ)²`. Once the
+        /// depth clears the acceptance tolerance tenfold, the quartic must
+        /// find exactly them — a crossing pair must not collapse into a
+        /// tangency, nor a near miss turn into one.
+        #[test]
+        fn grazing_flybys_cross_exactly_when_they_dip(
+            scale in -3.0..4.0f64,
+            window in (1.0f64 / 60.0).log10()..4320f64.log10(),
+            depth in -12.0..-1.0f64,
+            dips in 0usize..2,
+            shape in (0.3..0.7f64, 2.0..20.0f64, 0.5..10.0f64, -2.0..1.5f64),
+        ) {
+            let (at, pace, park, delta) = shape;
+            let (scale, len) = (10f64.powf(scale), 10f64.powf(window));
+            let g = Hyperbola::constant(park * scale);
+            let delta = scale * 10f64.powf(delta);
+            let level = g.eval(0.0) + delta;
+            let sign = if dips == 1 { -1.0 } else { 1.0 };
+            let y = level * (1.0 + sign * 10f64.powf(depth));
+            let v = pace * level / len;
+            let f = h((-v * at * len, y), (v, 0.0), 0.0);
+            let iv = TimeInterval::new(0.0, len);
+            let q = f.quadratic();
+            let expected = Quadratic::new(q.a, q.b, q.c - level * level).roots_in(&iv);
+            let got = f.crossings_shifted(&g, delta, &iv);
+            let miss = (f.min_on(&iv).1 - level).abs();
+            prop_assume!(miss > 1e-5 * (1.0 + 2.0 * level));
+            prop_assert_eq!(got.len(), expected.len(), "{:?} vs {:?}", got, expected);
+            for (a, b) in got.iter().zip(&expected) {
+                prop_assert!((a - b).abs() <= 1e-6 * len, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! * [`circle`] — circle–circle intersection (lens) areas behind the
 //!   uniform within-distance probability, Eq. 4;
 //! * [`quadratic`] — numerically careful quadratic root finding;
-//! * [`poly`] / [`roots`] — dense polynomials with Sturm-sequence real-root
-//!   isolation, used for the quartic band-crossing equations;
+//! * [`roots`] — heap-free real-root isolation for polynomials of degree
+//!   ≤ 4 (derivative recursion + bracketed Newton), used for the quartic
+//!   band-crossing and clearance equations;
 //! * [`hyperbola`] — the `sqrt(At² + Bt + C)` distance functions of §3.2
 //!   with pairwise intersections and shifted crossings.
 
@@ -26,13 +27,16 @@ pub mod disk;
 pub mod hyperbola;
 pub mod interval;
 pub mod point;
-pub mod poly;
+#[cfg(test)]
+mod poly;
 pub mod quadratic;
 pub mod roots;
+#[cfg(test)]
+mod sturm;
 
 pub use disk::Disk;
 pub use hyperbola::Hyperbola;
 pub use interval::{IntervalSet, TimeInterval};
 pub use point::{Point2, Vec2};
-pub use poly::Poly;
 pub use quadratic::{Quadratic, QuadraticRoots};
+pub use roots::Roots;

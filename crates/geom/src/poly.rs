@@ -1,10 +1,6 @@
-//! Dense univariate polynomials with `f64` coefficients.
-//!
-//! The band-crossing times needed by the query variants of §4 (instants
-//! where a distance hyperbola crosses the `4r`-translated lower envelope)
-//! satisfy a quartic equation. We solve such equations robustly via Sturm
-//! sequences and bisection (see [`crate::roots`]); this module provides the
-//! polynomial arithmetic those algorithms need.
+//! Dense univariate polynomials with `f64` coefficients: the arithmetic
+//! of the Sturm-chain reference solver ([`crate::sturm`]) that the tests
+//! hold [`crate::roots::find_roots`] to.
 
 use std::fmt;
 

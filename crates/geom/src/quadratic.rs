@@ -6,6 +6,7 @@
 //! both.
 
 use crate::interval::TimeInterval;
+use crate::roots::Roots;
 
 /// The roots of a (possibly degenerate) quadratic equation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,15 +124,16 @@ impl Quadratic {
     }
 
     /// Roots restricted to a closed interval, ascending, deduplicated.
-    pub fn roots_in(&self, iv: &TimeInterval) -> Vec<f64> {
-        let mut out: Vec<f64> = self
-            .roots()
-            .to_vec()
-            .into_iter()
-            .filter(|t| iv.contains(*t))
-            .collect();
-        out.sort_by(f64::total_cmp);
-        out.dedup();
+    pub fn roots_in(&self, iv: &TimeInterval) -> Roots {
+        let roots = match self.roots() {
+            QuadraticRoots::None | QuadraticRoots::All => [None, None],
+            QuadraticRoots::One(r) => [Some(r), None],
+            QuadraticRoots::Two(r1, r2) => [Some(r1), Some(r2)],
+        };
+        let mut out = Roots::new();
+        for r in roots.into_iter().flatten().filter(|&r| iv.contains(r)) {
+            out.push(r);
+        }
         out
     }
 
@@ -217,9 +219,9 @@ mod tests {
     fn roots_in_interval_filters() {
         let q = Quadratic::new(1.0, -4.0, 3.0); // roots 1, 3
         let iv = TimeInterval::new(0.0, 2.0);
-        assert_eq!(q.roots_in(&iv), vec![1.0]);
+        assert_eq!(q.roots_in(&iv)[..], [1.0]);
         let iv_all = TimeInterval::new(0.0, 5.0);
-        assert_eq!(q.roots_in(&iv_all), vec![1.0, 3.0]);
+        assert_eq!(q.roots_in(&iv_all)[..], [1.0, 3.0]);
         let iv_none = TimeInterval::new(1.5, 2.5);
         assert!(q.roots_in(&iv_none).is_empty());
     }

@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use unn_geom::hyperbola::Hyperbola;
 use unn_geom::interval::{IntervalSet, TimeInterval};
 use unn_geom::point::Vec2;
-use unn_geom::poly::Poly;
 use unn_geom::quadratic::Quadratic;
 use unn_geom::roots::find_roots;
 
@@ -140,14 +139,17 @@ proptest! {
     }
 
     #[test]
-    fn sturm_finds_all_well_separated_roots(
+    fn isolator_finds_all_well_separated_roots(
         roots in prop::collection::btree_set(-40i32..40, 1..5),
     ) {
         // Integer roots are at least 1 apart: no clustering issues.
         let roots: Vec<f64> = roots.into_iter().map(f64::from).collect();
-        let mut p = Poly::constant(1.0);
-        for &r in &roots {
-            p = p.mul(&Poly::new(vec![-r, 1.0]));
+        let mut p = [0.0; 5];
+        p[0] = 1.0;
+        for (k, &r) in roots.iter().enumerate() {
+            for i in (0..=k + 1).rev() {
+                p[i] = if i == 0 { 0.0 } else { p[i - 1] } - r * p[i];
+            }
         }
         let found = find_roots(&p, -50.0, 50.0);
         prop_assert_eq!(found.len(), roots.len(), "found {:?} vs {:?}", found, roots);

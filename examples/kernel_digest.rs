@@ -22,6 +22,12 @@
 //! (`unn_core::kernel`, "Memo"); every row set is checked `to_bits`
 //! against a fresh kernel's before it is hashed.
 //!
+//! The third line hashes the `UQ31` answers of the same four queries'
+//! cold engines: every `(object, interval start, interval end)` as bits.
+//! No row reads a band-crossing instant, so this is the line that moves
+//! when the band solver (`unn_geom::roots`) changes numerics; CI pins it
+//! beside the first.
+//!
 //! Run with: `cargo run --release --example kernel_digest`
 
 use std::sync::Arc;
@@ -34,7 +40,7 @@ const RADIUS: f64 = 0.5;
 const SAMPLES: u32 = 128;
 const QUERIES: [u64; 4] = [0, 150, 300, 450];
 
-/// FNV-1a over 64-bit words, and the number of row values folded in.
+/// FNV-1a over 64-bit words, and the number of values folded in.
 struct Digest {
     hash: u64,
     values: usize,
@@ -61,6 +67,17 @@ impl Digest {
                 self.word(u64::from(*k));
                 self.word(p.to_bits());
                 self.values += 1;
+            }
+        }
+    }
+
+    fn intervals(&mut self, answer: &[(Oid, IntervalSet)]) {
+        for (oid, set) in answer {
+            self.word(oid.0);
+            for span in set.spans() {
+                self.word(span.start().to_bits());
+                self.word(span.end().to_bits());
+                self.values += 2;
             }
         }
     }
@@ -154,6 +171,15 @@ fn main() {
     }
     println!(
         "kernel_digest_kept {:016x} ({} row values)",
+        digest.hash, digest.values
+    );
+
+    let mut digest = Digest::new();
+    for query in QUERIES {
+        digest.intervals(&engine(&snapshot, query, window).uq31_all());
+    }
+    println!(
+        "answer_digest {:016x} ({} endpoints)",
         digest.hash, digest.values
     );
 }

@@ -6,7 +6,8 @@
 //!
 //! The crate is an umbrella over the workspace:
 //!
-//! * [`geom`] — geometry & numerics (hyperbolas, Sturm root isolation, …);
+//! * [`geom`] — geometry & numerics (hyperbolas, heap-free quartic root
+//!   isolation, …);
 //! * [`prob`] — rotationally symmetric pdfs, convolution, `P^WD`/`P^NN`;
 //! * [`traj`] — trajectories, difference transforms, workload generator;
 //! * [`core`] — lower envelopes, `4r` pruning, IPAC-NN tree, query
