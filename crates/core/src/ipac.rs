@@ -10,6 +10,14 @@
 //!   (every candidate is further than `4r` above the level-1 envelope) or
 //!   when the configured depth bound is reached.
 //!
+//! This module holds the crate's **one** k-level recursion. It starts
+//! from a level-1 envelope it is given — [`build_ipac_tree`] builds one,
+//! a [`crate::query::QueryEngine`] passes its own — and costs one
+//! `lower_envelope` call per refined node. With the band it grows
+//! the IPAC tree, which `RANK k` answers and rank intervals walk;
+//! without it, to depth `k`, its leaves are the crisp k-NN cells of
+//! [`crate::topk`].
+//!
 //! Each node carries a descriptor `D_i` (the paper leaves its contents
 //! open; ours records the min/max center distance and, optionally,
 //! sampled `P^NN` values computed with the convolved pdf — see
@@ -52,12 +60,6 @@ pub struct IpacNode {
     /// Children: the next-highest-probability candidates within disjoint
     /// sub-intervals of `span`.
     pub children: Vec<IpacNode>,
-}
-
-impl IpacNode {
-    fn count(&self) -> usize {
-        1 + self.children.iter().map(IpacNode::count).sum::<usize>()
-    }
 }
 
 /// Configuration for building an [`IpacTree`].
@@ -106,33 +108,26 @@ impl IpacTree {
     /// Total number of nodes (the combinatorial complexity bounded by
     /// Theorem 2).
     pub fn node_count(&self) -> usize {
-        self.roots.iter().map(IpacNode::count).sum()
+        preorder(&self.roots).len()
     }
 
     /// Maximum depth (number of levels) present in the tree.
     pub fn depth(&self) -> usize {
-        fn d(n: &IpacNode) -> usize {
-            1 + n.children.iter().map(d).max().unwrap_or(0)
-        }
-        self.roots.iter().map(d).max().unwrap_or(0)
+        preorder(&self.roots)
+            .iter()
+            .map(|n| n.level)
+            .max()
+            .unwrap_or(0)
     }
 
     /// All `(owner, span)` pieces at a given 1-based level — the "Level k
     /// lower envelope" of the paper's Category 2 query processing.
     pub fn level_pieces(&self, level: usize) -> Vec<(Oid, TimeInterval)> {
-        let mut out = Vec::new();
-        fn walk(n: &IpacNode, level: usize, out: &mut Vec<(Oid, TimeInterval)>) {
-            if n.level == level {
-                out.push((n.owner, n.span));
-                return;
-            }
-            for c in &n.children {
-                walk(c, level, out);
-            }
-        }
-        for r in &self.roots {
-            walk(r, level, &mut out);
-        }
+        let mut out: Vec<(Oid, TimeInterval)> = preorder(&self.roots)
+            .into_iter()
+            .filter(|n| n.level == level)
+            .map(|n| (n.owner, n.span))
+            .collect();
         out.sort_by(|a, b| a.1.start().total_cmp(&b.1.start()));
         out
     }
@@ -147,23 +142,13 @@ impl IpacTree {
     /// returns the nodes in preorder and the parent→child edge list as
     /// indices into that node list.
     pub fn to_dag(&self) -> (Vec<&IpacNode>, Vec<(usize, usize)>) {
-        let mut nodes = Vec::new();
-        let mut edges = Vec::new();
-        fn walk<'a>(
-            n: &'a IpacNode,
-            nodes: &mut Vec<&'a IpacNode>,
-            edges: &mut Vec<(usize, usize)>,
-        ) -> usize {
-            let idx = nodes.len();
-            nodes.push(n);
-            for c in &n.children {
-                let ci = walk(c, nodes, edges);
-                edges.push((idx, ci));
-            }
-            idx
-        }
-        for r in &self.roots {
-            walk(r, &mut nodes, &mut edges);
+        let nodes = preorder(&self.roots);
+        // A node's parent is the latest node one level up before it.
+        let (mut path, mut edges) = (Vec::new(), Vec::new());
+        for (i, n) in nodes.iter().enumerate() {
+            path.truncate(n.level - 1);
+            edges.extend(path.last().map(|&p| (p, i)));
+            path.push(i);
         }
         (nodes, edges)
     }
@@ -212,7 +197,7 @@ impl IpacTree {
             self.window.start(),
             self.window.end()
         );
-        fn walk(n: &IpacNode, s: &mut String) {
+        for n in preorder(&self.roots) {
             let indent = "  ".repeat(n.level);
             let probs = if n.descriptor.prob_samples.is_empty() {
                 String::new()
@@ -227,7 +212,7 @@ impl IpacTree {
                 format!(", avg P^NN ≈ {avg:.3}")
             };
             let _ = writeln!(
-                s,
+                &mut s,
                 "{indent}{} [{:.3}, {:.3}] d∈[{:.3}, {:.3}]{probs}",
                 n.owner,
                 n.span.start(),
@@ -235,15 +220,21 @@ impl IpacTree {
                 n.descriptor.min_distance,
                 n.descriptor.max_distance
             );
-            for c in &n.children {
-                walk(c, s);
-            }
-        }
-        for r in &self.roots {
-            walk(r, &mut s);
         }
         s
     }
+}
+
+/// The nodes under `roots` in preorder (depth first, siblings in time
+/// order): the walk every reading of the recursion's output shares.
+pub(crate) fn preorder(roots: &[IpacNode]) -> Vec<&IpacNode> {
+    let mut out = Vec::new();
+    let mut stack: Vec<&IpacNode> = roots.iter().rev().collect();
+    while let Some(n) = stack.pop() {
+        out.push(n);
+        stack.extend(n.children.iter().rev());
+    }
+    out
 }
 
 /// Builds the IPAC-NN tree for query object `query` over the given
@@ -260,89 +251,77 @@ pub fn build_ipac_tree(query: Oid, fs: &[DistanceFunction], cfg: &IpacConfig) ->
     // Step 1: the lower envelope = Level 1.
     let envelope = lower_envelope(fs);
     // Step 2: prune objects that can never have non-zero probability.
-    let (kept_idx, stats) = prune_by_band(fs, &envelope, cfg.radius);
-    let kept: Vec<&DistanceFunction> = kept_idx.iter().map(|&i| &fs[i]).collect();
-    let delta = 4.0 * cfg.radius;
+    let (kept, stats) = prune_by_band(fs, &envelope, cfg.radius);
+    tree_over(query, fs, &kept, envelope, stats, cfg)
+}
 
-    // Steps 3-8: recursively refine each level interval.
-    let window = envelope.span();
-    let roots = build_level(
-        &kept,
-        &envelope,
-        window,
-        &mut Vec::new(),
-        1,
-        cfg.max_depth,
-        delta,
-    );
+/// Steps 3-8 of Algorithm 3 over an already built level 1: `envelope`
+/// is the lower envelope of `fs`, and `kept` / `stats` its `4r`-band
+/// pass. [`crate::query::QueryEngine`] passes its own.
+pub(crate) fn tree_over(
+    query: Oid,
+    fs: &[DistanceFunction],
+    kept: &[usize],
+    envelope: Envelope,
+    stats: BandStats,
+    cfg: &IpacConfig,
+) -> IpacTree {
+    let kept: Vec<&DistanceFunction> = kept.iter().map(|&i| &fs[i]).collect();
+    let band = Some((&envelope, 4.0 * cfg.radius));
+    let roots = peel(&kept, &envelope, &mut Vec::new(), 1, cfg.max_depth, band);
     IpacTree {
         query,
-        window,
+        window: envelope.span(),
         envelope,
         roots,
         stats,
     }
 }
 
-/// Builds the nodes of one level within `span`, excluding `excluded`
-/// owners (the ancestors), and recurses.
-fn build_level(
-    kept: &[&DistanceFunction],
-    global_le: &Envelope,
-    span: TimeInterval,
+/// The first `k` levels of the crisp ranking of `fs`, whose lower
+/// envelope is `envelope`: the recursion of [`build_ipac_tree`] without
+/// the band stop, so every candidate is ranked.
+pub(crate) fn crisp_levels(
+    fs: &[&DistanceFunction],
+    envelope: &Envelope,
+    k: usize,
+) -> Vec<IpacNode> {
+    peel(fs, envelope, &mut Vec::new(), 1, k, None)
+}
+
+/// The one k-level recursion: the nodes of `level_env` — the lower
+/// envelope of one level's candidates — each refined by the level below
+/// with its owner added to the `excluded` ancestors, down to `max_depth`
+/// (`0` = unbounded). With a `band` (the level-1 envelope and `4r`),
+/// only candidates with non-zero probability are ranked.
+fn peel(
+    fs: &[&DistanceFunction],
+    level_env: &Envelope,
     excluded: &mut Vec<Oid>,
     level: usize,
     max_depth: usize,
-    delta: f64,
+    band: Option<(&Envelope, f64)>,
 ) -> Vec<IpacNode> {
-    if span.is_degenerate() {
-        return vec![];
-    }
-    let le_here = match global_le.restrict(&span) {
-        Some(e) => e,
-        None => return vec![],
-    };
-    // Candidates: not an ancestor, restricted to the span, and with
-    // non-zero probability somewhere in it (inside the 4r band over the
-    // *level-1* envelope — probability is always relative to the true
-    // nearest neighbor).
-    let mut cands: Vec<DistanceFunction> = Vec::new();
-    for f in kept {
-        if excluded.contains(&f.owner()) {
-            continue;
-        }
-        if let Some(res) = f.restrict(&span) {
-            if enters_band(&res, &le_here, delta) {
-                cands.push(res);
-            }
-        }
-    }
-    if cands.is_empty() {
-        return vec![];
-    }
-    let env = lower_envelope(&cands);
     let mut nodes = Vec::new();
-    for (owner, iv) in env.answer_sequence() {
-        let f = cands
+    for (owner, iv) in level_env.answer_sequence() {
+        let restricted = fs
             .iter()
             .find(|f| f.owner() == owner)
-            .expect("answer owner among candidates");
-        let restricted = f
-            .restrict(&iv)
+            .and_then(|f| f.restrict(&iv))
             .expect("answer interval within candidate span");
         let descriptor = Descriptor {
             min_distance: restricted.min_over_window().1,
             max_distance: restricted.max_over_window().1,
             prob_samples: Vec::new(),
         };
-        let children = if max_depth != 0 && level >= max_depth {
-            vec![]
-        } else {
+        let mut children = vec![];
+        if max_depth == 0 || level < max_depth {
             excluded.push(owner);
-            let c = build_level(kept, global_le, iv, excluded, level + 1, max_depth, delta);
+            if let Some(env) = next_level(fs, iv, excluded, band) {
+                children = peel(fs, &env, excluded, level + 1, max_depth, band);
+            }
             excluded.pop();
-            c
-        };
+        }
         nodes.push(IpacNode {
             owner,
             span: iv,
@@ -352,6 +331,36 @@ fn build_level(
         });
     }
     nodes
+}
+
+/// The lower envelope of the candidates ranked below the `excluded`
+/// ancestors within `span`: not an ancestor, restricted to the span,
+/// and — with a band — inside the `4r` band over the *level-1* envelope
+/// somewhere in it (probability is always relative to the true nearest
+/// neighbor). `None` when no candidate remains.
+fn next_level(
+    fs: &[&DistanceFunction],
+    span: TimeInterval,
+    excluded: &[Oid],
+    band: Option<(&Envelope, f64)>,
+) -> Option<Envelope> {
+    if span.is_degenerate() {
+        return None;
+    }
+    let band = match band {
+        Some((le, delta)) => Some((le.restrict(&span)?, delta)),
+        None => None,
+    };
+    let cands: Vec<DistanceFunction> = fs
+        .iter()
+        .filter(|f| !excluded.contains(&f.owner()))
+        .filter_map(|f| f.restrict(&span))
+        .filter(|res| {
+            band.as_ref()
+                .map_or(true, |(le, delta)| enters_band(res, le, *delta))
+        })
+        .collect();
+    (!cands.is_empty()).then(|| lower_envelope(&cands))
 }
 
 /// Post-pass: samples `P^NN` values into every node's descriptor.
@@ -372,40 +381,26 @@ pub fn annotate_probabilities(
     // One profiled kernel for the whole tree: every node probe is a
     // standard gather → evaluate column over it.
     let kernel = ColumnKernel::new(&UniformDifferencePdf::new(radius));
-    let envelope = tree.envelope.clone();
-    for root in &mut tree.roots {
-        annotate_node(root, fs, &envelope, &kernel, samples);
-    }
-}
-
-fn annotate_node(
-    node: &mut IpacNode,
-    fs: &[DistanceFunction],
-    le: &Envelope,
-    kernel: &ColumnKernel,
-    samples: usize,
-) {
-    let probe_count = samples.max(1);
-    let times = node.span.sample_points(probe_count);
-    // Interior probes (avoid boundary instants shared with siblings).
-    let probes: Vec<f64> = if times.len() > 2 {
-        times[1..times.len() - 1].to_vec()
-    } else {
-        vec![node.span.midpoint()]
-    };
-    node.descriptor.prob_samples.clear();
-    for t in probes {
-        let le_v = match le.eval(t) {
-            Some(v) => v,
-            None => continue,
+    let mut stack: Vec<&mut IpacNode> = tree.roots.iter_mut().collect();
+    while let Some(node) = stack.pop() {
+        let times = node.span.sample_points(samples);
+        // Interior probes (avoid boundary instants shared with siblings).
+        let probes: Vec<f64> = if times.len() > 2 {
+            times[1..times.len() - 1].to_vec()
+        } else {
+            vec![node.span.midpoint()]
         };
-        let column = kernel.column(fs, le_v, t);
-        if let Some((_, p)) = column.iter().find(|(o, _)| *o == node.owner) {
-            node.descriptor.prob_samples.push((t, *p));
+        node.descriptor.prob_samples.clear();
+        for t in probes {
+            let Some(le) = tree.envelope.eval(t) else {
+                continue;
+            };
+            let column = kernel.column(fs, le, t);
+            if let Some((_, p)) = column.iter().find(|(o, _)| *o == node.owner) {
+                node.descriptor.prob_samples.push((t, *p));
+            }
         }
-    }
-    for c in &mut node.children {
-        annotate_node(c, fs, le, kernel, samples);
+        stack.extend(node.children.iter_mut());
     }
 }
 

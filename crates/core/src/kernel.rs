@@ -170,6 +170,13 @@ impl ColumnKernel {
         2.0 * self.profile.support_radius()
     }
 
+    /// Quadrature blocks the memo holds over all probe indices (536
+    /// bytes each), read under the memo's lock.
+    pub fn memo_blocks(&self) -> usize {
+        let memo = self.memo.lock().expect("kernel memo poisoned");
+        memo.iter().flatten().map(BlockList::len).sum()
+    }
+
     /// Evaluates every column of the batch; the result is index-aligned
     /// with the batch's flat work items (see [`ColumnBatch::columns`]).
     /// Each column reads the blocks this kernel remembers for its probe

@@ -22,7 +22,8 @@
 //! * [`band`] — the `4r` pruning band and per-object non-zero-probability
 //!   intervals (Figure 10 / Figure 13);
 //! * [`ipac`] — the IPAC-NN tree (Algorithm 3), descriptors, and the DAG
-//!   dual of Theorem 2;
+//!   dual of Theorem 2; its level recursion is the crate's only one, and
+//!   rank intervals, `RANK k` answers and [`topk`] cells are walks of it;
 //! * [`query`] — the §4 query variants (Categories 1–4, UQ11…UQ43, and
 //!   fixed-time forms) with naive baselines for Figure 12;
 //! * [`kernel`] — the batched probability **column kernel**
@@ -41,8 +42,9 @@
 //!   uncertainty radii (the §7 "different uncertainty zones" item);
 //! * [`reverse`] — continuous probabilistic *reverse* NN queries and the
 //!   *all-pairs* answer (the §7 "all pairs, reverse" item);
-//! * [`topk`] — crisp continuous k-NN answers and the crisp-vs-uncertain
-//!   Top-k semantics comparison (the §7 Top-k item);
+//! * [`topk`] — crisp continuous k-NN answers (the [`ipac`] recursion
+//!   without the band stop) and the crisp-vs-uncertain Top-k semantics
+//!   comparison (the §7 Top-k item);
 //! * [`oracle`] — brute-force dense-sampling references for the tests.
 //!
 //! The within-distance / NN probability machinery the semantics rest on

@@ -20,9 +20,10 @@ use crate::algorithms::lower_envelope;
 use crate::answer::{AnswerEntry, AnswerSet};
 use crate::band::{inside_band_intervals, prune_by_band, BandStats};
 use crate::envelope::Envelope;
-use crate::ipac::{build_ipac_tree, IpacConfig, IpacTree};
+use crate::ipac::{preorder, tree_over, IpacConfig, IpacTree};
 use crate::kernel::{ColumnBatch, ColumnKernel};
 use crate::probrows::{probe_time, ProbRow, ProbRowSet, RowPerspective};
+use crate::topk::{knn_over, KnnAnswer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 use unn_geom::interval::{IntervalSet, TimeInterval};
@@ -128,6 +129,17 @@ impl QueryEngine {
     /// owners with their intervals.
     pub fn continuous_nn_answer(&self) -> Vec<(Oid, TimeInterval)> {
         self.envelope.answer_sequence()
+    }
+
+    /// [`crate::topk::continuous_knn`] over [`QueryEngine::functions`],
+    /// ranked from the engine's own envelope instead of a rebuilt one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k == 0`.
+    pub fn continuous_knn(&self, k: usize) -> KnnAnswer {
+        assert!(k >= 1, "k must be at least 1");
+        knn_over(&self.fs, &self.envelope, self.window, k)
     }
 
     /// Attempts to build the engine for a *delta-adjacent* candidate set
@@ -400,47 +412,32 @@ impl QueryEngine {
     // Category 2 (rank k)
     // ------------------------------------------------------------------
 
+    /// The IPAC tree of the given depth (`0` = unbounded), grown from
+    /// the engine's own envelope and band pass.
+    fn build_tree(&self, depth: usize) -> IpacTree {
+        let cfg = IpacConfig::with_depth(self.radius, depth);
+        let envelope = self.envelope.clone();
+        tree_over(self.query, &self.fs, &self.kept, envelope, self.stats, &cfg)
+    }
+
     /// Runs `f` against an IPAC tree of depth at least `k`, building (or
     /// deepening) the cached tree on demand.
     fn with_tree<R>(&self, k: usize, f: impl FnOnce(&IpacTree) -> R) -> R {
         let mut cache = self.tree_cache.lock().expect("tree cache poisoned");
-        let needs_build = match cache.as_ref() {
-            Some((depth, _)) => *depth < k,
-            None => true,
-        };
-        if needs_build {
-            let tree = build_ipac_tree(
-                self.query,
-                &self.fs,
-                &IpacConfig::with_depth(self.radius, k),
-            );
-            *cache = Some((k, tree));
+        if cache.as_ref().map_or(true, |(depth, _)| *depth < k) {
+            *cache = Some((k, self.build_tree(k)));
         }
         f(&cache.as_ref().expect("tree built above").1)
     }
 
     /// Times during which `oid` appears at level `<= k` of the IPAC tree
     /// **and** has non-zero probability (is inside the `4r` band): the
-    /// instants where it is a possible k-th highest-probability NN.
+    /// instants where it is a possible k-th highest-probability NN —
+    /// its entry in [`QueryEngine::ranked_answer_set`].
     pub fn rank_intervals(&self, oid: Oid, k: usize) -> Option<IntervalSet> {
         self.function_of(oid)?;
-        let spans = self.with_tree(k, |tree| {
-            let mut spans = Vec::new();
-            for level in 1..=k {
-                for (owner, iv) in tree.level_pieces(level) {
-                    if owner == oid {
-                        spans.push(iv);
-                    }
-                }
-            }
-            spans
-        });
-        // A node span covers where the object is the k-th *lowest*; the
-        // probabilistic semantics additionally require non-zero
-        // probability at the instant, i.e. membership in the band.
-        let ranked = IntervalSet::from_intervals(spans);
-        let inside = self.nonzero_intervals(oid)?;
-        Some(ranked.intersect(&inside))
+        let ranked = self.ranked_answer_set(k);
+        Some(ranked.intervals_of(oid).cloned().unwrap_or_default())
     }
 
     /// `UQ21([∃t, k])`: is `oid` a k-th highest-probability NN at some
@@ -532,16 +529,25 @@ impl QueryEngine {
     /// object's intervals are the instants where it is a possible k-th
     /// highest-probability NN (the Category 4 substrate).
     pub fn ranked_answer_set(&self, k: usize) -> AnswerSet {
-        let owners: Vec<Oid> = self.kept.iter().map(|&i| self.fs[i].owner()).collect();
-        let entries = owners
-            .into_iter()
-            .filter_map(|oid| {
-                Some(AnswerEntry {
-                    oid,
-                    intervals: self.rank_intervals(oid, k)?,
-                })
-            })
-            .collect();
+        let mut spans: BTreeMap<Oid, Vec<TimeInterval>> = BTreeMap::new();
+        self.with_tree(k, |tree| {
+            for n in preorder(&tree.roots).into_iter().filter(|n| n.level <= k) {
+                spans.entry(n.owner).or_default().push(n.span);
+            }
+        });
+        // A node span covers where the object is the k-th *lowest*; the
+        // probabilistic semantics additionally require non-zero
+        // probability at the instant, i.e. membership in the band.
+        let mut entries = Vec::new();
+        for e in self.memoised_answer().entries() {
+            if let Some(spans) = spans.remove(&e.oid) {
+                let intervals = IntervalSet::from_intervals(spans).intersect(&e.intervals);
+                entries.push(AnswerEntry {
+                    oid: e.oid,
+                    intervals,
+                });
+            }
+        }
         AnswerSet::new(self.query, self.window, Some(k), entries)
     }
 
@@ -607,7 +613,7 @@ impl QueryEngine {
     /// external consumption. `depth == 0` means unbounded.
     pub fn ipac_tree(&self, depth: usize) -> IpacTree {
         if depth == 0 {
-            build_ipac_tree(self.query, &self.fs, &IpacConfig::unbounded(self.radius))
+            self.build_tree(0)
         } else {
             self.with_tree(depth, IpacTree::clone)
         }
@@ -836,6 +842,57 @@ mod tests {
         let mut dips = base.clone();
         dips.push(flyby(9, -5.0, 0.1, 1.0, w));
         assert!(old.carry_envelope(dips, 0.5, &|oid| oid == Oid(9)).is_err());
+    }
+
+    #[test]
+    fn engine_tree_is_the_tree_of_its_functions() {
+        use crate::ipac::build_ipac_tree;
+        let w = TimeInterval::new(0.0, 10.0);
+        let base = vec![
+            flyby(1, -5.0, 1.0, 1.0, w),
+            flyby(2, -2.0, 2.0, 1.0, w),
+            flyby(3, -8.0, 3.0, 1.0, w),
+            flyby(4, 0.0, 50.0, 0.0, w),
+            flyby(6, -5.0, 1.8, 1.0, w),
+        ];
+        let old = QueryEngine::new(Oid(0), base.clone(), 0.5);
+        let mut fs = base.clone();
+        fs[3] = flyby(4, 0.0, 49.0, 0.0, w);
+        fs.push(flyby(5, 0.0, 60.0, 0.0, w));
+        let carried = old
+            .carry_envelope(fs.clone(), 0.5, &|oid| oid == Oid(4) || oid == Oid(5))
+            .expect("far delta carries");
+        for (engine, fs) in [(&old, &base), (&carried, &fs)] {
+            // Ascending, so each call deepens the cached tree to exactly d.
+            for d in 1..=3 {
+                let fresh = build_ipac_tree(Oid(0), fs, &IpacConfig::with_depth(0.5, d));
+                let tree = engine.ipac_tree(d);
+                assert_eq!(tree.roots, fresh.roots, "depth {d}");
+                assert_eq!(tree.envelope, fresh.envelope, "depth {d}");
+            }
+            // The per-owner formula: each kept owner's spans at levels
+            // 1..=k, inside its non-zero-probability intervals.
+            for k in 1..=3 {
+                let tree = build_ipac_tree(Oid(0), fs, &IpacConfig::with_depth(0.5, k));
+                let entries = engine
+                    .kept_owners()
+                    .map(|oid| {
+                        let spans = (1..=k)
+                            .flat_map(|level| tree.level_pieces(level))
+                            .filter(|(owner, _)| *owner == oid)
+                            .map(|(_, iv)| iv);
+                        let inside = engine.nonzero_intervals(oid).unwrap();
+                        AnswerEntry {
+                            oid,
+                            intervals: IntervalSet::from_intervals(spans).intersect(&inside),
+                        }
+                    })
+                    .collect();
+                let oracle = AnswerSet::new(Oid(0), w, Some(k), entries);
+                assert!(!oracle.is_empty());
+                assert_eq!(engine.ranked_answer_set(k), oracle, "k {k}");
+            }
+        }
     }
 
     #[test]

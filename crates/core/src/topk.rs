@@ -7,10 +7,10 @@
 //! [`continuous_knn`] materializes the *crisp* time-parameterized k-NN
 //! answer: a partition of the query window into cells, each carrying the
 //! ordered list of the `k` nearest objects (by expected locations). The
-//! construction peels ranked envelopes exactly like Algorithm 3's level
-//! recursion — level `j`'s owner inside a cell is removed and the envelope
-//! of the remainder is built on the refined cells — so each cell boundary
-//! is a critical time point of some ranked envelope.
+//! construction is Algorithm 3's recursion ([`crate::ipac`]) without the
+//! band stop, to depth `k`: each leaf's span is a cell ranked by its
+//! root→leaf owners, so each cell boundary is a critical time point of
+//! some ranked envelope.
 //!
 //! For *uncertain* trajectories the natural Top-k at an instant is the
 //! ranking by `P^NN`. Theorem 1 says that with a **shared** rotationally
@@ -19,6 +19,8 @@
 //! heterogeneous radii, where [`crate::hetero`] takes over).
 
 use crate::algorithms::lower_envelope;
+use crate::envelope::Envelope;
+use crate::ipac::{crisp_levels, preorder};
 use crate::kernel::ColumnKernel;
 use crate::query::QueryEngine;
 use crate::threshold::column_at;
@@ -135,9 +137,10 @@ impl KnnAnswer {
 }
 
 /// Builds the crisp continuous k-NN answer over the given distance
-/// functions by recursive envelope peeling. Complexity `O(k · N log N)`
-/// per produced level region; the number of cells is bounded by the
-/// combinatorial complexity of the first `k` ranked envelopes, `O(kN)`.
+/// functions: Algorithm 3's recursion without the band stop, to depth
+/// `k`. Complexity `O(k · N log N)` per produced level region; the
+/// number of cells is bounded by the combinatorial complexity of the
+/// first `k` ranked envelopes, `O(kN)`.
 ///
 /// # Panics
 ///
@@ -153,65 +156,47 @@ pub fn continuous_knn(fs: &[DistanceFunction], k: usize) -> KnnAnswer {
                 .expect("distance functions share the query window")
         })
         .unwrap();
-    let mut excluded = Vec::with_capacity(k);
-    let raw = peel(fs, window, &mut excluded, k);
-    // ⊎: merge adjacent cells with identical rankings.
-    let mut cells: Vec<KnnCell> = Vec::with_capacity(raw.len());
-    for cell in raw {
+    let level1: Vec<DistanceFunction> = fs.iter().filter_map(|f| f.restrict(&window)).collect();
+    if level1.is_empty() {
+        return KnnAnswer {
+            k,
+            window,
+            cells: vec![],
+        };
+    }
+    knn_over(fs, &lower_envelope(&level1), window, k)
+}
+
+/// The crisp k-NN answer over `fs`, whose lower envelope over `window`
+/// is `envelope`: each leaf of the first `k` levels is a cell ranked by
+/// its root→leaf owners, and adjacent cells with equal rankings merge.
+/// `k ≥ 1` (`0` would rank every candidate).
+pub(crate) fn knn_over(
+    fs: &[DistanceFunction],
+    envelope: &Envelope,
+    window: TimeInterval,
+    k: usize,
+) -> KnnAnswer {
+    let fs: Vec<&DistanceFunction> = fs.iter().collect();
+    let levels = crisp_levels(&fs, envelope, k);
+    let (mut path, mut cells) = (Vec::with_capacity(k), Vec::<KnnCell>::new());
+    for n in preorder(&levels) {
+        path.truncate(n.level - 1);
+        path.push(n.owner);
+        if !n.children.is_empty() || n.span.is_degenerate() {
+            continue;
+        }
         match cells.last_mut() {
-            Some(last) if last.ranked == cell.ranked => {
-                last.span = TimeInterval::new(last.span.start(), cell.span.end());
+            Some(last) if last.ranked == path => {
+                last.span = TimeInterval::new(last.span.start(), n.span.end());
             }
-            _ => cells.push(cell),
+            _ => cells.push(KnnCell {
+                span: n.span,
+                ranked: path.clone(),
+            }),
         }
     }
     KnnAnswer { k, window, cells }
-}
-
-/// Recursively assigns ranks within `span`, excluding the owners already
-/// ranked by the ancestors.
-fn peel(
-    fs: &[DistanceFunction],
-    span: TimeInterval,
-    excluded: &mut Vec<Oid>,
-    remaining: usize,
-) -> Vec<KnnCell> {
-    if span.is_degenerate() {
-        return vec![];
-    }
-    if remaining == 0 {
-        return vec![KnnCell {
-            span,
-            ranked: vec![],
-        }];
-    }
-    let cands: Vec<DistanceFunction> = fs
-        .iter()
-        .filter(|f| !excluded.contains(&f.owner()))
-        .filter_map(|f| f.restrict(&span))
-        .collect();
-    if cands.is_empty() {
-        return vec![KnnCell {
-            span,
-            ranked: vec![],
-        }];
-    }
-    let env = lower_envelope(&cands);
-    let mut out = Vec::new();
-    for (owner, iv) in env.answer_sequence() {
-        excluded.push(owner);
-        for deeper in peel(fs, iv, excluded, remaining - 1) {
-            let mut ranked = Vec::with_capacity(remaining);
-            ranked.push(owner);
-            ranked.extend(deeper.ranked);
-            out.push(KnnCell {
-                span: deeper.span,
-                ranked,
-            });
-        }
-        excluded.pop();
-    }
-    out
 }
 
 /// The Top-k objects by **NN probability** at instant `t` under the

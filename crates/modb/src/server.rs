@@ -15,7 +15,7 @@ use unn_core::hetero::HeteroEngine;
 use unn_core::ipac::IpacTree;
 use unn_core::query::QueryEngine;
 use unn_core::reverse::ReverseNnEngine;
-use unn_core::topk::{continuous_knn, KnnAnswer};
+use unn_core::topk::KnnAnswer;
 use unn_geom::interval::TimeInterval;
 use unn_traj::difference::DifferenceError;
 use unn_traj::trajectory::Oid;
@@ -510,6 +510,11 @@ impl ModServer {
             .push(("subs_batched_commits_total".into(), subs.batched_commits));
         snap.counters
             .push(("subs_rows_patched_total".into(), subs.rows_patched));
+        // A remembered quadrature block is 536 bytes
+        // (`unn_prob::profile::BlockList`).
+        let memo_blocks = self.subscriptions.kernel_memo_blocks() as u64;
+        snap.gauges
+            .push(("subs_kernel_memo_bytes".into(), memo_blocks * 536));
         snap.gauges
             .push(("subscriptions".into(), infos.len() as u64));
         if let Some(prefix) = prefix {
@@ -789,7 +794,7 @@ impl ModServer {
     /// comparison substrate): a partition of the window into cells with
     /// the ordered k nearest objects. Planned exhaustively — crisp rank
     /// `k` is not bounded by the `4r` band, so the prefilter does not
-    /// apply.
+    /// apply. Level 1 is the exhaustive engine's own envelope.
     pub fn knn_answer(
         &self,
         query_oid: Oid,
@@ -798,7 +803,7 @@ impl ModServer {
     ) -> Result<KnnAnswer, ServerError> {
         let (engine, _) =
             self.engine_with_policy(query_oid, window, PrefilterPolicy::Exhaustive)?;
-        Ok(continuous_knn(engine.functions(), k))
+        Ok(engine.continuous_knn(k))
     }
 
     /// The §2.2 **instantaneous** probabilistic NN ranking at instant `t`:
@@ -1234,6 +1239,30 @@ mod tests {
         let qt = "SELECT Tr1 FROM MOD WHERE ATLEAST 0.5 OF TIME IN [0, 10] \
                   AND PROB_RNN(Tr1, Tr0, TIME) > 0.5";
         assert!(matches!(s.execute(qt).unwrap(), QueryOutput::Boolean(_)));
+    }
+
+    /// A threshold share's kernel remembers a probe column from its
+    /// second evaluation on: registration leaves the gauge at 0, and two
+    /// patches by an in-band newcomer fill it.
+    #[test]
+    fn kernel_memo_gauge_grows_only_with_patches() {
+        let s = server();
+        s.subscription_registry().set_row_samples(16);
+        let memo_bytes = |s: &ModServer| {
+            let snap = s.metrics_snapshot(Some("subs_kernel_memo_bytes"));
+            assert_eq!(snap.gauges.len(), 1);
+            snap.gauges[0].1
+        };
+        let hot = "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 10] AND PROB_NN(*, Tr0, TIME) > 0.3";
+        s.subscribe("hot", hot).unwrap();
+        assert_eq!(memo_bytes(&s), 0, "a share never patched remembers nothing");
+        s.register(tr(7, &[(0.0, 1.5, 0.0), (10.0, 1.5, 10.0)]))
+            .unwrap();
+        s.store()
+            .update(tr(7, &[(0.0, 1.4, 0.0), (10.0, 1.4, 10.0)]));
+        assert_eq!(s.subscriptions()[0].stats.patched, 2);
+        let bytes = memo_bytes(&s);
+        assert!(bytes > 0 && bytes % 536 == 0, "{bytes}");
     }
 
     /// `execute_reverse` reads one batched row set; the oracle here is

@@ -1396,6 +1396,20 @@ impl SubscriptionRegistry {
         self.shares.lock().unwrap().len()
     }
 
+    /// Quadrature blocks the row shares' kept column kernels remember,
+    /// summed over shares (`unn_core::kernel`, "Memo"). Read on demand
+    /// under each share's lock; the commit path counts nothing.
+    pub fn kernel_memo_blocks(&self) -> usize {
+        let shares: Vec<Arc<SharedSub>> = self.shares.lock().unwrap().values().cloned().collect();
+        shares
+            .iter()
+            .map(|s| {
+                let core = s.core.lock().unwrap();
+                core.kernel.as_ref().map_or(0, |(_, k)| k.memo_blocks())
+            })
+            .sum()
+    }
+
     /// The probe count newly registered row subscriptions sample their
     /// window at.
     pub fn row_samples(&self) -> u32 {
@@ -2239,6 +2253,12 @@ impl SubscriptionRegistry {
                     (SubKind::Intervals { rank: Some(k) }, _) => {
                         SubAnswer::Intervals(engine.ranked_answer_set(*k))
                     }
+                    // Keep this arm: it copies clean columns, while the
+                    // kept kernel's memo still pays the node loop and
+                    // n(n+1)/2 block copies for an all-hit column. Sending
+                    // carried patches through `prob_row_set_kernel` and
+                    // the memo instead measured `near_churn` 102 → 67
+                    // op/s (p50 6.7 → 13.3 ms).
                     (SubKind::ForwardRows, SubAnswer::Rows(prev)) => {
                         let (rows, touched) = engine.prob_row_set_reusing_kernel(
                             kernel.as_ref().expect("kernel built for row kinds"),

@@ -7,7 +7,7 @@
 //!
 //! * the **crisp** continuous k-NN answer — a partition of the window into
 //!   cells with the ordered k nearest objects by expected locations
-//!   (`continuous_knn`, built from ranked envelopes);
+//!   (`continuous_knn`, Algorithm 3's recursion without the band stop);
 //! * the **uncertain** Top-k at sampled instants — the ranking by exact
 //!   `P^NN` (Eq. 5 over the convolved difference pdfs).
 //!
