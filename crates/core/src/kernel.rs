@@ -49,10 +49,12 @@
 //! column of `n` in-band candidates. Reverse (`PROB_RNN`) rows evaluate
 //! every perspective's column `k` through the same index, so their memo
 //! is bounded the same way but rarely hits.
+//!
+//! [`ColumnKernel::block_counts`] reports how many blocks the kernel
+//! computed and how many it copied from the memo, over its whole life.
 
 use std::fmt;
-#[cfg(test)]
-use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use unn_prob::pdf::RadialPdf;
 use unn_prob::profile::{nn_probabilities_profiled, BlockList, ProfiledPdf};
@@ -130,10 +132,10 @@ pub struct ColumnKernel {
     /// only to take a list out and to put one back, never while
     /// evaluating.
     memo: Arc<Mutex<Vec<Option<BlockList>>>>,
-    /// Blocks computed rather than copied, for the tests that pin the
-    /// memo's reach.
-    #[cfg(test)]
-    computed: Arc<std::sync::atomic::AtomicUsize>,
+    /// Blocks evaluated since the kernel was built: `computed` ran the
+    /// quadrature, `copied` were read back from the memo.
+    computed: Arc<AtomicUsize>,
+    copied: Arc<AtomicUsize>,
 }
 
 impl fmt::Debug for ColumnKernel {
@@ -160,8 +162,8 @@ impl ColumnKernel {
         ColumnKernel {
             profile,
             memo: Default::default(),
-            #[cfg(test)]
             computed: Default::default(),
+            copied: Default::default(),
         }
     }
 
@@ -175,6 +177,16 @@ impl ColumnKernel {
     pub fn memo_blocks(&self) -> usize {
         let memo = self.memo.lock().expect("kernel memo poisoned");
         memo.iter().flatten().map(BlockList::len).sum()
+    }
+
+    /// `(computed, copied)`: quadrature blocks this kernel (and every
+    /// clone of it) evaluated since it was built, and blocks it read back
+    /// from the memo instead.
+    pub fn block_counts(&self) -> (usize, usize) {
+        (
+            self.computed.load(AtomicOrdering::Relaxed),
+            self.copied.load(AtomicOrdering::Relaxed),
+        )
     }
 
     /// Evaluates every column of the batch; the result is index-aligned
@@ -195,10 +207,9 @@ impl ColumnKernel {
                 &mut out,
             );
             probs[s..e].copy_from_slice(&out);
-            #[cfg(test)]
             self.computed.fetch_add(computed, AtomicOrdering::Relaxed);
-            #[cfg(not(test))]
-            let _ = computed;
+            self.copied
+                .fetch_add(next.len() - computed, AtomicOrdering::Relaxed);
             // A first evaluation leaves an empty list; a later one keeps
             // its blocks, and the list it read becomes the next scratch.
             let kept = match prev {
@@ -297,7 +308,7 @@ mod tests {
     }
 
     fn computed(kernel: &ColumnKernel) -> usize {
-        kernel.computed.load(AtomicOrdering::Relaxed)
+        kernel.block_counts().0
     }
 
     /// `(columns, blocks)` the kernel remembers.
@@ -331,6 +342,7 @@ mod tests {
         assert_eq!(remembered(&kernel), (2, cold), "the second is kept");
         let third = kernel.evaluate(&batch);
         assert_eq!(computed(&kernel), 2 * cold, "every block read back");
+        assert_eq!(kernel.block_counts(), (2 * cold, cold));
         assert_eq!(bits(&first), bits(&second));
         assert_eq!(bits(&first), bits(&third));
         assert_eq!(

@@ -9,9 +9,9 @@
 //! * [`delta`] — the delta-epoch layer: the bounded mutation log, net
 //!   deltas, and the engine carry proof;
 //! * [`snapshot`] — the shared, **incrementally maintained**
-//!   [`snapshot::QuerySnapshot`] view;
+//!   [`snapshot::QuerySnapshot`] view, with its carried epoch-box tables;
 //! * [`plan`] — the query planner: one-shot invariant resolution plus the
-//!   epoch-box scan prefilter ([`plan::PrefilterPolicy`]);
+//!   snapshot-carried epoch-box prefilter ([`plan::PrefilterPolicy`]);
 //! * [`cache`] — the epoch-keyed engine cache amortizing envelope/IPAC
 //!   preprocessing across queries, with delta carry-forward;
 //! * [`catalog`] — descriptive object metadata joined against spatial
@@ -61,7 +61,9 @@
 //!    [`store::DEFAULT_REBUILD_FRACTION`] = 25%), derives the new
 //!    snapshot from the previous one via
 //!    [`snapshot::QuerySnapshot::apply_delta`]: the object list is merged
-//!    in one pass. Oversized deltas, cold starts, and history gaps (log
+//!    in one pass, which also carries every epoch-box table the last
+//!    snapshot's plans read (only the changed objects' rows are
+//!    recomputed). Oversized deltas, cold starts, and history gaps (log
 //!    overflow, [`store::ModStore::clear`]) rebuild from scratch.
 //! 3. **Carry** — on an engine-cache miss at the new epoch, a same-shape
 //!    forward engine from an older epoch is offered to

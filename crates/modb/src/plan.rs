@@ -11,8 +11,14 @@
 //! provable superset of the exact `4r`-band survivors, so the resulting
 //! answers are identical to the exhaustive path; only the preprocessing
 //! cost changes.
+//!
+//! The scan computes no box: it reads the snapshot's epoch-box table for
+//! the window ([`QuerySnapshot::epoch_boxes`]), which the first plan on a
+//! snapshot builds and a delta-derived snapshot carries from its
+//! predecessor with only the changed objects' rows recomputed. A plan
+//! is then one bound pass and one test pass over cached boxes, and it
+//! yields snapshot positions directly.
 
-use crate::prefilter::epoch_box_prefilter;
 use crate::snapshot::QuerySnapshot;
 use std::fmt;
 use std::sync::Arc;
@@ -33,8 +39,8 @@ pub enum PrefilterPolicy {
     /// by consumers that need the full population (crisp k-NN), useful as
     /// the identity baseline.
     Exhaustive,
-    /// The analytic epoch-box scan
-    /// ([`crate::prefilter::epoch_box_prefilter`]), `O(N · epochs)`.
+    /// The analytic epoch-box scan ([`crate::prefilter::EpochBoxes`]),
+    /// `O(N · epochs)` over the snapshot's carried box table.
     Scan {
         /// Temporal granularity (more epochs = tighter filter).
         epochs: usize,
@@ -138,7 +144,7 @@ impl QueryPlanner {
     ) -> Result<QueryPlan, PlanError> {
         let query_idx = Self::validate(&snapshot, query, window)?;
         let radius = common_radius(&snapshot).map_err(|_| PlanError::MixedRadii)?;
-        let candidates = self.prefilter(&snapshot, query, window, radius);
+        let candidates = self.prefilter(&snapshot, query_idx, window, radius);
         Ok(QueryPlan {
             snapshot,
             query_idx,
@@ -187,30 +193,28 @@ impl QueryPlanner {
     }
 
     /// Runs the configured prefilter, returning candidate positions in
-    /// the snapshot (query excluded). Falls back to the exhaustive set if
-    /// a filter ever returns empty, so engine construction always has at
-    /// least one candidate.
+    /// the snapshot (query excluded): a scan of the snapshot's epoch-box
+    /// table for the window. Falls back to the exhaustive set if a filter
+    /// ever returns empty, so engine construction always has at least one
+    /// candidate.
     fn prefilter(
         &self,
         snapshot: &QuerySnapshot,
-        query: Oid,
+        query_idx: usize,
         window: TimeInterval,
         radius: f64,
     ) -> Vec<usize> {
-        let query_idx = snapshot.index_of(query).expect("validated");
-        let kept_oids = match self.policy {
-            PrefilterPolicy::Exhaustive => None,
-            PrefilterPolicy::Scan { epochs } => {
-                Some(epoch_box_prefilter(snapshot, query, window, radius, epochs))
-            }
+        let kept = match self.policy {
+            PrefilterPolicy::Exhaustive => Vec::new(),
+            PrefilterPolicy::Scan { epochs } => snapshot
+                .epoch_boxes(window, epochs)
+                .prefilter(query_idx, radius),
         };
-        match kept_oids {
-            Some(oids) if !oids.is_empty() => oids
-                .iter()
-                .filter_map(|&oid| snapshot.index_of(oid))
-                .collect(),
+        if kept.is_empty() {
             // Exhaustive, or a degenerate filter result: all candidates.
-            _ => (0..snapshot.len()).filter(|&i| i != query_idx).collect(),
+            (0..snapshot.len()).filter(|&i| i != query_idx).collect()
+        } else {
+            kept
         }
     }
 }

@@ -18,10 +18,27 @@
 //! `4r`-band pruning would keep (asserted by the integration tests), so
 //! building the envelope from the prefiltered set yields identical
 //! query answers.
+//!
+//! # The epoch-box table
+//!
+//! A box depends on one object, the window and the epoch count — not on
+//! the query. [`EpochBoxes`] therefore holds **every** object's corridor
+//! boxes for one `(window, epochs)` pair, one row per object, and a plan
+//! is a scan of it ([`EpochBoxes::prefilter`]): one `max_dist_xy` pass
+//! for the per-epoch bounds, one `min_dist_xy` pass for the test. The
+//! table lives with the data: [`crate::snapshot::QuerySnapshot`] builds
+//! it on the first plan that asks for it and carries it across a store
+//! delta, sharing the rows of surviving objects and computing only the
+//! rows of inserted or updated ones — the per-object map applied to the
+//! delta only. A row stores x/y extents (the epoch index implies the
+//! time range) and is `Arc`-shared by every table carried from the one
+//! that computed it, so a carry allocates only the changed rows.
 
 use crate::index::bbox::Aabb3;
+use std::fmt;
+use std::sync::Arc;
 use unn_geom::interval::TimeInterval;
-use unn_traj::trajectory::{Oid, Trajectory};
+use unn_traj::trajectory::Trajectory;
 use unn_traj::uncertain::UncertainTrajectory;
 
 /// The spatial box of a trajectory's expected location over `[t0, t1]`.
@@ -50,67 +67,167 @@ pub(crate) fn corridor_box(tr: &Trajectory, t0: f64, t1: f64) -> Aabb3 {
     Aabb3::new(min, max)
 }
 
-/// Epoch-box prefilter: returns the object ids (query excluded) that
-/// *might* have non-zero probability of being the NN of `query_oid`
-/// somewhere in `window`, by the conservative min/max box distance rule.
-///
-/// `epochs` controls the temporal granularity (more epochs = tighter
-/// filter, more box work). Objects and query must cover the window.
-pub fn epoch_box_prefilter(
-    trs: &[UncertainTrajectory],
-    query_oid: Oid,
+/// Every object's corridor boxes over the epochs of one window: row `i`
+/// holds the `epochs` boxes of the `i`-th object it was built over (module
+/// docs, "The epoch-box table").
+pub struct EpochBoxes {
     window: TimeInterval,
-    radius: f64,
     epochs: usize,
-) -> Vec<Oid> {
-    let epochs = epochs.max(1);
-    let query = trs
-        .iter()
-        .find(|t| t.oid() == query_oid)
-        .expect("query object present");
-    let others: Vec<&UncertainTrajectory> = trs.iter().filter(|t| t.oid() != query_oid).collect();
-    if others.is_empty() {
-        return vec![];
+    /// Per object, `[min x, min y, max x, max y]` per epoch.
+    rows: Vec<Arc<[[f64; 4]]>>,
+    /// Boxes computed rather than shared with a predecessor table.
+    computed: usize,
+}
+
+impl fmt::Debug for EpochBoxes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EpochBoxes")
+            .field("window", &self.window)
+            .field("epochs", &self.epochs)
+            .field("rows", &self.len())
+            .field("computed", &self.computed)
+            .finish()
     }
-    let delta = 4.0 * radius;
-    let mut keep = vec![false; others.len()];
-    let step = window.len() / epochs as f64;
-    for e in 0..epochs {
-        let t0 = window.start() + e as f64 * step;
-        let t1 = (t0 + step).min(window.end());
-        let qbox = corridor_box(query.trajectory(), t0, t1);
-        // Upper bound on the envelope within the epoch.
-        let mut upper = f64::INFINITY;
-        let boxes: Vec<Aabb3> = others
-            .iter()
-            .map(|o| corridor_box(o.trajectory(), t0, t1))
-            .collect();
-        for b in &boxes {
-            upper = upper.min(b.max_dist_xy(&qbox));
+}
+
+impl EpochBoxes {
+    /// An empty table for `window` split into `epochs` (at least one)
+    /// equal epochs, with room for `rows` objects.
+    pub(crate) fn with_capacity(window: TimeInterval, epochs: usize, rows: usize) -> Self {
+        let epochs = epochs.max(1);
+        EpochBoxes {
+            window,
+            epochs,
+            rows: Vec::with_capacity(rows),
+            computed: 0,
         }
-        for (i, b) in boxes.iter().enumerate() {
-            if !keep[i] && b.min_dist_xy(&qbox) <= upper + delta {
-                keep[i] = true;
+    }
+
+    /// Builds the table over `objects`, every box computed.
+    pub fn compute(objects: &[UncertainTrajectory], window: TimeInterval, epochs: usize) -> Self {
+        let mut table = Self::with_capacity(window, epochs, objects.len());
+        for o in objects {
+            table.push_computed(o.trajectory());
+        }
+        table
+    }
+
+    /// Appends a row computed from `tr`.
+    pub(crate) fn push_computed(&mut self, tr: &Trajectory) {
+        let row = (0..self.epochs)
+            .map(|e| {
+                let (t0, t1) = self.epoch_span(e);
+                let b = corridor_box(tr, t0, t1);
+                [b.min[0], b.min[1], b.max[0], b.max[1]]
+            })
+            .collect();
+        self.rows.push(row);
+        self.computed += self.epochs;
+    }
+
+    /// Appends `from`'s row `i` (a table of the same window and epochs),
+    /// shared.
+    pub(crate) fn push_shared(&mut self, from: &EpochBoxes, i: usize) {
+        debug_assert_eq!(self.epochs, from.epochs);
+        self.rows.push(Arc::clone(&from.rows[i]));
+    }
+
+    /// The window the epochs split.
+    pub fn window(&self) -> TimeInterval {
+        self.window
+    }
+
+    /// The number of epochs per row.
+    pub fn epochs(&self) -> usize {
+        self.epochs
+    }
+
+    /// The number of rows (objects).
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `true` when the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Boxes this table computed rather than shared with the table it
+    /// was carried from (all of them for a table built cold).
+    pub fn computed_boxes(&self) -> usize {
+        self.computed
+    }
+
+    /// `[t0, t1]` of epoch `e`.
+    fn epoch_span(&self, e: usize) -> (f64, f64) {
+        let step = self.window.len() / self.epochs as f64;
+        let t0 = self.window.start() + e as f64 * step;
+        (t0, (t0 + step).min(self.window.end()))
+    }
+
+    /// Object `i`'s corridor box in epoch `e`.
+    pub fn get(&self, i: usize, e: usize) -> Aabb3 {
+        let (t0, t1) = self.epoch_span(e);
+        in_epoch(&self.rows[i][e], t0, t1)
+    }
+
+    /// The epoch-box prefilter: the rows (ascending, `query` excluded)
+    /// that *might* have non-zero probability of being the NN of row
+    /// `query` somewhere in the window, by the conservative min/max box
+    /// distance rule (module docs).
+    pub fn prefilter(&self, query: usize, radius: f64) -> Vec<usize> {
+        let delta = 4.0 * radius;
+        let qrow: Vec<Aabb3> = (0..self.epochs).map(|e| self.get(query, e)).collect();
+        // Object `i`'s boxes, each over its epoch's time range.
+        let boxes = |i: usize| {
+            qrow.iter()
+                .zip(self.rows[i].iter())
+                .map(|(q, ext)| (q, in_epoch(ext, q.min[2], q.max[2])))
+        };
+        let others = (0..self.len()).filter(|&i| i != query);
+        // Upper bound on the envelope within each epoch.
+        let mut upper = vec![f64::INFINITY; self.epochs];
+        for i in others.clone() {
+            for (u, (q, b)) in upper.iter_mut().zip(boxes(i)) {
+                *u = u.min(b.max_dist_xy(q));
             }
         }
+        others
+            .filter(|&i| {
+                boxes(i)
+                    .zip(&upper)
+                    .any(|((q, b), u)| b.min_dist_xy(q) <= u + delta)
+            })
+            .collect()
     }
-    others
-        .iter()
-        .zip(keep)
-        .filter(|(_, k)| *k)
-        .map(|(o, _)| o.oid())
-        .collect()
+}
+
+/// The box of x/y extents `ext` over `[t0, t1]`.
+fn in_epoch(ext: &[f64; 4], t0: f64, t1: f64) -> Aabb3 {
+    Aabb3 {
+        min: [ext[0], ext[1], t0],
+        max: [ext[2], ext[3], t1],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use unn_traj::generator::{generate_uncertain, WorkloadConfig};
-    use unn_traj::trajectory::Trajectory;
+    use unn_traj::trajectory::{Oid, Trajectory};
 
     fn tr(oid: u64, pts: &[(f64, f64, f64)]) -> UncertainTrajectory {
         UncertainTrajectory::with_uniform_pdf(Trajectory::from_triples(Oid(oid), pts).unwrap(), 0.5)
             .unwrap()
+    }
+
+    /// The kept objects' ids for query row 0.
+    fn kept(trs: &[UncertainTrajectory], window: TimeInterval, epochs: usize) -> Vec<Oid> {
+        EpochBoxes::compute(trs, window, epochs)
+            .prefilter(0, 0.5)
+            .into_iter()
+            .map(|i| trs[i].oid())
+            .collect()
     }
 
     #[test]
@@ -120,7 +237,7 @@ mod tests {
             tr(1, &[(0.0, 1.0, 0.0), (10.0, 1.0, 10.0)]), // near
             tr(2, &[(0.0, 500.0, 0.0), (10.0, 500.0, 10.0)]), // far
         ];
-        let kept = epoch_box_prefilter(&trs, Oid(0), TimeInterval::new(0.0, 10.0), 0.5, 4);
+        let kept = kept(&trs, TimeInterval::new(0.0, 10.0), 4);
         assert!(kept.contains(&Oid(1)));
         assert!(!kept.contains(&Oid(2)), "{kept:?}");
     }
@@ -136,7 +253,7 @@ mod tests {
         let (kept_exact, _) = unn_core::band::prune_by_band(&fs, &le, 0.5);
         let exact_oids: Vec<Oid> = kept_exact.iter().map(|&i| fs[i].owner()).collect();
         for epochs in [1usize, 6, 24] {
-            let pre = epoch_box_prefilter(&trs, Oid(0), window, 0.5, epochs);
+            let pre = kept(&trs, window, epochs);
             for oid in &exact_oids {
                 assert!(
                     pre.contains(oid),
@@ -150,8 +267,8 @@ mod tests {
     fn more_epochs_filter_no_less_strictly_than_one() {
         let trs = generate_uncertain(&WorkloadConfig::with_objects(60, 5), 0.5);
         let window = TimeInterval::new(0.0, 60.0);
-        let coarse = epoch_box_prefilter(&trs, Oid(0), window, 0.5, 1);
-        let fine = epoch_box_prefilter(&trs, Oid(0), window, 0.5, 12);
+        let coarse = kept(&trs, window, 1);
+        let fine = kept(&trs, window, 12);
         // Finer epochs cannot be *looser* in aggregate (they may keep a
         // few different borderline objects, but in practice the set
         // shrinks); assert the coarse filter keeps at least 90% as many.
@@ -166,7 +283,6 @@ mod tests {
     #[test]
     fn empty_without_candidates() {
         let trs = vec![tr(0, &[(0.0, 0.0, 0.0), (1.0, 1.0, 10.0)])];
-        let kept = epoch_box_prefilter(&trs, Oid(0), TimeInterval::new(0.0, 10.0), 0.5, 4);
-        assert!(kept.is_empty());
+        assert!(kept(&trs, TimeInterval::new(0.0, 10.0), 4).is_empty());
     }
 }

@@ -512,9 +512,19 @@ impl ModServer {
             .push(("subs_rows_patched_total".into(), subs.rows_patched));
         // A remembered quadrature block is 536 bytes
         // (`unn_prob::profile::BlockList`).
-        let memo_blocks = self.subscriptions.kernel_memo_blocks() as u64;
+        let (mut memo_blocks, mut computed, mut copied) = (0, 0, 0);
+        for kernel in self.subscriptions.row_kernels() {
+            let (c, p) = kernel.block_counts();
+            memo_blocks += kernel.memo_blocks() as u64;
+            computed += c as u64;
+            copied += p as u64;
+        }
         snap.gauges
             .push(("subs_kernel_memo_bytes".into(), memo_blocks * 536));
+        snap.gauges
+            .push(("subs_kernel_blocks_computed".into(), computed));
+        snap.gauges
+            .push(("subs_kernel_blocks_copied".into(), copied));
         snap.gauges
             .push(("subscriptions".into(), infos.len() as u64));
         if let Some(prefix) = prefix {
@@ -1263,6 +1273,34 @@ mod tests {
         assert_eq!(s.subscriptions()[0].stats.patched, 2);
         let bytes = memo_bytes(&s);
         assert!(bytes > 0 && bytes % 536 == 0, "{bytes}");
+    }
+
+    /// The kept kernels' block counts: registration evaluates every
+    /// column once through the share's kernel and copies nothing, and
+    /// the second patch reads back blocks the first one left.
+    #[test]
+    fn kernel_block_counts_show_the_memo_hits() {
+        let s = server();
+        s.subscription_registry().set_row_samples(16);
+        let counts = |s: &ModServer| {
+            let snap = s.metrics_snapshot(Some("subs_kernel_blocks_c"));
+            let [(_, computed), (_, copied)] = snap.gauges[..] else {
+                panic!("{:?}", snap.gauges)
+            };
+            (computed, copied)
+        };
+        assert_eq!(counts(&s), (0, 0), "no row share, no kernel");
+        let hot = "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 10] AND PROB_NN(*, Tr0, TIME) > 0.3";
+        s.subscribe("hot", hot).unwrap();
+        let (registered, copied) = counts(&s);
+        assert!(registered > 0 && copied == 0, "{registered}, {copied}");
+        s.register(tr(7, &[(0.0, 1.5, 0.0), (10.0, 1.5, 10.0)]))
+            .unwrap();
+        s.store()
+            .update(tr(7, &[(0.0, 1.4, 0.0), (10.0, 1.4, 10.0)]));
+        assert_eq!(s.subscriptions()[0].stats.patched, 2);
+        let (computed, copied) = counts(&s);
+        assert!(computed > registered && copied > 0, "{computed}, {copied}");
     }
 
     /// `execute_reverse` reads one batched row set; the oracle here is

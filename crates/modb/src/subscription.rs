@@ -1396,18 +1396,18 @@ impl SubscriptionRegistry {
         self.shares.lock().unwrap().len()
     }
 
-    /// Quadrature blocks the row shares' kept column kernels remember,
-    /// summed over shares (`unn_core::kernel`, "Memo"). Read on demand
-    /// under each share's lock; the commit path counts nothing.
-    pub fn kernel_memo_blocks(&self) -> usize {
+    /// The row shares' kept column kernels (`unn_core::kernel`, "Memo"),
+    /// one handle per live share that has one, for reading their memo
+    /// size and block counts. Taken on demand under each share's lock.
+    pub fn row_kernels(&self) -> Vec<ColumnKernel> {
         let shares: Vec<Arc<SharedSub>> = self.shares.lock().unwrap().values().cloned().collect();
         shares
             .iter()
-            .map(|s| {
+            .filter_map(|s| {
                 let core = s.core.lock().unwrap();
-                core.kernel.as_ref().map_or(0, |(_, k)| k.memo_blocks())
+                core.kernel.as_ref().map(|(_, k)| k.clone())
             })
-            .sum()
+            .collect()
     }
 
     /// The probe count newly registered row subscriptions sample their
