@@ -25,7 +25,8 @@
 //!   (mixed interval/row, in-process): p50 wall-clock of a far-churn
 //!   commit whose delta region intersects no standing query's guard
 //!   box. The registry's spatial index prunes every share, so the two
-//!   must stay within 10x of each other (asserted in full mode).
+//!   must stay within 10x of each other (asserted in full mode, and
+//!   held on the tracked report by `check_bench_json`'s ratio gates).
 //! * `fanout/city_multiwriter_10k` — concurrent writer threads churning
 //!   far objects under a commit-coalescing batch window (8); mean
 //!   wall-clock per commit across the burst.

@@ -282,6 +282,15 @@ const RATIO_GATES: &[(&str, &str, &str, f64)] = &[
     // (docs/OBSERVABILITY.md).
     ("BENCH_telemetry.json", "metrics_on", "bare", 1.05),
     ("BENCH_telemetry.json", "trace_on", "bare", 1.15),
+    // The guard index keeps a far-churn round O(affected): at 10k
+    // standing queries within 10x of the 100-subscription round
+    // (docs/OPERATIONS.md, the `fanout` bench).
+    (
+        "BENCH_fanout.json",
+        "city_maintain_10k",
+        "city_maintain_100",
+        10.0,
+    ),
 ];
 
 /// Validates one report file, returning the number of benchmark entries.

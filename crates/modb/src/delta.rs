@@ -15,8 +15,7 @@
 //! serving when every logged op since then provably cannot touch its
 //! `4r` band (see [`forward_engine_unaffected`]).
 
-use crate::index::bbox::Aabb3;
-use crate::prefilter::corridor_box;
+use crate::prefilter::{corridor_box, Aabb3};
 use crate::snapshot::QuerySnapshot;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -113,12 +112,16 @@ impl DeltaLog {
     }
 
     /// Appends a mutation performed at (post-mutation) `epoch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `epoch` is older than the newest record:
+    /// [`DeltaLog::ops_since`] binary-searches the epoch order.
     pub fn record(&mut self, epoch: u64, op: DeltaOp) {
-        debug_assert!(self
-            .records
-            .back()
-            .map(|r| r.epoch <= epoch)
-            .unwrap_or(true));
+        assert!(
+            self.records.back().map_or(true, |r| r.epoch <= epoch),
+            "delta log records must arrive in epoch order"
+        );
         self.records.push_back(DeltaRecord { epoch, op });
         self.trim();
     }
@@ -163,7 +166,11 @@ impl DeltaLog {
         if base < self.floor {
             return None;
         }
-        Some(self.records.iter().filter(|r| r.epoch > base).collect())
+        // Records are appended in epoch order: skip the absorbed prefix
+        // by binary search, so a caller that is nearly current pays for
+        // the ops it gets, not for the whole retained log.
+        let start = self.records.partition_point(|r| r.epoch <= base);
+        Some(self.records.range(start..).collect())
     }
 
     /// Number of retained records.
@@ -524,6 +531,33 @@ mod tests {
         assert_eq!(log.ops_since(0).unwrap().len(), 3);
         assert_eq!(log.ops_since(1).unwrap().len(), 2);
         assert_eq!(log.ops_since(3).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn ranges_equal_a_filter_over_the_retained_records() {
+        // Multi-record epochs, skipped epochs, and a ring buffer that
+        // wrapped while evicting.
+        let mut log = DeltaLog::new(5);
+        for e in 1..=12u64 {
+            for k in 0..e % 3 {
+                log.record(e, DeltaOp::Remove(Oid(k)));
+            }
+            for base in log.floor()..=e + 1 {
+                let got: Vec<u64> = log
+                    .ops_since(base)
+                    .unwrap()
+                    .iter()
+                    .map(|r| r.epoch)
+                    .collect();
+                let want: Vec<u64> = log
+                    .records
+                    .iter()
+                    .filter(|r| r.epoch > base)
+                    .map(|r| r.epoch)
+                    .collect();
+                assert_eq!(got, want, "epoch {e}, base {base}");
+            }
+        }
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //!   preprocessing across queries, with delta carry-forward;
 //! * [`catalog`] — descriptive object metadata joined against spatial
 //!   answers;
-//! * [`index`] — the uniform grid the subscription index keeps guard
-//!   boxes in, with its linear-scan baseline;
 //! * [`prefilter`] — the conservative epoch-box prefilter (§2.2-I's
-//!   R_min/R_max rule at box granularity);
+//!   R_min/R_max rule at box granularity) and the crate's `(x, y, t)`
+//!   box type, [`prefilter::Aabb3`];
 //!
 //! ## The query pipeline
 //!
@@ -192,7 +191,10 @@
 //!   [`unn_core::answer::AnswerSet`]s for forward `> 0` statements,
 //!   [`unn_core::probrows::ProbRowSet`]s for threshold / reverse ones —
 //!   are incrementally maintained after every commit and streamed as
-//!   [`subscription::SubDelta`]s;
+//!   [`subscription::SubDelta`]s. Its private submodules are `registry`
+//!   (names, shares, the maintenance round), `index` (the guard index and
+//!   its grid), `ladder` (the skip / patch / rebuild rungs), `sink` (push
+//!   delivery) and `render` (quantifier / target rendering);
 //! * [`net`] — the framed TCP service layer: wire codec, multiplexed
 //!   event-loop server with encode-once push delivery, and the blocking
 //!   client;
@@ -212,7 +214,6 @@ pub mod cache;
 pub mod catalog;
 pub mod delta;
 pub mod durability;
-pub mod index;
 pub mod instantaneous;
 pub mod net;
 pub mod persist;
