@@ -50,7 +50,10 @@
 //! list a follower's `Resync` carries for the same snapshot
 //! (`docs/WIRE.md`), so disk and wire share one trajectory encoding;
 //! unlike a frame it is not bounded by `MAX_FRAME_LEN`. The header alone
-//! says where the log resumes, so [`Wal::open`] never reads the body. An
+//! says where the log resumes, so [`Wal::open`] never reads the body.
+//! Recovery reads the body in two streamed passes through one fixed
+//! buffer, never holding it whole: the first verifies its length and
+//! checksum, and only then does the second decode it. An
 //! image that is damaged anywhere — a flipped bit, a short or a long
 //! file — refuses recovery; a text image from before this format is
 //! refused with a pointer to `unn-cli store convert <dir>`
@@ -64,7 +67,8 @@
 
 use crate::delta::ReplOp;
 use crate::net::wire::{
-    decode_commit_body, decode_trajectory_list, put_trajectory, TAG_REPL_DELTA,
+    decode_commit_body, decode_trajectory, put_trajectory, trajectory_len, MIN_TRAJECTORY_LEN,
+    TAG_REPL_DELTA,
 };
 use crate::persist;
 use crate::store::ModStore;
@@ -985,32 +989,133 @@ fn open_image(path: &Path) -> Result<Option<(File, ImageHeader)>, WalError> {
     Ok(Some((file, header)))
 }
 
-/// Reads the body of the image [`open_image`] has just opened: its
-/// checksum is verified **before** anything is decoded, then the
-/// trajectories are decoded (validated, ascending ids, no trailing
-/// bytes) straight into the `Arc`s the store keeps.
+/// Bytes the image body is read in: large enough that a `read` call and
+/// a checksum step each cover many trajectories, small enough that the
+/// body never has to be in memory whole.
+const IMAGE_CHUNK: usize = 64 * 1024;
+
+/// Reads the body of the image [`open_image`] has just opened, in two
+/// streamed passes over the one file handle through one
+/// [`IMAGE_CHUNK`]-sized buffer. The first pass checks the body's length
+/// and then its checksum, so the body is verified **before** anything is
+/// decoded; the second seeks back and decodes the trajectories
+/// (validated, ascending ids, exactly `count` of them, no trailing bytes)
+/// straight into the `Arc`s the store keeps.
 fn read_image_body(
+    path: &Path,
+    file: File,
+    header: &ImageHeader,
+) -> Result<Vec<Arc<UncertainTrajectory>>, WalError> {
+    read_image_body_in(path, file, header, IMAGE_CHUNK)
+}
+
+/// [`read_image_body`] through a buffer of `chunk` bytes.
+fn read_image_body_in(
     path: &Path,
     mut file: File,
     header: &ImageHeader,
+    chunk: usize,
 ) -> Result<Vec<Arc<UncertainTrajectory>>, WalError> {
     let refuse = |message| refuse_image(path, message);
-    // `open_image` matched `body_len` against the file's real size, so
-    // this allocation is bounded by bytes that exist.
-    let mut body = Vec::with_capacity(header.body_len as usize);
-    file.read_to_end(&mut body)?;
-    if body.len() as u64 != header.body_len {
+    let mut buf = vec![0; chunk];
+    let (mut read, mut crc) = (0u64, !0);
+    loop {
+        let n = read_some(&mut file, &mut buf)?;
+        if n == 0 {
+            break;
+        }
+        crc = crc32_update(crc, &buf[..n]);
+        read += n as u64;
+    }
+    if read != header.body_len {
         return Err(refuse(format!(
-            "header promises {} body bytes, {} read",
-            header.body_len,
-            body.len()
+            "header promises {} body bytes, {read} read",
+            header.body_len
         )));
     }
-    if crc32(&body) != header.body_crc {
+    if !crc != header.body_crc {
         return Err(refuse("body checksum mismatch".to_string()));
     }
-    decode_trajectory_list(&body, header.count)
-        .map_err(|e| refuse(format!("undecodable body: {e}")))
+    file.seek(SeekFrom::Start(IMAGE_HEADER_LEN as u64))?;
+    decode_image_body(path, &mut file, header, buf)
+}
+
+/// The second pass of [`read_image_body_in`]: decodes `header.count`
+/// trajectories from the `header.body_len` verified bytes `file` is
+/// positioned at, refilling `buf` as it goes. Each trajectory is decoded
+/// whole from the front of the undecoded part of `buf`; one that
+/// straddles its end is carried over to the front and completed by the
+/// next read, and `buf` grows only for a trajectory longer than it.
+fn decode_image_body(
+    path: &Path,
+    file: &mut File,
+    header: &ImageHeader,
+    mut buf: Vec<u8>,
+) -> Result<Vec<Arc<UncertainTrajectory>>, WalError> {
+    let bad = |message: String| refuse_image(path, format!("undecodable body: {message}"));
+    // Bounded by the body's bytes before anything is allocated for it.
+    let count = usize::try_from(header.count)
+        .ok()
+        .filter(|&n| n as u64 <= header.body_len / MIN_TRAJECTORY_LEN as u64)
+        .ok_or_else(|| {
+            bad(format!(
+                "count {} overruns the {} body bytes",
+                header.count, header.body_len
+            ))
+        })?;
+    let mut objects: Vec<Arc<UncertainTrajectory>> = Vec::with_capacity(count);
+    // `buf[start..end]` is read and not yet decoded; it begins at body
+    // byte `offset`, and `unread` body bytes are still in the file.
+    let (mut start, mut end, mut offset, mut unread) = (0, 0, 0u64, header.body_len);
+    while objects.len() < count {
+        let pending = &buf[start..end];
+        let at = |what: String| bad(format!("object {} at byte {offset}: {what}", objects.len()));
+        let need = match trajectory_len(pending).map_err(|e| at(e.to_string()))? {
+            Some(len) if len <= pending.len() => {
+                let tr = decode_trajectory(&pending[..len]).map_err(|e| at(e.to_string()))?;
+                if objects.last().is_some_and(|prev| prev.oid() >= tr.oid()) {
+                    return Err(at("ids not ascending".to_string()));
+                }
+                objects.push(Arc::new(tr));
+                start += len;
+                offset += len as u64;
+                continue;
+            }
+            Some(len) => len,
+            None => pending.len() + 1,
+        };
+        if need as u64 > pending.len() as u64 + unread {
+            return Err(at(format!("runs past the body's end, {count} promised")));
+        }
+        buf.copy_within(start..end, 0);
+        (start, end) = (0, end - start);
+        if buf.len() < need {
+            buf.resize(need, 0);
+        }
+        let room = (buf.len() - end).min(usize::try_from(unread).unwrap_or(usize::MAX));
+        let n = read_some(file, &mut buf[end..end + room])?;
+        if n == 0 {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+        }
+        end += n;
+        unread -= n as u64;
+    }
+    match (end - start) as u64 + unread {
+        0 => Ok(objects),
+        trailing => Err(bad(format!(
+            "{trailing} trailing bytes after {count} objects"
+        ))),
+    }
+}
+
+/// One `read` call, retried when a signal interrupts it.
+fn read_some(file: &mut File, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match file.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            result => return result,
+        }
+    }
 }
 
 /// A [`Write`] adapter keeping the CRC-32 register and the length of
@@ -1064,15 +1169,19 @@ fn write_image(path: &Path, epoch: u64, objects: &[UncertainTrajectory]) -> io::
     // only once the body has streamed past: reserve its bytes now, fill
     // them in last.
     file.write_all(&[0; IMAGE_HEADER_LEN])?;
-    let mut body = CrcWriter::new(BufWriter::new(file));
+    // The checksum sits under the buffer, so it sees whole buffered
+    // chunks — long enough for its three-lane path — not one trajectory
+    // at a time.
+    let mut body = BufWriter::with_capacity(IMAGE_CHUNK, CrcWriter::new(file));
     write_image_body(&mut body, objects)?;
+    let body = body.into_inner().map_err(|e| e.into_error())?;
     let header = ImageHeader {
         epoch,
         count: objects.len() as u64,
         body_len: body.len,
         body_crc: !body.crc,
     };
-    let mut file = body.inner.into_inner().map_err(|e| e.into_error())?;
+    let mut file = body.inner;
     file.seek(SeekFrom::Start(0))?;
     file.write_all(&header.encode())?;
     file.sync_all()
@@ -1312,8 +1421,12 @@ impl FollowerFeed {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-8, no deps.
+// CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-8 over three
+// lanes, no deps.
 // ---------------------------------------------------------------------
+
+/// The polynomial, reflected: bit 31 is the coefficient of `x^0`.
+const POLY: u32 = 0xEDB8_8320;
 
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
 /// is the register after byte `b` and then `k` zero bytes, which lets
@@ -1327,11 +1440,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         tables[0][i] = c;
@@ -1350,29 +1459,99 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// Feeds `bytes` into a running CRC register: start from `!0`,
-/// complement the final value. Eight bytes per step; the values are
-/// those of the byte-at-a-time loop, so every record written before
-/// this was sliced still verifies.
-fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+/// Bytes per lane of [`crc32_update`]'s three-lane path.
+const LANE: usize = 4096;
+
+/// `x^(8·LANE) mod P`: multiplying a register by it ([`gf2_mul`]) is
+/// feeding it `LANE` zero bytes, which is how a lane's register is moved
+/// past the lanes that follow it.
+const LANE_SHIFT: u32 = x_pow_mod(8 * LANE);
+
+/// `x^n mod P`, one multiplication by `x` per step.
+const fn x_pow_mod(n: usize) -> u32 {
+    let mut c = 1 << 31;
+    let mut i = 0;
+    while i < n {
+        c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+        i += 1;
     }
     c
+}
+
+/// `a · b mod P` over GF(2), both reflected (zlib's `multmodp`).
+fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    for i in (0..32).rev() {
+        if a >> i & 1 != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 { POLY ^ (b >> 1) } else { b >> 1 };
+    }
+    p
+}
+
+/// The register after the eight bytes of `chunk`.
+#[inline(always)]
+fn crc32_step8(c: u32, chunk: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// Feeds `bytes` into a running CRC register: start from `!0`,
+/// complement the final value. The values are those of the
+/// byte-at-a-time loop, so everything written before this was sliced
+/// still verifies.
+///
+/// One register fed eight bytes per step waits on its own previous
+/// value, so a long input is cut into blocks of three [`LANE`]s, fed to
+/// three independent registers in one loop — the second and third
+/// starting from zero, which CRC linearity allows — and folded as
+/// `(ca · K ⊕ cb) · K ⊕ cd` with `K` = [`LANE_SHIFT`]. An input shorter
+/// than a block (a WAL record), and the tail of a long one, take the
+/// one-register loop.
+fn crc32_update(mut c: u32, mut bytes: &[u8]) -> u32 {
+    if bytes.len() >= 3 * LANE {
+        (c, bytes) = crc32_lanes(c, bytes);
+    }
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        c = crc32_step8(c, chunk);
+    }
+    for &b in chunks.remainder() {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// [`crc32_update`]'s three-lane path over the whole blocks of `bytes`:
+/// the register after them, and the bytes left over.
+fn crc32_lanes(mut c: u32, bytes: &[u8]) -> (u32, &[u8]) {
+    let mut blocks = bytes.chunks_exact(3 * LANE);
+    for block in &mut blocks {
+        let (a, rest) = block.split_at(LANE);
+        let (b, d) = rest.split_at(LANE);
+        let (mut ca, mut cb, mut cd) = (c, 0, 0);
+        for ((x, y), z) in a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .zip(d.chunks_exact(8))
+        {
+            ca = crc32_step8(ca, x);
+            cb = crc32_step8(cb, y);
+            cd = crc32_step8(cd, z);
+        }
+        c = gf2_mul(gf2_mul(ca, LANE_SHIFT) ^ cb, LANE_SHIFT) ^ cd;
+    }
+    (c, blocks.remainder())
 }
 
 /// IEEE CRC-32 of `bytes`.
@@ -1450,6 +1629,49 @@ mod tests {
     }
 
     #[test]
+    fn lane_shift_is_lane_zero_bytes() {
+        // `1` (bit 31, reflected) fed `LANE` zero bytes byte by byte.
+        let mut c = 1u32 << 31;
+        for _ in 0..LANE {
+            c = CRC_TABLES[0][(c & 0xFF) as usize] ^ (c >> 8);
+        }
+        assert_eq!(c, LANE_SHIFT);
+        assert_eq!(gf2_mul(1 << 31, LANE_SHIFT), LANE_SHIFT, "1 is the unit");
+    }
+
+    #[test]
+    fn three_lane_crc32_equals_the_bytewise_loop() {
+        // Lengths around one and two whole blocks, at every address
+        // 0–7 mod 8: a block with no tail, with a short tail, with a
+        // tail of several eight-byte steps, and just under a block.
+        let lengths = (3 * LANE - 16..=3 * LANE + 64).chain(6 * LANE - 8..=6 * LANE + 8);
+        let buf = noise(8 + 7 + 6 * LANE + 8, 3);
+        let to_aligned = (8 - buf.as_ptr() as usize % 8) % 8;
+        for len in lengths {
+            for align in 0..8 {
+                let slice = &buf[to_aligned + align..][..len];
+                assert_eq!(slice.as_ptr() as usize % 8, align);
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "{align}+{len}");
+            }
+        }
+        // Fed in seeded pieces that straddle blocks every which way, from
+        // a byte to a few blocks.
+        let big = noise(1 << 20, 11);
+        let sizes = noise(512, 12);
+        let mut pieces = sizes
+            .chunks_exact(2)
+            .map(|p| 1 + u16::from_le_bytes([p[0], p[1]]) as usize % (5 * LANE))
+            .cycle();
+        let (mut c, mut at) = (!0, 0);
+        while at < big.len() {
+            let len = pieces.next().unwrap().min(big.len() - at);
+            c = crc32_update(c, &big[at..at + len]);
+            at += len;
+        }
+        assert_eq!(!c, crc32_bytewise(&big));
+    }
+
+    #[test]
     fn fsync_policy_parses_its_display() {
         for p in [FsyncPolicy::Always, FsyncPolicy::EveryN(8), FsyncPolicy::Os] {
             assert_eq!(FsyncPolicy::parse(&p.to_string()), Some(p));
@@ -1466,6 +1688,92 @@ mod tests {
         assert!(!w.inner.is_empty());
         assert_eq!(w.len, w.inner.len() as u64);
         assert_eq!(!w.crc, crc32(&w.inner));
+    }
+
+    /// Installs an image of `objects` (ascending ids) in `dir`; returns
+    /// its path and header.
+    fn image_of(dir: &Path, objects: &[UncertainTrajectory]) -> (PathBuf, ImageHeader) {
+        install_image(dir, 9, objects).unwrap();
+        let path = dir.join(SNAPSHOT_FILE);
+        let (_, header) = open_image(&path).unwrap().unwrap();
+        (path, header)
+    }
+
+    /// The image at `path` read through a buffer of `chunk` bytes.
+    fn read_in_chunks(path: &Path, chunk: usize) -> Vec<UncertainTrajectory> {
+        let (file, header) = open_image(path).unwrap().unwrap();
+        let objects = read_image_body_in(path, file, &header, chunk).unwrap();
+        objects.iter().map(|tr| (**tr).clone()).collect()
+    }
+
+    #[test]
+    fn image_reads_back_through_any_chunk_size() {
+        let dir = tempdir("chunked");
+        let mut objects = generate_uncertain(&WorkloadConfig::with_objects(12, 5), 0.5);
+        // One track, with the longer Gaussian fixed fields, far longer
+        // than the small chunks below.
+        let long: Vec<_> = (0..200).map(|k| (k as f64 / 7.0, 1.0, k as f64)).collect();
+        let long = unn_traj::trajectory::Trajectory::from_triples(Oid(1000), &long).unwrap();
+        let pdf = unn_prob::pdf::PdfKind::TruncatedGaussian {
+            radius: 0.5,
+            sigma: 0.2,
+        };
+        objects.push(UncertainTrajectory::new(long, 0.5, pdf).unwrap());
+        let (path, header) = image_of(&dir, &objects);
+        assert!(header.body_len > 200 * 24, "{header:?}");
+        // Every chunk size up to a few trajectories' length, so a buffer
+        // end falls at every offset inside a trajectory's fixed fields
+        // and its samples, and exactly between two of them.
+        for chunk in (1..=400).chain([4096, IMAGE_CHUNK]) {
+            assert_eq!(read_in_chunks(&path, chunk), objects, "chunk {chunk}");
+        }
+        // An empty image is its header alone.
+        let (path, header) = image_of(&dir, &[]);
+        assert_eq!((header.count, header.body_len), (0, 0));
+        assert!(read_in_chunks(&path, 16).is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn image_count_overrunning_its_body_is_refused() {
+        let dir = tempdir("overrun");
+        let objects = generate_uncertain(&WorkloadConfig::with_objects(3, 6), 0.5);
+        let (path, header) = image_of(&dir, &objects);
+        let fitting = header.body_len / MIN_TRAJECTORY_LEN as u64;
+        // `u64::MAX` objects would abort on a capacity overflow if the
+        // count reached an allocation unbounded.
+        for count in [fitting + 1, u64::MAX] {
+            let mut bytes = fs::read(&path).unwrap();
+            let lying = ImageHeader { count, ..header };
+            bytes[..IMAGE_HEADER_LEN].copy_from_slice(&lying.encode());
+            fs::write(&path, &bytes).unwrap();
+            let err = recover(&dir).map(|_| ()).unwrap_err().to_string();
+            assert!(err.contains("overruns"), "{count}: {err}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flipped_body_bit_is_refused_before_decoding() {
+        let dir = tempdir("flipped");
+        let objects = generate_uncertain(&WorkloadConfig::with_objects(2000, 7), 0.5);
+        let (path, header) = image_of(&dir, &objects);
+        let body_len = header.body_len as usize;
+        assert!(
+            body_len > 2 * IMAGE_CHUNK,
+            "{body_len}: the flips land in different chunks"
+        );
+        let intact = fs::read(&path).unwrap();
+        for at in [0, body_len / 2, body_len - 1] {
+            let mut damaged = intact.clone();
+            damaged[IMAGE_HEADER_LEN + at] ^= 0x10;
+            fs::write(&path, &damaged).unwrap();
+            let store = ModStore::new();
+            let err = recover_into(&store, &dir).unwrap_err().to_string();
+            assert!(err.ends_with("body checksum mismatch"), "byte {at}: {err}");
+            assert_eq!((store.len(), store.epoch()), (0, 0), "byte {at}: installed");
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

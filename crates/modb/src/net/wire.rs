@@ -469,7 +469,7 @@ fn put_metrics(buf: &mut Vec<u8>, snap: &MetricsSnapshot) {
 
 /// The shortest trajectory encoding (`oid radius pdf-tag sample-count`,
 /// no samples) — what bounds a trajectory count against its payload.
-const MIN_TRAJECTORY_LEN: usize = 8 + 8 + 1 + 4;
+pub(crate) const MIN_TRAJECTORY_LEN: usize = 8 + 8 + 1 + 4;
 
 /// Appends one trajectory in the wire's bit-exact encoding — the element
 /// of a [`WireOutput::Resync`] object list, of a commit body's insert
@@ -528,28 +528,32 @@ pub(crate) fn decode_commit_body(payload: &[u8]) -> Result<(u64, Vec<ReplOp>), W
     Ok(out)
 }
 
-/// Decodes `count` back-to-back trajectories (the exact inverse of
-/// repeated [`put_trajectory`] calls — a checkpoint image's body, which
-/// is a [`WireOutput::Resync`] object list without its count prefix),
-/// enforcing strictly ascending ids and rejecting trailing bytes. The
-/// caller has verified the body's checksum; this validates structure.
-pub(crate) fn decode_trajectory_list(
-    body: &[u8],
-    count: u64,
-) -> Result<Vec<Arc<UncertainTrajectory>>, WireError> {
-    let mut c = Cursor::new(body);
-    let n = usize::try_from(count)
-        .ok()
-        .filter(|n| n.saturating_mul(MIN_TRAJECTORY_LEN) <= body.len())
-        .ok_or_else(|| c.bad("count overruns payload"))?;
-    let out = c.ascending_n(
-        n,
-        "image objects",
-        |tr: &Arc<UncertainTrajectory>| tr.oid(),
-        |c| c.trajectory().map(Arc::new),
-    )?;
+/// The byte length of the trajectory encoded at the front of `bytes`,
+/// read from its fixed fields alone — `Ok(None)` while `bytes` is too
+/// short to hold them. This is how a reader streaming a list of
+/// [`put_trajectory`] encodings (a checkpoint image's body) knows whether
+/// the next one is whole in its buffer before decoding it.
+pub(crate) fn trajectory_len(bytes: &[u8]) -> Result<Option<usize>, WireError> {
+    let head = match bytes.get(16) {
+        None => return Ok(None),
+        Some(0) => MIN_TRAJECTORY_LEN,
+        Some(1) => MIN_TRAJECTORY_LEN + 8,
+        Some(t) => return Err(WireError::Format(format!("unknown pdf tag {t} at byte 16"))),
+    };
+    let Some(count) = bytes.get(head - 4..head) else {
+        return Ok(None);
+    };
+    let samples = u32::from_le_bytes(count.try_into().unwrap()) as usize;
+    Ok(Some(samples.saturating_mul(24).saturating_add(head)))
+}
+
+/// Decodes the one trajectory `bytes` holds (the inverse of
+/// [`put_trajectory`]), rejecting trailing bytes.
+pub(crate) fn decode_trajectory(bytes: &[u8]) -> Result<UncertainTrajectory, WireError> {
+    let mut c = Cursor::new(bytes);
+    let tr = c.trajectory()?;
     c.finish()?;
-    Ok(out)
+    Ok(tr)
 }
 
 /// Serializes one frame's payload (tag + body, no length prefix).
@@ -864,18 +868,6 @@ impl<'a> Cursor<'a> {
         item: impl Fn(&mut Self) -> Result<T, WireError>,
     ) -> Result<Vec<T>, WireError> {
         let n = self.count(min_size)?;
-        self.ascending_n(n, what, key, item)
-    }
-
-    /// [`Cursor::ascending`] for a count the caller has already read and
-    /// bounded against the remaining bytes.
-    fn ascending_n<T>(
-        &mut self,
-        n: usize,
-        what: &str,
-        key: impl Fn(&T) -> Oid,
-        item: impl Fn(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError> {
         let mut items: Vec<T> = Vec::with_capacity(n);
         for _ in 0..n {
             let next = item(self)?;
