@@ -1,31 +1,32 @@
-//! The epoch-keyed engine cache — the execution-side memoization of the
+//! The shape-keyed engine cache — the execution-side memoization of the
 //! snapshot → prefilter → envelope → execute pipeline.
 //!
 //! The paper's whole premise (Claims 1–3) is that the `O(N log N)`
 //! lower-envelope / IPAC preprocessing is paid **once** and amortized
 //! across the §4 query variants. [`EngineCache`] realizes that across
-//! server calls: built engines are stored under a key containing the
-//! store **epoch**, the query object, the window, the engine kind, and
-//! the prefilter policy. Any store mutation bumps the epoch, so stale
-//! engines can never be served blindly.
+//! server calls: it maps each engine's *shape* ([`EngineKey`]) to the
+//! newest engine built for it, stamped with the store **epoch** it
+//! answers at.
 //!
 //! ## Invalidation contract
 //!
-//! * An entry built at epoch `e` is returned for keys carrying the same
-//!   `e`; callers always derive the key from the *current* snapshot.
-//! * A **carriable** entry (a forward engine built under a band-bounded
-//!   prefilter policy) at an older epoch may additionally be *carried*
-//!   to the current epoch — re-keyed and served — when the caller's
-//!   carry predicate proves every delta op since `e` is outside the
-//!   engine's reach (see [`crate::delta::forward_engine_unaffected`]).
-//!   Stale carriable entries are therefore retained until capacity
-//!   pressure evicts them; everything else (reverse/hetero engines,
-//!   exhaustive-policy forwards — whole-MOD structures) is dropped as
-//!   soon as it goes stale.
-//! * [`crate::store::ModStore::clear`] clears attached caches outright.
+//! * An entry stamped `e` is a hit for lookups at epoch `e`, the epoch
+//!   of the caller's snapshot.
+//! * A forward engine built under a band-bounded policy
+//!   (`PrefilterPolicy::allows_carry`) keeps the [`ForwardProof`] of the
+//!   query trajectory it was built from, as a subscription share does.
+//!   At a newer epoch, the entry is *carried* — stamped and served —
+//!   when [`ForwardProof::ops_unaffected`] holds for the ops logged since
+//!   its epoch; a failed proof or a truncated log rebuilds.
+//! * Entries without a proof (reverse/hetero engines, exhaustive-policy
+//!   forwards) never carry; a stale one is dropped at the next insert.
+//! * A build never replaces a newer entry of its shape; at capacity the
+//!   oldest epoch is evicted first. [`crate::store::ModStore::clear`] and
+//!   [`crate::store::ModStore::restore`] clear attached caches.
 
+use crate::delta::ForwardProof;
+use crate::store::ModStore;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use unn_core::hetero::HeteroEngine;
 use unn_core::query::QueryEngine;
@@ -44,61 +45,26 @@ pub enum EngineKind {
     Hetero,
 }
 
-/// Cache key: epoch + engine kind + query + window bits + policy tag.
+/// An engine's shape — everything that determines it but the epoch:
+/// kind + query + window bits + policy tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineKey {
-    epoch: u64,
     kind: EngineKind,
     query: Oid,
     window: (u64, u64),
     policy_tag: u8,
-    /// Whether this entry may outlive its epoch as a carry candidate
-    /// (set by the caller iff the policy's answers are band-bounded —
-    /// see `PrefilterPolicy::allows_carry`). Non-carriable entries are
-    /// dropped as soon as they go stale.
-    carriable: bool,
 }
 
 impl EngineKey {
-    /// A key for the given coordinates, not carriable by default.
-    /// `policy_tag` distinguishes prefilter policies so per-policy
-    /// statistics stay truthful (all policies produce identical
-    /// answers).
-    pub fn new(
-        epoch: u64,
-        kind: EngineKind,
-        query: Oid,
-        window: TimeInterval,
-        policy_tag: u8,
-    ) -> Self {
+    /// The shape of a `kind` engine for `query` over `window` under the
+    /// prefilter policy tagged `policy_tag`.
+    pub fn new(kind: EngineKind, query: Oid, window: TimeInterval, policy_tag: u8) -> Self {
         EngineKey {
-            epoch,
             kind,
             query,
             window: (window.start().to_bits(), window.end().to_bits()),
             policy_tag,
-            carriable: false,
         }
-    }
-
-    /// Marks the entry as eligible to be carried across epochs.
-    pub fn carriable(mut self, yes: bool) -> Self {
-        self.carriable = yes;
-        self
-    }
-
-    /// The store epoch this key addresses.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// `true` when the keys agree on everything but the epoch — the
-    /// match condition for carrying an entry across a delta.
-    fn same_shape(&self, other: &EngineKey) -> bool {
-        self.kind == other.kind
-            && self.query == other.query
-            && self.window == other.window
-            && self.policy_tag == other.policy_tag
     }
 }
 
@@ -113,53 +79,31 @@ pub enum CachedEngine {
     Hetero(Arc<HeteroEngine>),
 }
 
-impl CachedEngine {
-    /// The forward engine, if that is what this entry holds.
-    pub fn forward(&self) -> Option<Arc<QueryEngine>> {
-        match self {
-            CachedEngine::Forward(e) => Some(Arc::clone(e)),
-            _ => None,
-        }
-    }
-
-    /// The reverse engine, if that is what this entry holds.
-    pub fn reverse(&self) -> Option<Arc<ReverseNnEngine>> {
-        match self {
-            CachedEngine::Reverse(e) => Some(Arc::clone(e)),
-            _ => None,
-        }
-    }
-
-    /// The heterogeneous engine, if that is what this entry holds.
-    pub fn hetero(&self) -> Option<Arc<HeteroEngine>> {
-        match self {
-            CachedEngine::Hetero(e) => Some(Arc::clone(e)),
-            _ => None,
-        }
-    }
-}
-
-/// Point-in-time cache counters.
+/// How [`EngineCache::get_or_build`] served a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups served from the cache (including carried entries).
-    pub hits: u64,
-    /// Lookups that had to build an engine.
-    pub misses: u64,
-    /// Hits served by carrying a pre-delta engine to the current epoch.
-    pub carried: u64,
-    /// Entries currently held.
-    pub entries: usize,
+pub enum Lookup {
+    /// The shape's entry was current.
+    Hit,
+    /// The shape's entry was older, and its proof carried it.
+    Carried,
+    /// The engine was built.
+    Miss,
 }
 
-/// A bounded, epoch-keyed engine cache with delta carry-forward.
+/// The newest engine of one shape.
+#[derive(Debug)]
+struct Entry {
+    epoch: u64,
+    engine: CachedEngine,
+    /// Present exactly when the engine may be carried across epochs.
+    proof: Option<Arc<ForwardProof>>,
+}
+
+/// A bounded engine cache keyed by shape, with delta carry-forward.
 #[derive(Debug, Default)]
 pub struct EngineCache {
-    inner: Mutex<HashMap<EngineKey, CachedEngine>>,
+    inner: Mutex<HashMap<EngineKey, Entry>>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    carried: AtomicU64,
 }
 
 impl EngineCache {
@@ -171,100 +115,75 @@ impl EngineCache {
         }
     }
 
-    /// Returns the cached engine for `key`, or builds, stores, and
-    /// returns it. Builds run outside the lock: concurrent misses on the
-    /// same key may build twice, but the result is identical and one copy
-    /// simply wins the insert.
+    /// The engine of `key`'s shape at `epoch`: the current entry, an
+    /// older one carried by its proof against `store`'s delta log, or
+    /// the result of `build` (an engine plus, when it may carry, its
+    /// proof). The proof check and the build run outside the cache lock:
+    /// concurrent misses on one shape may build twice, and the first
+    /// stored copy stays.
     pub fn get_or_build<E>(
         &self,
+        store: &ModStore,
         key: EngineKey,
-        build: impl FnOnce() -> Result<CachedEngine, E>,
-    ) -> Result<(CachedEngine, bool), E> {
-        self.get_or_build_with_carry(key, None::<fn(u64, &CachedEngine) -> bool>, build)
-    }
-
-    /// Like [`EngineCache::get_or_build`], but before building on a miss,
-    /// offers the newest same-shape entry from an **older** epoch to
-    /// `carry`: when the predicate proves the entry still answers
-    /// correctly at `key`'s epoch (the delta since its build cannot touch
-    /// it), the entry is re-keyed to the current epoch and served as a
-    /// hit. The predicate runs outside the cache lock.
-    pub fn get_or_build_with_carry<E, C>(
-        &self,
-        key: EngineKey,
-        carry: Option<C>,
-        build: impl FnOnce() -> Result<CachedEngine, E>,
-    ) -> Result<(CachedEngine, bool), E>
-    where
-        C: Fn(u64, &CachedEngine) -> bool,
-    {
-        let stale = {
-            let map = self.inner.lock().unwrap();
-            if let Some(found) = map.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((found.clone(), true));
+        epoch: u64,
+        build: impl FnOnce() -> Result<(CachedEngine, Option<ForwardProof>), E>,
+    ) -> Result<(CachedEngine, Lookup), E> {
+        let stale = match self.inner.lock().unwrap().get(&key) {
+            Some(e) if e.epoch == epoch => return Ok((e.engine.clone(), Lookup::Hit)),
+            Some(e) if e.epoch < epoch => e.proof.clone().map(|p| (e.epoch, e.engine.clone(), p)),
+            _ => None,
+        };
+        let unaffected = |built, proof: &ForwardProof| {
+            store.with_ops_since(built, |ops| {
+                ops.is_some_and(|ops| proof.ops_unaffected(ops))
+            })
+        };
+        let (engine, proof, lookup) = match stale {
+            Some((built, engine, proof)) if unaffected(built, &proof) => {
+                (engine, Some(proof), Lookup::Carried)
             }
-            match &carry {
-                Some(_) => map
-                    .iter()
-                    .filter(|(k, _)| k.carriable && k.same_shape(&key) && k.epoch < key.epoch)
-                    .max_by_key(|(k, _)| k.epoch)
-                    .map(|(k, v)| (*k, v.clone())),
-                None => None,
+            _ => {
+                let (engine, proof) = build()?;
+                (engine, proof.map(Arc::new), Lookup::Miss)
             }
         };
-        if let (Some(check), Some((old_key, engine))) = (&carry, stale) {
-            if check(old_key.epoch, &engine) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.carried.fetch_add(1, Ordering::Relaxed);
-                let mut map = self.inner.lock().unwrap();
-                map.remove(&old_key);
-                map.insert(key, engine.clone());
-                return Ok((engine, true));
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = build()?;
-        if self.capacity > 0 {
-            let mut map = self.inner.lock().unwrap();
-            // Drop stale entries that can never be served again: anything
-            // not at the newest epoch, unless it is a carry candidate. A
-            // slow build that started before a store mutation must
-            // neither evict fresher entries nor introduce an older
-            // "newest" — nor park its own stale, never-again-hittable
-            // result in the cache (unless it can still be carried).
-            let newest = map
-                .keys()
-                .map(|k| k.epoch)
-                .max()
-                .unwrap_or(key.epoch)
-                .max(key.epoch);
-            map.retain(|k, _| k.epoch == newest || k.carriable);
-            if key.epoch == newest || key.carriable {
-                if map.len() >= self.capacity {
-                    // Evict the oldest entry (stale carry candidates
-                    // first).
-                    if let Some(victim) = map.keys().min_by_key(|k| k.epoch).copied() {
-                        map.remove(&victim);
-                    }
-                }
-                map.insert(key, built.clone());
-            }
-        }
-        Ok((built, false))
+        let entry = Entry {
+            epoch,
+            engine: engine.clone(),
+            proof,
+        };
+        self.install(key, entry);
+        Ok((engine, lookup))
     }
 
-    /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            carried: self.carried.load(Ordering::Relaxed),
-            entries: self.inner.lock().unwrap().len(),
+    /// Stores `entry` as its shape's newest engine, dropping every stale
+    /// entry that cannot carry. A stale entry that cannot carry is not
+    /// stored, nor one older than its shape's current entry.
+    fn install(&self, key: EngineKey, entry: Entry) {
+        if self.capacity == 0 {
+            return;
         }
+        let mut map = self.inner.lock().unwrap();
+        let newest = map.values().map(|e| e.epoch).fold(entry.epoch, u64::max);
+        map.retain(|_, e| e.epoch == newest || e.proof.is_some());
+        let superseded = map.get(&key).is_some_and(|e| e.epoch >= entry.epoch);
+        if superseded || (entry.epoch < newest && entry.proof.is_none()) {
+            return;
+        }
+        if map.len() >= self.capacity && !map.contains_key(&key) {
+            if let Some(victim) = map.iter().min_by_key(|(_, e)| e.epoch).map(|(k, _)| *k) {
+                map.remove(&victim);
+            }
+        }
+        map.insert(key, entry);
     }
 
-    /// Drops every entry (counters are kept).
+    /// Number of entries held.
+    pub fn entries(&self) -> usize {
+        self.inner.lock().unwrap().len()
+    }
+
+    /// Drops every entry.
     pub fn clear(&self) {
         self.inner.lock().unwrap().clear();
     }
@@ -273,181 +192,201 @@ impl EngineCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unn_geom::hyperbola::Hyperbola;
-    use unn_geom::point::Vec2;
-    use unn_traj::distance::DistanceFunction;
+    use crate::plan::QueryPlanner;
+    use unn_traj::trajectory::Trajectory;
+    use unn_traj::uncertain::UncertainTrajectory;
 
-    fn engine() -> CachedEngine {
-        let w = TimeInterval::new(0.0, 10.0);
-        let f = DistanceFunction::single(
-            Oid(1),
-            w,
-            Hyperbola::from_relative_motion(Vec2::new(0.0, 1.0), Vec2::new(1.0, 0.0), 0.0),
-        );
-        CachedEngine::Forward(Arc::new(QueryEngine::new(Oid(0), vec![f], 0.5)))
+    const W: (f64, f64) = (0.0, 60.0);
+
+    /// An object parked at `(x, 0)` over the whole window.
+    fn parked(oid: u64, x: f64) -> UncertainTrajectory {
+        UncertainTrajectory::with_uniform_pdf(
+            Trajectory::from_triples(Oid(oid), &[(x, 0.0, W.0), (x, 0.0, W.1)]).unwrap(),
+            0.5,
+        )
+        .unwrap()
     }
 
-    fn reverse_engine() -> CachedEngine {
-        use unn_traj::trajectory::Trajectory;
-        let mk = |oid: u64, y: f64| {
-            Trajectory::from_triples(Oid(oid), &[(0.0, y, 0.0), (10.0, y, 10.0)]).unwrap()
-        };
-        let all = [mk(0, 0.0), mk(1, 1.0)];
-        let refs: Vec<&Trajectory> = all.iter().collect();
-        CachedEngine::Reverse(Arc::new(
-            ReverseNnEngine::build(&refs, Oid(0), TimeInterval::new(0.0, 10.0), 0.5).unwrap(),
-        ))
+    /// Tr0 at the origin, its nearest neighbor Tr1 3 mi away (reach
+    /// `3 + 4r = 5`), Tr2 far outside it.
+    fn store() -> ModStore {
+        let store = ModStore::new();
+        store
+            .bulk_load([parked(0, 0.0), parked(1, 3.0), parked(2, 100.0)])
+            .unwrap();
+        store
+    }
+
+    fn window() -> TimeInterval {
+        TimeInterval::new(W.0, W.1)
+    }
+
+    fn key(kind: EngineKind, q: u64) -> EngineKey {
+        EngineKey::new(kind, Oid(q), window(), 1)
+    }
+
+    /// A forward engine for `q` at the store's current epoch, with its
+    /// proof when `carries`.
+    fn build(
+        store: &ModStore,
+        q: u64,
+        carries: bool,
+    ) -> Result<(CachedEngine, Option<ForwardProof>), ()> {
+        let plan = QueryPlanner::default()
+            .plan(store.snapshot(), Oid(q), window())
+            .unwrap();
+        let engine = plan.build_engine().unwrap();
+        let proof = carries.then(|| ForwardProof::derive(&engine, plan.query_trajectory()));
+        Ok((CachedEngine::Forward(Arc::new(engine)), proof))
+    }
+
+    fn lookup(cache: &EngineCache, store: &ModStore, k: EngineKey, carries: bool) -> Lookup {
+        let q = k.query.0;
+        let (_, how) = cache
+            .get_or_build(store, k, store.epoch(), || build(store, q, carries))
+            .unwrap();
+        how
     }
 
     #[test]
     fn hit_after_miss_and_stale_entry_policy() {
-        let cache = EngineCache::with_capacity(8);
-        let w = TimeInterval::new(0.0, 10.0);
-        let k1 = EngineKey::new(1, EngineKind::Forward, Oid(0), w, 1).carriable(true);
-        let (_, hit) = cache.get_or_build::<()>(k1, || Ok(engine())).unwrap();
-        assert!(!hit);
-        let (_, hit) = cache
-            .get_or_build::<()>(k1, || panic!("must not rebuild"))
+        let (cache, store) = (EngineCache::with_capacity(8), store());
+        let fwd = key(EngineKind::Forward, 0);
+        assert_eq!(lookup(&cache, &store, fwd, true), Lookup::Miss);
+        let (_, how) = cache
+            .get_or_build::<()>(&store, fwd, store.epoch(), || panic!("must not rebuild"))
             .unwrap();
-        assert!(hit);
-        assert_eq!(cache.stats().entries, 1);
-        // A key at a newer epoch misses, but the stale *carriable* entry
-        // is retained as a carry candidate.
-        let k2 = EngineKey::new(2, EngineKind::Forward, Oid(0), w, 1).carriable(true);
-        let (_, hit) = cache.get_or_build::<()>(k2, || Ok(engine())).unwrap();
-        assert!(!hit);
-        assert_eq!(cache.stats().entries, 2);
-        // Stale non-carriable entries (reverse engines, exhaustive
-        // forwards) are dropped on the next insertion.
-        let r1 = EngineKey::new(2, EngineKind::Reverse, Oid(0), w, 0);
-        cache
-            .get_or_build::<()>(r1, || Ok(reverse_engine()))
-            .unwrap();
-        assert_eq!(cache.stats().entries, 3);
-        let k3 = EngineKey::new(3, EngineKind::Forward, Oid(0), w, 1).carriable(true);
-        cache.get_or_build::<()>(k3, || Ok(engine())).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 3, "stale reverse evicted, carriables kept");
-        assert_eq!((stats.hits, stats.misses), (1, 4));
+        assert_eq!(how, Lookup::Hit);
+        // An entry without a proof is dropped once a newer epoch inserts;
+        // the carriable one stays.
+        assert_eq!(
+            lookup(&cache, &store, key(EngineKind::Reverse, 1), false),
+            Lookup::Miss
+        );
+        assert_eq!(cache.entries(), 2);
+        store.insert(parked(7, 1_000.0)).unwrap();
+        assert_eq!(
+            lookup(&cache, &store, key(EngineKind::Forward, 1), true),
+            Lookup::Miss
+        );
+        assert_eq!(cache.entries(), 2, "stale proofless entry evicted");
+        assert_eq!(lookup(&cache, &store, fwd, true), Lookup::Carried);
     }
 
     #[test]
-    fn stale_non_carriable_builds_are_not_parked() {
-        let cache = EngineCache::with_capacity(8);
-        let w = TimeInterval::new(0.0, 10.0);
-        // A fresh entry at epoch 5 exists...
-        let fresh = EngineKey::new(5, EngineKind::Forward, Oid(1), w, 1).carriable(true);
-        cache.get_or_build::<()>(fresh, || Ok(engine())).unwrap();
-        // ...when a slow non-carriable build from epoch 2 completes, it
-        // must not be inserted (it can never be served again).
-        let slow = EngineKey::new(2, EngineKind::Reverse, Oid(0), w, 0);
+    fn stale_proofless_builds_are_not_parked() {
+        let (cache, store) = (EngineCache::with_capacity(8), store());
+        let fresh = key(EngineKind::Forward, 1);
         cache
-            .get_or_build::<()>(slow, || Ok(reverse_engine()))
+            .get_or_build(&store, fresh, 5, || build(&store, 1, true))
             .unwrap();
-        assert_eq!(cache.stats().entries, 1, "stale build must not be parked");
+        // A slow proofless build from epoch 2 can never be served again.
+        let slow = key(EngineKind::Reverse, 0);
+        cache
+            .get_or_build(&store, slow, 2, || build(&store, 0, false))
+            .unwrap();
+        assert_eq!(cache.entries(), 1, "stale build must not be parked");
     }
 
     #[test]
-    fn carry_rekeys_a_provably_unaffected_entry() {
-        let cache = EngineCache::with_capacity(8);
-        let w = TimeInterval::new(0.0, 10.0);
-        let k1 = EngineKey::new(1, EngineKind::Forward, Oid(0), w, 1).carriable(true);
-        cache.get_or_build::<()>(k1, || Ok(engine())).unwrap();
-        let k2 = EngineKey::new(5, EngineKind::Forward, Oid(0), w, 1).carriable(true);
-        // Predicate approves: the entry is re-keyed and served.
-        let (_, hit) = cache
-            .get_or_build_with_carry::<(), _>(
-                k2,
-                Some(|built_epoch: u64, _: &CachedEngine| {
-                    assert_eq!(built_epoch, 1);
-                    true
-                }),
-                || panic!("carried entries must not rebuild"),
-            )
+    fn a_slow_build_never_replaces_a_newer_entry_of_its_shape() {
+        let (cache, store) = (EngineCache::with_capacity(8), store());
+        let k = key(EngineKind::Forward, 0);
+        cache
+            .get_or_build(&store, k, 5, || build(&store, 0, true))
             .unwrap();
-        assert!(hit);
-        let stats = cache.stats();
-        assert_eq!(stats.carried, 1);
-        assert_eq!(stats.entries, 1, "re-keyed, not duplicated");
-        // The entry now hits exactly at the new epoch.
-        let (_, hit) = cache.get_or_build::<()>(k2, || panic!("must hit")).unwrap();
-        assert!(hit);
-        // ...and no longer exists at the old key.
-        let (_, hit) = cache.get_or_build::<()>(k1, || Ok(engine())).unwrap();
-        assert!(!hit);
+        let (_, how) = cache
+            .get_or_build(&store, k, 3, || build(&store, 0, true))
+            .unwrap();
+        assert_eq!(how, Lookup::Miss);
+        let (_, how) = cache
+            .get_or_build::<()>(&store, k, 5, || panic!("epoch 5 must still hit"))
+            .unwrap();
+        assert_eq!(how, Lookup::Hit);
+    }
+
+    #[test]
+    fn carry_restamps_a_provably_unaffected_entry() {
+        let (cache, store) = (EngineCache::with_capacity(8), store());
+        let k = key(EngineKind::Forward, 0);
+        let (first, _) = cache
+            .get_or_build(&store, k, store.epoch(), || build(&store, 0, true))
+            .unwrap();
+        store.insert(parked(7, 5.1)).unwrap();
+        let (served, how) = cache
+            .get_or_build::<()>(&store, k, store.epoch(), || panic!("carried, not rebuilt"))
+            .unwrap();
+        assert_eq!(how, Lookup::Carried);
+        let (CachedEngine::Forward(first), CachedEngine::Forward(served)) = (first, served) else {
+            panic!("a forward key holds a forward engine");
+        };
+        assert!(Arc::ptr_eq(&first, &served));
+        assert_eq!(cache.entries(), 1, "restamped, not duplicated");
+        let (_, how) = cache
+            .get_or_build::<()>(&store, k, store.epoch(), || panic!("must hit"))
+            .unwrap();
+        assert_eq!(how, Lookup::Hit);
     }
 
     #[test]
     fn carry_rejection_builds_fresh() {
-        let cache = EngineCache::with_capacity(8);
-        let w = TimeInterval::new(0.0, 10.0);
-        let k1 = EngineKey::new(1, EngineKind::Forward, Oid(0), w, 1).carriable(true);
-        cache.get_or_build::<()>(k1, || Ok(engine())).unwrap();
-        let k2 = EngineKey::new(2, EngineKind::Forward, Oid(0), w, 1).carriable(true);
-        let (_, hit) = cache
-            .get_or_build_with_carry::<(), _>(k2, Some(|_: u64, _: &CachedEngine| false), || {
-                Ok(engine())
-            })
-            .unwrap();
-        assert!(!hit);
-        assert_eq!(cache.stats().carried, 0);
-        // Different shapes never carry: another query object's entry is
-        // not offered for Oid(0)'s key.
-        let other = EngineKey::new(3, EngineKind::Forward, Oid(9), w, 1).carriable(true);
-        let (_, hit) = cache
-            .get_or_build_with_carry::<(), _>(
-                other,
-                Some(|_: u64, _: &CachedEngine| panic!("shape mismatch must not be offered")),
-                || Ok(engine()),
-            )
-            .unwrap();
-        assert!(!hit);
+        let (cache, store) = (EngineCache::with_capacity(8), store());
+        let k = key(EngineKind::Forward, 0);
+        assert_eq!(lookup(&cache, &store, k, true), Lookup::Miss);
+        store.insert(parked(7, 4.9)).unwrap();
+        assert_eq!(lookup(&cache, &store, k, true), Lookup::Miss);
+        assert_eq!(cache.entries(), 1, "the rebuild replaced its shape's entry");
+        // Proofless entries never carry, whatever the ops.
+        let exhaustive = key(EngineKind::Forward, 1);
+        assert_eq!(lookup(&cache, &store, exhaustive, false), Lookup::Miss);
+        store.insert(parked(8, 1_000.0)).unwrap();
+        assert_eq!(lookup(&cache, &store, exhaustive, false), Lookup::Miss);
     }
 
     #[test]
     fn distinct_windows_and_kinds_do_not_collide() {
-        let cache = EngineCache::with_capacity(8);
-        let w1 = TimeInterval::new(0.0, 10.0);
-        let w2 = TimeInterval::new(0.0, 5.0);
-        let a = EngineKey::new(1, EngineKind::Forward, Oid(0), w1, 0);
-        let b = EngineKey::new(1, EngineKind::Forward, Oid(0), w2, 0);
-        let c = EngineKey::new(1, EngineKind::Hetero, Oid(0), w1, 0);
+        let (cache, store) = (EngineCache::with_capacity(8), store());
+        let a = key(EngineKind::Forward, 0);
+        let b = EngineKey::new(EngineKind::Forward, Oid(0), TimeInterval::new(0.0, 5.0), 1);
+        let c = key(EngineKind::Hetero, 0);
         assert_ne!(a, b);
         assert_ne!(a, c);
-        cache.get_or_build::<()>(a, || Ok(engine())).unwrap();
-        let (_, hit) = cache.get_or_build::<()>(b, || Ok(engine())).unwrap();
-        assert!(!hit);
-        assert_eq!(cache.stats().entries, 2);
+        assert_eq!(lookup(&cache, &store, a, true), Lookup::Miss);
+        assert_eq!(lookup(&cache, &store, b, true), Lookup::Miss);
+        assert_eq!(cache.entries(), 2);
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
-        let cache = EngineCache::with_capacity(0);
-        let w = TimeInterval::new(0.0, 10.0);
-        let k = EngineKey::new(1, EngineKind::Forward, Oid(0), w, 0);
-        cache.get_or_build::<()>(k, || Ok(engine())).unwrap();
-        let (_, hit) = cache.get_or_build::<()>(k, || Ok(engine())).unwrap();
-        assert!(!hit);
-        assert_eq!(cache.stats().entries, 0);
+        let (cache, store) = (EngineCache::with_capacity(0), store());
+        let k = key(EngineKind::Forward, 0);
+        assert_eq!(lookup(&cache, &store, k, true), Lookup::Miss);
+        assert_eq!(lookup(&cache, &store, k, true), Lookup::Miss);
+        assert_eq!(cache.entries(), 0);
     }
 
     #[test]
     fn capacity_evicts_oldest_epoch_first() {
-        let cache = EngineCache::with_capacity(2);
-        let w = TimeInterval::new(0.0, 10.0);
-        let k1 = EngineKey::new(1, EngineKind::Forward, Oid(0), w, 1).carriable(true);
-        let k2 = EngineKey::new(2, EngineKind::Forward, Oid(1), w, 1).carriable(true);
-        let k3 = EngineKey::new(3, EngineKind::Forward, Oid(2), w, 1).carriable(true);
-        cache.get_or_build::<()>(k1, || Ok(engine())).unwrap();
-        cache.get_or_build::<()>(k2, || Ok(engine())).unwrap();
-        cache.get_or_build::<()>(k3, || Ok(engine())).unwrap();
-        assert_eq!(cache.stats().entries, 2);
-        // The epoch-1 entry was the victim.
-        let (_, hit) = cache
-            .get_or_build::<()>(k3, || panic!("k3 must hit"))
+        let (cache, store) = (EngineCache::with_capacity(2), store());
+        for (q, epoch) in [(0, 1), (1, 2), (2, 3)] {
+            let k = key(EngineKind::Forward, q);
+            cache
+                .get_or_build(&store, k, epoch, || build(&store, q, true))
+                .unwrap();
+        }
+        assert_eq!(cache.entries(), 2);
+        let (_, how) = cache
+            .get_or_build::<()>(&store, key(EngineKind::Forward, 2), 3, || {
+                panic!("must hit")
+            })
             .unwrap();
-        assert!(hit);
-        let (_, hit) = cache.get_or_build::<()>(k1, || Ok(engine())).unwrap();
-        assert!(!hit);
+        assert_eq!(how, Lookup::Hit);
+        // The epoch-1 entry was the victim.
+        let (_, how) = cache
+            .get_or_build(&store, key(EngineKind::Forward, 0), 1, || {
+                build(&store, 0, true)
+            })
+            .unwrap();
+        assert_eq!(how, Lookup::Miss);
     }
 }

@@ -10,10 +10,11 @@
 //! (DBSP-style incremental view maintenance, specialized to the MOD's
 //! structures).
 //!
-//! The same log also powers the [`crate::cache::EngineCache`] carry
-//! check: a cached forward engine built at an older epoch can keep
+//! The same log also powers the one forward carry proof,
+//! [`ForwardProof`]: a forward engine built at an older epoch can keep
 //! serving when every logged op since then provably cannot touch its
-//! `4r` band (see [`forward_engine_unaffected`]).
+//! `4r` band. The subscription ladder skips a commit with it, and the
+//! [`crate::cache::EngineCache`] carries a cached engine with it.
 
 use crate::prefilter::{corridor_box, Aabb3};
 use crate::snapshot::QuerySnapshot;
@@ -283,17 +284,16 @@ fn envelope_max(engine: &QueryEngine) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// The reusable part of a forward engine's carry proof: everything
-/// [`forward_engine_unaffected`] derives from the engine itself (not
-/// from the ops being checked), precomputed once so a *burst* of far
-/// commits costs one proof-bound derivation instead of one per commit.
+/// The forward carry proof: the bounds a forward engine's answers
+/// depend on, derived once from the engine and the query trajectory it
+/// was built from, so a *burst* of far commits costs one derivation.
 ///
 /// The derivation — candidate-id set, envelope maximum, query corridor
 /// box — is `O(|candidates| + |envelope|)`; checking one op against a
 /// built proof is `O(log |candidates|)` (removal) or one box distance
-/// (insertion). The subscription layer caches a `ForwardProof` next to
-/// each carried engine and invalidates it whenever the engine is
-/// replaced, which is exactly when any of the inputs can change.
+/// (insertion). The subscription layer and the
+/// [`crate::cache::EngineCache`] keep one next to each engine and drop
+/// it with the engine, which is exactly when any input can change.
 #[derive(Debug, Clone)]
 pub struct ForwardProof {
     query: Oid,
@@ -325,7 +325,12 @@ impl ForwardProof {
     }
 
     /// `true` only when every op in `ops` provably cannot change any of
-    /// the proved engine's answers (see [`forward_engine_unaffected`]).
+    /// the proved engine's answers (`false` merely forces a rebuild): a
+    /// removal is safe iff it is neither the query nor a candidate (the
+    /// rest were prefiltered out of every answer); an insertion iff its
+    /// whole-domain expected position stays further from the query's
+    /// than `max_t LE₁(t) + 4r`, so it never enters the `4r` band nor
+    /// lowers the envelope.
     pub fn ops_unaffected(&self, ops: &[&DeltaRecord]) -> bool {
         self.check(ops, &self.candidates)
     }
@@ -342,12 +347,6 @@ impl ForwardProof {
     /// banded answers.
     pub fn ops_unaffected_rows(&self, ops: &[&DeltaRecord]) -> bool {
         self.check(ops, &self.kept)
-    }
-
-    /// The query object the proof guards — inserting or removing it is
-    /// never skippable, whatever the geometry says.
-    pub fn query_oid(&self) -> Oid {
-        self.query
     }
 
     /// The spatial guard region of the insertion obligation, projected
@@ -410,59 +409,6 @@ impl ForwardProof {
         }
         true
     }
-}
-
-/// Proof obligation for carrying a cached **forward** engine across a
-/// delta: `true` only when every op in `ops` provably cannot change any
-/// of the engine's answers.
-///
-/// * A removal is safe iff the removed object is neither the query nor
-///   one of the engine's candidate functions — anything else was already
-///   conservatively prefiltered out and contributes zero to every
-///   answer.
-/// * An insertion is safe iff the new object's whole-domain expected
-///   position stays further from the query's than
-///   `max_t LE₁(t) + 4r`: it can then never enter the `4r` band (its
-///   in-band fraction is exactly zero) *and* never lowers the envelope
-///   (its distance dominates `LE₁` everywhere), so a rebuilt engine
-///   answers identically with or without it.
-///
-/// The check is conservative — `false` merely forces a rebuild. Callers
-/// re-checking the *same* engine against successive deltas should build
-/// a [`ForwardProof`] once instead; this one-shot form derives its
-/// bounds lazily (no envelope scan when a removal disqualifies first,
-/// no candidate set when no removal appears), which matters on the
-/// engine-cache carry path that runs it per query.
-pub fn forward_engine_unaffected(
-    engine: &QueryEngine,
-    query_tr: &Trajectory,
-    ops: &[&DeltaRecord],
-) -> bool {
-    let query = engine.query();
-    let mut reach = f64::NAN; // lazily computed: envelope max + 4r
-    let qbox = full_xy_box(query_tr);
-    for rec in ops {
-        match &rec.op {
-            DeltaOp::Remove(oid) => {
-                if *oid == query || engine.functions().iter().any(|f| f.owner() == *oid) {
-                    return false;
-                }
-            }
-            DeltaOp::Insert(tr) => {
-                if tr.oid() == query {
-                    return false;
-                }
-                if reach.is_nan() {
-                    reach = envelope_max(engine) + engine.band_delta();
-                }
-                let gap = qbox.min_dist_xy(&full_xy_box(tr.trajectory()));
-                if gap <= reach {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

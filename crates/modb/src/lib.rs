@@ -12,7 +12,7 @@
 //!   [`snapshot::QuerySnapshot`] view, with its carried epoch-box tables;
 //! * [`plan`] — the query planner: one-shot invariant resolution plus the
 //!   snapshot-carried epoch-box prefilter ([`plan::PrefilterPolicy`]);
-//! * [`cache`] — the epoch-keyed engine cache amortizing envelope/IPAC
+//! * [`cache`] — the shape-keyed engine cache amortizing envelope/IPAC
 //!   preprocessing across queries, with delta carry-forward;
 //! * [`catalog`] — descriptive object metadata joined against spatial
 //!   answers;
@@ -45,8 +45,8 @@
 //!        │              ┌───────────────── routed to ─────────────────┐
 //!        ▼              ▼                      ▼                      ▼
 //!  QuerySnapshot   EngineCache          SubscriptionRegistry   (next query)
-//!  apply_delta     carry proof          skip → patch → rebuild
-//!  (merge objects) (re-key engine)      (AnswerDelta change feed)
+//!  apply_delta     ForwardProof         skip → patch → rebuild
+//!  (merge objects) (restamp engine)     (AnswerDelta change feed)
 //! ```
 //!
 //! 1. **Mutate** — `insert`/`remove`/`update`/`bulk_load` locks only the
@@ -64,12 +64,14 @@
 //!    snapshot's plans read (only the changed objects' rows are
 //!    recomputed). Oversized deltas, cold starts, and history gaps (log
 //!    overflow, [`store::ModStore::clear`]) rebuild from scratch.
-//! 3. **Carry** — on an engine-cache miss at the new epoch, a same-shape
-//!    forward engine from an older epoch is offered to
-//!    `delta::forward_engine_unaffected`: if every logged op since its
-//!    build is provably outside its reach (removals it never considered,
-//!    insertions whose corridor stays beyond `max LE₁ + 4r`), the entry
-//!    is re-keyed and served without rebuilding.
+//! 3. **Carry** — a one-shot lookup at the new epoch finds its shape's
+//!    newest engine in the [`cache::EngineCache`]; a forward engine from
+//!    an older epoch carries the [`delta::ForwardProof`] it was built
+//!    with (the proof the subscription skip rung uses): if every logged
+//!    op since its epoch is provably outside its reach (removals it never
+//!    considered, insertions whose corridor stays beyond
+//!    `max LE₁ + 4r`), the entry is stamped with the new epoch and served
+//!    without rebuilding.
 //! 4. **Maintain** — after the commit returns, the epoch's delta is
 //!    routed to the [`subscription::SubscriptionRegistry`] attached to
 //!    the store: each standing query absorbs it through the cheapest
@@ -226,7 +228,7 @@ pub mod store;
 pub mod subscription;
 pub mod telemetry;
 
-pub use cache::{CacheStats, EngineCache};
+pub use cache::EngineCache;
 pub use catalog::{Catalog, ObjectMeta};
 pub use delta::{DeltaLog, DeltaOp, DeltaRecord, ForwardProof, NetDelta, ReplOp};
 pub use durability::{

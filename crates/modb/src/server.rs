@@ -1,7 +1,8 @@
 //! The MOD server facade: registration, continuous PNN query execution,
 //! SQL-ish statement evaluation, and execution statistics.
 
-use crate::cache::{CacheStats, CachedEngine, EngineCache, EngineKey, EngineKind};
+use crate::cache::{CachedEngine, EngineCache, EngineKey, EngineKind, Lookup};
+use crate::delta::ForwardProof;
 use crate::plan::{PlanError, PrefilterPolicy, QueryPlanner};
 use crate::ql::ast::{PredicateKind, Quantifier, Query, Statement, Target};
 use crate::ql::parser::{parse_statement, ParseError};
@@ -121,7 +122,7 @@ pub struct ExecutionStats {
     pub preprocess: Duration,
     /// Wall-clock time of the query proper.
     pub query_time: Duration,
-    /// `true` when the engine came from the epoch-keyed cache.
+    /// `true` when the engine came from the engine cache (a hit or a carry).
     pub cache_hit: bool,
 }
 
@@ -168,7 +169,7 @@ pub struct ContinuousAnswer {
 ///
 /// Every query path goes through the [`QueryPlanner`] (which takes the
 /// `Arc`-shared [`crate::snapshot::QuerySnapshot`] and runs the
-/// configured [`PrefilterPolicy`]) and the epoch-keyed [`EngineCache`]
+/// configured [`PrefilterPolicy`]) and the shape-keyed [`EngineCache`]
 /// (which reuses envelope/IPAC preprocessing while the store is
 /// unchanged, and **carries** forward engines across mutations the delta
 /// log proves cannot touch them). Prefiltered and cached execution is
@@ -184,19 +185,7 @@ pub struct ModServer {
 
 impl Default for ModServer {
     fn default() -> Self {
-        let store = ModStore::new();
-        let cache = Arc::new(EngineCache::with_capacity(128));
-        // `store.clear()` wipes the engine cache in the same step.
-        store.attach_cache(&cache);
-        // Standing queries are maintained after every store commit.
-        let subscriptions = Arc::new(SubscriptionRegistry::new());
-        store.attach_subscriptions(&subscriptions);
-        ModServer {
-            store,
-            planner: QueryPlanner::default(),
-            cache,
-            subscriptions,
-        }
+        ModServer::with_store(ModStore::new())
     }
 }
 
@@ -218,11 +207,11 @@ impl ModServer {
     /// A server wrapping an existing store — the recovery and follower
     /// entry point ([`crate::durability::recover`] hands back a
     /// populated store; a follower applies replicated commits to one).
-    /// The engine cache and subscription registry are attached exactly
-    /// as [`ModServer::default`] does.
     pub fn with_store(store: ModStore) -> Self {
         let cache = Arc::new(EngineCache::with_capacity(128));
+        // `store.clear()` wipes the engine cache in the same step.
         store.attach_cache(&cache);
+        // Standing queries are maintained after every store commit.
         let subscriptions = Arc::new(SubscriptionRegistry::new());
         store.attach_subscriptions(&subscriptions);
         ModServer {
@@ -249,11 +238,6 @@ impl ModServer {
         self.planner = QueryPlanner::new(policy);
     }
 
-    /// Engine-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Registers one trajectory.
     pub fn register(&self, tr: UncertainTrajectory) -> Result<(), ServerError> {
         self.store.insert(tr).map_err(ServerError::Store)
@@ -276,7 +260,7 @@ impl ModServer {
         }
     }
 
-    /// Builds (or fetches from the epoch-keyed cache) the query engine
+    /// Builds (or fetches from the engine cache) the query engine
     /// for a query trajectory over a window, returning it with the
     /// statistics. Uses the server's default prefilter policy; answers
     /// are identical to the exhaustive path.
@@ -302,46 +286,24 @@ impl ModServer {
         // inside the build closure: a cache hit skips it entirely. A hit
         // is sound without re-validating — the same key implies the same
         // snapshot, query, and window that validated when the entry was
-        // built.
+        // built. Only engines whose answers are band-bounded carry a
+        // proof (see [`PrefilterPolicy::allows_carry`]).
         let snapshot = self.store.snapshot();
-        let key = EngineKey::new(
-            snapshot.epoch(),
-            EngineKind::Forward,
-            query_oid,
-            window,
-            policy.tag(),
-        )
-        .carriable(policy.allows_carry());
-        // A pre-mutation engine may keep serving when the delta log
-        // proves every op since its build is outside its reach (removed
-        // objects it never considered; insertions provably beyond the
-        // envelope + 4r). Exhaustive engines never carry — see
-        // [`PrefilterPolicy::allows_carry`].
-        let carry = if policy.allows_carry() {
-            Some(|built_epoch: u64, entry: &CachedEngine| {
-                let (Some(engine), Some(query_tr)) = (entry.forward(), snapshot.get(query_oid))
-                else {
-                    return false;
-                };
-                self.store.with_ops_since(built_epoch, |ops| match ops {
-                    Some(ops) => {
-                        crate::delta::forward_engine_unaffected(&engine, query_tr.trajectory(), ops)
-                    }
-                    None => false,
-                })
-            })
-        } else {
-            None
+        let key = EngineKey::new(EngineKind::Forward, query_oid, window, policy.tag());
+        let (CachedEngine::Forward(engine), cache_hit) =
+            self.cached(key, snapshot.epoch(), || {
+                let plan = QueryPlanner::new(policy)
+                    .plan(Arc::clone(&snapshot), query_oid, window)
+                    .map_err(ServerError::from)?;
+                let engine = plan.build_engine().map_err(ServerError::Window)?;
+                let proof = policy
+                    .allows_carry()
+                    .then(|| ForwardProof::derive(&engine, plan.query_trajectory()));
+                Ok((CachedEngine::Forward(Arc::new(engine)), proof))
+            })?
+        else {
+            unreachable!("a forward key holds a forward engine")
         };
-        let (cached, cache_hit) = self.cache.get_or_build_with_carry(key, carry, || {
-            let plan = QueryPlanner::new(policy)
-                .plan(Arc::clone(&snapshot), query_oid, window)
-                .map_err(ServerError::from)?;
-            plan.build_engine()
-                .map(|e| CachedEngine::Forward(Arc::new(e)))
-                .map_err(ServerError::Window)
-        })?;
-        let engine = cached.forward().expect("forward key holds forward engine");
         let stats = ExecutionStats {
             candidates: snapshot.len().saturating_sub(1),
             prefiltered: engine.functions().len(),
@@ -352,6 +314,28 @@ impl ModServer {
             cache_hit,
         };
         Ok((engine, stats))
+    }
+
+    /// Serves the engine of `key`'s shape at `epoch` through the cache,
+    /// counting the lookup in the store's telemetry; `true` when it was
+    /// not built.
+    fn cached(
+        &self,
+        key: EngineKey,
+        epoch: u64,
+        build: impl FnOnce() -> Result<(CachedEngine, Option<ForwardProof>), ServerError>,
+    ) -> Result<(CachedEngine, bool), ServerError> {
+        let (engine, lookup) = self.cache.get_or_build(&self.store, key, epoch, build)?;
+        let telemetry = self.store.telemetry();
+        match lookup {
+            Lookup::Hit => telemetry.cache_hits.inc(),
+            Lookup::Carried => {
+                telemetry.cache_hits.inc();
+                telemetry.cache_carried.inc();
+            }
+            Lookup::Miss => telemetry.cache_misses.inc(),
+        }
+        Ok((engine, lookup != Lookup::Miss))
     }
 
     /// Runs the continuous (crisp) NN query of §1, returning the
@@ -441,24 +425,18 @@ impl ModServer {
 
     /// A point-in-time snapshot of every metric the server exposes: the
     /// store's [`crate::telemetry::Telemetry`] registry (hot-path
-    /// counters and latency histograms) merged with the pre-existing
-    /// stats structs re-expressed as registry rows — engine-cache
-    /// counters ([`CacheStats`]), delta-log/snapshot state
-    /// ([`crate::store::DeltaStats`]), WAL counters
+    /// counters and latency histograms, engine-cache lookups included)
+    /// merged with the pre-existing stats structs re-expressed as
+    /// registry rows — the engine cache's entry count, delta-log/snapshot
+    /// state ([`crate::store::DeltaStats`]), WAL counters
     /// ([`crate::durability::WalStatus`], when a WAL is attached), and
-    /// the aggregated per-share subscription counters. `prefix` filters
+    /// the subscription counters summed once per share. `prefix` filters
     /// metric names (the `SHOW METRICS PREFIX <p>` form); rows come
     /// back sorted by name.
     pub fn metrics_snapshot(&self, prefix: Option<&str>) -> MetricsSnapshot {
         let mut snap = self.store.telemetry().snapshot();
-        let cache = self.cache.stats();
-        snap.counters.push(("cache_hits_total".into(), cache.hits));
-        snap.counters
-            .push(("cache_misses_total".into(), cache.misses));
-        snap.counters
-            .push(("cache_carried_total".into(), cache.carried));
         snap.gauges
-            .push(("cache_entries".into(), cache.entries as u64));
+            .push(("cache_entries".into(), self.cache.entries() as u64));
         let delta = self.store.delta_stats();
         snap.gauges.push(("store_epoch".into(), delta.epoch));
         snap.gauges
@@ -488,17 +466,21 @@ impl ModServer {
             snap.gauges
                 .push(("wal_checkpoint_epoch".into(), wal.checkpoint_epoch));
         }
-        let infos = self.subscriptions.list();
+        // A remembered quadrature block is 536 bytes
+        // (`unn_prob::profile::BlockList`).
         let mut subs = crate::subscription::SubscriptionStats::default();
-        for info in &infos {
-            let s = info.stats;
-            subs.skipped += s.skipped;
-            subs.patched += s.patched;
-            subs.rebuilt += s.rebuilt;
+        let (mut memo_blocks, mut computed, mut copied) = (0, 0, 0);
+        for (s, kernel) in self.subscriptions.share_stats() {
             subs.visited += s.visited;
             subs.skipped_unvisited += s.skipped_unvisited;
             subs.batched_commits += s.batched_commits;
             subs.rows_patched += s.rows_patched;
+            if let Some(kernel) = kernel {
+                let (c, p) = kernel.block_counts();
+                memo_blocks += kernel.memo_blocks() as u64;
+                computed += c as u64;
+                copied += p as u64;
+            }
         }
         snap.counters
             .push(("subs_visited_total".into(), subs.visited));
@@ -510,15 +492,6 @@ impl ModServer {
             .push(("subs_batched_commits_total".into(), subs.batched_commits));
         snap.counters
             .push(("subs_rows_patched_total".into(), subs.rows_patched));
-        // A remembered quadrature block is 536 bytes
-        // (`unn_prob::profile::BlockList`).
-        let (mut memo_blocks, mut computed, mut copied) = (0, 0, 0);
-        for kernel in self.subscriptions.row_kernels() {
-            let (c, p) = kernel.block_counts();
-            memo_blocks += kernel.memo_blocks() as u64;
-            computed += c as u64;
-            copied += p as u64;
-        }
         snap.gauges
             .push(("subs_kernel_memo_bytes".into(), memo_blocks * 536));
         snap.gauges
@@ -526,7 +499,7 @@ impl ModServer {
         snap.gauges
             .push(("subs_kernel_blocks_copied".into(), copied));
         snap.gauges
-            .push(("subscriptions".into(), infos.len() as u64));
+            .push(("subscriptions".into(), self.subscriptions.len() as u64));
         if let Some(prefix) = prefix {
             snap.retain_prefix(prefix);
         }
@@ -755,21 +728,23 @@ impl ModServer {
     ) -> Result<Arc<ReverseNnEngine>, ServerError> {
         let snapshot = self.store.snapshot();
         let key = EngineKey::new(
-            snapshot.epoch(),
             EngineKind::Reverse,
             query_oid,
             window,
             PrefilterPolicy::Exhaustive.tag(),
         );
-        let (cached, _) = self.cache.get_or_build(key, || {
+        let (CachedEngine::Reverse(engine), _) = self.cached(key, snapshot.epoch(), || {
             let plan = QueryPlanner::new(PrefilterPolicy::Exhaustive)
                 .plan(Arc::clone(&snapshot), query_oid, window)
                 .map_err(ServerError::from)?;
             plan.build_reverse_engine()
-                .map(|e| CachedEngine::Reverse(Arc::new(e)))
+                .map(|e| (CachedEngine::Reverse(Arc::new(e)), None))
                 .map_err(ServerError::Window)
-        })?;
-        Ok(cached.reverse().expect("reverse key holds reverse engine"))
+        })?
+        else {
+            unreachable!("a reverse key holds a reverse engine")
+        };
+        Ok(engine)
     }
 
     /// Builds (or fetches from the cache) the heterogeneous-radii engine
@@ -783,21 +758,23 @@ impl ModServer {
     ) -> Result<Arc<HeteroEngine>, ServerError> {
         let snapshot = self.store.snapshot();
         let key = EngineKey::new(
-            snapshot.epoch(),
             EngineKind::Hetero,
             query_oid,
             window,
             PrefilterPolicy::Exhaustive.tag(),
         );
-        let (cached, _) = self.cache.get_or_build(key, || {
+        let (CachedEngine::Hetero(engine), _) = self.cached(key, snapshot.epoch(), || {
             let plan = QueryPlanner::new(PrefilterPolicy::Exhaustive)
                 .plan_heterogeneous(Arc::clone(&snapshot), query_oid, window)
                 .map_err(ServerError::from)?;
             plan.build_hetero_engine()
-                .map(|e| CachedEngine::Hetero(Arc::new(e)))
+                .map(|e| (CachedEngine::Hetero(Arc::new(e)), None))
                 .map_err(ServerError::Window)
-        })?;
-        Ok(cached.hetero().expect("hetero key holds hetero engine"))
+        })?
+        else {
+            unreachable!("a hetero key holds a hetero engine")
+        };
+        Ok(engine)
     }
 
     /// The crisp continuous k-NN answer for `query_oid` (the §7 Top-k

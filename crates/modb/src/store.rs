@@ -11,8 +11,9 @@
 //! *previous* snapshot by [`QuerySnapshot::apply_delta`] instead of
 //! re-copied and re-indexed from scratch. The epoch remains the
 //! invalidation key for every derived structure; the delta log
-//! additionally lets the [`EngineCache`] prove that some cached engines
-//! survive a mutation (see [`crate::delta`]).
+//! additionally lets the [`EngineCache`] and the subscription ladder
+//! prove, with one [`crate::delta::ForwardProof`], that a forward engine
+//! survives a mutation.
 
 use crate::cache::EngineCache;
 use crate::delta::{DeltaLog, DeltaOp, DeltaRecord, NetDelta, ReplOp};
@@ -894,11 +895,7 @@ impl ModStore {
         base: u64,
         f: impl FnOnce(Option<&[&DeltaRecord]>) -> R,
     ) -> R {
-        let log = self.delta.lock().unwrap();
-        match log.ops_since(base) {
-            Some(ops) => f(Some(&ops)),
-            None => f(None),
-        }
+        f(self.delta.lock().unwrap().ops_since(base).as_deref())
     }
 }
 
@@ -1107,7 +1104,7 @@ mod tests {
         let stats = s.delta_stats();
         assert_eq!(stats.log_len, 0);
         assert_eq!(stats.log_floor, stats.epoch);
-        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(cache.entries(), 0);
         // A snapshot after clear is a rebuild of the empty population.
         assert_eq!(s.snapshot().len(), 0);
     }

@@ -102,8 +102,6 @@ impl SubState {
     /// from the gap between the counter and the core's reconciliation
     /// watermark.
     fn info_from(&self, core: &ShareCore, rounds: u64) -> SubscriptionInfo {
-        let mut stats = core.stats;
-        stats.skipped_unvisited += rounds.saturating_sub(core.rounds_absorbed);
         SubscriptionInfo {
             name: self.name.clone(),
             statement: self.query.to_string(),
@@ -114,9 +112,17 @@ impl SubState {
                 .map(|s| s.feed.len())
                 .unwrap_or_default(),
             error: core.error.clone(),
-            stats,
+            stats: reconciled_stats(core, rounds),
         }
     }
+}
+
+/// A share's counters, with the index-pruned rounds (which never touch
+/// the core) read off the gap between `rounds` and its watermark.
+fn reconciled_stats(core: &ShareCore, rounds: u64) -> SubscriptionStats {
+    let mut stats = core.stats;
+    stats.skipped_unvisited += rounds.saturating_sub(core.rounds_absorbed);
+    stats
 }
 
 /// The registry of standing queries attached to a store. Names live in
@@ -251,16 +257,19 @@ impl SubscriptionRegistry {
         self.shares.lock().unwrap().len()
     }
 
-    /// The row shares' kept column kernels (`unn_core::kernel`, "Memo"),
-    /// one handle per live share that has one, for reading their memo
-    /// size and block counts. Taken on demand under each share's lock.
-    pub fn row_kernels(&self) -> Vec<ColumnKernel> {
+    /// One row per live share, however many names ride it (sum these
+    /// for registry-wide totals, not the per-name [`Self::list`]): its
+    /// counters and, for a row share, its kept column kernel
+    /// (`unn_core::kernel`, "Memo"). Taken under each share's lock.
+    pub fn share_stats(&self) -> Vec<(SubscriptionStats, Option<ColumnKernel>)> {
+        let rounds = self.sync_rounds.load(Ordering::Acquire);
         let shares: Vec<Arc<SharedSub>> = self.shares.lock().unwrap().values().cloned().collect();
         shares
             .iter()
-            .filter_map(|s| {
+            .map(|s| {
                 let core = s.core.lock().unwrap();
-                core.kernel.as_ref().map(|(_, k)| k.clone())
+                let kernel = core.kernel.as_ref().map(|(_, k)| k.clone());
+                (reconciled_stats(&core, rounds), kernel)
             })
             .collect()
     }

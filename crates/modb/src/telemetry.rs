@@ -8,9 +8,9 @@
 //!    commit latency, snapshot patch-vs-rebuild time, WAL append and
 //!    fsync time, maintenance-round duration, per-ladder-rung counts,
 //!    frame encode time, outbox push-to-drain lag, and follower
-//!    replication lag. The pre-existing
-//!    stats structs ([`crate::cache::CacheStats`],
-//!    [`crate::store::DeltaStats`], [`crate::durability::WalStatus`],
+//!    replication lag, and one-shot engine-cache lookups (hits,
+//!    carries, misses). The pre-existing stats structs
+//!    ([`crate::store::DeltaStats`], [`crate::durability::WalStatus`],
 //!    [`crate::subscription::SubscriptionStats`]) are re-expressed as
 //!    *views* over this registry by
 //!    [`crate::server::ModServer::metrics_snapshot`], which merges them
@@ -501,6 +501,12 @@ pub struct Telemetry {
     pub last_commit_start: AtomicU64,
     /// The epoch-scoped trace ring.
     pub trace: TraceRing,
+    /// One-shot engine lookups served from the cache (carries included).
+    pub cache_hits: Counter,
+    /// One-shot engine lookups served by carrying an older engine.
+    pub cache_carried: Counter,
+    /// One-shot engine lookups that built the engine.
+    pub cache_misses: Counter,
 }
 
 impl Telemetry {
@@ -532,6 +538,9 @@ impl Telemetry {
             ("frames_encoded_total", &self.frames_encoded),
             ("repl_frames_total", &self.repl_frames),
             ("repl_bytes_total", &self.repl_bytes),
+            ("cache_hits_total", &self.cache_hits),
+            ("cache_carried_total", &self.cache_carried),
+            ("cache_misses_total", &self.cache_misses),
         ]
         .into_iter()
         .map(|(n, c)| (n.to_string(), c.get()))
@@ -594,6 +603,12 @@ impl MetricsSnapshot {
         self.counters.sort_by(|a, b| a.0.cmp(&b.0));
         self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
         self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+
+    /// The value of the counter or gauge named `name`.
+    pub fn value(&self, name: &str) -> Option<u64> {
+        let mut rows = self.counters.iter().chain(&self.gauges);
+        rows.find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
     /// Total number of rows across all three sections.

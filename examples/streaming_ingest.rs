@@ -77,11 +77,14 @@ fn main() {
         "after 50 updates: epoch {}, {} delta-applied refreshes, {} full rebuilds",
         d.epoch, d.snapshots_delta_applied, d.snapshots_rebuilt
     );
-    let c = server.cache_stats();
+    let c = server.metrics_snapshot(Some("cache_"));
+    let get = |name| c.value(name).expect("a registry counter");
+    let carried = get("cache_carried_total");
     println!(
-        "engine cache: {} hits ({} carried across deltas), {} misses",
-        c.hits, c.carried, c.misses
+        "engine cache: {} hits ({carried} carried across deltas), {} misses",
+        get("cache_hits_total"),
+        get("cache_misses_total")
     );
-    assert!(c.carried > 0, "the carry fast-path should have fired");
+    assert!(carried > 0, "the carry fast-path should have fired");
     println!("continuous NN answer unchanged through the whole stream ✓");
 }

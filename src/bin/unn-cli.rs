@@ -407,13 +407,14 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "cache" => {
-            let stats = server.cache_stats();
+            let m = server.metrics_snapshot(Some("cache_"));
+            let get = |name| m.value(name).unwrap_or(0);
             println!(
                 "engine cache: {} hits ({} carried across deltas), {} misses, {} entries (epoch {})",
-                stats.hits,
-                stats.carried,
-                stats.misses,
-                stats.entries,
+                get("cache_hits_total"),
+                get("cache_carried_total"),
+                get("cache_misses_total"),
+                get("cache_entries"),
                 server.store().epoch()
             );
             Ok(())

@@ -40,7 +40,7 @@
 //!    parallel) and feeds the `O(N log N)` lower-envelope / IPAC
 //!    preprocessing of Claims 1–3.
 //! 4. **Execute** — the engines answer the query variants; built engines
-//!    are memoized in the epoch-keyed [`modb::cache::EngineCache`], so
+//!    are memoized in the shape-keyed [`modb::cache::EngineCache`], so
 //!    repeated queries against an unchanged MOD skip stages 2–3
 //!    entirely. **Invalidation contract:** any store mutation
 //!    (register/unregister/clear) bumps the epoch, so stale engines are
@@ -201,7 +201,6 @@ pub mod prelude {
     };
     pub use unn_geom::interval::{IntervalSet, TimeInterval};
     pub use unn_geom::point::{Point2, Vec2};
-    pub use unn_modb::cache::CacheStats;
     pub use unn_modb::catalog::{Catalog, ObjectMeta};
     pub use unn_modb::plan::{PrefilterPolicy, QueryPlanner};
     pub use unn_modb::server::{ModServer, QueryOutput};

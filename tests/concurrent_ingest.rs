@@ -159,6 +159,6 @@ fn concurrent_queries_during_ingest_stay_consistent() {
     });
     // The carry fast-path should have served at least some of those
     // queries without a rebuild (every churn object is out of reach).
-    let stats = server.cache_stats();
-    assert!(stats.hits > 0, "{stats:?}");
+    let stats = server.metrics_snapshot(Some("cache_"));
+    assert!(stats.value("cache_hits_total") > Some(0), "{stats:?}");
 }

@@ -41,8 +41,9 @@ fn repeated_queries_hit_the_cache() {
     assert_eq!(stats1.prefiltered, stats2.prefiltered);
     assert_eq!(stats1.kept, stats2.kept);
     assert_eq!(stats1.envelope_pieces, stats2.envelope_pieces);
-    let cs = s.cache_stats();
-    assert!(cs.hits >= 1 && cs.misses >= 1, "{cs:?}");
+    let cs = s.metrics_snapshot(Some("cache_"));
+    let (hits, misses) = (cs.value("cache_hits_total"), cs.value("cache_misses_total"));
+    assert!(hits >= Some(1) && misses >= Some(1), "{cs:?}");
     // A different window or query object is a distinct engine.
     let (_, stats3) = s.engine(Oid(1), w).unwrap();
     assert!(!stats3.cache_hit);

@@ -178,11 +178,23 @@ fn disabled_metrics_record_nothing() {
         .register_all((0..4).map(|k| straight(k, k as f64)))
         .unwrap();
     // The raw registry only — `metrics_snapshot` also merges derived
-    // views (cache/delta-log stats) that legitimately move with the
-    // store whatever the switch says.
+    // views (the cache's entry count, delta-log stats) that legitimately
+    // move with the store whatever the switch says. The engine cache's
+    // hit / carry / miss counters are registry counters and obey it.
     let before = server.store().telemetry().snapshot();
     server.store().update(straight(1, 0.25)).unwrap();
+    server
+        .execute("SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr0, TIME) > 0")
+        .unwrap();
     let after = server.store().telemetry().snapshot();
+    let cache = server.metrics_snapshot(Some("cache_"));
+    for name in [
+        "cache_hits_total",
+        "cache_carried_total",
+        "cache_misses_total",
+    ] {
+        assert_eq!(cache.value(name), Some(0), "{name} recorded while off");
+    }
     let totals = |snap: &telemetry::MetricsSnapshot| {
         (
             snap.counters.iter().map(|(_, v)| *v).sum::<u64>(),
@@ -196,6 +208,39 @@ fn disabled_metrics_record_nothing() {
         totals(&before),
         totals(&after),
         "a disabled registry must not record"
+    );
+}
+
+/// The `subs_*` totals count each share once, however many names ride
+/// it: three threshold statements on one object and window are one
+/// share, and one in-band insert patches it once.
+#[test]
+fn subs_totals_count_each_share_once() {
+    let _flags = hold_flags(true, false);
+    let server = ModServer::new();
+    server
+        .register_all((0..4).map(|k| straight(k, k as f64)))
+        .unwrap();
+    for (name, p) in [("a", 0.2), ("b", 0.4), ("c", 0.6)] {
+        let stmt = format!(
+            "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr0, TIME) > {p}"
+        );
+        server.subscribe(name, &stmt).unwrap();
+    }
+    assert_eq!(server.subscription_registry().share_count(), 1);
+    server.register(straight(9, 0.5)).unwrap();
+    let share = server.subscription_registry().info("a").unwrap().stats;
+    assert_eq!(share.visited, 1);
+    assert!(share.rows_patched > 0, "{share:?}");
+    let subs = server.metrics_snapshot(Some("subs_"));
+    assert_eq!(subs.value("subs_visited_total"), Some(share.visited));
+    assert_eq!(
+        subs.value("subs_rows_patched_total"),
+        Some(share.rows_patched)
+    );
+    assert_eq!(
+        subs.value("subs_skipped_unvisited_total"),
+        Some(share.skipped_unvisited)
     );
 }
 
