@@ -267,7 +267,8 @@ struct WalInner {
     checkpoint_epoch: u64,
     /// Appends since the last fsync.
     unsynced: u32,
-    /// Appends since the last checkpoint.
+    /// Appends since the checkpoint cadence last came due (see
+    /// [`Wal::take_checkpoint_due`]).
     since_checkpoint: u64,
     appended: u64,
     syncs: u64,
@@ -525,8 +526,10 @@ impl Wal {
     /// watermark epoch.
     ///
     /// Runs with **no store lock held** — it takes a snapshot, which
-    /// acquires every shard read lock. The store calls this through
-    /// [`Wal::maybe_checkpoint`] after its commit locks drop.
+    /// acquires every shard read lock. The store calls this after its
+    /// commit locks drop, when [`Wal::take_checkpoint_due`] says so. Errors
+    /// are also absorbed into the status counters, like
+    /// [`Wal::append_quiet`].
     pub fn checkpoint(&self, store: &ModStore) -> Result<u64, WalError> {
         if self.checkpointing.swap(true, Ordering::AcqRel) {
             return Ok(self.status().checkpoint_epoch); // one at a time
@@ -548,7 +551,6 @@ impl Wal {
         let mut inner = self.inner.lock().unwrap();
         inner.checkpoint_epoch = epoch;
         inner.checkpoints += 1;
-        inner.since_checkpoint = 0;
         // Seal the tail so the watermark can retire it too, then drop
         // every segment fully covered by the watermark: segment i is
         // prunable when the *next* segment starts at or before
@@ -567,20 +569,24 @@ impl Wal {
         Ok(epoch)
     }
 
-    /// Checkpoints when the configured commit cadence is due; called by
-    /// the store after every commit (outside its locks). Errors are
-    /// absorbed into the status counters like [`Wal::append_quiet`].
-    pub fn maybe_checkpoint(&self, store: &ModStore) {
-        if self.options.checkpoint_every == 0 {
-            return;
+    /// `true` once per `checkpoint_every` appended commits: the committer
+    /// that sees it owes one [`Wal::checkpoint`] before its commit counts
+    /// as maintained. Taking it restarts the cadence at once, not when
+    /// the image is installed, so a concurrent committer never owes the
+    /// same checkpoint and commits appended while it runs count towards
+    /// the next one: checkpoints come due at every multiple of the
+    /// cadence, however the commits interleave.
+    pub fn take_checkpoint_due(&self) -> bool {
+        let every = self.options.checkpoint_every;
+        if every == 0 {
+            return false;
         }
-        let due = {
-            let inner = self.inner.lock().unwrap();
-            inner.since_checkpoint >= self.options.checkpoint_every
-        };
+        let mut inner = self.inner.lock().unwrap();
+        let due = inner.since_checkpoint >= every;
         if due {
-            let _ = self.checkpoint(store);
+            inner.since_checkpoint = 0;
         }
+        due
     }
 
     /// Current counters.
@@ -1859,6 +1865,37 @@ mod tests {
         assert_eq!(report.replayed_records, 1);
         assert_eq!(recovered.epoch(), epoch);
         assert_eq!(recovered.snapshot().to_vec(), reference);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Commits appended while an owed checkpoint has not run yet count
+    /// towards the next one: checkpoints come due at every multiple of
+    /// the cadence, however commits and checkpoints interleave.
+    #[test]
+    fn checkpoints_come_due_at_every_multiple_of_the_cadence() {
+        let dir = tempdir("cadence");
+        let wal = Wal::open(
+            &dir,
+            WalOptions {
+                checkpoint_every: 4,
+                ..WalOptions::default()
+            },
+        )
+        .unwrap();
+        let store = ModStore::new();
+        let mut due_at = Vec::new();
+        for epoch in 1..=12 {
+            wal.append(epoch, b"").unwrap();
+            if wal.take_checkpoint_due() {
+                due_at.push(epoch);
+            }
+            // The owed checkpoint runs two commits late.
+            if due_at.last() == Some(&(epoch - 2)) {
+                wal.checkpoint(&store).unwrap();
+            }
+        }
+        assert_eq!(due_at, [4, 8, 12]);
+        assert_eq!(wal.status().checkpoints, 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,8 +13,9 @@
 //!   the event loop multiplexes on (std-only, no mio);
 //! * [`server`] — the multiplexed [`NetServer`] wrapping a
 //!   [`crate::server::ModServer`]: one event-loop thread owns every
-//!   connection via nonblocking sockets and `poll(2)`, a small worker
-//!   pool executes query-language statements, and each connection's
+//!   connection via nonblocking sockets and `poll(2)` and commits the
+//!   writes, a small worker pool executes query-language statements and
+//!   the maintenance rounds that visit a share, and each connection's
 //!   bounded [`crate::subscription::DeltaSink`] outbox receives answer
 //!   deltas as commits land — serialized **once** per delta and shared
 //!   across every subscriber of the same name as an `Arc<[u8]>`;
@@ -24,10 +25,10 @@
 //! ## Push lifecycle
 //!
 //! ```text
-//! writer conn A ──Insert──▶ ModStore commit (epoch e)
-//!                               │ notify
+//! writer conn A ──Insert──▶ ModStore commit (epoch e, event loop)
+//!                               │ guard-index lookup (event loop)
 //!                               ▼
-//!                   SubscriptionRegistry::sync
+//!                   maintenance round (a worker)
 //!                   (one shared engine per distinct query;
 //!                    skip │ patch │ rebuild, sharded)
 //!                               │ AnswerDelta @e

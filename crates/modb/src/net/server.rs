@@ -7,19 +7,35 @@
 //!
 //! One event-loop thread owns the listener and every connection socket
 //! (all nonblocking), multiplexed with [`super::poll::poll_fds`] — so
-//! connection count costs file descriptors, not threads. Statement
-//! execution is handed to a small worker pool (requests from the same
-//! connection always route to the same worker, preserving per-client
-//! order); completed responses come back through a completion queue
-//! and a [`super::poll::Waker`] nudge. Subscription maintenance wakes
-//! the loop the same way via each outbox's
-//! [`DeltaSink::set_wake_hook`].
+//! connection count costs file descriptors, not threads. A write
+//! request (`Insert`, `Update`, `Remove`) is committed **on the loop**:
+//! store, delta log, WAL record (its fsync included, under
+//! `--fsync always`) and replication frame. The loop then looks the
+//! commit's maintenance round up in each registry's guard index. When
+//! that maintenance is idle — no checkpoint due, no share visited — the
+//! loop counts the empty round and queues the ack in the same
+//! iteration: a write that touches no standing query never leaves the
+//! loop. Otherwise the owed work (the round's visit set, the
+//! checkpoint, or both) ships to the connection's worker, which runs it
+//! and then acks, so an ack still means the commit's round is complete
+//! and its due checkpoint installed. The loop takes no share core lock
+//! and runs no climb, snapshot rebuild or checkpoint.
+//!
+//! Statements and `SubscriptionAnswer` requests run on a small worker
+//! pool; `FOLLOW` runs on the loop. Requests from one connection always
+//! route to the same worker, and while a connection has a job on the
+//! pool its later requests, writes included, follow it there — so
+//! responses on one connection keep request order. Completed responses
+//! come back through a completion queue and a [`super::poll::Waker`]
+//! nudge. Subscription maintenance wakes the loop the same way via each
+//! outbox's [`DeltaSink::set_wake_hook`].
 //!
 //! ```text
 //! poll ─▶ accept / readable / writable
-//!   │  readable: buffer → frames → worker pool ──▶ Response bytes ┐
-//!   │  outbox drain: FeedEvent → cached Arc<[u8]> ─▶ out queue    │
-//!   └──────────────── waker ◀── completions ◀────────────────────┘
+//!   │  readable: buffer → frames ─┬─ idle write: commit + ack ──────┐
+//!   │                             └─ worker pool ─▶ Response bytes ┐ │
+//!   │  outbox drain: FeedEvent → cached Arc<[u8]> ─▶ out queue ◀───┼─┘
+//!   └──────────────── waker ◀── completions ◀──────────────────────┘
 //! ```
 //!
 //! ## Encode-once broadcast
@@ -36,7 +52,7 @@
 //!
 //! ```text
 //! accept ─▶ handshake (Hello/Welcome, version-gated)
-//!        ─▶ Request → worker → Response    (same socket, same loop)
+//!        ─▶ Request → loop or worker → Response   (in request order)
 //!        └▶ DeltaSink drain → Event frames (paced, watermark-gated)
 //! ```
 //!
@@ -58,7 +74,7 @@
 use crate::delta::ReplOp;
 use crate::durability::{FollowerFeed, ReplicationHub};
 use crate::server::{ModServer, QueryOutput, ServerError};
-use crate::store::ModStore;
+use crate::store::{Maintenance, ModStore};
 use crate::subscription::{DeltaSink, FeedEvent, SubAnswer, SubDelta, SubscriptionError};
 use crate::telemetry::{self, TraceEvent, TraceStage};
 use std::collections::{HashMap, VecDeque};
@@ -133,8 +149,18 @@ struct Completion {
 struct Job {
     token: u64,
     id: u64,
-    body: WireRequest,
+    work: Work,
     sink: Arc<DeltaSink>,
+}
+
+/// What a worker does for one request before it answers.
+#[derive(Debug)]
+enum Work {
+    /// Execute the request whole.
+    Request(WireRequest),
+    /// The loop committed the write; run the maintenance it owes, then
+    /// ack it.
+    Maintain(Maintenance),
 }
 
 /// A running framed-TCP MOD service. Bind with [`NetServer::bind`],
@@ -267,6 +293,10 @@ struct Conn {
     /// the event loop drains the feed's pre-encoded `ReplDelta` frames
     /// into its write queue.
     repl: Option<Arc<FollowerFeed>>,
+    /// Jobs on the worker pool whose responses are not queued yet. While
+    /// non-zero, every request follows them to the worker, so responses
+    /// stay in request order.
+    on_pool: usize,
 }
 
 impl Conn {
@@ -294,6 +324,11 @@ fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut next_token: u64 = 0;
     let mut dead: Vec<u64> = Vec::new();
     let pacing = shared.config.event_pacing;
+    // The poll set (waker, listener, then one slot per connection in
+    // iteration order, tokens recorded alongside), refilled in place
+    // every iteration.
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut tokens: Vec<u64> = Vec::new();
 
     while !shared.shutting_down.load(Ordering::SeqCst) {
         let now = Instant::now();
@@ -301,6 +336,7 @@ fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
         // possible on every connection before sleeping in poll.
         for completion in shared.completions.lock().unwrap().drain(..) {
             if let Some(conn) = conns.get_mut(&completion.token) {
+                conn.on_pool -= 1;
                 match completion.bytes {
                     Ok(bytes) => conn.queue_bytes(bytes),
                     Err(()) => conn.closing = true,
@@ -327,12 +363,10 @@ fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
             }
         }
 
-        // Poll set: waker, listener, then one slot per connection in
-        // iteration order (tokens recorded alongside).
-        let mut fds = Vec::with_capacity(2 + conns.len());
+        fds.clear();
+        tokens.clear();
         fds.push(PollFd::new(shared.waker.fd(), POLLIN));
         fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-        let mut tokens = Vec::with_capacity(conns.len());
         for (token, conn) in conns.iter() {
             let mut events = 0i16;
             if !conn.closing {
@@ -395,10 +429,7 @@ struct WorkerPool {
 /// always land on worker `token % n`, so per-client execution order is
 /// preserved without any cross-worker coordination.
 fn spawn_workers(shared: &Arc<Shared>) -> WorkerPool {
-    let n = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
+    let n = unn_traj::par::available_cores().min(8);
     let mut senders = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
     for i in 0..n {
@@ -408,7 +439,13 @@ fn spawn_workers(shared: &Arc<Shared>) -> WorkerPool {
             .name(format!("unn-net-work{i}"))
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    let result = handle_request(&shared, &job.sink, job.body);
+                    let result = match job.work {
+                        Work::Request(body) => handle_request(&shared, &job.sink, body),
+                        Work::Maintain(maintenance) => {
+                            maintenance.run(shared.server.store());
+                            Ok(WireOutput::Done)
+                        }
+                    };
                     let bytes =
                         encode_frame_bytes(&Frame::Response { id: job.id, result }).map_err(|_| ());
                     shared.completions.lock().unwrap().push(Completion {
@@ -443,6 +480,10 @@ fn accept_ready(
         if stream.set_nonblocking(true).is_err() {
             continue;
         }
+        // A commit's push frames go out in back-to-back writes; with
+        // Nagle on, the second and later ones could wait for the
+        // watcher's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let sink = Arc::new(DeltaSink::bounded(shared.config.outbox_capacity));
         // Maintenance threads pushing into this outbox nudge the
         // event loop so delivery starts without waiting for a timeout.
@@ -463,6 +504,7 @@ fn accept_ready(
                 closing: false,
                 next_push: Instant::now() + pacing,
                 repl: None,
+                on_pool: 0,
             },
         );
         shared.active.fetch_add(1, Ordering::SeqCst);
@@ -636,7 +678,8 @@ fn pump_socket_read(
 }
 
 /// Handles one decoded inbound frame: the version-gated handshake,
-/// request dispatch to the worker pool, and the Bye farewell.
+/// writes committed on the loop, request dispatch to the worker pool,
+/// and the Bye farewell.
 fn on_frame(
     conn: &mut Conn,
     frame: Frame,
@@ -673,15 +716,49 @@ fn on_frame(
             body: WireRequest::Follow { from_epoch },
         } => handle_follow(conn, id, from_epoch, shared),
         Frame::Request { id, body } => {
+            // A write with nothing ahead of it on the pool commits here.
+            let store = shared.server.store();
+            let ahead = conn.on_pool > 0;
+            let work = match body {
+                WireRequest::Insert(tr) if !ahead => store.commit_insert(tr).map(Work::Maintain),
+                WireRequest::Update(tr) if !ahead => Ok(Work::Maintain(store.commit_update(tr).1)),
+                WireRequest::Remove(oid) if !ahead => store
+                    .commit_remove(oid)
+                    .map(|(_, maintenance)| Work::Maintain(maintenance)),
+                body => Ok(Work::Request(body)),
+            };
+            let work = match work {
+                Err(refused) => {
+                    return conn.queue_frame(&Frame::Response {
+                        id,
+                        result: Err(refused.to_string()),
+                    })
+                }
+                Ok(Work::Maintain(maintenance)) if maintenance.is_idle() => {
+                    maintenance.run(store);
+                    return conn.queue_frame(&Frame::Response {
+                        id,
+                        result: Ok(WireOutput::Done),
+                    });
+                }
+                Ok(work) => work,
+            };
+            conn.on_pool += 1;
             let job = Job {
                 token,
                 id,
-                body,
+                work,
                 sink: Arc::clone(&conn.sink),
             };
-            // Send only fails during shutdown teardown; the
-            // connection is about to be closed anyway.
-            let _ = workers[(token % workers.len() as u64) as usize].send(job);
+            // Send only fails once the worker is gone (shutdown
+            // teardown); a committed write's maintenance still runs.
+            if let Err(mpsc::SendError(job)) =
+                workers[(token % workers.len() as u64) as usize].send(job)
+            {
+                if let Work::Maintain(maintenance) = job.work {
+                    maintenance.run(store);
+                }
+            }
             Ok(())
         }
         Frame::Bye => {

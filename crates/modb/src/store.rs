@@ -20,7 +20,7 @@ use crate::delta::{DeltaLog, DeltaOp, DeltaRecord, NetDelta, ReplOp};
 use crate::durability::{repl_frame_bytes, ReplicationHub, Wal, WalStatus};
 use crate::net::wire::encode_commit_body;
 use crate::snapshot::QuerySnapshot;
-use crate::subscription::SubscriptionRegistry;
+use crate::subscription::{Round, SubscriptionRegistry};
 use crate::telemetry::{self, Telemetry, TraceEvent, TraceStage};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -126,6 +126,40 @@ fn pdf_key(kind: &PdfKind) -> PdfKey {
     match *kind {
         PdfKind::Uniform { radius } => (0, radius.to_bits(), 0),
         PdfKind::TruncatedGaussian { radius, sigma } => (1, radius.to_bits(), sigma.to_bits()),
+    }
+}
+
+/// The maintenance one commit owes before it counts as done: the WAL
+/// checkpoint its cadence made due, and one subscription round per
+/// attached registry with the round's visit set already looked up.
+/// Returned by the store's `commit_*` variants, so the network server
+/// can commit on its event loop and pay this elsewhere; the public
+/// mutators run it in place. `Send + 'static`.
+#[must_use = "a commit is maintained only once its maintenance runs"]
+#[derive(Debug)]
+pub(crate) struct Maintenance {
+    checkpoint: Option<Arc<Wal>>,
+    rounds: Vec<(Arc<SubscriptionRegistry>, Round)>,
+}
+
+impl Maintenance {
+    /// `true` when running it only counts rounds: no checkpoint is due
+    /// and no round visits a share, so it takes no share core lock, no
+    /// snapshot and no disk write.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.checkpoint.is_none() && self.rounds.iter().all(|(_, round)| round.is_idle())
+    }
+
+    /// Completes every round, then installs the due checkpoint (pushes
+    /// do not wait for the image). Checkpoint failures are absorbed into
+    /// the WAL's status counters.
+    pub(crate) fn run(self, store: &ModStore) {
+        for (registry, round) in self.rounds {
+            registry.run(round, store);
+        }
+        if let Some(wal) = self.checkpoint {
+            let _ = wal.checkpoint(store);
+        }
     }
 }
 
@@ -353,6 +387,13 @@ impl ModStore {
 
     /// Inserts a trajectory; fails on duplicate ids.
     pub fn insert(&self, tr: UncertainTrajectory) -> Result<(), StoreError> {
+        self.commit_insert(tr)?.run(self);
+        Ok(())
+    }
+
+    /// [`ModStore::insert`] up to its commit: the maintenance the commit
+    /// owes is returned, not run (see [`Maintenance`]).
+    pub(crate) fn commit_insert(&self, tr: UncertainTrajectory) -> Result<Maintenance, StoreError> {
         let oid = tr.oid();
         let tr = Arc::new(tr);
         let mut g = self.shard_of(oid).map.write().unwrap();
@@ -362,8 +403,7 @@ impl ModStore {
         g.insert(oid, Arc::clone(&tr));
         self.commit([DeltaOp::Insert(tr)]);
         drop(g);
-        self.notify_subscriptions();
-        Ok(())
+        Ok(self.maintenance())
     }
 
     /// Inserts many trajectories (all-or-nothing on duplicate ids).
@@ -400,6 +440,17 @@ impl ModStore {
     /// one maintenance round instead of two. Returns the replaced
     /// trajectory, if any.
     pub fn update(&self, tr: UncertainTrajectory) -> Option<UncertainTrajectory> {
+        let (old, maintenance) = self.commit_update(tr);
+        maintenance.run(self);
+        old.map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()))
+    }
+
+    /// [`ModStore::update`] up to its commit: returns the replaced
+    /// trajectory, if any, and the maintenance the commit owes.
+    pub(crate) fn commit_update(
+        &self,
+        tr: UncertainTrajectory,
+    ) -> (Option<Arc<UncertainTrajectory>>, Maintenance) {
         let oid = tr.oid();
         let tr = Arc::new(tr);
         let mut g = self.shard_of(oid).map.write().unwrap();
@@ -409,18 +460,27 @@ impl ModStore {
             None => self.commit([DeltaOp::Insert(tr)]),
         };
         drop(g);
-        self.notify_subscriptions();
-        old.map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()))
+        (old, self.maintenance())
     }
 
     /// Removes a trajectory.
     pub fn remove(&self, oid: Oid) -> Result<UncertainTrajectory, StoreError> {
+        let (out, maintenance) = self.commit_remove(oid)?;
+        maintenance.run(self);
+        Ok(Arc::try_unwrap(out).unwrap_or_else(|a| (*a).clone()))
+    }
+
+    /// [`ModStore::remove`] up to its commit: returns the removed
+    /// trajectory and the maintenance the commit owes.
+    pub(crate) fn commit_remove(
+        &self,
+        oid: Oid,
+    ) -> Result<(Arc<UncertainTrajectory>, Maintenance), StoreError> {
         let mut g = self.shard_of(oid).map.write().unwrap();
         let out = g.remove(&oid).ok_or(StoreError::NotFound(oid))?;
         self.commit([DeltaOp::Remove(oid)]);
         drop(g);
-        self.notify_subscriptions();
-        Ok(Arc::try_unwrap(out).unwrap_or_else(|a| (*a).clone()))
+        Ok((out, self.maintenance()))
     }
 
     /// Clones the trajectory with the given id.
@@ -613,15 +673,22 @@ impl ModStore {
             .push(Arc::downgrade(registry));
     }
 
-    /// Routes the freshly committed delta to every attached subscription
-    /// registry. Must be called with **no shard lock held**: maintenance
-    /// takes snapshots (all shard read locks) and reads the delta log.
+    /// Runs the freshly committed delta's maintenance in place. Must be
+    /// called with **no shard lock held**: maintenance takes snapshots
+    /// (all shard read locks) and reads the delta log.
     fn notify_subscriptions(&self) {
-        // Durability housekeeping first (and on *every* commit, not just
-        // batch-window boundaries): the checkpoint cadence check is one
-        // counter read, and an actual checkpoint takes a snapshot — legal
-        // here precisely because the committer's shard locks are gone.
-        self.tick_durability();
+        self.maintenance().run(self);
+    }
+
+    /// What the commit just made owes: the checkpoint its WAL cadence
+    /// made due and, unless the batch window defers it, one round per
+    /// attached registry with its visit set looked up. Taken after the
+    /// committer's shard locks drop.
+    fn maintenance(&self) -> Maintenance {
+        // Durability housekeeping on *every* commit, not just
+        // batch-window boundaries: the cadence check is one counter
+        // read.
+        let checkpoint = self.due_checkpoint();
         let window = self.maintenance_batch();
         if window > 1 {
             // Coalescing is free for correctness: each share's ladder
@@ -633,10 +700,16 @@ impl ModStore {
             // commit or an explicit [`ModStore::flush_maintenance`].
             let n = self.maintenance_commits.fetch_add(1, Ordering::AcqRel) + 1;
             if n % window as u64 != 0 {
-                return;
+                return Maintenance {
+                    checkpoint,
+                    rounds: Vec::new(),
+                };
             }
         }
-        self.sync_subscriptions();
+        Maintenance {
+            checkpoint,
+            rounds: self.begin_rounds(),
+        }
     }
 
     /// Runs one maintenance round over every attached registry
@@ -647,18 +720,26 @@ impl ModStore {
     /// before serving a full-answer resync so lagged subscribers never
     /// observe a batching-stale base.
     pub fn flush_maintenance(&self) {
-        self.sync_subscriptions();
+        Maintenance {
+            checkpoint: None,
+            rounds: self.begin_rounds(),
+        }
+        .run(self);
     }
 
-    fn sync_subscriptions(&self) {
+    /// Begins one round on every live attached registry.
+    fn begin_rounds(&self) -> Vec<(Arc<SubscriptionRegistry>, Round)> {
         let live: Vec<Arc<SubscriptionRegistry>> = {
             let mut subs = self.subscriptions.lock().unwrap();
             subs.retain(|w| w.strong_count() > 0);
             subs.iter().filter_map(Weak::upgrade).collect()
         };
-        for registry in live {
-            registry.sync(self);
-        }
+        live.into_iter()
+            .map(|registry| {
+                let round = registry.begin(self);
+                (registry, round)
+            })
+            .collect()
     }
 
     /// The commit-coalescing window of subscription maintenance
@@ -783,17 +864,15 @@ impl ModStore {
         self.wal().map(|w| w.status())
     }
 
-    /// Runs the attached WAL's checkpoint-cadence check. Called after
-    /// every commit once the committer's shard locks are dropped (a due
-    /// checkpoint takes a store snapshot, i.e. every shard read lock).
-    fn tick_durability(&self) {
+    /// The attached WAL when the commit just made brought its checkpoint
+    /// cadence due. Asked after every commit once the committer's shard
+    /// locks are dropped (a checkpoint takes a store snapshot, i.e. every
+    /// shard read lock).
+    fn due_checkpoint(&self) -> Option<Arc<Wal>> {
         if !self.journal_active.load(Ordering::Acquire) {
-            return;
+            return None;
         }
-        let wal = self.journal.lock().unwrap().wal.clone();
-        if let Some(wal) = wal {
-            wal.maybe_checkpoint(self);
-        }
+        self.wal().filter(|wal| wal.take_checkpoint_due())
     }
 
     /// Applies one replicated (or WAL-replayed) commit verbatim and

@@ -305,6 +305,25 @@ impl SubscriptionIndex {
     }
 }
 
+/// A published guard as the tests compare it: `(valid_through, box,
+/// guarded ids)`.
+#[cfg(test)]
+pub(super) type Published = (u64, Option<Aabb3>, Vec<Oid>);
+
+#[cfg(test)]
+impl SubscriptionIndex {
+    /// `checked_through` and every share's published guard by id — what
+    /// two indexes fed the same commits and rounds must agree on.
+    pub(super) fn published(&self) -> (u64, std::collections::BTreeMap<u64, Published>) {
+        let guards = self
+            .entries
+            .iter()
+            .map(|(&id, e)| (id, (e.valid_through, e.gbox, e.oids.clone())))
+            .collect();
+        (self.checked_through, guards)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

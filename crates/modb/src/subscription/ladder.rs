@@ -76,20 +76,6 @@ pub(super) struct ShareCore {
     /// Maintenance counters of the *share* — the work one maintenance
     /// round does regardless of how many subscribers ride it.
     pub(super) stats: SubscriptionStats,
-    /// The *completed*-round watermark this share is reconciled with:
-    /// completed rounds in `(rounds_absorbed, completed]` did not visit
-    /// the share (the index pruned them), and materialize as
-    /// `skipped_unvisited` lazily — folded into `stats` at the next
-    /// visit, and added on top at every info read. A round that visits
-    /// this share absorbs its own number here at *finish* time, under
-    /// the registry's finish lock and before the round counter
-    /// advances — so a reader that observes the counter covering a
-    /// round also observes the round absorbed, and a visit is never
-    /// re-counted as a prune. That ordering is what makes
-    /// `visited + skipped_unvisited <= commits` hold at every instant.
-    /// Keeping the unvisited path write-free is the whole point of the
-    /// index.
-    pub(super) rounds_absorbed: u64,
 }
 
 impl ShareCore {
@@ -114,7 +100,6 @@ impl ShareCore {
             slots: Vec::new(),
             error: None,
             stats: SubscriptionStats::default(),
-            rounds_absorbed: 0,
         }
     }
 

@@ -154,6 +154,7 @@ mod registry;
 mod render;
 mod sink;
 
+pub(crate) use registry::Round;
 pub use registry::SubscriptionRegistry;
 pub use render::{render_output, render_row_output};
 pub use sink::{DeltaSink, FeedEvent, FrameCache};

@@ -9,7 +9,7 @@ use super::sink::{DeltaSink, SubscriberSlot};
 use super::{
     SubAnswer, SubDelta, SubscriptionError, SubscriptionInfo, SubscriptionStats, PROB_ROW_SAMPLES,
 };
-use crate::delta::{DeltaRecord, ForwardProof};
+use crate::delta::ForwardProof;
 use crate::plan::PrefilterPolicy;
 use crate::prefilter::Aabb3;
 use crate::ql::ast::{PredicateKind, Query};
@@ -19,7 +19,6 @@ use crate::snapshot::QuerySnapshot;
 use crate::store::ModStore;
 use crate::telemetry::{self, TraceEvent, TraceStage};
 use std::collections::{BTreeMap, HashMap};
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use unn_core::kernel::ColumnKernel;
@@ -76,6 +75,57 @@ pub(super) struct SharedSub {
     id: u64,
     key: ShareKey,
     core: Mutex<ShareCore>,
+    /// The *completed*-round watermark this share is reconciled with:
+    /// completed rounds in `(rounds_absorbed, completed]` did not visit
+    /// the share (the index pruned them), and materialize as
+    /// `skipped_unvisited` lazily — folded into the core's stats at the
+    /// next visit, and added on top at every info read. A round that
+    /// visits this share absorbs its own number here at *finish* time,
+    /// under the registry's finish lock and before the round counter
+    /// advances — so a reader that observes the counter covering a
+    /// round also observes the round absorbed, and a visit is never
+    /// re-counted as a prune. That ordering is what makes
+    /// `visited + skipped_unvisited <= commits` hold at every instant.
+    /// An atomic outside the core, so finishing a round takes no core
+    /// lock. Keeping the unvisited path write-free is the whole point
+    /// of the index.
+    rounds_absorbed: AtomicU64,
+}
+
+impl SharedSub {
+    /// Folds the completed rounds the index pruned this share from into
+    /// its `skipped_unvisited`. Called with the core locked, so a reader
+    /// of the core sees the fold and the watermark move together.
+    fn absorb_pruned(&self, core: &mut ShareCore, completed: u64) {
+        let absorbed = self.rounds_absorbed.fetch_max(completed, Ordering::AcqRel);
+        core.stats.skipped_unvisited += completed.saturating_sub(absorbed);
+    }
+}
+
+/// One maintenance round whose visit set is decided: the index lookup
+/// of [`SubscriptionRegistry::begin`], carried to the
+/// [`SubscriptionRegistry::run`] that completes it on the same registry.
+/// `Send + 'static`, so the network server looks a commit's round up on
+/// its event loop and climbs it on a worker.
+#[must_use = "a begun round claimed its commits: run it, or the visited shares miss them"]
+#[derive(Debug)]
+pub(crate) struct Round {
+    /// The lookup's duration, when metrics or tracing are on: a round's
+    /// recorded time is its lookup plus its run, not the wait between.
+    lookup_ns: Option<u64>,
+    now: u64,
+    /// The shares to visit; `None` when there is no round at all (no
+    /// share registered, or no op landed since the last lookup).
+    visit: Option<Vec<(u64, Arc<SharedSub>)>>,
+    registered: usize,
+}
+
+impl Round {
+    /// `true` when the round visits no share: running it only counts
+    /// the round.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.visit.as_ref().map_or(true, Vec::is_empty)
+    }
 }
 
 /// One registered standing query: the thin per-name record. The
@@ -112,16 +162,16 @@ impl SubState {
                 .map(|s| s.feed.len())
                 .unwrap_or_default(),
             error: core.error.clone(),
-            stats: reconciled_stats(core, rounds),
+            stats: reconciled_stats(&self.share, core, rounds),
         }
     }
 }
 
 /// A share's counters, with the index-pruned rounds (which never touch
 /// the core) read off the gap between `rounds` and its watermark.
-fn reconciled_stats(core: &ShareCore, rounds: u64) -> SubscriptionStats {
+fn reconciled_stats(share: &SharedSub, core: &ShareCore, rounds: u64) -> SubscriptionStats {
     let mut stats = core.stats;
-    stats.skipped_unvisited += rounds.saturating_sub(core.rounds_absorbed);
+    stats.skipped_unvisited += rounds.saturating_sub(share.rounds_absorbed.load(Ordering::Acquire));
     stats
 }
 
@@ -195,16 +245,16 @@ pub struct SubscriptionRegistry {
     index: Mutex<SubscriptionIndex>,
     /// Indexed maintenance rounds **completed** so far — the clock
     /// `skipped_unvisited` reconciles against (see
-    /// [`ShareCore::rounds_absorbed`]). Advanced only in
+    /// `SharedSub::rounds_absorbed`). Advanced only in
     /// [`Self::finish_round`], under [`Self::round_finish`].
     sync_rounds: AtomicU64,
     /// Serializes round completion: a finishing round must assign its
     /// round number and absorb it into every share it visited as one
     /// atomic step, or a concurrent finisher could steal the number and
     /// the stolen slot would later be mis-counted as a pruned round
-    /// (an observable `visited + skipped_unvisited > commits`).
-    /// Lock order: `round_finish` → `core`; never taken with a core
-    /// lock held.
+    /// (an observable `visited + skipped_unvisited > commits`). Held
+    /// for a few atomic writes only: it never nests a core lock, so an
+    /// idle round finishes without waiting on a share.
     round_finish: Mutex<()>,
     /// Share-id mint ([`SharedSub::id`]); ids are never reused.
     next_share_id: AtomicU64,
@@ -269,7 +319,7 @@ impl SubscriptionRegistry {
             .map(|s| {
                 let core = s.core.lock().unwrap();
                 let kernel = core.kernel.as_ref().map(|(_, k)| k.clone());
-                (reconciled_stats(&core, rounds), kernel)
+                (reconciled_stats(s, &core, rounds), kernel)
             })
             .collect()
     }
@@ -420,6 +470,7 @@ impl SubscriptionRegistry {
                         id: self.next_share_id.fetch_add(1, Ordering::Relaxed) + 1,
                         key: key.clone(),
                         core: Mutex::new(core),
+                        rounds_absorbed: AtomicU64::new(0),
                     });
                     shares.insert(key.clone(), Arc::clone(&share));
                     // Join the guard index as always-visit *before* any
@@ -455,9 +506,7 @@ impl SubscriptionRegistry {
             Self::refresh(&mut core, store, &mut lazy, store.feed_bound());
             self.publish_guard(share.id, &mut core, store, &mut lazy, store.feed_bound());
             core.stats = saved;
-            let rounds = self.sync_rounds.load(Ordering::Acquire);
-            core.stats.skipped_unvisited += rounds.saturating_sub(core.rounds_absorbed);
-            core.rounds_absorbed = core.rounds_absorbed.max(rounds);
+            share.absorb_pruned(&mut core, self.sync_rounds.load(Ordering::Acquire));
             if let Some(message) = core.error.clone() {
                 if core.slots.is_empty() {
                     // A share no subscriber rides must not linger.
@@ -649,41 +698,69 @@ impl SubscriptionRegistry {
     /// commit whose delta every visited share provably skips costs only
     /// the per-share band-bound check — no snapshot refresh, no engine
     /// work, no thread spawned.
+    ///
+    /// One round is `begin` (the lookup) followed by `run` (everything
+    /// after); the network server runs the two halves on different
+    /// threads.
     pub fn sync(&self, store: &ModStore) {
-        let feed_cap = store.feed_bound();
+        let round = self.begin(store);
+        self.run(round, store);
+    }
+
+    /// Decides a round's visit set: the ops since the last accounted
+    /// epoch either hit a published guard (visit) or are proven safe for
+    /// every other share right here. Reads only the guard index (and the
+    /// delta log under it): no share core lock, no engine work.
+    pub(crate) fn begin(&self, store: &ModStore) -> Round {
         let now = store.epoch();
-        let round_started =
+        let started =
             (telemetry::metrics_on() || telemetry::trace_on()).then(std::time::Instant::now);
-        // Decide the visit set atomically under the index lock: the ops
-        // since the last accounted epoch either hit a published guard
-        // (visit) or are proven safe for every other share right here.
-        // `checked_through` advances in the same critical section, so a
-        // concurrent round and a concurrent guard publication always
-        // observe each other (see `publish_guard`).
-        let (visit, registered) = {
-            let mut idx = self.index.lock().unwrap();
-            if idx.entries.is_empty() {
-                return;
-            }
+        // Decided atomically under the index lock: `checked_through`
+        // advances in the same critical section, so a concurrent round
+        // and a concurrent guard publication always observe each other
+        // (see `publish_guard`).
+        let mut idx = self.index.lock().unwrap();
+        let registered = idx.entries.len();
+        let visit = if registered == 0 {
+            None
+        } else {
             let logged = store.ops_since_cloned(idx.checked_through);
             idx.checked_through = idx.checked_through.max(now);
-            let visit = match logged {
-                Some(ops) => {
-                    let ops: Vec<DeltaRecord> =
-                        ops.into_iter().filter(|r| r.epoch <= now).collect();
-                    if ops.is_empty() {
-                        return;
-                    }
-                    let hits = idx.lookup(&ops);
-                    idx.resolve(hits)
+            match logged {
+                Some(mut ops) => {
+                    ops.retain(|r| r.epoch <= now);
+                    (!ops.is_empty()).then(|| idx.resolve(idx.lookup(&ops)))
                 }
                 // Truncated history: the log cannot prove what happened
                 // since — every share reconciles (and rebuilds where its
                 // own watermark is also past the log's tail).
-                None => idx.all_shares(),
-            };
-            (visit, idx.entries.len())
+                None => Some(idx.all_shares()),
+            }
         };
+        Round {
+            lookup_ns: started.map(|t0| t0.elapsed().as_nanos() as u64),
+            now,
+            visit,
+            registered,
+        }
+    }
+
+    /// Completes a round [`Self::begin`] decided on this registry:
+    /// settles or climbs every visited share, then finishes the round.
+    /// An idle round ([`Round::is_idle`]) only counts itself: it takes no
+    /// share core lock.
+    pub(crate) fn run(&self, round: Round, store: &ModStore) {
+        let Round {
+            lookup_ns,
+            now,
+            visit,
+            registered,
+        } = round;
+        let Some(visit) = visit else {
+            return;
+        };
+        let round_started = lookup_ns.map(|ns| (std::time::Instant::now(), ns));
+        let feed_cap = store.feed_bound();
         // Completed-round accounting. The round counter advances only
         // when a round *completes* (see `finish_round`), so a stats
         // reader can never count an in-flight round as pruned. A
@@ -705,8 +782,7 @@ impl SubscriptionRegistry {
             // Fold the completed rounds the index pruned between
             // visits. Completed rounds that visited this share already
             // absorbed themselves, so the gap is exactly the prunes.
-            core.stats.skipped_unvisited += completed.saturating_sub(core.rounds_absorbed);
-            core.rounds_absorbed = core.rounds_absorbed.max(completed);
+            share.absorb_pruned(&mut core, completed);
             if Self::settle(&mut core, store, now, &mut shared) {
                 self.publish_guard(*id, &mut core, store, &mut None, feed_cap);
                 if let Some(before) = before {
@@ -745,9 +821,7 @@ impl SubscriptionRegistry {
                 Self::record_visit(store, *id, now, before, &core.stats);
             }
         };
-        let cores = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
+        let cores = unn_traj::par::available_cores();
         if cores <= 1 || heavy.len() <= 1 {
             heavy.iter().for_each(climb_share);
         } else {
@@ -779,14 +853,15 @@ impl SubscriptionRegistry {
     /// `round_finish`, so no concurrent finisher can take the same
     /// number. Ordering is what keeps the partition observable-safe:
     /// a reader that sees the new counter value (acquire) also sees
-    /// every visited share's watermark already covering it (the core
-    /// mutex hands over the latest write), so a round this share
-    /// visited is never re-counted as pruned; a reader that doesn't
-    /// see the counter yet doesn't count the round at all.
+    /// every visited share's watermark already covering it (each
+    /// watermark's `fetch_max` precedes the counter's release store), so
+    /// a round this share visited is never re-counted as pruned; a
+    /// reader that doesn't see the counter yet doesn't count the round
+    /// at all.
     fn finish_round(
         &self,
         store: &ModStore,
-        started: Option<std::time::Instant>,
+        started: Option<(std::time::Instant, u64)>,
         visited: &[(u64, Arc<SharedSub>)],
         registered: usize,
         epoch: u64,
@@ -795,15 +870,14 @@ impl SubscriptionRegistry {
             let _finish = self.round_finish.lock().unwrap();
             let finished = self.sync_rounds.load(Ordering::Relaxed) + 1;
             for (_, share) in visited {
-                let mut core = share.core.lock().unwrap();
-                core.rounds_absorbed = core.rounds_absorbed.max(finished);
+                share.rounds_absorbed.fetch_max(finished, Ordering::AcqRel);
             }
             self.sync_rounds.store(finished, Ordering::Release);
         }
         let visited_shares = visited.len() as u64;
-        if let Some(t0) = started {
+        if let Some((t0, lookup_ns)) = started {
             let t = store.telemetry();
-            let dur_ns = t0.elapsed().as_nanos() as u64;
+            let dur_ns = lookup_ns + t0.elapsed().as_nanos() as u64;
             t.maintenance_rounds.inc();
             t.maintenance_round_ns.record(dur_ns);
             // Counted per completed round: a pruned share is never
@@ -944,6 +1018,85 @@ mod tests {
     use crate::ql::parser::parse;
     use crate::subscription::testutil::*;
     use unn_core::probrows::ProbRowSet;
+
+    /// Two copies of one store and registry, fed one seeded op
+    /// sequence: the first registry is attached and maintained through
+    /// the store's commit variants (commit, then run the returned
+    /// maintenance: `begin` at commit time, `run` after), the second is
+    /// detached and `sync`ed after each commit. Answers, counters and
+    /// guard index stay identical at every step. A third copy runs each
+    /// round only after the next commit landed: its answers still equal
+    /// the others'.
+    #[test]
+    fn begin_and_run_maintain_like_sync() {
+        let queries = [
+            ("star", star_query()),
+            ("hot", threshold_query()),
+            ("rev", rnn_query()),
+        ];
+        let copies: Vec<(ModStore, Arc<SubscriptionRegistry>)> = (0..3)
+            .map(|_| {
+                let store = populated_store();
+                let reg = Arc::new(SubscriptionRegistry::new());
+                for (name, query) in &queries {
+                    reg.register(&store, name, query.clone(), PrefilterPolicy::default())
+                        .unwrap();
+                }
+                (store, reg)
+            })
+            .collect();
+        let [(split, split_reg), (synced, synced_reg), (late, late_reg)] = &copies[..] else {
+            unreachable!()
+        };
+        split.attach_subscriptions(split_reg);
+        let mut late_round: Option<Round> = None;
+        let mut draw = 0x2009_0324_u64;
+        let mut next = |n: u64| {
+            draw ^= draw << 13;
+            draw ^= draw >> 7;
+            draw ^= draw << 17;
+            draw % n
+        };
+        for step in 0..40 {
+            // Oids 1..=6 move near the query object (y within 4) or far
+            // (y ≈ 40 … 100); one step in five removes one of them.
+            let oid = 1 + next(6);
+            let y = if next(2) == 0 {
+                next(80) as f64 / 20.0
+            } else {
+                40.0 + next(60) as f64
+            };
+            let remove = next(5) == 0 && split.contains(Oid(oid));
+            let maintenance = if remove {
+                synced.remove(Oid(oid)).unwrap();
+                late.remove(Oid(oid)).unwrap();
+                split.commit_remove(Oid(oid)).unwrap().1
+            } else {
+                synced.update(tr(oid, y));
+                late.update(tr(oid, y));
+                split.commit_update(tr(oid, y)).1
+            };
+            maintenance.run(split);
+            synced_reg.sync(synced);
+            if let Some(round) = late_round.replace(late_reg.begin(late)) {
+                late_reg.run(round, late);
+            }
+            assert_eq!(split_reg.list(), synced_reg.list(), "step {step}");
+            assert_eq!(
+                split_reg.index.lock().unwrap().published(),
+                synced_reg.index.lock().unwrap().published(),
+                "step {step}"
+            );
+            for (name, _) in &queries {
+                assert_eq!(split_reg.answer(name), synced_reg.answer(name), "{name}");
+            }
+        }
+        late_reg.run(late_round.take().unwrap(), late);
+        for (name, _) in &queries {
+            assert_eq!(late_reg.answer(name), synced_reg.answer(name), "{name}");
+        }
+        assert_eq!(synced_reg.list()[0].last_epoch, synced.epoch());
+    }
 
     #[test]
     fn register_evaluates_and_lists() {

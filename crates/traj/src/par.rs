@@ -3,6 +3,21 @@
 //! trajectories, per-perspective reverse envelopes).
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
+
+/// The number of cores the process may run on, read once: the first
+/// call fixes the count for the life of the process, so an affinity or
+/// cgroup change made after it is not seen. (Asking the OS reads the
+/// cgroup files on every call — tens of microseconds.) A process that
+/// pins itself before it starts its work sees its pin.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
 
 /// Maps `f` over `items`, chunking across scoped threads when the host
 /// has more than one core **and** the input is at least `min_parallel`
@@ -20,9 +35,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
+    let threads = available_cores();
     if threads <= 1 || items.len() < min_parallel {
         return items.iter().map(&f).collect();
     }
