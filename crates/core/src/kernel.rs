@@ -211,10 +211,15 @@ impl ColumnKernel {
             self.copied
                 .fetch_add(next.len() - computed, AtomicOrdering::Relaxed);
             // A first evaluation leaves an empty list; a later one keeps
-            // its blocks, and the list it read becomes the next scratch.
+            // its blocks, at their own size, and the list it read
+            // becomes the next scratch.
             let kept = match prev {
                 None => BlockList::default(),
-                Some(prev) => std::mem::replace(&mut next, prev),
+                Some(prev) => {
+                    let mut kept = std::mem::replace(&mut next, prev);
+                    kept.shrink_to_fit();
+                    kept
+                }
             };
             self.put(k, kept);
         }
@@ -349,6 +354,43 @@ mod tests {
             format!("{kernel:?}"),
             format!("ColumnKernel {{ support: 1.0, memo_columns: 2, memo_blocks: {cold} }}")
         );
+    }
+
+    /// A list the memo keeps is sized to its own blocks: after a wide
+    /// batch, a narrow one's columns are evaluated in the wide lists'
+    /// scratch, and what they leave behind holds no spare room.
+    #[test]
+    fn kept_lists_hold_no_spare_capacity() {
+        let wide: Vec<DistanceFunction> = (1..=20)
+            .map(|i| flyby(i, -5.0, 1.0 + 0.05 * i as f64, 1.0))
+            .collect();
+        let kernel = ColumnKernel::new(&UniformDifferencePdf::new(0.5));
+        let batch = |fs: &[DistanceFunction]| {
+            let mut batch = ColumnBatch::default();
+            assert!(batch.gather(3, fs, 1.0, 5.0, kernel.band()));
+            assert!(batch.gather(4, fs, 1.0, 6.0, kernel.band()));
+            batch
+        };
+        let (wide, narrow) = (batch(&wide), batch(&fleet()));
+        kernel.evaluate(&wide);
+        kernel.evaluate(&wide);
+        let (_, wide_blocks) = remembered(&kernel);
+        let fresh = ColumnKernel::new(&UniformDifferencePdf::new(0.5));
+        let want = fresh.evaluate(&narrow);
+        assert_eq!(bits(&kernel.evaluate(&narrow)), bits(&want));
+        let (columns, narrow_blocks) = remembered(&kernel);
+        assert_eq!(columns, 2);
+        assert!(
+            narrow_blocks * 4 < wide_blocks,
+            "{narrow_blocks} vs {wide_blocks}"
+        );
+        for list in kernel.memo.lock().unwrap().iter().flatten() {
+            assert!(
+                list.capacity() <= list.len(),
+                "{list:?}: {}",
+                list.capacity()
+            );
+        }
     }
 
     /// The query's own path shifted by `(dx, dy)`, as `oid`.

@@ -46,7 +46,7 @@
 //!        ▼              ▼                      ▼                      ▼
 //!  QuerySnapshot   EngineCache          SubscriptionRegistry   (next query)
 //!  apply_delta     ForwardProof         skip → patch → rebuild
-//!  (merge objects) (restamp engine)     (AnswerDelta change feed)
+//!  (merge objects) (restamp engine)     (AnswerDelta → DeltaSinks)
 //! ```
 //!
 //! 1. **Mutate** — `insert`/`remove`/`update`/`bulk_load` locks only the
@@ -84,8 +84,8 @@
 //!    *perspectives*), or *rebuild* (the log was truncated past the
 //!    subscriber's epoch, or the query object itself changed). Answer
 //!    changes stream to consumers as [`unn_core::answer::AnswerDelta`]s
-//!    / [`unn_core::probrows::ProbRowDelta`]s via the per-subscription
-//!    change feed.
+//!    / [`unn_core::probrows::ProbRowDelta`]s into the
+//!    [`subscription::DeltaSink`]s their consumers own.
 //!
 //! Row recomputation — maintained patches and one-shot threshold /
 //! reverse executions alike — runs through the batched column kernel
@@ -152,7 +152,7 @@
 //!                                         │ AnswerDelta / ProbRowDelta @e
 //!                                   ┌──────────────┴─────────────┐
 //!                                   ▼                            ▼
-//!                            pull feed (poll)      outboxes of conns B, C, …
+//!                            pull sinks (poll)     outboxes of conns B, C, …
 //!                                                  │ encode once (FrameCache)
 //!                                                  ▼
 //!                                                  Event / RowEvent frame,

@@ -210,8 +210,8 @@ impl NetClient {
     }
 
     /// Executes a query-language statement on the server. `REGISTER
-    /// CONTINUOUS … AS name` additionally attaches the subscription's
-    /// feed to this connection: its deltas arrive as pushed events.
+    /// CONTINUOUS … AS name` additionally attaches this connection's
+    /// outbox to the subscription: its deltas arrive as pushed events.
     pub fn execute(&mut self, statement: &str) -> Result<WireOutput, NetError> {
         self.request(WireRequest::Statement(statement.to_string()))
     }

@@ -34,8 +34,8 @@
 //!                               │ AnswerDelta @e
 //!                ┌──────────────┴──────────────┐
 //!                ▼                             ▼
-//!        pull feed (sub poll)     DeltaSinks of conns B, C, … (bounded)
-//!                                              │ wake event loop
+//!     ModServer pull sinks        DeltaSinks of conns B, C, … (bounded)
+//!     (sub poll, in-process)                   │ wake event loop
 //!                                              ▼
 //!                                 encode once (FrameCache) ─▶ Arc<[u8]>
 //!                                              │ queued per outbox
@@ -59,7 +59,7 @@
 //! [`crate::durability`]) — and the [`Follower`] driver applies them to
 //! a local [`crate::server::ModServer`] mirror that serves reads and
 //! standing-query registrations of its own. Followers that lag past
-//! the leader's feed bound (or its delta-log horizon) resync via a
+//! the leader's outbox bound (or its delta-log horizon) resync via a
 //! full snapshot, exactly like a lagged subscriber;
 //! `tests/replication.rs` asserts leader/follower answers bit-identical
 //! at equal epochs, forced resync included.

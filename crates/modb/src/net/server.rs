@@ -102,8 +102,8 @@ const OUT_HIGH_WATERMARK: usize = 1 << 20;
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
     /// Per-connection outbox bound: undrained pushed events beyond this
-    /// squash (see [`DeltaSink`]). Sized like the store's feed bound by
-    /// default.
+    /// squash (see [`DeltaSink`]). [`crate::store::DEFAULT_FEED_BOUND`]
+    /// by default, like a [`crate::server::ModServer`] pull sink.
     pub outbox_capacity: usize,
     /// Artificial delay before each pushed event write. Zero in
     /// production; tests and benches raise it to simulate a slow
@@ -889,7 +889,7 @@ fn poll_timeout(conns: &HashMap<u64, Conn>, now: Instant, pacing: Duration) -> i
 /// Executes one request against the wrapped [`ModServer`]. A successful
 /// `REGISTER CONTINUOUS` additionally attaches this connection's outbox
 /// to the new subscription (and `WATCH` attaches it to an existing
-/// one), turning its change feed into pushed frames.
+/// one), turning its deltas into pushed frames.
 fn handle_request(
     shared: &Shared,
     sink: &Arc<DeltaSink>,

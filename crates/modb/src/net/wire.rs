@@ -167,7 +167,7 @@ pub enum WireOutput {
     /// Category 3/4 answer: qualifying objects with window fractions.
     Objects(Vec<(Oid, f64)>),
     /// `REGISTER CONTINUOUS` installed the standing query (and attached
-    /// its feed to this connection).
+    /// this connection's outbox to it).
     Registered(SubscriptionInfo),
     /// `UNREGISTER` dropped the standing query.
     Unregistered(String),

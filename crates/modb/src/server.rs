@@ -7,10 +7,13 @@ use crate::plan::{PlanError, PrefilterPolicy, QueryPlanner};
 use crate::ql::ast::{PredicateKind, Quantifier, Query, Statement, Target};
 use crate::ql::parser::{parse_statement, ParseError};
 use crate::store::{ModStore, StoreError};
-use crate::subscription::{SubscriptionError, SubscriptionInfo, SubscriptionRegistry};
+use crate::subscription::{
+    DeltaSink, SubAnswer, SubDelta, SubscriptionError, SubscriptionInfo, SubscriptionRegistry,
+};
 use crate::telemetry::{MetricsSnapshot, TraceEvent};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use unn_core::hetero::HeteroEngine;
 use unn_core::ipac::IpacTree;
@@ -181,6 +184,9 @@ pub struct ModServer {
     planner: QueryPlanner,
     cache: Arc<EngineCache>,
     subscriptions: Arc<SubscriptionRegistry>,
+    /// The sinks [`ModServer::poll_subscription`] drains, by name: one
+    /// per standing query registered here without a push sink.
+    pull: Mutex<HashMap<String, Arc<DeltaSink>>>,
 }
 
 impl Default for ModServer {
@@ -219,6 +225,7 @@ impl ModServer {
             planner: QueryPlanner::default(),
             cache,
             subscriptions,
+            pull: Mutex::default(),
         }
     }
 
@@ -376,23 +383,21 @@ impl ModServer {
     /// can emit a delta between the subscription going live and the
     /// connection starting to receive pushes. This is the entry point
     /// the network layer uses; other statements ignore the sink.
+    /// Without a sink, a registration gets a pull sink that
+    /// [`ModServer::poll_subscription`] drains.
     pub fn execute_with_sink(
         &self,
         statement: &str,
-        sink: Option<&Arc<crate::subscription::DeltaSink>>,
+        sink: Option<&Arc<DeltaSink>>,
     ) -> Result<QueryOutput, ServerError> {
         match parse_statement(statement)? {
             Statement::Select(query) => self.execute_parsed(&query),
             Statement::Register { name, query } => self
-                .subscriptions
-                .register_with_sink(&self.store, &name, query, self.planner.policy(), sink)
-                .map(QueryOutput::Registered)
-                .map_err(ServerError::from),
+                .register_standing(&name, query, sink)
+                .map(QueryOutput::Registered),
             Statement::Unregister { name } => self
-                .subscriptions
-                .unregister_checked(&name)
-                .map(|()| QueryOutput::Unregistered(name))
-                .map_err(ServerError::from),
+                .unsubscribe(&name)
+                .map(|()| QueryOutput::Unregistered(name)),
             Statement::Watch { name } => match sink {
                 // Over a connection: wire this session's outbox into the
                 // existing subscription — all watchers of one name share
@@ -530,17 +535,44 @@ impl ModServer {
         name: &str,
         query: Query,
     ) -> Result<SubscriptionInfo, ServerError> {
-        self.subscriptions
-            .register(&self.store, name, query, self.planner.policy())
-            .map_err(ServerError::from)
+        self.register_standing(name, query, None)
     }
 
-    /// Drops the named standing query; an unknown name reports the
-    /// nearest registered one as a typo hint.
+    /// Registers `query` as the standing query `name`, its deltas going
+    /// to `sink` — or, without one, to a pull sink kept for
+    /// [`ModServer::poll_subscription`]. Either sink attaches atomically
+    /// with the registration, so its first delta is the first answer
+    /// change after the returned epoch.
+    fn register_standing(
+        &self,
+        name: &str,
+        query: Query,
+        sink: Option<&Arc<DeltaSink>>,
+    ) -> Result<SubscriptionInfo, ServerError> {
+        let pull = sink
+            .is_none()
+            .then(|| Arc::new(DeltaSink::bounded(crate::store::DEFAULT_FEED_BOUND)));
+        let info = self.subscriptions.register_with_sink(
+            &self.store,
+            name,
+            query,
+            self.planner.policy(),
+            sink.or(pull.as_ref()),
+        )?;
+        let mut pulls = self.pull.lock().unwrap();
+        match pull {
+            Some(pull) => pulls.insert(name.to_string(), pull),
+            None => pulls.remove(name),
+        };
+        Ok(info)
+    }
+
+    /// Drops the named standing query (and its pull sink); an unknown
+    /// name reports the nearest registered one as a typo hint.
     pub fn unsubscribe(&self, name: &str) -> Result<(), ServerError> {
-        self.subscriptions
-            .unregister_checked(name)
-            .map_err(ServerError::from)
+        self.subscriptions.unregister_checked(name)?;
+        self.pull.lock().unwrap().remove(name);
+        Ok(())
     }
 
     /// Every registered standing query's state, ascending by name.
@@ -548,23 +580,27 @@ impl ModServer {
         self.subscriptions.list()
     }
 
-    /// Drains the named subscription's change feed: the undrained
-    /// [`crate::subscription::SubDelta`]s in epoch order.
-    pub fn poll_subscription(
-        &self,
-        name: &str,
-    ) -> Result<Vec<crate::subscription::SubDelta>, ServerError> {
-        self.subscriptions
-            .drain(name)
-            .ok_or_else(|| self.unknown_subscription(name))
+    /// Drains the named subscription's pull sink: the undrained
+    /// [`SubDelta`]s in epoch order (the oldest squashed into one past
+    /// [`crate::store::DEFAULT_FEED_BOUND`]; see [`DeltaSink`]). A name
+    /// registered with a push sink — over a connection — has no pull
+    /// sink, and polling it is an error.
+    pub fn poll_subscription(&self, name: &str) -> Result<Vec<SubDelta>, ServerError> {
+        let pull = self.pull.lock().unwrap().get(name).cloned();
+        match pull {
+            Some(sink) => Ok(std::iter::from_fn(|| sink.try_recv())
+                .map(|event| event.delta)
+                .collect()),
+            None if self.subscriptions.info(name).is_some() => {
+                Err(SubscriptionError::NoPullConsumer(name.to_string()).into())
+            }
+            None => Err(self.unknown_subscription(name)),
+        }
     }
 
     /// The named subscription's current maintained answer (intervals or
     /// probability rows, by statement shape).
-    pub fn subscription_answer(
-        &self,
-        name: &str,
-    ) -> Result<crate::subscription::SubAnswer, ServerError> {
+    pub fn subscription_answer(&self, name: &str) -> Result<SubAnswer, ServerError> {
         self.subscriptions
             .answer(name)
             .ok_or_else(|| self.unknown_subscription(name))
@@ -576,7 +612,7 @@ impl ModServer {
     pub fn subscription_answer_with_epoch(
         &self,
         name: &str,
-    ) -> Result<(crate::subscription::SubAnswer, u64), ServerError> {
+    ) -> Result<(SubAnswer, u64), ServerError> {
         self.subscriptions
             .answer_with_epoch(name)
             .ok_or_else(|| self.unknown_subscription(name))
@@ -1416,5 +1452,71 @@ mod tests {
             .unwrap();
         assert!(tree.node_count() >= 1);
         assert!(tree.depth() <= 2);
+    }
+
+    const NEAR: &str =
+        "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 10] AND PROB_NN(*, Tr0, TIME) > 0";
+
+    /// The deltas queued in `sink`, oldest first.
+    fn drain(sink: &DeltaSink) -> Vec<SubDelta> {
+        std::iter::from_fn(|| sink.try_recv())
+            .map(|event| event.delta)
+            .collect()
+    }
+
+    /// One statement registered twice in-process: without a sink (its
+    /// deltas go to the server's pull sink) and with a push sink. The
+    /// polled fold, the pushed fold and the maintained answer agree.
+    #[test]
+    fn polled_and_pushed_deltas_fold_alike() {
+        let s = server();
+        s.subscribe("pulled", NEAR).unwrap();
+        let push = Arc::new(DeltaSink::bounded(64));
+        let stmt = format!("REGISTER CONTINUOUS {NEAR} AS pushed");
+        s.execute_with_sink(&stmt, Some(&push)).unwrap();
+        let base = s.subscription_answer("pulled").unwrap();
+        assert_eq!(s.subscription_answer("pushed").unwrap(), base);
+        s.register(tr(7, &[(0.0, 1.5, 0.0), (10.0, 1.5, 10.0)]))
+            .unwrap();
+        s.store()
+            .update(tr(7, &[(0.0, 0.5, 0.0), (10.0, 0.5, 10.0)]));
+        s.store().remove(Oid(7)).unwrap();
+        let polled = s.poll_subscription("pulled").unwrap();
+        let pushed = drain(&push);
+        assert!(!polled.is_empty());
+        assert_eq!(polled, pushed);
+        let fold = |deltas: &[SubDelta]| deltas.iter().fold(base.clone(), |acc, d| acc.apply(d));
+        assert_eq!(fold(&polled), s.subscription_answer("pulled").unwrap());
+        assert_eq!(fold(&pushed), s.subscription_answer("pushed").unwrap());
+        assert_eq!(s.poll_subscription("pulled").unwrap(), vec![]);
+    }
+
+    /// A name registered with a push sink has no pull consumer: polling
+    /// it errors, as does polling an unknown or unregistered name.
+    #[test]
+    fn polling_a_pushed_name_errors() {
+        let s = server();
+        let push = Arc::new(DeltaSink::bounded(8));
+        let stmt = format!("REGISTER CONTINUOUS {NEAR} AS pushed");
+        s.execute_with_sink(&stmt, Some(&push)).unwrap();
+        let err = s.poll_subscription("pushed").unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ServerError::Subscription(SubscriptionError::NoPullConsumer(n)) if n == "pushed"
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("no pull consumer"), "{err}");
+        let err = s.poll_subscription("pushd").unwrap_err();
+        assert!(err.to_string().contains("did you mean 'pushed'"), "{err}");
+        // Unregistering drops the pull sink with the name.
+        s.subscribe("pulled", NEAR).unwrap();
+        s.execute("UNREGISTER pulled").unwrap();
+        assert!(matches!(
+            s.poll_subscription("pulled"),
+            Err(ServerError::Subscription(SubscriptionError::Unknown { .. }))
+        ));
+        assert!(s.pull.lock().unwrap().is_empty());
     }
 }

@@ -37,8 +37,10 @@ const DEFAULT_SHARDS: usize = 16;
 /// Default bound on retained delta records.
 const DELTA_LOG_CAPACITY: usize = 4096;
 
-/// Default bound on undrained [`unn_core::answer::AnswerDelta`]s per
-/// subscription change feed (see [`ModStore::set_feed_bound`]).
+/// Default capacity of a [`crate::subscription::DeltaSink`]: a network
+/// connection's outbox ([`crate::net::NetServerConfig::outbox_capacity`])
+/// and a [`crate::server::ModServer`] pull sink. Past it a sink squashes
+/// its oldest deltas (see the squash-oldest contract there).
 pub const DEFAULT_FEED_BOUND: usize = 256;
 
 /// Default delta-to-population ratio beyond which snapshot maintenance
@@ -180,8 +182,6 @@ pub struct ModStore {
     /// `f64` bits of the rebuild-fallback fraction (atomic so benches and
     /// the CLI can flip it through a shared reference).
     rebuild_fraction: AtomicU64,
-    /// Per-subscription change-feed bound (see [`ModStore::set_feed_bound`]).
-    feed_bound: AtomicU64,
     /// Commit-coalescing window of subscription maintenance (see
     /// [`ModStore::set_maintenance_batch`]). `1` = maintain per commit.
     maintenance_batch: AtomicU64,
@@ -236,7 +236,6 @@ impl ModStore {
             cached: RwLock::new(None),
             delta: Mutex::new(DeltaLog::new(DELTA_LOG_CAPACITY)),
             rebuild_fraction: AtomicU64::new(DEFAULT_REBUILD_FRACTION.to_bits()),
-            feed_bound: AtomicU64::new(DEFAULT_FEED_BOUND as u64),
             maintenance_batch: AtomicU64::new(1),
             maintenance_commits: AtomicU64::new(0),
             snapshots_delta_applied: AtomicU64::new(0),
@@ -774,32 +773,6 @@ impl ModStore {
     pub fn set_rebuild_fraction(&self, fraction: f64) {
         self.rebuild_fraction
             .store(fraction.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-
-    /// The per-subscription change-feed bound: how many undrained
-    /// [`unn_core::answer::AnswerDelta`]s a standing query's feed (and
-    /// each attached push outbox) retains before squashing.
-    pub fn feed_bound(&self) -> usize {
-        self.feed_bound.load(Ordering::Relaxed) as usize
-    }
-
-    /// Sets the per-subscription change-feed bound (minimum 1; the
-    /// default is [`DEFAULT_FEED_BOUND`]).
-    ///
-    /// ## Squash-oldest contract
-    ///
-    /// A feed never drops a delta outright. When a push would exceed the
-    /// bound, the two **oldest** undrained deltas are composed into one
-    /// via [`unn_core::answer::AnswerDelta::then`], so the fold invariant
-    /// `answer₀ ⊕ δ₁ ⊕ … ⊕ δₖ = current answer` holds bit-for-bit no
-    /// matter how far a consumer lags — only the *per-epoch granularity*
-    /// of the oldest entries is lost (the squashed delta carries the
-    /// later epoch). Push transports surface that loss as a `lagged`
-    /// flag so interactive consumers can resync from a full answer
-    /// instead of replaying a coarse squash.
-    pub fn set_feed_bound(&self, bound: usize) {
-        self.feed_bound
-            .store(bound.max(1) as u64, Ordering::Relaxed);
     }
 
     /// Counters of the delta-epoch machinery.

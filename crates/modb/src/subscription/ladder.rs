@@ -119,22 +119,21 @@ impl ShareCore {
     }
 
     /// Broadcasts an emitted delta to every subscriber slot: each slot
-    /// appends it to its pull feed (squashing the oldest pair past
-    /// `capacity`) and forwards it to its live push sinks under one
-    /// per-slot encode-once cache.
-    fn push_feed(&mut self, delta: SubDelta, capacity: usize) {
+    /// forwards it to its live sinks under one per-slot encode-once
+    /// cache.
+    fn broadcast(&mut self, delta: SubDelta) {
         for slot in &mut self.slots {
-            slot.deliver(&delta, capacity);
+            slot.deliver(&delta);
         }
     }
 
     /// Installs a freshly evaluated answer, emitting its delta. The
     /// carried preprocessing (`engine` / `rev` / `query_tr` / proofs) is
     /// assigned by the caller beforehand.
-    fn commit_answer(&mut self, answer: SubAnswer, epoch: u64, feed_capacity: usize) {
+    fn commit_answer(&mut self, answer: SubAnswer, epoch: u64) {
         let delta = self.answer.diff_to(&answer, epoch);
         if !delta.is_empty() {
-            self.push_feed(delta, feed_capacity);
+            self.broadcast(delta);
         }
         self.answer = answer;
         self.error = None;
@@ -143,11 +142,11 @@ impl ShareCore {
 
     /// Parks the subscription on an evaluation error: the answer empties
     /// (emitting the removals) until a later epoch evaluates again.
-    fn park(&mut self, epoch: u64, message: String, feed_capacity: usize) {
+    fn park(&mut self, epoch: u64, message: String) {
         let empty = self.empty_answer();
         let delta = self.answer.diff_to(&empty, epoch);
         if !delta.is_empty() {
-            self.push_feed(delta, feed_capacity);
+            self.broadcast(delta);
         }
         self.answer = empty;
         self.engine = None;
@@ -246,13 +245,12 @@ impl SubscriptionRegistry {
         sub: &mut ShareCore,
         store: &ModStore,
         lazy: &mut Option<Arc<QuerySnapshot>>,
-        feed_cap: usize,
     ) {
         let now = store.epoch();
         let mut fetched = SharedOps::new();
         if !Self::settle(sub, store, now, &mut fetched) {
             let delta = fetched.get(&sub.last_epoch).and_then(Option::as_deref);
-            Self::climb(sub, store, lazy, now, delta, feed_cap);
+            Self::climb(sub, store, lazy, now, delta);
         }
     }
 
@@ -266,7 +264,6 @@ impl SubscriptionRegistry {
         lazy: &mut Option<Arc<QuerySnapshot>>,
         now: u64,
         delta: Option<&LoggedDelta>,
-        feed_cap: usize,
     ) {
         sub.stats.visited += 1;
         // Both rungs need the consistent snapshot view.
@@ -277,10 +274,10 @@ impl SubscriptionRegistry {
                 if snapshot.epoch() == now && !delta.changed.contains(&sub.oid) {
                     if sub.kind != SubKind::ReverseRows {
                         if sub.engine.is_some() {
-                            return Self::patch(sub, store, &snapshot, now, delta, feed_cap);
+                            return Self::patch(sub, store, &snapshot, now, delta);
                         }
                     } else if sub.rev.is_some() && snapshot.len() >= 2 {
-                        return Self::patch_reverse(sub, store, &snapshot, now, delta, feed_cap);
+                        return Self::patch_reverse(sub, store, &snapshot, now, delta);
                     }
                 }
                 // The query object itself changed, there is no engine to
@@ -296,8 +293,8 @@ impl SubscriptionRegistry {
         }
         // The full re-plan: the same pipeline a cold registration runs.
         sub.stats.rebuilt += 1;
-        if let Err(e) = Self::evaluate_into(sub, store, &snapshot, feed_cap) {
-            sub.park(snapshot.epoch(), e, feed_cap);
+        if let Err(e) = Self::evaluate_into(sub, store, &snapshot) {
+            sub.park(snapshot.epoch(), e);
         }
     }
 
@@ -329,7 +326,6 @@ impl SubscriptionRegistry {
         snapshot: &Arc<QuerySnapshot>,
         now: u64,
         delta: &LoggedDelta,
-        feed_cap: usize,
     ) {
         let changed = &delta.changed;
         let plan =
@@ -339,7 +335,7 @@ impl SubscriptionRegistry {
                     // The commit was absorbed by an (empty-answer)
                     // rebuild attempt.
                     sub.stats.rebuilt += 1;
-                    return sub.park(now, e.to_string(), feed_cap);
+                    return sub.park(now, e.to_string());
                 }
             };
         let old = Arc::clone(
@@ -369,7 +365,7 @@ impl SubscriptionRegistry {
                 }
                 Err(e) => {
                     sub.stats.rebuilt += 1;
-                    return sub.park(now, e.to_string(), feed_cap);
+                    return sub.park(now, e.to_string());
                 }
             }
         }
@@ -379,7 +375,7 @@ impl SubscriptionRegistry {
                 Ok(kernel) => Some(kernel),
                 Err(e) => {
                     sub.stats.rebuilt += 1;
-                    return sub.park(now, e, feed_cap);
+                    return sub.park(now, e);
                 }
             },
             _ => None,
@@ -446,7 +442,7 @@ impl SubscriptionRegistry {
         sub.engine = Some(engine);
         sub.query_tr = Some(query_tr);
         sub.proof = None;
-        sub.commit_answer(answer, now, feed_cap);
+        sub.commit_answer(answer, now);
     }
 
     /// The per-perspective incremental re-eval of a reverse
@@ -461,7 +457,6 @@ impl SubscriptionRegistry {
         snapshot: &Arc<QuerySnapshot>,
         now: u64,
         delta: &LoggedDelta,
-        feed_cap: usize,
     ) {
         let (ops, changed) = (delta.ops.iter().collect::<Vec<_>>(), &delta.changed);
         let old = Arc::clone(sub.rev.as_ref().expect("patch requires a carried engine"));
@@ -472,7 +467,6 @@ impl SubscriptionRegistry {
                 return sub.park(
                     now,
                     "trajectories have differing uncertainty radii".to_string(),
-                    feed_cap,
                 );
             }
         };
@@ -480,7 +474,7 @@ impl SubscriptionRegistry {
             Ok(kernel) => kernel,
             Err(e) => {
                 sub.stats.rebuilt += 1;
-                return sub.park(now, e, feed_cap);
+                return sub.park(now, e);
             }
         };
         // Classify the old perspectives: carried iff untouched, still
@@ -515,7 +509,7 @@ impl SubscriptionRegistry {
             Ok(rev) => rev,
             Err(e) => {
                 sub.stats.rebuilt += 1;
-                return sub.park(now, e.to_string(), feed_cap);
+                return sub.park(now, e.to_string());
             }
         };
         let prev = match &sub.answer {
@@ -528,17 +522,16 @@ impl SubscriptionRegistry {
         sub.stats.perspectives_skipped += carried.len() as u64;
         sub.stats.rows_patched += recomputed as u64;
         sub.rev = Some(Arc::new(rev));
-        sub.commit_answer(SubAnswer::Rows(rows), now, feed_cap);
+        sub.commit_answer(SubAnswer::Rows(rows), now);
     }
 
     /// Evaluates `sub`'s standing query from scratch against `snapshot`
-    /// and commits the result (carried engines, proofs, answer, feed
+    /// and commits the result (carried engines, proofs, answer, emitted
     /// delta at the snapshot's epoch).
     pub(super) fn evaluate_into(
         sub: &mut ShareCore,
         store: &ModStore,
         snapshot: &Arc<QuerySnapshot>,
-        feed_cap: usize,
     ) -> Result<(), String> {
         let epoch = snapshot.epoch();
         match sub.kind {
@@ -549,7 +542,7 @@ impl SubscriptionRegistry {
                 sub.rev = None;
                 sub.query_tr = Some(query_tr);
                 sub.proof = None;
-                sub.commit_answer(SubAnswer::Intervals(answer), epoch, feed_cap);
+                sub.commit_answer(SubAnswer::Intervals(answer), epoch);
             }
             SubKind::ForwardRows => {
                 let kernel = sub.row_kernel(store, snapshot)?;
@@ -563,7 +556,7 @@ impl SubscriptionRegistry {
                 sub.rev = None;
                 sub.query_tr = Some(query_tr);
                 sub.proof = None;
-                sub.commit_answer(SubAnswer::Rows(rows), epoch, feed_cap);
+                sub.commit_answer(SubAnswer::Rows(rows), epoch);
             }
             SubKind::ReverseRows => {
                 let kernel = sub.row_kernel(store, snapshot)?;
@@ -581,7 +574,7 @@ impl SubscriptionRegistry {
                 sub.query_tr = Some(query_tr);
                 sub.proof = None;
                 sub.rev_proofs.clear();
-                sub.commit_answer(SubAnswer::Rows(rows), epoch, feed_cap);
+                sub.commit_answer(SubAnswer::Rows(rows), epoch);
             }
         }
         Ok(())
@@ -693,27 +686,28 @@ mod tests {
         store.attach_subscriptions(&reg);
         reg.register(&store, "near0", star_query(), PrefilterPolicy::default())
             .unwrap();
+        let sink = pull_sink(&reg, "near0");
         // A far insertion cannot touch the 4r band: the skip path runs
         // and no delta is emitted.
         store.insert(tr(50, 90_000.0)).unwrap();
         let info = reg.info("near0").unwrap();
         assert_eq!(info.stats.skipped, 1, "{info:?}");
         assert_eq!(info.last_epoch, store.epoch());
-        assert_eq!(reg.drain("near0").unwrap(), vec![]);
+        assert_eq!(drain(&sink), vec![]);
         // A nearby insertion lands in the band: the patch path reuses the
         // old candidates' functions and emits an upsert for the newcomer.
         store.insert(tr(60, 0.5)).unwrap();
         let info = reg.info("near0").unwrap();
         assert_eq!(info.stats.patched, 1, "{info:?}");
         assert!(info.stats.functions_reused >= 2, "{info:?}");
-        let deltas = reg.drain("near0").unwrap();
+        let deltas = drain(&sink);
         assert_eq!(deltas.len(), 1);
         let d = deltas[0].as_intervals().unwrap();
         assert!(d.upserts.iter().any(|e| e.oid == Oid(60)));
         assert_eq!(d.epoch, store.epoch());
         // Removing the newcomer emits the removal.
         store.remove(Oid(60)).unwrap();
-        let deltas = reg.drain("near0").unwrap();
+        let deltas = drain(&sink);
         assert_eq!(deltas.len(), 1);
         assert!(
             deltas[0].as_intervals().unwrap().removed.contains(&Oid(60)),
@@ -744,6 +738,7 @@ mod tests {
             PrefilterPolicy::default(),
         )
         .unwrap();
+        let sink = pull_sink(&reg, "hot0");
         let initial = row_answer(&reg, "hot0");
         // Far churn: the insert round's visit skips via the (sharper,
         // band-survivor) proof and publishes the guard; the remove of
@@ -755,7 +750,7 @@ mod tests {
         assert_eq!(info.stats.skipped, 1, "{info:?}");
         assert_eq!(info.stats.skipped_unvisited, 1, "{info:?}");
         assert_eq!(info.stats.rows_patched, 0, "{info:?}");
-        assert_eq!(reg.drain("hot0").unwrap(), vec![]);
+        assert_eq!(drain(&sink), vec![]);
         assert_eq!(row_answer(&reg, "hot0"), initial);
         // An in-band newcomer patches: only its columns recompute, and
         // the result equals a fresh exhaustive sweep bit-for-bit.
@@ -766,9 +761,7 @@ mod tests {
         assert_eq!(row_answer(&reg, "hot0"), fresh_rows(&store, Oid(0), false));
         // Folding the emitted deltas over the initial rows reproduces
         // the maintained answer.
-        let folded = reg
-            .drain("hot0")
-            .unwrap()
+        let folded = drain(&sink)
             .iter()
             .fold(initial, |acc, d| acc.apply(d.as_rows().unwrap()));
         assert_eq!(folded, row_answer(&reg, "hot0"));
@@ -781,6 +774,7 @@ mod tests {
         store.attach_subscriptions(&reg);
         reg.register(&store, "rev0", rnn_query(), PrefilterPolicy::default())
             .unwrap();
+        let sink = pull_sink(&reg, "rev0");
         let initial = row_answer(&reg, "rev0");
         // A far insertion becomes a new perspective, but every existing
         // perspective is provably untouched: its envelope and row carry.
@@ -800,9 +794,7 @@ mod tests {
         store.update(tr(1, 1.2));
         assert_eq!(row_answer(&reg, "rev0"), fresh_rows(&store, Oid(0), true));
         // Folding the emitted deltas lands on the maintained rows.
-        let folded = reg
-            .drain("rev0")
-            .unwrap()
+        let folded = drain(&sink)
             .iter()
             .fold(initial, |acc, d| acc.apply(d.as_rows().unwrap()));
         assert_eq!(folded, row_answer(&reg, "rev0"));
@@ -815,13 +807,14 @@ mod tests {
         store.attach_subscriptions(&reg);
         reg.register(&store, "near0", star_query(), PrefilterPolicy::default())
             .unwrap();
+        let sink = pull_sink(&reg, "near0");
         // Moving the query object invalidates every difference function.
         store.remove(Oid(0)).unwrap();
         let info = reg.info("near0").unwrap();
         assert!(info.error.is_some(), "query object gone: {info:?}");
         assert!(reg.answer("near0").unwrap().is_empty());
-        // Its answers emptied out through the feed…
-        let deltas = reg.drain("near0").unwrap();
+        // Its answers emptied out through the sink…
+        let deltas = drain(&sink);
         assert!(deltas
             .iter()
             .any(|d| !d.as_intervals().unwrap().removed.is_empty()));

@@ -115,28 +115,31 @@
 //! kind (interval / threshold rows / reverse rows), prefilter policy,
 //! sample density — coalesce onto **one share**: one carried
 //! engine, one skip/patch/rebuild round per commit, however many
-//! subscription names ride it. Each member keeps its own identity (pull
-//! feed, attached sinks, per-name `Event` frames), but the maintained
-//! answer and the delta are computed once.
+//! subscription names ride it. Each member keeps its own identity (its
+//! sinks, per-name `Event` frames), but the maintained answer and the
+//! delta are computed once.
 //! [`SubscriptionRegistry::share_count`] exposes the number of distinct
 //! maintained computations.
 //!
-//! ## Change feeds and push sinks
+//! ## Delivery: sinks their consumers own
 //!
-//! Every answer change is appended to the subscription's bounded pull
-//! feed (drained by `sub poll` / [`SubscriptionRegistry::drain`]) and
-//! forwarded to every attached [`DeltaSink`] — the bounded outbox a
-//! network connection hangs on to receive **pushed** deltas (see
-//! [`crate::net`]). Both are bounded by the store's
-//! [`crate::store::ModStore::set_feed_bound`] / the sink's own capacity
-//! under the same squash-oldest contract: overflowing deltas are
-//! composed via [`SubDelta::then`] (never dropped), so folding a feed
-//! over the subscriber's base answer stays bit-identical to the
-//! maintained answer; squashed sink events are flagged `lagged` so a
-//! push consumer knows to resync from a full answer. Each queued event
-//! carries a [`FrameCache`], so when many connections watch the same
-//! subscription name the wire frame for a delta is serialized **once**
-//! and every outbox hands the same `Arc<[u8]>` to its socket (see
+//! Every answer change is forwarded to each [`DeltaSink`] attached to
+//! the subscription — and only there. A sink is owned by whoever reads
+//! it: a network connection's outbox receives **pushed** deltas (see
+//! [`crate::net`]), and a [`crate::server::ModServer`] keeps a pull sink
+//! per name registered in-process, which `sub poll` /
+//! `ModServer::poll_subscription` drains. The registry holds only weak
+//! references, so a consumer that goes away stops costing anything; a
+//! name nobody consumes keeps its maintained answer and emits into no
+//! queue. Each sink is bounded under the squash-oldest contract
+//! documented on [`DeltaSink`]: overflowing deltas are composed via
+//! [`SubDelta::then`] (never dropped), so folding a sink's stream over
+//! the subscriber's base answer stays bit-identical to the maintained
+//! answer; squashed events are flagged `lagged` so a consumer knows it
+//! may resync from a full answer. Each queued event carries a
+//! [`FrameCache`], so when many connections watch the same subscription
+//! name the wire frame for a delta is serialized **once** and every
+//! outbox hands the same `Arc<[u8]>` to its socket (see
 //! [`crate::net::server`]).
 //!
 //! Every path yields answers **bit-identical** to a fresh exhaustive
@@ -200,6 +203,10 @@ pub enum SubscriptionError {
     /// The initial evaluation failed (unknown query object, not enough
     /// objects, invalid window…).
     Evaluation(String),
+    /// The subscription exists but has no pull sink to poll: it was
+    /// registered with a push sink (over a connection), which receives
+    /// its deltas.
+    NoPullConsumer(String),
 }
 
 impl SubscriptionError {
@@ -252,6 +259,11 @@ impl fmt::Display for SubscriptionError {
                 write!(f, "cannot register: {message}")
             }
             SubscriptionError::Evaluation(m) => write!(f, "{m}"),
+            SubscriptionError::NoPullConsumer(n) => write!(
+                f,
+                "subscription '{n}' has no pull consumer: its deltas are pushed to the \
+                 connection that registered it (WATCH it over a connection instead)"
+            ),
         }
     }
 }
@@ -322,7 +334,8 @@ pub struct SubscriptionInfo {
     /// Number of objects currently qualifying (interval subscriptions)
     /// or holding a probability row (row subscriptions).
     pub entries: usize,
-    /// Undrained deltas in the change feed.
+    /// This name's undrained events across its live sinks (a pull
+    /// sink's backlog, or the watching connections' outbox depth).
     pub pending_deltas: usize,
     /// The evaluation error the subscription is parked on, if any (e.g.
     /// its query object left the MOD; cleared when evaluation succeeds
@@ -455,7 +468,7 @@ impl SubDelta {
     }
 
     /// Composes `self` (applied first) with `next` (applied second).
-    /// Bounded feeds squash their oldest entries with this; one
+    /// Bounded sinks squash their oldest entries with this; one
     /// subscription's deltas always share a representation.
     ///
     /// # Panics
@@ -478,6 +491,7 @@ mod testutil {
     use crate::ql::ast::Query;
     use crate::ql::parser::parse;
     use crate::store::ModStore;
+    use std::sync::Arc;
     use unn_core::kernel::ColumnKernel;
     use unn_geom::interval::TimeInterval;
     use unn_traj::trajectory::{Oid, Trajectory};
@@ -518,6 +532,21 @@ mod testutil {
             SubAnswer::Intervals(a) => a,
             other => panic!("expected intervals, got {other:?}"),
         }
+    }
+
+    /// A pull sink attached to `name` (call it right after the
+    /// registration): every later delta of the name queues in it.
+    pub(super) fn pull_sink(reg: &SubscriptionRegistry, name: &str) -> Arc<DeltaSink> {
+        let sink = Arc::new(DeltaSink::bounded(crate::store::DEFAULT_FEED_BOUND));
+        assert!(reg.attach_sink(name, &sink), "{name} is registered");
+        sink
+    }
+
+    /// The deltas queued in `sink`, oldest first.
+    pub(super) fn drain(sink: &DeltaSink) -> Vec<SubDelta> {
+        std::iter::from_fn(|| sink.try_recv())
+            .map(|ev| ev.delta)
+            .collect()
     }
 
     pub(super) fn row_answer(reg: &SubscriptionRegistry, name: &str) -> ProbRowSet {

@@ -6,9 +6,7 @@ use super::index::SubscriptionIndex;
 use super::ladder::{ShareCore, SharedOps};
 use super::render::{render_output, render_row_output};
 use super::sink::{DeltaSink, SubscriberSlot};
-use super::{
-    SubAnswer, SubDelta, SubscriptionError, SubscriptionInfo, SubscriptionStats, PROB_ROW_SAMPLES,
-};
+use super::{SubAnswer, SubscriptionError, SubscriptionInfo, SubscriptionStats, PROB_ROW_SAMPLES};
 use crate::delta::ForwardProof;
 use crate::plan::PrefilterPolicy;
 use crate::prefilter::Aabb3;
@@ -159,7 +157,7 @@ impl SubState {
             entries: core.answer.len(),
             pending_deltas: core
                 .slot(&self.name)
-                .map(|s| s.feed.len())
+                .map(SubscriberSlot::pending)
                 .unwrap_or_default(),
             error: core.error.clone(),
             stats: reconciled_stats(&self.share, core, rounds),
@@ -385,7 +383,7 @@ impl SubscriptionRegistry {
     /// registration and attachment — the first pushed delta is the first
     /// answer change after the returned info's epoch, guaranteed. (An
     /// [`SubscriptionRegistry::attach_sink`] after the fact has a window
-    /// in which a delta reaches only the pull feed.)
+    /// in which a delta reaches no sink.)
     ///
     /// When a share with the same `ShareKey` already exists — same
     /// query object, window, ladder kind, policy, and sampling (row
@@ -454,7 +452,7 @@ impl SubscriptionRegistry {
                 let snapshot = store.snapshot();
                 let mut core = ShareCore::new(&key);
                 core.last_epoch = snapshot.epoch();
-                Self::evaluate_into(&mut core, store, &snapshot, usize::MAX)
+                Self::evaluate_into(&mut core, store, &snapshot)
                     .map_err(SubscriptionError::Evaluation)?;
                 Some(core)
             };
@@ -503,8 +501,8 @@ impl SubscriptionRegistry {
             // pruned-round fold just below), so its ladder movement
             // stays out of the rider-visible stats.
             let saved = core.stats;
-            Self::refresh(&mut core, store, &mut lazy, store.feed_bound());
-            self.publish_guard(share.id, &mut core, store, &mut lazy, store.feed_bound());
+            Self::refresh(&mut core, store, &mut lazy);
+            self.publish_guard(share.id, &mut core, store, &mut lazy);
             core.stats = saved;
             share.absorb_pruned(&mut core, self.sync_rounds.load(Ordering::Acquire));
             if let Some(message) = core.error.clone() {
@@ -522,12 +520,11 @@ impl SubscriptionRegistry {
                 core.stats = SubscriptionStats::default();
             }
             // The initial answer is the subscriber's base, not a
-            // change: the slot starts with an empty feed, and the sink
-            // attaches under the core lock, so the first pushed delta
-            // is the first answer change after the returned epoch.
+            // change: the sink attaches under the core lock, so the
+            // first pushed delta is the first answer change after the
+            // returned epoch.
             core.slots.push(SubscriberSlot {
                 name: name.to_string(),
-                feed: Vec::new(),
                 sinks: sink.into_iter().map(Arc::downgrade).collect(),
             });
             let sub = SubState {
@@ -635,21 +632,10 @@ impl SubscriptionRegistry {
         })
     }
 
-    /// Drains the named subscription's change feed: every undrained
-    /// [`SubDelta`] in epoch order. `None` for unknown names.
-    pub fn drain(&self, name: &str) -> Option<Vec<SubDelta>> {
-        self.shard_of(name).lock().unwrap().get(name).map(|s| {
-            let mut core = s.share.core.lock().unwrap();
-            core.slot_mut(name)
-                .map(|slot| std::mem::take(&mut slot.feed))
-                .unwrap_or_default()
-        })
-    }
-
-    /// Attaches a push outbox to the named subscription: every future
-    /// answer delta is forwarded into `sink` in addition to the pull
-    /// feed. The registry holds only a weak reference — dropping the
-    /// consumer's `Arc` detaches it. `false` for unknown names.
+    /// Attaches a sink to the named subscription: every future answer
+    /// delta is forwarded into it, beside the name's other sinks. The
+    /// registry holds only a weak reference — dropping the consumer's
+    /// `Arc` detaches it. `false` for unknown names.
     pub fn attach_sink(&self, name: &str, sink: &Arc<DeltaSink>) -> bool {
         self.attach_sink_checked(name, sink).is_ok()
     }
@@ -760,7 +746,6 @@ impl SubscriptionRegistry {
             return;
         };
         let round_started = lookup_ns.map(|ns| (std::time::Instant::now(), ns));
-        let feed_cap = store.feed_bound();
         // Completed-round accounting. The round counter advances only
         // when a round *completes* (see `finish_round`), so a stats
         // reader can never count an in-flight round as pruned. A
@@ -784,7 +769,7 @@ impl SubscriptionRegistry {
             // absorbed themselves, so the gap is exactly the prunes.
             share.absorb_pruned(&mut core, completed);
             if Self::settle(&mut core, store, now, &mut shared) {
-                self.publish_guard(*id, &mut core, store, &mut None, feed_cap);
+                self.publish_guard(*id, &mut core, store, &mut None);
                 if let Some(before) = before {
                     Self::record_visit(store, *id, now, &before, &core.stats);
                 }
@@ -809,14 +794,14 @@ impl SubscriptionRegistry {
             match shared.get(&core.last_epoch) {
                 Some(delta) if store.epoch() == now => {
                     let delta = delta.as_deref();
-                    Self::climb(&mut core, store, &mut lazy, now, delta, feed_cap);
+                    Self::climb(&mut core, store, &mut lazy, now, delta);
                 }
                 // Commits raced past `now`, or a concurrent round moved
                 // the share off every watermark this round fetched,
                 // since the cheap pass let go of the core: start over.
-                _ => Self::refresh(&mut core, store, &mut lazy, feed_cap),
+                _ => Self::refresh(&mut core, store, &mut lazy),
             }
-            self.publish_guard(*id, &mut core, store, &mut lazy, feed_cap);
+            self.publish_guard(*id, &mut core, store, &mut lazy);
             if let Some(before) = before {
                 Self::record_visit(store, *id, now, before, &core.stats);
             }
@@ -965,7 +950,6 @@ impl SubscriptionRegistry {
         core: &mut ShareCore,
         store: &ModStore,
         lazy: &mut Option<Arc<QuerySnapshot>>,
-        feed_cap: usize,
     ) {
         loop {
             let guard = Self::guard_of(core);
@@ -985,7 +969,7 @@ impl SubscriptionRegistry {
             // `visited + skipped_unvisited` overshoot the commit
             // count, so the share's stats are restored around it.
             let saved = core.stats;
-            Self::refresh(core, store, lazy, feed_cap);
+            Self::refresh(core, store, lazy);
             core.stats = saved;
         }
     }
@@ -1289,9 +1273,11 @@ mod tests {
             ("rnn3", "PROB_RNN", 0.3),
             ("rnn6", "PROB_RNN", 0.6),
         ];
+        let mut sinks = Vec::new();
         for (i, (name, pred, p)) in names.iter().enumerate() {
             reg.register(&store, name, stmt(pred, *p), PrefilterPolicy::default())
                 .unwrap();
+            sinks.push(pull_sink(&reg, name));
             assert_eq!(reg.share_count(), i / 2 + 1, "one share per predicate");
         }
         // Each name renders the shared rows under its own threshold.
@@ -1304,14 +1290,12 @@ mod tests {
         }
         let bases: Vec<ProbRowSet> = names.iter().map(|n| row_answer(&reg, n.0)).collect();
         // A near newcomer contests Tr1: the two thresholds now cut the
-        // same rows differently, and each feed folds to its own answer.
+        // same rows differently, and each sink folds to its own answer.
         store.insert(tr(60, 0.8)).unwrap();
         assert_ne!(reg.output("nn3"), reg.output("nn6"));
-        for ((name, pred, p), base) in names.iter().zip(bases) {
+        for (((name, pred, p), base), sink) in names.iter().zip(bases).zip(&sinks) {
             assert_eq!(reg.output(name).unwrap(), fresh_output(pred, *p), "{name}");
-            let folded = reg
-                .drain(name)
-                .unwrap()
+            let folded = drain(sink)
                 .iter()
                 .fold(base, |acc, d| acc.apply(d.as_rows().unwrap()));
             assert_eq!(

@@ -6,7 +6,7 @@ use super::SubDelta;
 use crate::telemetry;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// A shared once-cell for the encoded wire image of one pushed delta —
 /// the **encode-once broadcast** handle. Maintenance creates one cache
@@ -50,7 +50,7 @@ impl fmt::Debug for FrameCache {
     }
 }
 
-/// One pushed change-feed entry: the subscription it belongs to, the
+/// One queued sink entry: the subscription it belongs to, the
 /// epoch-tagged delta, and whether backpressure squashed older entries
 /// into it (`lagged` — the consumer should resync from a full answer if
 /// it cares about per-epoch granularity; folding stays exact either
@@ -83,31 +83,33 @@ impl PartialEq for FeedEvent {
     }
 }
 
-/// A bounded outbox for pushed [`FeedEvent`]s — the per-connection
-/// backpressure buffer between subscription maintenance (the producer,
-/// running on whichever thread committed the mutation) and a delivery
-/// thread (the consumer, e.g. a [`crate::net::NetServer`] connection
-/// pusher).
+/// A bounded outbox for [`FeedEvent`]s — the one way a standing query's
+/// deltas leave the registry. Subscription maintenance (the producer,
+/// running on whichever thread committed the mutation) pushes into it;
+/// its owner drains it with [`DeltaSink::try_recv`]: a
+/// [`crate::net::NetServer`] connection (its per-connection outbox,
+/// woken through [`DeltaSink::set_wake_hook`]) or a
+/// [`crate::server::ModServer`] pull sink behind `poll_subscription`.
 ///
-/// Overflow follows the squash-oldest contract documented at
-/// [`crate::store::ModStore::set_feed_bound`]: the oldest two events of
-/// the same subscription are composed via [`SubDelta::then`] and the
-/// survivor is flagged `lagged`. Events are never dropped, so folding a
-/// sink's stream remains bit-exact; if every queued event belongs to a
-/// distinct subscription, the queue grows past the bound instead (a
-/// sink serving `S` subscriptions needs a capacity ≥ `S` to stay
-/// bounded).
+/// ## Squash-oldest contract
 ///
-/// A consumer can either block on [`DeltaSink::recv`] (its own delivery
-/// thread) or register a [`DeltaSink::set_wake_hook`] and drain with
-/// [`DeltaSink::try_recv`] — the event-loop pattern the multiplexed
-/// [`crate::net::NetServer`] uses.
+/// A sink never drops a delta outright. When an enqueue takes it past
+/// `capacity`, the two **oldest** events of one subscription are composed
+/// via [`SubDelta::then`] and the survivor is flagged `lagged`, until the
+/// queue is back within the bound. So the fold invariant
+/// `answer₀ ⊕ δ₁ ⊕ … ⊕ δₖ = current answer` holds bit-for-bit however far
+/// a consumer lags; only the *per-epoch granularity* of the oldest events
+/// is lost (the squashed delta carries the later epoch), and `lagged`
+/// tells an interactive consumer it may resync from a full answer
+/// instead. If every queued event belongs to a distinct subscription,
+/// nothing can be squashed soundly and the queue grows past the bound
+/// instead (a sink serving `S` subscriptions needs a capacity ≥ `S` to
+/// stay bounded).
 pub struct DeltaSink {
     state: Mutex<SinkState>,
-    cv: Condvar,
     capacity: usize,
     /// Invoked (outside the queue lock) after every enqueue — the
-    /// readiness-loop nudge for consumers that poll instead of block.
+    /// readiness-loop nudge for a consumer that polls.
     wake_hook: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
@@ -130,11 +132,10 @@ struct SinkState {
 
 impl DeltaSink {
     /// A sink retaining at most `capacity` undrained events before
-    /// squashing (minimum 1).
+    /// squashing (minimum 1; see the squash contract).
     pub fn bounded(capacity: usize) -> DeltaSink {
         DeltaSink {
             state: Mutex::new(SinkState::default()),
-            cv: Condvar::new(),
             capacity: capacity.max(1),
             wake_hook: Mutex::new(None),
         }
@@ -149,15 +150,13 @@ impl DeltaSink {
         *self.wake_hook.lock().unwrap() = hook;
     }
 
-    /// Enqueues one event, squashing the oldest same-subscription pair
-    /// on overflow. No-op after [`DeltaSink::close`].
+    /// Enqueues one event, then squashes oldest same-subscription pairs
+    /// while the queue is over the bound. No-op after
+    /// [`DeltaSink::close`].
     fn push(&self, subscription: &str, delta: &SubDelta, cache: &FrameCache) {
         let mut st = self.state.lock().unwrap();
         if st.closed {
             return;
-        }
-        if st.queue.len() >= self.capacity {
-            Self::squash_oldest(&mut st.queue);
         }
         st.queue.push_back(FeedEvent {
             subscription: subscription.to_string(),
@@ -170,8 +169,8 @@ impl DeltaSink {
                 0
             },
         });
+        while st.queue.len() > self.capacity && Self::squash_oldest(&mut st.queue) {}
         drop(st);
-        self.cv.notify_one();
         let hook = self.wake_hook.lock().unwrap().clone();
         if let Some(hook) = hook {
             hook();
@@ -180,39 +179,24 @@ impl DeltaSink {
 
     /// Composes the first two events sharing a subscription (events of
     /// one subscription are consecutive in its stream even when
-    /// interleaved with other subscriptions' events, so `then` applies).
-    /// The survivor's encode-once cache is replaced with a fresh private
-    /// cell: the composed delta exists only in this outbox, so its frame
-    /// must not alias the broadcast bytes.
-    fn squash_oldest(queue: &mut VecDeque<FeedEvent>) {
+    /// interleaved with other subscriptions' events, so `then` applies);
+    /// `false` when every queued event belongs to a distinct
+    /// subscription. The survivor's encode-once cache is replaced with a
+    /// fresh private cell: the composed delta exists only in this
+    /// outbox, so its frame must not alias the broadcast bytes.
+    fn squash_oldest(queue: &mut VecDeque<FeedEvent>) -> bool {
         for i in 0..queue.len() {
-            let name = queue[i].subscription.clone();
-            if let Some(j) = (i + 1..queue.len()).find(|&j| queue[j].subscription == name) {
+            let name = &queue[i].subscription;
+            if let Some(j) = (i + 1..queue.len()).find(|&j| queue[j].subscription == *name) {
                 let newer = queue.remove(j).expect("index in range");
                 let older = &mut queue[i];
                 older.delta = older.delta.then(&newer.delta);
                 older.lagged = true;
                 older.cache = FrameCache::default();
-                return;
+                return true;
             }
         }
-        // Every queued event belongs to a distinct subscription: nothing
-        // can be squashed soundly; the queue grows past the bound.
-    }
-
-    /// Blocks until an event is available or the sink is closed *and*
-    /// drained (`None`).
-    pub fn recv(&self) -> Option<FeedEvent> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(ev) = st.queue.pop_front() {
-                return Some(ev);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.cv.wait(st).unwrap();
-        }
+        false
     }
 
     /// Pops the next event without blocking.
@@ -220,16 +204,10 @@ impl DeltaSink {
         self.state.lock().unwrap().queue.pop_front()
     }
 
-    /// Closes the sink: producers stop enqueueing, consumers drain what
-    /// remains and then see `None`.
+    /// Closes the sink: producers stop enqueueing; what is queued can
+    /// still be drained.
     pub fn close(&self) {
         self.state.lock().unwrap().closed = true;
-        self.cv.notify_all();
-    }
-
-    /// `true` once closed.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
     }
 
     /// Undrained events.
@@ -241,17 +219,25 @@ impl DeltaSink {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Undrained events of one subscription.
+    pub(super) fn queued_for(&self, subscription: &str) -> usize {
+        let st = self.state.lock().unwrap();
+        st.queue
+            .iter()
+            .filter(|ev| ev.subscription == subscription)
+            .count()
+    }
 }
 
-/// One subscriber's view of a shared computation: its private pull feed
-/// and push outboxes. The maintained answer lives on the share; slots
-/// receive per-delta broadcasts.
+/// One subscriber's view of a shared computation: its name and the
+/// sinks its consumers own. The maintained answer lives on the share;
+/// slots receive per-delta broadcasts.
 #[derive(Debug)]
 pub(super) struct SubscriberSlot {
     pub(super) name: String,
-    pub(super) feed: Vec<SubDelta>,
-    /// Push outboxes attached to this subscription (e.g. network
-    /// connections); pruned when the consumer drops its `Arc`.
+    /// Outboxes attached to this subscription (network connections,
+    /// pull sinks); pruned when the consumer drops its `Arc`.
     pub(super) sinks: Vec<Weak<DeltaSink>>,
 }
 
@@ -260,7 +246,7 @@ impl SubscriberSlot {
     /// created per (slot, delta) and shared by every attached sink —
     /// the pushed frame embeds the subscription name, so connections
     /// watching the same name broadcast identical bytes.
-    pub(super) fn deliver(&mut self, delta: &SubDelta, capacity: usize) {
+    pub(super) fn deliver(&mut self, delta: &SubDelta) {
         let cache = FrameCache::default();
         self.sinks.retain(|w| match w.upgrade() {
             Some(sink) => {
@@ -269,13 +255,15 @@ impl SubscriberSlot {
             }
             None => false,
         });
-        self.feed.push(delta.clone());
-        // Converge to the bound even when it was lowered mid-flight
-        // (`store feed-bound <n>`): squash oldest pairs until within it.
-        while self.feed.len() > capacity && self.feed.len() >= 2 {
-            let second = self.feed.remove(1);
-            self.feed[0] = self.feed[0].then(&second);
-        }
+    }
+
+    /// This name's events queued in its live sinks.
+    pub(super) fn pending(&self) -> usize {
+        self.sinks
+            .iter()
+            .filter_map(Weak::upgrade)
+            .map(|sink| sink.queued_for(&self.name))
+            .sum()
     }
 }
 
@@ -290,13 +278,19 @@ mod tests {
     #[test]
     fn feed_overflow_squashes_but_folds_identically() {
         let store = populated_store();
-        store.set_feed_bound(16);
         let reg = Arc::new(SubscriptionRegistry::new());
         store.attach_subscriptions(&reg);
-        reg.register(&store, "near0", star_query(), PrefilterPolicy::default())
-            .unwrap();
+        let sink = Arc::new(DeltaSink::bounded(16));
+        reg.register_with_sink(
+            &store,
+            "near0",
+            star_query(),
+            PrefilterPolicy::default(),
+            Some(&sink),
+        )
+        .unwrap();
         let initial = reg.answer("near0").unwrap();
-        // Far more in-band churn than the feed retains.
+        // Far more in-band churn than the sink retains.
         for k in 0..56u64 {
             let oid = 100 + (k % 7);
             if store.contains(Oid(oid)) {
@@ -306,7 +300,8 @@ mod tests {
         }
         let info = reg.info("near0").unwrap();
         assert!(info.pending_deltas <= 16, "{info:?}");
-        let deltas = reg.drain("near0").unwrap();
+        assert_eq!(info.pending_deltas, sink.len());
+        let deltas = drain(&sink);
         let folded = deltas.iter().fold(initial, |acc, d| acc.apply(d));
         assert_eq!(folded, reg.answer("near0").unwrap());
     }
@@ -337,11 +332,62 @@ mod tests {
         // answer bit-for-bit.
         let folded = initial.apply(&first.delta).apply(&second.delta);
         assert_eq!(folded, reg.answer("near0").unwrap());
-        // A dropped consumer is pruned; a closed sink accepts nothing.
+        // A closed sink accepts nothing.
         sink.close();
         store.insert(tr(73, 0.9)).unwrap();
         assert!(sink.is_empty());
-        assert!(sink.recv().is_none(), "closed and drained");
+        assert!(sink.try_recv().is_none(), "closed and drained");
+    }
+
+    #[test]
+    fn a_capacity_one_sink_holds_one_event() {
+        let store = populated_store();
+        let reg = Arc::new(SubscriptionRegistry::new());
+        store.attach_subscriptions(&reg);
+        reg.register(&store, "near0", star_query(), PrefilterPolicy::default())
+            .unwrap();
+        let sink = Arc::new(DeltaSink::bounded(1));
+        assert!(reg.attach_sink("near0", &sink));
+        let initial = reg.answer("near0").unwrap();
+        // Three in-band commits: each enqueue past the bound composes
+        // the queued pair, so one lagged event is left.
+        store.insert(tr(70, 0.4)).unwrap();
+        store.insert(tr(71, 0.6)).unwrap();
+        store.insert(tr(72, 0.8)).unwrap();
+        assert_eq!(sink.len(), 1);
+        assert_eq!(reg.info("near0").unwrap().pending_deltas, 1);
+        let only = sink.try_recv().unwrap();
+        assert!(only.lagged, "{only:?}");
+        assert_eq!(only.delta.epoch(), store.epoch());
+        assert_eq!(initial.apply(&only.delta), reg.answer("near0").unwrap());
+    }
+
+    #[test]
+    fn pending_deltas_count_the_names_queued_events() {
+        let store = populated_store();
+        let reg = Arc::new(SubscriptionRegistry::new());
+        store.attach_subscriptions(&reg);
+        reg.register(&store, "a", star_query(), PrefilterPolicy::default())
+            .unwrap();
+        reg.register(&store, "b", star_query(), PrefilterPolicy::default())
+            .unwrap();
+        // One outbox serving both names, plus a second sink on "a".
+        let outbox = Arc::new(DeltaSink::bounded(8));
+        let extra = Arc::new(DeltaSink::bounded(8));
+        assert!(reg.attach_sink("a", &outbox));
+        assert!(reg.attach_sink("b", &outbox));
+        assert!(reg.attach_sink("a", &extra));
+        store.insert(tr(70, 0.4)).unwrap();
+        store.insert(tr(71, 0.6)).unwrap();
+        assert_eq!(outbox.len(), 4);
+        assert_eq!(reg.info("a").unwrap().pending_deltas, 2 + 2);
+        assert_eq!(reg.info("b").unwrap().pending_deltas, 2);
+        // Draining counts down; a dropped sink no longer counts.
+        drop(extra);
+        assert_eq!(reg.info("a").unwrap().pending_deltas, 2);
+        outbox.try_recv().unwrap();
+        let pending: usize = reg.list().iter().map(|i| i.pending_deltas).sum();
+        assert_eq!(pending, outbox.len());
     }
 
     #[test]

@@ -459,6 +459,30 @@ impl BlockList {
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty()
     }
+
+    /// Blocks the list has room for without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.blocks.capacity()
+    }
+
+    /// Drops the spare capacity an evaluation left behind — a list kept
+    /// between evaluations holds its own blocks, not room for the widest
+    /// column its scratch once served.
+    pub fn shrink_to_fit(&mut self) {
+        self.blocks.shrink_to_fit();
+        for v in [
+            &mut self.rmin,
+            &mut self.cuts,
+            &mut self.pwd,
+            &mut self.dens,
+            &mut self.prefix,
+            &mut self.suffix,
+        ] {
+            v.shrink_to_fit();
+        }
+        self.order.shrink_to_fit();
+        self.slot.shrink_to_fit();
+    }
 }
 
 impl fmt::Debug for BlockList {

@@ -59,7 +59,6 @@
 //! store delta-stats           delta-epoch machinery counters
 //! store rebuild-fraction <f>  set the delta-vs-rebuild threshold
 //! store delta-capacity <n>    cap the delta log (forces rebuilds past it)
-//! store feed-bound <n>        cap per-subscription change feeds (squash past it)
 //! store row-samples <n>       probe density of future row subscriptions
 //! store maintenance-batch <n> coalesce n commits per maintenance round
 //! store metrics [p] [--watch <s> [n]]  telemetry registry (Prometheus text)
@@ -116,7 +115,6 @@ commands:
   store delta-stats           delta-epoch machinery counters
   store rebuild-fraction <f>  set the delta-vs-rebuild threshold
   store delta-capacity <n>    cap the delta log (forces rebuilds past it)
-  store feed-bound <n>        cap per-subscription change feeds (squash past it)
   store row-samples <n>       probe density of future row subscriptions
   store maintenance-batch <n> coalesce n commits per maintenance round
   store wal-open <dir> [fsync] recover from a WAL dir and journal into it
@@ -457,16 +455,6 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     );
                     Ok(())
                 }
-                "feed-bound" => {
-                    let n: usize = parse(parts.next().ok_or("usage: store feed-bound <n>")?)?;
-                    server.store().set_feed_bound(n);
-                    println!(
-                        "change feeds capped at {} undrained deltas \
-                         (oldest pairs squash past it; folds stay exact)",
-                        server.store().feed_bound()
-                    );
-                    Ok(())
-                }
                 "row-samples" => {
                     let n: u32 = parse(parts.next().ok_or("usage: store row-samples <n>")?)?;
                     let registry = server.subscription_registry();
@@ -764,7 +752,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             let name = parts.next().ok_or("usage: watch <name> [polls] [ms]")?;
             // This local REPL is single-threaded, so no mutation can land
             // while watch sleeps — the default is a single drain, and
-            // multi-poll runs merely demo the feed cadence. In connected
+            // multi-poll runs merely demo the pull cadence. In connected
             // mode (`unn-cli connect`), watch instead blocks on the
             // socket and wakes when the server pushes a delta.
             let polls: usize = match parts.next() {

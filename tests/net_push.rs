@@ -12,7 +12,8 @@ use std::time::Duration;
 use uncertain_nn::core::answer::AnswerSet;
 use uncertain_nn::core::probrows::ProbRowSet;
 use uncertain_nn::modb::net::{NetClient, NetServer, NetServerConfig, WireOutput};
-use uncertain_nn::modb::subscription::SubAnswer;
+use uncertain_nn::modb::store::DEFAULT_FEED_BOUND;
+use uncertain_nn::modb::subscription::{DeltaSink, SubAnswer, SubDelta};
 use uncertain_nn::modb::{PrefilterPolicy, QueryPlanner};
 use uncertain_nn::prelude::*;
 use unn_traj::uncertain::common_pdf_kind;
@@ -96,6 +97,22 @@ fn subscribe_stmt(subscriber: &mut NetClient, stmt: &str, name: &str) -> (SubAns
     subscriber.subscription_answer(name).expect("answer fetch")
 }
 
+/// An in-process observer of `name`'s deltas: a sink attached after
+/// the subscriber's registration returns and before the first write, so
+/// it records exactly the deltas pushed to the subscriber.
+fn observe(server: &ModServer, name: &str) -> Arc<DeltaSink> {
+    let sink = Arc::new(DeltaSink::bounded(DEFAULT_FEED_BOUND));
+    assert!(server.subscription_registry().attach_sink(name, &sink));
+    sink
+}
+
+/// The deltas queued in `sink`, oldest first.
+fn drain(sink: &DeltaSink) -> Vec<SubDelta> {
+    std::iter::from_fn(|| sink.try_recv())
+        .map(|event| event.delta)
+        .collect()
+}
+
 /// Registers the interval standing query (the original test surface).
 fn subscribe(subscriber: &mut NetClient) -> (SubAnswer, u64) {
     subscribe_stmt(subscriber, REGISTER, "pushed")
@@ -160,6 +177,7 @@ fn pushed_deltas_fold_to_fresh_evaluation() {
     let mut subscriber = NetClient::connect(addr).expect("subscriber connects");
     let subscribe_base = subscribe(&mut subscriber);
     let (mut folded, mut folded_epoch) = subscribe_base.clone();
+    let observer = observe(&server, "pushed");
 
     let mut writer_a = NetClient::connect(addr).expect("writer A connects");
     let mut writer_b = NetClient::connect(addr).expect("writer B connects");
@@ -185,7 +203,7 @@ fn pushed_deltas_fold_to_fresh_evaluation() {
 
     // Ground truth and termination point, read server-side: the
     // maintained answer, and the epoch of the last *emitted* delta (the
-    // untouched pull feed records exactly the deltas that were pushed;
+    // observer sink records exactly the deltas that were pushed;
     // trailing skipped commits advance the watermark without emitting).
     let (target, target_epoch) = server
         .subscription_answer_with_epoch("pushed")
@@ -195,8 +213,8 @@ fn pushed_deltas_fold_to_fresh_evaluation() {
     // share (it used to be proof-skipped, which advanced the
     // watermark). Resync stays sound — nothing was pushed after it.
     assert!(target_epoch <= server.store().epoch());
-    let pull_deltas = server.poll_subscription("pushed").expect("pull feed");
-    let last_emitted = pull_deltas.last().expect("deltas were emitted").epoch();
+    let observed = drain(&observer);
+    let last_emitted = observed.last().expect("deltas were emitted").epoch();
     let lagged = fold_until(
         &mut subscriber,
         &mut folded,
@@ -207,10 +225,10 @@ fn pushed_deltas_fold_to_fresh_evaluation() {
     // The folded pushed deltas equal a fresh exhaustive evaluation…
     assert_eq!(folded, target);
     assert_eq!(folded, SubAnswer::Intervals(fresh_answer(&server)));
-    // …and the pull feed (same deltas, pull transport) folds identically.
-    let (pull_base, _) = subscribe_base.clone();
-    let pull_folded = pull_deltas.iter().fold(pull_base, |acc, d| acc.apply(d));
-    assert_eq!(pull_folded, folded);
+    // …and the observer (same deltas, in-process sink) folds identically.
+    let (observer_base, _) = subscribe_base.clone();
+    let observer_folded = observed.iter().fold(observer_base, |acc, d| acc.apply(d));
+    assert_eq!(observer_folded, folded);
     // No further events are in flight (far churn pushed nothing).
     assert!(subscriber
         .next_event(Some(Duration::from_millis(200)))
@@ -246,6 +264,7 @@ fn lagged_stream_resyncs_bit_identically() {
 
     let mut subscriber = NetClient::connect(addr).expect("subscriber connects");
     let (mut folded, mut folded_epoch) = subscribe(&mut subscriber);
+    let observer = observe(&server, "pushed");
 
     // A rapid burst of answer-changing commits: the pusher is paced at
     // 40 ms/event with a 1-event outbox, so consecutive deltas *must*
@@ -259,9 +278,7 @@ fn lagged_stream_resyncs_bit_identically() {
     let (target, _) = server
         .subscription_answer_with_epoch("pushed")
         .expect("server-side answer");
-    let last_emitted = server
-        .poll_subscription("pushed")
-        .expect("pull feed")
+    let last_emitted = drain(&observer)
         .last()
         .expect("deltas were emitted")
         .epoch();
@@ -345,6 +362,7 @@ fn row_subscription_deltas_fold_to_fresh_evaluation() {
     let (mut rev, mut rev_epoch) = subscribe_stmt(&mut subscriber, REGISTER_RNN, "rev");
     assert!(hot.as_rows().is_some(), "threshold subs answer with rows");
     assert!(rev.as_rows().is_some(), "reverse subs answer with rows");
+    let observers = [observe(&server, "hot"), observe(&server, "rev")];
 
     let mut writer = NetClient::connect(addr).expect("writer connects");
     writer.insert(straight(10, 0.4)).expect("insert");
@@ -361,13 +379,11 @@ fn row_subscription_deltas_fold_to_fresh_evaluation() {
         ("rev", &mut rev, &mut rev_epoch),
     ];
     let mut targets = Vec::new();
-    for (name, _, folded_epoch) in slots.iter() {
+    for ((name, _, folded_epoch), observer) in slots.iter().zip(&observers) {
         let (target, _) = server
             .subscription_answer_with_epoch(name)
             .expect("server-side answer");
-        let last_emitted = server
-            .poll_subscription(name)
-            .expect("pull feed")
+        let last_emitted = drain(observer)
             .last()
             .map(|d| d.epoch())
             .unwrap_or(**folded_epoch);
@@ -430,6 +446,7 @@ fn lagged_row_stream_resyncs_bit_identically() {
 
     let mut subscriber = NetClient::connect(addr).expect("subscriber connects");
     let (mut folded, mut folded_epoch) = subscribe_stmt(&mut subscriber, REGISTER_THRESHOLD, "hot");
+    let observer = observe(&server, "hot");
 
     let mut writer = NetClient::connect(addr).expect("writer connects");
     for k in 0..8u64 {
@@ -440,9 +457,7 @@ fn lagged_row_stream_resyncs_bit_identically() {
     let (target, _) = server
         .subscription_answer_with_epoch("hot")
         .expect("server-side answer");
-    let last_emitted = server
-        .poll_subscription("hot")
-        .expect("pull feed")
+    let last_emitted = drain(&observer)
         .last()
         .expect("deltas were emitted")
         .epoch();
