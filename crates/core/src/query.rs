@@ -478,10 +478,12 @@ impl QueryEngine {
     /// incremental answer maintenance — are views over this object.
     /// Computed once per engine; later calls clone the memo.
     pub fn answer_set(&self) -> AnswerSet {
-        self.memoised_answer().clone()
+        self.answer().clone()
     }
 
-    fn memoised_answer(&self) -> &AnswerSet {
+    /// [`QueryEngine::answer_set`] by reference: the memo itself,
+    /// computed on the first call.
+    pub fn answer(&self) -> &AnswerSet {
         self.answer.get_or_init(|| {
             let entries = self
                 .kept
@@ -539,7 +541,7 @@ impl QueryEngine {
         // probabilistic semantics additionally require non-zero
         // probability at the instant, i.e. membership in the band.
         let mut entries = Vec::new();
-        for e in self.memoised_answer().entries() {
+        for e in self.answer().entries() {
             if let Some(spans) = spans.remove(&e.oid) {
                 let intervals = IntervalSet::from_intervals(spans).intersect(&e.intervals);
                 entries.push(AnswerEntry {
@@ -560,7 +562,7 @@ impl QueryEngine {
     /// `UQ32(∀t)`: objects with non-zero probability throughout.
     pub fn uq32_all(&self) -> Vec<Oid> {
         let tol = 1e-7 * self.window.len().max(1.0);
-        self.memoised_answer()
+        self.answer()
             .entries()
             .iter()
             .filter(|e| e.intervals.covers_interval(self.window, tol))
@@ -571,7 +573,7 @@ impl QueryEngine {
     /// `UQ33(X%)`: objects with non-zero probability at least `x` of the
     /// window, with their fractions.
     pub fn uq33_all(&self, x: f64) -> Vec<(Oid, f64)> {
-        self.memoised_answer()
+        self.answer()
             .entries()
             .iter()
             .map(|e| (e.oid, e.fraction(self.window)))

@@ -10,14 +10,17 @@
 //!
 //! ## Invalidation contract
 //!
-//! * An entry stamped `e` is a hit for lookups at epoch `e`, the epoch
-//!   of the caller's snapshot.
+//! * An entry stamped `e` is a hit for lookups at epoch `e`, the store
+//!   epoch the caller read before looking up.
 //! * A forward engine built under a band-bounded policy
 //!   (`PrefilterPolicy::allows_carry`) keeps the [`ForwardProof`] of the
 //!   query trajectory it was built from, as a subscription share does.
 //!   At a newer epoch, the entry is *carried* — stamped and served —
 //!   when [`ForwardProof::ops_unaffected`] holds for the ops logged since
 //!   its epoch; a failed proof or a truncated log rebuilds.
+//! * [`EngineCache::lookup`] serves hits and carries and never builds —
+//!   the network event loop answers hot reads through it;
+//!   [`EngineCache::get_or_build`] is that lookup plus a build.
 //! * Entries without a proof (reverse/hetero engines, exhaustive-policy
 //!   forwards) never carry; a stale one is dropped at the next insert.
 //! * A build never replaces a newer entry of its shape; at capacity the
@@ -79,7 +82,8 @@ pub enum CachedEngine {
     Hetero(Arc<HeteroEngine>),
 }
 
-/// How [`EngineCache::get_or_build`] served a lookup.
+/// How [`EngineCache::lookup`] or [`EngineCache::get_or_build`] served
+/// a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
     /// The shape's entry was current.
@@ -115,12 +119,44 @@ impl EngineCache {
         }
     }
 
-    /// The engine of `key`'s shape at `epoch`: the current entry, an
-    /// older one carried by its proof against `store`'s delta log, or
-    /// the result of `build` (an engine plus, when it may carry, its
-    /// proof). The proof check and the build run outside the cache lock:
-    /// concurrent misses on one shape may build twice, and the first
-    /// stored copy stays.
+    /// The engine of `key`'s shape at `epoch` without building: the
+    /// current entry ([`Lookup::Hit`]), or an older one its proof
+    /// carries across the ops `store`'s delta log holds since the
+    /// entry's epoch ([`Lookup::Carried`], the carried entry installed).
+    /// `None` when neither holds — no entry, no proof, a failed proof, or
+    /// an entry older than the log's floor. The proof walks at most the
+    /// log's retained records and runs outside the cache lock.
+    pub fn lookup(
+        &self,
+        store: &ModStore,
+        key: EngineKey,
+        epoch: u64,
+    ) -> Option<(CachedEngine, Lookup)> {
+        let (built, engine, proof) = match self.inner.lock().unwrap().get(&key) {
+            Some(e) if e.epoch == epoch => return Some((e.engine.clone(), Lookup::Hit)),
+            Some(e) if e.epoch < epoch => (e.epoch, e.engine.clone(), e.proof.clone()?),
+            _ => return None,
+        };
+        let unaffected = store.with_ops_since(built, |ops| {
+            ops.is_some_and(|ops| proof.ops_unaffected(ops))
+        });
+        if !unaffected {
+            return None;
+        }
+        let entry = Entry {
+            epoch,
+            engine: engine.clone(),
+            proof: Some(proof),
+        };
+        self.install(key, entry);
+        Some((engine, Lookup::Carried))
+    }
+
+    /// The engine of `key`'s shape at `epoch`: [`EngineCache::lookup`]'s,
+    /// or else the result of `build` (an engine plus, when it may carry,
+    /// its proof). The build runs outside the cache lock: concurrent
+    /// misses on one shape may build twice, and the first stored copy
+    /// stays.
     pub fn get_or_build<E>(
         &self,
         store: &ModStore,
@@ -128,32 +164,17 @@ impl EngineCache {
         epoch: u64,
         build: impl FnOnce() -> Result<(CachedEngine, Option<ForwardProof>), E>,
     ) -> Result<(CachedEngine, Lookup), E> {
-        let stale = match self.inner.lock().unwrap().get(&key) {
-            Some(e) if e.epoch == epoch => return Ok((e.engine.clone(), Lookup::Hit)),
-            Some(e) if e.epoch < epoch => e.proof.clone().map(|p| (e.epoch, e.engine.clone(), p)),
-            _ => None,
-        };
-        let unaffected = |built, proof: &ForwardProof| {
-            store.with_ops_since(built, |ops| {
-                ops.is_some_and(|ops| proof.ops_unaffected(ops))
-            })
-        };
-        let (engine, proof, lookup) = match stale {
-            Some((built, engine, proof)) if unaffected(built, &proof) => {
-                (engine, Some(proof), Lookup::Carried)
-            }
-            _ => {
-                let (engine, proof) = build()?;
-                (engine, proof.map(Arc::new), Lookup::Miss)
-            }
-        };
+        if let Some(found) = self.lookup(store, key, epoch) {
+            return Ok(found);
+        }
+        let (engine, proof) = build()?;
         let entry = Entry {
             epoch,
             engine: engine.clone(),
-            proof,
+            proof: proof.map(Arc::new),
         };
         self.install(key, entry);
-        Ok((engine, lookup))
+        Ok((engine, Lookup::Miss))
     }
 
     /// Stores `entry` as its shape's newest engine, dropping every stale
@@ -341,6 +362,27 @@ mod tests {
         assert_eq!(lookup(&cache, &store, exhaustive, false), Lookup::Miss);
         store.insert(parked(8, 1_000.0)).unwrap();
         assert_eq!(lookup(&cache, &store, exhaustive, false), Lookup::Miss);
+    }
+
+    #[test]
+    fn lookup_serves_hits_and_carries_and_never_builds() {
+        let (cache, store) = (EngineCache::with_capacity(8), store());
+        let k = key(EngineKind::Forward, 0);
+        assert!(cache.lookup(&store, k, store.epoch()).is_none());
+        assert_eq!(lookup(&cache, &store, k, true), Lookup::Miss);
+        let how = |cache: &EngineCache| cache.lookup(&store, k, store.epoch()).map(|(_, how)| how);
+        assert_eq!(how(&cache), Some(Lookup::Hit));
+        store.insert(parked(7, 1_000.0)).unwrap();
+        assert_eq!(how(&cache), Some(Lookup::Carried));
+        assert_eq!(how(&cache), Some(Lookup::Hit), "the carry was installed");
+        // An op inside the band fails the proof: a miss, nothing built.
+        store.insert(parked(8, 4.9)).unwrap();
+        assert_eq!(how(&cache), None);
+        assert_eq!(cache.entries(), 1);
+        // A log that no longer reaches the entry's epoch is a miss too.
+        assert_eq!(lookup(&cache, &store, k, true), Lookup::Miss);
+        store.clear();
+        assert_eq!(how(&cache), None);
     }
 
     #[test]

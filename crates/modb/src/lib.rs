@@ -138,12 +138,14 @@
 //! [`net`] fronts the engine with a std-only framed TCP protocol
 //! (`unn-cli connect <addr>` is the stock client; `docs/WIRE.md`
 //! specifies the byte layout). One event-loop thread multiplexes every
-//! connection over nonblocking sockets and `poll(2)`; statements execute
-//! on a small worker pool. `REGISTER CONTINUOUS` over a connection
-//! additionally attaches that connection's bounded outbox
-//! ([`subscription::DeltaSink`]) to the new subscription — and `WATCH
-//! name` attaches to an existing one — so every commit's answer delta is
-//! **pushed** as a wire event the moment maintenance emits it:
+//! connection over nonblocking sockets and `poll(2)`, commits writes and
+//! answers hot reads (a `SELECT` whose engine is cached or carries);
+//! other statements execute on a small worker pool. `REGISTER
+//! CONTINUOUS` over a connection additionally attaches that
+//! connection's bounded outbox ([`subscription::DeltaSink`]) to the new
+//! subscription — and `WATCH name` attaches to an existing one — so
+//! every commit's answer delta is **pushed** as a wire event the moment
+//! maintenance emits it:
 //!
 //! ```text
 //! conn A ──Insert──▶ commit (epoch e) ──▶ SubscriptionRegistry::sync

@@ -13,14 +13,31 @@
 //!   the event loop multiplexes on (std-only, no mio);
 //! * [`server`] — the multiplexed [`NetServer`] wrapping a
 //!   [`crate::server::ModServer`]: one event-loop thread owns every
-//!   connection via nonblocking sockets and `poll(2)` and commits the
-//!   writes, a small worker pool executes query-language statements and
-//!   the maintenance rounds that visit a share, and each connection's
+//!   connection via nonblocking sockets and `poll(2)`, commits the
+//!   writes, parses every statement and answers the hot reads (a
+//!   `SELECT` whose engine is cached or carries), a small worker pool
+//!   executes the statements that need an engine build or more and the
+//!   maintenance rounds that visit a share, and each connection's
 //!   bounded [`crate::subscription::DeltaSink`] outbox receives answer
 //!   deltas as commits land — serialized **once** per delta and shared
 //!   across every subscriber of the same name as an `Arc<[u8]>`;
 //! * [`client`] — the blocking [`NetClient`] behind `unn-cli connect`,
 //!   the loopback tests, and the push-fan-out bench.
+//!
+//! ## Request routing
+//!
+//! ```text
+//! Request ─▶ event loop ─┬─ write, idle round ─────── commit + ack
+//!                        ├─ Statement: parse ─┬─ parse error ─ answer
+//!                        │                    ├─ hot read ──── lookup,
+//!                        │                    │   (hit/carry)  render,
+//!                        │                    │                encode
+//!                        │                    └─ else ─┐
+//!                        └─ anything else ─────────────┴─▶ worker pool
+//! ```
+//!
+//! Anything of a connection already on the pool sends its later
+//! requests there too, so one connection's responses keep request order.
 //!
 //! ## Push lifecycle
 //!

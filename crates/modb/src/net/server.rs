@@ -21,18 +21,27 @@
 //! and its due checkpoint installed. The loop takes no share core lock
 //! and runs no climb, snapshot rebuild or checkpoint.
 //!
-//! Statements and `SubscriptionAnswer` requests run on a small worker
-//! pool; `FOLLOW` runs on the loop. Requests from one connection always
-//! route to the same worker, and while a connection has a job on the
-//! pool its later requests, writes included, follow it there — so
-//! responses on one connection keep request order. Completed responses
-//! come back through a completion queue and a [`super::poll::Waker`]
-//! nudge. Subscription maintenance wakes the loop the same way via each
-//! outbox's [`DeltaSink::set_wake_hook`].
+//! Every `Statement` request is parsed on the loop. A parse error is
+//! answered there, and so is a hot read: a forward `PROB_NN` `SELECT`
+//! with threshold 0 and no `RANK` whose engine the cache holds at the
+//! store's epoch or carries to it ([`ModServer::execute_cached`]: one
+//! lookup, a render from the engine's memoised answer, an encode). The
+//! loop never plans or builds an engine. Every other statement — a
+//! miss, `RANK`, a threshold, `PROB_RNN`, the standing-query verbs —
+//! reaches a small worker pool already parsed, as do `SubscriptionAnswer`
+//! requests; `FOLLOW` runs on the loop. Requests from one connection
+//! always route to the same worker, and while a connection has a job on
+//! the pool its later requests, writes, hot reads and parse errors
+//! included, follow it there — so responses on one connection keep
+//! request order. Completed responses come back through a completion
+//! queue and a [`super::poll::Waker`] nudge. Subscription maintenance
+//! wakes the loop the same way via each outbox's
+//! [`DeltaSink::set_wake_hook`].
 //!
 //! ```text
 //! poll ─▶ accept / readable / writable
-//!   │  readable: buffer → frames ─┬─ idle write: commit + ack ──────┐
+//!   │  readable: buffer → frames ─┬─ idle write: commit + ack ───────┐
+//!   │                             ├─ parse error, hot read: answer ──┤
 //!   │                             └─ worker pool ─▶ Response bytes ┐ │
 //!   │  outbox drain: FeedEvent → cached Arc<[u8]> ─▶ out queue ◀───┼─┘
 //!   └──────────────── waker ◀── completions ◀──────────────────────┘
@@ -73,6 +82,8 @@
 
 use crate::delta::ReplOp;
 use crate::durability::{FollowerFeed, ReplicationHub};
+use crate::ql::ast::Statement;
+use crate::ql::parser::{parse_statement, ParseError};
 use crate::server::{ModServer, QueryOutput, ServerError};
 use crate::store::{Maintenance, ModStore};
 use crate::subscription::{DeltaSink, FeedEvent, SubAnswer, SubDelta, SubscriptionError};
@@ -156,8 +167,15 @@ struct Job {
 /// What a worker does for one request before it answers.
 #[derive(Debug)]
 enum Work {
-    /// Execute the request whole.
+    /// Execute the request whole: a write behind earlier pool work, or
+    /// a `SubscriptionAnswer`.
     Request(WireRequest),
+    /// A statement the loop parsed but did not answer: execute it, or
+    /// answer its parse error in its turn. The text only renders errors.
+    Statement {
+        parsed: Result<Statement, ParseError>,
+        text: String,
+    },
     /// The loop committed the write; run the maintenance it owes, then
     /// ack it.
     Maintain(Maintenance),
@@ -165,6 +183,10 @@ enum Work {
 
 /// A running framed-TCP MOD service. Bind with [`NetServer::bind`],
 /// stop with [`NetServer::shutdown`] (dropping shuts down too).
+///
+/// Its event loop commits writes and answers parse errors and hot reads
+/// (`SELECT`s whose engine is cached or carries); a worker pool runs
+/// everything that needs more (see the module docs).
 ///
 /// # Example
 ///
@@ -440,7 +462,13 @@ fn spawn_workers(shared: &Arc<Shared>) -> WorkerPool {
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
                     let result = match job.work {
-                        Work::Request(body) => handle_request(&shared, &job.sink, body),
+                        Work::Request(body) => handle_request(&shared, body),
+                        Work::Statement { parsed, text } => match parsed {
+                            Ok(statement) => {
+                                execute_statement(&shared.server, statement, &text, &job.sink)
+                            }
+                            Err(pe) => Err(pe.render(&text)),
+                        },
                         Work::Maintain(maintenance) => {
                             maintenance.run(shared.server.store());
                             Ok(WireOutput::Done)
@@ -716,10 +744,27 @@ fn on_frame(
             body: WireRequest::Follow { from_epoch },
         } => handle_follow(conn, id, from_epoch, shared),
         Frame::Request { id, body } => {
-            // A write with nothing ahead of it on the pool commits here.
-            let store = shared.server.store();
+            // With nothing of this connection ahead of it on the pool, a
+            // write commits here, and a statement that needs no engine
+            // build — a parse error, a hot read — is answered here.
+            let server = &shared.server;
+            let store = server.store();
             let ahead = conn.on_pool > 0;
+            let reply = |conn: &mut Conn, result| conn.queue_frame(&Frame::Response { id, result });
             let work = match body {
+                WireRequest::Statement(text) => {
+                    let parsed = parse_statement(&text);
+                    match &parsed {
+                        Err(pe) if !ahead => return reply(conn, Err(pe.render(&text))),
+                        Ok(Statement::Select(query)) if !ahead => {
+                            if let Some(out) = server.execute_cached(query) {
+                                return reply(conn, Ok(convert_output(out)));
+                            }
+                        }
+                        _ => {}
+                    }
+                    Ok(Work::Statement { parsed, text })
+                }
                 WireRequest::Insert(tr) if !ahead => store.commit_insert(tr).map(Work::Maintain),
                 WireRequest::Update(tr) if !ahead => Ok(Work::Maintain(store.commit_update(tr).1)),
                 WireRequest::Remove(oid) if !ahead => store
@@ -728,18 +773,10 @@ fn on_frame(
                 body => Ok(Work::Request(body)),
             };
             let work = match work {
-                Err(refused) => {
-                    return conn.queue_frame(&Frame::Response {
-                        id,
-                        result: Err(refused.to_string()),
-                    })
-                }
+                Err(refused) => return reply(conn, Err(refused.to_string())),
                 Ok(Work::Maintain(maintenance)) if maintenance.is_idle() => {
                     maintenance.run(store);
-                    return conn.queue_frame(&Frame::Response {
-                        id,
-                        result: Ok(WireOutput::Done),
-                    });
+                    return reply(conn, Ok(WireOutput::Done));
                 }
                 Ok(work) => work,
             };
@@ -886,30 +923,36 @@ fn poll_timeout(conns: &HashMap<u64, Conn>, now: Instant, pacing: Duration) -> i
     }
 }
 
-/// Executes one request against the wrapped [`ModServer`]. A successful
-/// `REGISTER CONTINUOUS` additionally attaches this connection's outbox
-/// to the new subscription (and `WATCH` attaches it to an existing
-/// one), turning its deltas into pushed frames.
-fn handle_request(
-    shared: &Shared,
+/// Executes a parsed statement against the wrapped [`ModServer`]. A
+/// successful `REGISTER CONTINUOUS` additionally attaches this
+/// connection's outbox to the new subscription (and `WATCH` attaches it
+/// to an existing one), turning its deltas into pushed frames. `text`
+/// renders the errors that point into the statement.
+fn execute_statement(
+    server: &ModServer,
+    statement: Statement,
+    text: &str,
     sink: &Arc<DeltaSink>,
-    body: WireRequest,
 ) -> Result<WireOutput, String> {
+    // The sink rides along so `REGISTER CONTINUOUS` attaches it
+    // atomically with the registration — a commit landing right after
+    // the registry insert already pushes to this connection.
+    match server.execute_statement(statement, Some(sink)) {
+        Ok(out) => Ok(convert_output(out)),
+        // Registration refusals carrying a span render their caret
+        // against the statement, like parse errors do.
+        Err(ServerError::Subscription(se @ SubscriptionError::Unsupported { .. })) => {
+            Err(se.render(text))
+        }
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// Executes one non-statement request against the wrapped
+/// [`ModServer`].
+fn handle_request(shared: &Shared, body: WireRequest) -> Result<WireOutput, String> {
     let server = &shared.server;
     match body {
-        // The sink rides along so `REGISTER CONTINUOUS` attaches it
-        // atomically with the registration — a commit landing right
-        // after the registry insert already pushes to this connection.
-        WireRequest::Statement(stmt) => match server.execute_with_sink(&stmt, Some(sink)) {
-            Ok(out) => Ok(convert_output(out)),
-            Err(ServerError::Parse(pe)) => Err(pe.render(&stmt)),
-            // Registration refusals carrying a span render their caret
-            // against the statement, like parse errors do.
-            Err(ServerError::Subscription(se @ SubscriptionError::Unsupported { .. })) => {
-                Err(se.render(&stmt))
-            }
-            Err(e) => Err(e.to_string()),
-        },
         WireRequest::Insert(tr) => server
             .register(tr)
             .map(|()| WireOutput::Done)
@@ -939,9 +982,11 @@ fn handle_request(
                 })
                 .ok_or_else(|| format!("no subscription named '{name}'"))
         }
-        // Intercepted by `on_frame` before dispatch; unreachable via a
-        // conforming client, but the match stays exhaustive.
-        WireRequest::Follow { .. } => Err("FOLLOW is handled on the event loop".to_string()),
+        // `on_frame` parses every statement and answers every `FOLLOW`
+        // itself; neither reaches a worker as a request.
+        WireRequest::Statement(_) | WireRequest::Follow { .. } => {
+            Err("handled on the event loop".to_string())
+        }
     }
 }
 

@@ -171,6 +171,38 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
+/// The keywords, matched without regard to ASCII case.
+static KEYWORDS: [(&str, TokenKind); 28] = [
+    ("SELECT", TokenKind::Select),
+    ("FROM", TokenKind::From),
+    ("MOD", TokenKind::Mod),
+    ("WHERE", TokenKind::Where),
+    ("EXISTS", TokenKind::Exists),
+    ("FORALL", TokenKind::Forall),
+    ("ATLEAST", TokenKind::AtLeast),
+    ("AT", TokenKind::At),
+    ("OF", TokenKind::Of),
+    ("TIME", TokenKind::Time),
+    ("IN", TokenKind::In),
+    ("AND", TokenKind::And),
+    ("RANK", TokenKind::Rank),
+    ("PROB_NN", TokenKind::ProbNn),
+    ("PROBABILITYNN", TokenKind::ProbNn),
+    ("PROB_RNN", TokenKind::ProbRnn),
+    ("PROBABILITYRNN", TokenKind::ProbRnn),
+    ("REGISTER", TokenKind::Register),
+    ("CONTINUOUS", TokenKind::Continuous),
+    ("AS", TokenKind::As),
+    ("UNREGISTER", TokenKind::Unregister),
+    ("SHOW", TokenKind::Show),
+    ("SUBSCRIPTIONS", TokenKind::Subscriptions),
+    ("WATCH", TokenKind::Watch),
+    ("METRICS", TokenKind::Metrics),
+    ("TRACE", TokenKind::Trace),
+    ("EPOCH", TokenKind::Epoch),
+    ("PREFIX", TokenKind::Prefix),
+];
+
 /// Tokenizes a query string.
 pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
     let bytes = src.as_bytes();
@@ -261,35 +293,13 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                     }
                 }
                 let text = &src[start..i];
-                match text.to_ascii_uppercase().as_str() {
-                    "SELECT" => TokenKind::Select,
-                    "FROM" => TokenKind::From,
-                    "MOD" => TokenKind::Mod,
-                    "WHERE" => TokenKind::Where,
-                    "EXISTS" => TokenKind::Exists,
-                    "FORALL" => TokenKind::Forall,
-                    "ATLEAST" => TokenKind::AtLeast,
-                    "AT" => TokenKind::At,
-                    "OF" => TokenKind::Of,
-                    "TIME" => TokenKind::Time,
-                    "IN" => TokenKind::In,
-                    "AND" => TokenKind::And,
-                    "RANK" => TokenKind::Rank,
-                    "PROB_NN" | "PROBABILITYNN" => TokenKind::ProbNn,
-                    "PROB_RNN" | "PROBABILITYRNN" => TokenKind::ProbRnn,
-                    "REGISTER" => TokenKind::Register,
-                    "CONTINUOUS" => TokenKind::Continuous,
-                    "AS" => TokenKind::As,
-                    "UNREGISTER" => TokenKind::Unregister,
-                    "SHOW" => TokenKind::Show,
-                    "SUBSCRIPTIONS" => TokenKind::Subscriptions,
-                    "WATCH" => TokenKind::Watch,
-                    "METRICS" => TokenKind::Metrics,
-                    "TRACE" => TokenKind::Trace,
-                    "EPOCH" => TokenKind::Epoch,
-                    "PREFIX" => TokenKind::Prefix,
-                    _ => TokenKind::Ident(text.to_string()),
-                }
+                KEYWORDS
+                    .iter()
+                    .find(|(keyword, _)| keyword.eq_ignore_ascii_case(text))
+                    .map_or_else(
+                        || TokenKind::Ident(text.to_string()),
+                        |(_, kind)| kind.clone(),
+                    )
             }
             other => {
                 return Err(LexError {

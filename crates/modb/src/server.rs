@@ -20,7 +20,7 @@ use unn_core::ipac::IpacTree;
 use unn_core::query::QueryEngine;
 use unn_core::reverse::ReverseNnEngine;
 use unn_core::topk::KnnAnswer;
-use unn_geom::interval::TimeInterval;
+use unn_geom::interval::{IntervalSet, TimeInterval};
 use unn_traj::difference::DifferenceError;
 use unn_traj::trajectory::Oid;
 use unn_traj::uncertain::{common_pdf_kind, UncertainTrajectory};
@@ -288,19 +288,20 @@ impl ModServer {
         policy: PrefilterPolicy,
     ) -> Result<(Arc<QueryEngine>, ExecutionStats), ServerError> {
         let t0 = Instant::now();
-        // The cache key depends only on the snapshot epoch, not on the
-        // prefilter's output, so planning (validation + prefilter) runs
-        // inside the build closure: a cache hit skips it entirely. A hit
-        // is sound without re-validating — the same key implies the same
-        // snapshot, query, and window that validated when the entry was
-        // built. Only engines whose answers are band-bounded carry a
-        // proof (see [`PrefilterPolicy::allows_carry`]).
-        let snapshot = self.store.snapshot();
+        // The cache key depends only on the store epoch, so planning
+        // (snapshot, validation, prefilter) runs inside the build
+        // closure: a hit or a carry reads no snapshot. A hit is sound
+        // without re-validating — the same key implies the same query and
+        // window that validated when the entry was built. A commit racing
+        // the build leaves the entry stamped with the older epoch, which
+        // only makes its next carry check more ops. Only engines whose
+        // answers are band-bounded carry a proof (see
+        // [`PrefilterPolicy::allows_carry`]).
         let key = EngineKey::new(EngineKind::Forward, query_oid, window, policy.tag());
         let (CachedEngine::Forward(engine), cache_hit) =
-            self.cached(key, snapshot.epoch(), || {
+            self.cached(key, self.store.epoch(), || {
                 let plan = QueryPlanner::new(policy)
-                    .plan(Arc::clone(&snapshot), query_oid, window)
+                    .plan(self.store.snapshot(), query_oid, window)
                     .map_err(ServerError::from)?;
                 let engine = plan.build_engine().map_err(ServerError::Window)?;
                 let proof = policy
@@ -312,7 +313,7 @@ impl ModServer {
             unreachable!("a forward key holds a forward engine")
         };
         let stats = ExecutionStats {
-            candidates: snapshot.len().saturating_sub(1),
+            candidates: self.store.len().saturating_sub(1),
             prefiltered: engine.functions().len(),
             kept: engine.stats().kept,
             envelope_pieces: engine.envelope().len(),
@@ -333,6 +334,12 @@ impl ModServer {
         build: impl FnOnce() -> Result<(CachedEngine, Option<ForwardProof>), ServerError>,
     ) -> Result<(CachedEngine, bool), ServerError> {
         let (engine, lookup) = self.cache.get_or_build(&self.store, key, epoch, build)?;
+        self.count_lookup(lookup);
+        Ok((engine, lookup != Lookup::Miss))
+    }
+
+    /// Counts one engine-cache lookup in the store's telemetry.
+    fn count_lookup(&self, lookup: Lookup) {
         let telemetry = self.store.telemetry();
         match lookup {
             Lookup::Hit => telemetry.cache_hits.inc(),
@@ -342,7 +349,6 @@ impl ModServer {
             }
             Lookup::Miss => telemetry.cache_misses.inc(),
         }
-        Ok((engine, lookup != Lookup::Miss))
     }
 
     /// Runs the continuous (crisp) NN query of §1, returning the
@@ -374,23 +380,23 @@ impl ModServer {
     /// §4 query or one of the standing-query verbs (`REGISTER
     /// CONTINUOUS … AS name`, `UNREGISTER name`, `SHOW SUBSCRIPTIONS`).
     pub fn execute(&self, statement: &str) -> Result<QueryOutput, ServerError> {
-        self.execute_with_sink(statement, None)
+        self.execute_statement(parse_statement(statement)?, None)
     }
 
-    /// [`ModServer::execute`] with a push outbox for `REGISTER
-    /// CONTINUOUS` statements: the sink is attached **atomically** with
-    /// the registration (under the registry shard lock), so no commit
-    /// can emit a delta between the subscription going live and the
-    /// connection starting to receive pushes. This is the entry point
-    /// the network layer uses; other statements ignore the sink.
-    /// Without a sink, a registration gets a pull sink that
+    /// Executes a parsed statement, with a push outbox for `REGISTER
+    /// CONTINUOUS` statements. `REGISTER CONTINUOUS` attaches `sink`
+    /// **atomically** with the registration (under the registry shard
+    /// lock), so no commit can emit a delta between the subscription
+    /// going live and the connection starting to receive pushes. This is
+    /// the entry point the network layer uses; other statements ignore
+    /// the sink. Without a sink, a registration gets a pull sink that
     /// [`ModServer::poll_subscription`] drains.
-    pub fn execute_with_sink(
+    pub fn execute_statement(
         &self,
-        statement: &str,
+        statement: Statement,
         sink: Option<&Arc<DeltaSink>>,
     ) -> Result<QueryOutput, ServerError> {
-        match parse_statement(statement)? {
+        match statement {
             Statement::Select(query) => self.execute_parsed(&query),
             Statement::Register { name, query } => self
                 .register_standing(&name, query, sink)
@@ -645,9 +651,7 @@ impl ModServer {
 
     /// Executes an already-parsed query.
     pub fn execute_parsed(&self, query: &Query) -> Result<QueryOutput, ServerError> {
-        let q_oid = self.resolve(&query.query_object)?;
-        let window = TimeInterval::try_new(query.window.0, query.window.1)
-            .ok_or(ServerError::Window(DifferenceError::DegenerateWindow))?;
+        let (q_oid, window) = self.resolve_select(query)?;
         if query.predicate == PredicateKind::Rnn {
             return self.execute_reverse(query, q_oid, window);
         }
@@ -655,6 +659,71 @@ impl ModServer {
         if query.prob_threshold > 0.0 {
             return self.execute_threshold(query, &engine);
         }
+        self.render(query, window, &engine)
+    }
+
+    /// Answers `query` from the engine cache alone, never building: a
+    /// forward `PROB_NN` query with threshold 0 and no `RANK` whose
+    /// objects resolve, whose window is valid, and whose engine is
+    /// cached at the store's epoch or carries to it — counted as a hit
+    /// (and a carry) exactly as [`ModServer::execute_parsed`] counts it.
+    /// `None`, with nothing counted, when the statement needs
+    /// [`ModServer::execute_parsed`]: a build, another shape, or an
+    /// error. It plans nothing, evaluates no kernel and reads no
+    /// snapshot; a carry walks at most the delta log's retained records.
+    /// The network event loop answers hot reads through it.
+    pub fn execute_cached(&self, query: &Query) -> Option<QueryOutput> {
+        if query.predicate != PredicateKind::Nn
+            || query.prob_threshold > 0.0
+            || query.rank.is_some()
+        {
+            return None;
+        }
+        let (q_oid, window) = self.resolve_select(query).ok()?;
+        if let Target::One(name) = &query.target {
+            // A target naming the query object is an error, which the
+            // full execution reports.
+            if self.resolve(name).ok()? == q_oid {
+                return None;
+            }
+        }
+        let key = EngineKey::new(
+            EngineKind::Forward,
+            q_oid,
+            window,
+            self.planner.policy().tag(),
+        );
+        let (CachedEngine::Forward(engine), lookup) =
+            self.cache.lookup(&self.store, key, self.store.epoch())?
+        else {
+            unreachable!("a forward key holds a forward engine")
+        };
+        self.count_lookup(lookup);
+        // Fails only when a concurrent commit removed the target since
+        // the check above; the caller then executes it in full.
+        self.render(query, window, &engine).ok()
+    }
+
+    /// The query object and window of a `SELECT`, validated.
+    fn resolve_select(&self, query: &Query) -> Result<(Oid, TimeInterval), ServerError> {
+        let q_oid = self.resolve(&query.query_object)?;
+        let window = TimeInterval::try_new(query.window.0, query.window.1)
+            .ok_or(ServerError::Window(DifferenceError::DegenerateWindow))?;
+        Ok((q_oid, window))
+    }
+
+    /// Renders a forward `PROB_NN` query with threshold 0 from its
+    /// engine: the quantifier over one target, or over every object with
+    /// each row's fraction of the statement's `window`. Whole-MOD rows
+    /// read the engine's memoised [`unn_core::answer::AnswerSet`] by
+    /// reference.
+    fn render(
+        &self,
+        query: &Query,
+        window: TimeInterval,
+        engine: &QueryEngine,
+    ) -> Result<QueryOutput, ServerError> {
+        let q_oid = engine.query();
         match &query.target {
             Target::One(name) => {
                 let oid = self.resolve(name)?;
@@ -688,16 +757,17 @@ impl ModServer {
                     .ok_or_else(|| ServerError::UnknownObject(name.clone()))
             }
             Target::All => {
+                let fraction = |iv: &IntervalSet| iv.total_len() / window.len();
+                let entries = engine.answer().entries();
                 let out: Vec<(Oid, f64)> = match (&query.quantifier, query.rank) {
-                    (Quantifier::Exists, None) => engine
-                        .uq31_all()
-                        .into_iter()
-                        .map(|(o, iv)| (o, iv.total_len() / window.len()))
+                    (Quantifier::Exists, None) => entries
+                        .iter()
+                        .map(|e| (e.oid, fraction(&e.intervals)))
                         .collect(),
                     (Quantifier::Exists, Some(k)) => engine
                         .uq41_all(k)
                         .into_iter()
-                        .map(|(o, iv)| (o, iv.total_len() / window.len()))
+                        .map(|(o, iv)| (o, fraction(&iv)))
                         .collect(),
                     (Quantifier::Forall, None) => {
                         engine.uq32_all().into_iter().map(|o| (o, 1.0)).collect()
@@ -707,17 +777,16 @@ impl ModServer {
                     }
                     (Quantifier::AtLeast(x), None) => engine.uq33_all(*x),
                     (Quantifier::AtLeast(x), Some(k)) => engine.uq43_all(k, *x),
-                    (Quantifier::At(t), None) => engine
-                        .uq31_all()
-                        .into_iter()
-                        .filter(|(_, iv)| iv.covers(*t))
-                        .map(|(o, iv)| (o, iv.total_len() / window.len()))
+                    (Quantifier::At(t), None) => entries
+                        .iter()
+                        .filter(|e| e.intervals.covers(*t))
+                        .map(|e| (e.oid, fraction(&e.intervals)))
                         .collect(),
                     (Quantifier::At(t), Some(k)) => engine
                         .uq41_all(k)
                         .into_iter()
                         .filter(|(_, iv)| iv.covers(*t))
-                        .map(|(o, iv)| (o, iv.total_len() / window.len()))
+                        .map(|(o, iv)| (o, fraction(&iv)))
                         .collect(),
                 };
                 Ok(QueryOutput::Objects(out))
@@ -1473,7 +1542,8 @@ mod tests {
         s.subscribe("pulled", NEAR).unwrap();
         let push = Arc::new(DeltaSink::bounded(64));
         let stmt = format!("REGISTER CONTINUOUS {NEAR} AS pushed");
-        s.execute_with_sink(&stmt, Some(&push)).unwrap();
+        s.execute_statement(parse_statement(&stmt).unwrap(), Some(&push))
+            .unwrap();
         let base = s.subscription_answer("pulled").unwrap();
         assert_eq!(s.subscription_answer("pushed").unwrap(), base);
         s.register(tr(7, &[(0.0, 1.5, 0.0), (10.0, 1.5, 10.0)]))
@@ -1498,7 +1568,8 @@ mod tests {
         let s = server();
         let push = Arc::new(DeltaSink::bounded(8));
         let stmt = format!("REGISTER CONTINUOUS {NEAR} AS pushed");
-        s.execute_with_sink(&stmt, Some(&push)).unwrap();
+        s.execute_statement(parse_statement(&stmt).unwrap(), Some(&push))
+            .unwrap();
         let err = s.poll_subscription("pushed").unwrap_err();
         assert!(
             matches!(

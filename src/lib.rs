@@ -86,8 +86,9 @@
 //! protocol — the serving shape of a real trajectory service (byte
 //! layout in `docs/WIRE.md`). A [`modb::net::NetServer`] wraps the
 //! [`modb::server::ModServer`] with one `poll(2)`-multiplexed event
-//! loop owning every connection and a small worker pool executing
-//! statements; the [`modb::net::NetClient`] behind `unn-cli connect
+//! loop owning every connection (it commits writes and answers hot
+//! reads) and a small worker pool executing the statements that need an
+//! engine build; the [`modb::net::NetClient`] behind `unn-cli connect
 //! <addr>` executes statements and mutations remotely. The continuous
 //! queries become genuinely *continuous* over the wire:
 //!

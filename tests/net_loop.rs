@@ -3,7 +3,9 @@
 //! event loop, one that owes a share visit or a checkpoint is finished
 //! on the connection's worker — and either way an ack means the
 //! commit's round is counted and its due checkpoint installed, and one
-//! connection's responses arrive in request order.
+//! connection's responses arrive in request order. A `SELECT` whose
+//! engine is cached or carries is answered on the loop too: with the
+//! same bits and the same cache counters as in-process execution.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -12,6 +14,7 @@ use std::time::{Duration, Instant};
 use uncertain_nn::modb::durability::{open_store, WalOptions};
 use uncertain_nn::modb::net::wire::{encode_frame_bytes, read_frame};
 use uncertain_nn::modb::net::{Frame, NetClient, NetServer, WireOutput, WireRequest, WIRE_VERSION};
+use uncertain_nn::modb::ql::parse_statement;
 use uncertain_nn::modb::subscription::SubscriptionStats;
 use uncertain_nn::prelude::*;
 
@@ -228,4 +231,217 @@ fn an_ack_follows_its_due_checkpoint() {
     client.close().unwrap();
     net.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The whole-MOD `EXISTS` query on `Tr0`.
+const HOT: &str = "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr0, TIME) > 0";
+
+/// The engine cache's `[hits, carried, misses]` counters.
+fn cache_counts(server: &ModServer) -> [u64; 3] {
+    let snap = server.metrics_snapshot(Some("cache_"));
+    [
+        "cache_hits_total",
+        "cache_carried_total",
+        "cache_misses_total",
+    ]
+    .map(|name| {
+        snap.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    })
+}
+
+/// A `SELECT` answer with every fraction as its bits.
+#[derive(Debug, PartialEq)]
+enum Bits {
+    Boolean(bool),
+    Rows(Vec<(Oid, u64)>),
+}
+
+fn row_bits(rows: Vec<(Oid, f64)>) -> Bits {
+    Bits::Rows(rows.into_iter().map(|(o, f)| (o, f.to_bits())).collect())
+}
+
+fn wire_bits(out: WireOutput) -> Bits {
+    match out {
+        WireOutput::Boolean(b) => Bits::Boolean(b),
+        WireOutput::Objects(rows) => row_bits(rows),
+        other => panic!("not a SELECT answer: {other:?}"),
+    }
+}
+
+fn local_bits(out: QueryOutput) -> Bits {
+    match out {
+        QueryOutput::Boolean(b) => Bits::Boolean(b),
+        QueryOutput::Objects(rows) => row_bits(rows),
+        other => panic!("not a SELECT answer: {other:?}"),
+    }
+}
+
+/// Every quantifier over every object and over one object — an answer
+/// object in the band and the far one the prefilter drops — answered
+/// on the loop at a hit and after a far write (a carry), each equal to
+/// `ModServer::execute`'s on a mirror given the same writes, bit for
+/// bit.
+#[test]
+fn loop_answers_equal_in_process_execution_bit_for_bit() {
+    let server = crowded_server(20);
+    let mirror = crowded_server(20);
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server)).expect("binds");
+    let mut client = NetClient::connect(net.local_addr()).expect("connects");
+    let mut statements = Vec::new();
+    for quantifier in ["EXISTS", "FORALL", "ATLEAST 0.5 OF", "AT 30"] {
+        for target in ["*", "Tr3", "Tr900"] {
+            statements.push(format!(
+                "SELECT {target} FROM MOD WHERE {quantifier} TIME IN [0, 60] \
+                 AND PROB_NN({target}, Tr0, TIME) > 0"
+            ));
+        }
+    }
+    // One engine serves them all; the first read builds it on a worker.
+    client.execute(&statements[0]).expect("builds");
+    for carry in [false, true] {
+        if carry {
+            client.update(far_update(1)).expect("far update");
+            mirror.store().update(far_update(1));
+        }
+        let before = cache_counts(&server);
+        for statement in &statements {
+            let wire = wire_bits(client.execute(statement).expect("answers"));
+            let local = local_bits(mirror.execute(statement).expect("executes"));
+            assert_eq!(wire, local, "carry {carry}: {statement}");
+        }
+        let after = cache_counts(&server);
+        let n = statements.len() as u64;
+        assert_eq!(
+            after,
+            [before[0] + n, before[1] + u64::from(carry), before[2]],
+            "carry {carry}"
+        );
+    }
+    client.close().unwrap();
+    net.shutdown();
+}
+
+/// One step of the cache-counter script.
+enum Step {
+    Read,
+    Write(UncertainTrajectory),
+}
+
+/// Miss, hit, far write, carry, a near write that fails the carry
+/// proof, miss — run over the wire and in process: the cache counters
+/// end equal.
+#[test]
+fn loop_hits_count_like_in_process_execution() {
+    let script = [
+        Step::Read,
+        Step::Read,
+        Step::Write(far_update(1)),
+        Step::Read,
+        Step::Write(near_update(1)),
+        Step::Read,
+    ];
+    let wired = crowded_server(20);
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&wired)).expect("binds");
+    let mut client = NetClient::connect(net.local_addr()).expect("connects");
+    let local = crowded_server(20);
+    for step in &script {
+        match step {
+            Step::Read => {
+                client.execute(HOT).expect("answers over the wire");
+                local.execute(HOT).expect("executes");
+            }
+            Step::Write(tr) => {
+                client.update(tr.clone()).expect("update over the wire");
+                local.store().update(tr.clone());
+            }
+        }
+    }
+    assert_eq!(cache_counts(&local), [2, 1, 2]);
+    assert_eq!(cache_counts(&wired), cache_counts(&local));
+    client.close().unwrap();
+    net.shutdown();
+}
+
+/// A hot `SELECT` and a statement that fails to parse, pipelined behind
+/// a `REGISTER` of a threshold share on one connection: neither is
+/// answered ahead of the registration, which runs on a worker.
+#[test]
+fn a_hot_select_behind_its_connections_pool_job_waits_for_it() {
+    let server = crowded_server(40);
+    server.execute(HOT).expect("warms the engine");
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server)).expect("binds");
+    let mut stream = raw_connection(&net);
+    let bogus = "SELECT * FROM MOD WHERE SOMETIMES";
+    let requests = [
+        "REGISTER CONTINUOUS SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] \
+         AND PROB_NN(*, Tr0, TIME) > 0.3 AS rows"
+            .to_string(),
+        HOT.to_string(),
+        bogus.to_string(),
+    ];
+    let mut bytes = Vec::new();
+    for (id, statement) in (1..).zip(requests) {
+        let body = WireRequest::Statement(statement);
+        bytes.extend_from_slice(&encode_frame_bytes(&Frame::Request { id, body }).unwrap());
+    }
+    let before = cache_counts(&server);
+    stream.write_all(&bytes).unwrap();
+    let mut answered = Vec::new();
+    while answered.len() < 3 {
+        match read_frame(&mut stream).expect("response") {
+            Frame::Response { id, result } => answered.push((id, result)),
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    let ids: Vec<u64> = answered.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, [1, 2, 3]);
+    assert!(
+        matches!(&answered[0].1, Ok(WireOutput::Registered(info)) if info.name == "rows"),
+        "{:?}",
+        answered[0]
+    );
+    assert!(
+        matches!(answered[1].1, Ok(WireOutput::Objects(_))),
+        "{:?}",
+        answered[1]
+    );
+    let caret = parse_statement(bogus).unwrap_err().render(bogus);
+    assert_eq!(answered[2].1, Err(caret));
+    let after = cache_counts(&server);
+    assert_eq!(after, [before[0] + 1, before[1], before[2]], "one hit");
+    net.shutdown();
+}
+
+/// A statement that fails to parse is answered on the loop with the
+/// caret rendering the worker gave it: the error line, the statement,
+/// and a caret under the offending token.
+#[test]
+fn a_parse_error_over_the_wire_renders_its_caret() {
+    let server = crowded_server(2);
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server)).expect("binds");
+    let mut client = NetClient::connect(net.local_addr()).expect("connects");
+    for bogus in [
+        "SELECT * FROM MOD WHERE SOMETIMES",
+        "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr0, TIME) >",
+        "SELEKT * FROM MOD",
+    ] {
+        let caret = parse_statement(bogus).unwrap_err().render(bogus);
+        assert!(caret.contains(bogus) && caret.contains('^'), "{caret}");
+        match client.execute(bogus) {
+            Err(uncertain_nn::modb::net::NetError::Server(message)) => {
+                assert_eq!(message, caret)
+            }
+            other => panic!("{bogus}: expected a server error, got {other:?}"),
+        }
+    }
+    // The connection stays usable.
+    assert!(matches!(
+        client.execute(HOT).expect("answers"),
+        WireOutput::Objects(_)
+    ));
+    client.close().unwrap();
+    net.shutdown();
 }
