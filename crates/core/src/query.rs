@@ -216,6 +216,34 @@ impl QueryEngine {
         })
     }
 
+    /// `true` when adding the candidate `f` (built against this engine's
+    /// query and window, and owning none of its functions) provably
+    /// changes none of its banded answers: `f` stays strictly above the
+    /// envelope — [`QueryEngine::carry_envelope`]'s proof, so the envelope
+    /// and every other candidate's band status carry — and never enters
+    /// the `4r` band, so it would be pruned and own no interval. With
+    /// `columns = Some((samples, band))` it must also stay outside the
+    /// gather band `LE(t) + band` at each of the `samples` probes, so it
+    /// would join no probability column either. This is the band test a
+    /// patch runs on the function, without the patch.
+    pub fn admits_unchanged(&self, f: &DistanceFunction, columns: Option<(u32, f64)>) -> bool {
+        if crate::band::enters_band(f, &self.envelope, self.band_delta())
+            || crate::band::band_clearance(f, &self.envelope) <= 0.0
+        {
+            return false;
+        }
+        let Some((samples, band)) = columns else {
+            return true;
+        };
+        (0..samples).all(|k| {
+            let t = probe_time(self.window, samples, k);
+            match (self.envelope.eval(t), f.eval(t)) {
+                (Some(le), Some(d)) => d > le + band,
+                _ => true,
+            }
+        })
+    }
+
     /// Owners of the candidates surviving the `4r`-band pruning — the
     /// only objects that can ever hold non-zero NN probability (and
     /// therefore the only possible probability-row owners).

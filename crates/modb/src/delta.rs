@@ -288,12 +288,39 @@ fn envelope_max(engine: &QueryEngine) -> f64 {
 /// depend on, derived once from the engine and the query trajectory it
 /// was built from, so a *burst* of far commits costs one derivation.
 ///
-/// The derivation — candidate-id set, envelope maximum, query corridor
-/// box — is `O(|candidates| + |envelope|)`; checking one op against a
-/// built proof is `O(log |candidates|)` (removal) or one box distance
-/// (insertion). The subscription layer and the
-/// [`crate::cache::EngineCache`] keep one next to each engine and drop
-/// it with the engine, which is exactly when any input can change.
+/// The derivation — candidate-id set, band-survivor set, envelope
+/// maximum, query corridor box — is `O(|candidates| + |envelope|)`. A
+/// commit is cleared in up to two stages:
+///
+/// 1. **The box stage** (`O(1)` per op): a removal is cleared by the id
+///    sets, an insertion when its whole-domain expected-position box
+///    stays further from the query corridor than `max_t LE₁(t) + 4r`.
+///    [`ForwardProof::guard_box`] is this stage's region, and the
+///    subscription index publishes it.
+/// 2. **The exact stage** ([`ForwardProof::ops_unaffected_exact`]), only
+///    for an insertion the box refuses: the caller builds the newcomer's
+///    distance function and runs the band test a patch would run on it
+///    (`QueryEngine::admits_unchanged`) — cleared iff the patch would
+///    leave the newcomer out of every answer.
+///
+/// Which removals clear depends on what the consumer's answer reads:
+///
+/// * [`ForwardProof::ops_unaffected`] — box stage, removals of the
+///   query or of any candidate refused. The
+///   [`crate::cache::EngineCache`] carries one-shot engines with it,
+///   and `RANK k` standing queries skip with it (their k-level answers
+///   read candidates outside the band).
+/// * [`ForwardProof::ops_unaffected_rows`] — box stage, only removals of
+///   the query or of a band survivor refused. A reverse standing query
+///   carries its perspectives with it.
+/// * [`ForwardProof::ops_unaffected_exact`] — both stages under the
+///   band-survivor removal rule: the skip rung of the banded forward
+///   standing queries (`PROB_NN(…) > 0` without `RANK`, and
+///   threshold rows).
+///
+/// The subscription layer and the [`crate::cache::EngineCache`] keep one
+/// next to each engine and drop it with the engine, which is exactly
+/// when any input can change.
 #[derive(Debug, Clone)]
 pub struct ForwardProof {
     query: Oid,
@@ -332,21 +359,42 @@ impl ForwardProof {
     /// than `max_t LE₁(t) + 4r`, so it never enters the `4r` band nor
     /// lowers the envelope.
     pub fn ops_unaffected(&self, ops: &[&DeltaRecord]) -> bool {
-        self.check(ops, &self.candidates)
+        self.check(ops, &self.candidates, |_| false)
     }
 
-    /// The sharper obligation for **band-bounded row** consumers (the
-    /// sampled probability rows of threshold/RNN standing queries, and
-    /// in particular the per-perspective carry of a reverse engine,
-    /// whose exhaustive build makes *every* object a candidate): a
-    /// removal is additionally safe when the removed object, though a
-    /// candidate, never survived the `4r`-band pruning — it never
-    /// realized the envelope (an envelope owner is always in its own
-    /// band) and never joined any probe column's joint evaluation, so
-    /// an engine rebuilt without it produces bit-identical rows and
-    /// banded answers.
+    /// The sharper obligation for **band-bounded** consumers (banded
+    /// interval answers, the sampled probability rows of threshold/RNN
+    /// standing queries, and in particular the per-perspective carry of
+    /// a reverse engine, whose exhaustive build makes *every* object a
+    /// candidate): a removal is additionally safe when the removed
+    /// object, though a candidate, never survived the `4r`-band pruning
+    /// — it never realized the envelope (an envelope owner is always in
+    /// its own band) and never joined any probe column's joint
+    /// evaluation, so an engine rebuilt without it produces
+    /// bit-identical rows and banded answers.
     pub fn ops_unaffected_rows(&self, ops: &[&DeltaRecord]) -> bool {
-        self.check(ops, &self.kept)
+        self.check(ops, &self.kept, |_| false)
+    }
+
+    /// [`ForwardProof::ops_unaffected_rows`] with the exact stage behind
+    /// the box: an insertion the box refuses is cleared when
+    /// `admits(tr)` holds — the caller's exact band test of the
+    /// newcomer's distance function against the proved engine
+    /// (`QueryEngine::admits_unchanged`). Sound exactly when `admits`
+    /// holds only for a newcomer a patch would leave out of every answer
+    /// and every probe column.
+    pub fn ops_unaffected_exact(
+        &self,
+        ops: &[&DeltaRecord],
+        admits: impl FnMut(&UncertainTrajectory) -> bool,
+    ) -> bool {
+        self.check(ops, &self.kept, admits)
+    }
+
+    /// `true` when `oid` owns one of the proved engine's difference
+    /// functions.
+    pub fn is_candidate(&self, oid: Oid) -> bool {
+        self.candidates.contains(&oid)
     }
 
     /// The spatial guard region of the insertion obligation, projected
@@ -354,11 +402,11 @@ impl ForwardProof {
     /// corridor box inflated by the reach. An inserted trajectory whose
     /// equally-flattened whole-domain box does not intersect this region
     /// has a per-axis gap above the reach, hence a Euclidean gap above
-    /// it too — exactly what [`ForwardProof::ops_unaffected`] requires
-    /// of a safe insertion. The converse does not hold (a diagonal miss
-    /// can still overlap the box), so an index over these boxes
-    /// over-approximates the affected subscriptions: lookups are
-    /// conservative, skips stay proven.
+    /// it too — exactly what the box stage requires of a safe
+    /// insertion. The converse does not hold (a diagonal miss can still
+    /// overlap the box), so an index over these boxes over-approximates
+    /// the affected subscriptions: lookups are conservative, skips stay
+    /// proven.
     pub fn guard_box(&self) -> Aabb3 {
         let b = self.qbox.inflate_xy(self.reach);
         Aabb3 {
@@ -367,23 +415,22 @@ impl ForwardProof {
         }
     }
 
-    /// The ids whose removal the proof cannot clear: the engine's
-    /// candidates plus the query object itself. This guards the
-    /// interval obligation ([`ForwardProof::ops_unaffected`]); the row
-    /// obligation's guard (`kept`) is a subset, so an index keyed on
-    /// these ids over-approximates both — a removal hitting none of
-    /// them is safe for every consumer of this engine.
-    pub fn guarded_oids(&self) -> impl Iterator<Item = Oid> + '_ {
-        self.candidates
-            .iter()
-            .copied()
-            .chain(std::iter::once(self.query))
+    /// The ids whose removal the proof cannot clear, plus the query
+    /// object itself: the engine's candidates under the candidate rule
+    /// ([`ForwardProof::ops_unaffected`]), its band survivors when
+    /// `banded` (the rule of [`ForwardProof::ops_unaffected_rows`] and
+    /// [`ForwardProof::ops_unaffected_exact`]). A removal hitting none
+    /// of them is safe for that consumer.
+    pub fn guarded_oids(&self, banded: bool) -> impl Iterator<Item = Oid> + '_ {
+        let ids = if banded { &self.kept } else { &self.candidates };
+        ids.iter().copied().chain(std::iter::once(self.query))
     }
 
     fn check(
         &self,
         ops: &[&DeltaRecord],
         removable_guard: &std::collections::BTreeSet<Oid>,
+        mut admits: impl FnMut(&UncertainTrajectory) -> bool,
     ) -> bool {
         for rec in ops {
             match &rec.op {
@@ -401,7 +448,7 @@ impl ForwardProof {
                     // both the envelope and the band are defined over
                     // *expected* positions (§3), which is what the boxes
                     // bound.
-                    if gap <= self.reach {
+                    if gap <= self.reach && !admits(tr) {
                         return false;
                     }
                 }

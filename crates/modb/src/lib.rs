@@ -111,12 +111,15 @@
 //! ```text
 //!  REGISTER CONTINUOUS …
 //!   ├── PROB_NN(…) > 0 [RANK k]  ──▶ AnswerSet (banded intervals)
-//!   │     skip:   ForwardProof::ops_unaffected (candidate set)
+//!   │     skip:   ForwardProof::ops_unaffected_exact (band survivors,
+//!   │             the patch's band test on refused insertions);
+//!   │             RANK k: ForwardProof::ops_unaffected (candidate set)
 //!   │     patch:  reuse functions + carry_envelope
 //!   │             + answer_set_reusing (touched intervals only)
 //!   ├── PROB_NN(…) > p, p > 0    ──▶ ProbRowSet (sampled P^NN rows;
 //!   │                                 one share for every p)
-//!   │     skip:   ForwardProof::ops_unaffected_rows (band survivors)
+//!   │     skip:   ForwardProof::ops_unaffected_exact (band survivors,
+//!   │             band test and probe columns on refused insertions)
 //!   │     patch:  reuse functions + carry_envelope
 //!   │             + prob_row_set_reusing_kernel (dirty columns only)
 //!   └── PROB_RNN(…) > p          ──▶ ProbRowSet (one row/perspective)

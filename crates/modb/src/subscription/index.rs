@@ -20,8 +20,10 @@ pub(super) struct GuardEntry {
     /// grid. `None` while the share is always-visit (reverse kinds,
     /// parked shares, no derivable proof).
     gbox: Option<Aabb3>,
-    /// The removal guard: `ForwardProof::guarded_oids`, linked into the
-    /// inverted oid map. Empty while always-visit.
+    /// The removal guard: `ForwardProof::guarded_oids` (band survivors
+    /// for banded shares, every candidate for `RANK` shares) and the
+    /// query, linked into the inverted oid map. Empty while
+    /// always-visit.
     oids: Vec<Oid>,
 }
 
@@ -120,8 +122,10 @@ impl GuardGrid {
 /// subscription side of the paper's spatio-temporal filter, inverted.
 /// Each share's [`ForwardProof`] publishes a guard here: the query
 /// corridor box inflated by the envelope-max reach (spatial insertion
-/// guard, kept in the grid keyed by share id) and the candidate/query
-/// ids (removal guard, kept in an inverted oid map). A maintenance
+/// guard, kept in the grid keyed by share id) and the ids whose removal
+/// its skip rung refuses (removal guard, kept in an inverted oid map).
+/// The box is coarse: a share it hits may still be cleared at its visit
+/// by the skip rung's exact stage. A maintenance
 /// round then looks up only the shares a commit's ops can possibly
 /// affect — an op hitting neither a guard box nor a guarded id
 /// satisfies the respective [`ForwardProof`] obligation for every

@@ -58,6 +58,11 @@ pub(super) struct ShareCore {
     /// snapshot, sound because only provably untouched perspectives are
     /// ever proven against).
     pub(super) rev_proofs: HashMap<Oid, ForwardProof>,
+    /// Candidates of `engine` whose updates or removals the skip rung
+    /// absorbed since the engine was built: their functions in `engine`
+    /// may be stale, so the next patch builds them afresh. Emptied by
+    /// every patch and every rebuild.
+    pub(super) absorbed: BTreeSet<Oid>,
     /// The column kernel of the MOD's shared location model, by kind
     /// (row subscriptions only). Kept across commits, so from a probe
     /// column's second evaluation on it remembers that column's
@@ -76,6 +81,10 @@ pub(super) struct ShareCore {
     /// Maintenance counters of the *share* — the work one maintenance
     /// round does regardless of how many subscribers ride it.
     pub(super) stats: SubscriptionStats,
+    /// Patches whose answer diff emitted no delta (not part of the wire
+    /// stats block; the registry folds its movement into
+    /// `subs_ladder_patched_quiet_total`).
+    pub(super) quiet_patches: u64,
 }
 
 impl ShareCore {
@@ -95,11 +104,13 @@ impl ShareCore {
             query_tr: None,
             proof: None,
             rev_proofs: HashMap::new(),
+            absorbed: BTreeSet::new(),
             kernel: None,
             answer: empty_answer_of(key.kind, key.oid, window, key.samples),
             slots: Vec::new(),
             error: None,
             stats: SubscriptionStats::default(),
+            quiet_patches: 0,
         }
     }
 
@@ -127,17 +138,29 @@ impl ShareCore {
         }
     }
 
-    /// Installs a freshly evaluated answer, emitting its delta. The
-    /// carried preprocessing (`engine` / `rev` / `query_tr` / proofs) is
+    /// Installs a freshly evaluated answer, emitting its delta; `false`
+    /// when the answer did not change (nothing emitted). The carried
+    /// preprocessing (`engine` / `rev` / `query_tr` / proofs) is
     /// assigned by the caller beforehand.
-    fn commit_answer(&mut self, answer: SubAnswer, epoch: u64) {
+    fn commit_answer(&mut self, answer: SubAnswer, epoch: u64) -> bool {
         let delta = self.answer.diff_to(&answer, epoch);
-        if !delta.is_empty() {
+        let emitted = !delta.is_empty();
+        if emitted {
             self.broadcast(delta);
         }
         self.answer = answer;
         self.error = None;
         self.last_epoch = epoch;
+        emitted
+    }
+
+    /// [`Self::commit_answer`] for a patch: counts the patch, and counts
+    /// it quiet when it emitted nothing.
+    fn commit_patch(&mut self, answer: SubAnswer, epoch: u64) {
+        self.stats.patched += 1;
+        if !self.commit_answer(answer, epoch) {
+            self.quiet_patches += 1;
+        }
     }
 
     /// Parks the subscription on an evaluation error: the answer empties
@@ -154,6 +177,7 @@ impl ShareCore {
         self.query_tr = None;
         self.proof = None;
         self.rev_proofs.clear();
+        self.absorbed.clear();
         self.error = Some(message);
         self.last_epoch = epoch;
     }
@@ -327,7 +351,11 @@ impl SubscriptionRegistry {
         now: u64,
         delta: &LoggedDelta,
     ) {
-        let changed = &delta.changed;
+        // A candidate is fresh when this delta touched it, or when an
+        // earlier skip absorbed a change to it: the carried engine may
+        // still hold its old function either way.
+        let absorbed = std::mem::take(&mut sub.absorbed);
+        let is_fresh = |oid: Oid| delta.changed.contains(&oid) || absorbed.contains(&oid);
         let plan =
             match QueryPlanner::new(sub.policy).plan(Arc::clone(snapshot), sub.oid, sub.window) {
                 Ok(plan) => plan,
@@ -350,7 +378,7 @@ impl SubscriptionRegistry {
         let (mut reused, mut built) = (0u64, 0u64);
         for tr in plan.candidate_trajectories() {
             let oid = tr.oid();
-            if !changed.contains(&oid) {
+            if !is_fresh(oid) {
                 if let Some(f) = old_fns.get(&oid) {
                     fs.push((*f).clone());
                     reused += 1;
@@ -385,7 +413,6 @@ impl SubscriptionRegistry {
         // recompute only the touched candidates' intervals / dirty probe
         // columns; otherwise rebuild envelope and answer over the merged
         // function set.
-        let is_fresh = |oid: Oid| changed.contains(&oid);
         let (engine, answer) = match old.carry_envelope(fs, plan.radius(), &is_fresh) {
             Ok(engine) => {
                 let answer = match (&sub.kind, &sub.answer) {
@@ -436,13 +463,12 @@ impl SubscriptionRegistry {
                 (engine, answer)
             }
         };
-        sub.stats.patched += 1;
         sub.stats.functions_reused += reused;
         sub.stats.functions_built += built;
         sub.engine = Some(engine);
         sub.query_tr = Some(query_tr);
         sub.proof = None;
-        sub.commit_answer(answer, now);
+        sub.commit_patch(answer, now);
     }
 
     /// The per-perspective incremental re-eval of a reverse
@@ -451,6 +477,12 @@ impl SubscriptionRegistry {
     /// row obligation) carries its envelope *and* its sampled row
     /// wholesale; only touched, new, or unprovable perspectives pay the
     /// per-perspective difference + envelope build and re-sampling.
+    /// Perspectives are carried or rebuilt whole, never from carried
+    /// functions: a carried engine may hold the old function of a
+    /// non-survivor whose change its proof cleared, but nothing reads
+    /// it — the envelope and the band survivors are proven current, and
+    /// a perspective that is not carried is built from every trajectory
+    /// afresh.
     fn patch_reverse(
         sub: &mut ShareCore,
         store: &ModStore,
@@ -518,11 +550,10 @@ impl SubscriptionRegistry {
         };
         let (rows, recomputed) =
             rev.prob_row_set_reusing_kernel(&kernel, prev, &|oid| carried.contains(&oid));
-        sub.stats.patched += 1;
         sub.stats.perspectives_skipped += carried.len() as u64;
         sub.stats.rows_patched += recomputed as u64;
         sub.rev = Some(Arc::new(rev));
-        sub.commit_answer(SubAnswer::Rows(rows), now);
+        sub.commit_patch(SubAnswer::Rows(rows), now);
     }
 
     /// Evaluates `sub`'s standing query from scratch against `snapshot`
@@ -534,6 +565,7 @@ impl SubscriptionRegistry {
         snapshot: &Arc<QuerySnapshot>,
     ) -> Result<(), String> {
         let epoch = snapshot.epoch();
+        sub.absorbed.clear();
         match sub.kind {
             SubKind::Intervals { rank } => {
                 let (engine, query_tr, answer) =
@@ -622,9 +654,15 @@ fn changed_ids(ops: &[DeltaRecord]) -> BTreeSet<Oid> {
 /// The skip rung: `true` iff the share's carried engine provably cannot
 /// be touched by `delta` (the watermark and skip counters are then
 /// advanced). The per-engine [`ForwardProof`] is derived on first use and
-/// cached until the engine is replaced. Row subscriptions check the
-/// sharper band-survivor obligation
-/// ([`ForwardProof::ops_unaffected_rows`]).
+/// cached until the engine is replaced. `RANK` shares check the
+/// candidate rule ([`ForwardProof::ops_unaffected`]); the banded shares
+/// — intervals without `RANK`, and threshold rows — check the
+/// band-survivor rule with the exact stage behind the box
+/// ([`ForwardProof::ops_unaffected_exact`]): an insertion the box
+/// refuses is cleared iff its distance function passes the band test a
+/// patch would run on it, so a skipped commit is one the patch would
+/// have left unchanged. The candidates a skip absorbs are recorded, so
+/// the next patch does not reuse their old functions.
 fn skip_proven(sub: &mut ShareCore, delta: &LoggedDelta, now: u64) -> bool {
     if delta.changed.contains(&sub.oid) {
         return false;
@@ -636,15 +674,27 @@ fn skip_proven(sub: &mut ShareCore, delta: &LoggedDelta, now: u64) -> bool {
         .proof
         .get_or_insert_with(|| ForwardProof::derive(engine, query_tr));
     let ops: Vec<&DeltaRecord> = delta.ops.iter().collect();
-    let unaffected = if sub.kind == SubKind::ForwardRows {
-        proof.ops_unaffected_rows(&ops)
-    } else {
-        proof.ops_unaffected(&ops)
+    let unaffected = match (sub.kind, &sub.kernel) {
+        (SubKind::Intervals { rank: Some(_) }, _) => proof.ops_unaffected(&ops),
+        (SubKind::Intervals { rank: None }, _) | (SubKind::ForwardRows, Some(_)) => {
+            let columns = sub.kernel.as_ref().map(|(_, k)| (sub.samples, k.band()));
+            proof.ops_unaffected_exact(&ops, |tr| {
+                CandidateSet::build(query_tr, std::iter::once(tr.trajectory()), &sub.window)
+                    .is_ok_and(|set| {
+                        set.functions()
+                            .iter()
+                            .all(|f| engine.admits_unchanged(f, columns))
+                    })
+            })
+        }
+        _ => proof.ops_unaffected_rows(&ops),
     };
     if unaffected {
         sub.stats.skipped += 1;
         sub.stats.skipped_ops += ops.len() as u64;
         sub.last_epoch = now;
+        let absorbed = delta.changed.iter().filter(|&&oid| proof.is_candidate(oid));
+        sub.absorbed.extend(absorbed);
     }
     unaffected
 }

@@ -34,10 +34,17 @@
 //!    (candidate set, band survivors, envelope maximum, query corridor
 //!    box) are derived **once per carried engine** and cached, so a
 //!    burst of `M` far commits costs one proof-bound derivation plus `M`
-//!    box checks — not `M` envelope scans. Row subscriptions use the
-//!    sharper [`crate::delta::ForwardProof::ops_unaffected_rows`]
-//!    obligation (a removal of a candidate that never survived band
-//!    pruning cannot have joined any probe column).
+//!    box checks — not `M` envelope scans. The banded shares (intervals
+//!    without `RANK`, threshold rows) clear the removal of a candidate
+//!    that never survived band pruning, and an insertion the box
+//!    refuses is cleared when its distance function passes the band
+//!    test the patch would run on it
+//!    ([`crate::delta::ForwardProof::ops_unaffected_exact`]): an
+//!    insertion is skipped exactly when a patch would leave the
+//!    newcomer out of every answer and probe column. A skip
+//!    that absorbs a change to a candidate records its id, and the next
+//!    patch builds that candidate's function afresh instead of reusing
+//!    the carried one.
 //! 2. **Patch** — the prefilter re-runs against the patched snapshot and
 //!    the engine is rebuilt *reusing every unchanged candidate's
 //!    difference function* from the carried engine. For interval answers

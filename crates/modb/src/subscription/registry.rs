@@ -27,6 +27,10 @@ use unn_traj::trajectory::Oid;
 /// sharding so maintenance fan-out matches ingest fan-out).
 const REGISTRY_SHARDS: usize = 16;
 
+/// A share's counters as a visit found them: its stats and its
+/// quiet-patch count (`ShareCore::quiet_patches`).
+type Counted = (SubscriptionStats, u64);
+
 /// Which maintenance ladder a subscription runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(super) enum SubKind {
@@ -760,10 +764,10 @@ impl SubscriptionRegistry {
         // Phase 1 — cheap pass: settle every visited share it can,
         // sharing the ops fetch and changed-id set per watermark.
         let mut shared = SharedOps::new();
-        let mut heavy: Vec<(u64, Arc<SharedSub>, Option<SubscriptionStats>)> = Vec::new();
+        let mut heavy: Vec<(u64, Arc<SharedSub>, Option<Counted>)> = Vec::new();
         for (id, share) in &visit {
             let mut core = share.core.lock().unwrap();
-            let before = stats_on.then(|| core.stats);
+            let before = stats_on.then(|| (core.stats, core.quiet_patches));
             // Fold the completed rounds the index pruned between
             // visits. Completed rounds that visited this share already
             // absorbed themselves, so the gap is exactly the prunes.
@@ -771,7 +775,7 @@ impl SubscriptionRegistry {
             if Self::settle(&mut core, store, now, &mut shared) {
                 self.publish_guard(*id, &mut core, store, &mut None);
                 if let Some(before) = before {
-                    Self::record_visit(store, *id, now, &before, &core.stats);
+                    Self::record_visit(store, *id, now, &before, &core);
                 }
             } else {
                 heavy.push((*id, Arc::clone(share), before));
@@ -787,7 +791,7 @@ impl SubscriptionRegistry {
         // and shared by every worker; shares fan out across scoped
         // threads on multi-core hosts.
         let snapshot = store.snapshot();
-        let climb_share = |entry: &(u64, Arc<SharedSub>, Option<SubscriptionStats>)| {
+        let climb_share = |entry: &(u64, Arc<SharedSub>, Option<Counted>)| {
             let (id, share, before) = entry;
             let mut lazy = Some(Arc::clone(&snapshot));
             let mut core = share.core.lock().unwrap();
@@ -803,7 +807,7 @@ impl SubscriptionRegistry {
             }
             self.publish_guard(*id, &mut core, store, &mut lazy);
             if let Some(before) = before {
-                Self::record_visit(store, *id, now, before, &core.stats);
+                Self::record_visit(store, *id, now, before, &core);
             }
         };
         let cores = unn_traj::par::available_cores();
@@ -880,17 +884,16 @@ impl SubscriptionRegistry {
         }
     }
 
-    /// Folds one visited share's stats movement into the telemetry
-    /// registry: per-ladder-rung counters and (when tracing) a visit event naming the share and its ladder
-    /// decision.
-    fn record_visit(
-        store: &ModStore,
-        share: u64,
-        epoch: u64,
-        before: &SubscriptionStats,
-        after: &SubscriptionStats,
-    ) {
+    /// Folds one visited share's stats movement since `before` (its
+    /// stats and quiet-patch count) into the telemetry registry:
+    /// per-ladder-rung counters and (when tracing) a visit event naming
+    /// the share and its ladder decision.
+    fn record_visit(store: &ModStore, share: u64, epoch: u64, before: &Counted, core: &ShareCore) {
+        let (before, quiet_before) = before;
+        let after = &core.stats;
         let t = store.telemetry();
+        t.ladder_patched_quiet
+            .add(core.quiet_patches.saturating_sub(*quiet_before));
         t.ladder_skipped
             .add(after.skipped.saturating_sub(before.skipped));
         t.ladder_patched
@@ -920,7 +923,9 @@ impl SubscriptionRegistry {
     /// The guard a share's current state publishes to the index:
     /// `None` (always-visit) while parked, reverse, or proofless;
     /// otherwise the cached [`ForwardProof`]'s inflated corridor box
-    /// plus its guarded object ids.
+    /// plus the ids whose removal its skip rung refuses — the band
+    /// survivors for the banded shares, every candidate for `RANK`
+    /// shares — and the query object.
     fn guard_of(core: &mut ShareCore) -> Option<(Aabb3, Vec<Oid>)> {
         if core.error.is_some() || core.kind == SubKind::ReverseRows {
             return None;
@@ -931,7 +936,8 @@ impl SubscriptionRegistry {
             core.proof = Some(ForwardProof::derive(engine, query_tr));
         }
         let proof = core.proof.as_ref().expect("just derived");
-        Some((proof.guard_box(), proof.guarded_oids().collect()))
+        let banded = !matches!(core.kind, SubKind::Intervals { rank: Some(_) });
+        Some((proof.guard_box(), proof.guarded_oids(banded).collect()))
     }
 
     /// Publishes a visited share's guard, closing the race with

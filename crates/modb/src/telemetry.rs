@@ -464,6 +464,8 @@ pub struct Telemetry {
     pub ladder_skipped: Counter,
     /// Ladder rung: shares patched in place.
     pub ladder_patched: Counter,
+    /// Ladder rung: patches whose answer diff emitted no delta.
+    pub ladder_patched_quiet: Counter,
     /// Ladder rung: shares rebuilt from scratch.
     pub ladder_rebuilt: Counter,
     /// Ladder rung: rounds absorbed without visiting (spatial index).
@@ -534,6 +536,10 @@ impl Telemetry {
             ("ladder_skipped_total", &self.ladder_skipped),
             ("ladder_patched_total", &self.ladder_patched),
             ("ladder_rebuilt_total", &self.ladder_rebuilt),
+            (
+                "subs_ladder_patched_quiet_total",
+                &self.ladder_patched_quiet,
+            ),
             ("ladder_unvisited_total", &self.ladder_unvisited),
             ("frames_encoded_total", &self.frames_encoded),
             ("repl_frames_total", &self.repl_frames),

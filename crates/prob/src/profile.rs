@@ -443,9 +443,8 @@ pub struct BlockList {
     order: Vec<usize>,
     /// Per candidate, its block in `blocks` for the current segment.
     slot: Vec<usize>,
-    pwd: Vec<f64>,
-    dens: Vec<f64>,
-    prefix: Vec<f64>,
+    /// Per candidate and node (`ORDER` lanes each), the survival product
+    /// of the candidates after it in the current segment.
     suffix: Vec<f64>,
 }
 
@@ -465,23 +464,17 @@ impl BlockList {
         self.blocks.capacity()
     }
 
-    /// Drops the spare capacity an evaluation left behind — a list kept
-    /// between evaluations holds its own blocks, not room for the widest
-    /// column its scratch once served.
+    /// Drops what an evaluation left behind beyond its blocks — a list
+    /// kept between evaluations holds its own blocks, not room for the
+    /// widest column its scratch once served, nor the scratch itself
+    /// (every evaluation rebuilds it).
     pub fn shrink_to_fit(&mut self) {
         self.blocks.shrink_to_fit();
-        for v in [
-            &mut self.rmin,
-            &mut self.cuts,
-            &mut self.pwd,
-            &mut self.dens,
-            &mut self.prefix,
-            &mut self.suffix,
-        ] {
-            v.shrink_to_fit();
+        for v in [&mut self.rmin, &mut self.cuts, &mut self.suffix] {
+            *v = Vec::new();
         }
-        self.order.shrink_to_fit();
-        self.slot.shrink_to_fit();
+        self.order = Vec::new();
+        self.slot = Vec::new();
     }
 }
 
@@ -546,9 +539,6 @@ fn nn_probabilities_over(
         cuts,
         order,
         slot,
-        pwd,
-        dens,
-        prefix,
         suffix,
     } = next;
     out.clear();
@@ -579,14 +569,8 @@ fn nn_probabilities_over(
     out.resize(n, 0.0);
     slot.clear();
     slot.resize(n, NO_BLOCK);
-    pwd.clear();
-    pwd.resize(n, 0.0);
-    dens.clear();
-    dens.resize(n, 0.0);
-    prefix.clear();
-    prefix.resize(n + 1, 0.0);
     suffix.clear();
-    suffix.resize(n + 1, 0.0);
+    suffix.resize((n + 1) * ORDER, 0.0);
 
     let mut computed = 0;
     // Both lists ascend by key, so one forward cursor finds every block
@@ -644,25 +628,44 @@ fn nn_probabilities_over(
             slot[i] = blocks.len();
             blocks.push(block);
         }
-        for (j, &wgt) in rules.w.iter().enumerate() {
-            for ((p, f), &s) in pwd.iter_mut().zip(dens.iter_mut()).zip(slot.iter()) {
-                // `NO_BLOCK` is past the end: all zero.
-                (*p, *f) = blocks
-                    .get(s)
-                    .map_or((0.0, 0.0), |blk| (blk.pwd[j], blk.dens[j]));
-            }
-            prefix[0] = 1.0;
-            for i in 0..n {
-                prefix[i + 1] = prefix[i] * (1.0 - pwd[i]);
-            }
-            suffix[n] = 1.0;
-            for i in (0..n).rev() {
-                suffix[i] = suffix[i + 1] * (1.0 - pwd[i]);
-            }
-            for i in 0..n {
-                if dens[i] > 0.0 {
-                    out[i] += wgt * half * dens[i] * prefix[i] * suffix[i + 1];
+        // The node loop, lane-major: the 32 nodes are the lanes of one
+        // pass over the candidates. `suffix` holds, per candidate `i`,
+        // the survival product of the candidates after it at every node;
+        // `prefix` runs forward over the candidates before it. A
+        // candidate without a block (`NO_BLOCK`, past the end) has
+        // `P^WD = 0` — a factor of exactly 1 — and no density, so it is
+        // passed over. Every product and every `out[i]` addition is the
+        // node-major loop's, in its order: node `j`'s term still reaches
+        // `out[i]` before node `j + 1`'s.
+        let wh: [f64; ORDER] = std::array::from_fn(|j| rules.w[j] * half);
+        suffix[n * ORDER..].fill(1.0);
+        for i in (0..n).rev() {
+            let (done, open) = suffix.split_at_mut((i + 1) * ORDER);
+            let (cur, after) = (&mut done[i * ORDER..], &open[..ORDER]);
+            match blocks.get(slot[i]) {
+                Some(blk) => {
+                    for ((c, &a), &w) in cur.iter_mut().zip(after).zip(&blk.pwd) {
+                        *c = a * (1.0 - w);
+                    }
                 }
+                None => cur.copy_from_slice(after),
+            }
+        }
+        let mut prefix = [1.0; ORDER];
+        for i in 0..n {
+            let Some(blk) = blocks.get(slot[i]) else {
+                continue;
+            };
+            let after = &suffix[(i + 1) * ORDER..(i + 2) * ORDER];
+            let term: [f64; ORDER] =
+                std::array::from_fn(|j| wh[j] * blk.dens[j] * prefix[j] * after[j]);
+            for (&t, &f) in term.iter().zip(&blk.dens) {
+                if f > 0.0 {
+                    out[i] += t;
+                }
+            }
+            for (p, &w) in prefix.iter_mut().zip(&blk.pwd) {
+                *p *= 1.0 - w;
             }
         }
     }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use uncertain_nn::core::answer::AnswerSet;
 use uncertain_nn::core::probrows::ProbRowSet;
 use uncertain_nn::modb::subscription::SubAnswer;
-use uncertain_nn::modb::{PrefilterPolicy, QueryPlanner, SubscriptionInfo};
+use uncertain_nn::modb::{PrefilterPolicy, QueryPlanner, SubscriptionInfo, SubscriptionStats};
 use uncertain_nn::prelude::*;
 use unn_traj::uncertain::common_pdf_kind;
 
@@ -368,6 +368,147 @@ fn clearing_the_store_empties_every_subscription() {
             .any(|d| !d.as_intervals().unwrap().removed.is_empty()),
         "the emptying must stream removals: {deltas:?}"
     );
+}
+
+/// Places an object at height `y` over the whole window.
+type Place = fn(u64, f64) -> UncertainTrajectory;
+
+/// The stale-reuse scene: the query Tr0 at y = 0 and A = Tr1, B = Tr2,
+/// C = Tr3 at y = 1, 3.5 and 6.5, placed by `place`. `LE = 1`, so the
+/// `4r` band reaches y = 3: B is a candidate outside it, C is beyond
+/// every guard. Moving B to y = 5 stays outside the band and the guard;
+/// moving A to y = 10 then makes B the nearest neighbour, with C inside
+/// its band (`LE = 5`, band to 7).
+fn stale_reuse_server(
+    place: Place,
+    name: &str,
+    statement: &str,
+    policy: PrefilterPolicy,
+) -> ModServer {
+    let server = ModServer::new();
+    server
+        .register_all([place(0, 0.0), place(1, 1.0), place(2, 3.5), place(3, 6.5)])
+        .unwrap();
+    let query = uncertain_nn::modb::ql::parser::parse(statement).unwrap();
+    server
+        .subscription_registry()
+        .register(server.store(), name, query, policy)
+        .unwrap();
+    server
+}
+
+/// Moving along x at 1 mi/min over the whole window, at height `y`.
+fn cruising(oid: u64, y: f64) -> UncertainTrajectory {
+    make_tr(oid, &[(0.0, y), (60.0, y)])
+}
+
+/// Parked at `(0, y)` for the whole window.
+fn parked(oid: u64, y: f64) -> UncertainTrajectory {
+    make_tr(oid, &[(0.0, y), (0.0, y)])
+}
+
+/// The two geometries of the stale-reuse scene: moving objects under the
+/// default prefilter, and parked ones with every object a candidate.
+fn stale_reuse_cases() -> [(Place, PrefilterPolicy); 2] {
+    [
+        (cruising, PrefilterPolicy::default()),
+        (parked, PrefilterPolicy::Exhaustive),
+    ]
+}
+
+fn share_stats(server: &ModServer, name: &str) -> SubscriptionStats {
+    server.subscription_registry().info(name).unwrap().stats
+}
+
+/// A skip that absorbs an update of a candidate leaves that candidate's
+/// old function in the carried engine; the next patch must not reuse
+/// it. Here B's update is skipped (B is no band survivor, and its new
+/// place is outside every guard), and A's move patches: reusing B's
+/// function at y = 3.5 puts the envelope there, so C (at 6.5) drops out
+/// and B holds `P = 1`, where a cold evaluation gives B ≈ 0.9996 and
+/// C ≈ 0.00045.
+#[test]
+fn a_skipped_update_is_never_reused_stale_by_threshold_rows() {
+    for (place, policy) in stale_reuse_cases() {
+        let server = stale_reuse_server(
+            place,
+            "hot",
+            "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr0, TIME) > 0.3",
+            policy,
+        );
+        server.store().update(place(2, 5.0));
+        assert_eq!(share_stats(&server, "hot").skipped, 1, "{policy}");
+        server.store().update(place(1, 10.0));
+        let stats = share_stats(&server, "hot");
+        assert_eq!(
+            (stats.patched, stats.rebuilt),
+            (1, 0),
+            "{policy}: {stats:?}"
+        );
+        let fresh = fresh_rows(&server, Oid(0), false);
+        assert_eq!(
+            fresh.rows().iter().map(|r| r.oid).collect::<Vec<_>>(),
+            vec![Oid(2), Oid(3)],
+            "{policy}"
+        );
+        assert_eq!(maintained_rows(&server, "hot"), fresh, "{policy}");
+    }
+}
+
+/// The `> 0` twin: a banded interval share clears the removal of a
+/// candidate outside the band (the band-survivor rule), so it skips B's
+/// update too — and its next patch must build B afresh.
+#[test]
+fn a_skipped_update_is_never_reused_stale_by_banded_intervals() {
+    for (place, policy) in stale_reuse_cases() {
+        let server = stale_reuse_server(
+            place,
+            "near",
+            "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr0, TIME) > 0",
+            policy,
+        );
+        server.store().update(place(2, 5.0));
+        let stats = share_stats(&server, "near");
+        assert_eq!(
+            (stats.skipped, stats.patched),
+            (1, 0),
+            "{policy}: {stats:?}"
+        );
+        server.store().update(place(1, 10.0));
+        let fresh = fresh_answer(&server, Oid(0), None);
+        assert_eq!(
+            fresh.entries().iter().map(|e| e.oid).collect::<Vec<_>>(),
+            vec![Oid(2), Oid(3)],
+            "{policy}"
+        );
+        assert_eq!(maintained_intervals(&server, "near"), fresh, "{policy}");
+    }
+}
+
+#[test]
+fn patches_that_push_nothing_are_counted_quiet() {
+    let server = ModServer::new();
+    server
+        .register_all((0..5).map(|k| straight(k, k as f64)))
+        .unwrap();
+    server
+        .subscribe(
+            "hot",
+            "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr0, TIME) > 0.3",
+        )
+        .unwrap();
+    let counter = |name: &str| server.metrics_snapshot(None).value(name).unwrap();
+    // Re-sending the nearest neighbour unchanged patches (its removal is
+    // a band survivor's) and changes nothing.
+    server.store().update(straight(1, 1.0));
+    assert_eq!(counter("ladder_patched_total"), 1);
+    assert_eq!(counter("subs_ladder_patched_quiet_total"), 1);
+    assert!(server.poll_subscription("hot").unwrap().is_empty());
+    // A newcomer nearer than Tr1 changes the rows: a patch, not quiet.
+    server.store().insert(straight(9, 0.5)).unwrap();
+    assert_eq!(counter("ladder_patched_total"), 2);
+    assert_eq!(counter("subs_ladder_patched_quiet_total"), 1);
+    assert_eq!(server.poll_subscription("hot").unwrap().len(), 1);
 }
 
 /// One scripted mutation: (kind, target selector, waypoints for inserts).

@@ -1,6 +1,8 @@
-//! Audit of the two forward skip proofs in isolation
+//! Audit of the forward skip proofs in isolation
 //! ([`ForwardProof::ops_unaffected`] for interval answers,
-//! [`ForwardProof::ops_unaffected_rows`] for probability rows).
+//! [`ForwardProof::ops_unaffected_rows`] for probability rows, and
+//! [`ForwardProof::ops_unaffected_exact`], the box stage with the exact
+//! band test behind it, as the banded standing queries run it).
 //!
 //! The maintenance suites exercise the proofs through the whole ladder on
 //! one geometry (tens of miles, `r = 0.5`, a 60-minute window). Here one
@@ -14,8 +16,8 @@
 //! evaluation without them, bit for bit.
 //!
 //! The converse is not a contract — a proof may always answer "affected"
-//! — but how often it does so needlessly is the slack a sharper
-//! (time-sliced) guard could spend, so the rate is printed per proof.
+//! — but how often it does so needlessly is the slack left to a sharper
+//! proof, so the rate is printed per proof.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -363,6 +365,100 @@ fn a_cleared_commit_never_changes_a_cold_evaluation() {
             tally.cleared > tally.commits / 10,
             "hardly anything cleared"
         );
+        assert!(tally.cleared < tally.commits, "everything cleared");
+    }
+}
+
+/// The exact stage clears an insertion the box refuses iff the
+/// newcomer's distance function passes the band test a patch would run
+/// on it (`columns`: the probe grid of a row consumer).
+fn admits<'a>(
+    engine: &'a QueryEngine,
+    scene: &'a Scene,
+    columns: Option<(u32, f64)>,
+) -> impl Fn(&UncertainTrajectory) -> bool + 'a {
+    move |tr| {
+        let query = scene.fleet[0].trajectory();
+        CandidateSet::build(query, std::iter::once(tr.trajectory()), &scene.window).is_ok_and(
+            |set| {
+                set.functions()
+                    .iter()
+                    .all(|f| engine.admits_unchanged(f, columns))
+            },
+        )
+    }
+}
+
+#[test]
+fn an_exactly_cleared_commit_never_changes_a_cold_evaluation() {
+    let mut rng = StdRng::seed_from_u64(0x0F0A_2009);
+    let (mut intervals, mut rows) = (Tally::default(), Tally::default());
+    let mut beyond_the_box = 0;
+    for case in 0..36 {
+        let scene = scene(&mut rng);
+        let kernel = ColumnKernel::new(&UniformDifferencePdf::new(scene.radius));
+        for policy in [PrefilterPolicy::default(), PrefilterPolicy::Exhaustive] {
+            let (engine, before) = cold(&scene.fleet, &scene, policy, &kernel);
+            let proof = ForwardProof::derive(&engine, scene.fleet[0].trajectory());
+            let columns = Some((SAMPLES, kernel.band()));
+            for ops in commits(&mut rng, &scene, &proof) {
+                let refs: Vec<&DeltaRecord> = ops.iter().collect();
+                let cleared = proof.ops_unaffected_exact(&refs, admits(&engine, &scene, None));
+                let cleared_rows =
+                    proof.ops_unaffected_exact(&refs, admits(&engine, &scene, columns));
+                // The exact stage only ever adds to the box stage.
+                if proof.ops_unaffected_rows(&refs) {
+                    assert!(
+                        cleared && cleared_rows,
+                        "case {case}: box clears, exact refuses"
+                    );
+                } else {
+                    beyond_the_box += usize::from(cleared_rows);
+                }
+                let after_fleet = applied(&scene.fleet, &ops);
+                if after_fleet.iter().all(|t| t.oid() != Oid(0)) {
+                    assert!(
+                        !cleared && !cleared_rows,
+                        "case {case}: query removal cleared"
+                    );
+                    continue;
+                }
+                let (_, after) = cold(&after_fleet, &scene, policy, &kernel);
+                let context = || {
+                    format!(
+                        "case {case} ({policy}, spacing {:e} mi, r {:e}, window {:e} min), ops {:?}",
+                        scene.scale,
+                        scene.radius,
+                        scene.window.end(),
+                        ops.iter()
+                            .map(|o| match &o.op {
+                                DeltaOp::Insert(t) => format!("+{}", t.oid()),
+                                DeltaOp::Remove(o) => format!("-{o}"),
+                            })
+                            .collect::<Vec<_>>()
+                    )
+                };
+                if cleared {
+                    assert!(
+                        before.answer == after.answer,
+                        "exact stage unsound (banded answer): {}",
+                        context()
+                    );
+                }
+                if cleared_rows {
+                    assert!(before == after, "exact stage unsound (rows): {}", context());
+                }
+                intervals.record(cleared, before.answer != after.answer);
+                rows.record(cleared_rows, before != after);
+            }
+        }
+    }
+    intervals.print("ops_unaffected_exact (intervals)");
+    rows.print("ops_unaffected_exact (rows)");
+    println!("{beyond_the_box} commits cleared only by the exact stage");
+    // The stage must be exercised: some commits clear only through it.
+    assert!(beyond_the_box > 0, "the exact stage never cleared a commit");
+    for tally in [&intervals, &rows] {
         assert!(tally.cleared < tally.commits, "everything cleared");
     }
 }
