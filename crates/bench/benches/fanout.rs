@@ -28,15 +28,15 @@
 //!   must stay within 10x of each other (asserted in full mode, and
 //!   held on the tracked report by `check_bench_json`'s ratio gates).
 //! * `fanout/city_multiwriter_10k` — concurrent writer threads churning
-//!   far objects under a commit-coalescing batch window (8); mean
+//!   far objects, each commit running its own maintenance round; mean
 //!   wall-clock per commit across the burst.
 //!
 //! Before any timing, the watch scenario asserts **bit-identity**: all
 //! `N` subscribers' raw pushed frames are byte-for-byte equal, and the
 //! delta they carry folds the base answer onto a fresh exhaustive
-//! evaluation of the mutated store. (That the indexed, batched
-//! maintenance the city scenarios time answers bit-identically to a cold
-//! evaluation is `tests/indexed_sync.rs`'s property.)
+//! evaluation of the mutated store. (That the indexed maintenance the
+//! city scenarios time answers bit-identically to a cold evaluation is
+//! `tests/indexed_sync.rs`'s property.)
 //!
 //! Knobs: `UNN_FANOUT_SUBS` overrides the subscriber count (default
 //! 1000; CI smoke uses a handful), `--test` runs a tiny smoke pass and
@@ -566,12 +566,11 @@ fn city_far_rounds(server: &Arc<ModServer>, rounds: usize) -> Vec<Duration> {
     out
 }
 
-/// Multi-writer churn under a coalescing window: `writers` threads
-/// commit far mutations on distinct objects concurrently; reported as
-/// mean wall-clock per commit across the whole burst (maintenance
-/// rounds fire every `window`-th commit, whoever lands it).
+/// Multi-writer churn: `writers` threads commit far mutations on
+/// distinct objects concurrently, each commit followed by its own
+/// maintenance round; reported as mean wall-clock per commit across the
+/// whole burst.
 fn city_multiwriter(server: &Arc<ModServer>, writers: usize, commits_each: usize) -> f64 {
-    server.store().set_maintenance_batch(8);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for w in 0..writers {
@@ -590,10 +589,7 @@ fn city_multiwriter(server: &Arc<ModServer>, writers: usize, commits_each: usize
             });
         }
     });
-    let elapsed = t0.elapsed();
-    server.store().flush_maintenance();
-    server.store().set_maintenance_batch(1);
-    elapsed.as_nanos() as f64 / (writers * commits_each) as f64
+    t0.elapsed().as_nanos() as f64 / (writers * commits_each) as f64
 }
 
 fn main() {

@@ -1,19 +1,21 @@
 //! Steady-state ingest: a stream of single-object GPS updates against a
-//! populated MOD, measuring the snapshot refresh (delta-maintained vs
-//! the full-rebuild ablation) and the update-then-query round trip
-//! (delta + engine carry vs the cold pipeline).
+//! populated MOD, measuring the snapshot refresh (delta-maintained vs a
+//! cold snapshot of the live contents) and the update-then-query round
+//! trip (delta + engine carry vs the cold pipeline).
 //!
 //! The headline number backs the delta-epoch layer's claim: refreshing
 //! the snapshot after a one-object update is one merge pass over the
-//! previous snapshot with delta maintenance, and a re-copy of every shard
-//! plus a sort without, while answers stay bit-identical (asserted below
+//! previous snapshot with delta maintenance, and a re-copy of every
+//! object without, while answers stay bit-identical (asserted below
 //! before timing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use std::time::Duration;
 use unn_geom::interval::TimeInterval;
 use unn_modb::plan::QueryPlanner;
 use unn_modb::server::ModServer;
+use unn_modb::snapshot::QuerySnapshot;
 use unn_modb::store::ModStore;
 use unn_traj::generator::{generate_uncertain, WorkloadConfig};
 use unn_traj::trajectory::{Oid, Trajectory};
@@ -36,9 +38,16 @@ fn store(n: usize) -> ModStore {
     s
 }
 
+/// A cold snapshot of the store's live contents: every object copied,
+/// nothing carried from an earlier snapshot.
+fn cold_snapshot(s: &ModStore) -> QuerySnapshot {
+    let live = s.oids().into_iter().filter_map(|oid| s.get(oid)).collect();
+    QuerySnapshot::new(s.epoch(), live)
+}
+
 /// One GPS correction: re-registers `victim` with a slightly shifted
-/// track (epoch +2), then refreshes the snapshot.
-fn update_and_refresh(s: &ModStore, victim: Oid, shift: f64) {
+/// track (epoch +2).
+fn update(s: &ModStore, victim: Oid, shift: f64) {
     let old = s.remove(victim).expect("present");
     let revised: Vec<(f64, f64, f64)> = old
         .trajectory()
@@ -54,6 +63,11 @@ fn update_and_refresh(s: &ModStore, victim: Oid, shift: f64) {
         .expect("valid"),
     )
     .expect("re-registered");
+}
+
+/// [`update`], then refreshes the store's snapshot.
+fn update_and_refresh(s: &ModStore, victim: Oid, shift: f64) {
+    update(s, victim, shift);
     let _ = s.snapshot();
 }
 
@@ -103,16 +117,16 @@ fn snapshot_refresh(c: &mut Criterion) {
                 update_and_refresh(&s, Oid(k % n as u64), 0.001);
             })
         });
-        // Ablation: rebuild fraction 0 disables delta maintenance, so
-        // every refresh re-copies the MOD.
+        // Ablation: every refresh is a cold snapshot that re-copies the
+        // MOD.
         let s = store(n);
-        s.set_rebuild_fraction(0.0);
-        update_and_refresh(&s, Oid(0), 0.001);
+        update(&s, Oid(0), 0.001);
         let mut k = 0u64;
         group.bench_with_input(BenchmarkId::new("full_rebuild", n), &n, |b, _| {
             b.iter(|| {
                 k += 1;
-                update_and_refresh(&s, Oid(k % n as u64), 0.001);
+                update(&s, Oid(k % n as u64), 0.001);
+                cold_snapshot(&s)
             })
         });
     }
@@ -166,8 +180,8 @@ fn update_then_query(c: &mut Criterion) {
                 server.engine(Oid(0), w).expect("queries").0
             })
         });
-        // Ablation: the same churn against a cold pipeline — rebuild
-        // fraction 0 and a fresh plan + envelope per query.
+        // Ablation: the same churn against a cold pipeline — a cold
+        // snapshot and a fresh plan + envelope per query.
         let server = ModServer::new();
         server
             .register_all(generate_uncertain(
@@ -178,7 +192,6 @@ fn update_then_query(c: &mut Criterion) {
         for k in 0..32u64 {
             server.register(far(k, 0.0)).expect("registers");
         }
-        server.store().set_rebuild_fraction(0.0);
         let planner = QueryPlanner::default();
         let mut k = 0u64;
         group.bench_with_input(BenchmarkId::new("update_query_cold", n), &n, |b, _| {
@@ -192,7 +205,7 @@ fn update_then_query(c: &mut Criterion) {
                     .register(far(k, 0.01 * (k % 100) as f64))
                     .expect("ok");
                 let plan = planner
-                    .plan(server.store().snapshot(), Oid(0), w)
+                    .plan(Arc::new(cold_snapshot(server.store())), Oid(0), w)
                     .expect("plans");
                 plan.build_engine().expect("builds")
             })

@@ -96,7 +96,7 @@ fn main() {
 
     let server = serving_store();
     let mut k = 0u64;
-    // Warm the commit path (shard map, delta log, guard index caches)
+    // Warm the commit path (object map, delta log, guard index caches)
     // before any timed batch.
     for _ in 0..(BATCH * 4) {
         k += 1;

@@ -27,8 +27,8 @@ use unn_traj::uncertain::UncertainTrajectory;
 /// One logged store mutation.
 #[derive(Debug, Clone)]
 pub enum DeltaOp {
-    /// A trajectory was registered. The `Arc` is shared with the shard
-    /// map, so logging an insert costs a pointer, not a deep copy.
+    /// A trajectory was registered. The `Arc` is shared with the store's
+    /// object map, so logging an insert costs a pointer, not a deep copy.
     Insert(Arc<UncertainTrajectory>),
     /// The trajectory with this id was unregistered.
     Remove(Oid),

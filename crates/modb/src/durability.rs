@@ -526,8 +526,8 @@ impl Wal {
     /// watermark epoch.
     ///
     /// Runs with **no store lock held** — it takes a snapshot, which
-    /// acquires every shard read lock. The store calls this after its
-    /// commit locks drop, when [`Wal::take_checkpoint_due`] says so. Errors
+    /// acquires the store's read lock. The store calls this after its
+    /// commit lock drops, when [`Wal::take_checkpoint_due`] says so. Errors
     /// are also absorbed into the status counters, like
     /// [`Wal::append_quiet`].
     pub fn checkpoint(&self, store: &ModStore) -> Result<u64, WalError> {
@@ -658,7 +658,7 @@ pub fn recover(dir: &Path) -> Result<(ModStore, RecoveryReport), WalError> {
 }
 
 /// [`recover`] into an existing (fresh) store — the hook for callers
-/// that configure shard counts or policies before recovery.
+/// that configure policies or attach consumers before recovery.
 pub fn recover_into(store: &ModStore, dir: &Path) -> Result<RecoveryReport, WalError> {
     replay(store, dir).map(|(report, _)| report)
 }

@@ -4,8 +4,9 @@
 //! Rust reproduction of *"Continuous Probabilistic Nearest-Neighbor
 //! Queries for Uncertain Trajectories"* (Trajcevski et al., EDBT 2009).
 //!
-//! * [`store`] — the thread-safe **sharded** trajectory store (the MOD of
-//!   §1), with epoch-stamped `Arc`-shared snapshots and a delta log;
+//! * [`store`] — the thread-safe trajectory store (the MOD of §1): one
+//!   ordered object map beside the delta log behind one lock, with
+//!   epoch-stamped `Arc`-shared snapshots;
 //! * [`delta`] — the delta-epoch layer: the bounded mutation log, net
 //!   deltas, and the engine carry proof;
 //! * [`snapshot`] — the shared, **incrementally maintained**
@@ -14,8 +15,6 @@
 //!   snapshot-carried epoch-box prefilter ([`plan::PrefilterPolicy`]);
 //! * [`cache`] — the shape-keyed engine cache amortizing envelope/IPAC
 //!   preprocessing across queries, with delta carry-forward;
-//! * [`catalog`] — descriptive object metadata joined against spatial
-//!   answers;
 //! * [`prefilter`] — the conservative epoch-box prefilter (§2.2-I's
 //!   R_min/R_max rule at box granularity) and the crate's `(x, y, t)`
 //!   box type, [`prefilter::Aabb3`];
@@ -39,9 +38,9 @@
 //! ```text
 //!                 commit (epoch e → e+1)
 //!  insert/remove/update/bulk_load ──▶ DeltaLog ──────────────┐
-//!        │ (shard write lock)          (bounded; truncation   │
+//!        │ (one write lock)            (bounded; truncation   │
 //!        ▼                             ⇒ consumers rebuild)   │
-//!   shard maps                                                ▼
+//!   object map                                                ▼
 //!        │              ┌───────────────── routed to ─────────────────┐
 //!        ▼              ▼                      ▼                      ▼
 //!  QuerySnapshot   EngineCache          SubscriptionRegistry   (next query)
@@ -49,21 +48,21 @@
 //!  (merge objects) (restamp engine)     (AnswerDelta → DeltaSinks)
 //! ```
 //!
-//! 1. **Mutate** — `insert`/`remove`/`update`/`bulk_load` locks only the
-//!    target oid-hashed shard(s), bumps the epoch, and appends the op to
-//!    the bounded [`delta::DeltaLog`] ([`store::ModStore::update`] is
-//!    the single-commit GPS correction: one epoch, one maintenance
-//!    round).
+//! 1. **Mutate** — `insert`/`remove`/`update`/`bulk_load` takes the
+//!    store's write lock, changes the object map, bumps the epoch, and
+//!    appends the op to the bounded [`delta::DeltaLog`] under that same
+//!    lock ([`store::ModStore::update`] is the single-commit GPS
+//!    correction: one epoch, one maintenance round).
 //! 2. **Refresh** — the next [`store::ModStore::snapshot`] collapses the
-//!    pending ops into a [`delta::NetDelta`] and, when its size is within
-//!    the store's **rebuild fraction** of the population (default
-//!    [`store::DEFAULT_REBUILD_FRACTION`] = 25%), derives the new
-//!    snapshot from the previous one via
+//!    pending ops into a [`delta::NetDelta`] under the read lock and,
+//!    when its size is within a quarter of the population, derives the
+//!    new snapshot from the previous one via
 //!    [`snapshot::QuerySnapshot::apply_delta`]: the object list is merged
 //!    in one pass, which also carries every epoch-box table the last
 //!    snapshot's plans read (only the changed objects' rows are
 //!    recomputed). Oversized deltas, cold starts, and history gaps (log
-//!    overflow, [`store::ModStore::clear`]) rebuild from scratch.
+//!    overflow, [`store::ModStore::clear`]) rebuild from scratch, in
+//!    one walk of the ordered object map.
 //! 3. **Carry** — a one-shot lookup at the new epoch finds its shape's
 //!    newest engine in the [`cache::EngineCache`]; a forward engine from
 //!    an older epoch carries the [`delta::ForwardProof`] it was built
@@ -153,7 +152,7 @@
 //! ```text
 //! conn A ──Insert──▶ commit (epoch e) ──▶ SubscriptionRegistry::sync
 //!                                          (one shared engine per distinct
-//!                                           query; sharded skip/patch/rebuild)
+//!                                           query; skip/patch/rebuild)
 //!                                         │ AnswerDelta / ProbRowDelta @e
 //!                                   ┌──────────────┴─────────────┐
 //!                                   ▼                            ▼
@@ -170,14 +169,13 @@
 //!                                                   ProbRowSet)
 //! ```
 //!
-//! Maintenance itself is sharded by subscription-name hash (mirroring
-//! the store's writer shards): one cheap pass classifies every
-//! subscription sharing a single ops fetch and cached band-bound proofs
-//! (a burst of far commits costs one proof derivation), then the
-//! subscriptions needing patch/rebuild work fan out across scoped
-//! threads per shard on multi-core hosts. Subscriptions on the same
-//! query object, window, kind, and parameters coalesce onto **one
-//! shared engine** — one maintenance round serves all of them
+//! Each commit owes one maintenance round: one cheap pass classifies
+//! every visited share with a single ops fetch and cached band-bound
+//! proofs (a burst of far commits costs one proof derivation), then the
+//! shares needing patch/rebuild work fan out across scoped threads on
+//! multi-core hosts. Subscriptions on the same query object, window,
+//! kind, and parameters coalesce onto **one shared engine** — one
+//! maintenance round serves all of them
 //! ([`subscription::SubscriptionRegistry::share_count`]), and the
 //! `fanout` bench measures the combined effect at 1k subscribers.
 //! Folded pushed deltas equal a fresh exhaustive evaluation
@@ -218,7 +216,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod catalog;
 pub mod delta;
 pub mod durability;
 pub mod instantaneous;
@@ -234,7 +231,6 @@ pub mod subscription;
 pub mod telemetry;
 
 pub use cache::EngineCache;
-pub use catalog::{Catalog, ObjectMeta};
 pub use delta::{DeltaLog, DeltaOp, DeltaRecord, ForwardProof, NetDelta, ReplOp};
 pub use durability::{
     convert_text_image, open_store, recover, FsyncPolicy, RecoveryReport, ReplicationHub, Wal,

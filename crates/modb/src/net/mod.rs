@@ -47,7 +47,7 @@
 //!                               ▼
 //!                   maintenance round (a worker)
 //!                   (one shared engine per distinct query;
-//!                    skip │ patch │ rebuild, sharded)
+//!                    skip │ patch │ rebuild)
 //!                               │ AnswerDelta @e
 //!                ┌──────────────┴──────────────┐
 //!                ▼                             ▼

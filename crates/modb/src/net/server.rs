@@ -967,12 +967,10 @@ fn handle_request(shared: &Shared, body: WireRequest) -> Result<WireOutput, Stri
             .map(|_| WireOutput::Done)
             .map_err(|e| e.to_string()),
         WireRequest::SubscriptionAnswer(name) => {
-            // A lagged client resyncs from this full answer; under a
-            // maintenance batch window the tail of a commit burst may
-            // still be pending, so flush first — the resync base must
-            // be current or the client's next folded delta would skip
-            // the coalesced epochs.
-            server.store().flush_maintenance();
+            // A lagged client resyncs from this full answer. The answer
+            // and its epoch are read together under the share's lock,
+            // so a commit whose round has not run yet is not in the base
+            // and its delta, pushed later, folds onto it.
             server
                 .subscription_registry()
                 .answer_with_epoch(&name)

@@ -385,7 +385,7 @@ impl ModServer {
 
     /// Executes a parsed statement, with a push outbox for `REGISTER
     /// CONTINUOUS` statements. `REGISTER CONTINUOUS` attaches `sink`
-    /// **atomically** with the registration (under the registry shard
+    /// **atomically** with the registration (under the registry's name
     /// lock), so no commit can emit a delta between the subscription
     /// going live and the connection starting to receive pushes. This is
     /// the entry point the network layer uses; other statements ignore

@@ -2,13 +2,13 @@
 //! trajectories (§2.1: the server "keeps a copy ... for query
 //! processing").
 //!
-//! The store is **sharded**: objects are distributed over N oid-hashed
-//! shards, each behind its own lock, so concurrent writers on different
-//! shards never contend. Mutations bump a monotonic epoch and append to
-//! the bounded [`DeltaLog`]; [`ModStore::snapshot`] hands out an
-//! `Arc`-shared, epoch-stamped [`QuerySnapshot`] that — when the pending
-//! delta is small relative to the population — is derived from the
-//! *previous* snapshot by [`QuerySnapshot::apply_delta`] instead of
+//! The objects and the bounded [`DeltaLog`] sit together behind one
+//! lock: a commit mutates both under one write lock and bumps a
+//! monotonic epoch, so a reader holding the read lock sees contents,
+//! epoch and log mutually consistent. [`ModStore::snapshot`] hands out
+//! an `Arc`-shared, epoch-stamped [`QuerySnapshot`] that — when the
+//! pending delta is small relative to the population — is derived from
+//! the *previous* snapshot by [`QuerySnapshot::apply_delta`] instead of
 //! re-copied and re-indexed from scratch. The epoch remains the
 //! invalidation key for every derived structure; the delta log
 //! additionally lets the [`EngineCache`] and the subscription ladder
@@ -25,14 +25,11 @@ use crate::telemetry::{self, Telemetry, TraceEvent, TraceStage};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard, Weak};
 use unn_prob::pdf::PdfKind;
 use unn_prob::profile::ProfiledPdf;
 use unn_traj::trajectory::Oid;
 use unn_traj::uncertain::UncertainTrajectory;
-
-/// Default number of oid-hashed shards.
-const DEFAULT_SHARDS: usize = 16;
 
 /// Default bound on retained delta records.
 const DELTA_LOG_CAPACITY: usize = 4096;
@@ -43,9 +40,9 @@ const DELTA_LOG_CAPACITY: usize = 4096;
 /// its oldest deltas (see the squash-oldest contract there).
 pub const DEFAULT_FEED_BOUND: usize = 256;
 
-/// Default delta-to-population ratio beyond which snapshot maintenance
-/// falls back to a full rebuild.
-pub const DEFAULT_REBUILD_FRACTION: f64 = 0.25;
+/// Net-delta-to-population ratio beyond which a snapshot refresh
+/// rebuilds from the live contents instead of patching its predecessor.
+const REBUILD_FRACTION: f64 = 0.25;
 
 /// Errors raised by [`ModStore`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,31 +66,29 @@ impl std::error::Error for StoreError {}
 
 /// Point-in-time counters of the delta-epoch machinery (the CLI's
 /// `store delta-stats` view).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaStats {
     /// Current store epoch.
     pub epoch: u64,
-    /// Number of oid-hashed shards.
-    pub shards: usize,
     /// Mutation records currently retained in the delta log.
     pub log_len: usize,
     /// Epoch at or before which delta history is incomplete.
     pub log_floor: u64,
     /// Ops newer than the cached snapshot (applied on its next refresh).
     pub pending_ops: usize,
-    /// Delta-to-population ratio beyond which snapshots rebuild fully.
-    pub rebuild_fraction: f64,
     /// Snapshots refreshed by applying a delta to their predecessor.
     pub snapshots_delta_applied: u64,
     /// Snapshots rebuilt from scratch (cold starts and oversized deltas).
     pub snapshots_rebuilt: u64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
+/// The stored objects and the delta log, behind the store's one lock.
+#[derive(Debug)]
+struct Table {
     /// Values are `Arc`-shared with the delta log, so mutations never
     /// deep-copy a trajectory.
-    map: RwLock<BTreeMap<Oid, Arc<UncertainTrajectory>>>,
+    objects: BTreeMap<Oid, Arc<UncertainTrajectory>>,
+    log: DeltaLog,
 }
 
 /// Where committed deltas are journaled beyond the in-memory log: the
@@ -165,32 +160,20 @@ impl Maintenance {
     }
 }
 
-/// Thread-safe, sharded store of uncertain trajectories, keyed by
-/// [`Oid`].
+/// Thread-safe store of uncertain trajectories, keyed by [`Oid`].
 ///
 /// Mutations bump an epoch counter and append to a bounded delta log, so
 /// snapshots and caches built from an earlier epoch can be *maintained*
 /// (not just invalidated) cheaply.
 #[derive(Debug)]
 pub struct ModStore {
-    shards: Vec<Shard>,
+    /// Contents and delta log. A commit holds the write lock across the
+    /// mutation, the epoch bump, the journal append and the log record.
+    table: RwLock<Table>,
     epoch: AtomicU64,
     /// The snapshot most recently built, reused while its epoch matches
     /// and patched (not discarded) when it does not.
     cached: RwLock<Option<Arc<QuerySnapshot>>>,
-    delta: Mutex<DeltaLog>,
-    /// `f64` bits of the rebuild-fallback fraction (atomic so benches and
-    /// the CLI can flip it through a shared reference).
-    rebuild_fraction: AtomicU64,
-    /// Commit-coalescing window of subscription maintenance (see
-    /// [`ModStore::set_maintenance_batch`]). `1` = maintain per commit.
-    maintenance_batch: AtomicU64,
-    /// Monotonic count of commits routed through
-    /// [`ModStore::notify_subscriptions`] — the batch window triggers a
-    /// maintenance round every `maintenance_batch`-th commit, so no
-    /// reset (and no reset race between concurrent committers) is
-    /// needed.
-    maintenance_commits: AtomicU64,
     snapshots_delta_applied: AtomicU64,
     snapshots_rebuilt: AtomicU64,
     /// Engine caches to drop alongside the contents on [`ModStore::clear`].
@@ -218,26 +201,13 @@ pub struct ModStore {
 
 impl Default for ModStore {
     fn default() -> Self {
-        ModStore::with_shards(DEFAULT_SHARDS)
-    }
-}
-
-impl ModStore {
-    /// An empty store with the default shard count.
-    pub fn new() -> Self {
-        ModStore::default()
-    }
-
-    /// An empty store with `shards` oid-hashed shards.
-    pub fn with_shards(shards: usize) -> Self {
         ModStore {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
+            table: RwLock::new(Table {
+                objects: BTreeMap::new(),
+                log: DeltaLog::new(DELTA_LOG_CAPACITY),
+            }),
             epoch: AtomicU64::new(0),
             cached: RwLock::new(None),
-            delta: Mutex::new(DeltaLog::new(DELTA_LOG_CAPACITY)),
-            rebuild_fraction: AtomicU64::new(DEFAULT_REBUILD_FRACTION.to_bits()),
-            maintenance_batch: AtomicU64::new(1),
-            maintenance_commits: AtomicU64::new(0),
             snapshots_delta_applied: AtomicU64::new(0),
             snapshots_rebuilt: AtomicU64::new(0),
             caches: Mutex::new(Vec::new()),
@@ -247,6 +217,13 @@ impl ModStore {
             journal_active: AtomicBool::new(false),
             telemetry: Arc::new(Telemetry::new()),
         }
+    }
+}
+
+impl ModStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        ModStore::default()
     }
 
     /// The store's telemetry registry: counters, latency histograms, and
@@ -277,31 +254,15 @@ impl ModStore {
             .clone()
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_index(&self, oid: Oid) -> usize {
-        // Fibonacci hashing spreads dense id ranges evenly.
-        let h = (oid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
-        h % self.shards.len()
-    }
-
-    fn shard_of(&self, oid: Oid) -> &Shard {
-        &self.shards[self.shard_index(oid)]
-    }
-
     /// Appends `ops` to the delta log under one new epoch, returning it.
-    /// Must be called while holding the write lock of every mutated
-    /// shard, so snapshot builders (which hold all read locks) never see
-    /// a half-committed mutation.
+    /// Takes the table the caller has already mutated, under the write
+    /// lock it still holds, so snapshot builders (which hold the read
+    /// lock) never see a half-committed mutation.
     ///
     /// With a journal sink attached, the commit is also encoded once
     /// (the wire body) and handed to the WAL and any replication hub
-    /// *inside* the delta lock, so journaled records land in strict
-    /// epoch order.
-    fn commit(&self, ops: impl IntoIterator<Item = DeltaOp>) -> u64 {
+    /// under that lock, so journaled records land in strict epoch order.
+    fn commit(&self, table: &mut Table, ops: impl IntoIterator<Item = DeltaOp>) -> u64 {
         let ops: Vec<DeltaOp> = ops.into_iter().collect();
         // The telemetry-off cost of this site is two relaxed loads.
         let started =
@@ -311,16 +272,14 @@ impl ModStore {
                 .last_commit_start
                 .store(telemetry::now_ns(), Ordering::Relaxed);
         }
-        let mut log = self.delta.lock().unwrap();
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         if self.journal_active.load(Ordering::Acquire) {
             let repl: Vec<ReplOp> = ops.iter().map(ReplOp::from).collect();
             self.journal_ops(epoch, &repl);
         }
         for op in ops {
-            log.record(epoch, op);
+            table.log.record(epoch, op);
         }
-        drop(log);
         if let Some(t0) = started {
             let dur_ns = t0.elapsed().as_nanos() as u64;
             self.telemetry.commits.inc();
@@ -395,13 +354,13 @@ impl ModStore {
     pub(crate) fn commit_insert(&self, tr: UncertainTrajectory) -> Result<Maintenance, StoreError> {
         let oid = tr.oid();
         let tr = Arc::new(tr);
-        let mut g = self.shard_of(oid).map.write().unwrap();
-        if g.contains_key(&oid) {
+        let mut table = self.table.write().unwrap();
+        if table.objects.contains_key(&oid) {
             return Err(StoreError::DuplicateOid(oid));
         }
-        g.insert(oid, Arc::clone(&tr));
-        self.commit([DeltaOp::Insert(tr)]);
-        drop(g);
+        table.objects.insert(oid, Arc::clone(&tr));
+        self.commit(&mut table, [DeltaOp::Insert(tr)]);
+        drop(table);
         Ok(self.maintenance())
     }
 
@@ -411,23 +370,19 @@ impl ModStore {
         trs: I,
     ) -> Result<usize, StoreError> {
         let items: Vec<Arc<UncertainTrajectory>> = trs.into_iter().map(Arc::new).collect();
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.map.write().unwrap()).collect();
-        let slot = |oid: Oid| {
-            let h = (oid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
-            h % self.shards.len()
-        };
+        let mut table = self.table.write().unwrap();
         let mut seen = std::collections::BTreeSet::new();
         for tr in &items {
-            if guards[slot(tr.oid())].contains_key(&tr.oid()) || !seen.insert(tr.oid()) {
+            if table.objects.contains_key(&tr.oid()) || !seen.insert(tr.oid()) {
                 return Err(StoreError::DuplicateOid(tr.oid()));
             }
         }
         let n = items.len();
         for tr in &items {
-            guards[slot(tr.oid())].insert(tr.oid(), Arc::clone(tr));
+            table.objects.insert(tr.oid(), Arc::clone(tr));
         }
-        self.commit(items.into_iter().map(DeltaOp::Insert));
-        drop(guards);
+        self.commit(&mut table, items.into_iter().map(DeltaOp::Insert));
+        drop(table);
         self.notify_subscriptions();
         Ok(n)
     }
@@ -452,13 +407,13 @@ impl ModStore {
     ) -> (Option<Arc<UncertainTrajectory>>, Maintenance) {
         let oid = tr.oid();
         let tr = Arc::new(tr);
-        let mut g = self.shard_of(oid).map.write().unwrap();
-        let old = g.insert(oid, Arc::clone(&tr));
+        let mut table = self.table.write().unwrap();
+        let old = table.objects.insert(oid, Arc::clone(&tr));
         match &old {
-            Some(_) => self.commit([DeltaOp::Remove(oid), DeltaOp::Insert(tr)]),
-            None => self.commit([DeltaOp::Insert(tr)]),
+            Some(_) => self.commit(&mut table, [DeltaOp::Remove(oid), DeltaOp::Insert(tr)]),
+            None => self.commit(&mut table, [DeltaOp::Insert(tr)]),
         };
-        drop(g);
+        drop(table);
         (old, self.maintenance())
     }
 
@@ -475,50 +430,40 @@ impl ModStore {
         &self,
         oid: Oid,
     ) -> Result<(Arc<UncertainTrajectory>, Maintenance), StoreError> {
-        let mut g = self.shard_of(oid).map.write().unwrap();
-        let out = g.remove(&oid).ok_or(StoreError::NotFound(oid))?;
-        self.commit([DeltaOp::Remove(oid)]);
-        drop(g);
+        let mut table = self.table.write().unwrap();
+        let out = table
+            .objects
+            .remove(&oid)
+            .ok_or(StoreError::NotFound(oid))?;
+        self.commit(&mut table, [DeltaOp::Remove(oid)]);
+        drop(table);
         Ok((out, self.maintenance()))
     }
 
     /// Clones the trajectory with the given id.
     pub fn get(&self, oid: Oid) -> Option<UncertainTrajectory> {
-        self.shard_of(oid)
-            .map
-            .read()
-            .unwrap()
-            .get(&oid)
-            .map(|a| (**a).clone())
+        let table = self.table.read().unwrap();
+        table.objects.get(&oid).map(|a| (**a).clone())
     }
 
     /// `true` when the id is present.
     pub fn contains(&self, oid: Oid) -> bool {
-        self.shard_of(oid).map.read().unwrap().contains_key(&oid)
+        self.table.read().unwrap().objects.contains_key(&oid)
     }
 
     /// Number of stored trajectories.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.read().unwrap().len())
-            .sum()
+        self.table.read().unwrap().objects.len()
     }
 
     /// `true` when the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.map.read().unwrap().is_empty())
+        self.table.read().unwrap().objects.is_empty()
     }
 
     /// All ids, ascending.
     pub fn oids(&self) -> Vec<Oid> {
-        let mut out: Vec<Oid> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.map.read().unwrap().keys().copied().collect::<Vec<_>>())
-            .collect();
-        out.sort_unstable();
-        out
+        self.table.read().unwrap().objects.keys().copied().collect()
     }
 
     /// An `Arc`-shared, epoch-stamped snapshot of the MOD, ascending by
@@ -526,11 +471,11 @@ impl ModStore {
     ///
     /// The same snapshot is returned until a mutation bumps the epoch.
     /// After a mutation, the refresh is **incremental**: while the
-    /// pending delta stays within the rebuild fraction of the
-    /// population, the previous snapshot's object list is patched in one
-    /// merge pass instead of re-copied from the shards and sorted — the
-    /// result is identical to a cold rebuild. Oversized deltas, cold
-    /// starts, and history gaps (log overflow, `clear`) rebuild fully.
+    /// pending net delta stays within a quarter of the population, the
+    /// previous snapshot's object list is patched in one merge pass
+    /// instead of re-copied from the store — the result is identical to
+    /// a cold rebuild. Oversized deltas, cold starts, and history gaps
+    /// (log overflow, `clear`) rebuild fully.
     pub fn snapshot(&self) -> Arc<QuerySnapshot> {
         let now = self.epoch.load(Ordering::Acquire);
         if let Some(s) = self.cached.read().unwrap().as_ref() {
@@ -538,10 +483,9 @@ impl ModStore {
                 return Arc::clone(s);
             }
         }
-        // Freeze the store: with every shard read lock held, no mutation
-        // is mid-commit, so contents, epoch, and delta log are mutually
-        // consistent.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.map.read().unwrap()).collect();
+        // Under the read lock no mutation is mid-commit, so contents,
+        // epoch, and delta log are mutually consistent.
+        let table = self.table.read().unwrap();
         let epoch = self.epoch.load(Ordering::Acquire);
         let prev = self.cached.read().unwrap().clone();
         if let Some(p) = &prev {
@@ -552,10 +496,9 @@ impl ModStore {
         let refresh_started =
             (telemetry::metrics_on() || telemetry::trace_on()).then(std::time::Instant::now);
         let patched = prev.as_ref().and_then(|p| {
-            let log = self.delta.lock().unwrap();
-            let ops = log.ops_since(p.epoch())?;
+            let ops = table.log.ops_since(p.epoch())?;
             let net = NetDelta::from_ops(p, ops);
-            let budget = self.rebuild_fraction() * p.len().max(1) as f64;
+            let budget = REBUILD_FRACTION * p.len().max(1) as f64;
             if net.size() as f64 > budget {
                 return None;
             }
@@ -577,18 +520,14 @@ impl ModStore {
                 }
                 debug_assert_eq!(
                     s.len(),
-                    guards.iter().map(|g| g.len()).sum::<usize>(),
+                    table.objects.len(),
                     "delta-applied snapshot diverged from the live contents"
                 );
                 Arc::new(s)
             }
             None => {
                 self.snapshots_rebuilt.fetch_add(1, Ordering::Relaxed);
-                let mut objects: Vec<UncertainTrajectory> = guards
-                    .iter()
-                    .flat_map(|g| g.values().map(|a| (**a).clone()))
-                    .collect();
-                objects.sort_unstable_by_key(|t| t.oid());
+                let objects = table.objects.values().map(|a| (**a).clone()).collect();
                 let snap = Arc::new(QuerySnapshot::new(epoch, objects));
                 if let Some(t0) = refresh_started {
                     let dur_ns = t0.elapsed().as_nanos() as u64;
@@ -604,7 +543,7 @@ impl ModStore {
                 snap
             }
         };
-        drop(guards);
+        drop(table);
         let mut cached = self.cached.write().unwrap();
         match cached.as_ref() {
             // Never replace a newer snapshot with an older rebuild.
@@ -626,33 +565,36 @@ impl ModStore {
     /// observe a stale cached engine or snapshot against the emptied
     /// store.
     pub fn clear(&self) {
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.map.write().unwrap()).collect();
-        for g in guards.iter_mut() {
-            g.clear();
+        let mut table = self.table.write().unwrap();
+        table.objects.clear();
+        // A whole-store wipe is not representable as per-object ops;
+        // mark history incomplete so nothing delta-applies across it.
+        // The journal *can* represent it ([`ReplOp::Clear`]), so the
+        // WAL and followers see the wipe as a normal commit.
+        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        if self.journal_active.load(Ordering::Acquire) {
+            self.journal_ops(epoch, &[ReplOp::Clear]);
         }
-        {
-            // A whole-store wipe is not representable as per-object ops;
-            // mark history incomplete so nothing delta-applies across it.
-            // The journal *can* represent it ([`ReplOp::Clear`]), so the
-            // WAL and followers see the wipe as a normal commit.
-            let mut log = self.delta.lock().unwrap();
-            let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-            if self.journal_active.load(Ordering::Acquire) {
-                self.journal_ops(epoch, &[ReplOp::Clear]);
-            }
-            log.invalidate(epoch);
-        }
+        table.log.invalidate(epoch);
+        self.reset(table);
+    }
+
+    /// The tail of a whole-contents replacement ([`ModStore::clear`],
+    /// [`ModStore::restore`]), given the write lock it made the
+    /// replacement under: drops the cached snapshot before releasing
+    /// the lock, so no refresh can patch it across the history gap, then
+    /// clears every attached engine cache and runs the maintenance
+    /// round that rebuilds the standing queries.
+    fn reset(&self, table: RwLockWriteGuard<'_, Table>) {
         *self.cached.write().unwrap() = None;
-        drop(guards);
-        let mut caches = self.caches.lock().unwrap();
-        caches.retain(|w| match w.upgrade() {
+        drop(table);
+        self.caches.lock().unwrap().retain(|w| match w.upgrade() {
             Some(cache) => {
                 cache.clear();
                 true
             }
             None => false,
         });
-        drop(caches);
         self.notify_subscriptions();
     }
 
@@ -673,106 +615,31 @@ impl ModStore {
     }
 
     /// Runs the freshly committed delta's maintenance in place. Must be
-    /// called with **no shard lock held**: maintenance takes snapshots
-    /// (all shard read locks) and reads the delta log.
+    /// called with **no store lock held**: maintenance takes snapshots
+    /// and reads the delta log.
     fn notify_subscriptions(&self) {
         self.maintenance().run(self);
     }
 
     /// What the commit just made owes: the checkpoint its WAL cadence
-    /// made due and, unless the batch window defers it, one round per
-    /// attached registry with its visit set looked up. Taken after the
-    /// committer's shard locks drop.
+    /// made due and one round per attached registry with its visit set
+    /// looked up. Taken after the committer's write lock drops.
     fn maintenance(&self) -> Maintenance {
-        // Durability housekeeping on *every* commit, not just
-        // batch-window boundaries: the cadence check is one counter
-        // read.
-        let checkpoint = self.due_checkpoint();
-        let window = self.maintenance_batch();
-        if window > 1 {
-            // Coalescing is free for correctness: each share's ladder
-            // reconciles from the delta log since its own watermark, so
-            // deferring the round just folds the burst's epochs into
-            // one net delta and one push fan-out per share. Only every
-            // `window`-th commit triggers the round; a burst tail
-            // shorter than the window stays pending until the next
-            // commit or an explicit [`ModStore::flush_maintenance`].
-            let n = self.maintenance_commits.fetch_add(1, Ordering::AcqRel) + 1;
-            if n % window as u64 != 0 {
-                return Maintenance {
-                    checkpoint,
-                    rounds: Vec::new(),
-                };
-            }
-        }
-        Maintenance {
-            checkpoint,
-            rounds: self.begin_rounds(),
-        }
-    }
-
-    /// Runs one maintenance round over every attached registry
-    /// unconditionally — the tail flush of a commit burst shorter than
-    /// the [`ModStore::set_maintenance_batch`] window. A no-op when
-    /// everything is already current (each share's watermark check is
-    /// `O(1)`), so calling it eagerly is safe. The network server flushes
-    /// before serving a full-answer resync so lagged subscribers never
-    /// observe a batching-stale base.
-    pub fn flush_maintenance(&self) {
-        Maintenance {
-            checkpoint: None,
-            rounds: self.begin_rounds(),
-        }
-        .run(self);
-    }
-
-    /// Begins one round on every live attached registry.
-    fn begin_rounds(&self) -> Vec<(Arc<SubscriptionRegistry>, Round)> {
         let live: Vec<Arc<SubscriptionRegistry>> = {
             let mut subs = self.subscriptions.lock().unwrap();
             subs.retain(|w| w.strong_count() > 0);
             subs.iter().filter_map(Weak::upgrade).collect()
         };
-        live.into_iter()
-            .map(|registry| {
-                let round = registry.begin(self);
-                (registry, round)
-            })
-            .collect()
-    }
-
-    /// The commit-coalescing window of subscription maintenance
-    /// (default 1: every commit runs its own round).
-    pub fn maintenance_batch(&self) -> usize {
-        self.maintenance_batch.load(Ordering::Relaxed) as usize
-    }
-
-    /// Sets the commit-coalescing window (minimum 1). At `n > 1`, a
-    /// burst of writer commits folds into one net delta and **one**
-    /// maintenance round — one index lookup, one ladder pass, one push
-    /// fan-out per affected share — every `n`-th commit, trading up to
-    /// `n - 1` commits of push latency for maintenance throughput.
-    /// Answers stay bit-identical: subscription watermarks lag at most
-    /// the window, and every round reconciles the full logged span
-    /// since each share's watermark. Size it well below the delta-log
-    /// capacity ([`ModStore::set_delta_log_capacity`]) or deferred
-    /// rounds degrade into rebuilds.
-    pub fn set_maintenance_batch(&self, window: usize) {
-        self.maintenance_batch
-            .store(window.max(1) as u64, Ordering::Relaxed);
-    }
-
-    /// The delta-to-population ratio beyond which snapshot refreshes fall
-    /// back to a full rebuild.
-    pub fn rebuild_fraction(&self) -> f64 {
-        f64::from_bits(self.rebuild_fraction.load(Ordering::Relaxed))
-    }
-
-    /// Sets the rebuild-fallback fraction (`0` disables delta
-    /// maintenance entirely — the full-rebuild ablation).
-    pub fn set_rebuild_fraction(&self, fraction: f64) {
-        self.rebuild_fraction
-            .store(fraction.max(0.0).to_bits(), Ordering::Relaxed);
+        Maintenance {
+            checkpoint: self.due_checkpoint(),
+            rounds: live
+                .into_iter()
+                .map(|registry| {
+                    let round = registry.begin(self);
+                    (registry, round)
+                })
+                .collect(),
+        }
     }
 
     /// Counters of the delta-epoch machinery.
@@ -784,15 +651,17 @@ impl ModStore {
             .as_ref()
             .map(|s| s.epoch())
             .unwrap_or(0);
-        let log = self.delta.lock().unwrap();
-        let pending = log.ops_since(cached_epoch).map(|o| o.len()).unwrap_or(0);
+        let table = self.table.read().unwrap();
+        let pending = table
+            .log
+            .ops_since(cached_epoch)
+            .map(|o| o.len())
+            .unwrap_or(0);
         DeltaStats {
             epoch: self.epoch(),
-            shards: self.shards.len(),
-            log_len: log.len(),
-            log_floor: log.floor(),
+            log_len: table.log.len(),
+            log_floor: table.log.floor(),
             pending_ops: pending,
-            rebuild_fraction: self.rebuild_fraction(),
             snapshots_delta_applied: self.snapshots_delta_applied.load(Ordering::Relaxed),
             snapshots_rebuilt: self.snapshots_rebuilt.load(Ordering::Relaxed),
         }
@@ -803,7 +672,7 @@ impl ModStore {
     /// and forces delta consumers whose base epoch fell off — snapshots,
     /// engine carries, subscriptions — onto their full-rebuild paths.
     pub fn set_delta_log_capacity(&self, capacity: usize) {
-        self.delta.lock().unwrap().set_capacity(capacity);
+        self.table.write().unwrap().log.set_capacity(capacity);
     }
 
     /// Attaches a write-ahead log: every subsequent commit (including
@@ -838,9 +707,8 @@ impl ModStore {
     }
 
     /// The attached WAL when the commit just made brought its checkpoint
-    /// cadence due. Asked after every commit once the committer's shard
-    /// locks are dropped (a checkpoint takes a store snapshot, i.e. every
-    /// shard read lock).
+    /// cadence due. Asked after every commit once the committer's write
+    /// lock is dropped (a checkpoint takes a store snapshot).
     fn due_checkpoint(&self) -> Option<Arc<Wal>> {
         if !self.journal_active.load(Ordering::Acquire) {
             return None;
@@ -861,23 +729,23 @@ impl ModStore {
             self.clear();
             return self.epoch();
         }
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.map.write().unwrap()).collect();
+        let mut table = self.table.write().unwrap();
         let mut delta_ops = Vec::with_capacity(ops.len());
         for op in ops {
             match op {
                 ReplOp::Insert(tr) => {
-                    guards[self.shard_index(tr.oid())].insert(tr.oid(), Arc::clone(tr));
+                    table.objects.insert(tr.oid(), Arc::clone(tr));
                     delta_ops.push(DeltaOp::Insert(Arc::clone(tr)));
                 }
                 ReplOp::Remove(oid) => {
-                    guards[self.shard_index(*oid)].remove(oid);
+                    table.objects.remove(oid);
                     delta_ops.push(DeltaOp::Remove(*oid));
                 }
                 ReplOp::Clear => unreachable!("handled above"),
             }
         }
-        let epoch = self.commit(delta_ops);
-        drop(guards);
+        let epoch = self.commit(&mut table, delta_ops);
+        drop(table);
         self.notify_subscriptions();
         epoch
     }
@@ -892,62 +760,40 @@ impl ModStore {
     /// this triggers. Not journaled — a restore re-establishes state
     /// that is already durable elsewhere.
     pub fn restore(&self, objects: Vec<Arc<UncertainTrajectory>>, epoch: u64) {
-        // Deal the objects out per shard, then bulk-build each map from
-        // its run (collecting sorts first — a no-op pass here, since both
-        // producers, image decode and resync decode, hand the objects
-        // over ascending by id) instead of one tree descent per object.
-        let per_shard = objects.len() / self.shards.len() + 1;
-        let mut runs: Vec<Vec<(Oid, Arc<UncertainTrajectory>)>> = self
-            .shards
-            .iter()
-            .map(|_| Vec::with_capacity(per_shard + per_shard / 8))
-            .collect();
-        for tr in objects {
-            runs[self.shard_index(tr.oid())].push((tr.oid(), tr));
-        }
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.map.write().unwrap()).collect();
-        for (g, run) in guards.iter_mut().zip(runs) {
-            **g = run.into_iter().collect();
-        }
-        {
-            let mut log = self.delta.lock().unwrap();
-            self.epoch.store(epoch, Ordering::Release);
-            log.invalidate(epoch);
-        }
-        *self.cached.write().unwrap() = None;
-        drop(guards);
-        let mut caches = self.caches.lock().unwrap();
-        caches.retain(|w| match w.upgrade() {
-            Some(cache) => {
-                cache.clear();
-                true
-            }
-            None => false,
-        });
-        drop(caches);
-        self.notify_subscriptions();
+        // Built before the lock is taken. Both producers, image decode
+        // and resync decode, hand the objects over ascending by id, so
+        // the map is bulk-built from one sorted run.
+        let mut objects: BTreeMap<Oid, Arc<UncertainTrajectory>> =
+            objects.into_iter().map(|tr| (tr.oid(), tr)).collect();
+        let mut table = self.table.write().unwrap();
+        std::mem::swap(&mut table.objects, &mut objects);
+        self.epoch.store(epoch, Ordering::Release);
+        table.log.invalidate(epoch);
+        self.reset(table);
     }
 
     /// Owned copies of the delta records newer than `base` (`None` when
     /// the log is incomplete past `base`). The clones are cheap — records
-    /// share their trajectories by `Arc` — and taken under the log lock,
-    /// so consumers can process them without holding it.
+    /// share their trajectories by `Arc` — and taken under the read
+    /// lock, so consumers can process them without holding it.
     pub(crate) fn ops_since_cloned(&self, base: u64) -> Option<Vec<DeltaRecord>> {
-        let log = self.delta.lock().unwrap();
-        log.ops_since(base)
+        let table = self.table.read().unwrap();
+        table
+            .log
+            .ops_since(base)
             .map(|ops| ops.into_iter().cloned().collect())
     }
 
     /// Runs `f` over the delta records newer than `base` (`None` when the
     /// log is incomplete past `base`). Used by the engine-cache carry
-    /// check; the closure runs under the log lock and must not call back
-    /// into the store.
+    /// check; the closure runs under the read lock and must not call
+    /// back into the store.
     pub(crate) fn with_ops_since<R>(
         &self,
         base: u64,
         f: impl FnOnce(Option<&[&DeltaRecord]>) -> R,
     ) -> R {
-        f(self.delta.lock().unwrap().ops_since(base).as_deref())
+        f(self.table.read().unwrap().log.ops_since(base).as_deref())
     }
 }
 
@@ -1084,20 +930,6 @@ mod tests {
         assert!(!second.contains(Oid(7)));
         assert!(second.contains(Oid(100)));
         assert_eq!(second.len(), 40);
-    }
-
-    #[test]
-    fn zero_rebuild_fraction_disables_delta_maintenance() {
-        let s = ModStore::new();
-        s.set_rebuild_fraction(0.0);
-        s.bulk_load((0..20).map(tr)).unwrap();
-        let _ = s.snapshot();
-        s.remove(Oid(3)).unwrap();
-        let snap = s.snapshot();
-        assert!(!snap.contains(Oid(3)));
-        let stats = s.delta_stats();
-        assert_eq!(stats.snapshots_delta_applied, 0, "{stats:?}");
-        assert!(stats.snapshots_rebuilt >= 2);
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl ShareCore {
     /// columns with: the profiled difference pdf of the MOD's shared
     /// location model, served from the store-wide cache
     /// ([`ModStore::difference_model`], shared with the one-shot sweeps)
-    /// and kept here by kind so a maintenance round holding a shard lock
+    /// and kept here by kind so a maintenance round holding a share lock
     /// does not touch the shared cache mutex while the registered kind is
     /// unchanged. The result is a handle on the kept kernel: it shares
     /// the memo.

@@ -65,16 +65,15 @@
 //!    plan → difference → envelope (→ sampling) pipeline runs from
 //!    scratch (see the truncation contract in [`crate::delta::DeltaLog`]).
 //!
-//! ## Sharded maintenance
+//! ## Two-phase maintenance
 //!
-//! The registry is sharded by subscription-name hash, mirroring the
-//! store's oid-hashed writer shards. [`SubscriptionRegistry::sync`] runs
-//! in two phases: a sequential *cheap pass* decides each visited
-//! share's rung (current / skip / heavy), sharing one delta-ops fetch and
-//! one changed-id set across all shares at the same watermark; then the
-//! shares needing heavy work (patch or rebuild) climb the rest of the
-//! ladder with the delta the cheap pass already fetched, **fanning out
-//! across scoped threads** when the host has more than one core.
+//! [`SubscriptionRegistry::sync`] runs in two phases: a sequential
+//! *cheap pass* decides each visited share's rung (current / skip /
+//! heavy), sharing one delta-ops fetch and one changed-id set across
+//! all shares at the same watermark; then the shares needing heavy work
+//! (patch or rebuild) climb the rest of the ladder with the delta the
+//! cheap pass already fetched, **fanning out across scoped threads**
+//! when the host has more than one core.
 //!
 //! ## The maintenance index: `O(affected)` rounds
 //!
@@ -106,15 +105,15 @@
 //! 100-subscription round, a ratio `check_bench_json` enforces on the
 //! tracked report.
 //!
-//! Commits can additionally be **coalesced**: with
-//! [`crate::store::ModStore::set_maintenance_batch`] above 1, only
-//! every `n`-th commit runs a round, which then reconciles the whole
-//! burst from the delta log in one pass
-//! ([`SubscriptionStats::batched_commits`] counts the epochs folded
-//! beyond each visit's first). `tests/indexed_sync.rs` holds the
-//! indexed, batched path bit-identical to a cold exhaustive evaluation
-//! of the final contents across random interleavings, prefilter
-//! policies, and mid-batch registrations.
+//! Every commit owes one round. A visit reconciles its share from the
+//! delta log since the share's own watermark, so a visit that finds
+//! several epochs pending — rounds that raced, or a registration's
+//! catch-up — folds them into one ladder pass
+//! ([`SubscriptionStats::batched_commits`] counts the epochs a visit
+//! folds beyond its first). `tests/indexed_sync.rs` holds the indexed
+//! path bit-identical to a cold exhaustive evaluation of the final
+//! contents across random interleavings, prefilter policies, and
+//! mid-script registrations.
 //!
 //! ## Engine sharing
 //!
@@ -322,10 +321,9 @@ pub struct SubscriptionStats {
     /// Distinct from `skipped`, which still pays a per-share box/id
     /// check under the core lock.
     pub skipped_unvisited: u64,
-    /// Extra commits absorbed beyond the first by coalesced rounds
-    /// (distinct commit epochs spanned minus one, summed over visited
-    /// rounds) — what a [`crate::store::ModStore::set_maintenance_batch`]
-    /// window or a raced burst folded into single ladder passes.
+    /// The epochs one visit folds beyond its first (distinct commit
+    /// epochs spanned minus one, summed over visited rounds): commits
+    /// whose rounds raced into one ladder pass.
     pub batched_commits: u64,
 }
 
@@ -561,6 +559,18 @@ mod testutil {
             SubAnswer::Rows(r) => r,
             other => panic!("expected rows, got {other:?}"),
         }
+    }
+
+    /// A fresh exhaustive interval evaluation of `PROB_NN(*, query) > 0`
+    /// over [0, 10] — the ground truth a maintained interval answer must
+    /// equal bit-for-bit.
+    pub(super) fn fresh_intervals(store: &ModStore, query: Oid) -> AnswerSet {
+        QueryPlanner::new(PrefilterPolicy::Exhaustive)
+            .plan(store.snapshot(), query, TimeInterval::new(0.0, 10.0))
+            .unwrap()
+            .build_engine()
+            .unwrap()
+            .answer_set()
     }
 
     /// A fresh exhaustive row evaluation (forward or reverse) — the

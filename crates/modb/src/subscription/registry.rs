@@ -23,10 +23,6 @@ use unn_core::kernel::ColumnKernel;
 use unn_geom::interval::TimeInterval;
 use unn_traj::trajectory::Oid;
 
-/// Number of name-hashed registry shards (mirrors the store's writer
-/// sharding so maintenance fan-out matches ingest fan-out).
-const REGISTRY_SHARDS: usize = 16;
-
 /// A share's counters as a visit found them: its stats and its
 /// quiet-patch count (`ShareCore::quiet_patches`).
 type Counted = (SubscriptionStats, u64);
@@ -178,17 +174,16 @@ fn reconciled_stats(share: &SharedSub, core: &ShareCore, rounds: u64) -> Subscri
 }
 
 /// The registry of standing queries attached to a store. Names live in
-/// name-hashed shards (cheap lookup/registration); the maintained
-/// computations live in the `shares` map, deduplicated by `ShareKey`
-/// — `sync` runs **one maintenance round per share**, however many
-/// subscriptions ride it. All methods are thread-safe; maintenance of
-/// one share serializes on its core mutex, so concurrent mutations
-/// apply their updates in commit order.
+/// one ordered map; the maintained computations live in the `shares`
+/// map, deduplicated by `ShareKey` — `sync` runs **one maintenance
+/// round per share**, however many subscriptions ride it. All methods
+/// are thread-safe; maintenance of one share serializes on its core
+/// mutex, so concurrent mutations apply their updates in commit order.
 ///
 /// Lock hierarchy (acquire left to right, release in any order): name
-/// shard → `shares` map → share core → subscription index. `sync`
-/// touches only the last three, so registration bursts on one shard
-/// never stall maintenance.
+/// map → `shares` map → share core → subscription index. A maintenance
+/// round never takes the name map: only registration, unregistration
+/// and the per-name reads do.
 ///
 /// Registering a standing query, receiving its pushed delta through a
 /// [`DeltaSink`], and folding it back onto the base answer:
@@ -236,13 +231,13 @@ fn reconciled_stats(share: &SharedSub, core: &ShareCore, rounds: u64) -> Subscri
 /// ```
 #[derive(Debug)]
 pub struct SubscriptionRegistry {
-    shards: Vec<Mutex<BTreeMap<String, SubState>>>,
+    names: Mutex<BTreeMap<String, SubState>>,
     /// The deduplicated maintained computations, keyed by share
     /// identity. A share is inserted by the first registration on its
     /// key and removed when its last subscriber unregisters.
     shares: Mutex<HashMap<ShareKey, Arc<SharedSub>>>,
     row_samples: std::sync::atomic::AtomicU32,
-    /// The publication-style guard index the sharded sync prunes its
+    /// The publication-style guard index a maintenance round prunes its
     /// visit set with (see [`SubscriptionIndex`]).
     index: Mutex<SubscriptionIndex>,
     /// Indexed maintenance rounds **completed** so far — the clock
@@ -265,7 +260,7 @@ pub struct SubscriptionRegistry {
 impl Default for SubscriptionRegistry {
     fn default() -> Self {
         SubscriptionRegistry {
-            shards: (0..REGISTRY_SHARDS).map(|_| Mutex::default()).collect(),
+            names: Mutex::default(),
             shares: Mutex::new(HashMap::new()),
             row_samples: std::sync::atomic::AtomicU32::new(PROB_ROW_SAMPLES),
             index: Mutex::new(SubscriptionIndex::default()),
@@ -282,24 +277,14 @@ impl SubscriptionRegistry {
         SubscriptionRegistry::default()
     }
 
-    /// FNV-1a over the name, folded onto the shard count.
-    fn shard_of(&self, name: &str) -> &Mutex<BTreeMap<String, SubState>> {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in name.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
-    }
-
     /// Number of registered subscriptions.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.names.lock().unwrap().len()
     }
 
     /// `true` when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().unwrap().is_empty())
+        self.names.lock().unwrap().is_empty()
     }
 
     /// Number of distinct maintained computations (shares):
@@ -348,15 +333,13 @@ impl SubscriptionRegistry {
     pub fn nearest_name(&self, name: &str) -> Option<String> {
         let budget = (name.chars().count() / 3).max(2);
         let mut best: Option<(usize, String)> = None;
-        for shard in &self.shards {
-            for candidate in shard.lock().unwrap().keys() {
-                if candidate == name {
-                    continue;
-                }
-                let d = levenshtein(name, candidate);
-                if d <= budget && best.as_ref().map(|(bd, _)| d < *bd).unwrap_or(true) {
-                    best = Some((d, candidate.clone()));
-                }
+        for candidate in self.names.lock().unwrap().keys() {
+            if candidate == name {
+                continue;
+            }
+            let d = levenshtein(name, candidate);
+            if d <= budget && best.as_ref().map(|(bd, _)| d < *bd).unwrap_or(true) {
+                best = Some((d, candidate.clone()));
             }
         }
         best.map(|(_, n)| n)
@@ -443,7 +426,7 @@ impl SubscriptionRegistry {
         loop {
             // Racy duplicate pre-check (re-checked under the lock
             // below): fail fast before paying an evaluation.
-            if self.shard_of(name).lock().unwrap().contains_key(name) {
+            if self.names.lock().unwrap().contains_key(name) {
                 return Err(SubscriptionError::NameTaken(name.to_string()));
             }
             // Evaluate a fresh core WITHOUT any registry lock when no
@@ -460,7 +443,7 @@ impl SubscriptionRegistry {
                     .map_err(SubscriptionError::Evaluation)?;
                 Some(core)
             };
-            let mut map = self.shard_of(name).lock().unwrap();
+            let mut map = self.names.lock().unwrap();
             if map.contains_key(name) {
                 return Err(SubscriptionError::NameTaken(name.to_string()));
             }
@@ -491,8 +474,8 @@ impl SubscriptionRegistry {
             let mut core = share.core.lock().unwrap();
             // Commits that landed during the unlocked evaluation ran
             // their maintenance without this share (and an existing
-            // share may be mid-burst, or the store mid-batch under a
-            // maintenance window): catch up under the lock (a no-op
+            // share may be mid-burst, or a commit's round may not have
+            // run yet): catch up under the lock (a no-op
             // when already current; the ladder reconciles from the
             // delta log, rebuilding if it was truncated), so the
             // installed answer is current and every later commit's
@@ -547,7 +530,7 @@ impl SubscriptionRegistry {
     /// share survives while other subscriptions ride it; the last
     /// unregistration drops the engine and its maintenance round.
     pub fn unregister(&self, name: &str) -> bool {
-        let mut map = self.shard_of(name).lock().unwrap();
+        let mut map = self.names.lock().unwrap();
         let Some(sub) = map.remove(name) else {
             return false;
         };
@@ -576,25 +559,14 @@ impl SubscriptionRegistry {
     /// Every subscription's state, ascending by name.
     pub fn list(&self) -> Vec<SubscriptionInfo> {
         let rounds = self.sync_rounds.load(Ordering::Acquire);
-        let mut out: Vec<SubscriptionInfo> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .unwrap()
-                    .values()
-                    .map(|sub| sub.info(rounds))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
+        let names = self.names.lock().unwrap();
+        names.values().map(|sub| sub.info(rounds)).collect()
     }
 
     /// The named subscription's state.
     pub fn info(&self, name: &str) -> Option<SubscriptionInfo> {
         let rounds = self.sync_rounds.load(Ordering::Acquire);
-        self.shard_of(name)
+        self.names
             .lock()
             .unwrap()
             .get(name)
@@ -603,7 +575,7 @@ impl SubscriptionRegistry {
 
     /// The named subscription's current answer.
     pub fn answer(&self, name: &str) -> Option<SubAnswer> {
-        self.shard_of(name)
+        self.names
             .lock()
             .unwrap()
             .get(name)
@@ -616,7 +588,7 @@ impl SubscriptionRegistry {
     /// with `delta.epoch <= epoch` is subsumed by this answer, and every
     /// later delta diffs from exactly this state.
     pub fn answer_with_epoch(&self, name: &str) -> Option<(SubAnswer, u64)> {
-        self.shard_of(name).lock().unwrap().get(name).map(|s| {
+        self.names.lock().unwrap().get(name).map(|s| {
             let core = s.share.core.lock().unwrap();
             (core.answer.clone(), core.last_epoch)
         })
@@ -627,7 +599,7 @@ impl SubscriptionRegistry {
     /// Subscriptions sharing one maintained answer render through their
     /// own statements here — the per-quantifier views of one engine.
     pub fn output(&self, name: &str) -> Option<QueryOutput> {
-        self.shard_of(name).lock().unwrap().get(name).map(|s| {
+        self.names.lock().unwrap().get(name).map(|s| {
             let core = s.share.core.lock().unwrap();
             match &core.answer {
                 SubAnswer::Intervals(a) => render_output(&s.query, a),
@@ -657,7 +629,7 @@ impl SubscriptionRegistry {
         sink: &Arc<DeltaSink>,
     ) -> Result<SubscriptionInfo, SubscriptionError> {
         let attached = {
-            let map = self.shard_of(name).lock().unwrap();
+            let map = self.names.lock().unwrap();
             map.get(name).map(|sub| {
                 let mut core = sub.share.core.lock().unwrap();
                 core.slot_mut(name)
@@ -667,8 +639,8 @@ impl SubscriptionRegistry {
                 sub.info_from(&core, self.sync_rounds.load(Ordering::Acquire))
             })
         };
-        // The unknown-name hint scans every shard; build it only after
-        // releasing the looked-up shard's lock.
+        // The unknown-name hint scans every name; build it only after
+        // releasing the name map's lock.
         attached.ok_or_else(|| SubscriptionError::unknown(name, self))
     }
 
@@ -1086,6 +1058,62 @@ mod tests {
             assert_eq!(late_reg.answer(name), synced_reg.answer(name), "{name}");
         }
         assert_eq!(synced_reg.list()[0].last_epoch, synced.epoch());
+    }
+
+    /// Registration between a commit and its maintenance round, as the
+    /// network server's event loop leaves a commit: the commit's rounds
+    /// are begun (visit sets decided without the new names) but not
+    /// run. "near" joins the share "old" rides, which is behind those
+    /// commits; "hot" is a fresh share. Both catch up at registration;
+    /// the held rounds then run, and later commits push deltas. Each
+    /// name's answer, and its pushed deltas folded onto its base, equal
+    /// a cold exhaustive evaluation bit for bit.
+    #[test]
+    fn registration_between_a_commit_and_its_round_catches_up() {
+        let store = populated_store();
+        let reg = Arc::new(SubscriptionRegistry::new());
+        store.attach_subscriptions(&reg);
+        reg.register(&store, "old", star_query(), PrefilterPolicy::default())
+            .unwrap();
+        let held = vec![
+            store.commit_update(tr(1, 0.6)).1,
+            store.commit_insert(tr(7, 0.3)).unwrap(),
+        ];
+        let watched: Vec<(&str, SubAnswer, Arc<DeltaSink>)> =
+            [("near", star_query()), ("hot", threshold_query())]
+                .into_iter()
+                .map(|(name, query)| {
+                    let sink = Arc::new(DeltaSink::bounded(crate::store::DEFAULT_FEED_BOUND));
+                    let info = reg
+                        .register_with_sink(
+                            &store,
+                            name,
+                            query,
+                            PrefilterPolicy::default(),
+                            Some(&sink),
+                        )
+                        .unwrap();
+                    assert_eq!(info.last_epoch, store.epoch(), "{name}");
+                    (name, reg.answer(name).unwrap(), sink)
+                })
+                .collect();
+        for maintenance in held {
+            maintenance.run(&store);
+        }
+        store.insert(tr(8, 1.8)).unwrap();
+        store.commit_remove(Oid(1)).unwrap().1.run(&store);
+        store.update(tr(7, 2.5));
+        let cold = [
+            SubAnswer::Intervals(fresh_intervals(&store, Oid(0))),
+            SubAnswer::Rows(fresh_rows(&store, Oid(0), false)),
+        ];
+        for ((name, base, sink), cold) in watched.into_iter().zip(cold) {
+            assert_eq!(reg.answer(name).unwrap(), cold, "{name}");
+            let deltas = drain(&sink);
+            assert!(!deltas.is_empty(), "{name} pushed nothing");
+            let folded = deltas.iter().fold(base, |acc, d| acc.apply(d));
+            assert_eq!(folded, cold, "{name}");
+        }
     }
 
     #[test]

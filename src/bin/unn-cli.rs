@@ -57,10 +57,8 @@
 //! policy <kind> [epochs]      set the prefilter (exhaustive|scan)
 //! cache                       engine-cache hit/miss/carry counters
 //! store delta-stats           delta-epoch machinery counters
-//! store rebuild-fraction <f>  set the delta-vs-rebuild threshold
 //! store delta-capacity <n>    cap the delta log (forces rebuilds past it)
 //! store row-samples <n>       probe density of future row subscriptions
-//! store maintenance-batch <n> coalesce n commits per maintenance round
 //! store metrics [p] [--watch <s> [n]]  telemetry registry (Prometheus text)
 //! store telemetry <metrics|trace> <on|off>  flip the telemetry switches
 //! store trace <epoch>         replay one commit's pipeline trace events
@@ -113,10 +111,8 @@ commands:
   policy <kind> [epochs]      set the prefilter (exhaustive|scan)
   cache                       engine-cache hit/miss/carry counters
   store delta-stats           delta-epoch machinery counters
-  store rebuild-fraction <f>  set the delta-vs-rebuild threshold
   store delta-capacity <n>    cap the delta log (forces rebuilds past it)
   store row-samples <n>       probe density of future row subscriptions
-  store maintenance-batch <n> coalesce n commits per maintenance round
   store wal-open <dir> [fsync] recover from a WAL dir and journal into it
   store wal-status            write-ahead log segment/fsync/checkpoint counters
   store checkpoint            force a WAL checkpoint (snapshot + prune) now
@@ -419,32 +415,18 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
         }
         "store" => {
             let mut parts = rest.split_whitespace();
-            match parts
-                .next()
-                .ok_or("usage: store <delta-stats|rebuild-fraction <f>>")?
-            {
+            match parts.next().ok_or("usage: store <subcommand> (see help)")? {
                 "delta-stats" => {
                     let d = server.store().delta_stats();
-                    println!(
-                        "store: epoch {}, {} shards, {} objects",
-                        d.epoch,
-                        d.shards,
-                        server.store().len()
-                    );
+                    println!("store: epoch {}, {} objects", d.epoch, server.store().len());
                     println!(
                         "delta log: {} records retained (floor epoch {}), {} ops pending vs cached snapshot",
                         d.log_len, d.log_floor, d.pending_ops
                     );
                     println!(
-                        "snapshot refreshes: {} delta-applied, {} full rebuilds (rebuild fraction {:.2})",
-                        d.snapshots_delta_applied, d.snapshots_rebuilt, d.rebuild_fraction
+                        "snapshot refreshes: {} delta-applied, {} full rebuilds",
+                        d.snapshots_delta_applied, d.snapshots_rebuilt
                     );
-                    Ok(())
-                }
-                "rebuild-fraction" => {
-                    let f: f64 = parse(parts.next().ok_or("usage: store rebuild-fraction <f>")?)?;
-                    server.store().set_rebuild_fraction(f);
-                    println!("rebuild fraction set to {f} (0 disables delta maintenance)");
                     Ok(())
                 }
                 "delta-capacity" => {
@@ -464,21 +446,6 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                          (existing ones keep their density)",
                         registry.row_samples()
                     );
-                    Ok(())
-                }
-                "maintenance-batch" => {
-                    let n: usize =
-                        parse(parts.next().ok_or("usage: store maintenance-batch <n>")?)?;
-                    server.store().set_maintenance_batch(n);
-                    let window = server.store().maintenance_batch();
-                    if window > 1 {
-                        println!(
-                            "maintenance coalesces every {window} commits into one round \
-                             (burst tails stay pending until the next commit or resync)"
-                        );
-                    } else {
-                        println!("maintenance runs per commit (batch window 1)");
-                    }
                     Ok(())
                 }
                 "wal-open" => {
@@ -705,10 +672,9 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     let subs = server.subscriptions();
                     let registry = server.subscription_registry();
                     println!(
-                        "{} subscriptions on {} shared engines, maintenance batch window {}",
+                        "{} subscriptions on {} shared engines",
                         subs.len(),
-                        registry.share_count(),
-                        server.store().maintenance_batch()
+                        registry.share_count()
                     );
                     for info in &subs {
                         let s = &info.stats;

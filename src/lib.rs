@@ -25,7 +25,7 @@
 //!    `Arc`-shared, epoch-stamped [`modb::snapshot::QuerySnapshot`]. The
 //!    same snapshot is reused until a mutation bumps the store epoch; no
 //!    trajectory is cloned per query. After a mutation, the refresh is
-//!    **incremental**: the sharded store logs every op in a
+//!    **incremental**: the store logs every op in a
 //!    [`modb::delta::DeltaLog`] and small deltas patch the previous
 //!    snapshot instead of rebuilding it (see the `unn-modb` crate docs
 //!    for the delta-epoch lifecycle).
@@ -98,7 +98,7 @@
 //!                                                        │     wal_append_ns
 //!                                      SubscriptionRegistry::sync
 //!                                      (one shared engine per distinct
-//!                                       query; sharded: shared ops fetch,
+//!                                       query; shared ops fetch,
 //!                                       cached skip proofs, scoped-
 //!                                       thread fan-out of patches)
 //!                                                        │   ⏱ maintenance_round_ns,
@@ -202,7 +202,6 @@ pub mod prelude {
     };
     pub use unn_geom::interval::{IntervalSet, TimeInterval};
     pub use unn_geom::point::{Point2, Vec2};
-    pub use unn_modb::catalog::{Catalog, ObjectMeta};
     pub use unn_modb::plan::{PrefilterPolicy, QueryPlanner};
     pub use unn_modb::server::{ModServer, QueryOutput};
     pub use unn_modb::snapshot::QuerySnapshot;

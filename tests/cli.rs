@@ -383,17 +383,12 @@ fn store_delta_stats_track_the_delta_epoch_machinery() {
         "gen 30 5 0.5\n\
          stats Tr0 0 60\n\
          store delta-stats\n\
-         store rebuild-fraction 0\n\
-         store delta-stats\n\
          store bogus\n\
          quit\n",
     );
     assert!(stderr.is_empty(), "stderr: {stderr}");
-    assert!(stdout.contains("16 shards, 30 objects"), "{stdout}");
     assert!(stdout.contains("delta log:"), "{stdout}");
     assert!(stdout.contains("snapshot refreshes:"), "{stdout}");
-    assert!(stdout.contains("rebuild fraction set to 0"), "{stdout}");
-    assert!(stdout.contains("(rebuild fraction 0.00)"), "{stdout}");
     assert!(
         stdout.contains("unknown store subcommand 'bogus'"),
         "{stdout}"

@@ -1,6 +1,6 @@
-//! Concurrency tests of the sharded store: writer threads hammer
-//! inserts/removes across shards while reader threads continuously take
-//! (delta-patched) snapshots. Asserts no lost updates, a strictly
+//! Concurrency tests of the store: writer threads hammer
+//! inserts/removes on disjoint id ranges while reader threads
+//! continuously take (delta-patched) snapshots. Asserts no lost updates, a strictly
 //! monotone epoch per observer, and internally consistent snapshots
 //! throughout.
 

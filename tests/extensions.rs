@@ -1,7 +1,7 @@
 //! Integration tests for the §7 future-work extensions, exercised through
 //! the public API on the paper's random-waypoint workload: reverse NN,
-//! all-pairs, heterogeneous radii, continuous k-NN, threshold queries,
-//! and the catalog join.
+//! all-pairs, heterogeneous radii, continuous k-NN and threshold
+//! queries.
 
 use uncertain_nn::core::hetero::HeteroCandidate;
 use uncertain_nn::prelude::*;
@@ -189,30 +189,6 @@ fn theorem_1_holds_on_generated_workloads() {
     let crisp = continuous_knn(&fs, 3);
     let agreement = uncertain_nn::core::topk::semantics_agreement(&engine, &crisp, 3, 120);
     assert!(agreement > 0.93, "agreement {agreement}");
-}
-
-#[test]
-fn catalog_joins_spatial_answers() {
-    let s = server_with(12, 21, 0.5);
-    let w = TimeInterval::new(WINDOW.0, WINDOW.1);
-    let catalog = Catalog::new();
-    for oid in s.store().oids() {
-        let kind = if oid.0 % 3 == 0 { "truck" } else { "car" };
-        catalog.upsert(oid, ObjectMeta::new(format!("veh-{}", oid.0), kind));
-    }
-    let out = s
-        .execute("SELECT * FROM MOD WHERE EXISTS TIME IN [0, 30] AND PROB_NN(*, Tr0, TIME) > 0")
-        .unwrap();
-    let QueryOutput::Objects(rows) = out else {
-        panic!("expected Objects")
-    };
-    let total = rows.len();
-    let trucks = catalog.filter_answer(rows, |m| m.kind == "truck");
-    assert!(trucks.len() <= total);
-    for (oid, _) in &trucks {
-        assert_eq!(oid.0 % 3, 0);
-    }
-    let _ = w;
 }
 
 #[test]

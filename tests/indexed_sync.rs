@@ -1,7 +1,6 @@
-//! Equivalence property of the indexed, batch-coalescing maintenance
-//! path: a server running guard-indexed maintenance under a
-//! commit-coalescing batch window must maintain answers **bit-identical**
-//! to a cold `PrefilterPolicy::Exhaustive` evaluation of the same
+//! Equivalence property of the indexed maintenance path: a server
+//! running guard-indexed maintenance must maintain answers
+//! **bit-identical** to a cold `PrefilterPolicy::Exhaustive` evaluation of the same
 //! statements on the final contents — the contract every maintained
 //! answer is held to — across random mutation interleavings, every
 //! prefilter backend, and mixed interval/row subscription populations.
@@ -9,10 +8,10 @@
 //! The script deliberately includes the hard cases for the index:
 //! mutations far outside every guard box (pure prunes), mutations of
 //! the query objects themselves (guard republish + rebuild), and a
-//! subscription registered mid-batch — its initial answer is computed
-//! while coalesced commits are still pending, so the next flush must
-//! catch it up from the delta log without replaying epochs it already
-//! saw.
+//! subscription registered mid-script, whose later rounds must not
+//! replay epochs its initial answer already saw. Registration while a
+//! commit's round is still pending is the registry's unit test
+//! `registration_between_a_commit_and_its_round_catches_up`.
 
 use proptest::prelude::*;
 use uncertain_nn::modb::subscription::SubAnswer;
@@ -48,7 +47,7 @@ fn arb_waypoints() -> impl Strategy<Value = Vec<(f64, f64)>> {
 }
 
 /// Base population, mutation script, and the index (into the script) at
-/// which the mid-batch subscription registers.
+/// which the mid-script subscription registers.
 type Script = (Vec<Vec<(f64, f64)>>, Vec<OpSpec>, usize);
 
 fn arb_script() -> impl Strategy<Value = Script> {
@@ -163,25 +162,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The acceptance property of the maintenance index: indexed
-    /// maintenance under a batch window of 3 answers bit-identically to a cold exhaustive evaluation of the
+    /// maintenance answers bit-identically to a cold exhaustive evaluation of the
     /// final contents after any mutation interleaving, including for
-    /// the subscription registered mid-batch.
+    /// the subscription registered mid-script.
     #[test]
     fn indexed_batched_sync_matches_cold_evaluation(script in arb_script()) {
         let (base, ops, mid_at) = script;
         let policy = PrefilterPolicy::Scan { epochs: 6 };
             let server = build_server(policy, &base);
-            server.store().set_maintenance_batch(3);
 
             let mid_at = mid_at.min(ops.len().saturating_sub(1));
             let mut next_oid = base.len() as u64;
             for (i, op) in ops.iter().enumerate() {
                 apply_op(&server, op, &mut next_oid);
                 if i == mid_at {
-                    // Mid-script — and mid-batch: the coalescing window
-                    // is 3, so with high probability commits are pending
-                    // here and the new subscription's catch-up must
-                    // reconcile with them.
                     server
                         .subscribe(
                             "mid",
@@ -191,7 +185,6 @@ proptest! {
                         .unwrap();
                 }
             }
-            server.store().flush_maintenance();
 
             for (name, query, rows) in [
                 ("near", Oid(0), false),
