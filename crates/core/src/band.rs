@@ -57,11 +57,6 @@ impl BandStats {
             self.kept as f64 / self.total as f64
         }
     }
-
-    /// Fraction of objects pruned away.
-    pub fn pruned_fraction(&self) -> f64 {
-        1.0 - self.kept_fraction()
-    }
 }
 
 /// Enumerates the elementary intervals of the overlay of `f`'s pieces and

@@ -237,13 +237,6 @@ impl EnvelopeBuilder {
         self.pieces.push(piece);
     }
 
-    /// Appends every piece of `env`.
-    pub fn extend_from(&mut self, env: &Envelope) {
-        for p in env.pieces() {
-            self.push(*p);
-        }
-    }
-
     /// Finalizes into an [`Envelope`].
     pub fn build(self) -> Result<Envelope, EnvelopeError> {
         Envelope::new(self.pieces)

@@ -163,11 +163,6 @@ impl HeteroEngine {
         &self.cands
     }
 
-    /// The upper-bound envelope `U(t) = min_j (d_j(t) + r_j + r_q)`.
-    pub fn upper_envelope(&self) -> &ShiftedEnvelope {
-        &self.upper
-    }
-
     fn candidate_index(&self, oid: Oid) -> Option<usize> {
         self.cands.iter().position(|c| c.f.owner() == oid)
     }

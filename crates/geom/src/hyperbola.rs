@@ -210,11 +210,6 @@ impl Hyperbola {
         out
     }
 
-    /// `true` when `self(t) > other(t) + delta` at the instant `t`.
-    pub fn above_shifted(&self, other: &Hyperbola, delta: f64, t: f64) -> bool {
-        self.eval(t) > other.eval(t) + delta
-    }
-
     /// Minimum over `iv` of `self(t) - other(t)` (the signed clearance
     /// between two distance functions), computed by examining endpoints,
     /// interior stationary points of the difference, and both vertices.

@@ -107,15 +107,6 @@ impl Vec2 {
         self.x * self.x + self.y * self.y
     }
 
-    /// Interprets the vector as a point displaced from the origin.
-    #[inline]
-    pub fn to_point(self) -> Point2 {
-        Point2 {
-            x: self.x,
-            y: self.y,
-        }
-    }
-
     /// Returns `true` when both components are finite.
     #[inline]
     pub fn is_finite(&self) -> bool {

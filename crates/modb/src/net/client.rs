@@ -21,7 +21,6 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use unn_core::answer::AnswerSet;
-use unn_core::probrows::ProbRowSet;
 use unn_traj::trajectory::Oid;
 use unn_traj::uncertain::UncertainTrajectory;
 
@@ -253,18 +252,6 @@ impl NetClient {
             (SubAnswer::Intervals(answer), epoch) => Ok((answer, epoch)),
             (SubAnswer::Rows(_), _) => Err(NetError::Protocol(
                 "expected an interval answer, got probability rows".to_string(),
-            )),
-        }
-    }
-
-    /// [`NetClient::subscription_answer`] narrowed to a row
-    /// subscription (protocol error when the server answers with
-    /// intervals).
-    pub fn subscription_rows(&mut self, name: &str) -> Result<(ProbRowSet, u64), NetError> {
-        match self.subscription_answer(name)? {
-            (SubAnswer::Rows(rows), epoch) => Ok((rows, epoch)),
-            (SubAnswer::Intervals(_), _) => Err(NetError::Protocol(
-                "expected probability rows, got an interval answer".to_string(),
             )),
         }
     }

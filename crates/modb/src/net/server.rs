@@ -84,7 +84,7 @@ use crate::delta::ReplOp;
 use crate::durability::{FollowerFeed, ReplicationHub};
 use crate::ql::ast::Statement;
 use crate::ql::parser::{parse_statement, ParseError};
-use crate::server::{ModServer, QueryOutput, ServerError};
+use crate::server::{ModServer, ServerError};
 use crate::store::{Maintenance, ModStore};
 use crate::subscription::{DeltaSink, FeedEvent, SubAnswer, SubDelta, SubscriptionError};
 use crate::telemetry::{self, TraceEvent, TraceStage};
@@ -92,6 +92,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -461,7 +462,8 @@ fn spawn_workers(shared: &Arc<Shared>) -> WorkerPool {
             .name(format!("unn-net-work{i}"))
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    let result = match job.work {
+                    // A panicking job fails its own request, not the worker.
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| match job.work {
                         Work::Request(body) => handle_request(&shared, body),
                         Work::Statement { parsed, text } => match parsed {
                             Ok(statement) => {
@@ -473,7 +475,11 @@ fn spawn_workers(shared: &Arc<Shared>) -> WorkerPool {
                             maintenance.run(shared.server.store());
                             Ok(WireOutput::Done)
                         }
-                    };
+                    }))
+                    .unwrap_or_else(|_| {
+                        shared.server.store().telemetry().server_panics.inc();
+                        Err("internal error: the request panicked".to_string())
+                    });
                     let bytes =
                         encode_frame_bytes(&Frame::Response { id: job.id, result }).map_err(|_| ());
                     shared.completions.lock().unwrap().push(Completion {
@@ -758,7 +764,7 @@ fn on_frame(
                         Err(pe) if !ahead => return reply(conn, Err(pe.render(&text))),
                         Ok(Statement::Select(query)) if !ahead => {
                             if let Some(out) = server.execute_cached(query) {
-                                return reply(conn, Ok(convert_output(out)));
+                                return reply(conn, Ok(out.into()));
                             }
                         }
                         _ => {}
@@ -923,6 +929,9 @@ fn poll_timeout(conns: &HashMap<u64, Conn>, now: Instant, pacing: Duration) -> i
     }
 }
 
+/// The statement the unit tests send to make a worker job panic.
+const INJECTED_PANIC: &str = "UNREGISTER injected_panic";
+
 /// Executes a parsed statement against the wrapped [`ModServer`]. A
 /// successful `REGISTER CONTINUOUS` additionally attaches this
 /// connection's outbox to the new subscription (and `WATCH` attaches it
@@ -934,11 +943,14 @@ fn execute_statement(
     text: &str,
     sink: &Arc<DeltaSink>,
 ) -> Result<WireOutput, String> {
+    if cfg!(test) && text == INJECTED_PANIC {
+        panic!("injected panic");
+    }
     // The sink rides along so `REGISTER CONTINUOUS` attaches it
     // atomically with the registration — a commit landing right after
     // the registry insert already pushes to this connection.
     match server.execute_statement(statement, Some(sink)) {
-        Ok(out) => Ok(convert_output(out)),
+        Ok(out) => Ok(out.into()),
         // Registration refusals carrying a span render their caret
         // against the statement, like parse errors do.
         Err(ServerError::Subscription(se @ SubscriptionError::Unsupported { .. })) => {
@@ -988,14 +1000,27 @@ fn handle_request(shared: &Shared, body: WireRequest) -> Result<WireOutput, Stri
     }
 }
 
-fn convert_output(out: QueryOutput) -> WireOutput {
-    match out {
-        QueryOutput::Boolean(b) => WireOutput::Boolean(b),
-        QueryOutput::Objects(rows) => WireOutput::Objects(rows),
-        QueryOutput::Registered(info) => WireOutput::Registered(info),
-        QueryOutput::Unregistered(name) => WireOutput::Unregistered(name),
-        QueryOutput::Subscriptions(infos) => WireOutput::Subscriptions(infos),
-        QueryOutput::Metrics(snapshot) => WireOutput::Metrics(snapshot),
-        QueryOutput::Trace { epoch, events } => WireOutput::Trace { epoch, events },
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::{NetClient, NetError};
+
+    /// A statement that panics on its worker is answered with an error,
+    /// counted, and the same connection's next request is served.
+    #[test]
+    fn a_worker_panic_fails_one_request() {
+        let net = NetServer::bind("127.0.0.1:0", Arc::new(ModServer::new())).unwrap();
+        let mut client = NetClient::connect(net.local_addr()).unwrap();
+        let panics = || net.shared.server.store().telemetry().server_panics.get();
+        let before = panics();
+        match client.execute(INJECTED_PANIC) {
+            Err(NetError::Server(msg)) => assert!(msg.contains("panicked"), "{msg}"),
+            other => panic!("expected an error response, got {other:?}"),
+        }
+        assert_eq!(panics(), before + 1);
+        let out = client.execute("SHOW SUBSCRIPTIONS").unwrap();
+        assert!(matches!(out, WireOutput::Subscriptions(infos) if infos.is_empty()));
+        client.close().unwrap();
+        net.shutdown();
     }
 }

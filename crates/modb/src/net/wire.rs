@@ -39,6 +39,7 @@
 //! `tests/net_wire.rs` (property-style) and the unit tests below.
 
 use crate::delta::ReplOp;
+use crate::server::QueryOutput;
 use crate::subscription::{SubscriptionInfo, SubscriptionStats};
 use crate::telemetry::{HistogramSnapshot, MetricsSnapshot, TraceEvent, TraceStage};
 use std::fmt;
@@ -222,6 +223,22 @@ pub enum WireOutput {
         /// The retained events in recording order.
         events: Vec<TraceEvent>,
     },
+}
+
+/// A statement's answer as it travels: each [`QueryOutput`] variant has
+/// its same-named wire variant.
+impl From<QueryOutput> for WireOutput {
+    fn from(out: QueryOutput) -> Self {
+        match out {
+            QueryOutput::Boolean(b) => WireOutput::Boolean(b),
+            QueryOutput::Objects(rows) => WireOutput::Objects(rows),
+            QueryOutput::Registered(info) => WireOutput::Registered(info),
+            QueryOutput::Unregistered(name) => WireOutput::Unregistered(name),
+            QueryOutput::Subscriptions(infos) => WireOutput::Subscriptions(infos),
+            QueryOutput::Metrics(snapshot) => WireOutput::Metrics(snapshot),
+            QueryOutput::Trace { epoch, events } => WireOutput::Trace { epoch, events },
+        }
+    }
 }
 
 /// One wire frame, either direction.

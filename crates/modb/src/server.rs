@@ -532,15 +532,6 @@ impl ModServer {
     /// `name` using the server's prefilter policy.
     pub fn subscribe(&self, name: &str, statement: &str) -> Result<SubscriptionInfo, ServerError> {
         let query = crate::ql::parser::parse(statement)?;
-        self.subscribe_parsed(name, query)
-    }
-
-    /// Registers an already-parsed query as a standing query.
-    pub fn subscribe_parsed(
-        &self,
-        name: &str,
-        query: Query,
-    ) -> Result<SubscriptionInfo, ServerError> {
         self.register_standing(name, query, None)
     }
 

@@ -509,6 +509,8 @@ pub struct Telemetry {
     pub cache_carried: Counter,
     /// One-shot engine lookups that built the engine.
     pub cache_misses: Counter,
+    /// Network requests whose worker job panicked (each answered with an error).
+    pub server_panics: Counter,
 }
 
 impl Telemetry {
@@ -547,6 +549,7 @@ impl Telemetry {
             ("cache_hits_total", &self.cache_hits),
             ("cache_carried_total", &self.cache_carried),
             ("cache_misses_total", &self.cache_misses),
+            ("server_panics_total", &self.server_panics),
         ]
         .into_iter()
         .map(|(n, c)| (n.to_string(), c.get()))

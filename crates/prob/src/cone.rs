@@ -44,11 +44,6 @@ impl ConePdf {
             peak: 3.0 / (4.0 * r * r * PI),
         }
     }
-
-    /// The original uniform-disk radius `r` (the support radius is `2r`).
-    pub fn original_radius(&self) -> f64 {
-        self.r
-    }
 }
 
 impl RadialPdf for ConePdf {

@@ -87,11 +87,6 @@ impl UniformDifferencePdf {
             cdf,
         }
     }
-
-    /// The original uniform-disk radius `r` (support is `2r`).
-    pub fn original_radius(&self) -> f64 {
-        self.r
-    }
 }
 
 impl RadialPdf for UniformDifferencePdf {

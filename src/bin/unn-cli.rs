@@ -7,7 +7,7 @@
 //! printf 'gen 200 42 0.5\nnn Tr0 0 60\n' | cargo run --release --bin unn-cli
 //! ```
 //!
-//! ## Serve and connected modes
+//! ## Serve, follow and connected sessions
 //!
 //! `unn-cli serve <addr> [--gen <n> <seed> <radius>] [--wal <dir>
 //! [--fsync <policy>]]` binds a `NetServer` on `addr` (port 0 picks an
@@ -28,57 +28,21 @@
 //! up to `deltas` streamed commits (waiting at most `ms` for each), and
 //! prints the mirrored epoch as it advances.
 //!
-//! `unn-cli connect <addr>` speaks the framed wire protocol to a running
-//! `NetServer` instead of embedding a local server. The command set
-//! shrinks to what the protocol carries — `sql`, `sub add/drop/list/
-//! answer`, `obj put/del`, `watch` — and `watch` **blocks on the
-//! socket**: subscription deltas registered over the connection are
-//! pushed by the server as they land, so watching costs zero polling
-//! and wakes with commit latency. A `lagged` event (the server squashed
-//! deltas under backpressure) triggers an automatic resync from the
-//! full answer.
+//! `unn-cli connect <addr>` runs the same shell against a running
+//! `NetServer`: statements, standing queries, object puts and deletes,
+//! metrics and traces travel over the framed wire protocol, and `watch`
+//! **blocks on the socket** until the server pushes the standing
+//! query's deltas (a `lagged` event triggers a resync from the full
+//! answer). Verbs the wire does not carry are refused with the list of
+//! those it does.
 //!
-//! Commands (local mode):
-//!
-//! ```text
-//! gen <n> <seed> <radius>     generate the §5 random-waypoint workload
-//! load <path>                 load a MOD snapshot (persist format)
-//! save <path>                 save the current MOD
-//! list                        population summary
-//! obj put <Tr> <x0> <y0> <x1> <y1> [r]  register a straight-line object
-//! obj move <Tr> <dx> <dy>     shift an object (single-commit replace)
-//! obj del <Tr>                unregister an object
-//! nn <TrQ> <tb> <te>          crisp continuous NN timeline (§1)
-//! snapshot <TrQ> <t>          instantaneous P^NN ranking at t (§2.2)
-//! knn <TrQ> <k> <tb> <te>     continuous k-NN cells (§7 Top-k)
-//! rnn <TrQ> <tb> <te>         probabilistic reverse-NN answer (§7)
-//! ipac <TrQ> <tb> <te> <d>    render the IPAC-NN tree to depth d
-//! stats <TrQ> <tb> <te>       envelope size and pruning statistics
-//! policy <kind> [epochs]      set the prefilter (exhaustive|scan)
-//! cache                       engine-cache hit/miss/carry counters
-//! store delta-stats           delta-epoch machinery counters
-//! store delta-capacity <n>    cap the delta log (forces rebuilds past it)
-//! store row-samples <n>       probe density of future row subscriptions
-//! store metrics [p] [--watch <s> [n]]  telemetry registry (Prometheus text)
-//! store telemetry <metrics|trace> <on|off>  flip the telemetry switches
-//! store trace <epoch>         replay one commit's pipeline trace events
-//! sql <statement>             execute a query-language statement
-//! sub add <name> <SELECT …>   register a standing query
-//! sub drop <name>             unregister a standing query
-//! sub list                    list standing queries
-//! sub stats                   per-subscription maintenance counters
-//! sub poll <name>             drain a standing query's change feed
-//! watch <name> [polls] [ms]   drain a standing query (default 1 poll; more
-//!                             polls demo the feed cadence — the REPL is
-//!                             single-threaded, so nothing mutates mid-watch)
-//! help                        this text
-//! quit                        exit
-//! ```
-//!
-//! `sub …` is shorthand for the query-language verbs `REGISTER
-//! CONTINUOUS … AS name` / `UNREGISTER name` / `SHOW SUBSCRIPTIONS`,
-//! which `sql` accepts too. `gen` and `load` replace the whole server,
-//! dropping registered subscriptions.
+//! `help` prints the command table; in a connected session it lists the
+//! commands the wire carries. `sub add` / `sub drop` / `sub list` and
+//! `store metrics` / `store trace` are shorthand for the query-language
+//! statements `REGISTER CONTINUOUS … AS name`, `UNREGISTER name`,
+//! `SHOW SUBSCRIPTIONS`, `SHOW METRICS [PREFIX p]` and `TRACE EPOCH e`,
+//! which `sql` accepts too. `gen`, `load` and `store wal-open` replace
+//! the whole local server, dropping registered subscriptions.
 
 use std::io::{self, BufRead, Write};
 use std::path::Path;
@@ -93,58 +57,128 @@ use uncertain_nn::modb::{
 };
 use uncertain_nn::prelude::*;
 
-const HELP: &str = "\
-commands:
-  gen <n> <seed> <radius>     generate the random-waypoint workload
-  load <path>                 load a MOD snapshot
-  save <path>                 save the current MOD
-  list                        population summary
-  obj put <Tr> <x0> <y0> <x1> <y1> [r]  register a straight-line object
-  obj move <Tr> <dx> <dy>     shift an object (single-commit replace)
-  obj del <Tr>                unregister an object
-  nn <TrQ> <tb> <te>          crisp continuous NN timeline
-  snapshot <TrQ> <t>          instantaneous P^NN ranking at t
-  knn <TrQ> <k> <tb> <te>     continuous k-NN cells
-  rnn <TrQ> <tb> <te>         probabilistic reverse-NN answer
-  ipac <TrQ> <tb> <te> <d>    render the IPAC-NN tree to depth d
-  stats <TrQ> <tb> <te>       envelope size and pruning statistics
-  policy <kind> [epochs]      set the prefilter (exhaustive|scan)
-  cache                       engine-cache hit/miss/carry counters
-  store delta-stats           delta-epoch machinery counters
-  store delta-capacity <n>    cap the delta log (forces rebuilds past it)
-  store row-samples <n>       probe density of future row subscriptions
-  store wal-open <dir> [fsync] recover from a WAL dir and journal into it
-  store wal-status            write-ahead log segment/fsync/checkpoint counters
-  store checkpoint            force a WAL checkpoint (snapshot + prune) now
-  store metrics [p] [--watch <s> [n]]  telemetry registry (Prometheus text;
-                              --watch prints deltas-per-interval rates)
-  store telemetry <metrics|trace> <on|off>  flip the telemetry switches
-  store trace <epoch>         replay one commit's pipeline trace events
-  sql <statement>             execute a query-language statement
-  sub add <name> <SELECT ...> register a standing query
-  sub drop <name>             unregister a standing query
-  sub list                    list standing queries
-  sub stats                   per-subscription maintenance counters
-  sub poll <name>             drain a standing query's change feed
-  watch <name> [polls] [ms]   drain a standing query (1 poll default)
-  help                        this text
-  quit                        exit";
+/// The command table: `(usage, description, carried over the wire)`.
+/// `help` renders it per session; a connected session runs only the
+/// carried rows.
+#[rustfmt::skip]
+const HELP: &[(&str, &str, bool)] = &[
+    ("gen <n> <seed> <radius>",                    "generate the random-waypoint workload", false),
+    ("load <path>",                                "load a MOD snapshot", false),
+    ("save <path>",                                "save the current MOD", false),
+    ("list",                                       "population summary", false),
+    ("obj put <Tr> <x0> <y0> <x1> <y1> [r]",       "register a straight-line object", true),
+    ("obj move <Tr> <dx> <dy>",                    "shift an object (single-commit replace)", false),
+    ("obj del <Tr>",                               "unregister an object", true),
+    ("nn <TrQ> <tb> <te>",                         "crisp continuous NN timeline", false),
+    ("snapshot <TrQ> <t>",                         "instantaneous P^NN ranking at t", false),
+    ("knn <TrQ> <k> <tb> <te>",                    "continuous k-NN cells", false),
+    ("rnn <TrQ> <tb> <te>",                        "probabilistic reverse-NN answer", false),
+    ("ipac <TrQ> <tb> <te> <d>",                   "render the IPAC-NN tree to depth d", false),
+    ("stats <TrQ> <tb> <te>",                      "envelope size and pruning statistics", false),
+    ("policy <kind> [epochs]",                     "set the prefilter (exhaustive|scan)", false),
+    ("cache",                                      "engine-cache hit/miss/carry counters", false),
+    ("store delta-stats",                          "delta-epoch machinery counters", false),
+    ("store delta-capacity <n>",                   "cap the delta log (forces rebuilds past it)", false),
+    ("store row-samples <n>",                      "probe density of future row subscriptions", false),
+    ("store wal-open <dir> [fsync]",               "recover from a WAL dir and journal into it", false),
+    ("store wal-status",                           "write-ahead log segment/fsync/checkpoint counters", false),
+    ("store checkpoint",                           "force a WAL checkpoint (snapshot + prune) now", false),
+    ("store metrics [p] [--watch <s> [n]]",        "telemetry registry (Prometheus text; --watch: rates)", true),
+    ("store telemetry <metrics|trace> <on|off>",   "flip the telemetry switches", false),
+    ("store trace <epoch>",                        "replay one commit's pipeline trace events", true),
+    ("sql <statement>",                            "execute a query-language statement", true),
+    ("sub add <name> <SELECT ...>",                "register a standing query", true),
+    ("sub drop <name>",                            "unregister a standing query", true),
+    ("sub list",                                   "list standing queries", true),
+    ("sub stats",                                  "per-subscription maintenance counters", true),
+    ("sub answer <name>",                          "a standing query's full answer and its epoch", true),
+    ("sub poll <name>",                            "drain a standing query's change feed", false),
+    ("watch <name> [n] [ms]",                      "local: n polls, ms apart; connected: wait for n pushed deltas", true),
+    ("help",                                       "this text", true),
+    ("quit",                                       "exit", true),
+];
 
-const HELP_CONNECTED: &str = "\
-connected-mode commands (unn-cli connect <addr>):
-  sql <statement>             execute a query-language statement remotely
-  sub add <name> <SELECT ...> register a standing query (deltas are pushed here)
-  sub drop <name>             unregister a standing query
-  sub list                    list standing queries
-  sub stats                   per-subscription maintenance counters
-  sub answer <name>           fetch a standing query's full answer + epoch
-  obj put <Tr> <x0> <y0> <x1> <y1> [r]  register a straight-line object
-  obj del <Tr>                unregister an object
-  store metrics [p] [--watch <s> [n]]  remote SHOW METRICS (Prometheus text)
-  store trace <epoch>         remote TRACE EPOCH (pipeline trace events)
-  watch <name> [deltas] [ms]  block on pushed deltas (auto-resync on lag)
-  help                        this text
-  quit                        close the connection and exit";
+/// The usage's verb words (`"sub add <name> …"` → `"sub add"`).
+fn verb(usage: &str) -> String {
+    let words = usage.split(' ').take_while(|w| !w.starts_with(['<', '[']));
+    words.collect::<Vec<_>>().join(" ")
+}
+
+/// A shell's backend: an in-process server, or a connection to one.
+enum Session {
+    Local(Box<ModServer>),
+    Remote(NetClient),
+}
+
+impl Session {
+    /// The in-process server the local-only verbs run on; a connected
+    /// session refuses them with the verbs it does carry.
+    fn local(&mut self) -> Result<&mut ModServer, String> {
+        match self {
+            Session::Local(server) => Ok(server.as_mut()),
+            Session::Remote(_) => {
+                let carried: Vec<String> = HELP.iter().filter(|r| r.2).map(|r| verb(r.0)).collect();
+                Err(format!(
+                    "not carried by a connected session, which runs: {}",
+                    carried.join(", ")
+                ))
+            }
+        }
+    }
+
+    /// Executes a query-language statement. Parse errors and refused
+    /// registrations point at the offending token of `text`.
+    fn execute(&mut self, text: &str) -> Result<WireOutput, String> {
+        match self {
+            Session::Local(server) => {
+                server
+                    .execute(text)
+                    .map(WireOutput::from)
+                    .map_err(|e| match e {
+                        ServerError::Parse(pe) => pe.render(text),
+                        ServerError::Subscription(se @ SubscriptionError::Unsupported { .. }) => {
+                            se.render(text)
+                        }
+                        other => other.to_string(),
+                    })
+            }
+            Session::Remote(client) => client.execute(text).map_err(|e| e.to_string()),
+        }
+    }
+
+    fn insert(&mut self, tr: UncertainTrajectory) -> Result<(), String> {
+        match self {
+            Session::Local(server) => server.register(tr).map_err(|e| e.to_string()),
+            Session::Remote(client) => client.insert(tr).map_err(|e| e.to_string()),
+        }
+    }
+
+    /// Unregisters the named object, returning its id.
+    fn remove(&mut self, name: &str) -> Result<Oid, String> {
+        match self {
+            Session::Local(server) => {
+                let oid = resolve(server, name)?;
+                server.store().remove(oid).map_err(|e| e.to_string())?;
+                Ok(oid)
+            }
+            Session::Remote(client) => {
+                let oid = parse_oid(name)?;
+                client.remove(oid).map_err(|e| e.to_string())?;
+                Ok(oid)
+            }
+        }
+    }
+
+    /// A standing query's full answer and the epoch it is current at.
+    fn answer(&mut self, name: &str) -> Result<(SubAnswer, u64), String> {
+        match self {
+            Session::Local(server) => server
+                .subscription_answer_with_epoch(name)
+                .map_err(|e| e.to_string()),
+            Session::Remote(client) => client.subscription_answer(name).map_err(|e| e.to_string()),
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -153,7 +187,16 @@ fn main() {
             eprintln!("usage: unn-cli connect <addr>");
             std::process::exit(2);
         };
-        match run_connected(addr) {
+        let result = NetClient::connect(addr)
+            .map_err(|e| e.to_string())
+            .and_then(|client| {
+                let banner = format!(
+                    "unn-cli connected to {addr} (server epoch {})",
+                    client.server_epoch()
+                );
+                run_shell(Session::Remote(client), &banner, &format!("unn@{addr}> "))
+            });
+        match result {
             Ok(()) => return,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -203,19 +246,28 @@ fn main() {
             }
         }
     }
-    let stdin = io::stdin();
-    let mut server = ModServer::new();
+    let banner = "unn-cli — continuous probabilistic NN queries over uncertain trajectories";
+    if let Err(e) = run_shell(Session::Local(Box::default()), banner, "unn> ") {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// The shell: one command per stdin line until EOF or `quit`. A failed
+/// command prints its error and the session goes on.
+fn run_shell(mut session: Session, banner: &str, prompt: &str) -> Result<(), String> {
     // Prompts are opt-in (`UNN_CLI_PROMPT=1`) so piped scripts stay clean;
     // TTY detection would need a platform dependency.
     let interactive = std::env::var_os("UNN_CLI_PROMPT").is_some();
     if interactive {
-        println!("unn-cli — continuous probabilistic NN queries over uncertain trajectories");
+        println!("{banner}");
         println!("type 'help' for commands");
     }
+    let stdin = io::stdin();
     let mut out = io::stdout();
     loop {
         if interactive {
-            print!("unn> ");
+            print!("{prompt}");
             let _ = out.flush();
         }
         let mut line = String::new();
@@ -234,23 +286,41 @@ fn main() {
         if line == "quit" || line == "exit" {
             break;
         }
-        if let Err(msg) = dispatch(&mut server, line) {
+        if let Err(msg) = dispatch(&mut session, line) {
             println!("error: {msg}");
         }
     }
+    match session {
+        Session::Local(_) => Ok(()),
+        Session::Remote(client) => client.close().map_err(|e| e.to_string()),
+    }
 }
 
-fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
+fn dispatch(session: &mut Session, line: &str) -> Result<(), String> {
     let (cmd, rest) = match line.split_once(char::is_whitespace) {
         Some((c, r)) => (c, r.trim()),
         None => (line, ""),
     };
     match cmd {
         "help" => {
-            println!("{HELP}");
+            let remote = matches!(session, Session::Remote(_));
+            println!(
+                "{}",
+                if remote {
+                    "connected-session commands (unn-cli connect <addr>):"
+                } else {
+                    "commands:"
+                }
+            );
+            for (usage, description, carried) in HELP {
+                if *carried || !remote {
+                    println!("  {usage:<26}  {description}");
+                }
+            }
             Ok(())
         }
         "gen" => {
+            let server = session.local()?;
             let [n, seed, radius]: [f64; 3] = parse_numbers(rest)?;
             let cfg = WorkloadConfig::with_objects(n as usize, seed as u64);
             let fleet = generate_uncertain(&cfg, radius);
@@ -263,6 +333,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "load" => {
+            let server = session.local()?;
             let trs = persist::load(Path::new(rest)).map_err(|e| e.to_string())?;
             let count = trs.len();
             *server = ModServer::new();
@@ -271,12 +342,13 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "save" => {
+            let server = session.local()?;
             persist::save(server.store(), Path::new(rest)).map_err(|e| e.to_string())?;
             println!("saved {} objects to {rest}", server.store().len());
             Ok(())
         }
         "list" => {
-            let oids = server.store().oids();
+            let oids = session.local()?.store().oids();
             match (oids.first(), oids.last()) {
                 (Some(a), Some(b)) => {
                     println!("{} objects, ids {a} .. {b}", oids.len())
@@ -286,6 +358,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "nn" => {
+            let server = session.local()?;
             let (q, w) = parse_query_window(server, rest)?;
             let ans = server.continuous_nn(q, w).map_err(|e| e.to_string())?;
             println!(
@@ -301,6 +374,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "snapshot" => {
+            let server = session.local()?;
             let mut parts = rest.split_whitespace();
             let q = resolve(server, parts.next().ok_or("usage: snapshot <TrQ> <t>")?)?;
             let t: f64 = parse(parts.next().ok_or("missing t")?)?;
@@ -315,6 +389,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "knn" => {
+            let server = session.local()?;
             let mut parts = rest.split_whitespace();
             let q = resolve(
                 server,
@@ -338,6 +413,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "rnn" => {
+            let server = session.local()?;
             let (q, w) = parse_query_window(server, rest)?;
             let rev = server.reverse_engine(q, w).map_err(|e| e.to_string())?;
             let mut all = rev.rnn_all();
@@ -353,6 +429,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "ipac" => {
+            let server = session.local()?;
             let mut parts = rest.split_whitespace();
             let q = resolve(
                 server,
@@ -367,6 +444,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "stats" => {
+            let server = session.local()?;
             let (q, w) = parse_query_window(server, rest)?;
             let (engine, stats) = server.engine(q, w).map_err(|e| e.to_string())?;
             println!(
@@ -385,6 +463,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "policy" => {
+            let server = session.local()?;
             let mut parts = rest.split_whitespace();
             let kind = parts.next().ok_or("usage: policy <kind> [epochs]")?;
             let epochs: usize = match parts.next() {
@@ -401,6 +480,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             Ok(())
         }
         "cache" => {
+            let server = session.local()?;
             let m = server.metrics_snapshot(Some("cache_"));
             let get = |name| m.value(name).unwrap_or(0);
             println!(
@@ -417,8 +497,9 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             let mut parts = rest.split_whitespace();
             match parts.next().ok_or("usage: store <subcommand> (see help)")? {
                 "delta-stats" => {
-                    let d = server.store().delta_stats();
-                    println!("store: epoch {}, {} objects", d.epoch, server.store().len());
+                    let store = session.local()?.store();
+                    let d = store.delta_stats();
+                    println!("store: epoch {}, {} objects", d.epoch, store.len());
                     println!(
                         "delta log: {} records retained (floor epoch {}), {} ops pending vs cached snapshot",
                         d.log_len, d.log_floor, d.pending_ops
@@ -430,6 +511,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     Ok(())
                 }
                 "delta-capacity" => {
+                    let server = session.local()?;
                     let n: usize = parse(parts.next().ok_or("usage: store delta-capacity <n>")?)?;
                     server.store().set_delta_log_capacity(n);
                     println!(
@@ -438,8 +520,8 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     Ok(())
                 }
                 "row-samples" => {
+                    let registry = session.local()?.subscription_registry();
                     let n: u32 = parse(parts.next().ok_or("usage: store row-samples <n>")?)?;
-                    let registry = server.subscription_registry();
                     registry.set_row_samples(n);
                     println!(
                         "row subscriptions registered from now on sample {} probe instants \
@@ -449,6 +531,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     Ok(())
                 }
                 "wal-open" => {
+                    let server = session.local()?;
                     let dir = parts.next().ok_or("usage: store wal-open <dir> [fsync]")?;
                     let mut options = WalOptions::default();
                     if let Some(p) = parts.next() {
@@ -466,7 +549,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     Ok(())
                 }
                 "wal-status" => {
-                    let store = server.store();
+                    let store = session.local()?.store();
                     match store.wal_status() {
                         Some(s) => {
                             println!(
@@ -495,29 +578,33 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     Ok(())
                 }
                 "checkpoint" => {
-                    let wal = server.store().wal().ok_or("no WAL attached")?;
-                    let epoch = wal.checkpoint(server.store()).map_err(|e| e.to_string())?;
+                    let store = session.local()?.store();
+                    let wal = store.wal().ok_or("no WAL attached")?;
+                    let epoch = wal.checkpoint(store).map_err(|e| e.to_string())?;
                     println!("checkpoint written at epoch {epoch}");
                     Ok(())
                 }
                 "metrics" => {
                     let args: Vec<&str> = parts.collect();
                     let spec = MetricsArgs::parse(&args)?;
+                    let statement = match &spec.prefix {
+                        Some(p) => format!("SHOW METRICS PREFIX {p}"),
+                        None => "SHOW METRICS".to_string(),
+                    };
+                    let mut fetch = || match session.execute(&statement)? {
+                        WireOutput::Metrics(snap) => Ok(snap),
+                        other => Err(format!("unexpected answer to SHOW METRICS: {other:?}")),
+                    };
                     match spec.watch {
-                        None => print!(
-                            "{}",
-                            server
-                                .metrics_snapshot(spec.prefix.as_deref())
-                                .render_prometheus()
-                        ),
+                        None => print!("{}", fetch()?.render_prometheus()),
                         Some((secs, rounds)) => {
-                            // The local REPL is single-threaded, so rates here
-                            // mostly demo the rendering; connected mode watches
-                            // a live server mutating concurrently.
-                            let mut before = server.metrics_snapshot(spec.prefix.as_deref());
+                            // Rates over a connection watch a live server;
+                            // the local shell is single-threaded, so nothing
+                            // commits between its samples.
+                            let mut before = fetch()?;
                             for _ in 0..rounds {
                                 std::thread::sleep(Duration::from_secs_f64(secs));
-                                let after = server.metrics_snapshot(spec.prefix.as_deref());
+                                let after = fetch()?;
                                 print_metric_rates(&before, &after, secs);
                                 before = after;
                             }
@@ -526,6 +613,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     Ok(())
                 }
                 "telemetry" => {
+                    session.local()?;
                     const USAGE: &str = "usage: store telemetry <metrics|trace> <on|off>";
                     let which = parts.next().ok_or(USAGE)?;
                     let on = match parts.next().ok_or(USAGE)? {
@@ -550,8 +638,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                 }
                 "trace" => {
                     let epoch: u64 = parse(parts.next().ok_or("usage: store trace <epoch>")?)?;
-                    let events = server.store().telemetry().trace.events_for(epoch);
-                    print_trace(epoch, &events);
+                    print_output(session.execute(&format!("TRACE EPOCH {epoch}"))?);
                     Ok(())
                 }
                 other => Err(format!("unknown store subcommand '{other}'")),
@@ -578,11 +665,12 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     .map_err(|e| e.to_string())?;
                     let utr =
                         UncertainTrajectory::with_uniform_pdf(tr, r).map_err(|e| e.to_string())?;
-                    server.register(utr).map_err(|e| e.to_string())?;
+                    session.insert(utr)?;
                     println!("registered {oid} (r = {r} mi, window [0, 60])");
                     Ok(())
                 }
                 "move" => {
+                    let server = session.local()?;
                     let name = parts.next().ok_or("usage: obj move <Tr> <dx> <dy>")?;
                     let dx: f64 = parse(parts.next().ok_or("missing dx")?)?;
                     let dy: f64 = parse(parts.next().ok_or("missing dy")?)?;
@@ -607,9 +695,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     Ok(())
                 }
                 "del" => {
-                    let name = parts.next().ok_or("usage: obj del <Tr>")?;
-                    let oid = resolve(server, name)?;
-                    server.store().remove(oid).map_err(|e| e.to_string())?;
+                    let oid = session.remove(parts.next().ok_or("usage: obj del <Tr>")?)?;
                     println!("unregistered {oid}");
                     Ok(())
                 }
@@ -617,16 +703,7 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
             }
         }
         "sql" => {
-            let out = server.execute(rest).map_err(|e| match e {
-                // Parse errors and registration refusals point at the
-                // offending token.
-                ServerError::Parse(pe) => pe.render(rest),
-                ServerError::Subscription(se @ SubscriptionError::Unsupported { .. }) => {
-                    se.render(rest)
-                }
-                other => other.to_string(),
-            })?;
-            print_output(out);
+            print_output(session.execute(rest)?);
             Ok(())
         }
         "sub" => {
@@ -639,71 +716,43 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
                     let (name, stmt) = sub_rest
                         .split_once(char::is_whitespace)
                         .ok_or("usage: sub add <name> <SELECT ...>")?;
-                    let info = server.subscribe(name, stmt.trim()).map_err(|e| match e {
-                        ServerError::Parse(pe) => pe.render(stmt.trim()),
-                        ServerError::Subscription(se @ SubscriptionError::Unsupported { .. }) => {
-                            se.render(stmt.trim())
-                        }
-                        other => other.to_string(),
-                    })?;
-                    print_subscription(&info);
+                    let statement = format!("REGISTER CONTINUOUS {} AS {name}", stmt.trim());
+                    print_output(session.execute(&statement)?);
                     Ok(())
                 }
                 "drop" => {
-                    server.unsubscribe(sub_rest).map_err(|e| e.to_string())?;
-                    println!("dropped subscription '{sub_rest}'");
+                    print_output(session.execute(&format!("UNREGISTER {sub_rest}"))?);
                     Ok(())
                 }
-                "list" => {
-                    let subs = server.subscriptions();
-                    let registry = server.subscription_registry();
-                    println!(
-                        "{} subscriptions on {} shared engines (row samples {})",
-                        subs.len(),
-                        registry.share_count(),
-                        registry.row_samples()
-                    );
+                "list" | "stats" => {
+                    let subs = match session.execute("SHOW SUBSCRIPTIONS")? {
+                        WireOutput::Subscriptions(subs) => subs,
+                        other => return Err(format!("unexpected answer: {other:?}")),
+                    };
+                    let mut header = format!("{} subscriptions", subs.len());
+                    if let Session::Local(server) = session {
+                        let registry = server.subscription_registry();
+                        header += &format!(" on {} shared engines", registry.share_count());
+                        if sub_cmd == "list" {
+                            header += &format!(" (row samples {})", registry.row_samples());
+                        }
+                    }
+                    println!("{header}");
                     for info in &subs {
-                        print_subscription(info);
+                        match sub_cmd {
+                            "list" => print_subscription(info),
+                            _ => print_stats(info),
+                        }
                     }
                     Ok(())
                 }
-                "stats" => {
-                    let subs = server.subscriptions();
-                    let registry = server.subscription_registry();
-                    println!(
-                        "{} subscriptions on {} shared engines",
-                        subs.len(),
-                        registry.share_count()
-                    );
-                    for info in &subs {
-                        let s = &info.stats;
-                        println!(
-                            "'{}' @epoch {}: {} visited ({} skipped / {} patched / {} rebuilt), \
-                             {} skipped unvisited, {} commits batched",
-                            info.name,
-                            info.last_epoch,
-                            s.visited,
-                            s.skipped,
-                            s.patched,
-                            s.rebuilt,
-                            s.skipped_unvisited,
-                            s.batched_commits
-                        );
-                        println!(
-                            "  {} ops skipped, {} envelopes carried, {} fns reused / {} built, \
-                             {} rows patched, {} perspectives skipped",
-                            s.skipped_ops,
-                            s.envelopes_carried,
-                            s.functions_reused,
-                            s.functions_built,
-                            s.rows_patched,
-                            s.perspectives_skipped
-                        );
-                    }
+                "answer" => {
+                    let (answer, epoch) = session.answer(sub_rest)?;
+                    print_answer(sub_rest, &answer, epoch);
                     Ok(())
                 }
                 "poll" => {
+                    let server = session.local()?;
                     let deltas = server
                         .poll_subscription(sub_rest)
                         .map_err(|e| e.to_string())?;
@@ -715,32 +764,26 @@ fn dispatch(server: &mut ModServer, line: &str) -> Result<(), String> {
         }
         "watch" => {
             let mut parts = rest.split_whitespace();
-            let name = parts.next().ok_or("usage: watch <name> [polls] [ms]")?;
-            // This local REPL is single-threaded, so no mutation can land
-            // while watch sleeps — the default is a single drain, and
-            // multi-poll runs merely demo the pull cadence. In connected
-            // mode (`unn-cli connect`), watch instead blocks on the
-            // socket and wakes when the server pushes a delta.
-            let polls: usize = match parts.next() {
-                Some(p) => parse(p)?,
-                None => 1,
-            };
-            let interval_ms: u64 = match parts.next() {
-                Some(p) => parse(p)?,
-                None => 200,
-            };
-            // Fail fast on unknown names before sleeping.
-            server
-                .poll_subscription(name)
-                .map_err(|e| e.to_string())
-                .map(|deltas| print_deltas(name, &deltas))?;
-            for _ in 1..polls.max(1) {
-                std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-                let deltas = server.poll_subscription(name).map_err(|e| e.to_string())?;
-                print_deltas(name, &deltas);
+            let name = parts.next().ok_or("usage: watch <name> [n] [ms]")?;
+            let n = parts.next().map_or(Ok(1), parse::<usize>)?.max(1);
+            let ms: Option<u64> = parts.next().map(parse).transpose()?;
+            match session {
+                // The local shell is single-threaded, so nothing commits
+                // while watch sleeps: one drain is the default, and more
+                // only demo the pull cadence.
+                Session::Local(server) => {
+                    for i in 0..n {
+                        if i > 0 {
+                            std::thread::sleep(Duration::from_millis(ms.unwrap_or(200)));
+                        }
+                        let deltas = server.poll_subscription(name).map_err(|e| e.to_string())?;
+                        print_deltas(name, &deltas);
+                    }
+                    println!("watch '{name}' finished after {n} polls");
+                    Ok(())
+                }
+                Session::Remote(client) => watch_pushed(client, name, n, ms.unwrap_or(10_000)),
             }
-            println!("watch '{name}' finished after {} polls", polls.max(1));
-            Ok(())
         }
         other => Err(format!("unknown command '{other}' (try 'help')")),
     }
@@ -897,197 +940,11 @@ fn run_follow(addr: &str, opts: &[String]) -> Result<(), String> {
     follower.close().map_err(|e| e.to_string())
 }
 
-/// The connected-mode REPL: every command becomes wire requests against
-/// a remote `NetServer`; subscription deltas registered here arrive as
-/// pushed events consumed by `watch`.
-fn run_connected(addr: &str) -> Result<(), String> {
-    let mut client = NetClient::connect(addr).map_err(|e| e.to_string())?;
-    let interactive = std::env::var_os("UNN_CLI_PROMPT").is_some();
-    if interactive {
-        println!(
-            "unn-cli connected to {addr} (server epoch {})",
-            client.server_epoch()
-        );
-        println!("type 'help' for commands");
-    }
-    let stdin = io::stdin();
-    let mut out = io::stdout();
-    loop {
-        if interactive {
-            print!("unn@{addr}> ");
-            let _ = out.flush();
-        }
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => return Err(format!("read error: {e}")),
-        }
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line == "quit" || line == "exit" {
-            break;
-        }
-        if let Err(msg) = dispatch_connected(&mut client, line) {
-            println!("error: {msg}");
-        }
-    }
-    client.close().map_err(|e| e.to_string())
-}
-
-fn dispatch_connected(client: &mut NetClient, line: &str) -> Result<(), String> {
-    let (cmd, rest) = match line.split_once(char::is_whitespace) {
-        Some((c, r)) => (c, r.trim()),
-        None => (line, ""),
-    };
-    match cmd {
-        "help" => {
-            println!("{HELP_CONNECTED}");
-            Ok(())
-        }
-        "sql" => {
-            let out = client.execute(rest).map_err(|e| e.to_string())?;
-            print_wire_output(out);
-            Ok(())
-        }
-        "sub" => {
-            let (sub_cmd, sub_rest) = match rest.split_once(char::is_whitespace) {
-                Some((c, r)) => (c, r.trim()),
-                None => (rest, ""),
-            };
-            let statement = match sub_cmd {
-                "add" => {
-                    let (name, stmt) = sub_rest
-                        .split_once(char::is_whitespace)
-                        .ok_or("usage: sub add <name> <SELECT ...>")?;
-                    format!("REGISTER CONTINUOUS {} AS {name}", stmt.trim())
-                }
-                "drop" => format!("UNREGISTER {sub_rest}"),
-                // Both render the full info rows — the counters travel
-                // in the wire `info` stats block.
-                "list" | "stats" => "SHOW SUBSCRIPTIONS".to_string(),
-                "answer" => {
-                    let (answer, epoch) = client
-                        .subscription_answer(sub_rest)
-                        .map_err(|e| e.to_string())?;
-                    print_answer(sub_rest, &answer, epoch);
-                    return Ok(());
-                }
-                other => return Err(format!("unknown sub subcommand '{other}'")),
-            };
-            let out = client.execute(&statement).map_err(|e| e.to_string())?;
-            print_wire_output(out);
-            Ok(())
-        }
-        "obj" => {
-            let mut parts = rest.split_whitespace();
-            match parts.next().ok_or("usage: obj <put|del> ...")? {
-                "put" => {
-                    let name = parts
-                        .next()
-                        .ok_or("usage: obj put <Tr> <x0> <y0> <x1> <y1> [r]")?;
-                    let nums: Vec<f64> = parts.map(parse).collect::<Result<_, _>>()?;
-                    let (coords, r) = match nums.len() {
-                        4 => (&nums[..4], 0.5),
-                        5 => (&nums[..4], nums[4]),
-                        n => return Err(format!("expected 4 or 5 numbers, got {n}")),
-                    };
-                    let oid = parse_oid(name)?;
-                    let tr = Trajectory::from_triples(
-                        oid,
-                        &[(coords[0], coords[1], 0.0), (coords[2], coords[3], 60.0)],
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let utr =
-                        UncertainTrajectory::with_uniform_pdf(tr, r).map_err(|e| e.to_string())?;
-                    client.insert(utr).map_err(|e| e.to_string())?;
-                    println!("registered {oid} remotely (r = {r} mi, window [0, 60])");
-                    Ok(())
-                }
-                "del" => {
-                    let name = parts.next().ok_or("usage: obj del <Tr>")?;
-                    let oid = parse_oid(name)?;
-                    client.remove(oid).map_err(|e| e.to_string())?;
-                    println!("unregistered {oid} remotely");
-                    Ok(())
-                }
-                other => Err(format!(
-                    "unknown obj subcommand '{other}' (connected mode supports put/del)"
-                )),
-            }
-        }
-        "store" => {
-            let mut parts = rest.split_whitespace();
-            match parts
-                .next()
-                .ok_or("usage: store <metrics|trace> ... (connected mode)")?
-            {
-                "metrics" => {
-                    let args: Vec<&str> = parts.collect();
-                    let spec = MetricsArgs::parse(&args)?;
-                    let statement = match &spec.prefix {
-                        Some(p) => format!("SHOW METRICS PREFIX {p}"),
-                        None => "SHOW METRICS".to_string(),
-                    };
-                    let fetch = |client: &mut NetClient| -> Result<MetricsSnapshot, String> {
-                        match client.execute(&statement).map_err(|e| e.to_string())? {
-                            WireOutput::Metrics(snap) => Ok(snap),
-                            other => Err(format!("unexpected answer to SHOW METRICS: {other:?}")),
-                        }
-                    };
-                    match spec.watch {
-                        None => print!("{}", fetch(client)?.render_prometheus()),
-                        Some((secs, rounds)) => {
-                            let mut before = fetch(client)?;
-                            for _ in 0..rounds {
-                                std::thread::sleep(Duration::from_secs_f64(secs));
-                                let after = fetch(client)?;
-                                print_metric_rates(&before, &after, secs);
-                                before = after;
-                            }
-                        }
-                    }
-                    Ok(())
-                }
-                "trace" => {
-                    let epoch: u64 = parse(parts.next().ok_or("usage: store trace <epoch>")?)?;
-                    let out = client
-                        .execute(&format!("TRACE EPOCH {epoch}"))
-                        .map_err(|e| e.to_string())?;
-                    print_wire_output(out);
-                    Ok(())
-                }
-                other => Err(format!(
-                    "unknown store subcommand '{other}' (connected mode supports metrics/trace)"
-                )),
-            }
-        }
-        "watch" => {
-            let mut parts = rest.split_whitespace();
-            let name = parts.next().ok_or("usage: watch <name> [deltas] [ms]")?;
-            let want: usize = match parts.next() {
-                Some(p) => parse(p)?,
-                None => 1,
-            };
-            let timeout_ms: u64 = match parts.next() {
-                Some(p) => parse(p)?,
-                None => 10_000,
-            };
-            watch_connected(client, name, want.max(1), timeout_ms)
-        }
-        other => Err(format!(
-            "unknown command '{other}' in connected mode (try 'help')"
-        )),
-    }
-}
-
 /// Blocks on the socket until `want` pushed deltas for `name` arrived
 /// (or the per-event timeout expires). Lagged events — the server
 /// squashed under backpressure — trigger an automatic resync from the
 /// full answer, which is what restores per-epoch granularity.
-fn watch_connected(
+fn watch_pushed(
     client: &mut NetClient,
     name: &str,
     want: usize,
@@ -1162,10 +1019,16 @@ fn print_rows(name: &str, rows: &ProbRowSet, epoch: u64) {
     }
 }
 
-fn print_wire_output(out: WireOutput) {
+fn print_output(out: WireOutput) {
     match out {
         WireOutput::Boolean(b) => println!("{b}"),
-        WireOutput::Objects(rows) => print_output(QueryOutput::Objects(rows)),
+        WireOutput::Objects(mut rows) => {
+            println!("{} objects", rows.len());
+            rows.sort_by(|a, b| b.1.total_cmp(&a.1));
+            for (oid, frac) in rows {
+                println!("  {oid:>6}: {:.1}%", frac * 100.0);
+            }
+        }
         WireOutput::Registered(info) => print_subscription(&info),
         WireOutput::Unregistered(name) => println!("dropped subscription '{name}'"),
         WireOutput::Subscriptions(subs) => {
@@ -1308,30 +1171,6 @@ fn print_trace(epoch: u64, events: &[TraceEvent]) {
     }
 }
 
-fn print_output(out: QueryOutput) {
-    match out {
-        QueryOutput::Boolean(b) => println!("{b}"),
-        QueryOutput::Objects(rows) => {
-            println!("{} objects", rows.len());
-            let mut rows = rows;
-            rows.sort_by(|a, b| b.1.total_cmp(&a.1));
-            for (oid, frac) in rows {
-                println!("  {oid:>6}: {:.1}%", frac * 100.0);
-            }
-        }
-        QueryOutput::Registered(info) => print_subscription(&info),
-        QueryOutput::Unregistered(name) => println!("dropped subscription '{name}'"),
-        QueryOutput::Subscriptions(subs) => {
-            println!("{} subscriptions", subs.len());
-            for info in &subs {
-                print_subscription(info);
-            }
-        }
-        QueryOutput::Metrics(snap) => print!("{}", snap.render_prometheus()),
-        QueryOutput::Trace { epoch, events } => print_trace(epoch, &events),
-    }
-}
-
 fn print_subscription(info: &SubscriptionInfo) {
     println!(
         "subscription '{}' @epoch {}: {} qualifying, {} pending deltas \
@@ -1354,6 +1193,32 @@ fn print_subscription(info: &SubscriptionInfo) {
         }
     );
     println!("  {}", info.statement);
+}
+
+fn print_stats(info: &SubscriptionInfo) {
+    let s = &info.stats;
+    println!(
+        "'{}' @epoch {}: {} visited ({} skipped / {} patched / {} rebuilt), \
+         {} skipped unvisited, {} commits batched",
+        info.name,
+        info.last_epoch,
+        s.visited,
+        s.skipped,
+        s.patched,
+        s.rebuilt,
+        s.skipped_unvisited,
+        s.batched_commits
+    );
+    println!(
+        "  {} ops skipped, {} envelopes carried, {} fns reused / {} built, \
+         {} rows patched, {} perspectives skipped",
+        s.skipped_ops,
+        s.envelopes_carried,
+        s.functions_reused,
+        s.functions_built,
+        s.rows_patched,
+        s.perspectives_skipped
+    );
 }
 
 fn print_deltas(name: &str, deltas: &[SubDelta]) {

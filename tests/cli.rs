@@ -394,3 +394,107 @@ fn store_delta_stats_track_the_delta_epoch_machinery() {
         "{stdout}"
     );
 }
+
+/// A connected session runs the shell's wire-carried verbs against a
+/// `serve` child, receives pushed deltas in `watch`, and refuses a
+/// local-only verb with the list of verbs it carries.
+#[test]
+fn connected_session_runs_the_wire_carried_verbs() {
+    use std::io::{BufRead, BufReader};
+
+    let mut server = Command::new(env!("CARGO_BIN_EXE_unn-cli"))
+        .args(["serve", "127.0.0.1:0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("server spawns");
+    let mut server_out = BufReader::new(server.stdout.take().expect("stdout piped"));
+    let addr = loop {
+        let mut line = String::new();
+        assert_ne!(
+            server_out.read_line(&mut line).expect("server output"),
+            0,
+            "server exited before announcing its address"
+        );
+        if let Some(rest) = line.strip_prefix("serving on ") {
+            break rest.split_whitespace().next().expect("addr").to_string();
+        }
+    };
+
+    let mut client = Command::new(env!("CARGO_BIN_EXE_unn-cli"))
+        .args(["connect", &addr])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("client spawns");
+    client
+        .stdin
+        .as_mut()
+        .expect("stdin piped")
+        .write_all(
+            b"obj put Tr0 0 0 30 0\n\
+              obj put Tr1 0 1 30 1\n\
+              obj put Tr2 0 2 30 2\n\
+              sql SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr0, TIME) > 0\n\
+              sub add near0 SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr0, TIME) > 0\n\
+              sub list\n\
+              obj put Tr7 0 1.5 30 1.5\n\
+              watch near0 1 10000\n\
+              sub stats\n\
+              sub answer near0\n\
+              obj del Tr7\n\
+              watch near0 1 10000\n\
+              store trace 5\n\
+              gen 10 1 0.5\n\
+              sub drop near0\n\
+              sub list\n\
+              quit\n",
+        )
+        .expect("script written");
+    let out = client.wait_with_output().expect("client exits");
+    assert!(out.status.success(), "client exited with {:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+
+    assert!(stdout.contains("registered Tr0 (r = 0.5 mi"), "{stdout}");
+    assert!(stdout.contains("2 objects"), "{stdout}");
+    assert!(
+        stdout.contains("subscription 'near0' @epoch 3: 2 qualifying"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("1 subscriptions"), "{stdout}");
+    // The in-band newcomer's upsert is pushed to this session…
+    assert!(stdout.contains("'near0' @epoch 4:"), "{stdout}");
+    assert!(stdout.contains("+ Tr7:"), "{stdout}");
+    // …the wire's info block carries the maintenance counters…
+    assert!(stdout.contains("'near0' @epoch 4: 1 visited"), "{stdout}");
+    assert!(stdout.contains("envelopes carried"), "{stdout}");
+    assert!(
+        stdout.contains("answer of 'near0' @epoch 4: 3 qualifying"),
+        "{stdout}"
+    );
+    // …and the delete's removal is pushed too.
+    assert!(stdout.contains("unregistered Tr7"), "{stdout}");
+    assert!(stdout.contains("- Tr7"), "{stdout}");
+    assert_eq!(
+        stdout
+            .matches("watch 'near0' finished after 1 pushed deltas")
+            .count(),
+        2,
+        "{stdout}"
+    );
+    assert!(stdout.contains("trace of epoch 5"), "{stdout}");
+    assert!(
+        stdout.contains("error: not carried by a connected session, which runs: "),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("generated 10 objects"), "{stdout}");
+    assert!(stdout.contains("dropped subscription 'near0'"), "{stdout}");
+    assert!(stdout.contains("0 subscriptions"), "{stdout}");
+
+    drop(server.stdin.take());
+    let status = server.wait().expect("server exits");
+    assert!(status.success(), "server exited with {status:?}");
+}

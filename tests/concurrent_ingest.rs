@@ -23,14 +23,14 @@ fn tr(oid: u64) -> UncertainTrajectory {
 }
 
 #[test]
-fn sharded_writers_and_snapshotting_readers() {
+fn concurrent_writers_and_snapshotting_readers() {
     let store = Arc::new(ModStore::new());
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // Writers: each owns a disjoint id range; inserts everything,
         // then removes the odd half (so the expected survivor set is
-        // exact). Ids are dense, so Fibonacci shard hashing spreads each
-        // writer's ops across many shards concurrently.
+        // exact). The writers' commits interleave on the store's one
+        // table lock while the readers snapshot between them.
         for w in 0..WRITERS {
             let store = &store;
             scope.spawn(move || {
