@@ -121,5 +121,5 @@ pub use probrows::{ProbRow, ProbRowDelta, ProbRowSet, RowPerspective};
 pub use query::QueryEngine;
 pub use reverse::{all_pairs_nn, PairAnswer, ReverseNnEngine};
 pub use shifted::{shifted_lower_envelope, ShiftedEnvelope, ShiftedFunction};
-pub use threshold::{probability_at_kernel, threshold_nn_sweep_kernel, ThresholdRow};
+pub use threshold::probability_at_kernel;
 pub use topk::{continuous_knn, probabilistic_topk_at, semantics_agreement, KnnAnswer, KnnCell};

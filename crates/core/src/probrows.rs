@@ -24,11 +24,11 @@
 //! consumers the same way it streams interval deltas to forward ones.
 //!
 //! The sampling scheme (probes at the midpoints of `samples` equal
-//! slices) is shared with [`crate::threshold`] — the one-shot threshold
-//! sweep is a view over the same rows — so a standing query's maintained
-//! rows and a fresh one-shot evaluation agree bit-for-bit by
-//! construction.
+//! slices) is shared with [`crate::threshold`]'s single-instant probe,
+//! and a one-shot threshold statement renders the same rows a standing
+//! query maintains, so the two agree bit-for-bit by construction.
 
+use crate::answer::AnswerSet;
 use crate::keyed::{self, Keyed};
 use unn_geom::interval::TimeInterval;
 use unn_traj::trajectory::Oid;
@@ -210,6 +210,35 @@ impl ProbRowSet {
         self.row_of(oid)
             .map(|r| r.points.iter().map(|(_, p)| p).sum::<f64>() / r.points.len().max(1) as f64)
             .unwrap_or(0.0)
+    }
+
+    /// The rows restricted to the probes inside each object's intervals
+    /// in `answer` (an object it does not list keeps none): the instants
+    /// where the probability rows and an interval predicate — a rank
+    /// bound's [`crate::query::QueryEngine::ranked_answer_set`] — hold
+    /// together.
+    pub fn within(&self, answer: &AnswerSet) -> ProbRowSet {
+        let rows = self
+            .rows
+            .iter()
+            .filter_map(|r| {
+                let iv = answer.intervals_of(r.oid)?;
+                let points = r
+                    .points
+                    .iter()
+                    .copied()
+                    .filter(|(k, _)| iv.covers(self.sample_time(*k)))
+                    .collect();
+                Some(ProbRow { oid: r.oid, points })
+            })
+            .collect();
+        ProbRowSet::new(
+            self.query,
+            self.window,
+            self.perspective,
+            self.samples,
+            rows,
+        )
     }
 
     /// `true` when the two sets describe the same standing query (same

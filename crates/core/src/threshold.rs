@@ -11,71 +11,17 @@
 //! sampled instants the in-band candidates and their center distances are
 //! read off the envelope, the exact convolved pdf
 //! ([`unn_prob::uniform_diff::UniformDifferencePdf`]) turns them into an
-//! instantaneous `P^NN` vector (Eq. 5), and per-object time fractions
-//! with `P^NN > p` are accumulated. The per-instant evaluation shares the
-//! survival products across all candidates, so a full sweep costs
-//! `O(samples · B²)` where `B` is the band population.
+//! instantaneous `P^NN` vector (Eq. 5), and the engine's sampled
+//! probability rows ([`crate::probrows`], built by
+//! [`QueryEngine::prob_row_set_kernel`]) hold those vectors per object.
+//! A threshold statement is a view over the rows:
+//! [`crate::probrows::ProbRowSet::fraction_above`] is the fraction of
+//! probes where an object's `P^NN` exceeds `p`. This module evaluates
+//! the same column at one instant.
 
 use crate::kernel::ColumnKernel;
 use crate::query::QueryEngine;
 use unn_traj::trajectory::Oid;
-
-/// Result row of a threshold sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThresholdRow {
-    /// The candidate object.
-    pub oid: Oid,
-    /// Fraction of the sampled instants with `P^NN > p`.
-    pub fraction: f64,
-    /// Mean `P^NN` over the instants where the object was in the band.
-    pub mean_probability: f64,
-}
-
-/// Sweeps the query window with `samples` probes and returns, for every
-/// object that ever exceeds the probability threshold `p`, the fraction
-/// of probes where it did (plus its mean in-band probability).
-///
-/// `kernel` carries the **difference** pdf (the convolution of the two
-/// location pdfs, cf. §3.1 / [`unn_prob::pdf::PdfKind::convolve_with`]):
-/// [`unn_prob::uniform_diff::UniformDifferencePdf`] for the paper's
-/// running uniform model, any other rotationally symmetric pdf otherwise.
-/// The in-band test uses `2 × support_radius(pdf)` — for disk-bounded
-/// location pdfs of radius `r` the convolved support is `2r`, so this is
-/// the paper's `4r` band exactly, independent of the pdf's shape. The
-/// server passes the store-cached profile, shared with the subscription
-/// layer.
-///
-/// # Panics
-///
-/// Panics when `p` is outside `[0, 1)` or `samples == 0`.
-pub fn threshold_nn_sweep_kernel(
-    engine: &QueryEngine,
-    kernel: &ColumnKernel,
-    p: f64,
-    samples: usize,
-) -> Vec<ThresholdRow> {
-    assert!((0.0..1.0).contains(&p), "threshold {p} outside [0, 1)");
-    assert!(samples > 0, "need at least one probe");
-    // The sweep is a threshold view over the engine's sampled
-    // probability rows ([`crate::probrows`]) — the same rows the
-    // subscription layer maintains incrementally, so one-shot and
-    // standing threshold evaluations agree bit-for-bit by construction.
-    let rows = engine.prob_row_set_kernel(kernel, samples as u32);
-    rows.rows()
-        .iter()
-        .filter_map(|row| {
-            let hits = row.points.iter().filter(|(_, prob)| *prob > p).count();
-            if hits == 0 {
-                return None;
-            }
-            Some(ThresholdRow {
-                oid: row.oid,
-                fraction: hits as f64 / samples as f64,
-                mean_probability: rows.mean_probability(row.oid),
-            })
-        })
-        .collect()
-}
 
 /// The instantaneous `P^NN` of one object at time `t` (or `None` when the
 /// object is unknown, the instant is outside the window, or the object is
@@ -111,6 +57,7 @@ pub(crate) fn column_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probrows::ProbRowSet;
     use unn_geom::hyperbola::Hyperbola;
     use unn_geom::interval::TimeInterval;
     use unn_geom::point::Vec2;
@@ -141,45 +88,33 @@ mod tests {
     }
 
     /// The §7 example query: objects whose `P^NN` exceeds `p` for at
-    /// least fraction `x` of the window.
-    fn at_least(rows: Vec<ThresholdRow>, x: f64) -> Vec<ThresholdRow> {
-        rows.into_iter()
-            .filter(|row| row.fraction + 1e-12 >= x)
+    /// least fraction `x` of the window, read off the engine's sampled
+    /// probability rows.
+    fn at_least(rows: &ProbRowSet, p: f64, x: f64) -> Vec<Oid> {
+        rows.rows()
+            .iter()
+            .map(|row| row.oid)
+            .filter(|oid| rows.fraction_above(*oid, p) + 1e-12 >= x)
             .collect()
     }
 
     #[test]
     fn dominant_object_passes_high_threshold() {
         let e = engine();
-        let rows = at_least(
-            threshold_nn_sweep_kernel(&e, &uniform_kernel(&e), 0.6, 64),
-            0.3,
-        );
+        let rows = at_least(&e.prob_row_set_kernel(&uniform_kernel(&e), 64), 0.6, 0.3);
         // Object 1 dominates around its closest approach.
-        assert!(rows.iter().any(|r| r.oid == Oid(1)), "{rows:?}");
+        assert!(rows.contains(&Oid(1)), "{rows:?}");
         // The unreachable object never appears.
-        assert!(rows.iter().all(|r| r.oid != Oid(3)));
+        assert!(!rows.contains(&Oid(3)));
     }
 
     #[test]
     fn fractions_shrink_with_threshold() {
         let e = engine();
-        let kernel = uniform_kernel(&e);
-        let lo = threshold_nn_sweep_kernel(&e, &kernel, 0.1, 64);
-        let hi = threshold_nn_sweep_kernel(&e, &kernel, 0.8, 64);
-        let f = |rows: &[ThresholdRow], oid: u64| {
-            rows.iter()
-                .find(|r| r.oid == Oid(oid))
-                .map(|r| r.fraction)
-                .unwrap_or(0.0)
-        };
-        for oid in [1u64, 2] {
-            assert!(
-                f(&lo, oid) >= f(&hi, oid),
-                "oid {oid}: {} vs {}",
-                f(&lo, oid),
-                f(&hi, oid)
-            );
+        let rows = e.prob_row_set_kernel(&uniform_kernel(&e), 64);
+        for oid in [Oid(1), Oid(2)] {
+            let (lo, hi) = (rows.fraction_above(oid, 0.1), rows.fraction_above(oid, 0.8));
+            assert!(lo >= hi, "oid {oid}: {lo} vs {hi}");
         }
     }
 
@@ -204,17 +139,15 @@ mod tests {
     #[test]
     fn mean_probability_bounded() {
         let e = engine();
-        for row in threshold_nn_sweep_kernel(&e, &uniform_kernel(&e), 0.05, 48) {
-            assert!((0.0..=1.0).contains(&row.mean_probability), "{row:?}");
-            assert!((0.0..=1.0).contains(&row.fraction));
+        let rows = e.prob_row_set_kernel(&uniform_kernel(&e), 48);
+        for row in rows.rows() {
+            let (mean, fraction) = (
+                rows.mean_probability(row.oid),
+                rows.fraction_above(row.oid, 0.05),
+            );
+            assert!((0.0..=1.0).contains(&mean), "{row:?}");
+            assert!((0.0..=1.0).contains(&fraction));
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn threshold_must_be_below_one() {
-        let e = engine();
-        let _ = threshold_nn_sweep_kernel(&e, &uniform_kernel(&e), 1.0, 8);
     }
 
     #[test]
@@ -241,7 +174,7 @@ mod tests {
         assert!(pg <= 1.0 + 1e-9);
         // Threshold sweeps run under the Gaussian model too, and the
         // leader qualifies at a high threshold.
-        let rows = at_least(threshold_nn_sweep_kernel(&e, &gauss, 0.6, 48), 0.3);
-        assert!(rows.iter().any(|row| row.oid == Oid(1)), "{rows:?}");
+        let rows = at_least(&e.prob_row_set_kernel(&gauss, 48), 0.6, 0.3);
+        assert!(rows.contains(&Oid(1)), "{rows:?}");
     }
 }

@@ -199,7 +199,8 @@
 //!   [`subscription::SubDelta`]s. Its private submodules are `registry`
 //!   (names, shares, the maintenance round), `index` (the guard index and
 //!   its grid), `ladder` (the skip / patch / rebuild rungs), `sink` (push
-//!   delivery) and `render` (quantifier / target rendering);
+//!   delivery) and `render` (the quantifier / target rules every
+//!   `SELECT`, one-shot or standing, is rendered through);
 //! * [`net`] — the framed TCP service layer: wire codec, multiplexed
 //!   event-loop server with encode-once push delivery, and the blocking
 //!   client;

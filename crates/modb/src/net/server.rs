@@ -1005,21 +1005,38 @@ mod tests {
     use super::*;
     use crate::net::{NetClient, NetError};
 
+    /// `client.execute(statement)` on a helper thread: a response that
+    /// never comes fails the calling test after 30 s instead of hanging
+    /// it.
+    fn execute_within_deadline(
+        mut client: NetClient,
+        statement: &'static str,
+    ) -> (NetClient, Result<WireOutput, NetError>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let out = client.execute(statement);
+            let _ = tx.send((client, out));
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("no response to {statement} within 30 s"))
+    }
+
     /// A statement that panics on its worker is answered with an error,
     /// counted, and the same connection's next request is served.
     #[test]
     fn a_worker_panic_fails_one_request() {
         let net = NetServer::bind("127.0.0.1:0", Arc::new(ModServer::new())).unwrap();
-        let mut client = NetClient::connect(net.local_addr()).unwrap();
+        let client = NetClient::connect(net.local_addr()).unwrap();
         let panics = || net.shared.server.store().telemetry().server_panics.get();
         let before = panics();
-        match client.execute(INJECTED_PANIC) {
+        let (client, out) = execute_within_deadline(client, INJECTED_PANIC);
+        match out {
             Err(NetError::Server(msg)) => assert!(msg.contains("panicked"), "{msg}"),
             other => panic!("expected an error response, got {other:?}"),
         }
         assert_eq!(panics(), before + 1);
-        let out = client.execute("SHOW SUBSCRIPTIONS").unwrap();
-        assert!(matches!(out, WireOutput::Subscriptions(infos) if infos.is_empty()));
+        let (client, out) = execute_within_deadline(client, "SHOW SUBSCRIPTIONS");
+        assert!(matches!(out.unwrap(), WireOutput::Subscriptions(infos) if infos.is_empty()));
         client.close().unwrap();
         net.shutdown();
     }

@@ -4,11 +4,12 @@
 use crate::cache::{CachedEngine, EngineCache, EngineKey, EngineKind, Lookup};
 use crate::delta::ForwardProof;
 use crate::plan::{PlanError, PrefilterPolicy, QueryPlanner};
-use crate::ql::ast::{PredicateKind, Quantifier, Query, Statement, Target};
+use crate::ql::ast::{PredicateKind, Query, Statement, Target};
 use crate::ql::parser::{parse_statement, ParseError};
 use crate::store::{ModStore, StoreError};
 use crate::subscription::{
-    DeltaSink, SubAnswer, SubDelta, SubscriptionError, SubscriptionInfo, SubscriptionRegistry,
+    render_output, render_row_output, DeltaSink, SubAnswer, SubDelta, SubscriptionError,
+    SubscriptionInfo, SubscriptionRegistry,
 };
 use crate::telemetry::{MetricsSnapshot, TraceEvent};
 use std::collections::HashMap;
@@ -17,10 +18,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use unn_core::hetero::HeteroEngine;
 use unn_core::ipac::IpacTree;
+use unn_core::kernel::ColumnKernel;
 use unn_core::query::QueryEngine;
 use unn_core::reverse::ReverseNnEngine;
+use unn_core::threshold::probability_at_kernel;
 use unn_core::topk::KnnAnswer;
-use unn_geom::interval::{IntervalSet, TimeInterval};
+use unn_geom::interval::TimeInterval;
 use unn_traj::difference::DifferenceError;
 use unn_traj::trajectory::Oid;
 use unn_traj::uncertain::{common_pdf_kind, UncertainTrajectory};
@@ -640,27 +643,67 @@ impl ModServer {
     /// and maintained probability rows probe identical instants.
     pub const THRESHOLD_SAMPLES: usize = crate::subscription::PROB_ROW_SAMPLES as usize;
 
-    /// Executes an already-parsed query.
+    /// Executes an already-parsed query: computes the statement's answer
+    /// value and renders it through [`render_output`] or
+    /// [`render_row_output`], the quantifier × target rules a standing
+    /// query's [`SubscriptionRegistry::output`] applies. The value is
+    /// the engine's memoised [`unn_core::answer::AnswerSet`] for
+    /// `PROB_NN(…) > 0` (its [`QueryEngine::ranked_answer_set`] under
+    /// `RANK k`), the sampled probability rows at
+    /// [`ModServer::THRESHOLD_SAMPLES`] for `PROB_NN(…) > p` (under
+    /// `RANK k`, each row keeps only its probes inside the object's
+    /// rank-`k` intervals), the reverse engine's band intervals for
+    /// `PROB_RNN(…) > 0` and its reverse rows for `PROB_RNN(…) > p`. A
+    /// row statement's `AT t` evaluates the probability at exactly `t`
+    /// (zero outside the rank-`k` intervals).
     pub fn execute_parsed(&self, query: &Query) -> Result<QueryOutput, ServerError> {
         let (q_oid, window) = self.resolve_select(query)?;
+        let (threshold, samples) = (query.prob_threshold > 0.0, Self::THRESHOLD_SAMPLES as u32);
         if query.predicate == PredicateKind::Rnn {
-            return self.execute_reverse(query, q_oid, window);
+            let rev = self.reverse_engine(q_oid, window)?;
+            if !threshold {
+                return Ok(render_output(query, &rev.answer_set()));
+            }
+            let kernel = ColumnKernel::from_profile(self.difference_model()?.profile);
+            let rows = rev.prob_row_set_kernel(&kernel, samples);
+            // The probability that the query is `oid`'s nearest neighbor,
+            // from `oid`'s perspective engine.
+            let at = |oid, t| {
+                rev.perspective_engine_arc(oid)
+                    .and_then(|e| probability_at_kernel(&e, &kernel, q_oid, t))
+                    .unwrap_or(0.0)
+            };
+            return Ok(render_row_output(query, &rows, at));
         }
         let (engine, _) = self.engine(q_oid, window)?;
-        if query.prob_threshold > 0.0 {
-            return self.execute_threshold(query, &engine);
+        let ranked = query.rank.map(|k| engine.ranked_answer_set(k));
+        if !threshold {
+            return Ok(render_output(
+                query,
+                ranked.as_ref().unwrap_or(engine.answer()),
+            ));
         }
-        self.render(query, window, &engine)
+        let kernel = ColumnKernel::from_profile(self.difference_model()?.profile);
+        let rows = engine.prob_row_set_kernel(&kernel, samples);
+        let at = |oid, t| match &ranked {
+            Some(r) if !r.intervals_of(oid).is_some_and(|iv| iv.covers(t)) => 0.0,
+            _ => probability_at_kernel(&engine, &kernel, oid, t).unwrap_or(0.0),
+        };
+        match &ranked {
+            Some(r) => Ok(render_row_output(query, &rows.within(r), at)),
+            None => Ok(render_row_output(query, &rows, at)),
+        }
     }
 
     /// Answers `query` from the engine cache alone, never building: a
     /// forward `PROB_NN` query with threshold 0 and no `RANK` whose
     /// objects resolve, whose window is valid, and whose engine is
     /// cached at the store's epoch or carries to it — counted as a hit
-    /// (and a carry) exactly as [`ModServer::execute_parsed`] counts it.
-    /// `None`, with nothing counted, when the statement needs
-    /// [`ModServer::execute_parsed`]: a build, another shape, or an
-    /// error. It plans nothing, evaluates no kernel and reads no
+    /// (and a carry) exactly as [`ModServer::execute_parsed`] counts it,
+    /// and rendered by the same [`render_output`] over the engine's
+    /// memoised answer. `None`, with nothing counted, when the statement
+    /// needs [`ModServer::execute_parsed`]: a build, another shape, or
+    /// an error. It plans nothing, evaluates no kernel and reads no
     /// snapshot; a carry walks at most the delta log's retained records.
     /// The network event loop answers hot reads through it.
     pub fn execute_cached(&self, query: &Query) -> Option<QueryOutput> {
@@ -671,13 +714,6 @@ impl ModServer {
             return None;
         }
         let (q_oid, window) = self.resolve_select(query).ok()?;
-        if let Target::One(name) = &query.target {
-            // A target naming the query object is an error, which the
-            // full execution reports.
-            if self.resolve(name).ok()? == q_oid {
-                return None;
-            }
-        }
         let key = EngineKey::new(
             EngineKind::Forward,
             q_oid,
@@ -690,99 +726,22 @@ impl ModServer {
             unreachable!("a forward key holds a forward engine")
         };
         self.count_lookup(lookup);
-        // Fails only when a concurrent commit removed the target since
-        // the check above; the caller then executes it in full.
-        self.render(query, window, &engine).ok()
+        Some(render_output(query, engine.answer()))
     }
 
-    /// The query object and window of a `SELECT`, validated.
+    /// The query object and window of a `SELECT`, validated, with its
+    /// named target (if any) resolved: a target that is not registered,
+    /// or is the query object itself, is [`ServerError::UnknownObject`].
     fn resolve_select(&self, query: &Query) -> Result<(Oid, TimeInterval), ServerError> {
         let q_oid = self.resolve(&query.query_object)?;
+        if let Target::One(name) = &query.target {
+            if self.resolve(name)? == q_oid {
+                return Err(ServerError::UnknownObject(name.clone()));
+            }
+        }
         let window = TimeInterval::try_new(query.window.0, query.window.1)
             .ok_or(ServerError::Window(DifferenceError::DegenerateWindow))?;
         Ok((q_oid, window))
-    }
-
-    /// Renders a forward `PROB_NN` query with threshold 0 from its
-    /// engine: the quantifier over one target, or over every object with
-    /// each row's fraction of the statement's `window`. Whole-MOD rows
-    /// read the engine's memoised [`unn_core::answer::AnswerSet`] by
-    /// reference.
-    fn render(
-        &self,
-        query: &Query,
-        window: TimeInterval,
-        engine: &QueryEngine,
-    ) -> Result<QueryOutput, ServerError> {
-        let q_oid = engine.query();
-        match &query.target {
-            Target::One(name) => {
-                let oid = self.resolve(name)?;
-                let answer = match (&query.quantifier, query.rank) {
-                    (Quantifier::Exists, None) => engine.uq11_exists(oid),
-                    (Quantifier::Exists, Some(k)) => engine.uq21_exists(oid, k),
-                    (Quantifier::Forall, None) => engine.uq12_always(oid),
-                    (Quantifier::Forall, Some(k)) => engine.uq22_always(oid, k),
-                    (Quantifier::AtLeast(x), None) => engine.uq13_at_least(oid, *x),
-                    (Quantifier::AtLeast(x), Some(k)) => engine.uq23_at_least(oid, k, *x),
-                    (Quantifier::At(t), None) => engine.uq1_at(oid, *t),
-                    (Quantifier::At(t), Some(k)) => engine.uq2_at(oid, k, *t),
-                };
-                // The engine only knows prefilter survivors; an object
-                // that is registered but was conservatively filtered out
-                // is provably outside the 4r band throughout the window —
-                // its in-band fraction is exactly zero. Evaluate each
-                // quantifier at fraction zero so the answer matches what
-                // the exhaustive engine returns for the same object
-                // (notably `ATLEAST x` holds at x = 0).
-                let answer = match answer {
-                    Some(b) => Some(b),
-                    None if oid != q_oid => Some(match &query.quantifier {
-                        Quantifier::AtLeast(x) => 1e-12 >= *x,
-                        _ => false,
-                    }),
-                    None => None,
-                };
-                answer
-                    .map(QueryOutput::Boolean)
-                    .ok_or_else(|| ServerError::UnknownObject(name.clone()))
-            }
-            Target::All => {
-                let fraction = |iv: &IntervalSet| iv.total_len() / window.len();
-                let entries = engine.answer().entries();
-                let out: Vec<(Oid, f64)> = match (&query.quantifier, query.rank) {
-                    (Quantifier::Exists, None) => entries
-                        .iter()
-                        .map(|e| (e.oid, fraction(&e.intervals)))
-                        .collect(),
-                    (Quantifier::Exists, Some(k)) => engine
-                        .uq41_all(k)
-                        .into_iter()
-                        .map(|(o, iv)| (o, fraction(&iv)))
-                        .collect(),
-                    (Quantifier::Forall, None) => {
-                        engine.uq32_all().into_iter().map(|o| (o, 1.0)).collect()
-                    }
-                    (Quantifier::Forall, Some(k)) => {
-                        engine.uq42_all(k).into_iter().map(|o| (o, 1.0)).collect()
-                    }
-                    (Quantifier::AtLeast(x), None) => engine.uq33_all(*x),
-                    (Quantifier::AtLeast(x), Some(k)) => engine.uq43_all(k, *x),
-                    (Quantifier::At(t), None) => entries
-                        .iter()
-                        .filter(|e| e.intervals.covers(*t))
-                        .map(|e| (e.oid, fraction(&e.intervals)))
-                        .collect(),
-                    (Quantifier::At(t), Some(k)) => engine
-                        .uq41_all(k)
-                        .into_iter()
-                        .filter(|(_, iv)| iv.covers(*t))
-                        .map(|(o, iv)| (o, fraction(&iv)))
-                        .collect(),
-                };
-                Ok(QueryOutput::Objects(out))
-            }
-        }
     }
 
     /// Reverse probabilistic NN (a §7 future-work variant): the objects
@@ -907,78 +866,6 @@ impl ModServer {
         })
     }
 
-    /// Evaluates a `PROB_RNN` statement: the reverse-NN predicate over the
-    /// per-candidate perspective engines. Positive thresholds read the
-    /// sampled reverse probability rows (one batched evaluation for the
-    /// whole statement); `AT t` probes the exact instant.
-    fn execute_reverse(
-        &self,
-        query: &Query,
-        q_oid: Oid,
-        window: TimeInterval,
-    ) -> Result<QueryOutput, ServerError> {
-        use unn_core::kernel::ColumnKernel;
-        use unn_core::threshold::probability_at_kernel;
-        let rev = self.reverse_engine(q_oid, window)?;
-        let p = query.prob_threshold;
-        let samples = Self::THRESHOLD_SAMPLES as u32;
-        // `Some` exactly when p > 0: the kernel and the sampled rows.
-        let sampled = if p > 0.0 {
-            let kernel = ColumnKernel::from_profile(self.difference_model()?.profile);
-            let rows = rev.prob_row_set_kernel(&kernel, samples);
-            Some((kernel, rows))
-        } else {
-            None
-        };
-        let full = if p == 0.0 {
-            1.0 - 1e-6
-        } else {
-            1.0 - 0.5 / samples as f64
-        };
-        // The verdict and the fraction of the window during which the
-        // query may be (p == 0) or probably is (p > 0) `oid`'s nearest
-        // neighbor, from `oid`'s perspective engine.
-        let verdict = |oid: Oid, engine: &QueryEngine| -> Option<(bool, f64)> {
-            let frac = match &sampled {
-                None => engine.uq13_fraction(q_oid)?,
-                Some((_, rows)) => rows.fraction_above(oid, p),
-            };
-            let keep = match &query.quantifier {
-                Quantifier::Exists => frac > 0.0,
-                Quantifier::Forall => frac >= full,
-                Quantifier::AtLeast(x) => frac + 1e-12 >= *x,
-                Quantifier::At(t) => match &sampled {
-                    None => engine
-                        .nonzero_intervals(q_oid)
-                        .is_some_and(|iv| iv.covers(*t)),
-                    Some((kernel, _)) => {
-                        probability_at_kernel(engine, kernel, q_oid, *t).unwrap_or(0.0) > p
-                    }
-                },
-            };
-            Some((keep, frac))
-        };
-        match &query.target {
-            Target::One(name) => {
-                let oid = self.resolve(name)?;
-                let (keep, _) = rev
-                    .perspective_engines()
-                    .find(|(o, _)| *o == oid)
-                    .and_then(|(_, engine)| verdict(oid, engine))
-                    .ok_or_else(|| ServerError::UnknownObject(name.clone()))?;
-                Ok(QueryOutput::Boolean(keep))
-            }
-            Target::All => Ok(QueryOutput::Objects(
-                rev.perspective_engines()
-                    .filter_map(|(oid, engine)| match verdict(oid, engine)? {
-                        (true, frac) => Some((oid, frac)),
-                        (false, _) => None,
-                    })
-                    .collect(),
-            )),
-        }
-    }
-
     /// The convolved difference pdf of the MOD's (shared) location model —
     /// exact closed form for uniform disks, numeric radial convolution for
     /// everything else (§3.1) — together with its profiled kernel tables,
@@ -990,74 +877,6 @@ impl ModServer {
             .map_err(|_| ServerError::MixedPdfs)?
             .ok_or(ServerError::NotEnoughObjects)?;
         Ok(self.store.difference_model(&kind))
-    }
-
-    /// Evaluates a §7 threshold comparison (`PROB_NN(...) > p`, `p > 0`)
-    /// by probability sampling at [`ModServer::THRESHOLD_SAMPLES`]
-    /// instants, under the MOD's registered location model (uniform or
-    /// truncated Gaussian). Rank bounds compose: an instant counts only
-    /// when the object is also within the top `k` ranks there.
-    fn execute_threshold(
-        &self,
-        query: &Query,
-        engine: &QueryEngine,
-    ) -> Result<QueryOutput, ServerError> {
-        use unn_core::kernel::ColumnKernel;
-        use unn_core::threshold::{probability_at_kernel, threshold_nn_sweep_kernel};
-        let p = query.prob_threshold;
-        let kernel = ColumnKernel::from_profile(self.difference_model()?.profile);
-        let rows = threshold_nn_sweep_kernel(engine, &kernel, p, Self::THRESHOLD_SAMPLES);
-        let fraction_of = |oid: Oid| -> f64 {
-            let base = rows
-                .iter()
-                .find(|r| r.oid == oid)
-                .map(|r| r.fraction)
-                .unwrap_or(0.0);
-            match query.rank {
-                None => base,
-                Some(k) => {
-                    // Conservative composition: intersect the sampled
-                    // threshold fraction with the rank-interval fraction.
-                    let rk = engine.uq23_fraction(oid, k).unwrap_or(0.0);
-                    base.min(rk)
-                }
-            }
-        };
-        // One probe is 1/THRESHOLD_SAMPLES of the window; "always" means
-        // every probe passed.
-        let full = 1.0 - 0.5 / Self::THRESHOLD_SAMPLES as f64;
-        match &query.target {
-            Target::One(name) => {
-                let oid = self.resolve(name)?;
-                let ans = match &query.quantifier {
-                    Quantifier::Exists => fraction_of(oid) > 0.0,
-                    Quantifier::Forall => fraction_of(oid) >= full,
-                    Quantifier::AtLeast(x) => fraction_of(oid) + 1e-12 >= *x,
-                    Quantifier::At(t) => {
-                        probability_at_kernel(engine, &kernel, oid, *t).unwrap_or(0.0) > p
-                    }
-                };
-                Ok(QueryOutput::Boolean(ans))
-            }
-            Target::All => {
-                let mut out = Vec::new();
-                for row in &rows {
-                    let frac = fraction_of(row.oid);
-                    let keep = match &query.quantifier {
-                        Quantifier::Exists => frac > 0.0,
-                        Quantifier::Forall => frac >= full,
-                        Quantifier::AtLeast(x) => frac + 1e-12 >= *x,
-                        Quantifier::At(t) => {
-                            probability_at_kernel(engine, &kernel, row.oid, *t).unwrap_or(0.0) > p
-                        }
-                    };
-                    if keep {
-                        out.push((row.oid, frac));
-                    }
-                }
-                Ok(QueryOutput::Objects(out))
-            }
-        }
     }
 }
 
@@ -1376,9 +1195,10 @@ mod tests {
         assert!(computed > registered && copied > 0, "{computed}, {copied}");
     }
 
-    /// `execute_reverse` reads one batched row set; the oracle here is
-    /// the per-perspective, per-probe `probability_at_kernel` loop it
-    /// replaced. Fractions must agree to the bit, verdicts exactly.
+    /// A one-shot `PROB_RNN > p` reads one batched row set; the oracle
+    /// here is the per-perspective, per-probe `probability_at_kernel`
+    /// loop it replaced. Fractions must agree to the bit, verdicts
+    /// exactly.
     #[test]
     fn reverse_threshold_rows_match_the_per_probe_loop() {
         use unn_core::kernel::ColumnKernel;

@@ -4,7 +4,7 @@
 
 use super::index::SubscriptionIndex;
 use super::ladder::{ShareCore, SharedOps};
-use super::render::{render_output, render_row_output};
+use super::render::{probe_column_at, render_output, render_row_output};
 use super::sink::{DeltaSink, SubscriberSlot};
 use super::{SubAnswer, SubscriptionError, SubscriptionInfo, SubscriptionStats, PROB_ROW_SAMPLES};
 use crate::delta::ForwardProof;
@@ -165,6 +165,24 @@ impl SubState {
     }
 }
 
+impl SubscriptionStats {
+    /// Adds `other`'s counters to these.
+    fn add(&mut self, other: &SubscriptionStats) {
+        self.skipped += other.skipped;
+        self.skipped_ops += other.skipped_ops;
+        self.patched += other.patched;
+        self.rebuilt += other.rebuilt;
+        self.envelopes_carried += other.envelopes_carried;
+        self.functions_reused += other.functions_reused;
+        self.functions_built += other.functions_built;
+        self.rows_patched += other.rows_patched;
+        self.perspectives_skipped += other.perspectives_skipped;
+        self.visited += other.visited;
+        self.skipped_unvisited += other.skipped_unvisited;
+        self.batched_commits += other.batched_commits;
+    }
+}
+
 /// A share's counters, with the index-pruned rounds (which never touch
 /// the core) read off the gap between `rounds` and its watermark.
 fn reconciled_stats(share: &SharedSub, core: &ShareCore, rounds: u64) -> SubscriptionStats {
@@ -236,6 +254,10 @@ pub struct SubscriptionRegistry {
     /// identity. A share is inserted by the first registration on its
     /// key and removed when its last subscriber unregisters.
     shares: Mutex<HashMap<ShareKey, Arc<SharedSub>>>,
+    /// The counters of every share that has left `shares`, folded at
+    /// removal, so registry-wide totals never fall. Locked only under
+    /// the `shares` lock: a reader of both sees each share exactly once.
+    retired: Mutex<SubscriptionStats>,
     row_samples: std::sync::atomic::AtomicU32,
     /// The publication-style guard index a maintenance round prunes its
     /// visit set with (see [`SubscriptionIndex`]).
@@ -262,6 +284,7 @@ impl Default for SubscriptionRegistry {
         SubscriptionRegistry {
             names: Mutex::default(),
             shares: Mutex::new(HashMap::new()),
+            retired: Mutex::default(),
             row_samples: std::sync::atomic::AtomicU32::new(PROB_ROW_SAMPLES),
             index: Mutex::new(SubscriptionIndex::default()),
             sync_rounds: AtomicU64::new(0),
@@ -297,18 +320,37 @@ impl SubscriptionRegistry {
     /// One row per live share, however many names ride it (sum these
     /// for registry-wide totals, not the per-name [`Self::list`]): its
     /// counters and, for a row share, its kept column kernel
-    /// (`unn_core::kernel`, "Memo"). Taken under each share's lock.
+    /// (`unn_core::kernel`, "Memo"). Taken under each share's lock. A
+    /// first row, without a kernel, holds the counters of every share
+    /// that has left the registry, frozen at its removal, so the totals
+    /// never fall when a share goes.
     pub fn share_stats(&self) -> Vec<(SubscriptionStats, Option<ColumnKernel>)> {
         let rounds = self.sync_rounds.load(Ordering::Acquire);
-        let shares: Vec<Arc<SharedSub>> = self.shares.lock().unwrap().values().cloned().collect();
-        shares
-            .iter()
-            .map(|s| {
-                let core = s.core.lock().unwrap();
-                let kernel = core.kernel.as_ref().map(|(_, k)| k.clone());
-                (reconciled_stats(s, &core, rounds), kernel)
-            })
-            .collect()
+        let shares = self.shares.lock().unwrap();
+        let mut rows = vec![(*self.retired.lock().unwrap(), None)];
+        let live: Vec<Arc<SharedSub>> = shares.values().cloned().collect();
+        drop(shares);
+        rows.extend(live.iter().map(|s| {
+            let core = s.core.lock().unwrap();
+            let kernel = core.kernel.as_ref().map(|(_, k)| k.clone());
+            (reconciled_stats(s, &core, rounds), kernel)
+        }));
+        rows
+    }
+
+    /// Removes `share` from `shares` (the caller holds that lock, and
+    /// `core` is the share's), folding its counters into the retired
+    /// total.
+    fn retire(
+        &self,
+        shares: &mut HashMap<ShareKey, Arc<SharedSub>>,
+        share: &SharedSub,
+        core: &ShareCore,
+    ) {
+        let stats = reconciled_stats(share, core, self.sync_rounds.load(Ordering::Acquire));
+        self.retired.lock().unwrap().add(&stats);
+        shares.remove(&share.key);
+        self.index.lock().unwrap().remove(share.id);
     }
 
     /// The probe count newly registered row subscriptions sample their
@@ -495,9 +537,7 @@ impl SubscriptionRegistry {
             if let Some(message) = core.error.clone() {
                 if core.slots.is_empty() {
                     // A share no subscriber rides must not linger.
-                    drop(core);
-                    shares.remove(&key);
-                    self.index.lock().unwrap().remove(share.id);
+                    self.retire(&mut shares, &share, &core);
                 }
                 return Err(SubscriptionError::Evaluation(message));
             }
@@ -537,11 +577,8 @@ impl SubscriptionRegistry {
         let mut shares = self.shares.lock().unwrap();
         let mut core = sub.share.core.lock().unwrap();
         core.slots.retain(|s| s.name != name);
-        let orphaned = core.slots.is_empty();
-        drop(core);
-        if orphaned {
-            shares.remove(&sub.share.key);
-            self.index.lock().unwrap().remove(sub.share.id);
+        if core.slots.is_empty() {
+            self.retire(&mut shares, &sub.share, &core);
         }
         true
     }
@@ -603,7 +640,7 @@ impl SubscriptionRegistry {
             let core = s.share.core.lock().unwrap();
             match &core.answer {
                 SubAnswer::Intervals(a) => render_output(&s.query, a),
-                SubAnswer::Rows(r) => render_row_output(&s.query, r),
+                SubAnswer::Rows(r) => render_row_output(&s.query, r, probe_column_at(r)),
             }
         })
     }
@@ -1317,7 +1354,7 @@ mod tests {
         // Each name renders the shared rows under its own threshold.
         let fresh_output = |pred: &str, p: f64| {
             let fresh = fresh_rows(&store, Oid(0), pred == "PROB_RNN");
-            render_row_output(&stmt(pred, p), &fresh)
+            render_row_output(&stmt(pred, p), &fresh, probe_column_at(&fresh))
         };
         for (name, pred, p) in &names {
             assert_eq!(reg.output(name).unwrap(), fresh_output(pred, *p), "{name}");
@@ -1333,7 +1370,7 @@ mod tests {
                 .iter()
                 .fold(base, |acc, d| acc.apply(d.as_rows().unwrap()));
             assert_eq!(
-                render_row_output(&stmt(pred, *p), &folded),
+                render_row_output(&stmt(pred, *p), &folded, probe_column_at(&folded)),
                 fresh_output(pred, *p),
                 "{name}"
             );

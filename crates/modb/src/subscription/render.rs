@@ -1,5 +1,14 @@
-//! Rendering a maintained answer through a statement's quantifier and
-//! target, like a one-shot execution of it.
+//! The quantifier × target rules of every `SELECT`: one-shot
+//! executions ([`crate::server::ModServer::execute_parsed`]) and
+//! standing queries ([`super::SubscriptionRegistry::output`]) both
+//! render their answer value through these two functions.
+//!
+//! The surfaces differ only where their answer values do: the `AT t`
+//! instant rule a row statement is rendered with (exact `P^NN` at `t`
+//! one-shot, the probe column containing `t` when registered), and
+//! `PROB_RNN(…) > 0`, which a one-shot execution answers from exact band
+//! intervals ([`render_output`]) and a standing query from sampled rows
+//! ([`render_row_output`]).
 
 use crate::ql::ast::{Quantifier, Query, Target};
 use crate::ql::parse_object_name;
@@ -8,9 +17,13 @@ use unn_core::answer::AnswerSet;
 use unn_core::probrows::{probe_column, ProbRowSet};
 use unn_traj::trajectory::Oid;
 
-/// Renders an [`AnswerSet`] through a query's quantifier and target —
-/// the same decision rules the one-shot execution path applies to its
-/// engine, derived from the maintained qualification intervals instead.
+/// Renders an [`AnswerSet`] — qualification intervals, rank-bounded or
+/// not — through a query's quantifier and target: `EXISTS` asks for a
+/// non-empty interval set, `FORALL` for one covering the window,
+/// `ATLEAST x` for a covered fraction of at least `x`, and `AT t` for
+/// one containing `t`. A named object absent from the answer has
+/// fraction zero; whole-MOD rows carry each entry's fraction of the
+/// window (`1.0` under `FORALL`).
 pub fn render_output(query: &Query, answer: &AnswerSet) -> QueryOutput {
     let window = answer.window();
     let tol = 1e-7 * window.len().max(1.0);
@@ -51,41 +64,37 @@ pub fn render_output(query: &Query, answer: &AnswerSet) -> QueryOutput {
     }
 }
 
-/// Renders a [`ProbRowSet`] through a query's quantifier and target —
-/// the sampled analogue of the one-shot threshold decision rules: the
-/// qualifying fraction of `oid` is the fraction of probes where its
-/// `P^NN` exceeds the statement's threshold, `FORALL` means every probe
-/// passed, and `AT t` reads the probe column containing `t`.
+/// Renders a [`ProbRowSet`] through a query's quantifier and target,
+/// under its threshold `p`: an object's qualifying fraction is the
+/// fraction of probes where its probability exceeds `p`, `EXISTS` asks
+/// for one such probe, `FORALL` for every probe, `ATLEAST x` for a
+/// fraction of at least `x`, and `AT t` for `at(oid, t) > p`, where
+/// `at` is the caller's instant rule returning the probability at `t`.
+/// Whole-MOD rows list every object the set holds a row for (so
+/// `ATLEAST 0 %` lists them all), each with its qualifying fraction.
 ///
-/// The semantics are deliberately *probe-based*: a standing query's
-/// maintained truth is its sampled rows, so `AT t` answers from the
-/// probe column containing `t`, whereas a one-shot execution of the
-/// same statement evaluates the probability at exactly `t` (and
-/// one-shot `PROB_RNN(…) > 0` uses exact band intervals). Near a
-/// threshold crossing between two probes the two surfaces can disagree;
-/// raise the registry's sampling density to narrow the window.
-pub fn render_row_output(query: &Query, rows: &ProbRowSet) -> QueryOutput {
+/// A standing query passes `probe_column_at`: its maintained truth is
+/// its sampled rows, so `AT t` reads the probe column containing `t`. A
+/// one-shot execution passes the exact probability at `t`. Near a
+/// threshold crossing between two probes the two can disagree; raise
+/// the registry's sampling density to narrow the window.
+pub fn render_row_output(
+    query: &Query,
+    rows: &ProbRowSet,
+    at: impl Fn(Oid, f64) -> f64,
+) -> QueryOutput {
     let p = query.prob_threshold;
-    let samples = rows.samples();
-    let full = 1.0 - 0.5 / samples as f64;
-    let decide = |frac: f64, at_hit: bool| match &query.quantifier {
+    let full = 1.0 - 0.5 / rows.samples() as f64;
+    let decide = |oid: Oid, frac: f64| match &query.quantifier {
         Quantifier::Exists => frac > 0.0,
         Quantifier::Forall => frac >= full,
         Quantifier::AtLeast(x) => frac + 1e-12 >= *x,
-        Quantifier::At(_) => at_hit,
-    };
-    let at_hit_of = |oid: Oid| match &query.quantifier {
-        Quantifier::At(t) => rows
-            .row_of(oid)
-            .and_then(|r| r.at(probe_column(rows.window(), samples, *t)))
-            .map(|prob| prob > p)
-            .unwrap_or(false),
-        _ => false,
+        Quantifier::At(t) => at(oid, *t) > p,
     };
     match &query.target {
         Target::One(name) => {
             let answer = parse_object_name(name)
-                .map(|oid| decide(rows.fraction_above(oid, p), at_hit_of(oid)))
+                .map(|oid| decide(oid, rows.fraction_above(oid, p)))
                 .unwrap_or(false);
             QueryOutput::Boolean(answer)
         }
@@ -95,11 +104,21 @@ pub fn render_row_output(query: &Query, rows: &ProbRowSet) -> QueryOutput {
                 .iter()
                 .filter_map(|r| {
                     let frac = rows.fraction_above(r.oid, p);
-                    decide(frac, at_hit_of(r.oid)).then_some((r.oid, frac))
+                    decide(r.oid, frac).then_some((r.oid, frac))
                 })
                 .collect();
             QueryOutput::Objects(out)
         }
+    }
+}
+
+/// The standing queries' `AT t` rule for [`render_row_output`]: the
+/// probability `rows` hold for `oid` in the probe column containing `t`
+/// (zero where the object has no point there).
+pub(crate) fn probe_column_at(rows: &ProbRowSet) -> impl Fn(Oid, f64) -> f64 + '_ {
+    move |oid, t| {
+        let k = probe_column(rows.window(), rows.samples(), t);
+        rows.row_of(oid).and_then(|r| r.at(k)).unwrap_or(0.0)
     }
 }
 

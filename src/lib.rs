@@ -198,7 +198,7 @@ pub mod prelude {
     pub use unn_core::topk::{continuous_knn, probabilistic_topk_at, KnnAnswer};
     pub use unn_core::{
         build_ipac_tree, inside_band_intervals, lower_envelope, lower_envelope_naive,
-        prune_by_band, threshold_nn_sweep_kernel, ColumnKernel,
+        prune_by_band, ColumnKernel,
     };
     pub use unn_geom::interval::{IntervalSet, TimeInterval};
     pub use unn_geom::point::{Point2, Vec2};

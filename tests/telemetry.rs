@@ -288,3 +288,49 @@ fn unvisited_counter_moves_on_far_churn() {
         "every far round prunes every share and visits none"
     );
 }
+
+/// The `subs_*` totals are counters: a share that leaves the registry
+/// takes its live row with it, but its counts stay in the totals.
+#[test]
+fn subs_totals_never_fall_when_a_share_goes() {
+    const TOTALS: [&str; 4] = [
+        "subs_visited_total",
+        "subs_skipped_unvisited_total",
+        "subs_batched_commits_total",
+        "subs_rows_patched_total",
+    ];
+    let _flags = hold_flags(true, false);
+    let server = ModServer::new();
+    server
+        .register_all((0..4).map(|k| straight(k, k as f64)))
+        .unwrap();
+    for q in 0..2 {
+        let stmt = format!(
+            "SELECT * FROM MOD WHERE EXISTS TIME IN [0, 60] AND PROB_NN(*, Tr{q}, TIME) > 0.2"
+        );
+        server.subscribe(&format!("s{q}"), &stmt).unwrap();
+    }
+    assert_eq!(server.subscription_registry().share_count(), 2);
+    // One in-band commit patches both shares, one far commit prunes both.
+    server.register(straight(9, 0.5)).unwrap();
+    server.register(straight(100, 70_000.0)).unwrap();
+    let totals = || {
+        let snap = server.metrics_snapshot(Some("subs_"));
+        TOTALS.map(|name| snap.value(name).unwrap())
+    };
+    let before = totals();
+    assert!(
+        before[0] > 0 && before[1] > 0 && before[3] > 0,
+        "{before:?}"
+    );
+    server.unsubscribe("s1").unwrap();
+    assert_eq!(server.subscription_registry().share_count(), 1);
+    let after = totals();
+    for ((name, was), now) in TOTALS.iter().zip(before).zip(after) {
+        assert!(now >= was, "{name} fell from {was} to {now}");
+    }
+    // The retired share's counts stay in the totals as the live share's grow.
+    server.register(straight(101, 70_001.0)).unwrap();
+    let later = totals();
+    assert_eq!(later[1], after[1] + 1, "only the live share is pruned");
+}
