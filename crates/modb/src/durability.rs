@@ -55,9 +55,14 @@
 //! buffer, never holding it whole: the first verifies its length and
 //! checksum, and only then does the second decode it. An
 //! image that is damaged anywhere — a flipped bit, a short or a long
-//! file — refuses recovery; a text image from before this format is
-//! refused with a pointer to `unn-cli store convert <dir>`
-//! ([`convert_text_image`]).
+//! file — refuses recovery, and so does a file that is not an image at
+//! all, such as the line-oriented text format older builds wrote.
+//!
+//! The same image is the file format of a stored MOD outside a WAL
+//! directory: [`save_image`] writes a store snapshot with the
+//! checkpoint writer and [`load_image`] reads one back through the
+//! recovery reader (`unn-cli save` / `load`), so a saved file can serve
+//! as a directory's `snapshot.unn` and the other way round.
 //!
 //! Recovery replays records strictly in epoch order and rejects gaps:
 //! a record chain `watermark+1, watermark+2, …` must be contiguous, so
@@ -70,7 +75,7 @@ use crate::net::wire::{
     decode_commit_body, decode_trajectory, put_trajectory, trajectory_len, MIN_TRAJECTORY_LEN,
     TAG_REPL_DELTA,
 };
-use crate::persist;
+use crate::snapshot::QuerySnapshot;
 use crate::store::ModStore;
 use crate::telemetry::{self, Telemetry, TraceEvent, TraceStage};
 use std::collections::VecDeque;
@@ -178,10 +183,10 @@ pub enum WalError {
         /// What was wrong.
         message: String,
     },
-    /// The checkpoint image cannot be trusted: wrong magic (a text
-    /// image from before the binary format is answered with the convert
-    /// hint), a checksum mismatch, a file shorter or longer than its
-    /// header says, or an undecodable body.
+    /// The checkpoint image cannot be trusted: wrong magic (a file that
+    /// is no image, such as the text format older builds wrote), a
+    /// checksum mismatch, a file shorter or longer than its header
+    /// says, or an undecodable body.
     Snapshot {
         /// The image file.
         path: PathBuf,
@@ -892,10 +897,6 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
 // Checkpoint image
 // ---------------------------------------------------------------------
 
-/// How every text image (`crate::persist`, the format before this one)
-/// begins.
-const TEXT_IMAGE_PREFIX: &[u8] = b"# unn-modb";
-
 /// The fixed-size header of a checkpoint image, decoded and verified.
 #[derive(Debug, Clone, Copy)]
 struct ImageHeader {
@@ -929,10 +930,13 @@ impl ImageHeader {
     /// Decodes the first bytes of an image file; `Err` says what is
     /// wrong with them.
     fn decode(bytes: &[u8]) -> Result<ImageHeader, String> {
-        if bytes.starts_with(TEXT_IMAGE_PREFIX) {
+        // The magic first, so a file that is no image at all — however
+        // short — is refused as such.
+        if !IMAGE_MAGIC.starts_with(&bytes[..bytes.len().min(IMAGE_MAGIC.len())]) {
             return Err(
-                "a text image from before the binary checkpoint format; rewrite it once \
-                 with `unn-cli store convert <dir>`"
+                "bad image magic: not a checkpoint image (the text format older builds \
+                 wrote is no longer read; only a build that still has \
+                 `unn-cli store convert` can rewrite it)"
                     .to_string(),
             );
         }
@@ -942,9 +946,6 @@ impl ImageHeader {
                 bytes.len()
             ));
         };
-        if &h[..8] != IMAGE_MAGIC {
-            return Err("bad image magic".to_string());
-        }
         let u64_at = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().unwrap());
         let u32_at = |at: usize| u32::from_le_bytes(h[at..at + 4].try_into().unwrap());
         if crc32(&h[..Self::CHECKED]) != u32_at(Self::CHECKED) {
@@ -1211,29 +1212,26 @@ fn install_image(dir: &Path, epoch: u64, objects: &[UncertainTrajectory]) -> io:
     File::open(dir)?.sync_all()
 }
 
-/// Rewrites a WAL directory's **text** checkpoint image (what
-/// `snapshot.unn` was before the binary format — see
-/// [`crate::persist::load_image`]) as a binary one, in place; the WAL
-/// segments are untouched. Returns the image's epoch and object count.
-/// This is `unn-cli store convert <dir>`, the one step an old directory
-/// needs before [`recover`] accepts it.
-pub fn convert_text_image(dir: &Path) -> Result<(u64, usize), WalError> {
-    let path = dir.join(SNAPSHOT_FILE);
-    let refuse = |message| refuse_image(&path, message);
-    if let Ok(Some((_, header))) = open_image(&path) {
-        return Err(refuse(format!(
-            "already a binary image (epoch {}, {} objects); nothing to convert",
-            header.epoch, header.count
-        )));
-    }
-    let mut image =
-        persist::load_image(&path).map_err(|e| refuse(format!("not a text image: {e}")))?;
-    image.objects.sort_by_key(UncertainTrajectory::oid);
-    if let Some(w) = image.objects.windows(2).find(|w| w[0].oid() == w[1].oid()) {
-        return Err(refuse(format!("object {} appears twice", w[0].oid())));
-    }
-    install_image(dir, image.epoch, &image.objects)?;
-    Ok((image.epoch, image.objects.len()))
+/// Writes `snapshot` to `path` as a checkpoint image at the snapshot's
+/// epoch — the file [`Wal::checkpoint`] installs as `snapshot.unn`,
+/// written in place and fsynced. This is `unn-cli save`.
+pub fn save_image(path: &Path, snapshot: &QuerySnapshot) -> Result<(), WalError> {
+    Ok(write_image(path, snapshot.epoch(), snapshot.objects())?)
+}
+
+/// Reads the checkpoint image at `path` through the recovery reader:
+/// header, length and body checksum verified before anything is
+/// decoded, ids ascending. Returns the image's epoch and objects. A
+/// file that is missing, damaged or no image at all is an error. This
+/// is `unn-cli load`.
+pub fn load_image(path: &Path) -> Result<(u64, Vec<UncertainTrajectory>), WalError> {
+    let (file, header) =
+        open_image(path)?.ok_or_else(|| refuse_image(path, "no such file".to_string()))?;
+    let objects = read_image_body(path, file, &header)?;
+    let owned = objects
+        .into_iter()
+        .map(|tr| Arc::try_unwrap(tr).unwrap_or_else(|tr| (*tr).clone()));
+    Ok((header.epoch, owned.collect()))
 }
 
 // ---------------------------------------------------------------------
@@ -1783,12 +1781,10 @@ mod tests {
     }
 
     #[test]
-    fn text_image_is_refused_until_converted() {
+    fn text_image_is_refused() {
         let dir = tempdir("text_image");
-        let objects = generate_uncertain(&WorkloadConfig::with_objects(5, 8), 0.5);
-        let mut text = b"# unn-modb v2\nEPOCH 17\n".to_vec();
-        persist::save_to(&objects, &mut text).unwrap();
-        fs::write(dir.join(SNAPSHOT_FILE), &text).unwrap();
+        let text = "# unn-modb v2\nEPOCH 17\nOBJ 0 0.5 U\nPT 0 0 0\nPT 30 0 60\n";
+        fs::write(dir.join(SNAPSHOT_FILE), text).unwrap();
 
         for refused in [
             recover(&dir).map(|_| ()),
@@ -1796,19 +1792,12 @@ mod tests {
         ] {
             match refused {
                 Err(e @ WalError::Snapshot { .. }) => {
-                    assert!(e.to_string().contains("unn-cli store convert <dir>"), "{e}");
+                    assert!(e.to_string().contains("bad image magic"), "{e}");
+                    assert!(e.to_string().contains("text format"), "{e}");
                 }
-                other => panic!("expected the convert hint, got {other:?}"),
+                other => panic!("expected the magic refusal, got {other:?}"),
             }
         }
-        assert_eq!(convert_text_image(&dir).unwrap(), (17, 5));
-        let (recovered, report) = recover(&dir).unwrap();
-        assert_eq!(report.snapshot_epoch, 17);
-        assert_eq!(recovered.epoch(), 17);
-        assert_eq!(recovered.snapshot().to_vec(), objects);
-        // A second conversion has nothing to do and says so.
-        let again = convert_text_image(&dir).unwrap_err().to_string();
-        assert!(again.contains("already a binary image"), "{again}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1890,7 +1879,7 @@ mod tests {
                 due_at.push(epoch);
             }
             // The owed checkpoint runs two commits late.
-            if due_at.last() == Some(&(epoch - 2)) {
+            if due_at.last().map(|d| d + 2) == Some(epoch) {
                 wal.checkpoint(&store).unwrap();
             }
         }

@@ -204,11 +204,11 @@
 //! * [`net`] — the framed TCP service layer: wire codec, multiplexed
 //!   event-loop server with encode-once push delivery, and the blocking
 //!   client;
-//! * [`persist`] — replayable, diff-friendly text snapshots of MOD
-//!   contents (import/export; not read by the serving path);
 //! * [`durability`] — the write-ahead delta log: checksummed segment
 //!   files journaling every commit, checksummed binary checkpoint
-//!   images in the wire's trajectory encoding, crash recovery by image
+//!   images in the wire's trajectory encoding (also the file format of
+//!   a saved MOD: [`durability::save_image`] /
+//!   [`durability::load_image`]), crash recovery by image
 //!   load + replay (torn tails truncated loudly, damaged images
 //!   refused), and the
 //!   replication hub fanning the same encode-once commit frames to
@@ -221,7 +221,6 @@ pub mod delta;
 pub mod durability;
 pub mod instantaneous;
 pub mod net;
-pub mod persist;
 pub mod plan;
 pub mod prefilter;
 pub mod ql;
@@ -234,8 +233,8 @@ pub mod telemetry;
 pub use cache::EngineCache;
 pub use delta::{DeltaLog, DeltaOp, DeltaRecord, ForwardProof, NetDelta, ReplOp};
 pub use durability::{
-    convert_text_image, open_store, recover, FsyncPolicy, RecoveryReport, ReplicationHub, Wal,
-    WalError, WalOptions, WalStatus,
+    open_store, recover, FsyncPolicy, RecoveryReport, ReplicationHub, Wal, WalError, WalOptions,
+    WalStatus,
 };
 pub use net::{NetClient, NetError, NetServer, NetServerConfig};
 pub use plan::{PlanError, PrefilterPolicy, QueryPlan, QueryPlanner};

@@ -25,8 +25,7 @@ use unn_traj::trajectory::Oid;
 use unn_traj::uncertain::UncertainTrajectory;
 
 use super::wire::{
-    decode_payload, write_frame, Frame, WireError, WireOutput, WireRequest, MAX_FRAME_LEN,
-    WIRE_VERSION,
+    pop_frame, write_frame, Frame, WireError, WireOutput, WireRequest, WIRE_VERSION,
 };
 
 /// Errors raised by [`NetClient`] operations.
@@ -478,7 +477,7 @@ impl NetClient {
     fn recv_deadline(&mut self, deadline: Option<Instant>) -> Result<Option<Frame>, NetError> {
         let mut chunk = [0u8; 4096];
         loop {
-            if let Some(frame) = self.try_extract()? {
+            if let Some(frame) = pop_frame(&mut self.partial)? {
                 return Ok(Some(frame));
             }
             match deadline {
@@ -507,26 +506,6 @@ impl NetClient {
                 Err(e) => return Err(e.into()),
             }
         }
-    }
-
-    /// Pops one complete frame off the partial buffer, if present.
-    fn try_extract(&mut self) -> Result<Option<Frame>, NetError> {
-        if self.partial.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.partial[..4].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            return Err(NetError::Wire(WireError::Format(format!(
-                "frame length {len} exceeds the {MAX_FRAME_LEN} byte bound"
-            ))));
-        }
-        let total = 4 + len as usize;
-        if self.partial.len() < total {
-            return Ok(None);
-        }
-        let frame = decode_payload(&self.partial[4..total])?;
-        self.partial.drain(..total);
-        Ok(Some(frame))
     }
 }
 

@@ -100,9 +100,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::poll::{poll_fds, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLOUT};
-use super::wire::{
-    decode_payload, encode_frame_bytes, Frame, WireOutput, WireRequest, MAX_FRAME_LEN, WIRE_VERSION,
-};
+use super::wire::{encode_frame_bytes, pop_frame, Frame, WireOutput, WireRequest, WIRE_VERSION};
 
 /// Bytes of encoded-but-unsent frames a connection may queue before
 /// the loop stops draining its outbox — past this, backpressure moves
@@ -678,20 +676,10 @@ fn pump_socket_read(
             }
         }
     }
-    while !conn.closing && conn.inbuf.len() >= 4 {
-        let len = u32::from_le_bytes(conn.inbuf[..4].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            conn.closing = true;
-            break;
-        }
-        let total = 4 + len as usize;
-        if conn.inbuf.len() < total {
-            break;
-        }
-        let frame = decode_payload(&conn.inbuf[4..total]);
-        conn.inbuf.drain(..total);
-        match frame {
-            Ok(frame) => {
+    while !conn.closing {
+        match pop_frame(&mut conn.inbuf) {
+            Ok(None) => break,
+            Ok(Some(frame)) => {
                 if on_frame(conn, frame, token, shared, workers).is_err() {
                     conn.closing = true;
                     // Protocol violation: don't flush a half-broken

@@ -16,11 +16,10 @@
 //!
 //! Every multi-byte integer is little-endian; floats travel as their
 //! exact IEEE-754 bit patterns ([`f64::to_bits`]), so a decoded
-//! [`AnswerSet`] is **bit-identical** to the encoded one — the same
-//! round-trip guarantee the [`crate::persist`] text codec gives via
-//! shortest-float formatting, in binary form. Strings are UTF-8 with a
-//! `u32` byte-length prefix; options are a presence byte; sequences a
-//! `u32` count.
+//! [`AnswerSet`] is **bit-identical** to the encoded one, and so is a
+//! decoded trajectory (the checkpoint image's body is the same
+//! trajectory encoding). Strings are UTF-8 with a `u32` byte-length
+//! prefix; options are a presence byte; sequences a `u32` count.
 //!
 //! ## Versioning
 //!
@@ -43,7 +42,7 @@ use crate::server::QueryOutput;
 use crate::subscription::{SubscriptionInfo, SubscriptionStats};
 use crate::telemetry::{HistogramSnapshot, MetricsSnapshot, TraceEvent, TraceStage};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
 use unn_core::answer::{AnswerDelta, AnswerEntry, AnswerSet};
 use unn_core::keyed::Keyed;
@@ -1235,19 +1234,29 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
     Ok(frame)
 }
 
-/// Reads one length-prefixed frame, blocking until complete.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
+/// Pops the next complete length-prefixed frame off the front of `buf`,
+/// the bytes a connection has received so far: `Ok(None)` while the
+/// frame is still incomplete. A length prefix above [`MAX_FRAME_LEN`] is
+/// refused before its payload arrives, and a complete frame leaves
+/// `buf` whether or not it decodes. The server and the client split
+/// their byte streams with it.
+pub fn pop_frame(buf: &mut Vec<u8>) -> Result<Option<Frame>, WireError> {
+    let Some(len) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(len.try_into().unwrap());
     if len > MAX_FRAME_LEN {
         return Err(WireError::Format(format!(
             "frame length {len} exceeds the {MAX_FRAME_LEN} byte bound"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    decode_payload(&payload)
+    let total = 4 + len as usize;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    let frame = decode_payload(&buf[4..total]);
+    buf.drain(..total);
+    frame.map(Some)
 }
 
 #[cfg(test)]
@@ -1257,10 +1266,15 @@ mod tests {
     fn round_trip(frame: Frame) {
         let payload = encode_payload(&frame);
         assert_eq!(decode_payload(&payload).unwrap(), frame);
-        // Via a stream with the length prefix.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &frame).unwrap();
-        assert_eq!(read_frame(&mut buf.as_slice()).unwrap(), frame);
+        // Via a stream with the length prefix, split as the two ends
+        // split theirs: nothing until the last byte arrives.
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &frame).unwrap();
+        let mut buf = stream[..stream.len() - 1].to_vec();
+        assert!(pop_frame(&mut buf).unwrap().is_none());
+        buf.push(*stream.last().unwrap());
+        assert_eq!(pop_frame(&mut buf).unwrap(), Some(frame));
+        assert!(buf.is_empty());
     }
 
     fn sample_delta() -> AnswerDelta {
@@ -1379,10 +1393,7 @@ mod tests {
         // Hostile length prefix.
         let mut stream = Vec::new();
         stream.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut stream.as_slice()),
-            Err(WireError::Format(_))
-        ));
+        assert!(matches!(pop_frame(&mut stream), Err(WireError::Format(_))));
         // Hostile count inside an otherwise valid frame: claims 2^31
         // entries with 10 bytes of payload.
         let mut evil = vec![5u8]; // Event tag

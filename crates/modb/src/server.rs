@@ -8,8 +8,8 @@ use crate::ql::ast::{PredicateKind, Query, Statement, Target};
 use crate::ql::parser::{parse_statement, ParseError};
 use crate::store::{ModStore, StoreError};
 use crate::subscription::{
-    render_output, render_row_output, DeltaSink, SubAnswer, SubDelta, SubscriptionError,
-    SubscriptionInfo, SubscriptionRegistry,
+    render_instant, render_output, render_row_output, DeltaSink, SubAnswer, SubDelta,
+    SubscriptionError, SubscriptionInfo, SubscriptionRegistry,
 };
 use crate::telemetry::{MetricsSnapshot, TraceEvent};
 use std::collections::HashMap;
@@ -147,8 +147,8 @@ pub enum QueryOutput {
     /// `SHOW SUBSCRIPTIONS` listing.
     Subscriptions(Vec<SubscriptionInfo>),
     /// `SHOW METRICS [PREFIX p]` — a point-in-time telemetry snapshot
-    /// (registry counters/gauges/histograms merged with the legacy
-    /// stats views; see [`ModServer::metrics_snapshot`]).
+    /// (the registry's counters/gauges/histograms plus the cache, store,
+    /// WAL and subscription rows; see [`ModServer::metrics_snapshot`]).
     Metrics(MetricsSnapshot),
     /// `TRACE EPOCH e` — the retained pipeline trace of one epoch.
     Trace {
@@ -440,9 +440,9 @@ impl ModServer {
     /// A point-in-time snapshot of every metric the server exposes: the
     /// store's [`crate::telemetry::Telemetry`] registry (hot-path
     /// counters and latency histograms, engine-cache lookups included)
-    /// merged with the pre-existing stats structs re-expressed as
-    /// registry rows — the engine cache's entry count, delta-log/snapshot
-    /// state ([`crate::store::DeltaStats`]), WAL counters
+    /// plus the counters kept elsewhere, as registry rows — the engine
+    /// cache's entry count, delta-log/snapshot state
+    /// ([`crate::store::DeltaStats`]), WAL counters
     /// ([`crate::durability::WalStatus`], when a WAL is attached), and
     /// the subscription counters summed once per share. `prefix` filters
     /// metric names (the `SHOW METRICS PREFIX <p>` form); rows come
@@ -655,7 +655,9 @@ impl ModServer {
     /// rank-`k` intervals), the reverse engine's band intervals for
     /// `PROB_RNN(…) > 0` and its reverse rows for `PROB_RNN(…) > p`. A
     /// row statement's `AT t` evaluates the probability at exactly `t`
-    /// (zero outside the rank-`k` intervals).
+    /// (zero outside the rank-`k` intervals); one with a named target
+    /// reads nothing else, so its rows are never sampled
+    /// ([`render_instant`]).
     pub fn execute_parsed(&self, query: &Query) -> Result<QueryOutput, ServerError> {
         let (q_oid, window) = self.resolve_select(query)?;
         let (threshold, samples) = (query.prob_threshold > 0.0, Self::THRESHOLD_SAMPLES as u32);
@@ -665,7 +667,6 @@ impl ModServer {
                 return Ok(render_output(query, &rev.answer_set()));
             }
             let kernel = ColumnKernel::from_profile(self.difference_model()?.profile);
-            let rows = rev.prob_row_set_kernel(&kernel, samples);
             // The probability that the query is `oid`'s nearest neighbor,
             // from `oid`'s perspective engine.
             let at = |oid, t| {
@@ -673,6 +674,10 @@ impl ModServer {
                     .and_then(|e| probability_at_kernel(&e, &kernel, q_oid, t))
                     .unwrap_or(0.0)
             };
+            if let Some(verdict) = render_instant(query, at) {
+                return Ok(verdict);
+            }
+            let rows = rev.prob_row_set_kernel(&kernel, samples);
             return Ok(render_row_output(query, &rows, at));
         }
         let (engine, _) = self.engine(q_oid, window)?;
@@ -684,11 +689,14 @@ impl ModServer {
             ));
         }
         let kernel = ColumnKernel::from_profile(self.difference_model()?.profile);
-        let rows = engine.prob_row_set_kernel(&kernel, samples);
         let at = |oid, t| match &ranked {
             Some(r) if !r.intervals_of(oid).is_some_and(|iv| iv.covers(t)) => 0.0,
             _ => probability_at_kernel(&engine, &kernel, oid, t).unwrap_or(0.0),
         };
+        if let Some(verdict) = render_instant(query, at) {
+            return Ok(verdict);
+        }
+        let rows = engine.prob_row_set_kernel(&kernel, samples);
         match &ranked {
             Some(r) => Ok(render_row_output(query, &rows.within(r), at)),
             None => Ok(render_row_output(query, &rows, at)),

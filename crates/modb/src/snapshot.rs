@@ -195,7 +195,7 @@ impl QuerySnapshot {
         self.index_of(oid).is_some()
     }
 
-    /// Owned copies of the trajectories (persistence and tests).
+    /// Owned copies of the trajectories (a `Resync` frame and tests).
     pub fn to_vec(&self) -> Vec<UncertainTrajectory> {
         self.objects.clone()
     }

@@ -165,7 +165,7 @@ mod sink;
 
 pub(crate) use registry::Round;
 pub use registry::SubscriptionRegistry;
-pub use render::{render_output, render_row_output};
+pub use render::{render_instant, render_output, render_row_output};
 pub use sink::{DeltaSink, FeedEvent, FrameCache};
 
 use crate::ql::SourceSpan;

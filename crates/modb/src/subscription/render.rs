@@ -1,7 +1,7 @@
 //! The quantifier × target rules of every `SELECT`: one-shot
 //! executions ([`crate::server::ModServer::execute_parsed`]) and
 //! standing queries ([`super::SubscriptionRegistry::output`]) both
-//! render their answer value through these two functions.
+//! render their answer value through these functions.
 //!
 //! The surfaces differ only where their answer values do: the `AT t`
 //! instant rule a row statement is rendered with (exact `P^NN` at `t`
@@ -109,6 +109,19 @@ pub fn render_row_output(
                 .collect();
             QueryOutput::Objects(out)
         }
+    }
+}
+
+/// The verdict of a row statement that reads its `AT t` instant rule
+/// alone — one named target under `AT t`: `at(oid, t) > p`, exactly what
+/// [`render_row_output`] renders for it, without a row set. `None` for
+/// every other statement, whose verdict reads its rows.
+pub fn render_instant(query: &Query, at: impl Fn(Oid, f64) -> f64) -> Option<QueryOutput> {
+    match (&query.target, &query.quantifier) {
+        (Target::One(name), Quantifier::At(t)) => Some(QueryOutput::Boolean(
+            parse_object_name(name).is_some_and(|oid| at(oid, *t) > query.prob_threshold),
+        )),
+        _ => None,
     }
 }
 

@@ -9,12 +9,11 @@
 //!    fsync time, maintenance-round duration, per-ladder-rung counts,
 //!    frame encode time, outbox push-to-drain lag, and follower
 //!    replication lag, and one-shot engine-cache lookups (hits,
-//!    carries, misses). The pre-existing stats structs
-//!    ([`crate::store::DeltaStats`], [`crate::durability::WalStatus`],
-//!    [`crate::subscription::SubscriptionStats`]) are re-expressed as
-//!    *views* over this registry by
-//!    [`crate::server::ModServer::metrics_snapshot`], which merges them
-//!    into one [`MetricsSnapshot`].
+//!    carries, misses). [`crate::server::ModServer::metrics_snapshot`]
+//!    adds the counters kept elsewhere ([`crate::store::DeltaStats`],
+//!    [`crate::durability::WalStatus`],
+//!    [`crate::subscription::SubscriptionStats`]) as rows of the same
+//!    [`MetricsSnapshot`].
 //!
 //! 2. **Epoch-scoped tracing** ([`TraceRing`]): a bounded ring of
 //!    structured [`TraceEvent`]s (epoch, stage, share id, ladder
@@ -529,8 +528,8 @@ impl Telemetry {
     }
 
     /// The registry's own counters/gauges/histograms as a snapshot
-    /// (derived views from the legacy stats structs are merged in by
-    /// [`crate::server::ModServer::metrics_snapshot`]).
+    /// ([`crate::server::ModServer::metrics_snapshot`] adds the rows it
+    /// reads from the cache, the store, the WAL and the subscriptions).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = vec![
             ("store_commits_total", &self.commits),

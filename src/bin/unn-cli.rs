@@ -18,11 +18,6 @@
 //! report is printed) and every subsequent commit is journaled there,
 //! so a `kill -9` loses at most the unsynced fsync window.
 //!
-//! `unn-cli store convert <dir>` rewrites a WAL directory's checkpoint
-//! image from the text format older builds wrote to the binary one
-//! recovery reads (in place; the log segments are untouched). A text
-//! image is otherwise refused, with this command named in the error.
-//!
 //! `unn-cli follow <addr> [deltas] [ms]` attaches a read replica: it
 //! bootstraps a local mirror over the `FOLLOW` wire exchange, applies
 //! up to `deltas` streamed commits (waiting at most `ms` for each), and
@@ -48,12 +43,12 @@ use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::time::Duration;
 use uncertain_nn::core::probrows::ProbRowSet;
+use uncertain_nn::modb::durability::{load_image, save_image};
 use uncertain_nn::modb::net::{Follower, NetClient, WireOutput};
 use uncertain_nn::modb::subscription::{SubAnswer, SubDelta, SubscriptionError};
 use uncertain_nn::modb::telemetry::{self, MetricsSnapshot, TraceEvent, TraceStage};
 use uncertain_nn::modb::{
-    convert_text_image, open_store, persist, FsyncPolicy, RecoveryReport, ServerError,
-    SubscriptionInfo, WalOptions,
+    open_store, FsyncPolicy, RecoveryReport, ServerError, SubscriptionInfo, WalOptions,
 };
 use uncertain_nn::prelude::*;
 
@@ -63,8 +58,8 @@ use uncertain_nn::prelude::*;
 #[rustfmt::skip]
 const HELP: &[(&str, &str, bool)] = &[
     ("gen <n> <seed> <radius>",                    "generate the random-waypoint workload", false),
-    ("load <path>",                                "load a MOD snapshot", false),
-    ("save <path>",                                "save the current MOD", false),
+    ("load <path>",                                "load a MOD from a checkpoint image", false),
+    ("save <path>",                                "save the current MOD as a checkpoint image", false),
     ("list",                                       "population summary", false),
     ("obj put <Tr> <x0> <y0> <x1> <y1> [r]",       "register a straight-line object", true),
     ("obj move <Tr> <dx> <dy>",                    "shift an object (single-commit replace)", false),
@@ -217,22 +212,6 @@ fn main() {
             }
         }
     }
-    if args.get(1).map(String::as_str) == Some("store") {
-        let (Some("convert"), Some(dir)) = (args.get(2).map(String::as_str), args.get(3)) else {
-            eprintln!("usage: unn-cli store convert <dir>");
-            std::process::exit(2);
-        };
-        match convert_text_image(Path::new(dir)) {
-            Ok((epoch, objects)) => {
-                println!("converted {dir}: checkpoint epoch {epoch} ({objects} objects)");
-                return;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     if args.get(1).map(String::as_str) == Some("follow") {
         let Some(addr) = args.get(2) else {
             eprintln!("usage: unn-cli follow <addr> [deltas] [ms]");
@@ -245,6 +224,12 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+    // An argument no mode takes (a removed one such as `store convert`
+    // included) must fail, not start a shell that exits 0 on EOF.
+    if let Some(mode) = args.get(1) {
+        eprintln!("unknown mode '{mode}' (modes: serve, connect, follow; none runs the shell)");
+        std::process::exit(2);
     }
     let banner = "unn-cli — continuous probabilistic NN queries over uncertain trajectories";
     if let Err(e) = run_shell(Session::Local(Box::default()), banner, "unn> ") {
@@ -334,7 +319,7 @@ fn dispatch(session: &mut Session, line: &str) -> Result<(), String> {
         }
         "load" => {
             let server = session.local()?;
-            let trs = persist::load(Path::new(rest)).map_err(|e| e.to_string())?;
+            let (_, trs) = load_image(Path::new(rest)).map_err(|e| e.to_string())?;
             let count = trs.len();
             *server = ModServer::new();
             server.register_all(trs).map_err(|e| e.to_string())?;
@@ -343,8 +328,9 @@ fn dispatch(session: &mut Session, line: &str) -> Result<(), String> {
         }
         "save" => {
             let server = session.local()?;
-            persist::save(server.store(), Path::new(rest)).map_err(|e| e.to_string())?;
-            println!("saved {} objects to {rest}", server.store().len());
+            let snapshot = server.store().snapshot();
+            save_image(Path::new(rest), &snapshot).map_err(|e| e.to_string())?;
+            println!("saved {} objects to {rest}", snapshot.len());
             Ok(())
         }
         "list" => {

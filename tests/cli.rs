@@ -245,11 +245,10 @@ fn wal_open_journals_and_a_second_session_recovers() {
 }
 
 /// A directory whose checkpoint image is the text format older builds
-/// wrote: `serve --wal` refuses it and names the convert verb, the verb
-/// rewrites the image in place, and the directory then recovers the
-/// same epoch and objects.
+/// wrote: `serve --wal` refuses it by the image's magic, naming the old
+/// format.
 #[test]
-fn text_image_directory_is_refused_then_converted() {
+fn text_image_directory_is_refused() {
     let dir = std::env::temp_dir().join(format!("unn-cli-convert-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("dir creates");
@@ -262,38 +261,98 @@ fn text_image_directory_is_refused_then_converted() {
     )
     .expect("text image writes");
 
-    let cli = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_unn-cli"))
-            .args(args)
-            .arg(&dir)
-            .stdin(Stdio::null())
-            .output()
-            .expect("cli runs")
-    };
-    let refused = cli(&["serve", "127.0.0.1:0", "--wal"]);
+    let refused = Command::new(env!("CARGO_BIN_EXE_unn-cli"))
+        .args(["serve", "127.0.0.1:0", "--wal"])
+        .arg(&dir)
+        .stdin(Stdio::null())
+        .output()
+        .expect("cli runs");
     assert!(!refused.status.success(), "a text image must not serve");
     let stderr = String::from_utf8_lossy(&refused.stderr);
     assert!(
-        stderr.contains("unn-cli store convert <dir>"),
+        stderr.contains("bad image magic") && stderr.contains("text format"),
         "stderr: {stderr}"
     );
+    // The conversion verb is gone, and calling it fails.
+    let removed = Command::new(env!("CARGO_BIN_EXE_unn-cli"))
+        .args(["store", "convert"])
+        .arg(&dir)
+        .stdin(Stdio::null())
+        .output()
+        .expect("cli runs");
+    assert_eq!(removed.status.code(), Some(2), "{removed:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let converted = cli(&["store", "convert"]);
-    let stdout = String::from_utf8_lossy(&converted.stdout);
-    assert!(converted.status.success(), "{converted:?}");
-    assert!(
-        stdout.contains("checkpoint epoch 3 (3 objects)"),
-        "{stdout}"
+/// `load` reads only an intact checkpoint image: a text-format file, a
+/// truncated image and an image with one flipped body byte are each
+/// refused with the image's refusal, and the session keeps the MOD it
+/// had.
+#[test]
+fn load_refuses_a_text_truncated_or_damaged_file_and_keeps_the_mod() {
+    let dir = std::env::temp_dir().join(format!("unn-cli-load-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("dir creates");
+    let saved = dir.join("fleet.unn");
+    let (stdout, _) = run_cli(&format!("gen 12 5 0.5\nsave {}\nquit\n", saved.display()));
+    assert!(stdout.contains("saved 12 objects"), "{stdout}");
+    let image = std::fs::read(&saved).expect("saved image reads");
+    const HEADER: usize = 40;
+    assert!(image.len() > HEADER + 2, "{} bytes", image.len());
+
+    let text = dir.join("text.mod");
+    std::fs::write(&text, "# unn-modb v1\nOBJ 0 0.5 U\nPT 0 0 0\nPT 30 0 60\n").unwrap();
+    let truncated = dir.join("truncated.unn");
+    std::fs::write(&truncated, &image[..image.len() - 1]).unwrap();
+    let flipped = dir.join("flipped.unn");
+    let mut damaged = image.clone();
+    damaged[HEADER + (image.len() - HEADER) / 2] ^= 0x10;
+    std::fs::write(&flipped, &damaged).unwrap();
+
+    let mut script = "gen 3 1 0.5\nlist\n".to_string();
+    for path in [&text, &truncated, &flipped] {
+        script += &format!("load {}\nlist\n", path.display());
+    }
+    let (stdout, _) = run_cli(&(script + "quit\n"));
+    assert!(!stdout.contains("loaded"), "{stdout}");
+    assert_eq!(
+        stdout.matches("3 objects, ids Tr0 .. Tr2").count(),
+        4,
+        "every refused load keeps the MOD: {stdout}"
     );
+    for (path, reason) in [
+        (&text, "bad image magic"),
+        (&truncated, "header promises"),
+        (&flipped, "body checksum mismatch"),
+    ] {
+        let refusal = format!("error: checkpoint image {}: {reason}", path.display());
+        assert!(stdout.contains(&refusal), "{refusal}\n{stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file `save` writes is a checkpoint image: placed in a directory as
+/// its `snapshot.unn`, it recovers.
+#[test]
+fn a_saved_file_recovers_as_a_directory_image() {
+    let dir = std::env::temp_dir().join(format!("unn-cli-saved-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("dir creates");
+    let script = format!(
+        "gen 12 5 0.5\nsave {}\nquit\n",
+        dir.join("snapshot.unn").display()
+    );
+    let (stdout, _) = run_cli(&script);
+    assert!(stdout.contains("saved 12 objects"), "{stdout}");
 
     let script = format!("store wal-open {d}\nlist\nquit\n", d = dir.display());
     let (stdout, stderr) = run_cli(&script);
     assert!(stderr.is_empty(), "stderr: {stderr}");
     assert!(
-        stdout.contains("checkpoint epoch 3 (3 objects) + 0 wal records (0 ops) -> epoch 3"),
+        stdout.contains("(12 objects) + 0 wal records (0 ops)"),
         "{stdout}"
     );
-    assert!(stdout.contains("3 objects, ids Tr0 .. Tr2"), "{stdout}");
+    assert!(stdout.contains("12 objects, ids Tr0 .. Tr11"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -7,12 +7,12 @@
 //! engine is cached or carries is answered on the loop too: with the
 //! same bits and the same cache counters as in-process execution.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uncertain_nn::modb::durability::{open_store, WalOptions};
-use uncertain_nn::modb::net::wire::{encode_frame_bytes, read_frame};
+use uncertain_nn::modb::net::wire::{encode_frame_bytes, pop_frame, WireError};
 use uncertain_nn::modb::net::{Frame, NetClient, NetServer, WireOutput, WireRequest, WIRE_VERSION};
 use uncertain_nn::modb::ql::parse_statement;
 use uncertain_nn::modb::subscription::SubscriptionStats;
@@ -74,6 +74,18 @@ fn stats(server: &ModServer, name: &str) -> SubscriptionStats {
         .stats
 }
 
+/// The next frame on a raw connection, blocking until it is whole: its
+/// length prefix, then exactly its payload, split by the ends' own
+/// splitter.
+fn next_frame(stream: &mut TcpStream) -> Result<Frame, WireError> {
+    let mut buf = vec![0; 4];
+    stream.read_exact(&mut buf)?;
+    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+    buf.resize(4 + len, 0);
+    stream.read_exact(&mut buf[4..])?;
+    Ok(pop_frame(&mut buf)?.expect("a whole frame"))
+}
+
 /// A raw handshaken connection, for pipelining requests without
 /// waiting on their responses.
 fn raw_connection(server: &NetServer) -> TcpStream {
@@ -86,7 +98,7 @@ fn raw_connection(server: &NetServer) -> TcpStream {
             .unwrap(),
         )
         .unwrap();
-    match read_frame(&mut stream).expect("welcome") {
+    match next_frame(&mut stream).expect("welcome") {
         Frame::Welcome { .. } => stream,
         other => panic!("expected Welcome, got {other:?}"),
     }
@@ -117,7 +129,7 @@ fn pipelined_responses_keep_request_order() {
     stream.write_all(&bytes).unwrap();
     let mut answered = Vec::new();
     while answered.len() < 3 {
-        match read_frame(&mut stream).expect("response") {
+        match next_frame(&mut stream).expect("response") {
             Frame::Response { id, result } => answered.push((id, result)),
             other => panic!("unexpected frame {other:?}"),
         }
@@ -391,7 +403,7 @@ fn a_hot_select_behind_its_connections_pool_job_waits_for_it() {
     stream.write_all(&bytes).unwrap();
     let mut answered = Vec::new();
     while answered.len() < 3 {
-        match read_frame(&mut stream).expect("response") {
+        match next_frame(&mut stream).expect("response") {
             Frame::Response { id, result } => answered.push((id, result)),
             other => panic!("unexpected frame {other:?}"),
         }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use uncertain_nn::core::answer::{AnswerDelta, AnswerEntry, AnswerSet};
 use uncertain_nn::core::probrows::{ProbRow, ProbRowDelta, ProbRowSet, RowPerspective};
 use uncertain_nn::modb::net::wire::{
-    decode_payload, encode_payload, read_frame, write_frame, Frame, WireOutput, WireRequest,
+    decode_payload, encode_payload, pop_frame, write_frame, Frame, WireOutput, WireRequest,
     WIRE_VERSION,
 };
 use uncertain_nn::modb::telemetry::{HistogramSnapshot, MetricsSnapshot, TraceEvent, TraceStage};
@@ -376,8 +376,14 @@ proptest! {
         prop_assert_eq!(&decoded, &frame);
         let mut stream = Vec::new();
         write_frame(&mut stream, &frame).expect("write succeeds");
-        let from_stream = read_frame(&mut stream.as_slice()).expect("stream decodes");
-        prop_assert_eq!(&from_stream, &frame);
+        // Split as both ends split their streams: nothing while a byte
+        // is missing, then the frame, leaving the buffer empty.
+        let last = stream.pop().expect("a frame has bytes");
+        prop_assert!(pop_frame(&mut stream).expect("incomplete is no error").is_none());
+        stream.push(last);
+        let from_stream = pop_frame(&mut stream).expect("stream decodes");
+        prop_assert_eq!(from_stream.as_ref(), Some(&frame));
+        prop_assert!(stream.is_empty());
     }
 
     /// No strict prefix of a valid payload decodes (truncation is always

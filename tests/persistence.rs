@@ -1,8 +1,16 @@
-//! Persistence round-trips: a saved MOD reloads bit-identically and
-//! answers queries identically.
+//! Persistence round-trips: a MOD saved as a checkpoint image reloads
+//! bit-identically and answers queries identically.
 
-use uncertain_nn::modb::persist;
+use std::path::PathBuf;
+use uncertain_nn::modb::durability::{load_image, save_image};
 use uncertain_nn::prelude::*;
+
+/// A fresh scratch directory for one test.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("unn_persist_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
 
 #[test]
 fn reloaded_mod_answers_identically() {
@@ -16,10 +24,12 @@ fn reloaded_mod_answers_identically() {
     let original = ModServer::new();
     original.register_all(trs.clone()).unwrap();
 
-    // Save to a buffer and reload into a fresh server.
-    let mut buf = Vec::new();
-    persist::save_to(&original.store().snapshot(), &mut buf).unwrap();
-    let reloaded_trs = persist::load_from(buf.as_slice()).unwrap();
+    // Save to a file and reload into a fresh server.
+    let dir = scratch("fleet");
+    let path = dir.join("fleet.unn");
+    save_image(&path, &original.store().snapshot()).unwrap();
+    let (_, reloaded_trs) = load_image(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(reloaded_trs, original.store().snapshot().to_vec());
 
     let reloaded = ModServer::new();
@@ -43,9 +53,8 @@ fn file_round_trip_with_mixed_pdfs() {
     use uncertain_nn::prob::PdfKind;
     use uncertain_nn::traj::trajectory::Trajectory;
 
-    let dir = std::env::temp_dir().join("unn_integration_persist");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("mixed.mod");
+    let dir = scratch("mixed");
+    let path = dir.join("mixed.unn");
 
     let store = ModStore::new();
     let t1 = Trajectory::from_triples(Oid(1), &[(0.0, 0.0, 0.0), (5.0, 5.0, 10.0)]).unwrap();
@@ -66,8 +75,8 @@ fn file_round_trip_with_mixed_pdfs() {
             .unwrap(),
         )
         .unwrap();
-    persist::save(&store, &path).unwrap();
-    let loaded = persist::load(&path).unwrap();
+    save_image(&path, &store.snapshot()).unwrap();
+    let (_, loaded) = load_image(&path).unwrap();
     assert_eq!(loaded, store.snapshot().to_vec());
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -188,13 +188,12 @@ fn rank_and_threshold_intersect() {
         got, want,
         "no object is listed without a probe passing both"
     );
-    // `AT t`: at probes above the threshold (every fourth column, to
-    // bound the test's time), the verdict is the conjunction — no
-    // outside rank 1, where the threshold alone would say yes. (Below
-    // the threshold both rules say no.)
+    // `AT t`: at every probe above the threshold, the verdict is the
+    // conjunction — no outside rank 1, where the threshold alone would
+    // say yes. (Below the threshold both rules say no.)
     let mut outside_rank = 0;
     for r in rows.rows() {
-        let above = r.points.iter().filter(|(k, prob)| k % 4 == 0 && *prob > P);
+        let above = r.points.iter().filter(|(_, prob)| *prob > P);
         for &(k, prob) in above {
             let t = probe_time(window, n, k);
             let at = format!("AT {t:?}");
@@ -208,4 +207,32 @@ fn rank_and_threshold_intersect() {
         outside_rank > 0,
         "the fleet must have a probe above P outside rank 1"
     );
+}
+
+/// A row statement naming one object under `AT t` reads the exact
+/// instant rule alone, never the sampled rows: its verdict is the
+/// object's membership in the whole-MOD answer of the same statement,
+/// which applies that rule to every object with a row — forward and
+/// reverse.
+#[test]
+fn one_target_at_t_is_membership_in_the_whole_mod_answer() {
+    let s = server(16, 2);
+    for (pred, p) in [("PROB_NN", 0.2), ("PROB_RNN", 0.3)] {
+        let mut listed = 0;
+        for t in [5.5, 23.7, 41.0] {
+            let at = format!("AT {t}");
+            let star = objects(s.execute(&stmt(&at, pred, "*", "Tr3", "", p)).unwrap());
+            for oid in (0..16).map(Oid).filter(|&o| o != Oid(3)) {
+                let one = stmt(&at, pred, &oid.to_string(), "Tr3", "", p);
+                let member = star.iter().any(|(o, _)| *o == oid);
+                assert_eq!(
+                    s.execute(&one).unwrap(),
+                    QueryOutput::Boolean(member),
+                    "{one}"
+                );
+                listed += member as usize;
+            }
+        }
+        assert!(listed > 0, "{pred}: some object must pass the instant rule");
+    }
 }
