@@ -120,8 +120,8 @@ fn bench_reverse(c: &mut Criterion) {
             b.iter(|| black_box(ReverseNnEngine::new(trs, Oid(0), window(), 0.5).unwrap()))
         });
         let engine = ReverseNnEngine::new(&trs, Oid(0), window(), 0.5).unwrap();
-        group.bench_with_input(BenchmarkId::new("rnn_all", n), &engine, |b, e| {
-            b.iter(|| black_box(e.rnn_all()))
+        group.bench_with_input(BenchmarkId::new("answer_set", n), &engine, |b, e| {
+            b.iter(|| black_box(e.answer_set()))
         });
         group.bench_with_input(BenchmarkId::new("all_pairs", n), &trs, |b, trs| {
             b.iter(|| black_box(all_pairs_nn(trs, window(), 0.5).unwrap()))

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use unn_bench::{distance_functions, workload};
-use unn_core::query::{naive_queries, QueryEngine};
+use unn_core::query::{naive_queries, window_fraction, QueryEngine};
 
 fn bench_queries(c: &mut Criterion) {
     let radius = 0.5;
@@ -29,7 +29,11 @@ fn bench_queries(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ours_uq13", n), &(), |b, _| {
             b.iter(|| {
                 i = (i + 1) % targets.len();
-                black_box(engine.uq13_fraction(targets[i]))
+                black_box(
+                    engine
+                        .nonzero_intervals(targets[i])
+                        .map(|iv| window_fraction(&iv, engine.window())),
+                )
             })
         });
         if n <= 500 {

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 use unn_bench::{arg_value, distance_functions, ln_seconds, window, workload, write_csv};
-use unn_core::query::{naive_queries, QueryEngine};
+use unn_core::query::{fraction_reaches, naive_queries, Quantifier, QueryEngine};
 
 fn main() {
     let max_n: usize = arg_value("--max-n")
@@ -62,7 +62,11 @@ fn main() {
         let t0 = Instant::now();
         for i in 0..reps {
             let oid = pick(i);
-            std::hint::black_box(engine.uq13_fraction(oid).map(|f| f + 1e-12 >= x));
+            std::hint::black_box(
+                engine
+                    .nonzero_intervals(oid)
+                    .map(|iv| Quantifier::AtLeast(x).holds(&iv, engine.window())),
+            );
         }
         let ours_quant = t0.elapsed() / reps as u32;
 
@@ -78,7 +82,7 @@ fn main() {
         for i in 0..naive_reps.max(1) {
             let oid = pick(i);
             std::hint::black_box(
-                naive_queries::uq13_fraction(&fs, oid, radius).map(|f| f + 1e-12 >= x),
+                naive_queries::uq13_fraction(&fs, oid, radius).map(|f| fraction_reaches(f, x)),
             );
         }
         let naive_quant = t0.elapsed() / naive_reps.max(1) as u32;

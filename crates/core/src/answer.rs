@@ -40,7 +40,7 @@ impl Keyed for AnswerEntry {
 impl AnswerEntry {
     /// Fraction of `window` during which the object qualifies.
     pub fn fraction(&self, window: TimeInterval) -> f64 {
-        self.intervals.total_len() / window.len()
+        crate::query::window_fraction(&self.intervals, window)
     }
 }
 
@@ -132,8 +132,7 @@ impl AnswerSet {
     /// never qualifies).
     pub fn fraction_of(&self, oid: Oid) -> f64 {
         self.intervals_of(oid)
-            .map(|iv| iv.total_len() / self.window.len())
-            .unwrap_or(0.0)
+            .map_or(0.0, |iv| crate::query::window_fraction(iv, self.window))
     }
 
     /// The `(oid, intervals)` pairs, consumed (the shape the UQ3x/UQ4x

@@ -131,6 +131,7 @@ impl CandidateSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::Quantifier;
 
     fn straight(oid: u64, y: f64) -> Trajectory {
         Trajectory::from_triples(Oid(oid), &[(0.0, y, 0.0), (10.0, y, 10.0)]).unwrap()
@@ -163,7 +164,7 @@ mod tests {
         let engine = set.clone().into_query_engine(0.5);
         assert_eq!(engine.uq11_exists(Oid(1)), Some(true));
         let hetero = set.into_hetero_engine(&[0.5, 0.5], 0.5);
-        assert_eq!(hetero.exists(Oid(1)), Some(true));
+        assert!(Quantifier::Exists.holds(&hetero.possible_intervals(Oid(1)).unwrap(), w));
     }
 
     #[test]

@@ -236,24 +236,10 @@ impl HeteroEngine {
         Some(IntervalSet::from_intervals(spans))
     }
 
-    /// Hetero-`UQ11(∃t)`: non-zero probability at some time?
-    pub fn exists(&self, oid: Oid) -> Option<bool> {
-        Some(!self.possible_intervals(oid)?.is_empty())
-    }
-
-    /// Hetero-`UQ12(∀t)`: non-zero probability throughout the window?
-    pub fn always(&self, oid: Oid) -> Option<bool> {
-        let iv = self.possible_intervals(oid)?;
-        Some(iv.covers_interval(self.window, 1e-7 * self.window.len().max(1.0)))
-    }
-
-    /// Hetero-`UQ13`: fraction of the window with non-zero probability.
-    pub fn fraction(&self, oid: Oid) -> Option<f64> {
-        Some(self.possible_intervals(oid)?.total_len() / self.window.len())
-    }
-
     /// Hetero-`UQ31`: every candidate with a non-empty possibility set,
-    /// with its set.
+    /// with its set. The per-object hetero quantifiers are
+    /// [`crate::query::Quantifier`]'s rules over
+    /// [`HeteroEngine::possible_intervals`].
     pub fn all_possible(&self) -> Vec<(Oid, IntervalSet)> {
         self.cands
             .iter()
@@ -388,7 +374,7 @@ fn collect_below(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryEngine;
+    use crate::query::{window_fraction, Quantifier, QueryEngine};
     use rand::Rng;
     use rand::SeedableRng;
     use unn_geom::hyperbola::Hyperbola;
@@ -504,16 +490,19 @@ mod tests {
                 0.3,
             )
         };
-        assert_eq!(mk(10.0).exists(Oid(3)), Some(true));
-        assert_eq!(mk(0.2).exists(Oid(3)), Some(false));
+        let exists =
+            |e: HeteroEngine| Quantifier::Exists.holds(&e.possible_intervals(Oid(3)).unwrap(), w);
+        assert!(exists(mk(10.0)));
+        assert!(!exists(mk(0.2)));
     }
 
     #[test]
     fn single_candidate_is_always_possible() {
         let w = TimeInterval::new(0.0, 4.0);
         let e = HeteroEngine::new(Oid(0), vec![cand(1, 0.0, 3.0, 0.0, 0.5, w)], 0.5);
-        assert_eq!(e.always(Oid(1)), Some(true));
-        assert_eq!(e.fraction(Oid(1)), Some(1.0));
+        let iv = e.possible_intervals(Oid(1)).unwrap();
+        assert!(Quantifier::Forall.holds(&iv, w));
+        assert_eq!(window_fraction(&iv, w), 1.0);
         assert_eq!(e.possible_at(Oid(1), 2.0), Some(true));
         let probs = e.probabilities_at(2.0).unwrap();
         assert!((probs[0].1 - 1.0).abs() < 1e-9);

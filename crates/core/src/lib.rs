@@ -24,8 +24,10 @@
 //! * [`ipac`] — the IPAC-NN tree (Algorithm 3), descriptors, and the DAG
 //!   dual of Theorem 2; its level recursion is the crate's only one, and
 //!   rank intervals, `RANK k` answers and [`topk`] cells are walks of it;
-//! * [`query`] — the §4 query variants (Categories 1–4, UQ11…UQ43, and
-//!   fixed-time forms) with naive baselines for Figure 12;
+//! * [`query`] — the §4 query variants: the [`query::Quantifier`] table
+//!   maps UQ11…UQ43 and the fixed-time forms to the answer value each
+//!   decides, and the engine computes those values; naive baselines for
+//!   Figure 12;
 //! * [`kernel`] — the batched probability **column kernel**
 //!   ([`kernel::ColumnKernel`]): all Eq. 5 column evaluation funnels
 //!   through it (see "Kernel architecture" below);
@@ -118,7 +120,7 @@ pub use ipac::{
 pub use kernel::{ColumnBatch, ColumnKernel};
 pub use naive::lower_envelope_naive;
 pub use probrows::{ProbRow, ProbRowDelta, ProbRowSet, RowPerspective};
-pub use query::QueryEngine;
+pub use query::{Quantifier, QueryEngine};
 pub use reverse::{all_pairs_nn, PairAnswer, ReverseNnEngine};
 pub use shifted::{shifted_lower_envelope, ShiftedEnvelope, ShiftedFunction};
 pub use threshold::probability_at_kernel;

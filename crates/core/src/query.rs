@@ -1,17 +1,9 @@
-//! The continuous probabilistic NN query variants of §4.
+//! The continuous probabilistic NN query variants of §4: Categories 1–4
+//! (one trajectory or the whole MOD, with or without rank `k`) under a
+//! temporal [`Quantifier`], whose rustdoc maps each paper name to the
+//! answer value it decides.
 //!
-//! Four syntactic categories over a query window `[tb, te]`:
-//!
-//! * **Category 1** — one trajectory: `UQ11(∃t)`, `UQ12(∀t)`,
-//!   `UQ13(X%)` ("does `Tr_i` have non-zero probability of being the NN
-//!   … at some time / throughout / at least X% of the time?"), plus the
-//!   fixed-time variant.
-//! * **Category 2** — one trajectory with rank `k`: `UQ21`, `UQ22`,
-//!   `UQ23` (k-th highest-probability NN), plus fixed time.
-//! * **Category 3** — the whole MOD: `UQ31`, `UQ32`, `UQ33`.
-//! * **Category 4** — the whole MOD with rank `k`: `UQ41`, `UQ42`, `UQ43`.
-//!
-//! All variants are answered from the lower envelope / IPAC-NN tree, with
+//! All answer values come from the lower envelope / IPAC-NN tree, with
 //! the complexities of Claims 1–3. Naive baselines (recomputing the
 //! envelope from scratch with the all-pairs algorithm on every query) live
 //! in [`naive_queries`] and are what Figure 12 compares against.
@@ -29,6 +21,85 @@ use std::sync::{Mutex, OnceLock};
 use unn_geom::interval::{IntervalSet, TimeInterval};
 use unn_traj::distance::DistanceFunction;
 use unn_traj::trajectory::Oid;
+
+/// The temporal quantifier of a §4 query, and the one place each of its
+/// rules is decided.
+///
+/// Every variant of the paper's taxonomy is a quantifier applied to one
+/// object's qualification intervals — for one named object, or for each
+/// object of the whole MOD — with or without a rank bound `k`:
+///
+/// | paper | statement shape | answer value read |
+/// |---|---|---|
+/// | `UQ11(∃t)` / `UQ12(∀t)` / `UQ13(X%)` | `SELECT TrX … EXISTS` / `FORALL` / `ATLEAST x OF` `… PROB_NN(TrX, q, TIME) > 0` | [`QueryEngine::nonzero_intervals`]`(X)` |
+/// | `UQ1` at `t = tf` | `SELECT TrX … AT t TIME IN …` | [`QueryEngine::nonzero_intervals`]`(X)` |
+/// | `UQ21` / `UQ22` / `UQ23` and at `tf` | the same with `PROB_NN(TrX, q, TIME, RANK k)` | [`QueryEngine::rank_intervals`]`(X, k)` |
+/// | `UQ31` / `UQ32` / `UQ33` and at `tf` | `SELECT * … PROB_NN(*, q, TIME) > 0` | each entry of [`QueryEngine::answer`] |
+/// | `UQ41` / `UQ42` / `UQ43` and at `tf` | `SELECT * … PROB_NN(*, q, TIME, RANK k) > 0` | each entry of [`QueryEngine::ranked_answer_set`]`(k)` |
+///
+/// The §7 variants read the same rules: `PROB_RNN(…) > 0` decides
+/// [`crate::reverse::ReverseNnEngine::rnn_intervals`] (one object) or the
+/// entries of its `answer_set` (the whole MOD), per-object radii decide
+/// [`crate::hetero::HeteroEngine::possible_intervals`], and a threshold
+/// `> p` decides an object's sampled probability row through
+/// [`Quantifier::holds_on_probes`]. An object absent from an answer
+/// has the empty interval set. [`QueryEngine::uq11_exists`] answers
+/// `UQ11` by an early-exit band test instead (Figure 12 times it).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Quantifier {
+    /// `EXISTS TIME IN [a, b]` — some instant (`UQx1`).
+    Exists,
+    /// `FORALL TIME IN [a, b]` — every instant (`UQx2`).
+    Forall,
+    /// `ATLEAST x OF TIME IN [a, b]` — fraction `x` of the window
+    /// (`UQx3`).
+    AtLeast(f64),
+    /// `AT t TIME IN [a, b]` — the fixed instant `t` (the `t = tf`
+    /// variant noted at the end of §4).
+    At(f64),
+}
+
+impl Quantifier {
+    /// Decides qualification intervals over `window`: `Exists` asks for a
+    /// non-empty set, `Forall` for one covering the window (up to a
+    /// slack of `1e-7` of its length, at least `1e-7`), `AtLeast(x)` for
+    /// a covered fraction of at least `x`, and `At(t)` for one
+    /// containing `t`.
+    pub fn holds(&self, intervals: &IntervalSet, window: TimeInterval) -> bool {
+        match *self {
+            Quantifier::Exists => !intervals.is_empty(),
+            Quantifier::Forall => intervals.covers_interval(window, 1e-7 * window.len().max(1.0)),
+            Quantifier::AtLeast(x) => fraction_reaches(window_fraction(intervals, window), x),
+            Quantifier::At(t) => intervals.covers(t),
+        }
+    }
+
+    /// Decides a sampled probability row: `frac` is the fraction of its
+    /// `samples` probes where the object's probability exceeds the
+    /// statement's threshold. `Exists` asks for one such probe, `Forall`
+    /// for every probe, `AtLeast(x)` for a fraction of at least `x`, and
+    /// `At(t)` for `at(t)`, the caller's instant rule.
+    pub fn holds_on_probes(&self, frac: f64, samples: u32, at: impl FnOnce(f64) -> bool) -> bool {
+        match *self {
+            Quantifier::Exists => frac > 0.0,
+            Quantifier::Forall => frac >= 1.0 - 0.5 / samples as f64,
+            Quantifier::AtLeast(x) => fraction_reaches(frac, x),
+            Quantifier::At(t) => at(t),
+        }
+    }
+}
+
+/// The `X %` rule: a covered fraction `frac` qualifies for `ATLEAST x`
+/// when it reaches `x` up to `1e-12` (the `UQ13` decision the Figure 12
+/// baselines apply to their fractions too).
+pub fn fraction_reaches(frac: f64, x: f64) -> bool {
+    frac + 1e-12 >= x
+}
+
+/// The fraction of `window` that `intervals` cover (the `UQx3` value).
+pub fn window_fraction(intervals: &IntervalSet, window: TimeInterval) -> f64 {
+    intervals.total_len() / window.len()
+}
 
 /// Engine answering the §4 query variants for one query trajectory.
 ///
@@ -392,12 +463,9 @@ impl QueryEngine {
         Some(inside_band_intervals(f, &self.envelope, self.band_delta()))
     }
 
-    // ------------------------------------------------------------------
-    // Category 1
-    // ------------------------------------------------------------------
-
-    /// `UQ11(∃t)`: does `oid` have non-zero probability of being the NN at
-    /// some time during the window?
+    /// `UQ11(∃t)` as the early-exit band-entry test Figure 12 times:
+    /// does `oid` enter the closed `4r` band at some time? It differs
+    /// from [`Quantifier::Exists`] over the intervals only at a tangency.
     pub fn uq11_exists(&self, oid: Oid) -> Option<bool> {
         let f = self.function_of(oid)?;
         Some(crate::band::enters_band(
@@ -405,35 +473,6 @@ impl QueryEngine {
             &self.envelope,
             self.band_delta(),
         ))
-    }
-
-    /// `UQ12(∀t)`: non-zero probability throughout the window?
-    pub fn uq12_always(&self, oid: Oid) -> Option<bool> {
-        let inside = self.nonzero_intervals(oid)?;
-        Some(inside.covers_interval(self.window, 1e-7 * self.window.len().max(1.0)))
-    }
-
-    /// `UQ13`: the fraction of the window during which `oid` has non-zero
-    /// probability (compare against `X%`).
-    pub fn uq13_fraction(&self, oid: Oid) -> Option<f64> {
-        let inside = self.nonzero_intervals(oid)?;
-        Some(inside.total_len() / self.window.len())
-    }
-
-    /// `UQ13(X%)`: at least `x` (in `[0, 1]`) of the window?
-    pub fn uq13_at_least(&self, oid: Oid, x: f64) -> Option<bool> {
-        Some(self.uq13_fraction(oid)? + 1e-12 >= x)
-    }
-
-    /// Fixed-time variant of UQ11: non-zero probability at instant `t`.
-    pub fn uq1_at(&self, oid: Oid, t: f64) -> Option<bool> {
-        if !self.window.contains(t) {
-            return Some(false);
-        }
-        let f = self.function_of(oid)?;
-        let d = f.eval(t)?;
-        let le = self.envelope.eval(t)?;
-        Some(d <= le + self.band_delta())
     }
 
     // ------------------------------------------------------------------
@@ -466,34 +505,6 @@ impl QueryEngine {
         self.function_of(oid)?;
         let ranked = self.ranked_answer_set(k);
         Some(ranked.intervals_of(oid).cloned().unwrap_or_default())
-    }
-
-    /// `UQ21([∃t, k])`: is `oid` a k-th highest-probability NN at some
-    /// time?
-    pub fn uq21_exists(&self, oid: Oid, k: usize) -> Option<bool> {
-        Some(!self.rank_intervals(oid, k)?.is_empty())
-    }
-
-    /// `UQ22([∀t, k])`: throughout the window?
-    pub fn uq22_always(&self, oid: Oid, k: usize) -> Option<bool> {
-        let iv = self.rank_intervals(oid, k)?;
-        Some(iv.covers_interval(self.window, 1e-7 * self.window.len().max(1.0)))
-    }
-
-    /// `UQ23`: fraction of the window at rank `<= k`.
-    pub fn uq23_fraction(&self, oid: Oid, k: usize) -> Option<f64> {
-        Some(self.rank_intervals(oid, k)?.total_len() / self.window.len())
-    }
-
-    /// `UQ23(X%, k)`: at least `x` of the window?
-    pub fn uq23_at_least(&self, oid: Oid, k: usize, x: f64) -> Option<bool> {
-        Some(self.uq23_fraction(oid, k)? + 1e-12 >= x)
-    }
-
-    /// Fixed-time variant of UQ21: rank `<= k` with non-zero probability
-    /// at instant `t`.
-    pub fn uq2_at(&self, oid: Oid, k: usize, t: f64) -> Option<bool> {
-        Some(self.rank_intervals(oid, k)?.covers(t))
     }
 
     // ------------------------------------------------------------------
@@ -581,62 +592,10 @@ impl QueryEngine {
         AnswerSet::new(self.query, self.window, Some(k), entries)
     }
 
-    /// `UQ31(∃t)`: all objects with non-zero probability of being the NN
-    /// at some time, with their intervals (ascending by id).
+    /// `UQ31(∃t)` as `(oid, intervals)` pairs: [`QueryEngine::answer_set`]
+    /// consumed, ascending by id.
     pub fn uq31_all(&self) -> Vec<(Oid, IntervalSet)> {
         self.answer_set().into_pairs()
-    }
-
-    /// `UQ32(∀t)`: objects with non-zero probability throughout.
-    pub fn uq32_all(&self) -> Vec<Oid> {
-        let tol = 1e-7 * self.window.len().max(1.0);
-        self.answer()
-            .entries()
-            .iter()
-            .filter(|e| e.intervals.covers_interval(self.window, tol))
-            .map(|e| e.oid)
-            .collect()
-    }
-
-    /// `UQ33(X%)`: objects with non-zero probability at least `x` of the
-    /// window, with their fractions.
-    pub fn uq33_all(&self, x: f64) -> Vec<(Oid, f64)> {
-        self.answer()
-            .entries()
-            .iter()
-            .map(|e| (e.oid, e.fraction(self.window)))
-            .filter(|(_, frac)| *frac + 1e-12 >= x)
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Category 4 (whole MOD, rank k)
-    // ------------------------------------------------------------------
-
-    /// `UQ41(k)`: all objects that are k-th highest-probability NNs at
-    /// some time, with their rank intervals (ascending by id).
-    pub fn uq41_all(&self, k: usize) -> Vec<(Oid, IntervalSet)> {
-        self.ranked_answer_set(k).into_pairs()
-    }
-
-    /// `UQ42(k)`: objects at rank `<= k` throughout the window.
-    pub fn uq42_all(&self, k: usize) -> Vec<Oid> {
-        let tol = 1e-7 * self.window.len().max(1.0);
-        self.uq41_all(k)
-            .into_iter()
-            .filter(|(_, iv)| iv.covers_interval(self.window, tol))
-            .map(|(oid, _)| oid)
-            .collect()
-    }
-
-    /// `UQ43(k, X%)`: objects at rank `<= k` for at least `x` of the
-    /// window, with their fractions.
-    pub fn uq43_all(&self, k: usize, x: f64) -> Vec<(Oid, f64)> {
-        self.uq41_all(k)
-            .into_iter()
-            .map(|(oid, iv)| (oid, iv.total_len() / self.window.len()))
-            .filter(|(_, frac)| *frac + 1e-12 >= x)
-            .collect()
     }
 
     /// Builds (or returns the cached) IPAC tree of the given depth for
@@ -665,12 +624,13 @@ pub mod naive_queries {
     }
 
     /// Naive `UQ13`: recompute the envelope, then accumulate the inside
-    /// intervals.
+    /// intervals into their fraction of the window (decide it with
+    /// [`fraction_reaches`]).
     pub fn uq13_fraction(fs: &[DistanceFunction], oid: Oid, radius: f64) -> Option<f64> {
         let f = fs.iter().find(|f| f.owner() == oid)?;
         let le = lower_envelope_naive(fs);
         let inside = inside_band_intervals(f, &le, 4.0 * radius);
-        Some(inside.total_len() / le.span().len())
+        Some(window_fraction(&inside, le.span()))
     }
 }
 
@@ -708,26 +668,42 @@ mod tests {
         assert_eq!(e.uq11_exists(Oid(99)), None);
     }
 
-    #[test]
-    fn uq12_universal() {
-        let e = engine();
-        // Object 4 never; the close flybys are in-band only part-time
-        // (their distance grows far beyond LE + 2 near the window edges)...
-        assert_eq!(e.uq12_always(Oid(4)), Some(false));
-        // Sanity: fractions in [0, 1], consistent with uq12.
-        for oid in [1, 2, 3] {
-            let frac = e.uq13_fraction(Oid(oid)).unwrap();
-            assert!((0.0..=1.0 + 1e-9).contains(&frac));
-            let always = e.uq12_always(Oid(oid)).unwrap();
-            assert_eq!(always, frac >= 1.0 - 1e-6, "oid {oid} frac {frac}");
-        }
+    /// `q` over `oid`'s non-zero-probability intervals (`UQ1x`).
+    fn uq1(e: &QueryEngine, q: Quantifier, oid: u64) -> Option<bool> {
+        Some(q.holds(&e.nonzero_intervals(Oid(oid))?, e.window()))
+    }
+
+    /// `oid`'s fraction of the window with non-zero probability (`UQ13`).
+    fn fraction(e: &QueryEngine, oid: u64) -> Option<f64> {
+        Some(window_fraction(&e.nonzero_intervals(Oid(oid))?, e.window()))
+    }
+
+    /// `q` over `oid`'s rank-`k` intervals (`UQ2x`).
+    fn uq2(e: &QueryEngine, q: Quantifier, oid: u64, k: usize) -> Option<bool> {
+        Some(q.holds(&e.rank_intervals(Oid(oid), k)?, e.window()))
     }
 
     #[test]
-    fn uq13_fraction_matches_dense_sampling() {
+    fn forall_is_coverage_of_the_window() {
+        let e = engine();
+        // Object 4 never; the close flybys are in-band only part-time
+        // (their distance grows far beyond LE + 2 near the window edges)...
+        assert_eq!(uq1(&e, Quantifier::Forall, 4), Some(false));
+        // Sanity: fractions in [0, 1], consistent with UQ12.
+        for oid in [1, 2, 3] {
+            let frac = fraction(&e, oid).unwrap();
+            assert!((0.0..=1.0 + 1e-9).contains(&frac));
+            let always = uq1(&e, Quantifier::Forall, oid).unwrap();
+            assert_eq!(always, frac >= 1.0 - 1e-6, "oid {oid} frac {frac}");
+        }
+        assert_eq!(uq1(&e, Quantifier::Forall, 99), None);
+    }
+
+    #[test]
+    fn fraction_matches_dense_sampling() {
         let e = engine();
         for oid in [1u64, 2, 3, 4] {
-            let frac = e.uq13_fraction(Oid(oid)).unwrap();
+            let frac = fraction(&e, oid).unwrap();
             let f = e.function_of(Oid(oid)).unwrap();
             let mut hits = 0usize;
             let n = 2000;
@@ -749,17 +725,17 @@ mod tests {
     fn fixed_time_variant() {
         let e = engine();
         // Near t=5, object 1 realizes the envelope: inside its own band.
-        assert_eq!(e.uq1_at(Oid(1), 5.0), Some(true));
-        assert_eq!(e.uq1_at(Oid(4), 5.0), Some(false));
-        assert_eq!(e.uq1_at(Oid(1), 20.0), Some(false)); // outside window
+        assert_eq!(uq1(&e, Quantifier::At(5.0), 1), Some(true));
+        assert_eq!(uq1(&e, Quantifier::At(5.0), 4), Some(false));
+        assert_eq!(uq1(&e, Quantifier::At(20.0), 1), Some(false)); // outside window
     }
 
     #[test]
     fn rank_queries() {
         let e = engine();
         // Rank 1 at t=5 is object 1; object 2 is rank <= 2 around there.
-        assert_eq!(e.uq21_exists(Oid(1), 1), Some(true));
-        assert_eq!(e.uq21_exists(Oid(4), 3), Some(false));
+        assert_eq!(uq2(&e, Quantifier::Exists, 1, 1), Some(true));
+        assert_eq!(uq2(&e, Quantifier::Exists, 4, 3), Some(false));
         let r1 = e.rank_intervals(Oid(1), 1).unwrap();
         assert!(r1.covers(5.0));
         let r2 = e.rank_intervals(Oid(2), 2).unwrap();
@@ -772,24 +748,35 @@ mod tests {
     }
 
     #[test]
-    fn uq22_uq23_consistency() {
+    fn rank_quantifiers_are_consistent() {
         let e = engine();
         for oid in [1u64, 2, 3] {
             for k in [1usize, 2, 3] {
-                let frac = e.uq23_fraction(Oid(oid), k).unwrap();
+                let frac = window_fraction(&e.rank_intervals(Oid(oid), k).unwrap(), e.window());
                 assert!((0.0..=1.0 + 1e-9).contains(&frac));
                 assert_eq!(
-                    e.uq22_always(Oid(oid), k).unwrap(),
+                    uq2(&e, Quantifier::Forall, oid, k).unwrap(),
                     frac >= 1.0 - 1e-6,
                     "oid {oid} k {k} frac {frac}"
                 );
                 assert_eq!(
-                    e.uq21_exists(Oid(oid), k).unwrap(),
+                    uq2(&e, Quantifier::Exists, oid, k).unwrap(),
                     frac > 0.0,
                     "oid {oid} k {k}"
                 );
             }
         }
+    }
+
+    /// The whole-MOD objects of `answer` that `q` admits (`UQx2`/`UQx3`).
+    fn admitted(answer: &AnswerSet, q: Quantifier) -> Vec<Oid> {
+        let w = answer.window();
+        answer
+            .entries()
+            .iter()
+            .filter(|e| q.holds(&e.intervals, w))
+            .map(|e| e.oid)
+            .collect()
     }
 
     #[test]
@@ -802,11 +789,14 @@ mod tests {
         assert!(oids.contains(&Oid(3)));
         assert!(!oids.contains(&Oid(4)));
         // UQ33 with x=0 returns everything UQ31 returned.
-        assert_eq!(e.uq33_all(0.0).len(), all.len());
+        assert_eq!(
+            admitted(e.answer(), Quantifier::AtLeast(0.0)).len(),
+            all.len()
+        );
         // With x=1.01 nothing qualifies.
-        assert!(e.uq33_all(1.01).is_empty());
+        assert!(admitted(e.answer(), Quantifier::AtLeast(1.01)).is_empty());
         // UQ32 result is a subset of UQ31 owners.
-        for oid in e.uq32_all() {
+        for oid in admitted(e.answer(), Quantifier::Forall) {
             assert!(oids.contains(&oid));
         }
     }
@@ -814,15 +804,39 @@ mod tests {
     #[test]
     fn category_4_retrievals() {
         let e = engine();
-        let k2 = e.uq41_all(2);
-        let k3 = e.uq41_all(3);
+        let k2 = e.ranked_answer_set(2);
+        let k3 = e.ranked_answer_set(3);
         assert!(k2.len() <= k3.len());
         // With k = 3 every in-band object ranks somewhere.
-        let oids: Vec<Oid> = k3.iter().map(|(o, _)| *o).collect();
+        let oids: Vec<Oid> = k3.entries().iter().map(|e| e.oid).collect();
         assert!(oids.contains(&Oid(1)) && oids.contains(&Oid(2)) && oids.contains(&Oid(3)));
-        for (oid, frac) in e.uq43_all(3, 0.5) {
+        for oid in admitted(&k3, Quantifier::AtLeast(0.5)) {
+            let frac = k3.fraction_of(oid);
             assert!(frac >= 0.5, "{oid} {frac}");
         }
+    }
+
+    #[test]
+    fn quantifier_rules_on_intervals_and_probes() {
+        let w = TimeInterval::new(0.0, 10.0);
+        let half = IntervalSet::from_intervals([TimeInterval::new(0.0, 5.0)]);
+        let empty = IntervalSet::default();
+        let full = IntervalSet::from_intervals([TimeInterval::new(0.0, 10.0 - 1e-7)]);
+        assert!(Quantifier::Exists.holds(&half, w) && !Quantifier::Exists.holds(&empty, w));
+        assert!(Quantifier::Forall.holds(&full, w) && !Quantifier::Forall.holds(&half, w));
+        assert!(Quantifier::AtLeast(0.5).holds(&half, w));
+        assert!(!Quantifier::AtLeast(0.5 + 1e-9).holds(&half, w));
+        // ATLEAST 0 admits even the empty set: its fraction is zero.
+        assert!(Quantifier::AtLeast(0.0).holds(&empty, w));
+        assert!(Quantifier::At(5.0).holds(&half, w) && !Quantifier::At(5.5).holds(&half, w));
+        // Rows: the fraction of probes above the threshold, 8 probes.
+        let never = |_: f64| -> bool { panic!("only AT t reads the instant rule") };
+        assert!(Quantifier::Exists.holds_on_probes(0.125, 8, never));
+        assert!(!Quantifier::Exists.holds_on_probes(0.0, 8, never));
+        assert!(Quantifier::Forall.holds_on_probes(1.0, 8, never));
+        assert!(!Quantifier::Forall.holds_on_probes(0.875, 8, never));
+        assert!(Quantifier::AtLeast(0.25).holds_on_probes(0.25, 8, never));
+        assert!(Quantifier::At(3.0).holds_on_probes(0.0, 8, |t| t == 3.0));
     }
 
     #[test]
@@ -1013,7 +1027,7 @@ mod tests {
                 "uq11 oid {oid}"
             );
             let nf = naive_queries::uq13_fraction(&fs, Oid(oid), 0.5).unwrap();
-            let ef = e.uq13_fraction(Oid(oid)).unwrap();
+            let ef = fraction(&e, oid).unwrap();
             assert!((nf - ef).abs() < 1e-6, "uq13 oid {oid}: {nf} vs {ef}");
         }
     }

@@ -174,47 +174,13 @@ impl ReverseNnEngine {
         self.engine_of(oid)?.nonzero_intervals(self.query)
     }
 
-    /// Reverse `UQ11(∃t)`: may the query be `oid`'s NN at some time?
-    pub fn rnn_exists(&self, oid: Oid) -> Option<bool> {
-        self.engine_of(oid)?.uq11_exists(self.query)
-    }
-
-    /// Reverse `UQ12(∀t)`: throughout the window?
-    pub fn rnn_always(&self, oid: Oid) -> Option<bool> {
-        self.engine_of(oid)?.uq12_always(self.query)
-    }
-
-    /// Reverse `UQ13`: the fraction of the window during which the query
-    /// may be `oid`'s NN.
-    pub fn rnn_fraction(&self, oid: Oid) -> Option<f64> {
-        self.engine_of(oid)?.uq13_fraction(self.query)
-    }
-
-    /// The probabilistic RNN retrieval (Category 3 analogue): every object
-    /// that may have the query as its NN at some time, with the times.
-    ///
-    /// Membership follows the existential (closed) clearance test of
-    /// `UQ11`, so an object whose distance function only *touches* the
-    /// band boundary is included with an empty interval set.
-    pub fn rnn_all(&self) -> Vec<(Oid, IntervalSet)> {
-        self.engines
-            .iter()
-            .filter_map(|(oid, e)| {
-                if e.uq11_exists(self.query)? {
-                    Some((*oid, e.nonzero_intervals(self.query)?))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// The reverse answer as a diffable [`crate::answer::AnswerSet`]:
-    /// every object whose qualification intervals (times during which the
-    /// query may be its NN) are non-empty. Unlike
-    /// [`ReverseNnEngine::rnn_all`], boundary-touching objects with
-    /// measure-zero qualification are absent — the answer-set algebra
-    /// keeps only patchable interval content.
+    /// The probabilistic RNN retrieval (the Category 3 analogue) as a
+    /// diffable [`crate::answer::AnswerSet`]: every object whose
+    /// qualification intervals (times during which the query may be its
+    /// NN) are non-empty, with those intervals. A boundary-touching
+    /// object with measure-zero qualification is absent. The reverse
+    /// quantifiers are [`crate::query::Quantifier`]'s rules over these
+    /// intervals.
     pub fn answer_set(&self) -> crate::answer::AnswerSet {
         let entries = self
             .engines
@@ -408,6 +374,7 @@ pub fn all_pairs_nn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{window_fraction, Quantifier};
 
     fn straight(oid: u64, x0: f64, y0: f64, vx: f64, vy: f64) -> Trajectory {
         Trajectory::from_triples(
@@ -447,12 +414,13 @@ mod tests {
         let w = TimeInterval::new(0.0, 10.0);
         // With a tiny radius, q is not a possible NN of a (gap 0.1 > 4r).
         let tight = ReverseNnEngine::new(&trs, Oid(0), w, 0.02).unwrap();
-        assert_eq!(tight.rnn_exists(Oid(1)), Some(false));
+        assert!(!Quantifier::Exists.holds(&tight.rnn_intervals(Oid(1)).unwrap(), w));
         // With r = 0.1 the band 4r = 0.4 exceeds the 0.1 gap: possible.
         let loose = ReverseNnEngine::new(&trs, Oid(0), w, 0.1).unwrap();
-        assert_eq!(loose.rnn_exists(Oid(1)), Some(true));
-        assert_eq!(loose.rnn_always(Oid(1)), Some(true));
-        assert_eq!(loose.rnn_fraction(Oid(1)), Some(1.0));
+        let iv = loose.rnn_intervals(Oid(1)).unwrap();
+        assert!(Quantifier::Exists.holds(&iv, w));
+        assert!(Quantifier::Forall.holds(&iv, w));
+        assert_eq!(window_fraction(&iv, w), 1.0);
     }
 
     #[test]
@@ -464,10 +432,10 @@ mod tests {
         let w = TimeInterval::new(0.0, 10.0);
         let e = ReverseNnEngine::new(&trs, Oid(0), w, 0.5).unwrap();
         // With a single other object, q is its only (hence certain) NN.
-        assert_eq!(e.rnn_always(Oid(7)), Some(true));
-        let all = e.rnn_all();
+        assert!(Quantifier::Forall.holds(&e.rnn_intervals(Oid(7)).unwrap(), w));
+        let all = e.answer_set();
         assert_eq!(all.len(), 1);
-        assert_eq!(all[0].0, Oid(7));
+        assert_eq!(all.entries()[0].oid, Oid(7));
     }
 
     #[test]
@@ -584,7 +552,7 @@ mod tests {
         let trs = line_setup();
         let w = TimeInterval::new(0.0, 10.0);
         let e = ReverseNnEngine::new(&trs, Oid(0), w, 0.1).unwrap();
-        assert!(e.rnn_exists(Oid(99)).is_none());
+        assert!(e.rnn_intervals(Oid(99)).is_none());
         assert!(e.rnn_intervals(Oid(0)).is_none()); // the query itself
         assert!(e.crisp_rnn_intervals(Oid(99)).is_none());
     }

@@ -6,7 +6,7 @@ use unn_core::algorithms::{lower_envelope, lower_envelope_parallel};
 use unn_core::band::{inside_band_intervals, prune_by_band};
 use unn_core::ipac::{build_ipac_tree, IpacConfig};
 use unn_core::naive::lower_envelope_naive;
-use unn_core::query::QueryEngine;
+use unn_core::query::{window_fraction, Quantifier, QueryEngine};
 use unn_geom::hyperbola::Hyperbola;
 use unn_geom::interval::TimeInterval;
 use unn_geom::point::Vec2;
@@ -19,6 +19,19 @@ fn flyby(owner: u64, x0: f64, y: f64, v: f64, w: TimeInterval) -> DistanceFuncti
         w,
         Hyperbola::from_relative_motion(Vec2::new(x0, y), Vec2::new(v, 0.0), 0.0),
     )
+}
+
+/// `UQ12(∀t)`: `oid`'s non-zero-probability intervals cover the window.
+fn always(engine: &QueryEngine, oid: u64) -> Option<bool> {
+    Some(Quantifier::Forall.holds(&engine.nonzero_intervals(Oid(oid))?, engine.window()))
+}
+
+/// `UQ13`: the fraction of the window with non-zero probability.
+fn fraction(engine: &QueryEngine, oid: u64) -> Option<f64> {
+    Some(window_fraction(
+        &engine.nonzero_intervals(Oid(oid))?,
+        engine.window(),
+    ))
 }
 
 #[test]
@@ -46,9 +59,9 @@ fn all_candidates_tie_in_band() {
     let fs = vec![flyby(1, -5.0, 1.0, 1.0, w), flyby(2, -5.0, 1.0, 1.0, w)];
     let engine = QueryEngine::new(Oid(0), fs, 0.5);
     // Both are always inside each other's band (distance difference 0).
-    assert_eq!(engine.uq12_always(Oid(1)), Some(true));
-    assert_eq!(engine.uq12_always(Oid(2)), Some(true));
-    assert_eq!(engine.uq13_fraction(Oid(1)), Some(1.0));
+    assert_eq!(always(&engine, 1), Some(true));
+    assert_eq!(always(&engine, 2), Some(true));
+    assert_eq!(fraction(&engine, 1), Some(1.0));
 }
 
 #[test]
@@ -57,7 +70,7 @@ fn single_candidate_is_always_the_answer() {
     let fs = vec![flyby(9, 3.0, 4.0, 0.25, w)];
     let engine = QueryEngine::new(Oid(0), fs, 1.0);
     assert_eq!(engine.uq11_exists(Oid(9)), Some(true));
-    assert_eq!(engine.uq12_always(Oid(9)), Some(true));
+    assert_eq!(always(&engine, 9), Some(true));
     assert_eq!(engine.continuous_nn_answer().len(), 1);
     let tree = engine.ipac_tree(0);
     assert_eq!(tree.depth(), 1);
@@ -94,7 +107,7 @@ fn window_grazing_tangency() {
     // The tangent candidate touches the band at one instant: UQ11 is
     // true (closed band), but the covered fraction is ~zero.
     assert_eq!(engine.uq11_exists(Oid(2)), Some(true));
-    let frac = engine.uq13_fraction(Oid(2)).unwrap();
+    let frac = fraction(&engine, 2).unwrap();
     assert!(frac < 0.01, "tangency should cover ~no time, got {frac}");
 }
 
@@ -142,5 +155,5 @@ fn very_small_and_large_radii() {
     assert_eq!(tiny.uq11_exists(Oid(2)), Some(false));
     // Huge radius: everything stays, everywhere.
     let huge = QueryEngine::new(Oid(0), fs, 1e3);
-    assert_eq!(huge.uq12_always(Oid(2)), Some(true));
+    assert_eq!(always(&huge, 2), Some(true));
 }

@@ -105,7 +105,10 @@ use super::wire::{encode_frame_bytes, pop_frame, Frame, WireOutput, WireRequest,
 /// Bytes of encoded-but-unsent frames a connection may queue before
 /// the loop stops draining its outbox — past this, backpressure moves
 /// into the [`DeltaSink`] where the squash-oldest/`lagged` contract
-/// applies instead of buffering unboundedly.
+/// applies instead of buffering unboundedly — and stops reading its
+/// requests: no `POLLIN`, no frame popped, so TCP pushes back on a peer
+/// that sends without reading. Buffered frames run once a write brings
+/// the queue back below it.
 const OUT_HIGH_WATERMARK: usize = 1 << 20;
 
 /// Tunables of a [`NetServer`].
@@ -304,6 +307,9 @@ struct Conn {
     front_written: usize,
     out_bytes: usize,
     handshaken: bool,
+    /// `true` while the queue is past [`OUT_HIGH_WATERMARK`] and reads
+    /// are paused (counted once per pause).
+    read_paused: bool,
     /// `true` once the connection is logically done (Bye exchanged,
     /// EOF, or protocol error): flush `out`, then close.
     closing: bool,
@@ -372,6 +378,7 @@ fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
             {
                 conn.closing = true;
             }
+            pump_frames(conn, *token, &shared, &workers.senders);
             if conn.closing && conn.out.is_empty() {
                 dead.push(*token);
             }
@@ -388,9 +395,14 @@ fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
         tokens.clear();
         fds.push(PollFd::new(shared.waker.fd(), POLLIN));
         fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-        for (token, conn) in conns.iter() {
+        for (token, conn) in conns.iter_mut() {
             let mut events = 0i16;
-            if !conn.closing {
+            let paused = conn.out_bytes >= OUT_HIGH_WATERMARK;
+            if paused && !conn.read_paused {
+                store.telemetry().net_read_paused.inc();
+            }
+            conn.read_paused = paused;
+            if !conn.closing && !paused {
                 events |= POLLIN;
             }
             if !conn.out.is_empty() {
@@ -533,6 +545,7 @@ fn accept_ready(
                 front_written: 0,
                 out_bytes: 0,
                 handshaken: false,
+                read_paused: false,
                 closing: false,
                 next_push: Instant::now() + pacing,
                 repl: None,
@@ -648,9 +661,12 @@ fn pump_socket_write(conn: &mut Conn) -> bool {
     true
 }
 
-/// Reads everything available, then parses and handles the complete
-/// frames buffered so far. Any transport or protocol error (the stream
-/// cannot re-synchronize) flags the connection `closing`.
+/// Reads what is available chunk by chunk, handling each chunk's
+/// complete frames ([`pump_frames`]) before the next read, and stops
+/// once the queue passes [`OUT_HIGH_WATERMARK`] (one read always runs,
+/// so an error or EOF is seen while paused too). Any transport or
+/// protocol error (the stream cannot re-synchronize) flags the
+/// connection `closing`.
 fn pump_socket_read(
     conn: &mut Conn,
     token: u64,
@@ -664,7 +680,13 @@ fn pump_socket_read(
                 conn.closing = true;
                 break;
             }
-            Ok(n) => conn.inbuf.extend_from_slice(&buf[..n]),
+            Ok(n) => {
+                conn.inbuf.extend_from_slice(&buf[..n]);
+                pump_frames(conn, token, shared, workers);
+                if conn.closing || conn.out_bytes >= OUT_HIGH_WATERMARK {
+                    break;
+                }
+            }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -676,7 +698,13 @@ fn pump_socket_read(
             }
         }
     }
-    while !conn.closing {
+}
+
+/// Pops and handles the complete buffered frames while the queue is
+/// below [`OUT_HIGH_WATERMARK`]; the rest wait in `inbuf` for a write
+/// to drain it.
+fn pump_frames(conn: &mut Conn, token: u64, shared: &Arc<Shared>, workers: &[mpsc::Sender<Job>]) {
+    while !conn.closing && conn.out_bytes < OUT_HIGH_WATERMARK {
         match pop_frame(&mut conn.inbuf) {
             Ok(None) => break,
             Ok(Some(frame)) => {

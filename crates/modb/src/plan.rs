@@ -313,6 +313,7 @@ impl QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unn_core::query::Quantifier;
     use unn_traj::generator::{generate_uncertain, WorkloadConfig};
     use unn_traj::trajectory::Trajectory;
     use unn_traj::uncertain::UncertainTrajectory;
@@ -395,6 +396,6 @@ mod tests {
         assert_eq!(plan.radius(), 0.3);
         assert_eq!(plan.candidate_radii(), vec![0.2, 3.0]);
         let hetero = plan.build_hetero_engine().unwrap();
-        assert_eq!(hetero.exists(Oid(1)), Some(true));
+        assert!(Quantifier::Exists.holds(&hetero.possible_intervals(Oid(1)).unwrap(), w));
     }
 }

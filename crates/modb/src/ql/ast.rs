@@ -22,19 +22,10 @@ impl fmt::Display for Target {
     }
 }
 
-/// The temporal quantifier of the WHERE clause.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Quantifier {
-    /// `EXISTS TIME IN [a, b]` — some instant (UQx1).
-    Exists,
-    /// `FORALL TIME IN [a, b]` — every instant (UQx2).
-    Forall,
-    /// `ATLEAST f OF TIME IN [a, b]` — fraction `f` of the window (UQx3).
-    AtLeast(f64),
-    /// `AT t TIME IN [a, b]` — the fixed instant `t` (the `t = tf`
-    /// variant noted at the end of §4).
-    At(f64),
-}
+/// The temporal quantifier of the WHERE clause: `EXISTS`, `FORALL`,
+/// `ATLEAST x OF` or `AT t`, decided by the rules of
+/// [`unn_core::query::Quantifier`].
+pub use unn_core::query::Quantifier;
 
 /// The probabilistic predicate of the WHERE clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

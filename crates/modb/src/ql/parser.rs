@@ -514,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_uq23_with_percent() {
+    fn parses_atleast_with_percent() {
         let q = parse(
             "SELECT Tr3 FROM MOD WHERE ATLEAST 50 % OF TIME IN [0, 60] \
              AND PROB_NN(Tr3, Tr0, TIME, RANK 2) > 0",

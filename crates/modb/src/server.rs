@@ -752,33 +752,6 @@ impl ModServer {
         Ok((q_oid, window))
     }
 
-    /// Reverse probabilistic NN (a §7 future-work variant): the objects
-    /// for which `target` has non-zero probability of being *their*
-    /// nearest neighbor at some time during the window.
-    ///
-    /// Processes one envelope per candidate (`O(N² log N)` total) — the
-    /// scalable treatment is future work in the paper too.
-    pub fn reverse_nn_candidates(
-        &self,
-        target: Oid,
-        window: TimeInterval,
-    ) -> Result<Vec<Oid>, ServerError> {
-        if !self.store.contains(target) {
-            return Err(ServerError::UnknownObject(target.to_string()));
-        }
-        let mut out = Vec::new();
-        for oid in self.store.oids() {
-            if oid == target {
-                continue;
-            }
-            let (engine, _) = self.engine(oid, window)?;
-            if engine.uq11_exists(target).unwrap_or(false) {
-                out.push(oid);
-            }
-        }
-        Ok(out)
-    }
-
     /// Builds (or fetches from the cache) the full reverse-NN engine
     /// (every candidate's perspective envelope) for `query_oid` over the
     /// window — the `O(N² log N)` structure behind the `PROB_RNN`
@@ -891,6 +864,7 @@ impl ModServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unn_core::query::Quantifier;
     use unn_traj::trajectory::Trajectory;
 
     fn tr(oid: u64, pts: &[(f64, f64, f64)]) -> UncertainTrajectory {
@@ -1105,12 +1079,19 @@ mod tests {
     }
 
     #[test]
-    fn reverse_nn_candidates_work() {
+    fn reverse_engine_lists_the_reverse_neighbours() {
         let s = server();
         let w = TimeInterval::new(0.0, 10.0);
         // Tr0 and Tr1 run in parallel one mile apart: each is the other's
         // NN, so Tr0 must appear in Tr1's reverse set.
-        let rev = s.reverse_nn_candidates(Oid(0), w).unwrap();
+        let rev: Vec<Oid> = s
+            .reverse_engine(Oid(0), w)
+            .unwrap()
+            .answer_set()
+            .entries()
+            .iter()
+            .map(|e| e.oid)
+            .collect();
         assert!(rev.contains(&Oid(1)), "{rev:?}");
         // The far object (Tr3) has Tr2-or-closer objects as its
         // candidates; Tr0 is further than 4r below its envelope? Tr3 at
@@ -1118,7 +1099,7 @@ mod tests {
         // just assert the call is well-formed and excludes the target.
         assert!(!rev.contains(&Oid(0)));
         assert!(matches!(
-            s.reverse_nn_candidates(Oid(42), w),
+            s.reverse_engine(Oid(42), w),
             Err(ServerError::UnknownObject(_))
         ));
     }
@@ -1280,9 +1261,20 @@ mod tests {
     fn reverse_agrees_with_candidate_scan() {
         let s = server();
         let w = TimeInterval::new(0.0, 10.0);
-        let via_scan = s.reverse_nn_candidates(Oid(0), w).unwrap();
+        // The reference: one forward engine per object, asking whether
+        // the query qualifies as its NN at some instant. (Tr3 is the
+        // query's exact tangency at t = 10: the closed band test admits
+        // it, its interval set is empty, so neither side lists it.)
+        let mut via_scan = Vec::new();
+        for oid in s.store().oids() {
+            let (engine, _) = s.engine(oid, w).unwrap();
+            let intervals = engine.nonzero_intervals(Oid(0)).unwrap_or_default();
+            if oid != Oid(0) && Quantifier::Exists.holds(&intervals, w) {
+                via_scan.push(oid);
+            }
+        }
         let rev = s.reverse_engine(Oid(0), w).unwrap();
-        let via_engine: Vec<Oid> = rev.rnn_all().into_iter().map(|(o, _)| o).collect();
+        let via_engine: Vec<Oid> = rev.answer_set().entries().iter().map(|e| e.oid).collect();
         for oid in &via_scan {
             assert!(via_engine.contains(oid), "{oid} missing from engine answer");
         }
@@ -1313,7 +1305,7 @@ mod tests {
         // …the hetero engine handles them: the distant-but-diffuse Tr2 is
         // possible (gap 8 < slack 3.3 + threshold 1 + 0.5).
         let h = s.hetero_engine(Oid(0), w).unwrap();
-        assert_eq!(h.exists(Oid(1)), Some(true));
+        assert!(Quantifier::Exists.holds(&h.possible_intervals(Oid(1)).unwrap(), w));
         assert_eq!(h.query_radius(), 0.3);
         let probs = h.probabilities_at(5.0).unwrap();
         let sum: f64 = probs.iter().map(|(_, p)| p).sum();

@@ -1,7 +1,9 @@
-//! The quantifier × target rules of every `SELECT`: one-shot
-//! executions ([`crate::server::ModServer::execute_parsed`]) and
-//! standing queries ([`super::SubscriptionRegistry::output`]) both
-//! render their answer value through these functions.
+//! The target rules of every `SELECT` (one named object, or the whole
+//! MOD): one-shot executions
+//! ([`crate::server::ModServer::execute_parsed`]) and standing queries
+//! ([`super::SubscriptionRegistry::output`]) both render their answer
+//! value through these functions, which leave each quantifier decision
+//! to [`Quantifier`]'s rules.
 //!
 //! The surfaces differ only where their answer values do: the `AT t`
 //! instant rule a row statement is rendered with (exact `P^NN` at `t`
@@ -15,48 +17,31 @@ use crate::ql::parse_object_name;
 use crate::server::QueryOutput;
 use unn_core::answer::AnswerSet;
 use unn_core::probrows::{probe_column, ProbRowSet};
+use unn_geom::interval::IntervalSet;
 use unn_traj::trajectory::Oid;
 
 /// Renders an [`AnswerSet`] — qualification intervals, rank-bounded or
-/// not — through a query's quantifier and target: `EXISTS` asks for a
-/// non-empty interval set, `FORALL` for one covering the window,
-/// `ATLEAST x` for a covered fraction of at least `x`, and `AT t` for
-/// one containing `t`. A named object absent from the answer has
-/// fraction zero; whole-MOD rows carry each entry's fraction of the
+/// not — through a query's target, deciding each object's intervals by
+/// [`Quantifier::holds`]. A named object absent from the answer has the
+/// empty set; whole-MOD rows carry each admitted entry's fraction of the
 /// window (`1.0` under `FORALL`).
 pub fn render_output(query: &Query, answer: &AnswerSet) -> QueryOutput {
     let window = answer.window();
-    let tol = 1e-7 * window.len().max(1.0);
+    let quantifier = &query.quantifier;
     match &query.target {
         Target::One(name) => {
             let intervals = parse_object_name(name).and_then(|oid| answer.intervals_of(oid));
-            let answer = match (&query.quantifier, intervals) {
-                (Quantifier::Exists, iv) => iv.map(|iv| !iv.is_empty()).unwrap_or(false),
-                (Quantifier::Forall, Some(iv)) => iv.covers_interval(window, tol),
-                (Quantifier::Forall, None) => false,
-                (Quantifier::AtLeast(x), iv) => {
-                    let frac = iv.map(|iv| iv.total_len() / window.len()).unwrap_or(0.0);
-                    frac + 1e-12 >= *x
-                }
-                (Quantifier::At(t), iv) => iv.map(|iv| iv.covers(*t)).unwrap_or(false),
-            };
-            QueryOutput::Boolean(answer)
+            let empty = IntervalSet::default();
+            QueryOutput::Boolean(quantifier.holds(intervals.unwrap_or(&empty), window))
         }
         Target::All => {
             let rows = answer
                 .entries()
                 .iter()
-                .filter_map(|e| {
-                    let frac = e.fraction(window);
-                    match &query.quantifier {
-                        Quantifier::Exists => Some((e.oid, frac)),
-                        Quantifier::Forall => e
-                            .intervals
-                            .covers_interval(window, tol)
-                            .then_some((e.oid, 1.0)),
-                        Quantifier::AtLeast(x) => (frac + 1e-12 >= *x).then_some((e.oid, frac)),
-                        Quantifier::At(t) => e.intervals.covers(*t).then_some((e.oid, frac)),
-                    }
+                .filter(|e| quantifier.holds(&e.intervals, window))
+                .map(|e| match quantifier {
+                    Quantifier::Forall => (e.oid, 1.0),
+                    _ => (e.oid, e.fraction(window)),
                 })
                 .collect();
             QueryOutput::Objects(rows)
@@ -64,14 +49,14 @@ pub fn render_output(query: &Query, answer: &AnswerSet) -> QueryOutput {
     }
 }
 
-/// Renders a [`ProbRowSet`] through a query's quantifier and target,
-/// under its threshold `p`: an object's qualifying fraction is the
-/// fraction of probes where its probability exceeds `p`, `EXISTS` asks
-/// for one such probe, `FORALL` for every probe, `ATLEAST x` for a
-/// fraction of at least `x`, and `AT t` for `at(oid, t) > p`, where
-/// `at` is the caller's instant rule returning the probability at `t`.
-/// Whole-MOD rows list every object the set holds a row for (so
-/// `ATLEAST 0 %` lists them all), each with its qualifying fraction.
+/// Renders a [`ProbRowSet`] through a query's target under its
+/// threshold `p`: an object's qualifying fraction is the fraction of
+/// probes where its probability exceeds `p`, decided by
+/// [`Quantifier::holds_on_probes`] with `at(oid, t) > p` as the `AT t`
+/// rule, where `at` is the caller's instant rule returning the
+/// probability at `t`. Whole-MOD rows list every object the set holds a
+/// row for (so `ATLEAST 0 %` lists them all), each with its qualifying
+/// fraction.
 ///
 /// A standing query passes `probe_column_at`: its maintained truth is
 /// its sampled rows, so `AT t` reads the probe column containing `t`. A
@@ -84,12 +69,10 @@ pub fn render_row_output(
     at: impl Fn(Oid, f64) -> f64,
 ) -> QueryOutput {
     let p = query.prob_threshold;
-    let full = 1.0 - 0.5 / rows.samples() as f64;
-    let decide = |oid: Oid, frac: f64| match &query.quantifier {
-        Quantifier::Exists => frac > 0.0,
-        Quantifier::Forall => frac >= full,
-        Quantifier::AtLeast(x) => frac + 1e-12 >= *x,
-        Quantifier::At(t) => at(oid, *t) > p,
+    let decide = |oid: Oid, frac: f64| {
+        query
+            .quantifier
+            .holds_on_probes(frac, rows.samples(), |t| at(oid, t) > p)
     };
     match &query.target {
         Target::One(name) => {

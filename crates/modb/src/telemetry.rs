@@ -510,6 +510,9 @@ pub struct Telemetry {
     pub cache_misses: Counter,
     /// Network requests whose worker job panicked (each answered with an error).
     pub server_panics: Counter,
+    /// Times a connection's reads paused with its response queue past
+    /// the loop's high watermark.
+    pub net_read_paused: Counter,
 }
 
 impl Telemetry {
@@ -549,6 +552,7 @@ impl Telemetry {
             ("cache_carried_total", &self.cache_carried),
             ("cache_misses_total", &self.cache_misses),
             ("server_panics_total", &self.server_panics),
+            ("net_read_paused_total", &self.net_read_paused),
         ]
         .into_iter()
         .map(|(n, c)| (n.to_string(), c.get()))

@@ -64,12 +64,26 @@ fn main() {
         possible.len()
     );
 
+    // The whole-MOD quantifiers decide each entry of an answer set.
+    let admitted = |answer: &AnswerSet, q: Quantifier| -> Vec<(Oid, f64)> {
+        let w = answer.window();
+        answer
+            .entries()
+            .iter()
+            .filter(|e| q.holds(&e.intervals, w))
+            .map(|e| (e.oid, e.fraction(w)))
+            .collect()
+    };
+
     // UQ32: throughout the shift.
-    let always = engine.uq32_all();
+    let always: Vec<Oid> = admitted(engine.answer(), Quantifier::Forall)
+        .into_iter()
+        .map(|(oid, _)| oid)
+        .collect();
     println!("UQ32 — vehicles possible at *every* instant: {always:?}");
 
     // UQ33 with X = 30%.
-    let mut steady: Vec<(Oid, f64)> = engine.uq33_all(0.30);
+    let mut steady = admitted(engine.answer(), Quantifier::AtLeast(0.30));
     steady.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("UQ33 — possible NNs for ≥ 30% of the shift:");
     for (oid, frac) in steady.iter().take(8) {
@@ -77,7 +91,7 @@ fn main() {
     }
 
     // Rank-2 coverage (Category 4): backup candidates.
-    let mut backups = engine.uq43_all(2, 0.30);
+    let mut backups = admitted(&engine.ranked_answer_set(2), Quantifier::AtLeast(0.30));
     backups.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("UQ43 — within the top-2 ranks for ≥ 30% of the shift:");
     for (oid, frac) in backups.iter().take(8) {

@@ -119,13 +119,12 @@ fn main() {
 
     // Per-object queries, hetero Category-1 style, on the two most
     // persistent survivors.
-    for oid in possible.iter().take(2).map(|(o, _)| *o) {
-        if let (Some(frac), Some(always)) = (engine.fraction(oid), engine.always(oid)) {
-            println!(
-                "{oid}: possible {:.0}% of the shift{}",
-                frac.max(0.0) * 100.0,
-                if always { ", at every instant" } else { "" }
-            );
-        }
+    for (oid, iv) in possible.iter().take(2) {
+        let always = Quantifier::Forall.holds(iv, shift);
+        println!(
+            "{oid}: possible {:.0}% of the shift{}",
+            window_fraction(iv, shift).max(0.0) * 100.0,
+            if always { ", at every instant" } else { "" }
+        );
     }
 }

@@ -40,7 +40,7 @@ fn main() {
     let rev = server
         .reverse_engine(ambulance, shift)
         .expect("engine builds");
-    let mut probabilistic = rev.rnn_all();
+    let mut probabilistic = rev.answer_set().into_pairs();
     probabilistic.sort_by(|a, b| {
         b.1.total_len()
             .total_cmp(&a.1.total_len())
@@ -81,9 +81,9 @@ fn main() {
     }
 
     // Per-object drill-down: how exposed is a specific incident?
-    for oid in probabilistic.iter().take(3).map(|(o, _)| *o) {
-        let frac = rev.rnn_fraction(oid).unwrap();
-        let always = rev.rnn_always(oid).unwrap();
+    for (oid, iv) in probabilistic.iter().take(3) {
+        let frac = window_fraction(iv, shift);
+        let always = Quantifier::Forall.holds(iv, shift);
         println!(
             "\n{oid}: {ambulance} is a possible NN {:.0}% of the shift{}",
             frac * 100.0,

@@ -402,7 +402,7 @@ fn dispatch(session: &mut Session, line: &str) -> Result<(), String> {
             let server = session.local()?;
             let (q, w) = parse_query_window(server, rest)?;
             let rev = server.reverse_engine(q, w).map_err(|e| e.to_string())?;
-            let mut all = rev.rnn_all();
+            let mut all = rev.answer_set().into_pairs();
             all.sort_by(|a, b| b.1.total_len().total_cmp(&a.1.total_len()));
             println!("objects that may have {q} as their NN: {}", all.len());
             for (oid, iv) in &all {

@@ -193,7 +193,7 @@ pub mod prelude {
     pub use unn_core::hetero::{HeteroCandidate, HeteroEngine};
     pub use unn_core::ipac::{IpacConfig, IpacTree};
     pub use unn_core::probrows::{ProbRow, ProbRowDelta, ProbRowSet, RowPerspective};
-    pub use unn_core::query::QueryEngine;
+    pub use unn_core::query::{window_fraction, Quantifier, QueryEngine};
     pub use unn_core::reverse::{all_pairs_nn, ReverseNnEngine};
     pub use unn_core::topk::{continuous_knn, probabilistic_topk_at, KnnAnswer};
     pub use unn_core::{

@@ -74,14 +74,14 @@ fn envelope_answer_tiles_window_without_repeats() {
 }
 
 #[test]
-fn uq13_fraction_matches_oracle_on_workload() {
+fn window_fraction_matches_oracle_on_workload() {
     let (trs, w) = setup(40, 5);
     let fs = difference_distances(&trs[0], &trs, &w).unwrap();
     let radius = 0.5;
     let engine = QueryEngine::new(trs[0].oid(), fs.clone(), radius);
     for idx in [0usize, 5, 11, 19, 33] {
         let oid = fs[idx].owner();
-        let frac = engine.uq13_fraction(oid).unwrap();
+        let frac = window_fraction(&engine.nonzero_intervals(oid).unwrap(), engine.window());
         let sampled = oracle::inside_fraction(&fs, oid, 4.0 * radius, w, 4000).unwrap();
         assert!(
             (frac - sampled).abs() < 0.01,
@@ -99,7 +99,7 @@ fn rank_intervals_match_oracle_on_workload() {
     for idx in [1usize, 8, 15] {
         let oid = fs[idx].owner();
         for k in [1usize, 2, 3] {
-            let frac = engine.uq23_fraction(oid, k).unwrap();
+            let frac = window_fraction(&engine.rank_intervals(oid, k).unwrap(), engine.window());
             let sampled = oracle::rank_fraction(&fs, oid, k, 4.0 * radius, w, 3000).unwrap();
             assert!(
                 (frac - sampled).abs() < 0.02,

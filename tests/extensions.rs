@@ -29,7 +29,7 @@ fn reverse_statements_match_engine_answers() {
     let s = server_with(40, 7, 0.5);
     let w = TimeInterval::new(WINDOW.0, WINDOW.1);
     let rev = s.reverse_engine(Oid(0), w).unwrap();
-    let expected: Vec<Oid> = rev.rnn_all().into_iter().map(|(o, _)| o).collect();
+    let expected: Vec<Oid> = rev.answer_set().entries().iter().map(|e| e.oid).collect();
     let out = s
         .execute("SELECT * FROM MOD WHERE EXISTS TIME IN [0, 30] AND PROB_RNN(*, Tr0, TIME) > 0")
         .unwrap();
@@ -51,7 +51,7 @@ fn reverse_statements_match_engine_answers() {
             "SELECT Tr{oid} FROM MOD WHERE EXISTS TIME IN [0, 30] \
              AND PROB_RNN(Tr{oid}, Tr0, TIME) > 0"
         );
-        let expected = rev.rnn_exists(Oid(oid)).unwrap();
+        let expected = Quantifier::Exists.holds(&rev.rnn_intervals(Oid(oid)).unwrap(), w);
         assert_eq!(
             s.execute(&stmt).unwrap(),
             QueryOutput::Boolean(expected),
@@ -77,8 +77,8 @@ fn reverse_and_forward_relations_are_distinct_but_consistent() {
         let fs = difference_distances(tr, &trs, &w).unwrap();
         let fwd = QueryEngine::new(tr.oid(), fs, r);
         assert_eq!(
-            rev.rnn_exists(tr.oid()),
-            fwd.uq11_exists(q_tr.oid()),
+            rev.rnn_intervals(tr.oid()),
+            fwd.nonzero_intervals(q_tr.oid()),
             "perspective {}",
             tr.oid()
         );
@@ -152,8 +152,8 @@ fn hetero_reduces_to_homogeneous_on_equal_radii() {
         r,
     );
     for f in fs.iter().take(10) {
-        let a = hom.uq13_fraction(f.owner()).unwrap();
-        let b = het.fraction(f.owner()).unwrap();
+        let a = window_fraction(&hom.nonzero_intervals(f.owner()).unwrap(), hom.window());
+        let b = window_fraction(&het.possible_intervals(f.owner()).unwrap(), het.window());
         assert!((a - b).abs() < 1e-6, "{}: {a} vs {b}", f.owner());
     }
 }

@@ -457,3 +457,101 @@ fn a_parse_error_over_the_wire_renders_its_caret() {
     client.close().unwrap();
     net.shutdown();
 }
+
+/// The loop's count of read pauses (`net_read_paused_total`).
+fn read_pauses(server: &ModServer) -> u64 {
+    server
+        .metrics_snapshot(Some("net_read_paused"))
+        .counters
+        .iter()
+        .find(|(n, _)| n == "net_read_paused_total")
+        .map_or(0, |(_, v)| *v)
+}
+
+/// Reads the responses to requests `ids`, in order, each equal to the
+/// in-process answer `expected`.
+fn read_answers(stream: &mut TcpStream, ids: std::ops::RangeInclusive<u64>, expected: &Bits) {
+    for id in ids {
+        match next_frame(stream).expect("response") {
+            Frame::Response { id: got, result } => {
+                assert_eq!(got, id, "responses in request order");
+                assert_eq!(&wire_bits(result.expect("answers")), expected, "id {id}");
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+}
+
+/// A peer that sends `SELECT`s and never reads: once its queued
+/// responses pass the loop's watermark the loop stops reading it, so
+/// the peer's own writes block instead of the server buffering without
+/// bound. The pause is counted, and once the peer reads, every request
+/// it sent is answered, in order, with the in-process answer. Then a
+/// burst that one read takes whole: the loop stops with requests still
+/// buffered and nothing more arriving, so only a write draining the
+/// queue can resume them.
+#[test]
+fn a_peer_that_never_reads_is_paused_then_answered_in_order() {
+    // Every object lies in Tr0's band, so each answer lists all 700
+    // (about 11 KB).
+    let server = ModServer::new();
+    server
+        .register_all((0..700).map(|oid| straight(oid, oid as f64 * 0.001)))
+        .unwrap();
+    let server = Arc::new(server);
+    let expected = local_bits(server.execute(HOT).expect("warms the engine"));
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server)).expect("binds");
+    let mut stream = raw_connection(&net);
+    let before = read_pauses(&server);
+    // Padding fills the socket buffers after fewer requests.
+    let statement = format!("{HOT}{}", " ".repeat(8 * 1024));
+    let request = |id: u64, statement: &str| {
+        let body = WireRequest::Statement(statement.to_string());
+        encode_frame_bytes(&Frame::Request { id, body })
+            .unwrap()
+            .to_vec()
+    };
+    stream.set_nonblocking(true).unwrap();
+    // The socket buffers on both ends hold a few thousand such requests
+    // at most; past that the server would be buffering them.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let (mut sent, mut pending) = (0u64, Vec::new());
+    loop {
+        if pending.is_empty() {
+            assert!(sent < 16_000, "the loop never paused the peer");
+            sent += 1;
+            pending = request(sent, &statement);
+        }
+        match stream.write(&pending) {
+            Ok(n) => drop(pending.drain(..n)),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if read_pauses(&server) > before {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "the loop never paused the peer");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) => panic!("write: {e}"),
+        }
+    }
+    // Finish the frame the blocked write cut, then read everything.
+    stream.set_nonblocking(false).unwrap();
+    let timeout = Some(Duration::from_secs(60));
+    stream.set_read_timeout(timeout).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let finish = std::thread::spawn(move || writer.write_all(&pending).unwrap());
+    read_answers(&mut stream, 1..=sent, &expected);
+    finish.join().unwrap();
+    assert!(sent > 1, "sent {sent}");
+
+    // 150 requests (14 KB) in one write, 1.7 MB of answers: one read
+    // takes the burst whole and its answers pass the watermark, so the
+    // loop stops popping with requests buffered and nothing more to
+    // read. A loop that never resumed them times the reads out.
+    let mut stream = raw_connection(&net);
+    stream.set_read_timeout(timeout).unwrap();
+    let burst: Vec<u8> = (1..=150).flat_map(|id| request(id, HOT)).collect();
+    stream.write_all(&burst).unwrap();
+    read_answers(&mut stream, 1..=150, &expected);
+    net.shutdown();
+}

@@ -91,7 +91,7 @@ proptest! {
         let engine = QueryEngine::new(trs[0].oid(), fs.clone(), radius);
         let w = TimeInterval::new(0.0, 30.0);
         for f in fs.iter().take(3) {
-            let frac = engine.uq13_fraction(f.owner()).unwrap();
+            let frac = window_fraction(&engine.nonzero_intervals(f.owner()).unwrap(), engine.window());
             let sampled =
                 oracle::inside_fraction(&fs, f.owner(), 4.0 * radius, w, 1500)
                     .unwrap();
@@ -109,7 +109,7 @@ proptest! {
         let engine = QueryEngine::new(trs[0].oid(), fs.clone(), 0.5);
         for f in &fs {
             let exists = engine.uq11_exists(f.owner()).unwrap();
-            let frac = engine.uq13_fraction(f.owner()).unwrap();
+            let frac = window_fraction(&engine.nonzero_intervals(f.owner()).unwrap(), engine.window());
             // exists implies measurable fraction can still be ~0 at a
             // tangency; allow the one-sided implication both ways with a
             // tolerance window.

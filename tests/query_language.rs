@@ -46,7 +46,13 @@ fn sql_and_api_agree_on_category_3() {
         QueryOutput::Objects(objs) => objs,
         other => panic!("expected Objects, got {other:?}"),
     };
-    let mut via_api = engine.uq33_all(0.3);
+    let mut via_api: Vec<(Oid, f64)> = engine
+        .answer()
+        .entries()
+        .iter()
+        .filter(|e| Quantifier::AtLeast(0.3).holds(&e.intervals, engine.window()))
+        .map(|e| (e.oid, e.fraction(engine.window())))
+        .collect();
     let mut via_sql_sorted = via_sql.clone();
     via_api.sort_by_key(|(o, _)| *o);
     via_sql_sorted.sort_by_key(|(o, _)| *o);

@@ -10,6 +10,7 @@
 //! `PROB_RNN(…) > 0` (exact band intervals one-shot, sampled rows when
 //! registered).
 
+use proptest::prelude::*;
 use uncertain_nn::core::probrows::probe_time;
 use uncertain_nn::prelude::*;
 
@@ -234,5 +235,76 @@ fn one_target_at_t_is_membership_in_the_whole_mod_answer() {
             }
         }
         assert!(listed > 0, "{pred}: some object must pass the instant rule");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// One semantics for the per-object path and the answer-set path: on
+    /// random fleets, `ModServer::execute`'s verdict under every
+    /// quantifier — for each named object and for the whole MOD, with and
+    /// without `RANK k`, forward and reverse — is `Quantifier`'s rule
+    /// applied to that object's own `nonzero_intervals`, `rank_intervals`
+    /// or `rnn_intervals` (an object the engine does not hold has the
+    /// empty set). The whole MOD lists the objects that qualify at some
+    /// instant and that the rule admits, each with its fraction of the
+    /// window (`1.0` under `FORALL`). A shadow of the query object,
+    /// 0.05 mi beside it, qualifies throughout, so `FORALL` admits
+    /// someone.
+    #[test]
+    fn execute_is_the_rule_over_each_objects_intervals(
+        n in 6usize..12,
+        seed in 0u64..1_000,
+        q in 0u64..6,
+    ) {
+        let s = server(n, seed);
+        let query = s.store().get(Oid(q)).unwrap();
+        let shadow: Vec<_> = query
+            .trajectory()
+            .samples()
+            .iter()
+            .map(|p| (p.position.x + 0.05, p.position.y, p.time))
+            .collect();
+        let shadow = Trajectory::from_triples(Oid(n as u64), &shadow).unwrap();
+        s.register(UncertainTrajectory::with_uniform_pdf(shadow, 0.5).unwrap())
+            .unwrap();
+        let n = n + 1;
+        let window = TimeInterval::new(W.0, W.1);
+        let q_name = Oid(q).to_string();
+        let (engine, _) = s.engine(Oid(q), window).unwrap();
+        let rev = s.reverse_engine(Oid(q), window).unwrap();
+        let quantifiers = [
+            ("EXISTS", Quantifier::Exists),
+            ("FORALL", Quantifier::Forall),
+            ("ATLEAST 30 % OF", Quantifier::AtLeast(0.3)),
+            ("ATLEAST 0 % OF", Quantifier::AtLeast(0.0)),
+            ("AT 23.7", Quantifier::At(23.7)),
+        ];
+        for (quant, rule) in quantifiers {
+            for (pred, rank) in [("PROB_NN", None), ("PROB_NN", Some(1)), ("PROB_NN", Some(2)), ("PROB_RNN", None)] {
+                let intervals = |o: Oid| match (pred, rank) {
+                    ("PROB_RNN", _) => rev.rnn_intervals(o),
+                    (_, None) => engine.nonzero_intervals(o),
+                    (_, Some(k)) => engine.rank_intervals(o, k),
+                }
+                .unwrap_or_default();
+                let w = if pred == "PROB_RNN" { rev.window() } else { engine.window() };
+                let rank = rank.map_or(String::new(), |k| format!(", RANK {k}"));
+                let mut want = Vec::new();
+                for o in (0..n as u64).map(Oid).filter(|&o| o != Oid(q)) {
+                    let iv = intervals(o);
+                    let verdict = rule.holds(&iv, w);
+                    let one = stmt(quant, pred, &o.to_string(), &q_name, &rank, 0.0);
+                    prop_assert_eq!(s.execute(&one).unwrap(), QueryOutput::Boolean(verdict), "{}", one);
+                    if verdict && !iv.is_empty() {
+                        let frac = if rule == Quantifier::Forall { 1.0 } else { window_fraction(&iv, w) };
+                        want.push((o, frac.to_bits()));
+                    }
+                }
+                let star = stmt(quant, pred, "*", &q_name, &rank, 0.0);
+                prop_assert_eq!(bits(&s.execute(&star).unwrap()), Ok(want), "{}", star);
+            }
+        }
     }
 }
