@@ -15,9 +15,11 @@
 //!    structure-of-arrays, sharing one scratch allocation across the whole
 //!    batch and one [`ProfiledPdf`] across every candidate. Per active
 //!    (candidate, outer node) pair that is **one** fused `(P^WD, pdf^WD)`
-//!    evaluation — 32 shared arc nodes, one radical each — at the fixed
-//!    32-point outer order of `unn_prob::nn_prob::NnConfig::default()`;
-//!    there is no density knob.
+//!    evaluation — 24 shared arc nodes, one radical each — at a fixed
+//!    16-point outer order per segment, the segments cut at every kink of
+//!    Eq. 5's integrand (`unn_prob::profile`, "Accuracy"). That is not
+//!    `unn_prob::nn_prob::NnConfig::default()`'s 32 points over segments
+//!    cut only at each `rmin`; there is no density knob.
 //! 3. **Scatter** — callers zip the flat result back into
 //!    [`crate::probrows::ProbRowSet`] columns (or pick the single owner
 //!    they care about).
@@ -29,7 +31,7 @@
 //!
 //! # Memo
 //!
-//! The evaluator works in quadrature blocks — the 32 outer-node values of
+//! The evaluator works in quadrature blocks — the 16 outer-node values of
 //! one candidate distance `d` in one segment `(a, b)` — and can copy any
 //! block whose `(a, b, d)` bits a previous evaluation's
 //! [`BlockList`] holds ([`unn_prob::profile`], "Memo"). A kernel keeps
@@ -45,8 +47,11 @@
 //! first leaves an empty list behind. One-shot sweeps, fresh-kernel
 //! reference evaluations and a share that is never patched therefore
 //! hold no blocks at all; a maintained share holds at most one
-//! evaluation per probe — about `n(n+1)/2` blocks of 536 bytes for a
-//! column of `n` in-band candidates. Reverse (`PROB_RNN`) rows evaluate
+//! evaluation per probe — for a column of `n` in-band candidates, one
+//! block of [`unn_prob::profile::BLOCK_BYTES`] (280) bytes per candidate
+//! and segment it is active in: at most about `3n²` (up to `3n` segments,
+//! cut at each `rmin`, `d` and `S − d`), and 9.4 per row value on
+//! `examples/kernel_digest.rs`'s corpus. Reverse (`PROB_RNN`) rows evaluate
 //! every perspective's column `k` through the same index, so their memo
 //! is bounded the same way but rarely hits.
 //!
@@ -172,8 +177,9 @@ impl ColumnKernel {
         2.0 * self.profile.support_radius()
     }
 
-    /// Quadrature blocks the memo holds over all probe indices (536
-    /// bytes each), read under the memo's lock.
+    /// Quadrature blocks the memo holds over all probe indices
+    /// ([`unn_prob::profile::BLOCK_BYTES`] each), read under the memo's
+    /// lock.
     pub fn memo_blocks(&self) -> usize {
         let memo = self.memo.lock().expect("kernel memo poisoned");
         memo.iter().flatten().map(BlockList::len).sum()

@@ -24,6 +24,7 @@ use unn_core::reverse::ReverseNnEngine;
 use unn_core::threshold::probability_at_kernel;
 use unn_core::topk::KnnAnswer;
 use unn_geom::interval::TimeInterval;
+use unn_prob::profile::BLOCK_BYTES;
 use unn_traj::difference::DifferenceError;
 use unn_traj::trajectory::Oid;
 use unn_traj::uncertain::{common_pdf_kind, UncertainTrajectory};
@@ -480,8 +481,6 @@ impl ModServer {
             snap.gauges
                 .push(("wal_checkpoint_epoch".into(), wal.checkpoint_epoch));
         }
-        // A remembered quadrature block is 536 bytes
-        // (`unn_prob::profile::BlockList`).
         let mut subs = crate::subscription::SubscriptionStats::default();
         let (mut memo_blocks, mut computed, mut copied) = (0, 0, 0);
         for (s, kernel) in self.subscriptions.share_stats() {
@@ -506,8 +505,10 @@ impl ModServer {
             .push(("subs_batched_commits_total".into(), subs.batched_commits));
         snap.counters
             .push(("subs_rows_patched_total".into(), subs.rows_patched));
-        snap.gauges
-            .push(("subs_kernel_memo_bytes".into(), memo_blocks * 536));
+        snap.gauges.push((
+            "subs_kernel_memo_bytes".into(),
+            memo_blocks * BLOCK_BYTES as u64,
+        ));
         snap.gauges
             .push(("subs_kernel_blocks_computed".into(), computed));
         snap.gauges
@@ -1153,7 +1154,7 @@ mod tests {
             .update(tr(7, &[(0.0, 1.4, 0.0), (10.0, 1.4, 10.0)]));
         assert_eq!(s.subscriptions()[0].stats.patched, 2);
         let bytes = memo_bytes(&s);
-        assert!(bytes > 0 && bytes % 536 == 0, "{bytes}");
+        assert!(bytes > 0 && bytes % BLOCK_BYTES as u64 == 0, "{bytes}");
     }
 
     /// The kept kernels' block counts: registration evaluates every

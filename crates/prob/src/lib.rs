@@ -21,6 +21,8 @@
 //! * [`profile`] — [`profile::ProfiledPdf`], the dispatch-free `P^WD` /
 //!   `pdf^WD` kernels (tabulated profiles + endpoint-regularized
 //!   fixed-order quadrature) behind the batched row-maintenance path;
+//! * [`mod@reference`] — the slow, independent Eq. 5 the profiled kernel's
+//!   error is measured against;
 //! * [`monte_carlo`] — a simulation oracle;
 //! * [`discretized`] — the §2.2-IV exclusive/joint decomposition under
 //!   discretization;
@@ -43,6 +45,7 @@ pub mod nn_prob;
 pub mod pdf;
 pub mod profile;
 pub mod quadruple;
+pub mod reference;
 pub mod uniform;
 pub mod uniform_diff;
 pub mod within_distance;

@@ -54,11 +54,72 @@
 //! is where the one-radical form differs most from the two-integral one —
 //! by ≈ 2e-12 on `P^NN`.
 //!
+//! # Accuracy
+//!
+//! Eq. 5's integrand `pdf^WD_i(R) · ∏_{j≠i} (1 − P^WD_j(R))` is smooth
+//! only between the radii where one of its factors changes form. For a
+//! candidate at distance `d` and a pdf of support `S` those are
+//!
+//! * `rmin = max(d − S, 0)`, where its `P^WD` leaves zero;
+//! * `R = d`, where the arc interval's end `|R − d|` turns at zero: the
+//!   circle of radius `R` passes through the pdf's centre, where the
+//!   uniform difference pdf has its cone-shaped peak (the paper's Eq. 7);
+//! * `R = S − d` (for `d < S`), where the circle first reaches the edge
+//!   of the support;
+//!
+//! and the end of the integral, `global_rmax = min_j (d_j + S)`, where
+//! the nearest candidate is inside for sure. [`nn_probabilities_profiled`]
+//! cuts its segments at every one of these that lies in
+//! `(0, global_rmax)` and integrates each segment with an `OUTER`-point
+//! Gauss–Legendre rule. Cut only at the `rmin`s, the kernel's error fell
+//! only ≈ 9× per doubling of the order, and 32 outer and 32 arc nodes
+//! left 2.1e-5 on `P^NN`.
+//!
+//! Measured against [`crate::reference::nn_probabilities`] (the same
+//! table, its own cut placement: 64 panels of 16 nodes per `rmin`
+//! segment, 128 arc nodes) on `examples/kernel_digest.rs`'s corpus —
+//! 512 columns, 4 949 values — for the uniform difference pdf (r = 0.5)
+//! and, on the same columns, the truncated-Gaussian one (r = 0.5,
+//! σ = 0.2); the time is the 512 uniform columns evaluated cold, median
+//! of six interleaved runs on one core of a 2-vCPU Xeon:
+//!
+//! ```text
+//! OUTER / INNER            max |ΔP^NN| uniform   Gaussian   cold time
+//! 32 / 32, rmin cuts only  2.1e-5                 8.9e-6     236 ms
+//! 12 / 24                  1.5e-7                 4.9e-7
+//! 16 / 16                  1.4e-7                 3.6e-7     101 ms
+//! 16 / 20                  3.8e-8                 2.9e-7     123 ms
+//! 16 / 24                  3.1e-8                 2.9e-7     148 ms
+//! 16 / 28                  3.0e-8                 3.2e-7     165 ms
+//! 16 / 32                  2.8e-8                 2.2e-7     218 ms
+//! 20 / 24                  1.3e-8                 4.5e-7
+//! 24 / 24                  1.3e-8                 2.0e-7
+//! 32 / 32                  3.1e-9                 2.1e-7
+//! ```
+//!
+//! (The first row is the kernel before the cuts, on the tables of the
+//! time: a trapezoid CDF beside the lerped density in [`ProfiledPdf::of`],
+//! and for the Gaussian a convolution integrated with one plain rule
+//! across the support's edge. The other rows read today's tables.)
+//! `OUTER = 16` is the smallest outer order that keeps the
+//! uniform columns within 1e-7 (the gate of `tests/kernel_corpus.rs`),
+//! with a 3× margin. `INNER = 24` is the smallest arc order past which
+//! more arc nodes stop mattering: 20 → 24 moves the uniform error by
+//! 17 %, 24 → 28 by 4 %. With the cuts the error still falls only
+//! algebraically, ≈ 10× per doubling of both orders (16/24 → 32/32),
+//! which points at the fractional-power behaviour of `P^WD` just above
+//! `rmin`: a cut cannot remove it, a substitution at the segment's end
+//! could. The Gaussian columns stay between 2e-7 and 5e-7 at every order
+//! tried, without a trend: that floor is the table (a 512-point
+//! convolution, interpolated linearly). Over
+//! the corpus, `|Σ P^NN − 1|` is at most 5.5e-8 (uniform) and 2.8e-7
+//! (Gaussian).
+//!
 //! # Determinism
 //!
 //! Cold and maintained answers, leaders and followers must produce the
 //! same **bits**, on whatever CPU each runs. The node loop is therefore
-//! staged over fixed `[f64; 32]` arrays in plain safe Rust so that the
+//! staged over fixed `[f64; INNER]` arrays in plain safe Rust so that the
 //! baseline x86-64 target already vectorises it, and uses only
 //! correctly-rounded IEEE operations (`+ − × ÷ √`) in an order fixed by the
 //! source: no fused multiply-add (it rounds once where `a*b + c` rounds
@@ -74,7 +135,7 @@
 //!
 //! Eq. 5 over a column is a sum over the segments `(a, b)` between sorted
 //! boundaries, and inside a segment every candidate `d` contributes the
-//! `(P^WD, pdf^WD)` values at the segment's 32 outer nodes. Those 64
+//! `(P^WD, pdf^WD)` values at the segment's `OUTER` (16) nodes. Those 32
 //! numbers — one **block** — depend on nothing but the profile and the
 //! bits of `(a, b, d)`: the nodes are `(a+b)/2 + (b−a)/2 · x_j`, a node at
 //! or below `max(d − S, 0)` contributes zero, and every other value is
@@ -94,11 +155,15 @@
 //! writes holds only the blocks of its own column, which bounds it at one
 //! evaluation. A list is only meaningful under the profile that wrote it
 //! (`unn_core::kernel::ColumnKernel` keeps one per probe index next to its
-//! profile). When a candidate enters or leaves a column, the segment its
-//! `rmin` cuts (and, for a new nearest candidate, the last one) changes
-//! its `(a, b)` and is recomputed, as is the candidate's own block in
-//! every other segment; all the other blocks keep their keys and are
-//! copied.
+//! profile). When a candidate enters or leaves a column, each of the
+//! segments its three cuts (`rmin`, `d` and `S − d`, those that fall below
+//! `global_rmax`) split or join changes its `(a, b)` and is recomputed for
+//! every candidate active in it, as is the candidate's own block in every
+//! other segment; a new nearest candidate also moves `global_rmax`, which
+//! recomputes the last segment and drops the cuts above it. All the
+//! other blocks keep their keys and are copied. A column of `n`
+//! candidates has at most `3n` segments, so a list holds at most about
+//! `3n²` blocks of [`BLOCK_BYTES`] (280) bytes.
 
 use crate::integrate::GaussLegendre;
 use crate::pdf::RadialPdf;
@@ -111,52 +176,58 @@ use std::sync::OnceLock;
 /// Radial resolution of the tabulated profile (number of grid intervals).
 const GRID: usize = 2048;
 
-/// Fixed Gauss–Legendre order of both quadratures: the outer rule of
-/// Eq. 5 (matching `NnConfig::default()`) and the endpoint-regularized
-/// arc rule inside every `(P^WD, pdf^WD)` pair.
-const ORDER: usize = 32;
+/// Gauss–Legendre order of Eq. 5's outer rule on every segment, and so
+/// the width of a block (module docs, "Accuracy").
+const OUTER: usize = 16;
 
-/// Interleaved accumulator lanes of the node sums (see the module docs).
+/// Order of the endpoint-regularized arc rule inside every `(P^WD,
+/// pdf^WD)` pair (module docs, "Accuracy").
+const INNER: usize = 24;
+
+/// Interleaved accumulator lanes of the arc sums (see the module docs).
 const LANES: usize = 4;
 const _: () = assert!(
-    LANES == 4 && ORDER % LANES == 0,
+    LANES == 4 && INNER % LANES == 0,
     "the lane fold is written out"
 );
 
 /// The two fixed-order rules of the column kernel, built once per process.
 ///
-/// `x`/`w` are the plain Gauss–Legendre nodes and weights on `[-1, 1]`.
-/// `frac`/`cofrac`/`wgt` are the same rule pre-substituted with
+/// `x`/`w` are the plain `OUTER`-point Gauss–Legendre nodes and weights on
+/// `[-1, 1]`. `frac`/`cofrac`/`wgt` are the `INNER`-point rule
+/// pre-substituted with
 /// `s = lo + (hi−lo)·sin²u`:
 /// `∫_lo^hi F(s) ds = (hi−lo) · Σ_j wgt_j · F(lo + (hi−lo)·frac_j)`, with
 /// `frac_j = sin²u_j` and `cofrac_j = cos²u_j` (so `hi − s_j` is
 /// `(hi−lo)·cofrac_j`). The substitution turns inverse-square-root
 /// endpoint singularities into analytic integrands.
 struct KernelRules {
-    x: [f64; ORDER],
-    w: [f64; ORDER],
-    frac: [f64; ORDER],
-    cofrac: [f64; ORDER],
-    wgt: [f64; ORDER],
+    x: [f64; OUTER],
+    w: [f64; OUTER],
+    frac: [f64; INNER],
+    cofrac: [f64; INNER],
+    wgt: [f64; INNER],
 }
 
 fn kernel_rules() -> &'static KernelRules {
     static RULES: OnceLock<KernelRules> = OnceLock::new();
     RULES.get_or_init(|| {
-        let gl = GaussLegendre::new(ORDER);
+        let outer = GaussLegendre::new(OUTER);
+        let inner = GaussLegendre::new(INNER);
         let mut rules = KernelRules {
-            x: [0.0; ORDER],
-            w: [0.0; ORDER],
-            frac: [0.0; ORDER],
-            cofrac: [0.0; ORDER],
-            wgt: [0.0; ORDER],
+            x: [0.0; OUTER],
+            w: [0.0; OUTER],
+            frac: [0.0; INNER],
+            cofrac: [0.0; INNER],
+            wgt: [0.0; INNER],
         };
-        for k in 0..ORDER {
-            let (x, w) = gl.node_weight(k);
+        for k in 0..OUTER {
+            (rules.x[k], rules.w[k]) = outer.node_weight(k);
+        }
+        for k in 0..INNER {
+            let (x, w) = inner.node_weight(k);
             // Map [-1, 1] -> u in [0, π/2].
             let u = 0.25 * PI * (x + 1.0);
-            rules.x[k] = x;
-            rules.w[k] = w;
             rules.frac[k] = u.sin() * u.sin();
             rules.cofrac[k] = u.cos() * u.cos();
             rules.wgt[k] = 0.25 * PI * w * (2.0 * u).sin();
@@ -231,21 +302,24 @@ impl ProfiledPdf {
         let mut table: Vec<GridPoint> = (0..=GRID)
             .map(|k| [0.0, pdf.density(k as f64 * step).max(0.0)])
             .collect();
-        // Trapezoid-accumulated radial CDF of f(s)·2πs, normalized so the
-        // profile carries exactly unit mass (same idiom as the precomputed
-        // CDF in `uniform_diff`).
+        // The radial CDF is the exact integral of the table's own density:
+        // over a cell where f runs linearly from f0 to f1,
+        // ∫ f(s)·2πs ds = 2π·h·(s0·(f0 + f1)/2 + h·(f0 + 2·f1)/6). Both
+        // columns are then divided by the total, so the profile carries
+        // exactly unit mass and `P^WD` stays the integral of `pdf^WD` —
+        // which Eq. 5 needs to sum to one. (A trapezoid CDF beside the
+        // lerped density differs from it by `h²·f(0)/6` in mass.)
         let mut acc = 0.0;
         for k in 1..=GRID {
             let s0 = (k - 1) as f64 * step;
-            let s1 = k as f64 * step;
-            let f0 = table[k - 1][1] * 2.0 * PI * s0;
-            let f1 = table[k][1] * 2.0 * PI * s1;
-            acc += 0.5 * (f0 + f1) * step;
+            let (f0, f1) = (table[k - 1][1], table[k][1]);
+            acc += 2.0 * PI * step * (s0 * 0.5 * (f0 + f1) + step * (f0 + 2.0 * f1) / 6.0);
             table[k][0] = acc;
         }
         let total = acc.max(f64::MIN_POSITIVE);
         for point in &mut table {
             point[0] /= total;
+            point[1] /= total;
         }
         ProfiledPdf {
             support,
@@ -307,7 +381,7 @@ impl ProfiledPdf {
 
     /// The fused tabulated evaluator (module docs): the full-circle CDF
     /// lookup, the truncated-arc boundary term, and one staged pass over
-    /// the 32 shared nodes feeding both sums from one radical.
+    /// the `INNER` shared nodes feeding both sums from one radical.
     fn pwd_pair_tabulated(
         &self,
         table: &[GridPoint; GRID + 1],
@@ -355,10 +429,10 @@ impl ProfiledPdf {
         //   pw_j = wgt_j · (s² − d² + R²) / (s·H)    (× (M(s) − M(lo)) / π)
         //   dw_j = wgt_j · s² / (s·H)                (× f(s) · 4R)
         let r2_minus_d2 = (rd - d) * sum;
-        let mut s = [0.0; ORDER];
-        let mut pw = [0.0; ORDER];
-        let mut dw = [0.0; ORDER];
-        for j in 0..ORDER {
+        let mut s = [0.0; INNER];
+        let mut pw = [0.0; INNER];
+        let mut dw = [0.0; INNER];
+        for j in 0..INNER {
             let below = len * rules.frac[j];
             let sj = lo + below;
             let above = top + len * rules.cofrac[j];
@@ -375,9 +449,9 @@ impl ProfiledPdf {
         }
         // Stage 2 — one table lerp per node for both M(s) and f(s); the
         // only stage that cannot vectorise (it gathers).
-        let mut m = [0.0; ORDER];
-        let mut f = [0.0; ORDER];
-        for j in 0..ORDER {
+        let mut m = [0.0; INNER];
+        let mut f = [0.0; INNER];
+        for j in 0..INNER {
             (m[j], f[j]) = lerp_raw(table, inv_step, s[j]);
         }
         // Stage 3 — the pdf rules `lerp_raw` leaves to its caller, as
@@ -385,7 +459,7 @@ impl ProfiledPdf {
         // interleaved accumulators.
         let mut p_acc = [0.0; LANES];
         let mut d_acc = [0.0; LANES];
-        for j in (0..ORDER).step_by(LANES) {
+        for j in (0..INNER).step_by(LANES) {
             for l in 0..LANES {
                 let inside = s[j + l] < s_max;
                 let mj = if inside {
@@ -406,16 +480,20 @@ impl ProfiledPdf {
 }
 
 /// One quadrature block: `(P^WD, pdf^WD)` of one candidate distance `d`
-/// at the 32 outer nodes of one segment `(a, b)` of the sorted-boundary
+/// at the `OUTER` nodes of one segment `(a, b)` of the sorted-boundary
 /// decomposition — zero at the nodes at or below the candidate's
 /// `rmin = max(d − S, 0)`. A pure function of `(profile, a, b, d)`.
 #[derive(Clone, Copy)]
 struct Block {
     /// `(a, b, d)`: everything the values depend on besides the profile.
     key: [f64; 3],
-    pwd: [f64; ORDER],
-    dens: [f64; ORDER],
+    pwd: [f64; OUTER],
+    dens: [f64; OUTER],
 }
+
+/// Bytes of one remembered block: what a [`BlockList`] holds per
+/// [`BlockList::len`].
+pub const BLOCK_BYTES: usize = std::mem::size_of::<Block>();
 
 /// `slot` value of a candidate with no block in the current segment
 /// (`rmin` at or above every node: all values zero).
@@ -443,13 +521,13 @@ pub struct BlockList {
     order: Vec<usize>,
     /// Per candidate, its block in `blocks` for the current segment.
     slot: Vec<usize>,
-    /// Per candidate and node (`ORDER` lanes each), the survival product
+    /// Per candidate and node (`OUTER` lanes each), the survival product
     /// of the candidates after it in the current segment.
     suffix: Vec<f64>,
 }
 
 impl BlockList {
-    /// Number of blocks held (536 bytes each).
+    /// Number of blocks held ([`BLOCK_BYTES`] each).
     pub fn len(&self) -> usize {
         self.blocks.len()
     }
@@ -486,12 +564,13 @@ impl fmt::Debug for BlockList {
     }
 }
 
-/// Eq. 5 over a profiled pdf: the same sorted-boundary decomposition as
-/// [`crate::nn_prob::nn_probabilities`] (§2.2-III) at the same 32-point
-/// outer order, with every candidate sharing the one profiled difference
-/// pdf, one fused `(P^WD, pdf^WD)` evaluation per active (candidate, node)
-/// pair, and all per-node state held in flat scratch arrays — no virtual
-/// dispatch and no lock anywhere in the loops.
+/// Eq. 5 over a profiled pdf: the sorted-boundary decomposition of
+/// [`crate::nn_prob::nn_probabilities`] (§2.2-III), cut further at the
+/// integrand's kinks (module docs, "Accuracy") and integrated at the
+/// `OUTER`-point order per segment, with every candidate sharing the one
+/// profiled difference pdf, one fused `(P^WD, pdf^WD)` evaluation per
+/// active (candidate, node) pair, and all per-node state held in flat
+/// scratch arrays — no virtual dispatch and no lock anywhere in the loops.
 ///
 /// `dists` are the candidate center distances; the result (written into
 /// `out`, cleared first) is index-aligned with them. The pairs are
@@ -557,8 +636,16 @@ fn nn_probabilities_over(
         .iter()
         .map(|&d| d + support)
         .fold(f64::INFINITY, f64::min);
+    // Cut wherever the integrand is not smooth (module docs, "Accuracy").
     cuts.clear();
     cuts.extend(rmin.iter().copied().filter(|&r| r < global_rmax));
+    for &d in dists {
+        for cut in [d, support - d] {
+            if cut > 0.0 && cut < global_rmax {
+                cuts.push(cut);
+            }
+        }
+    }
     cuts.push(global_rmax);
     cuts.sort_by(f64::total_cmp);
     cuts.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
@@ -570,7 +657,7 @@ fn nn_probabilities_over(
     slot.clear();
     slot.resize(n, NO_BLOCK);
     suffix.clear();
-    suffix.resize((n + 1) * ORDER, 0.0);
+    suffix.resize((n + 1) * OUTER, 0.0);
 
     let mut computed = 0;
     // Both lists ascend by key, so one forward cursor finds every block
@@ -583,7 +670,7 @@ fn nn_probabilities_over(
         }
         let half = 0.5 * (b - a);
         let mid = 0.5 * (a + b);
-        let r: [f64; ORDER] = std::array::from_fn(|j| mid + half * rules.x[j]);
+        let r: [f64; OUTER] = std::array::from_fn(|j| mid + half * rules.x[j]);
         let r_top = r.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         // The segment's blocks, ascending by distance: one per distinct
         // `d` with a node above its `rmin`, copied or computed.
@@ -613,8 +700,8 @@ fn nn_probabilities_over(
                     computed += 1;
                     let mut block = Block {
                         key,
-                        pwd: [0.0; ORDER],
-                        dens: [0.0; ORDER],
+                        pwd: [0.0; OUTER],
+                        dens: [0.0; OUTER],
                     };
                     for (j, &rj) in r.iter().enumerate() {
                         if rmin[i] >= rj {
@@ -628,7 +715,7 @@ fn nn_probabilities_over(
             slot[i] = blocks.len();
             blocks.push(block);
         }
-        // The node loop, lane-major: the 32 nodes are the lanes of one
+        // The node loop, lane-major: the `OUTER` nodes are the lanes of one
         // pass over the candidates. `suffix` holds, per candidate `i`,
         // the survival product of the candidates after it at every node;
         // `prefix` runs forward over the candidates before it. A
@@ -637,11 +724,11 @@ fn nn_probabilities_over(
         // passed over. Every product and every `out[i]` addition is the
         // node-major loop's, in its order: node `j`'s term still reaches
         // `out[i]` before node `j + 1`'s.
-        let wh: [f64; ORDER] = std::array::from_fn(|j| rules.w[j] * half);
-        suffix[n * ORDER..].fill(1.0);
+        let wh: [f64; OUTER] = std::array::from_fn(|j| rules.w[j] * half);
+        suffix[n * OUTER..].fill(1.0);
         for i in (0..n).rev() {
-            let (done, open) = suffix.split_at_mut((i + 1) * ORDER);
-            let (cur, after) = (&mut done[i * ORDER..], &open[..ORDER]);
+            let (done, open) = suffix.split_at_mut((i + 1) * OUTER);
+            let (cur, after) = (&mut done[i * OUTER..], &open[..OUTER]);
             match blocks.get(slot[i]) {
                 Some(blk) => {
                     for ((c, &a), &w) in cur.iter_mut().zip(after).zip(&blk.pwd) {
@@ -651,13 +738,13 @@ fn nn_probabilities_over(
                 None => cur.copy_from_slice(after),
             }
         }
-        let mut prefix = [1.0; ORDER];
+        let mut prefix = [1.0; OUTER];
         for i in 0..n {
             let Some(blk) = blocks.get(slot[i]) else {
                 continue;
             };
-            let after = &suffix[(i + 1) * ORDER..(i + 2) * ORDER];
-            let term: [f64; ORDER] =
+            let after = &suffix[(i + 1) * OUTER..(i + 2) * OUTER];
+            let term: [f64; OUTER] =
                 std::array::from_fn(|j| wh[j] * blk.dens[j] * prefix[j] * after[j]);
             for (&t, &f) in term.iter().zip(&blk.dens) {
                 if f > 0.0 {
@@ -681,88 +768,18 @@ mod tests {
     use crate::integrate::shared_rule;
     use crate::nn_prob::{nn_probabilities, NnCandidate, NnConfig};
     use crate::pdf::PdfKind;
+    use crate::reference::{self, ArcRule};
     use crate::uniform::UniformDiskPdf;
     use crate::uniform_diff::UniformDifferencePdf;
     use crate::within_distance::{within_distance, within_distance_density};
     use proptest::prelude::*;
 
     /// The oracle: the two separate arc integrals the fused evaluator
-    /// replaced, kept verbatim — `(1−c)(1+c)` from a rounded cosine, one
-    /// `sqrt` per integrand, sequential sums.
-    impl ProfiledPdf {
-        fn pwd_tabulated(&self, d: f64, rd: f64) -> f64 {
-            let s_max = self.support;
-            if rd <= 0.0 || d - s_max >= rd {
-                return 0.0;
-            }
-            if d + s_max <= rd {
-                return 1.0;
-            }
-            if d == 0.0 {
-                return self.mass_within(rd);
-            }
-            let full_mass = if rd > d {
-                self.mass_within(rd - d)
-            } else {
-                0.0
-            };
-            let mut acc = full_mass;
-            let lo = (rd - d).abs();
-            let hi = s_max.min(rd + d);
-            if hi > lo {
-                let len = hi - lo;
-                let m_lo = self.mass_within(lo);
-                let inv_2pi = 1.0 / (2.0 * PI);
-                if hi < rd + d {
-                    let c_hi = ((d * d + hi * hi - rd * rd) / (2.0 * d * hi)).clamp(-1.0, 1.0);
-                    let theta_hi = 2.0 * c_hi.acos();
-                    acc += theta_hi * (self.mass_within(hi) - m_lo) * inv_2pi;
-                }
-                let rule = kernel_rules();
-                let mut sum = 0.0;
-                for (frac, wgt) in rule.frac.iter().zip(&rule.wgt) {
-                    let s = lo + len * frac;
-                    let c = (d * d + s * s - rd * rd) / (2.0 * d * s);
-                    let one_minus_c2 = ((1.0 - c) * (1.0 + c)).max(0.0);
-                    if one_minus_c2 <= 0.0 {
-                        continue;
-                    }
-                    let cp = (s * s - d * d + rd * rd) / (2.0 * d * s * s);
-                    let g = (self.mass_within(s) - m_lo) * inv_2pi;
-                    sum += wgt * 2.0 * cp / one_minus_c2.sqrt() * g;
-                }
-                acc += sum * len;
-            }
-            acc.clamp(0.0, 1.0)
-        }
-
-        fn pwd_density_tabulated(&self, d: f64, rd: f64) -> f64 {
-            let s_max = self.support;
-            if rd <= 0.0 || (rd - d).abs() >= s_max {
-                return 0.0;
-            }
-            if d == 0.0 {
-                return self.density(rd) * 2.0 * PI * rd;
-            }
-            let lo = (rd - d).abs();
-            let hi = s_max.min(rd + d);
-            if hi <= lo {
-                return 0.0;
-            }
-            let len = hi - lo;
-            let rule = kernel_rules();
-            let mut sum = 0.0;
-            for (frac, wgt) in rule.frac.iter().zip(&rule.wgt) {
-                let s = lo + len * frac;
-                let q = (rd * rd + d * d - s * s) / (2.0 * rd * d);
-                let one_minus_q2 = ((1.0 - q) * (1.0 + q)).max(0.0);
-                if one_minus_q2 <= 0.0 {
-                    continue;
-                }
-                sum += wgt * self.density(s) * s / one_minus_q2.sqrt();
-            }
-            (2.0 / d * sum * len).max(0.0)
-        }
+    /// replaced — `(1−c)(1+c)` from a rounded cosine, one `sqrt` per
+    /// integrand, sequential sums — on the kernel's own arc rule.
+    fn two_integrals(prof: &ProfiledPdf, d: f64, rd: f64) -> (f64, f64) {
+        static RULE: OnceLock<ArcRule> = OnceLock::new();
+        reference::pair(prof, d, rd, RULE.get_or_init(|| ArcRule::new(INNER)))
     }
 
     /// The oracle's Eq. 5: the same decomposition over the two separate
@@ -776,7 +793,7 @@ mod tests {
             &BlockList::default(),
             &mut BlockList::default(),
             &mut out,
-            |d, r| (pdf.pwd_tabulated(d, r), pdf.pwd_density_tabulated(d, r)),
+            |d, r| two_integrals(pdf, d, r),
         );
         out
     }
@@ -970,12 +987,19 @@ mod tests {
     #[test]
     fn kernel_rules_are_the_shared_gauss_legendre_rule() {
         // The kernel's private tables must not drift from the interned
-        // rule every other Eq. 5 evaluator draws its nodes from.
-        let (rules, gl) = (kernel_rules(), shared_rule(ORDER));
-        for k in 0..ORDER {
+        // rules every other evaluator draws its nodes from: the outer
+        // rule, and the substituted arc rule of the two-integral oracle.
+        let (rules, gl) = (kernel_rules(), shared_rule(OUTER));
+        for k in 0..OUTER {
             let (x, w) = gl.node_weight(k);
             assert_eq!(rules.x[k].to_bits(), x.to_bits());
             assert_eq!(rules.w[k].to_bits(), w.to_bits());
+        }
+        let arc = ArcRule::new(INNER);
+        assert_eq!(arc.nodes().count(), INNER);
+        for (k, (frac, wgt)) in arc.nodes().enumerate() {
+            assert_eq!(rules.frac[k].to_bits(), frac.to_bits());
+            assert_eq!(rules.wgt[k].to_bits(), wgt.to_bits());
             assert!((rules.frac[k] + rules.cofrac[k] - 1.0).abs() < 4.0 * f64::EPSILON);
         }
     }
@@ -1015,7 +1039,7 @@ mod tests {
                 ] {
                     let (p, f) = pair(d, rd);
                     assert!((0.0..=1.0).contains(&p) && f >= 0.0, "({d}, {rd})");
-                    let (p0, f0) = (prof.pwd_tabulated(d, rd), prof.pwd_density_tabulated(d, rd));
+                    let (p0, f0) = two_integrals(prof, d, rd);
                     assert!((p - p0).abs() < 1e-12, "P^WD({d}, {rd}): {p} vs {p0}");
                     // Widest at d == R = 17 (6e-9): there `q = 1 − s²/2Rd`
                     // and the oracle's `1 − q` keeps three digits at the
@@ -1098,9 +1122,12 @@ mod tests {
     }
 
     #[test]
-    fn a_block_is_536_bytes() {
-        // The per-share memory formula in docs/OPERATIONS.md counts this.
-        assert_eq!(std::mem::size_of::<Block>(), 536);
+    fn block_bytes_is_a_key_and_two_value_rows() {
+        // The per-share memory formula in docs/OPERATIONS.md and the
+        // `subs_kernel_memo_bytes` gauge count this: the `(a, b, d)` key
+        // and `OUTER` values each of `P^WD` and `pdf^WD`, no padding.
+        assert_eq!(BLOCK_BYTES, 8 * (3 + 2 * OUTER));
+        assert_eq!(BLOCK_BYTES, 280);
     }
 
     #[test]
@@ -1108,8 +1135,12 @@ mod tests {
         for prof in both_profiles() {
             let dists = [0.4, 0.9, 1.7, 2.1, 2.1, 2.35];
             let (want, list) = cold(prof, &dists);
-            // Six candidates, one tie: at most 5·6/2 distinct blocks.
-            assert!(!list.is_empty() && list.len() <= 15, "{list:?}");
+            // Support 2: the cuts are the `rmin`s 0, 0.1, 0.35, the five
+            // distinct `d`s, the `S − d`s 0.3, 1.1, 1.6 and `global_rmax`
+            // 2.4 — eleven segments. A distance has a block in every
+            // segment above its `rmin`, a tie shares one: 3 + 4 + 4 in the
+            // three segments below 0.35, then 5 in each of the other eight.
+            assert_eq!(list.len(), 3 + 4 + 4 + 8 * 5, "{list:?}");
             let ((got, again), computed) = warm(prof, &dists, &list);
             assert_eq!(computed, 0);
             assert_eq!(bits(&got), bits(&want));

@@ -20,7 +20,7 @@
 //! query object's own path. From its second evaluation on, a probe column
 //! reads back the quadrature blocks the kernel remembers
 //! (`unn_core::kernel`, "Memo"); every row set is checked `to_bits`
-//! against a fresh kernel's before it is hashed.
+//! against a fresh kernel's before it is hashed. CI pins it too.
 //!
 //! The third line hashes the `UQ31` answers of the same four queries'
 //! cold engines: every `(object, interval start, interval end)` as bits.

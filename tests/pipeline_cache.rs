@@ -100,10 +100,21 @@ fn register_and_unregister_bump_the_epoch_and_force_rebuild() {
 fn cached_and_cold_answers_are_identical_across_uq_variants() {
     let s = server(40, 13);
     let w = TimeInterval::new(0.0, 60.0);
-    let (cold, stats) = s.engine(Oid(0), w).unwrap();
+    let (_, stats) = s.engine(Oid(0), w).unwrap();
     assert!(!stats.cache_hit);
     let (cached, stats) = s.engine(Oid(0), w).unwrap();
     assert!(stats.cache_hit);
+    // The cold side is built outside the cache, over the same snapshot.
+    let cold = QueryPlanner::default()
+        .plan(s.store().snapshot(), Oid(0), w)
+        .unwrap()
+        .build_engine()
+        .map(Arc::new)
+        .unwrap();
+    assert!(
+        !Arc::ptr_eq(&cold, &cached),
+        "the cold engine is a second build"
+    );
     let oids: Vec<Oid> = s.store().oids();
     // Every quantifier decides one of these answer values, so equal bits
     // here are equal verdicts under every quantifier.
