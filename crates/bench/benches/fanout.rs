@@ -655,5 +655,5 @@ fn main() {
          {city_small}-subscription round (must be <= 10x: the guard index should \
          make unaffected rounds population-independent)"
     );
-    criterion::write_report(env!("CARGO_MANIFEST_DIR"));
+    criterion::write_report(env!("CARGO_MANIFEST_DIR"), env!("CARGO_CRATE_NAME"));
 }

@@ -153,5 +153,5 @@ fn main() {
         println!("telemetry smoke ok");
         return;
     }
-    criterion::write_report(env!("CARGO_MANIFEST_DIR"));
+    criterion::write_report(env!("CARGO_MANIFEST_DIR"), env!("CARGO_CRATE_NAME"));
 }

@@ -8,8 +8,10 @@
 //! vendors this shim as a path dependency. Measurement is deliberately
 //! simple — median wall-clock time per iteration over a handful of
 //! samples — and every run appends its results to a
-//! `BENCH_<binary>.json` file at the workspace root so benchmark history
-//! can be tracked without the real criterion's estimator machinery.
+//! `BENCH_<bench target>.json` file at the workspace root so benchmark
+//! history can be tracked without the real criterion's estimator
+//! machinery. The name is the bench target's crate name, fixed at
+//! compile time, so a copied or renamed binary writes the same file.
 //!
 //! Like the real criterion, passing `--test` (as in
 //! `cargo bench --bench foo -- --test`) runs every benchmark closure
@@ -246,9 +248,10 @@ pub fn report_ns(id: impl Into<String>, ns: f64) {
 }
 
 /// Writes the report for a custom `fn main()` bench that cannot use
-/// [`criterion_main!`]. Pass `env!("CARGO_MANIFEST_DIR")`.
-pub fn write_report(manifest_dir: &str) {
-    __write_report(manifest_dir);
+/// [`criterion_main!`]. Pass `env!("CARGO_MANIFEST_DIR")` and
+/// `env!("CARGO_CRATE_NAME")`.
+pub fn write_report(manifest_dir: &str, crate_name: &str) {
+    __write_report(manifest_dir, crate_name);
 }
 
 fn run_benchmark<F: FnMut(&mut Bencher)>(
@@ -293,38 +296,25 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Writes the collected results as `BENCH_<binary>.json` two directories
-/// above `manifest_dir` (the workspace root for member crates). Called by
+/// The report of bench target `crate_name`: `BENCH_<crate_name>.json`
+/// two directories above `manifest_dir` (the workspace root for member
+/// crates).
+fn report_path(manifest_dir: &str, crate_name: &str) -> std::path::PathBuf {
+    let mut root = std::path::PathBuf::from(manifest_dir);
+    root.pop();
+    root.pop();
+    root.join(format!("BENCH_{crate_name}.json"))
+}
+
+/// Writes the collected results to [`report_path`]. Called by
 /// `criterion_main!`; not part of the real criterion API.
 #[doc(hidden)]
-pub fn __write_report(manifest_dir: &str) {
+pub fn __write_report(manifest_dir: &str, crate_name: &str) {
     let results = RESULTS.lock().unwrap();
     if results.is_empty() {
         return;
     }
-    let stem = std::env::args()
-        .next()
-        .and_then(|p| {
-            std::path::Path::new(&p)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-        })
-        .map(|s| {
-            // Cargo appends a `-<hash>` to bench binaries.
-            match s.rsplit_once('-') {
-                Some((base, tail))
-                    if tail.len() == 16 && tail.bytes().all(|b| b.is_ascii_hexdigit()) =>
-                {
-                    base.to_string()
-                }
-                _ => s,
-            }
-        })
-        .unwrap_or_else(|| "bench".to_string());
-    let mut root = std::path::PathBuf::from(manifest_dir);
-    root.pop();
-    root.pop();
-    let path = root.join(format!("BENCH_{stem}.json"));
+    let path = report_path(manifest_dir, crate_name);
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
@@ -363,7 +353,7 @@ macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $( $group(); )+
-            $crate::__write_report(env!("CARGO_MANIFEST_DIR"));
+            $crate::__write_report(env!("CARGO_MANIFEST_DIR"), env!("CARGO_CRATE_NAME"));
         }
     };
 }
@@ -371,6 +361,22 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_report_is_named_after_the_bench_target() {
+        assert_eq!(
+            report_path("/ws/crates/bench", "probability_kernels"),
+            std::path::Path::new("/ws/BENCH_probability_kernels.json")
+        );
+        // What a bench target passes: its crate name, whatever the
+        // binary on disk is called (this one has a `-<hash>` suffix).
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = manifest.parent().and_then(|p| p.parent()).unwrap();
+        assert_eq!(
+            report_path(env!("CARGO_MANIFEST_DIR"), env!("CARGO_CRATE_NAME")),
+            root.join("BENCH_criterion.json")
+        );
+    }
 
     #[test]
     fn bencher_records_a_measurement() {

@@ -15,11 +15,12 @@
 //!    structure-of-arrays, sharing one scratch allocation across the whole
 //!    batch and one [`ProfiledPdf`] across every candidate. Per active
 //!    (candidate, outer node) pair that is **one** fused `(P^WD, pdf^WD)`
-//!    evaluation — 24 shared arc nodes, one radical each — at a fixed
-//!    16-point outer order per segment, the segments cut at every kink of
-//!    Eq. 5's integrand (`unn_prob::profile`, "Accuracy"). That is not
-//!    `unn_prob::nn_prob::NnConfig::default()`'s 32 points over segments
-//!    cut only at each `rmin`; there is no density knob.
+//!    evaluation — 24 shared arc nodes, one radical each — at 4, 8 or
+//!    16 outer nodes per segment, picked from the segment's length, the
+//!    segments cut at every kink of Eq. 5's integrand (`unn_prob::profile`,
+//!    "Accuracy"). That is not `unn_prob::nn_prob::NnConfig::default()`'s
+//!    32 points over segments cut only at each `rmin`; there is no
+//!    density knob.
 //! 3. **Scatter** — callers zip the flat result back into
 //!    [`crate::probrows::ProbRowSet`] columns (or pick the single owner
 //!    they care about).
@@ -31,8 +32,9 @@
 //!
 //! # Memo
 //!
-//! The evaluator works in quadrature blocks — the 16 outer-node values of
-//! one candidate distance `d` in one segment `(a, b)` — and can copy any
+//! The evaluator works in quadrature blocks — the outer-node values of
+//! one candidate distance `d` in one segment `(a, b)`, 4, 8 or 16 nodes
+//! as the segment's length has it — and can copy any
 //! block whose `(a, b, d)` bits a previous evaluation's
 //! [`BlockList`] holds ([`unn_prob::profile`], "Memo"). A kernel keeps
 //! one such list per **probe index**: evaluating column `k` reads the
@@ -48,10 +50,11 @@
 //! reference evaluations and a share that is never patched therefore
 //! hold no blocks at all; a maintained share holds at most one
 //! evaluation per probe — for a column of `n` in-band candidates, one
-//! block of [`unn_prob::profile::BLOCK_BYTES`] (280) bytes per candidate
-//! and segment it is active in: at most about `3n²` (up to `3n` segments,
-//! cut at each `rmin`, `d` and `S − d`), and 9.4 per row value on
-//! `examples/kernel_digest.rs`'s corpus. Reverse (`PROB_RNN`) rows evaluate
+//! block per candidate and segment it is active in: at most about `3n²`
+//! (up to `3n` segments, cut at each `rmin`, `d` and `S − d`), and 9.4
+//! per row value on `examples/kernel_digest.rs`'s corpus, of 96, 160 or
+//! 288 bytes by its width (149 on average there; [`ColumnKernel::memo_bytes`]
+//! sums them). Reverse (`PROB_RNN`) rows evaluate
 //! every perspective's column `k` through the same index, so their memo
 //! is bounded the same way but rarely hits.
 //!
@@ -177,12 +180,11 @@ impl ColumnKernel {
         2.0 * self.profile.support_radius()
     }
 
-    /// Quadrature blocks the memo holds over all probe indices
-    /// ([`unn_prob::profile::BLOCK_BYTES`] each), read under the memo's
-    /// lock.
-    pub fn memo_blocks(&self) -> usize {
+    /// Bytes the memo's quadrature blocks hold over all probe indices
+    /// ([`BlockList::bytes`]), read under the memo's lock.
+    pub fn memo_bytes(&self) -> usize {
         let memo = self.memo.lock().expect("kernel memo poisoned");
-        memo.iter().flatten().map(BlockList::len).sum()
+        memo.iter().flatten().map(BlockList::bytes).sum()
     }
 
     /// `(computed, copied)`: quadrature blocks this kernel (and every
@@ -392,9 +394,9 @@ mod tests {
         );
         for list in kernel.memo.lock().unwrap().iter().flatten() {
             assert!(
-                list.capacity() <= list.len(),
+                list.allocated_bytes() <= list.bytes(),
                 "{list:?}: {}",
-                list.capacity()
+                list.allocated_bytes()
             );
         }
     }

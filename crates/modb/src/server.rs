@@ -24,7 +24,6 @@ use unn_core::reverse::ReverseNnEngine;
 use unn_core::threshold::probability_at_kernel;
 use unn_core::topk::KnnAnswer;
 use unn_geom::interval::TimeInterval;
-use unn_prob::profile::BLOCK_BYTES;
 use unn_traj::difference::DifferenceError;
 use unn_traj::trajectory::Oid;
 use unn_traj::uncertain::{common_pdf_kind, UncertainTrajectory};
@@ -482,7 +481,7 @@ impl ModServer {
                 .push(("wal_checkpoint_epoch".into(), wal.checkpoint_epoch));
         }
         let mut subs = crate::subscription::SubscriptionStats::default();
-        let (mut memo_blocks, mut computed, mut copied) = (0, 0, 0);
+        let (mut memo_bytes, mut computed, mut copied) = (0, 0, 0);
         for (s, kernel) in self.subscriptions.share_stats() {
             subs.visited += s.visited;
             subs.skipped_unvisited += s.skipped_unvisited;
@@ -490,7 +489,7 @@ impl ModServer {
             subs.rows_patched += s.rows_patched;
             if let Some(kernel) = kernel {
                 let (c, p) = kernel.block_counts();
-                memo_blocks += kernel.memo_blocks() as u64;
+                memo_bytes += kernel.memo_bytes() as u64;
                 computed += c as u64;
                 copied += p as u64;
             }
@@ -505,10 +504,8 @@ impl ModServer {
             .push(("subs_batched_commits_total".into(), subs.batched_commits));
         snap.counters
             .push(("subs_rows_patched_total".into(), subs.rows_patched));
-        snap.gauges.push((
-            "subs_kernel_memo_bytes".into(),
-            memo_blocks * BLOCK_BYTES as u64,
-        ));
+        snap.gauges
+            .push(("subs_kernel_memo_bytes".into(), memo_bytes));
         snap.gauges
             .push(("subs_kernel_blocks_computed".into(), computed));
         snap.gauges
@@ -1153,8 +1150,21 @@ mod tests {
         s.store()
             .update(tr(7, &[(0.0, 1.4, 0.0), (10.0, 1.4, 10.0)]));
         assert_eq!(s.subscriptions()[0].stats.patched, 2);
+        // The gauge is the bytes the kernels' lists hold: whole blocks of
+        // a 24-byte key, an 8-byte offset and 2m 8-byte values (m = 4, 8
+        // or 16), each a multiple of 16 bytes.
         let bytes = memo_bytes(&s);
-        assert!(bytes > 0 && bytes % BLOCK_BYTES as u64 == 0, "{bytes}");
+        let held: usize = s
+            .subscription_registry()
+            .share_stats()
+            .into_iter()
+            .filter_map(|(_, kernel)| kernel)
+            .map(|kernel| kernel.memo_bytes())
+            .sum();
+        assert!(
+            bytes > 0 && bytes == held as u64 && bytes % 16 == 0,
+            "{bytes}"
+        );
     }
 
     /// The kept kernels' block counts: registration evaluates every

@@ -145,8 +145,13 @@ pub fn total_mass(pdf: &dyn RadialPdf) -> f64 {
 }
 
 /// Estimates the mean of a pdf's sampled radius against the analytic
-/// radial mean — a sanity helper for custom samplers (test support).
-pub fn mean_sample_radius(pdf: &dyn RadialPdf, n: usize, rng: &mut dyn rand::RngCore) -> f64 {
+/// radial mean — a sanity helper for the samplers' tests.
+#[cfg(test)]
+pub(crate) fn mean_sample_radius(
+    pdf: &dyn RadialPdf,
+    n: usize,
+    rng: &mut dyn rand::RngCore,
+) -> f64 {
     let mut acc = 0.0;
     for _ in 0..n {
         acc += pdf.sample(rng).norm();

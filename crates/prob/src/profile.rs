@@ -70,10 +70,12 @@
 //! and the end of the integral, `global_rmax = min_j (d_j + S)`, where
 //! the nearest candidate is inside for sure. [`nn_probabilities_profiled`]
 //! cuts its segments at every one of these that lies in
-//! `(0, global_rmax)` and integrates each segment with an `OUTER`-point
-//! Gauss–Legendre rule. Cut only at the `rmin`s, the kernel's error fell
-//! only ≈ 9× per doubling of the order, and 32 outer and 32 arc nodes
-//! left 2.1e-5 on `P^NN`.
+//! `(0, global_rmax)` and integrates each segment `(a, b)` with an
+//! `m`-point Gauss–Legendre rule, `m` picked from the segment's length:
+//! 4 nodes when `b − a < 0.05·S`, 8 when `b − a < 0.2·S`, otherwise
+//! `OUTER` (16). Cut only at the `rmin`s, the kernel's error fell only
+//! ≈ 9× per doubling of the order, and 32 outer and 32 arc nodes left
+//! 2.1e-5 on `P^NN`.
 //!
 //! Measured against [`crate::reference::nn_probabilities`] (the same
 //! table, its own cut placement: 64 panels of 16 nodes per `rmin`
@@ -81,7 +83,8 @@
 //! 512 columns, 4 949 values — for the uniform difference pdf (r = 0.5)
 //! and, on the same columns, the truncated-Gaussian one (r = 0.5,
 //! σ = 0.2); the time is the 512 uniform columns evaluated cold, median
-//! of six interleaved runs on one core of a 2-vCPU Xeon:
+//! of six interleaved runs on one core of a 2-vCPU Xeon. First with the
+//! same outer order on every segment:
 //!
 //! ```text
 //! OUTER / INNER            max |ΔP^NN| uniform   Gaussian   cold time
@@ -101,19 +104,46 @@
 //! time: a trapezoid CDF beside the lerped density in [`ProfiledPdf::of`],
 //! and for the Gaussian a convolution integrated with one plain rule
 //! across the support's edge. The other rows read today's tables.)
-//! `OUTER = 16` is the smallest outer order that keeps the
-//! uniform columns within 1e-7 (the gate of `tests/kernel_corpus.rs`),
-//! with a 3× margin. `INNER = 24` is the smallest arc order past which
-//! more arc nodes stop mattering: 20 → 24 moves the uniform error by
-//! 17 %, 24 → 28 by 4 %. With the cuts the error still falls only
-//! algebraically, ≈ 10× per doubling of both orders (16/24 → 32/32),
-//! which points at the fractional-power behaviour of `P^WD` just above
-//! `rmin`: a cut cannot remove it, a substitution at the segment's end
-//! could. The Gaussian columns stay between 2e-7 and 5e-7 at every order
-//! tried, without a trend: that floor is the table (a 512-point
-//! convolution, interpolated linearly). Over
-//! the corpus, `|Σ P^NN − 1|` is at most 5.5e-8 (uniform) and 2.8e-7
-//! (Gaussian).
+//! `INNER = 24` is the smallest arc order past which more arc nodes stop
+//! mattering: 20 → 24 moves the uniform error by 17 %, 24 → 28 by 4 %.
+//! With the cuts the error still falls only algebraically, ≈ 10× per
+//! doubling of both orders (16/24 → 32/32), which points at the
+//! fractional-power behaviour of `P^WD` just above `rmin`: a cut cannot
+//! remove it, a substitution at the segment's end could. The Gaussian
+//! columns stay between 2e-7 and 5e-7 at every order tried, without a
+//! trend: that floor is the table (a 512-point convolution, interpolated
+//! linearly).
+//!
+//! Most segments are short — with a cut at every `rmin`, `d` and
+//! `S − d` of a column, most lie well under `0.2·S` — and a short
+//! segment's integrand is nearly polynomial, so it needs fewer outer
+//! nodes. Then with `INNER = 24` and the outer order picked from `b − a`
+//! (`pairs`: the `(P^WD, pdf^WD)` evaluations of the 512 uniform columns
+//! cold; the times measured as above, alternating the two builds, on a
+//! later day on which the 16 / 24 kernel read 116 ms, not 148):
+//!
+//! ```text
+//! 4 nodes below   8 nodes below   pairs     uniform   Gaussian   cold time
+//! —               —               743 264   3.12e-8   2.86e-7    116 ms
+//! —               0.2 S           418 040   3.15e-8   2.45e-7
+//! 0.05 S          — (16 above)    506 348   3.12e-8   2.67e-7
+//! 0.02 S          0.2 S           380 744   3.15e-8   2.45e-7
+//! 0.05 S          0.1 S           419 228   3.15e-8   2.55e-7
+//! 0.05 S          0.2 S           339 068   3.15e-8   2.55e-7     55 ms
+//! 0.05 S          0.3 S           309 628   6.0e-8    2.75e-7
+//! 0.1 S           0.2 S           295 508   1.1e-7    2.55e-7
+//! 0.2 S           — (16 above)    255 428   8.7e-7    2.58e-7
+//! ```
+//!
+//! The first row is 16 nodes on every segment. 4 nodes below `0.05·S`
+//! and 8 below `0.2·S` is the row with the fewest pairs (0.46×) at the
+//! uniform error of 16 everywhere; every looser threshold tried loses
+//! uniform accuracy, every tighter one costs pairs and gains none there
+//! (the Gaussian columns move within their table's floor). The rule's
+//! thresholds compare `b − a` with `0.05·S` and `0.2·S` in floating
+//! point, so a block's width is a pure function of its key's `(a, b)`
+//! bits and the profile. Over the corpus, `|Σ P^NN − 1|` is at most
+//! 5.2e-8 (uniform) and 2.6e-7 (Gaussian).
 //!
 //! # Determinism
 //!
@@ -135,11 +165,13 @@
 //!
 //! Eq. 5 over a column is a sum over the segments `(a, b)` between sorted
 //! boundaries, and inside a segment every candidate `d` contributes the
-//! `(P^WD, pdf^WD)` values at the segment's `OUTER` (16) nodes. Those 32
-//! numbers — one **block** — depend on nothing but the profile and the
-//! bits of `(a, b, d)`: the nodes are `(a+b)/2 + (b−a)/2 · x_j`, a node at
-//! or below `max(d − S, 0)` contributes zero, and every other value is
-//! [`ProfiledPdf`]'s pure pair evaluator. [`nn_probabilities_profiled`]
+//! `(P^WD, pdf^WD)` values at the segment's `m` nodes (4, 8 or 16, from
+//! `b − a`, see "Accuracy"). Those `2m` numbers — one **block** — depend
+//! on nothing but the profile and the bits of `(a, b, d)`: `m` is a
+//! function of `(a, b)` and the support, the nodes are
+//! `(a+b)/2 + (b−a)/2 · x_j`, a node at or below `max(d − S, 0)`
+//! contributes zero, and every other value is [`ProfiledPdf`]'s pure pair
+//! evaluator. [`nn_probabilities_profiled`]
 //! is therefore written segment-major over a [`BlockList`]: for each
 //! segment it fills one block per distinct active distance, copying it
 //! from the previous evaluation's list when that list holds the same
@@ -161,9 +193,16 @@
 //! every candidate active in it, as is the candidate's own block in every
 //! other segment; a new nearest candidate also moves `global_rmax`, which
 //! recomputes the last segment and drops the cuts above it. All the
-//! other blocks keep their keys and are copied. A column of `n`
-//! candidates has at most `3n` segments, so a list holds at most about
-//! `3n²` blocks of [`BLOCK_BYTES`] (280) bytes.
+//! other blocks keep their keys and are copied — at their own width,
+//! since a key fixes it.
+//!
+//! A list stores its keys, one offset per block and one flat array of
+//! values: a block costs `8·(3 + 1 + 2m)` bytes, 96, 160 or 288
+//! ([`BlockList::bytes`]). A column of `n` candidates has at most `3n`
+//! segments, so a list holds at most about `3n²` blocks. On the corpus a
+//! cold evaluation writes 9.4 blocks per row value, 149 bytes each on
+//! average: 1.57–1.83 MB for a query's 128 columns, where 16-wide blocks
+//! of 280 bytes took 2.95–3.46 MB.
 
 use crate::integrate::GaussLegendre;
 use crate::pdf::RadialPdf;
@@ -176,9 +215,23 @@ use std::sync::OnceLock;
 /// Radial resolution of the tabulated profile (number of grid intervals).
 const GRID: usize = 2048;
 
-/// Gauss–Legendre order of Eq. 5's outer rule on every segment, and so
-/// the width of a block (module docs, "Accuracy").
+/// The highest Gauss–Legendre order of Eq. 5's outer rule: the order of
+/// a segment at least `0.2·S` long, and the widest block.
 const OUTER: usize = 16;
+
+/// Gauss–Legendre order of Eq. 5's outer rule on a segment of length
+/// `len` under a pdf of support `support`: 4 nodes below `0.05·S`, 8
+/// below `0.2·S`, `OUTER` otherwise (module docs, "Accuracy"). A block's
+/// width, so a pure function of its key's `(a, b)` bits and the profile.
+fn outer_order(len: f64, support: f64) -> usize {
+    if len < 0.05 * support {
+        4
+    } else if len < 0.2 * support {
+        8
+    } else {
+        OUTER
+    }
+}
 
 /// Order of the endpoint-regularized arc rule inside every `(P^WD,
 /// pdf^WD)` pair (module docs, "Accuracy").
@@ -191,19 +244,39 @@ const _: () = assert!(
     "the lane fold is written out"
 );
 
-/// The two fixed-order rules of the column kernel, built once per process.
+/// The plain `M`-point Gauss–Legendre nodes and weights on `[-1, 1]`.
+struct OuterRule<const M: usize> {
+    x: [f64; M],
+    w: [f64; M],
+}
+
+impl<const M: usize> OuterRule<M> {
+    fn new() -> Self {
+        let rule = GaussLegendre::new(M);
+        let mut this = OuterRule {
+            x: [0.0; M],
+            w: [0.0; M],
+        };
+        for k in 0..M {
+            (this.x[k], this.w[k]) = rule.node_weight(k);
+        }
+        this
+    }
+}
+
+/// The fixed-order rules of the column kernel, built once per process.
 ///
-/// `x`/`w` are the plain `OUTER`-point Gauss–Legendre nodes and weights on
-/// `[-1, 1]`. `frac`/`cofrac`/`wgt` are the `INNER`-point rule
-/// pre-substituted with
+/// `o4`/`o8`/`o16` are the outer rules [`outer_order`] picks from.
+/// `frac`/`cofrac`/`wgt` are the `INNER`-point rule pre-substituted with
 /// `s = lo + (hi−lo)·sin²u`:
 /// `∫_lo^hi F(s) ds = (hi−lo) · Σ_j wgt_j · F(lo + (hi−lo)·frac_j)`, with
 /// `frac_j = sin²u_j` and `cofrac_j = cos²u_j` (so `hi − s_j` is
 /// `(hi−lo)·cofrac_j`). The substitution turns inverse-square-root
 /// endpoint singularities into analytic integrands.
 struct KernelRules {
-    x: [f64; OUTER],
-    w: [f64; OUTER],
+    o4: OuterRule<4>,
+    o8: OuterRule<8>,
+    o16: OuterRule<OUTER>,
     frac: [f64; INNER],
     cofrac: [f64; INNER],
     wgt: [f64; INNER],
@@ -212,18 +285,15 @@ struct KernelRules {
 fn kernel_rules() -> &'static KernelRules {
     static RULES: OnceLock<KernelRules> = OnceLock::new();
     RULES.get_or_init(|| {
-        let outer = GaussLegendre::new(OUTER);
         let inner = GaussLegendre::new(INNER);
         let mut rules = KernelRules {
-            x: [0.0; OUTER],
-            w: [0.0; OUTER],
+            o4: OuterRule::new(),
+            o8: OuterRule::new(),
+            o16: OuterRule::new(),
             frac: [0.0; INNER],
             cofrac: [0.0; INNER],
             wgt: [0.0; INNER],
         };
-        for k in 0..OUTER {
-            (rules.x[k], rules.w[k]) = outer.node_weight(k);
-        }
         for k in 0..INNER {
             let (x, w) = inner.node_weight(k);
             // Map [-1, 1] -> u in [0, π/2].
@@ -479,22 +549,6 @@ impl ProfiledPdf {
     }
 }
 
-/// One quadrature block: `(P^WD, pdf^WD)` of one candidate distance `d`
-/// at the `OUTER` nodes of one segment `(a, b)` of the sorted-boundary
-/// decomposition — zero at the nodes at or below the candidate's
-/// `rmin = max(d − S, 0)`. A pure function of `(profile, a, b, d)`.
-#[derive(Clone, Copy)]
-struct Block {
-    /// `(a, b, d)`: everything the values depend on besides the profile.
-    key: [f64; 3],
-    pwd: [f64; OUTER],
-    dens: [f64; OUTER],
-}
-
-/// Bytes of one remembered block: what a [`BlockList`] holds per
-/// [`BlockList::len`].
-pub const BLOCK_BYTES: usize = std::mem::size_of::<Block>();
-
 /// `slot` value of a candidate with no block in the current segment
 /// (`rmin` at or above every node: all values zero).
 const NO_BLOCK: usize = usize::MAX;
@@ -512,34 +566,65 @@ fn key_cmp(x: &[f64; 3], y: &[f64; 3]) -> Ordering {
 /// what [`nn_probabilities_profiled`] writes, and may read back on the
 /// column's next evaluation (module docs, "Memo"). The default list is
 /// empty and allocates nothing.
+///
+/// A block is `(P^WD, pdf^WD)` of one candidate distance `d` at the `m`
+/// outer nodes of one segment `(a, b)` of the sorted-boundary
+/// decomposition, `m = outer_order(b − a, S)` — zero at the nodes at or
+/// below the candidate's `rmin = max(d − S, 0)`. A pure function of
+/// `(profile, a, b, d)`, its width included.
 #[derive(Default)]
 pub struct BlockList {
-    blocks: Vec<Block>,
+    /// Per block, `(a, b, d)`: everything its values depend on besides
+    /// the profile.
+    keys: Vec<[f64; 3]>,
+    /// Per block, where its values start in `values`; they run to the
+    /// next block's start.
+    offsets: Vec<usize>,
+    /// Every block's `m` values of `P^WD` then its `m` of `pdf^WD`, in
+    /// key order.
+    values: Vec<f64>,
     rmin: Vec<f64>,
     cuts: Vec<f64>,
     /// Candidate indices ascending by distance: a segment's write order.
     order: Vec<usize>,
-    /// Per candidate, its block in `blocks` for the current segment.
+    /// Per candidate, where its block in the current segment starts in
+    /// `values`.
     slot: Vec<usize>,
-    /// Per candidate and node (`OUTER` lanes each), the survival product
-    /// of the candidates after it in the current segment.
+    /// Per candidate and node (up to `OUTER` lanes each), the survival
+    /// product of the candidates after it in the current segment.
     suffix: Vec<f64>,
 }
 
 impl BlockList {
-    /// Number of blocks held ([`BLOCK_BYTES`] each).
+    /// Number of blocks held.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.keys.len()
     }
 
     /// `true` when no block is held.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.keys.is_empty()
     }
 
-    /// Blocks the list has room for without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.blocks.capacity()
+    /// Bytes the blocks hold: per block its key, its offset and its `2m`
+    /// values.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.keys[..])
+            + std::mem::size_of_val(&self.offsets[..])
+            + std::mem::size_of_val(&self.values[..])
+    }
+
+    /// Bytes the list has allocated, its scratch included.
+    pub fn allocated_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.keys.capacity() * size_of::<[f64; 3]>()
+            + (self.offsets.capacity() + self.order.capacity() + self.slot.capacity())
+                * size_of::<usize>()
+            + (self.values.capacity()
+                + self.rmin.capacity()
+                + self.cuts.capacity()
+                + self.suffix.capacity())
+                * size_of::<f64>()
     }
 
     /// Drops what an evaluation left behind beyond its blocks — a list
@@ -547,19 +632,48 @@ impl BlockList {
     /// widest column its scratch once served, nor the scratch itself
     /// (every evaluation rebuilds it).
     pub fn shrink_to_fit(&mut self) {
-        self.blocks.shrink_to_fit();
+        self.keys.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+        self.values.shrink_to_fit();
         for v in [&mut self.rmin, &mut self.cuts, &mut self.suffix] {
             *v = Vec::new();
         }
         self.order = Vec::new();
         self.slot = Vec::new();
     }
+
+    /// The values of block `k`.
+    fn row(&self, k: usize) -> &[f64] {
+        let end = self
+            .offsets
+            .get(k + 1)
+            .copied()
+            .unwrap_or(self.values.len());
+        &self.values[self.offsets[k]..end]
+    }
+
+    /// The values of the block keyed `key`, if the list holds it, looking
+    /// from block `*cursor` on and leaving `*cursor` at the first block
+    /// not below `key`. Over ascending keys one forward cursor finds every
+    /// block a list shares with another.
+    fn find(&self, key: &[f64; 3], cursor: &mut usize) -> Option<&[f64]> {
+        while self
+            .keys
+            .get(*cursor)
+            .is_some_and(|k| key_cmp(k, key).is_lt())
+        {
+            *cursor += 1;
+        }
+        let k = self.keys.get(*cursor)?;
+        key_cmp(k, key).is_eq().then(|| self.row(*cursor))
+    }
 }
 
 impl fmt::Debug for BlockList {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BlockList")
-            .field("blocks", &self.blocks.len())
+            .field("blocks", &self.len())
+            .field("bytes", &self.bytes())
             .finish_non_exhaustive()
     }
 }
@@ -612,16 +726,10 @@ fn nn_probabilities_over(
     out: &mut Vec<f64>,
     pair: impl Fn(f64, f64) -> (f64, f64),
 ) -> usize {
-    let BlockList {
-        blocks,
-        rmin,
-        cuts,
-        order,
-        slot,
-        suffix,
-    } = next;
     out.clear();
-    blocks.clear();
+    next.keys.clear();
+    next.offsets.clear();
+    next.values.clear();
     let n = dists.len();
     if n == 0 {
         return 0;
@@ -630,6 +738,14 @@ fn nn_probabilities_over(
         out.push(1.0);
         return 0;
     }
+    let BlockList {
+        rmin,
+        cuts,
+        order,
+        slot,
+        suffix,
+        ..
+    } = &mut *next;
     rmin.clear();
     rmin.extend(dists.iter().map(|&d| (d - support).max(0.0)));
     let global_rmax = dists
@@ -652,70 +768,113 @@ fn nn_probabilities_over(
     order.clear();
     order.extend(0..n);
     order.sort_by(|&i, &j| dists[i].total_cmp(&dists[j]));
-
-    out.resize(n, 0.0);
     slot.clear();
     slot.resize(n, NO_BLOCK);
     suffix.clear();
     suffix.resize((n + 1) * OUTER, 0.0);
+    out.resize(n, 0.0);
 
-    let mut computed = 0;
-    // Both lists ascend by key, so one forward cursor finds every block
-    // `prev` shares with this evaluation.
-    let mut cursor = 0;
+    let cuts = std::mem::take(cuts);
+    let mut pass = Pass {
+        dists,
+        pair,
+        prev,
+        cursor: 0,
+        next,
+        out,
+        computed: 0,
+    };
     for w in cuts.windows(2) {
         let (a, b) = (w[0], w[1]);
         if b - a <= 1e-15 {
             continue;
         }
+        match outer_order(b - a, support) {
+            4 => pass.segment(a, b, &rules.o4),
+            8 => pass.segment(a, b, &rules.o8),
+            _ => pass.segment(a, b, &rules.o16),
+        }
+    }
+    let computed = pass.computed;
+    next.cuts = cuts;
+    for p in out.iter_mut() {
+        *p = p.clamp(0.0, 1.0);
+    }
+    computed
+}
+
+/// One evaluation of [`nn_probabilities_over`] under way: the column, the
+/// list it reads, the list and the result it writes.
+struct Pass<'a, P> {
+    dists: &'a [f64],
+    pair: P,
+    prev: &'a BlockList,
+    /// `prev`'s first block not below the last key looked up.
+    cursor: usize,
+    next: &'a mut BlockList,
+    out: &'a mut [f64],
+    /// Blocks computed rather than copied.
+    computed: usize,
+}
+
+impl<P: Fn(f64, f64) -> (f64, f64)> Pass<'_, P> {
+    /// Adds segment `(a, b)`'s share of Eq. 5, at the `M` nodes of `rule`,
+    /// to every candidate's `out`.
+    fn segment<const M: usize>(&mut self, a: f64, b: f64, rule: &OuterRule<M>) {
+        let BlockList {
+            keys,
+            offsets,
+            values,
+            rmin,
+            order,
+            slot,
+            suffix,
+            ..
+        } = &mut *self.next;
         let half = 0.5 * (b - a);
         let mid = 0.5 * (a + b);
-        let r: [f64; OUTER] = std::array::from_fn(|j| mid + half * rules.x[j]);
+        let r: [f64; M] = std::array::from_fn(|j| mid + half * rule.x[j]);
         let r_top = r.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         // The segment's blocks, ascending by distance: one per distinct
         // `d` with a node above its `rmin`, copied or computed.
-        let first = blocks.len();
+        let first = keys.len();
         for &i in order.iter() {
-            let d = dists[i];
+            let d = self.dists[i];
             if rmin[i] >= r_top {
                 slot[i] = NO_BLOCK;
                 continue;
             }
-            if blocks.len() > first && blocks[blocks.len() - 1].key[2].to_bits() == d.to_bits() {
+            if keys.len() > first && keys[keys.len() - 1][2].to_bits() == d.to_bits() {
                 // A tie shares its predecessor's block.
-                slot[i] = blocks.len() - 1;
+                slot[i] = offsets[offsets.len() - 1];
                 continue;
             }
             let key = [a, b, d];
-            while prev
-                .blocks
-                .get(cursor)
-                .is_some_and(|p| key_cmp(&p.key, &key).is_lt())
-            {
-                cursor += 1;
-            }
-            let block = match prev.blocks.get(cursor) {
-                Some(p) if key_cmp(&p.key, &key).is_eq() => *p,
-                _ => {
-                    computed += 1;
-                    let mut block = Block {
-                        key,
-                        pwd: [0.0; OUTER],
-                        dens: [0.0; OUTER],
-                    };
+            let start = values.len();
+            match self.prev.find(&key, &mut self.cursor) {
+                Some(row) => values.extend_from_slice(row),
+                None => {
+                    self.computed += 1;
+                    values.resize(start + 2 * M, 0.0);
+                    let (pwd, dens) = values[start..].split_at_mut(M);
                     for (j, &rj) in r.iter().enumerate() {
                         if rmin[i] >= rj {
                             continue;
                         }
-                        (block.pwd[j], block.dens[j]) = pair(d, rj);
+                        (pwd[j], dens[j]) = (self.pair)(d, rj);
                     }
-                    block
                 }
-            };
-            slot[i] = blocks.len();
-            blocks.push(block);
+            }
+            debug_assert_eq!(
+                values.len(),
+                start + 2 * M,
+                "a block has its segment's width"
+            );
+            keys.push(key);
+            offsets.push(start);
+            slot[i] = start;
         }
-        // The node loop, lane-major: the `OUTER` nodes are the lanes of one
+        // The node loop, lane-major: the `M` nodes are the lanes of one
         // pass over the candidates. `suffix` holds, per candidate `i`,
         // the survival product of the candidates after it at every node;
         // `prefix` runs forward over the candidates before it. A
@@ -724,42 +883,41 @@ fn nn_probabilities_over(
         // passed over. Every product and every `out[i]` addition is the
         // node-major loop's, in its order: node `j`'s term still reaches
         // `out[i]` before node `j + 1`'s.
-        let wh: [f64; OUTER] = std::array::from_fn(|j| rules.w[j] * half);
-        suffix[n * OUTER..].fill(1.0);
+        let n = self.dists.len();
+        let wh: [f64; M] = std::array::from_fn(|j| rule.w[j] * half);
+        let suffix = &mut suffix[..(n + 1) * M];
+        suffix[n * M..].fill(1.0);
         for i in (0..n).rev() {
-            let (done, open) = suffix.split_at_mut((i + 1) * OUTER);
-            let (cur, after) = (&mut done[i * OUTER..], &open[..OUTER]);
-            match blocks.get(slot[i]) {
-                Some(blk) => {
-                    for ((c, &a), &w) in cur.iter_mut().zip(after).zip(&blk.pwd) {
+            let (done, open) = suffix.split_at_mut((i + 1) * M);
+            let (cur, after) = (&mut done[i * M..], &open[..M]);
+            match slot[i] {
+                NO_BLOCK => cur.copy_from_slice(after),
+                start => {
+                    let pwd = &values[start..start + M];
+                    for ((c, &a), &w) in cur.iter_mut().zip(after).zip(pwd) {
                         *c = a * (1.0 - w);
                     }
                 }
-                None => cur.copy_from_slice(after),
             }
         }
-        let mut prefix = [1.0; OUTER];
-        for i in 0..n {
-            let Some(blk) = blocks.get(slot[i]) else {
+        let mut prefix = [1.0; M];
+        for (i, &start) in slot.iter().enumerate() {
+            if start == NO_BLOCK {
                 continue;
-            };
-            let after = &suffix[(i + 1) * OUTER..(i + 2) * OUTER];
-            let term: [f64; OUTER] =
-                std::array::from_fn(|j| wh[j] * blk.dens[j] * prefix[j] * after[j]);
-            for (&t, &f) in term.iter().zip(&blk.dens) {
+            }
+            let (pwd, dens) = values[start..start + 2 * M].split_at(M);
+            let after = &suffix[(i + 1) * M..(i + 2) * M];
+            let term: [f64; M] = std::array::from_fn(|j| wh[j] * dens[j] * prefix[j] * after[j]);
+            for (&t, &f) in term.iter().zip(dens) {
                 if f > 0.0 {
-                    out[i] += t;
+                    self.out[i] += t;
                 }
             }
-            for (p, &w) in prefix.iter_mut().zip(&blk.pwd) {
+            for (p, &w) in prefix.iter_mut().zip(pwd) {
                 *p *= 1.0 - w;
             }
         }
     }
-    for p in out.iter_mut() {
-        *p = p.clamp(0.0, 1.0);
-    }
-    computed
 }
 
 #[cfg(test)]
@@ -773,6 +931,7 @@ mod tests {
     use crate::uniform_diff::UniformDifferencePdf;
     use crate::within_distance::{within_distance, within_distance_density};
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     /// The oracle: the two separate arc integrals the fused evaluator
     /// replaced — `(1−c)(1+c)` from a rounded cosine, one `sqrt` per
@@ -816,14 +975,11 @@ mod tests {
         ((out, next), computed)
     }
 
-    /// Bit equality of two lists' blocks (keys and values).
+    /// Bit equality of two lists' blocks (keys, offsets and values).
     fn same_blocks(x: &BlockList, y: &BlockList) -> bool {
-        x.blocks.len() == y.blocks.len()
-            && x.blocks.iter().zip(&y.blocks).all(|(a, b)| {
-                bits(&a.key) == bits(&b.key)
-                    && bits(&a.pwd) == bits(&b.pwd)
-                    && bits(&a.dens) == bits(&b.dens)
-            })
+        bits(&x.keys.concat()) == bits(&y.keys.concat())
+            && x.offsets == y.offsets
+            && bits(&x.values) == bits(&y.values)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -988,19 +1144,66 @@ mod tests {
     fn kernel_rules_are_the_shared_gauss_legendre_rule() {
         // The kernel's private tables must not drift from the interned
         // rules every other evaluator draws its nodes from: the outer
-        // rule, and the substituted arc rule of the two-integral oracle.
-        let (rules, gl) = (kernel_rules(), shared_rule(OUTER));
-        for k in 0..OUTER {
-            let (x, w) = gl.node_weight(k);
-            assert_eq!(rules.x[k].to_bits(), x.to_bits());
-            assert_eq!(rules.w[k].to_bits(), w.to_bits());
+        // rules, and the substituted arc rule of the two-integral oracle.
+        fn same<const M: usize>(rule: &OuterRule<M>) {
+            let gl = shared_rule(M);
+            for k in 0..M {
+                let (x, w) = gl.node_weight(k);
+                assert_eq!(rule.x[k].to_bits(), x.to_bits());
+                assert_eq!(rule.w[k].to_bits(), w.to_bits());
+            }
         }
+        let rules = kernel_rules();
+        same(&rules.o4);
+        same(&rules.o8);
+        same(&rules.o16);
         let arc = ArcRule::new(INNER);
         assert_eq!(arc.nodes().count(), INNER);
         for (k, (frac, wgt)) in arc.nodes().enumerate() {
             assert_eq!(rules.frac[k].to_bits(), frac.to_bits());
             assert_eq!(rules.wgt[k].to_bits(), wgt.to_bits());
             assert!((rules.frac[k] + rules.cofrac[k] - 1.0).abs() < 4.0 * f64::EPSILON);
+        }
+    }
+
+    #[test]
+    fn each_outer_rule_is_exact_to_degree_2m_minus_1() {
+        // Σ w_j x_j^k = ∫_{-1}^{1} x^k dx for every k < 2m, and not for
+        // k = 2m: each rule has exactly the degree of an m-point
+        // Gauss–Legendre rule.
+        fn moments<const M: usize>(rule: &OuterRule<M>) {
+            let quad =
+                |k: i32| -> f64 { rule.x.iter().zip(&rule.w).map(|(x, w)| w * x.powi(k)).sum() };
+            let exact = |k: i32| {
+                if k % 2 == 0 {
+                    2.0 / f64::from(k + 1)
+                } else {
+                    0.0
+                }
+            };
+            for k in 0..2 * M as i32 {
+                assert!((quad(k) - exact(k)).abs() < 1e-14, "m = {M}, x^{k}");
+            }
+            // (The 16-point rule's error on x^32 is ≈ 7e-11.)
+            let k = 2 * M as i32;
+            assert!((quad(k) - exact(k)).abs() > 1e-12, "m = {M}, x^{k}");
+        }
+        let rules = kernel_rules();
+        moments(&rules.o4);
+        moments(&rules.o8);
+        moments(&rules.o16);
+    }
+
+    #[test]
+    fn a_segment_at_a_threshold_takes_the_higher_order() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for s in [0.5, 1.0, 2.0, 3.7] {
+            assert_eq!(outer_order(below(0.05 * s), s), 4);
+            assert_eq!(outer_order(0.05 * s, s), 8);
+            assert_eq!(outer_order(below(0.2 * s), s), 8);
+            assert_eq!(outer_order(0.2 * s, s), OUTER);
+            assert_eq!(outer_order(1e-14, s), 4);
+            assert_eq!(outer_order(10.0 * s, s), OUTER);
         }
     }
 
@@ -1121,13 +1324,36 @@ mod tests {
         }
     }
 
+    /// Per block, its width: `m` values of `P^WD` then `m` of `pdf^WD`.
+    fn widths(list: &BlockList) -> Vec<usize> {
+        (0..list.len()).map(|k| list.row(k).len() / 2).collect()
+    }
+
     #[test]
-    fn block_bytes_is_a_key_and_two_value_rows() {
+    fn block_bytes_are_a_key_an_offset_and_two_value_rows() {
         // The per-share memory formula in docs/OPERATIONS.md and the
-        // `subs_kernel_memo_bytes` gauge count this: the `(a, b, d)` key
-        // and `OUTER` values each of `P^WD` and `pdf^WD`, no padding.
-        assert_eq!(BLOCK_BYTES, 8 * (3 + 2 * OUTER));
-        assert_eq!(BLOCK_BYTES, 280);
+        // `subs_kernel_memo_bytes` gauge count this: per block the
+        // `(a, b, d)` key, its offset, and `m` values each of `P^WD` and
+        // `pdf^WD`, `m` its segment's outer order; no padding.
+        let block_bytes = |m: usize| 8 * (3 + 1 + 2 * m);
+        assert_eq!(block_bytes(OUTER) - 8, 8 * (3 + 2 * OUTER));
+        assert_eq!(block_bytes(OUTER) - 8, 280);
+        for prof in both_profiles() {
+            let s = prof.support_radius();
+            let (_, list) = cold(prof, &[0.4, 0.9, 1.7, 2.1, 2.1, 2.35]);
+            let mut want = 0;
+            for (k, m) in widths(&list).into_iter().enumerate() {
+                let [a, b, _] = list.keys[k];
+                assert_eq!(m, outer_order(b - a, s), "block {k}");
+                assert_eq!(list.row(k).len(), 2 * m);
+                want += block_bytes(m);
+            }
+            assert_eq!(list.bytes(), want);
+            assert_eq!(
+                list.bytes(),
+                24 * list.keys.len() + 8 * list.offsets.len() + 8 * list.values.len()
+            );
+        }
     }
 
     #[test]
@@ -1183,18 +1409,36 @@ mod tests {
         }
     }
 
-    /// A deterministic Fisher–Yates shuffle (xorshift from `seed`).
-    fn shuffle(blocks: &mut [Block], mut seed: u64) {
+    /// The blocks of `lists`, in a deterministic Fisher–Yates shuffle
+    /// (xorshift from `seed`), as one list.
+    fn shuffled(lists: &[&BlockList], mut seed: u64) -> BlockList {
+        let mut blocks: Vec<([f64; 3], &[f64])> = lists
+            .iter()
+            .flat_map(|list| (0..list.len()).map(move |k| (list.keys[k], list.row(k))))
+            .collect();
         for i in (1..blocks.len()).rev() {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
             blocks.swap(i, (seed % (i as u64 + 1)) as usize);
         }
+        let mut list = BlockList::default();
+        for (key, row) in blocks {
+            list.keys.push(key);
+            list.offsets.push(list.values.len());
+            list.values.extend_from_slice(row);
+        }
+        list
     }
 
+    /// The outer orders `remembered_blocks_never_change_a_bit`'s columns
+    /// have used so far, as a bit mask of `4 | 8 | 16`, and its cases run.
+    static WIDTHS_SEEN: AtomicUsize = AtomicUsize::new(0);
+    static CASES_RUN: AtomicUsize = AtomicUsize::new(0);
+    const REMEMBERED_CASES: u32 = 24;
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(REMEMBERED_CASES))]
 
         #[test]
         fn remembered_blocks_never_change_a_bit(
@@ -1215,16 +1459,19 @@ mod tests {
                     prop_assert!(bits(&got) == bits(&want), "{:?}", dists);
                     prop_assert!(same_blocks(&got_list, &want_list), "{:?}", dists);
                     // Another column's blocks with this one's, shuffled.
-                    let mut adversary = BlockList {
-                        blocks: prev.blocks.iter().chain(&other.blocks).copied().collect(),
-                        ..BlockList::default()
-                    };
-                    shuffle(&mut adversary.blocks, seed);
+                    let adversary = shuffled(&[&prev, &other], seed);
                     let ((got, got_list), _) = warm(prof, &dists, &adversary);
                     prop_assert!(bits(&got) == bits(&want), "{:?}", dists);
                     prop_assert!(same_blocks(&got_list, &want_list), "{:?}", dists);
+                    for m in widths(&got_list) {
+                        WIDTHS_SEEN.fetch_or(m, AtomicOrdering::Relaxed);
+                    }
                     prev = got_list;
                 }
+            }
+            // The last case: the columns must have reached every width.
+            if CASES_RUN.fetch_add(1, AtomicOrdering::Relaxed) + 1 == REMEMBERED_CASES as usize {
+                prop_assert_eq!(WIDTHS_SEEN.load(AtomicOrdering::Relaxed), 4 | 8 | OUTER);
             }
         }
     }
